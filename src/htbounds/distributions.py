@@ -23,7 +23,6 @@ from enum import Enum
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .numerics import DomainError
 
@@ -195,7 +194,7 @@ def renyi_divergence(pair: DistributionPair, lam, direction: Direction):
     else:
         logp, logq = _log_atoms(pair, direction)
         lam_col = arr.reshape(arr.shape + (1,))
-        out = special.logsumexp(lam_col * logp + (1.0 - lam_col) * logq, axis=-1) / (arr - 1.0)
+        out = np.logaddexp.reduce(lam_col * logp + (1.0 - lam_col) * logq, axis=-1) / (arr - 1.0)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -204,7 +203,7 @@ def hellinger_squared(pair: DistributionPair) -> float:
     if isinstance(pair, GaussianPair):
         return float(-np.expm1(-_gaussian_d2(pair) / 8.0))
     logp, logq = _log_atoms(pair, Direction.FORWARD)
-    log_affinity = special.logsumexp(0.5 * (logp + logq))
+    log_affinity = np.logaddexp.reduce(0.5 * (logp + logq))
     return float(-np.expm1(min(log_affinity, 0.0)))
 
 

@@ -6,6 +6,7 @@ computation at 60 digits, pinned to 17 significant figures.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -127,6 +128,40 @@ class TestRenyi:
         # stays bounded; here log(0.5/0.4) under REVERSE order.
         cap = math.log(0.6 / 0.5)
         assert renyi_divergence(BERN06, 1e5, Direction.REVERSE) < cap + 1e-6
+
+    def test_matches_mpmath(self):
+        # Orders log-spaced towards 0, towards 1 from both sides, and out
+        # to 1 + 1e6.  The two 1/... terms of the tolerance allow for the
+        # formula's own cancellation near lambda = 1 and lambda = 0.
+        specs = (
+            "discrete:0.3,0.7|0.6,0.4",
+            "discrete:0.999,0.001|0.998,0.002",
+            "discrete:0.2,0.3,0.5|0.4,0.4,0.2",
+            "discrete:0.1,0.2,0.3,0.4|0.25,0.25,0.25,0.25",
+        )
+        lams = np.concatenate(
+            [
+                np.geomspace(1e-9, 0.5, 12),
+                1.0 - np.geomspace(1e-9, 0.5, 12),
+                1.0 + np.geomspace(1e-9, 1e6, 20),
+            ]
+        )
+        for spec in specs:
+            pair = parse_pair(spec)
+            for direction in Direction:
+                p, q = (pair.p0, pair.p1) if direction is Direction.FORWARD else (pair.p1, pair.p0)
+                got = renyi_divergence(pair, lams, direction)
+                for lam, vec in zip(lams.tolist(), got.tolist()):
+                    with mpmath.workdps(50):
+                        lam_mp = mpmath.mpf(lam)
+                        s = mpmath.fsum(
+                            mpmath.mpf(a) ** lam_mp * mpmath.mpf(b) ** (1 - lam_mp) for a, b in zip(p, q)
+                        )
+                        ref = float(mpmath.log(s) / (lam_mp - 1))
+                    tol = max(1e-13, 1e-14 / abs(lam - 1.0), 1e-14 / lam)
+                    scalar = renyi_divergence(pair, lam, direction)
+                    for val in (vec, scalar):
+                        assert abs(val - ref) <= tol * abs(ref), (spec, direction, lam)
 
     def test_lambda_validation(self):
         for bad in (1.0, 0.0, -2.0, math.nan, math.inf):

@@ -6,6 +6,7 @@ and are pinned to 17 significant figures.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,6 +32,15 @@ QINV_001 = 2.3263478740408411
 # attained at l* = sqrt(c/D) with value (sqrt(c) - sqrt(D))^2
 PHASE_LAMBDA = 4.4721359549995794
 PHASE_EXPONENT = 0.015069660112501052
+
+
+def mp_q_root(p, x0):
+    """Root of Q(x) = p in 60-digit arithmetic, by Newton from ``x0``."""
+    with mpmath.workdps(60):
+        p, x = mpmath.mpf(p), mpmath.mpf(x0)
+        for _ in range(6):
+            x += (mpmath.erfc(x / mpmath.sqrt(2)) / 2 - p) / mpmath.npdf(x)
+        return float(x)
 
 
 class TestQFunction:
@@ -88,6 +98,17 @@ class TestQInverse:
         assert xs.shape == ps.shape
         assert xs[0] == pytest.approx(-xs[2], abs=1e-12)
 
+    def test_matches_mpmath(self):
+        # Upper tail down to 1e-300, the middle, and the lower tail up to
+        # 1 - 1e-15, against the exact root of Q(x) = p for the double p.
+        ps = np.concatenate(
+            [np.geomspace(1e-300, 0.5, 60), [0.3, 0.5, 0.7], 1.0 - np.geomspace(1e-15, 0.5, 30)]
+        )
+        for p in ps.tolist():
+            x = q_inverse(p)
+            ref = mp_q_root(p, x)
+            assert abs(x - ref) <= 2e-15 * max(abs(ref), 1e-3), p
+
     def test_domain(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(DomainError):
@@ -103,6 +124,25 @@ class TestQInverseLog:
         for lp in (-1e3, -1e4, -1e6):
             x = q_inverse_log(lp)
             assert log_q(x) == pytest.approx(lp, rel=1e-9)
+
+    def test_roundtrip_within_four_ulps_of_log_p(self):
+        # An absolute accuracy cannot hold at -1e6, where one ulp of log p
+        # is 1.2e-10, so the round trip is measured in ulps of log p.
+        # Near 0 the points show that log p is never rounded through
+        # exp(log p); deep in the tail, that the Newton polish step is
+        # live (ndtri_exp alone is thousands of ulps off at -1e5).
+        for lp in (-1e-12, -1e-3, -1.0, -50.0, -690.0, -700.0, -5e3, -1e5, -1e6):
+            x = q_inverse_log(lp)
+            assert abs(log_q(x) - lp) <= 4 * math.ulp(lp), lp
+
+    def test_log_p_next_to_zero(self):
+        # Below about 1e-310, Q / phi overflows, so the Newton step is
+        # inf or NaN and must be skipped (-1e-300 still takes it); arrays
+        # take the same path element by element.
+        lps = np.array([-1e-300, -1e-320, -5e-324])
+        xs = q_inverse_log(lps)
+        assert np.all(np.isfinite(xs)) and np.all(xs < -37.0)
+        assert xs.tolist() == [q_inverse_log(lp) for lp in lps.tolist()]
 
     def test_domain(self):
         for bad in (0.0, 0.5, math.nan, -math.inf):
