@@ -36,7 +36,6 @@ from .bounds import (
 )
 from .distributions import (
     Direction,
-    GaussianPair,
     PairSpecError,
     UnsupportedFamilyError,
     kl_divergence,
@@ -46,6 +45,7 @@ from .experiments import (
     CANONICAL_BOUNDS,
     ConfigError,
     ExperimentGrid,
+    bounds_for,
     emit_csv,
     emit_svg,
     run_grid,
@@ -69,6 +69,10 @@ _REPRODUCE_PAIRS = {
         ("appF_gaussian30", "gaussian:2,0.3"),
     ),
 }
+
+# The bounds the reproduce figures plot, where defined for the pair.
+_REPRODUCE_BOUNDS = ("renyi_converse", "fano", "hellinger", "berry_esseen", "smoothing_out",
+                     "np_exact")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,12 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--pair", required=True)
     bd.add_argument("--bound", required=True, choices=[b for b in CANONICAL_BOUNDS if b != "np_exact"])
     bd.add_argument("--n", type=int, required=True)
-    bd.add_argument("--eps", type=float)
-    bd.add_argument("--log-eps", type=float)
+    budget = bd.add_mutually_exclusive_group()
+    budget.add_argument("--eps", type=float, default=0.01)
+    budget.add_argument("--log-eps", type=float)
     bd.add_argument("--c", type=float, help="exponential rate, for the phase bounds")
     bd.add_argument("--tau", type=float, help="log-LR threshold, for achievability")
     bd.add_argument("--log-alpha", type=float, default=-math.inf)
-    bd.add_argument("--lam", type=float, help="fix the order instead of optimizing")
     bd.add_argument("--delta-param", type=float, help="fix the Berry-Esseen slack")
     bd.add_argument("--t-param", type=float, help="fix the smoothing temperature")
 
@@ -135,11 +139,7 @@ def _result_json(name: str, r) -> str:
 
 
 def _log_eps_of(args) -> float:
-    if args.log_eps is not None:
-        return args.log_eps
-    if args.eps is not None:
-        return math.log(args.eps)
-    return math.log(0.01)
+    return args.log_eps if args.log_eps is not None else math.log(args.eps)
 
 
 def _cmd_bound(args) -> int:
@@ -204,12 +204,7 @@ def _cmd_sweep(args) -> int:
     else:
         regime = Constant(args.eps if args.eps is not None else 0.01)
     if args.bounds is None:
-        # the Gaussian-only smoothing bound drops out of the default
-        # selection for other families; asking for it by name still errors
-        gaussian = isinstance(parse_pair(args.pair), GaussianPair)
-        bounds = tuple(
-            b for b in CANONICAL_BOUNDS if b != "smoothing_out" or gaussian
-        )
+        bounds = bounds_for(parse_pair(args.pair))
     else:
         bounds = tuple(b.strip() for b in args.bounds.split(",") if b.strip())
     table = _sweep_table(args.pair, regime, ns, bounds)
@@ -232,17 +227,14 @@ def _cmd_reproduce(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     for tag, pair_spec in _REPRODUCE_PAIRS[args.target]:
         pair = parse_pair(pair_spec)
-        bounds = ["renyi_converse", "fano", "hellinger", "berry_esseen"]
-        if isinstance(pair, GaussianPair):
-            bounds.append("smoothing_out")
-        bounds.append("np_exact")
+        bounds = bounds_for(pair, _REPRODUCE_BOUNDS)
         regimes = {
             "constant": Constant(0.01),
             "linear": Linear(),
             "exponential": Exponential(20.0 * kl_divergence(pair, Direction.REVERSE)),
         }
         for reg_name, regime in regimes.items():
-            table = _sweep_table(pair_spec, regime, DEFAULT_N, tuple(bounds))
+            table = _sweep_table(pair_spec, regime, DEFAULT_N, bounds)
             base = os.path.join(args.outdir, f"{tag}_{reg_name}")
             emit_csv(table, base + ".csv")
             emit_svg(

@@ -6,12 +6,17 @@ table that can be serialized to CSV (byte-deterministic) or rendered to
 a standalone SVG plot.  Rows are computed in a thread pool sized by the
 HYPOTEST_THREADS environment variable (default: CPU count); results are
 ordered by n regardless of scheduling.
+
+One registry, ``_BOUNDS``, holds each bound's column, plot colour, cell
+evaluation and the pair family it is defined for; ``bounds_for`` applies
+that family rule to grid validation and default selections.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,6 +43,8 @@ from .distributions import (
 )
 from .numerics import DomainError
 from .oracle import (
+    SizeError,
+    check_bruteforce_size,
     np_exact_bernoulli,
     np_exact_discrete_bruteforce,
     np_exact_gaussian,
@@ -50,27 +57,73 @@ __all__ = [
     "GridCell",
     "GridRow",
     "GridTable",
+    "bounds_for",
     "emit_csv",
     "emit_svg",
     "run_grid",
 ]
 
-# Column order in tables, CSV files, and plot legends.
-CANONICAL_BOUNDS = (
-    "renyi_converse",
-    "achievability",
-    "phase_converse",
-    "phase_achievability",
-    "fano",
-    "hellinger",
-    "berry_esseen",
-    "smoothing_out",
-    "np_exact",
-)
-
 
 class ConfigError(ValueError):
     """The experiment grid is malformed or infeasible as configured."""
+
+
+def _rate(regime: ErrorRegime, n: int, log_eps: float) -> float:
+    # Effective exponential rate at this row; exact in the exponential
+    # regime, -log(eps)/n otherwise so the phase columns stay defined.
+    if isinstance(regime, Exponential):
+        return regime.c
+    return -log_eps / n
+
+
+def _achievability(pair, regime, n, eps, log_eps):
+    # The threshold test at the rate's optimal order for the phase form.
+    c = _rate(regime, n, log_eps)
+    pa = phase_transition_achievability(pair, n, c)
+    tau = threshold_for_rate(pair, n, c, pa.optimizer)
+    return renyi_achievability_at_threshold(pair, n, tau, -math.inf)
+
+
+def _np_exact(pair, regime, n, eps, log_eps):
+    if isinstance(pair, GaussianPair):
+        r = np_exact_gaussian(pair, n, log_eps)
+    elif isinstance(pair, BernoulliPair):
+        r = np_exact_bernoulli(pair, n, log_eps)
+    else:
+        r = np_exact_discrete_bruteforce(pair, n, eps)
+    return GridCell(r.beta, r.threshold, True)
+
+
+_Bound = namedtuple("_Bound", "colour evaluate family", defaults=(object,))
+
+# Every bound a grid can evaluate, in column order: plot colour, cell evaluation
+# (pair, regime, n, eps, log_eps) -> result with value, optimizer and valid, and
+# the pair type it is defined for.  Evaluations look the bound functions up by
+# module-global name when called, so a wrapper set on this module sees every cell.
+_BOUNDS = {
+    "renyi_converse": _Bound("#d62728", lambda pair, regime, n, eps, log_eps:
+        renyi_converse(pair, n, log_eps)),
+    "achievability": _Bound("#9467bd", _achievability),
+    "phase_converse": _Bound("#e377c2", lambda pair, regime, n, eps, log_eps:
+        phase_transition_converse(pair, n, _rate(regime, n, log_eps))),
+    "phase_achievability": _Bound("#8c564b", lambda pair, regime, n, eps, log_eps:
+        phase_transition_achievability(pair, n, _rate(regime, n, log_eps))),
+    "fano": _Bound("#1f77b4", lambda pair, regime, n, eps, log_eps: fano_bound(pair, n, log_eps)),
+    "hellinger": _Bound("#2ca02c", lambda pair, regime, n, eps, log_eps:
+        hellinger_bound(pair, n, log_eps)),
+    "berry_esseen": _Bound("#ff7f0e", lambda pair, regime, n, eps, log_eps:
+        berry_esseen_bound(pair, n, log_eps)),
+    "smoothing_out": _Bound("#17becf", lambda pair, regime, n, eps, log_eps:
+        smoothing_out_bound(pair, n, log_eps), GaussianPair),
+    "np_exact": _Bound("#000000", _np_exact),
+}
+
+CANONICAL_BOUNDS = tuple(_BOUNDS)
+
+
+def bounds_for(pair, names=CANONICAL_BOUNDS) -> tuple:
+    """The bounds among ``names`` that are defined for ``pair``'s family, in order."""
+    return tuple(b for b in names if isinstance(pair, _BOUNDS[b].family))
 
 
 @dataclass(frozen=True)
@@ -138,47 +191,9 @@ def _thread_count() -> int:
     return count
 
 
-def _rate(regime: ErrorRegime, n: int, log_eps: float) -> float:
-    # Effective exponential rate at this row; exact in the exponential
-    # regime, -log(eps)/n otherwise so the phase columns stay defined.
-    if isinstance(regime, Exponential):
-        return regime.c
-    return -log_eps / n
-
-
-def _np_exact_cell(pair, n, eps, log_eps) -> GridCell:
-    if isinstance(pair, GaussianPair):
-        r = np_exact_gaussian(pair, n, log_eps)
-    elif isinstance(pair, BernoulliPair):
-        r = np_exact_bernoulli(pair, n, log_eps)
-    else:
-        r = np_exact_discrete_bruteforce(pair, n, eps)
-    return GridCell(r.beta, r.threshold, True)
-
-
 def _cell(name, pair, regime, n, eps, log_eps) -> GridCell:
     try:
-        if name == "renyi_converse":
-            b = renyi_converse(pair, n, log_eps)
-        elif name == "achievability":
-            c = _rate(regime, n, log_eps)
-            pa = phase_transition_achievability(pair, n, c)
-            tau = threshold_for_rate(pair, n, c, pa.optimizer)
-            b = renyi_achievability_at_threshold(pair, n, tau, -math.inf)
-        elif name == "phase_converse":
-            b = phase_transition_converse(pair, n, _rate(regime, n, log_eps))
-        elif name == "phase_achievability":
-            b = phase_transition_achievability(pair, n, _rate(regime, n, log_eps))
-        elif name == "fano":
-            b = fano_bound(pair, n, log_eps)
-        elif name == "hellinger":
-            b = hellinger_bound(pair, n, log_eps)
-        elif name == "berry_esseen":
-            b = berry_esseen_bound(pair, n, log_eps)
-        elif name == "smoothing_out":
-            b = smoothing_out_bound(pair, n, log_eps)
-        else:
-            return _np_exact_cell(pair, n, eps, log_eps)
+        b = _BOUNDS[name].evaluate(pair, regime, n, eps, log_eps)
     except DomainError:
         return GridCell(None, None, False)
     return GridCell(b.value, b.optimizer, b.valid)
@@ -187,17 +202,16 @@ def _cell(name, pair, regime, n, eps, log_eps) -> GridCell:
 def run_grid(grid: ExperimentGrid) -> GridTable:
     """Evaluate every configured bound at every n; rows come back in n order."""
     pair = parse_pair(grid.pair_spec)
-    if "smoothing_out" in grid.bounds and not isinstance(pair, GaussianPair):
-        raise ConfigError("smoothing_out applies to Gaussian pairs only")
+    if (defined := bounds_for(pair, grid.bounds)) != grid.bounds:
+        b = next(b for b in grid.bounds if b not in defined)
+        raise ConfigError(f"{b} applies to {_BOUNDS[b].family.__name__} only")
     if isinstance(regime := grid.regime, Linear) and grid.n_values[0] < 2:
         raise ConfigError("linear regime requires every n >= 2")
     if "np_exact" in grid.bounds and isinstance(pair, FiniteDiscretePair):
-        n_max = grid.n_values[-1]
-        support = sum(1 for m in pair.p0 if m > 0.0)
-        if n_max > 14 or support**n_max > 10_000_000:
-            raise ConfigError(
-                f"np_exact by brute force cannot enumerate {support}^{n_max} samples"
-            )
+        try:
+            check_bruteforce_size(pair, grid.n_values[-1])
+        except SizeError as exc:
+            raise ConfigError(f"np_exact: {exc}") from None
 
     def row(n: int) -> GridRow:
         eps, log_eps = eps_at(regime, n)
@@ -235,18 +249,6 @@ def emit_csv(table: GridTable, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-_PALETTE = {
-    "renyi_converse": "#d62728",
-    "achievability": "#9467bd",
-    "phase_converse": "#e377c2",
-    "phase_achievability": "#8c564b",
-    "fano": "#1f77b4",
-    "hellinger": "#2ca02c",
-    "berry_esseen": "#ff7f0e",
-    "smoothing_out": "#17becf",
-    "np_exact": "#000000",
-}
 
 _W, _H = 880, 540
 _ML, _MR, _MT, _MB = 70, 230, 40, 50
@@ -343,7 +345,7 @@ def emit_svg(table: GridTable, path: str, log_y: bool = False, title: str = "") 
     )
     legend_y = _MT + 10
     for b in table.bounds:
-        color = _PALETTE[b]
+        color = _BOUNDS[b].colour
         drew = False
         for seg in series.get(b, []):
             if len(seg) == 1:

@@ -20,6 +20,7 @@ from .numerics import DomainError, log_diff_exp, log_q, q_function, q_inverse_lo
 __all__ = [
     "NPResult",
     "SizeError",
+    "check_bruteforce_size",
     "np_exact_bernoulli",
     "np_exact_discrete_bruteforce",
     "np_exact_gaussian",
@@ -130,6 +131,13 @@ def np_exact_bernoulli(
     return NPResult(beta, log_beta, threshold, gamma, math.exp(log_alpha))
 
 
+def check_bruteforce_size(pair: FiniteDiscretePair, n: int) -> None:
+    """Raise SizeError unless n <= 14 and K^n <= 1e7 for support size K."""
+    k_sz = sum(1 for m in pair.p0 if m > 0.0)
+    if n > _MAX_N or k_sz**n > _MAX_POINTS:
+        raise SizeError(f"brute force needs {k_sz}^{n} sample points; ceiling is {_MAX_POINTS:g}")
+
+
 def np_exact_discrete_bruteforce(
     pair: FiniteDiscretePair, n: int, eps: float, deterministic: bool = False
 ) -> NPResult:
@@ -146,10 +154,8 @@ def np_exact_discrete_bruteforce(
     _check_n(n)
     if not (isinstance(eps, (int, float)) and 0.0 <= eps <= 1.0):
         raise DomainError(f"eps must lie in [0, 1], got {eps!r}")
+    check_bruteforce_size(pair, n)
     support = [i for i, m in enumerate(pair.p0) if m > 0.0]
-    k_sz = len(support)
-    if n > _MAX_N or k_sz**n > _MAX_POINTS:
-        raise SizeError(f"brute force needs {k_sz}^{n} sample points; ceiling is {_MAX_POINTS:g}")
     la0 = np.log([pair.p0[i] for i in support])
     la1 = np.log([pair.p1[i] for i in support])
     acc0 = np.zeros(1)

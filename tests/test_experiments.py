@@ -10,9 +10,23 @@ import sys
 
 import pytest
 
-from htbounds.bounds import Constant, Exponential, Linear, fano_bound, renyi_converse
+from htbounds.bounds import (
+    Constant,
+    Exponential,
+    Linear,
+    berry_esseen_bound,
+    eps_at,
+    fano_bound,
+    hellinger_bound,
+    phase_transition_achievability,
+    phase_transition_converse,
+    renyi_achievability_at_threshold,
+    renyi_converse,
+    smoothing_out_bound,
+    threshold_for_rate,
+)
 from htbounds.cli import DEFAULT_N, cli_main
-from htbounds.distributions import parse_pair
+from htbounds.distributions import BernoulliPair, GaussianPair, parse_pair
 from htbounds.experiments import (
     CANONICAL_BOUNDS,
     ConfigError,
@@ -20,10 +34,13 @@ from htbounds.experiments import (
     GridCell,
     GridRow,
     GridTable,
+    bounds_for,
     emit_csv,
     emit_svg,
     run_grid,
 )
+from htbounds.numerics import DomainError
+from htbounds.oracle import np_exact_bernoulli, np_exact_discrete_bruteforce, np_exact_gaussian
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -37,6 +54,53 @@ def small_grid(**kw):
     )
     defaults.update(kw)
     return ExperimentGrid(**defaults)
+
+
+def direct_cells(pair, regime, n, names):
+    """The named columns' cells at n from direct library calls, by name.
+
+    The phase columns run at the row's rate, achievability is the
+    threshold test at the phase bound's order for that rate, and the
+    oracle takes log eps for Gaussian and Bernoulli pairs but linear eps
+    for brute force.  A DomainError is an empty cell.
+    """
+    eps, log_eps = eps_at(regime, n)
+    rate = regime.c if isinstance(regime, Exponential) else -log_eps / n
+
+    def achievability():
+        lam = phase_transition_achievability(pair, n, rate).optimizer
+        tau = threshold_for_rate(pair, n, rate, lam)
+        return renyi_achievability_at_threshold(pair, n, tau, -math.inf)
+
+    def np_exact():
+        if isinstance(pair, GaussianPair):
+            r = np_exact_gaussian(pair, n, log_eps)
+        elif isinstance(pair, BernoulliPair):
+            r = np_exact_bernoulli(pair, n, log_eps)
+        else:
+            r = np_exact_discrete_bruteforce(pair, n, eps)
+        return GridCell(r.beta, r.threshold, True)
+
+    calls = {
+        "renyi_converse": lambda: renyi_converse(pair, n, log_eps),
+        "achievability": achievability,
+        "phase_converse": lambda: phase_transition_converse(pair, n, rate),
+        "phase_achievability": lambda: phase_transition_achievability(pair, n, rate),
+        "fano": lambda: fano_bound(pair, n, log_eps),
+        "hellinger": lambda: hellinger_bound(pair, n, log_eps),
+        "berry_esseen": lambda: berry_esseen_bound(pair, n, log_eps),
+        "smoothing_out": lambda: smoothing_out_bound(pair, n, log_eps),
+        "np_exact": np_exact,
+    }
+    cells = {}
+    for name in names:
+        try:
+            r = calls[name]()
+        except DomainError:
+            cells[name] = GridCell(None, None, False)
+        else:
+            cells[name] = GridCell(r.value, r.optimizer, r.valid)
+    return cells
 
 
 class TestExperimentGrid:
@@ -70,6 +134,25 @@ class TestRunGrid:
         assert row.cells[0].value == pytest.approx(direct_r.value, rel=1e-14)
         assert row.cells[1].value == pytest.approx(direct_f.value, rel=1e-14)
         assert row.cells[2].valid  # np_exact
+
+    @pytest.mark.parametrize(
+        "spec", ["bernoulli:0.3,0.7", "gaussian:0,1", "discrete:0.2,0.3,0.5|0.5,0.3,0.2"]
+    )
+    def test_every_column_matches_direct_calls(self, spec):
+        pair = parse_pair(spec)
+        names = bounds_for(pair)
+        assert ("smoothing_out" in names) == isinstance(pair, GaussianPair)
+        seen = set()
+        for regime in (Constant(0.01), Linear(), Exponential(0.02)):
+            table = run_grid(ExperimentGrid(spec, regime, (4, 8, 12), names))
+            assert table.bounds == names
+            for row in table.rows:
+                direct = direct_cells(pair, regime, row.n, names)
+                for name, cell in zip(names, row.cells):
+                    assert cell == direct[name], (name, regime, row.n)
+                    if cell.value is not None:
+                        seen.add(name)
+        assert seen == set(names)  # every column was compared on a value
 
     def test_out_of_regime_cells_are_empty(self):
         # Supercritical exponential rate: achievability columns undefined.
@@ -226,6 +309,28 @@ class TestGolden:
         assert got == (GOLDEN / "fig2_exponential.csv").read_bytes()
 
 
+# One case per `bound --bound` choice: pair, flags, and the library call
+# that the command line must reproduce at n = 100.
+BOUND_CASES = [
+    ("renyi_converse", "bernoulli:0.5,0.6", [],
+     lambda p: renyi_converse(p, 100, math.log(0.01))),
+    ("achievability", "bernoulli:0.5,0.6", ["--tau", "0.5", "--log-alpha", "-5"],
+     lambda p: renyi_achievability_at_threshold(p, 100, 0.5, -5.0)),
+    ("phase_converse", "bernoulli:0.5,0.6", ["--c", "0.05"],
+     lambda p: phase_transition_converse(p, 100, 0.05)),
+    ("phase_achievability", "bernoulli:0.5,0.6", ["--c", "0.01"],
+     lambda p: phase_transition_achievability(p, 100, 0.01)),
+    ("fano", "bernoulli:0.5,0.6", ["--log-eps", "-3"],
+     lambda p: fano_bound(p, 100, -3.0)),
+    ("hellinger", "bernoulli:0.5,0.6", ["--eps", "0.05"],
+     lambda p: hellinger_bound(p, 100, math.log(0.05))),
+    ("berry_esseen", "bernoulli:0.5,0.6", ["--delta-param", "0.1"],
+     lambda p: berry_esseen_bound(p, 100, math.log(0.01), delta_param=0.1)),
+    ("smoothing_out", "gaussian:2,0.1", ["--t-param", "0.3"],
+     lambda p: smoothing_out_bound(p, 100, math.log(0.01), t_param=0.3)),
+]
+
+
 class TestCli:
     def test_bound_subcommand_json(self, capsys):
         code = cli_main(
@@ -239,6 +344,26 @@ class TestCli:
         direct = renyi_converse(pair, 1000, math.log(0.01))
         assert payload["value"] == pytest.approx(direct.value, rel=1e-14)
         assert payload["valid"] is True
+
+    @pytest.mark.parametrize("bound, spec, flags, call", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
+    def test_bound_choice_matches_library(self, capsys, bound, spec, flags, call):
+        argv = ["bound", "--pair", spec, "--bound", bound, "--n", "100", *flags]
+        assert cli_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        direct = call(parse_pair(spec))
+        assert payload["bound"] == bound
+        assert payload["value"] == direct.value
+        assert payload["optimizer"] == direct.optimizer
+
+    def test_bound_cases_cover_every_choice(self):
+        assert [c[0] for c in BOUND_CASES] == [b for b in CANONICAL_BOUNDS if b != "np_exact"]
+
+    @pytest.mark.parametrize("extra", [["--lam", "1.5"], ["--log-eps", "-3"]])
+    def test_bound_rejects_lam_and_a_second_budget(self, capsys, extra):
+        # --lam is not a bound option; --eps and --log-eps set the same budget
+        argv = ["bound", "--pair", "bernoulli:0.5,0.6", "--bound", "renyi_converse",
+                "--n", "100", "--eps", "0.01", *extra]
+        assert cli_main(argv) == 2
 
     def test_bound_requires_tau_for_achievability(self, capsys):
         code = cli_main(

@@ -8,6 +8,7 @@ from htbounds.distributions import BernoulliPair, FiniteDiscretePair, GaussianPa
 from htbounds.numerics import DomainError, log_q
 from htbounds.oracle import (
     SizeError,
+    check_bruteforce_size,
     np_exact_bernoulli,
     np_exact_discrete_bruteforce,
     np_exact_gaussian,
@@ -163,6 +164,17 @@ class TestBruteforce:
         ten = FiniteDiscretePair((0.1,) * 10, (0.1,) * 10)
         with pytest.raises(SizeError):
             np_exact_discrete_bruteforce(ten, 8, 0.1)
+
+    def test_size_check_reach(self):
+        # n <= 14 and K^n <= 1e7, with K counting only atoms of positive mass
+        three = FiniteDiscretePair((0.2, 0.3, 0.5, 0.0), (0.5, 0.3, 0.2, 0.0))
+        check_bruteforce_size(three, 14)  # 3^14 = 4.8e6
+        four = FiniteDiscretePair((0.25,) * 4, (0.1, 0.2, 0.3, 0.4))
+        check_bruteforce_size(four, 11)  # 4^11 = 4.2e6
+        with pytest.raises(SizeError):
+            check_bruteforce_size(four, 12)  # 4^12 = 1.7e7
+        with pytest.raises(SizeError):
+            check_bruteforce_size(FiniteDiscretePair((0.7, 0.3), (0.4, 0.6)), 15)
 
     def test_validation(self):
         pair = FiniteDiscretePair((0.7, 0.3), (0.4, 0.6))
