@@ -341,11 +341,14 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
             lam_lo = 0.0
         else:
             for _ in range(200):
+                bracket = (lo, hi)
                 mid = 0.5 * (lo + hi)
                 if renyi_divergence(pair, mid, Direction.REVERSE) > c:
                     hi = mid
                 else:
                     lo = mid
+                if (lo, hi) == bracket:
+                    break  # every later step would repeat this one
             lam_lo = hi
 
     def objective(lam):

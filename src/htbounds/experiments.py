@@ -3,9 +3,8 @@
 A grid pairs one distribution pair and one Type I error regime with a
 set of sample sizes and a selection of bounds; running it produces a
 table that can be serialized to CSV (byte-deterministic) or rendered to
-a standalone SVG plot.  Rows are computed in a thread pool sized by the
-HYPOTEST_THREADS environment variable (default: CPU count); results are
-ordered by n regardless of scheduling.
+a standalone SVG plot.  Rows are evaluated one after another, in n
+order, on the caller's thread.
 
 One registry, ``_BOUNDS``, holds each bound's column, plot colour, cell
 evaluation and the pair family it is defined for; ``bounds_for`` applies
@@ -15,9 +14,7 @@ that family rule to grid validation and default selections.
 from __future__ import annotations
 
 import math
-import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .bounds import (
@@ -178,19 +175,6 @@ class GridTable:
     rows: tuple
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HYPOTEST_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"HYPOTEST_THREADS must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise ConfigError(f"HYPOTEST_THREADS must be >= 1, got {count}")
-    return count
-
-
 def _cell(name, pair, regime, n, eps, log_eps) -> GridCell:
     try:
         b = _BOUNDS[name].evaluate(pair, regime, n, eps, log_eps)
@@ -213,14 +197,12 @@ def run_grid(grid: ExperimentGrid) -> GridTable:
         except SizeError as exc:
             raise ConfigError(f"np_exact: {exc}") from None
 
-    def row(n: int) -> GridRow:
+    rows = []
+    for n in grid.n_values:
         eps, log_eps = eps_at(regime, n)
         cells = tuple(_cell(b, pair, regime, n, eps, log_eps) for b in grid.bounds)
-        return GridRow(n, eps, log_eps, cells)
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as ex:
-        rows = tuple(ex.map(row, grid.n_values))
-    return GridTable(grid.pair_spec, grid.bounds, rows)
+        rows.append(GridRow(n, eps, log_eps, cells))
+    return GridTable(grid.pair_spec, grid.bounds, tuple(rows))
 
 
 def _fmt(x: float) -> str:

@@ -102,29 +102,30 @@ def np_exact_bernoulli(
     if mirrored:
         p0, p1 = 1.0 - p0, 1.0 - p1
     ks = np.arange(n + 1)
-    log_binom = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+    log_fact = gammaln(ks + 1)
+    log_binom = log_fact[-1] - log_fact - log_fact[::-1]
     lp0 = log_binom + ks * math.log(p0) + (n - ks) * math.log1p(-p0)
-    lp1 = log_binom + ks * math.log(p1) + (n - ks) * math.log1p(-p1)
-    # tail[j] = log P(S >= j), j = 0..n+1
+    # tail0[j] = log P0(S >= j), j = 0..n+1
     tail0 = np.append(np.logaddexp.accumulate(lp0[::-1])[::-1], -math.inf)
-    tail1 = np.append(np.logaddexp.accumulate(lp1[::-1])[::-1], -math.inf)
     tail0[0] = 0.0
     j = int(np.argmax(tail0 <= log_eps))  # smallest j with P0(S >= j) <= eps
     k = j - 1
     if k < 0:
         # eps = 1: reject always
         return NPResult(0.0, -math.inf, -1.0 if not mirrored else float(n + 1), 0.0, 1.0)
+    # P1 only from the boundary class up: lp1[i] = log P1(S = k + i), and
+    # tail1 = log P1(S > k), summed from S = n down (-inf when k == n).
+    lp1 = log_binom[k:] + ks[k:] * math.log(p1) + (n - ks[k:]) * math.log1p(-p1)
+    tail1 = np.logaddexp.reduce(lp1[:0:-1])
     if deterministic:
         gamma = 0.0
         log_alpha = tail0[k + 1]
-        log_accept1 = tail1[k + 1]
+        log_accept1 = tail1
     else:
         log_excess = log_diff_exp(log_eps, tail0[k + 1]) if log_eps > tail0[k + 1] else -math.inf
         gamma = math.exp(log_excess - lp0[k]) if log_excess > -math.inf else 0.0
         log_alpha = log_eps
-        log_accept1 = (
-            np.logaddexp(tail1[k + 1], math.log(gamma) + lp1[k]) if gamma > 0.0 else tail1[k + 1]
-        )
+        log_accept1 = np.logaddexp(tail1, math.log(gamma) + lp1[0]) if gamma > 0.0 else tail1
     beta = -math.expm1(log_accept1)
     log_beta = log_diff_exp(0.0, log_accept1) if log_accept1 < 0.0 else -math.inf
     threshold = float(n - k) if mirrored else float(k)
@@ -180,6 +181,7 @@ def np_exact_discrete_bruteforce(
     accepted1 = 0.0  # P1 mass of the rejection region
     achieved = 0.0
     threshold = -math.inf
+    gamma = 0.0
     for i in range(c0.size):
         if budget >= c0[i] * (1.0 - 1.0e-12):
             budget -= c0[i]
@@ -191,15 +193,8 @@ def np_exact_discrete_bruteforce(
             gamma = budget / c0[i]
             accepted1 += gamma * c1[i]
             achieved += budget
-            beta = max(1.0 - accepted1, 0.0)
-            return NPResult(
-                beta, math.log(beta) if beta > 0 else -math.inf, threshold, gamma, min(achieved, eps)
-            )
-        beta = max(1.0 - accepted1, 0.0)
-        return NPResult(
-            beta, math.log(beta) if beta > 0 else -math.inf, threshold, 0.0, min(achieved, eps)
-        )
+        break
     beta = max(1.0 - accepted1, 0.0)
     return NPResult(
-        beta, math.log(beta) if beta > 0 else -math.inf, threshold, 0.0, min(achieved, eps)
+        beta, math.log(beta) if beta > 0 else -math.inf, threshold, gamma, min(achieved, eps)
     )

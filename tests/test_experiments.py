@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -196,23 +197,18 @@ class TestRunGrid:
         )
         assert all(0.0 < row.cells[0].value < 1.0 for row in table.rows)
 
-    def test_thread_env_validation(self, monkeypatch):
-        monkeypatch.setenv("HYPOTEST_THREADS", "0")
-        with pytest.raises(ConfigError):
-            run_grid(small_grid())
-        monkeypatch.setenv("HYPOTEST_THREADS", "four")
-        with pytest.raises(ConfigError):
-            run_grid(small_grid())
+    def test_cells_run_on_callers_thread_in_n_order(self, monkeypatch):
+        seen = []
 
-    def test_thread_count_does_not_change_results(self, monkeypatch, tmp_path):
-        outputs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("HYPOTEST_THREADS", threads)
-            table = run_grid(small_grid(n_values=tuple(range(50, 551, 50))))
-            path = tmp_path / f"t{threads}.csv"
-            emit_csv(table, str(path))
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+        def recording_fano(pair, n, log_eps):
+            seen.append((threading.get_ident(), n))
+            return fano_bound(pair, n, log_eps)
+
+        monkeypatch.setattr("htbounds.experiments.fano_bound", recording_fano)
+        grid = small_grid(n_values=tuple(range(50, 551, 50)))
+        run_grid(grid)
+        assert {ident for ident, _ in seen} == {threading.get_ident()}
+        assert [n for _, n in seen] == list(grid.n_values)
 
 
 class TestEmitCsv:
@@ -302,8 +298,7 @@ class TestEmitSvg:
 
 
 class TestGolden:
-    def test_fig2_exponential_matches_pinned_csv(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPOTEST_THREADS", "2")
+    def test_fig2_exponential_matches_pinned_csv(self, tmp_path):
         assert cli_main(["reproduce", "fig2", "--outdir", str(tmp_path)]) == 0
         got = (tmp_path / "fig2_exponential.csv").read_bytes()
         assert got == (GOLDEN / "fig2_exponential.csv").read_bytes()
@@ -451,8 +446,7 @@ class TestCli:
         assert all(a < b for a, b in zip(DEFAULT_N, DEFAULT_N[1:]))
         assert 400 in DEFAULT_N
 
-    def test_reproduce_appf_names(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPOTEST_THREADS", "4")
+    def test_reproduce_appf_names(self, tmp_path):
         # appF runs four pairs x three regimes; just check the file fanout
         # for one cheap subset via fig2 (full appF is exercised in demos).
         assert cli_main(["reproduce", "fig2", "--outdir", str(tmp_path)]) == 0

@@ -1,6 +1,7 @@
 """Tests for the exact Neyman-Pearson oracles."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +65,20 @@ def _bernoulli_type1(pair, n, k, gamma):
     return tail + gamma * binom.pmf(k, n, pair.p0)
 
 
+def _bernoulli_exact(p0, p1, n, eps, deterministic):
+    # (k, gamma, beta, alpha) of the NP test in exact rational arithmetic.
+    def pmf(p, s):
+        return math.comb(n, s) * p**s * (1 - p) ** (n - s)
+
+    def above(p, k):
+        return sum((pmf(p, s) for s in range(k + 1, n + 1)), Fraction(0))
+
+    k = next(k for k in range(n + 1) if above(p0, k) <= eps)
+    gamma = Fraction(0) if deterministic else (eps - above(p0, k)) / pmf(p0, k)
+    beta = 1 - above(p1, k) - gamma * pmf(p1, k)
+    return k, gamma, beta, above(p0, k) + gamma * pmf(p0, k)
+
+
 class TestBernoulli:
     def test_single_sample_half_budget(self):
         r = np_exact_bernoulli(BERN, 1, math.log(0.5))
@@ -103,6 +118,21 @@ class TestBernoulli:
         assert a.beta == pytest.approx(b.beta, rel=1e-12)
         assert a.achieved_alpha == pytest.approx(b.achieved_alpha, rel=1e-12)
         assert b.threshold == pytest.approx(12 - a.threshold, abs=1e-12)
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize("n, eps", [(1, Fraction(3, 10)), (3, Fraction(1, 10))])
+    def test_boundary_class_at_s_equals_n(self, n, eps, deterministic):
+        # P0(S = n) > eps: the test can only randomize on the all-ones sample,
+        # and nothing lies above the boundary class.
+        p0, p1 = Fraction(1, 2), Fraction(51, 100)
+        k, gamma, beta, alpha = _bernoulli_exact(p0, p1, n, eps, deterministic)
+        assert k == n
+        r = np_exact_bernoulli(BERN, n, math.log(float(eps)), deterministic=deterministic)
+        assert r.threshold == n
+        assert r.randomization == pytest.approx(float(gamma), rel=1e-12, abs=0.0)
+        assert r.beta == pytest.approx(float(beta), rel=1e-12)
+        assert r.log_beta == pytest.approx(math.log(beta), rel=1e-12, abs=1e-15)
+        assert r.achieved_alpha == pytest.approx(float(alpha), rel=1e-12, abs=0.0)
 
     def test_log_beta_consistent(self):
         r = np_exact_bernoulli(BERN, 500, math.log(0.01))
