@@ -17,6 +17,7 @@ Gaussian formulas are exact for any sigma because the testing problem
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .numerics import DomainError
+from .numerics import DomainError, _float_or_array
 
 __all__ = [
     "BernoulliPair",
@@ -143,8 +144,13 @@ class LLRMoments:
     berry_constant: float
 
 
+@functools.lru_cache(maxsize=256)
 def _log_atoms(pair: DistributionPair, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Log-probability atoms (first, second argument) over the common support."""
+    """Log-probability atoms (first, second argument) over the common support.
+
+    Cached per (pair, direction), since pairs are frozen and hashable; the
+    arrays are read-only so no caller can change what the next one gets.
+    """
     if isinstance(pair, BernoulliPair):
         a0 = np.array([1.0 - pair.p0, pair.p0])
         a1 = np.array([1.0 - pair.p1, pair.p1])
@@ -157,7 +163,10 @@ def _log_atoms(pair: DistributionPair, direction: Direction) -> tuple[np.ndarray
         raise UnsupportedFamilyError(f"no discrete atoms for {type(pair).__name__}")
     if direction is Direction.REVERSE:
         a0, a1 = a1, a0
-    return np.log(a0), np.log(a1)
+    logp, logq = np.log(a0), np.log(a1)
+    logp.flags.writeable = False
+    logq.flags.writeable = False
+    return logp, logq
 
 
 def _gaussian_d2(pair: GaussianPair) -> float:
@@ -174,6 +183,15 @@ def kl_divergence(pair: DistributionPair, direction: Direction) -> float:
     return float(np.sum(p * (logp - logq)))
 
 
+def _lambda_error(arr: np.ndarray) -> DomainError:
+    # The first failing check, in the order finite, > 0, != 1.
+    if arr.size == 0 or not np.all(np.isfinite(arr)):
+        return DomainError("renyi_divergence requires finite lambda")
+    if np.any(arr <= 0.0):
+        return DomainError("renyi_divergence requires lambda > 0")
+    return DomainError("lambda = 1 is the KL limit; use kl_divergence")
+
+
 def renyi_divergence(pair: DistributionPair, lam, direction: Direction):
     """Renyi divergence D_lambda of the pair; lam may be a scalar or array.
 
@@ -182,20 +200,21 @@ def renyi_divergence(pair: DistributionPair, lam, direction: Direction):
     in either direction.  Requires lam > 0 and lam != 1 (the lam -> 1
     limit is the KL divergence; call kl_divergence for it).
     """
-    arr = np.asarray(lam, dtype=float)
-    if arr.size == 0 or not np.all(np.isfinite(arr)):
-        raise DomainError("renyi_divergence requires finite lambda")
-    if np.any(arr <= 0.0):
-        raise DomainError("renyi_divergence requires lambda > 0")
-    if np.any(arr == 1.0):
-        raise DomainError("lambda = 1 is the KL limit; use kl_divergence")
-    if isinstance(pair, GaussianPair):
-        out = arr * (_gaussian_d2(pair) / 2.0)
-    else:
+    lam = _float_or_array(lam)
+    if isinstance(lam, float):
+        if not (math.isfinite(lam) and lam > 0.0 and lam != 1.0):
+            raise _lambda_error(np.asarray(lam))
+        if isinstance(pair, GaussianPair):
+            return lam * (_gaussian_d2(pair) / 2.0)
         logp, logq = _log_atoms(pair, direction)
-        lam_col = arr.reshape(arr.shape + (1,))
-        out = np.logaddexp.reduce(lam_col * logp + (1.0 - lam_col) * logq, axis=-1) / (arr - 1.0)
-    return float(out) if arr.ndim == 0 else out
+        return float(np.logaddexp.reduce(lam * logp + (1.0 - lam) * logq) / (lam - 1.0))
+    if not (lam.size and np.all((lam > 0.0) & (lam < math.inf) & (lam != 1.0))):
+        raise _lambda_error(lam)
+    if isinstance(pair, GaussianPair):
+        return lam * (_gaussian_d2(pair) / 2.0)
+    logp, logq = _log_atoms(pair, direction)
+    lam_col = lam.reshape(lam.shape + (1,))
+    return np.logaddexp.reduce(lam_col * logp + (1.0 - lam_col) * logq, axis=-1) / (lam - 1.0)
 
 
 def hellinger_squared(pair: DistributionPair) -> float:

@@ -16,9 +16,13 @@ This module is the numerical kernel shared by every bound evaluation:
   (the Renyi orders, the Berry-Esseen slack, the smoothing temperature)
   goes through this one routine.
 
-All functions are pure and thread-safe.  The ``Q`` family and the two
+All functions are pure and thread-safe, and so are the divergences in
+:mod:`htbounds.distributions`, whose only shared state is a bounded
+per-pair cache of read-only log atoms.  The ``Q`` family and the two
 log-exp helpers accept scalars or numpy arrays; scalar input yields a
-plain ``float``.
+plain ``float``.  ``q_inverse`` and ``log_diff_exp`` check it with plain
+comparisons and apply the same numpy ufuncs as for arrays, so both paths
+give the same bits and the same errors.
 """
 
 from __future__ import annotations
@@ -92,6 +96,15 @@ class Bracket:
             raise DomainError(f"bracket tolerance must be positive, got {self.tolerance}")
 
 
+def _float_or_array(x):
+    # A plain float for scalars and 0-d arrays, else a float array; the
+    # common float skips np.asarray.
+    if isinstance(x, float):
+        return float(x)
+    arr = np.asarray(x, dtype=float)
+    return float(arr) if arr.ndim == 0 else arr
+
+
 def q_function(x):
     """Gaussian upper-tail probability ``Q(x) = P(Z >= x)`` for standard ``Z``.
 
@@ -128,11 +141,14 @@ def q_inverse(p):
     of the normal CDF, and ``Q(x) = Phi(-x)``).  It is accurate to a few
     ulps in ``x`` from ``p = 1e-300`` up to ``1 - 1e-15``.
     """
-    arr = np.asarray(p, dtype=float)
-    if arr.size and not (np.all(arr > 0.0) and np.all(arr < 1.0)):
+    p = _float_or_array(p)
+    if isinstance(p, float):
+        if not 0.0 < p < 1.0:
+            raise DomainError("q_inverse requires p in (0, 1)")
+        return float(-special.ndtri(p))
+    if p.size and not np.all((p > 0.0) & (p < 1.0)):
         raise DomainError("q_inverse requires p in (0, 1)")
-    out = -special.ndtri(arr)
-    return float(out) if arr.ndim == 0 else out
+    return -special.ndtri(p)
 
 
 def q_inverse_log(log_p):
@@ -183,6 +199,16 @@ def log_diff_exp(a, b):
     Returns ``-inf`` when the arguments coincide (including both
     ``-inf``); raises :class:`DomainError` when ``b > a``.
     """
+    a, b = _float_or_array(a), _float_or_array(b)
+    if isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) or math.isnan(b):
+            raise DomainError("log_diff_exp requires non-NaN arguments")
+        if b > a:
+            raise DomainError("log_diff_exp requires a >= b")
+        if a == -math.inf:  # so b == -inf too
+            return -math.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(a + np.log1p(-np.exp(b - a)))
     aa = np.asarray(a, dtype=float)
     bb = np.asarray(b, dtype=float)
     if np.any(np.isnan(aa)) or np.any(np.isnan(bb)):
@@ -191,8 +217,7 @@ def log_diff_exp(a, b):
         raise DomainError("log_diff_exp requires a >= b")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = aa + np.log1p(-np.exp(bb - aa))
-    out = np.where((aa == -np.inf) & (bb == -np.inf), -np.inf, out)
-    return float(out) if aa.ndim == 0 and bb.ndim == 0 else out
+    return np.where((aa == -np.inf) & (bb == -np.inf), -np.inf, out)
 
 
 def _scalar_call(f: Callable, x: float) -> float:

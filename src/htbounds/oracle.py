@@ -123,6 +123,11 @@ def np_exact_bernoulli(
         log_accept1 = tail1
     else:
         log_excess = log_diff_exp(log_eps, tail0[k + 1]) if log_eps > tail0[k + 1] else -math.inf
+        if log_excess > lp0[k]:  # gamma > 1: only rounding can pick such a k
+            raise DomainError(
+                "np_exact_bernoulli: rounding in the log P0 tail puts the tie "
+                f"randomization above 1 (n = {n}, log_eps = {log_eps!r}); eps is too close to 1"
+            )
         gamma = math.exp(log_excess - lp0[k]) if log_excess > -math.inf else 0.0
         log_alpha = log_eps
         log_accept1 = np.logaddexp(tail1, math.log(gamma) + lp1[0]) if gamma > 0.0 else tail1

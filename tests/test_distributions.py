@@ -17,6 +17,7 @@ from htbounds.distributions import (
     GaussianPair,
     PairSpecError,
     UnsupportedFamilyError,
+    _log_atoms,
     hellinger_squared,
     kl_divergence,
     llr_moments,
@@ -169,6 +170,111 @@ class TestRenyi:
                 renyi_divergence(BERN, bad, Direction.FORWARD)
         with pytest.raises(DomainError):
             renyi_divergence(BERN, np.array([0.5, 1.0]), Direction.FORWARD)
+
+
+def scalar_forms(x):
+    """``x`` as a Python float, ``np.float64`` and 0-d array, plus an int if integral."""
+    forms = [float(x), np.float64(x), np.asarray(x, dtype=float)]
+    if float(x).is_integer():
+        forms.append(int(x))
+    return forms
+
+
+LAMBDA_FINITE = "renyi_divergence requires finite lambda"
+LAMBDA_POSITIVE = "renyi_divergence requires lambda > 0"
+LAMBDA_KL = "lambda = 1 is the KL limit; use kl_divergence"
+K3 = FiniteDiscretePair((0.2, 0.3, 0.5), (0.5, 0.3, 0.2))
+
+
+class TestRenyiFastPath:
+    """Scalar lambda agrees with a 1-element array by repr, and a bad
+    lambda raises the same DomainError text in every form."""
+
+    @pytest.mark.parametrize("pair", [BERN06, K3, GAUSS], ids=["bernoulli", "K3", "gaussian"])
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_scalar_equals_array_element(self, pair, direction):
+        for lam in (1e-9, 0.3, 0.999, 1.001, 2.0, 7.0, 1e6):
+            want = renyi_divergence(pair, np.array([lam]), direction)
+            assert want.shape == (1,)
+            for form in scalar_forms(lam):
+                got = renyi_divergence(pair, form, direction)
+                assert type(got) is float
+                assert repr(got) == repr(float(want[0])), (lam, type(form))
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [
+            (math.nan, LAMBDA_FINITE),
+            (math.inf, LAMBDA_FINITE),
+            (-math.inf, LAMBDA_FINITE),
+            (0.0, LAMBDA_POSITIVE),
+            (-0.0, LAMBDA_POSITIVE),
+            (-2.0, LAMBDA_POSITIVE),
+            (1.0, LAMBDA_KL),
+        ],
+    )
+    def test_bad_lambda_message(self, lam, message):
+        for pair in (BERN06, GAUSS):
+            for form in scalar_forms(lam) + [np.array([lam]), np.array([0.5, lam])]:
+                with pytest.raises(DomainError) as info:
+                    renyi_divergence(pair, form, Direction.FORWARD)
+                assert str(info.value) == message
+
+    def test_array_reports_first_failing_check(self):
+        cases = [
+            (np.array([]), LAMBDA_FINITE),
+            (np.array([1.0, -1.0, math.nan]), LAMBDA_FINITE),
+            (np.array([1.0, -1.0]), LAMBDA_POSITIVE),
+            (np.array([[0.5, 2.0], [1.0, 3.0]]), LAMBDA_KL),
+        ]
+        for lam, message in cases:
+            with pytest.raises(DomainError) as info:
+                renyi_divergence(BERN06, lam, Direction.FORWARD)
+            assert str(info.value) == message
+
+
+class TestAtomCache:
+    """White-box checks of the per-(pair, direction) cache in _log_atoms."""
+
+    def test_atoms_are_read_only(self):
+        before = renyi_divergence(K3, 2.5, Direction.FORWARD)
+        logp, logq = _log_atoms(K3, Direction.FORWARD)
+        for arr in (logp, logq):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert repr(renyi_divergence(K3, 2.5, Direction.FORWARD)) == repr(before)
+
+    def test_equal_pairs_give_identical_divergences(self):
+        a = FiniteDiscretePair((0.2, 0.3, 0.5), (0.5, 0.3, 0.2))
+        b = FiniteDiscretePair([0.2, 0.3, 0.5], [0.5, 0.3, 0.2])
+        assert a == b and a is not b
+        for direction in Direction:
+            for lam in (0.4, 3.0):
+                assert repr(renyi_divergence(a, lam, direction)) == repr(
+                    renyi_divergence(b, lam, direction)
+                )
+
+    def test_directions_stay_distinct(self):
+        _log_atoms.cache_clear()
+        pair = BernoulliPair(0.1, 0.35)
+        fwd = [renyi_divergence(pair, lam, Direction.FORWARD) for lam in (0.3, 2.0)]
+        rev = [renyi_divergence(pair, lam, Direction.REVERSE) for lam in (0.3, 2.0)]
+        assert fwd[0] != rev[0] and fwd[1] != rev[1]
+        logp_f, logq_f = _log_atoms(pair, Direction.FORWARD)
+        logp_r, logq_r = _log_atoms(pair, Direction.REVERSE)
+        assert logp_f.tolist() == logq_r.tolist() and logq_f.tolist() == logp_r.tolist()
+        # From a cold cache the order of first use does not matter.
+        _log_atoms.cache_clear()
+        assert [renyi_divergence(pair, lam, Direction.REVERSE) for lam in (0.3, 2.0)] == rev
+        assert [renyi_divergence(pair, lam, Direction.FORWARD) for lam in (0.3, 2.0)] == fwd
+
+    def test_cache_stays_bounded(self):
+        for i in range(1000):
+            renyi_divergence(BernoulliPair(0.5, 0.1 + 0.3 * i / 1000), 2.0, Direction.FORWARD)
+        info = _log_atoms.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
 
 
 class TestHellinger:

@@ -298,10 +298,14 @@ class TestEmitSvg:
 
 
 class TestGolden:
-    def test_fig2_exponential_matches_pinned_csv(self, tmp_path):
-        assert cli_main(["reproduce", "fig2", "--outdir", str(tmp_path)]) == 0
-        got = (tmp_path / "fig2_exponential.csv").read_bytes()
-        assert got == (GOLDEN / "fig2_exponential.csv").read_bytes()
+    # fig1 is Bernoulli, so it pins the discrete Renyi path that fig2's
+    # Gaussian pair never reaches.
+    @pytest.mark.parametrize("table", ["fig1_exponential", "fig2_exponential"])
+    def test_reproduce_matches_pinned_csv(self, table, tmp_path):
+        figure = table.split("_")[0]
+        assert cli_main(["reproduce", figure, "--outdir", str(tmp_path)]) == 0
+        got = (tmp_path / f"{table}.csv").read_bytes()
+        assert got == (GOLDEN / f"{table}.csv").read_bytes()
 
 
 # One case per `bound --bound` choice: pair, flags, and the library call

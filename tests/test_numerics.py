@@ -195,6 +195,89 @@ class TestLogDiffExp:
             log_diff_exp(math.nan, 0.0)
 
 
+def scalar_forms(x):
+    """``x`` as a Python float, ``np.float64`` and 0-d array, plus an int if integral."""
+    forms = [float(x), np.float64(x), np.asarray(x, dtype=float)]
+    if float(x).is_integer():
+        forms.append(int(x))
+    return forms
+
+
+Q_INVERSE_DOMAIN = "q_inverse requires p in (0, 1)"
+LOG_DIFF_NAN = "log_diff_exp requires non-NaN arguments"
+LOG_DIFF_ORDER = "log_diff_exp requires a >= b"
+
+
+class TestScalarFastPaths:
+    """Scalar input agrees with a 1-element array by repr, and bad input
+    raises the same DomainError text in every form."""
+
+    def test_q_inverse_scalar_equals_array_element(self):
+        for p in (1e-300, 1e-15, 0.01, 0.5, 0.97, 1.0 - 1e-15):
+            want = q_inverse(np.array([p]))
+            assert want.shape == (1,)
+            for form in scalar_forms(p):
+                got = q_inverse(form)
+                assert type(got) is float
+                assert repr(got) == repr(float(want[0])), (p, type(form))
+
+    @pytest.mark.parametrize("p", [0.0, -0.0, 1.0, -0.1, 1.5, math.nan, math.inf, -math.inf])
+    def test_q_inverse_rejects(self, p):
+        for form in scalar_forms(p) + [np.array([p]), np.array([0.5, p])]:
+            with pytest.raises(DomainError) as info:
+                q_inverse(form)
+            assert str(info.value) == Q_INVERSE_DOMAIN
+
+    def test_q_inverse_empty_array(self):
+        assert q_inverse(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (0.0, -3.0),
+            (math.log(3.0), 0.0),
+            (1e-12, 0.0),
+            (700.0, -745.0),
+            (2.0, 1.0),
+            (0.0, -math.inf),
+            (math.inf, 0.0),
+            (1.5, 1.5),
+            (0.0, -0.0),
+            (-math.inf, -math.inf),
+            (math.inf, math.inf),
+        ],
+    )
+    def test_log_diff_exp_scalar_equals_array_element(self, a, b):
+        want = log_diff_exp(np.array([a]), np.array([b]))
+        assert want.shape == (1,)
+        for fa in scalar_forms(a):
+            for fb in scalar_forms(b):
+                got = log_diff_exp(fa, fb)
+                assert type(got) is float
+                assert repr(got) == repr(float(want[0])), (type(fa), type(fb))
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (math.nan, 0.0, LOG_DIFF_NAN),
+            (0.0, math.nan, LOG_DIFF_NAN),
+            (math.nan, math.inf, LOG_DIFF_NAN),
+            (0.0, 1.0, LOG_DIFF_ORDER),
+            (-math.inf, 0.0, LOG_DIFF_ORDER),
+            (0.0, math.inf, LOG_DIFF_ORDER),
+        ],
+    )
+    def test_log_diff_exp_rejects(self, a, b, message):
+        for fa in scalar_forms(a) + [np.array([a])]:
+            for fb in scalar_forms(b) + [np.array([b])]:
+                with pytest.raises(DomainError) as info:
+                    log_diff_exp(fa, fb)
+                assert str(info.value) == message
+
+    def test_log_diff_exp_empty_arrays(self):
+        assert log_diff_exp(np.array([]), np.array([])).shape == (0,)
+
+
 class TestBracket:
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from htbounds.cli import cli_main
 from htbounds.distributions import BernoulliPair, FiniteDiscretePair, GaussianPair
 from htbounds.numerics import DomainError, log_q
 from htbounds.oracle import (
@@ -133,6 +134,23 @@ class TestBernoulli:
         assert r.beta == pytest.approx(float(beta), rel=1e-12)
         assert r.log_beta == pytest.approx(math.log(beta), rel=1e-12, abs=1e-15)
         assert r.achieved_alpha == pytest.approx(float(alpha), rel=1e-12, abs=0.0)
+
+    def test_tie_randomization_above_one_is_a_domain_error(self, tmp_path):
+        # At eps = 1 - 1e-12 and n = 10,000 rounding in the log P0 tail picks
+        # a boundary class whose randomization would exceed 1 (math.exp of
+        # it overflows).  Clamping it to 1 would print 1.35e-13, but 60-digit
+        # mpmath gives beta = 8.35e-20 (boundary class at n - S = 4549), so
+        # the oracle refuses and a sweep leaves the cell empty.
+        pair = BernoulliPair(0.51, 0.5)
+        with pytest.raises(DomainError, match="rounding in the log P0 tail"):
+            np_exact_bernoulli(pair, 10_000, math.log(1.0 - 1e-12))
+        csv = tmp_path / "out.csv"
+        argv = ["sweep", "--pair", "bernoulli:0.51,0.5", "--eps", "0.999999999999",
+                "--n-min", "10000", "--n-max", "10000", "--bounds", "np_exact", "--csv", str(csv)]
+        assert cli_main(argv) == 0
+        header, row = csv.read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["np_exact_value"], cells["np_exact_valid"]) == ("", "false")
 
     def test_log_beta_consistent(self):
         r = np_exact_bernoulli(BERN, 500, math.log(0.01))
