@@ -331,31 +331,14 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
             f"phase_transition_achievability requires c < D(P1||P0) = {d_rev:.6g}; "
             "for c above the divergence use phase_transition_converse"
         )
-    # Restrict to the lambdas with D_lambda > c: D_lambda increases in lambda,
-    # so the feasible set is (lam_lo, 1).
-    if isinstance(pair, GaussianPair):
-        lam_lo = c / d_rev
-    else:
-        lo, hi = 1.0e-12, 1.0 - 1.0e-12
-        if renyi_divergence(pair, lo, Direction.REVERSE) > c:
-            lam_lo = 0.0
-        else:
-            for _ in range(200):
-                bracket = (lo, hi)
-                mid = 0.5 * (lo + hi)
-                if renyi_divergence(pair, mid, Direction.REVERSE) > c:
-                    hi = mid
-                else:
-                    lo = mid
-                if (lo, hi) == bracket:
-                    break  # every later step would repeat this one
-            lam_lo = hi
 
+    # The exponent is concave in 1/lam and negative wherever D_lam <= c, so
+    # its maximum over (0, 1) lies in the feasible set (Hoeffding, 1965).
     def objective(lam):
         d = renyi_divergence(pair, lam, Direction.REVERSE)
         return ((1.0 - lam) / lam) * n * (d - c)
 
-    lam, exponent = maximize_scalar(objective, Bracket(lam_lo, 1.0))
+    lam, exponent = maximize_scalar(objective, Bracket(0.0, 1.0))
     log_value = -exponent
     return BoundResult(
         float(np.exp(log_value)), log_value, lam, BoundKind.UPPER_BETA, exponent > 0.0

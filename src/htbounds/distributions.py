@@ -39,7 +39,6 @@ __all__ = [
     "hellinger_squared",
     "kl_divergence",
     "llr_moments",
-    "log_density_ratio",
     "parse_pair",
     "renyi_divergence",
 ]
@@ -246,35 +245,6 @@ def llr_moments(pair: DistributionPair) -> LLRMoments:
     third = float(np.sum(w * np.abs(z - mean) ** 3))
     berry = 6.0 * third / variance**1.5 if variance > 0.0 else 0.0
     return LLRMoments(mean=mean, variance=variance, third_abs_central=third, berry_constant=berry)
-
-
-def log_density_ratio(pair: DistributionPair, x) -> float:
-    """Per-sample log-likelihood ratio log(p1(x) / p0(x)).
-
-    For Bernoulli pairs ``x`` must be 0 or 1; for discrete pairs it is an
-    integer index into the support (points outside the common support are
-    a DomainError); for Gaussian pairs any finite real.
-    """
-    if isinstance(pair, GaussianPair):
-        xf = float(x)
-        if not math.isfinite(xf):
-            raise DomainError("log_density_ratio requires finite x")
-        s2 = pair.sigma**2
-        return pair.delta * (xf - pair.mu) / s2 - pair.delta**2 / (2.0 * s2)
-    if isinstance(pair, BernoulliPair):
-        xf = float(x)
-        if xf == 1.0:
-            return math.log(pair.p1) - math.log(pair.p0)
-        if xf == 0.0:
-            return math.log1p(-pair.p1) - math.log1p(-pair.p0)
-        raise DomainError(f"Bernoulli samples are 0 or 1, got {x!r}")
-    xf = float(x)
-    if not xf.is_integer() or not 0 <= int(xf) < len(pair.p0):
-        raise DomainError(f"discrete sample must be a support index, got {x!r}")
-    i = int(xf)
-    if pair.p0[i] == 0.0:
-        raise DomainError(f"support point {i} has zero probability")
-    return math.log(pair.p1[i]) - math.log(pair.p0[i])
 
 
 def _parse_floats(text: str, base: int, label: str) -> list[float]:

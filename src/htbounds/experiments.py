@@ -13,6 +13,7 @@ that family rule to grid validation and default selections.
 
 from __future__ import annotations
 
+import html
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -301,7 +302,8 @@ def emit_svg(table: GridTable, path: str, log_y: bool = False, title: str = "") 
     ]
     if title:
         parts.append(
-            f'<text x="{_ML}" y="24" font-family="sans-serif" font-size="15">{title}</text>'
+            f'<text x="{_ML}" y="24" font-family="sans-serif" font-size="15">'
+            f"{html.escape(title, quote=False)}</text>"
         )
     ax = 'stroke="#444444" stroke-width="1"'
     parts.append(f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" {ax}/>')

@@ -8,8 +8,8 @@ This module is the numerical kernel shared by every bound evaluation:
   itself has underflowed (``log p`` down to about ``-1e6``).  All four
   are scipy special functions (``erfc``, ``log_ndtr``, ``ndtri``,
   ``ndtri_exp``); only the log inverse adds one Newton step of its own;
-* ``log_sum_exp`` / ``log_diff_exp`` for sums and differences of
-  exponentially small or large quantities;
+* ``log_diff_exp`` for differences of exponentially small or large
+  quantities;
 * ``maximize_scalar``, a derivative-free maximizer over an interval that
   scans a log-spaced grid and then refines the best cell with
   golden-section search.  Every internally optimized bound parameter
@@ -18,8 +18,8 @@ This module is the numerical kernel shared by every bound evaluation:
 
 All functions are pure and thread-safe, and so are the divergences in
 :mod:`htbounds.distributions`, whose only shared state is a bounded
-per-pair cache of read-only log atoms.  The ``Q`` family and the two
-log-exp helpers accept scalars or numpy arrays; scalar input yields a
+per-pair cache of read-only log atoms.  The ``Q`` family and
+``log_diff_exp`` accept scalars or numpy arrays; scalar input yields a
 plain ``float``.  ``q_inverse`` and ``log_diff_exp`` check it with plain
 comparisons and apply the same numpy ufuncs as for arrays, so both paths
 give the same bits and the same errors.
@@ -40,7 +40,6 @@ __all__ = [
     "OptimizationError",
     "log_diff_exp",
     "log_q",
-    "log_sum_exp",
     "maximize_scalar",
     "q_function",
     "q_inverse",
@@ -179,20 +178,6 @@ def q_inverse_log(log_p):
     return float(out) if arr.ndim == 0 else out
 
 
-def log_sum_exp(terms):
-    """``log sum_i exp(t_i)`` without overflow for entries spanning ``+-700``.
-
-    ``terms`` must be non-empty; entries of ``-inf`` are allowed (they
-    contribute nothing), entries of ``+inf`` or NaN are rejected.
-    """
-    arr = np.asarray(terms, dtype=float)
-    if arr.size == 0:
-        raise DomainError("log_sum_exp of an empty collection")
-    if np.any(np.isnan(arr)) or np.any(arr == np.inf):
-        raise DomainError("log_sum_exp entries must lie in [-inf, +inf)")
-    return float(np.logaddexp.reduce(arr, axis=None))
-
-
 def log_diff_exp(a, b):
     """``log(exp(a) - exp(b))`` for ``a >= b``, stable near ``a == b``.
 
@@ -215,7 +200,7 @@ def log_diff_exp(a, b):
         raise DomainError("log_diff_exp requires non-NaN arguments")
     if np.any(bb > aa):
         raise DomainError("log_diff_exp requires a >= b")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = aa + np.log1p(-np.exp(bb - aa))
     return np.where((aa == -np.inf) & (bb == -np.inf), -np.inf, out)
 

@@ -41,8 +41,7 @@ class NPResult:
 
     The optimal test rejects H0 when the statistic exceeds ``threshold``,
     randomizing with probability ``randomization`` on a tie.
-    ``achieved_alpha`` is its exact Type I error (== eps unless eps is
-    unreachable, e.g. deterministic tests on discrete samples).
+    ``achieved_alpha`` is its exact Type I error (== eps up to rounding).
     """
 
     beta: float
@@ -82,15 +81,11 @@ def np_exact_gaussian(pair: GaussianPair, n: int, log_eps: float) -> NPResult:
     )
 
 
-def np_exact_bernoulli(
-    pair: BernoulliPair, n: int, log_eps: float, deterministic: bool = False
-) -> NPResult:
+def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     """Randomized LLRT on the success count S ~ Binomial(n, p).
 
     Rejects H0 when S > k, with probability gamma at S == k, where k and
-    gamma are chosen so the Type I error is exactly eps.  With
-    ``deterministic`` the tie randomization is dropped (gamma = 0) and
-    achieved_alpha falls to P0(S > k).
+    gamma are chosen so the Type I error is exactly eps.
     """
     if not isinstance(pair, BernoulliPair):
         raise DomainError("np_exact_bernoulli requires a BernoulliPair")
@@ -117,24 +112,18 @@ def np_exact_bernoulli(
     # tail1 = log P1(S > k), summed from S = n down (-inf when k == n).
     lp1 = log_binom[k:] + ks[k:] * math.log(p1) + (n - ks[k:]) * math.log1p(-p1)
     tail1 = np.logaddexp.reduce(lp1[:0:-1])
-    if deterministic:
-        gamma = 0.0
-        log_alpha = tail0[k + 1]
-        log_accept1 = tail1
-    else:
-        log_excess = log_diff_exp(log_eps, tail0[k + 1]) if log_eps > tail0[k + 1] else -math.inf
-        if log_excess > lp0[k]:  # gamma > 1: only rounding can pick such a k
-            raise DomainError(
-                "np_exact_bernoulli: rounding in the log P0 tail puts the tie "
-                f"randomization above 1 (n = {n}, log_eps = {log_eps!r}); eps is too close to 1"
-            )
-        gamma = math.exp(log_excess - lp0[k]) if log_excess > -math.inf else 0.0
-        log_alpha = log_eps
-        log_accept1 = np.logaddexp(tail1, math.log(gamma) + lp1[0]) if gamma > 0.0 else tail1
+    log_excess = log_diff_exp(log_eps, tail0[k + 1]) if log_eps > tail0[k + 1] else -math.inf
+    if log_excess > lp0[k]:  # gamma > 1: only rounding can pick such a k
+        raise DomainError(
+            "np_exact_bernoulli: rounding in the log P0 tail puts the tie "
+            f"randomization above 1 (n = {n}, log_eps = {log_eps!r}); eps is too close to 1"
+        )
+    gamma = math.exp(log_excess - lp0[k]) if log_excess > -math.inf else 0.0
+    log_accept1 = np.logaddexp(tail1, math.log(gamma) + lp1[0]) if gamma > 0.0 else tail1
     beta = -math.expm1(log_accept1)
     log_beta = log_diff_exp(0.0, log_accept1) if log_accept1 < 0.0 else -math.inf
     threshold = float(n - k) if mirrored else float(k)
-    return NPResult(beta, log_beta, threshold, gamma, math.exp(log_alpha))
+    return NPResult(beta, log_beta, threshold, gamma, math.exp(log_eps))
 
 
 def check_bruteforce_size(pair: FiniteDiscretePair, n: int) -> None:
@@ -144,9 +133,7 @@ def check_bruteforce_size(pair: FiniteDiscretePair, n: int) -> None:
         raise SizeError(f"brute force needs {k_sz}^{n} sample points; ceiling is {_MAX_POINTS:g}")
 
 
-def np_exact_discrete_bruteforce(
-    pair: FiniteDiscretePair, n: int, eps: float, deterministic: bool = False
-) -> NPResult:
+def np_exact_discrete_bruteforce(pair: FiniteDiscretePair, n: int, eps: float) -> NPResult:
     """Enumerate all K^n samples, sort by likelihood ratio, fill the budget.
 
     Exact randomized NP test for finite-support pairs; n <= 14 and
@@ -194,7 +181,7 @@ def np_exact_discrete_bruteforce(
             achieved += c0[i]
             continue
         threshold = float(r_cls[i])
-        if not deterministic and budget > 0.0 and c0[i] > 0.0:
+        if budget > 0.0 and c0[i] > 0.0:
             gamma = budget / c0[i]
             accepted1 += gamma * c1[i]
             achieved += budget

@@ -44,8 +44,6 @@ D_GAUSS = 0.00125  # = KL in both directions
 # phase_transition_converse(GAUSS, 200, 0.025); optimizer sqrt(c/D)
 PHASE_CONV_200 = 0.95090175668401493
 PHASE_LAMBDA = 4.4721359549995794
-# phase_transition_achievability(GAUSS, 10000, D/4); optimizer sqrt(c/D) = 0.5
-PHASE_ACH_1E4 = 0.043936933623407417
 # fano_bound(GAUSS, 1000, log 0.01)
 FANO_1000 = 0.14469939235363136
 # hellinger_bound(GAUSS, 50, log 0.01)
@@ -150,11 +148,20 @@ class TestPhaseTransitionConverse:
 
 class TestPhaseTransitionAchievability:
     def test_reference_value(self):
-        r = phase_transition_achievability(GAUSS, 10000, D_GAUSS / 4)
-        assert r.value == pytest.approx(PHASE_ACH_1E4, rel=1e-12)
-        assert r.optimizer == pytest.approx(0.5, rel=1e-3)
-        assert r.kind is BoundKind.UPPER_BETA
-        assert r.valid
+        # Gaussian closed form: D_l(P1||P0) = l D, so the exponent
+        # ((1-l)/l) n (l D - c) peaks at l = sqrt(c/D) with value
+        # n (sqrt(D) - sqrt(c))^2.
+        for pair in (GAUSS, GaussianPair(0.0, 1.3, 2.0)):
+            d = kl_divergence(pair, Direction.REVERSE)
+            for ratio in (1e-4, 0.01, 0.25, 0.81, 0.99):
+                for n in (100, 10000):
+                    r = phase_transition_achievability(pair, n, ratio * d)
+                    case = (pair, ratio, n)
+                    want = -n * (math.sqrt(d) - math.sqrt(ratio * d)) ** 2
+                    assert r.log_value == pytest.approx(want, rel=1e-12), case
+                    assert r.optimizer == pytest.approx(math.sqrt(ratio), rel=1e-6), case
+                    assert r.kind is BoundKind.UPPER_BETA
+                    assert r.valid
 
     def test_sound_against_oracle(self):
         c = kl_divergence(BERN, Direction.REVERSE) / 2

@@ -21,7 +21,6 @@ from htbounds.distributions import (
     hellinger_squared,
     kl_divergence,
     llr_moments,
-    log_density_ratio,
     parse_pair,
     renyi_divergence,
 )
@@ -269,6 +268,10 @@ class TestAtomCache:
         assert [renyi_divergence(pair, lam, Direction.REVERSE) for lam in (0.3, 2.0)] == rev
         assert [renyi_divergence(pair, lam, Direction.FORWARD) for lam in (0.3, 2.0)] == fwd
 
+    def test_unsupported_atoms(self):
+        with pytest.raises(UnsupportedFamilyError):
+            _log_atoms(GAUSS, Direction.FORWARD)
+
     def test_cache_stays_bounded(self):
         for i in range(1000):
             renyi_divergence(BernoulliPair(0.5, 0.1 + 0.3 * i / 1000), 2.0, Direction.FORWARD)
@@ -321,36 +324,6 @@ class TestLLRMoments:
         m = llr_moments(FiniteDiscretePair((0.3, 0.7), (0.3, 0.7)))
         assert m.variance == pytest.approx(0.0, abs=1e-18)
         assert m.berry_constant == 0.0
-
-
-class TestLogDensityRatio:
-    def test_bernoulli(self):
-        assert log_density_ratio(BERN, 1) == pytest.approx(math.log(0.51 / 0.5), rel=1e-14)
-        assert log_density_ratio(BERN, 0) == pytest.approx(math.log(0.49 / 0.5), rel=1e-14)
-        with pytest.raises(DomainError):
-            log_density_ratio(BERN, 0.5)
-
-    def test_gaussian(self):
-        got = log_density_ratio(GAUSS, 2.5)
-        expect = 0.05 * 0.5 - 0.05**2 / 2.0
-        assert got == pytest.approx(expect, rel=1e-13)
-        with pytest.raises(DomainError):
-            log_density_ratio(GAUSS, math.inf)
-
-    def test_discrete(self):
-        pair = FiniteDiscretePair((0.2, 0.8), (0.6, 0.4))
-        assert log_density_ratio(pair, 0) == pytest.approx(math.log(3.0), rel=1e-14)
-        with pytest.raises(DomainError):
-            log_density_ratio(pair, 2)
-        zero_atom = FiniteDiscretePair((0.5, 0.5, 0.0), (0.4, 0.6, 0.0))
-        with pytest.raises(DomainError):
-            log_density_ratio(zero_atom, 2)
-
-    def test_unsupported_atoms(self):
-        with pytest.raises(UnsupportedFamilyError):
-            from htbounds.distributions import _log_atoms
-
-            _log_atoms(GAUSS, Direction.FORWARD)
 
 
 class TestParsePair:

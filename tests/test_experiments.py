@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -259,6 +260,14 @@ class TestEmitSvg:
         for b in table.bounds:
             assert f'data-bound="{b}"' in text
         assert ">demo<" in text
+
+    def test_title_markup_is_escaped(self, tmp_path):
+        title = "P0 < P1 & D > c"
+        path = tmp_path / "out.svg"
+        emit_svg(run_grid(small_grid()), str(path), title=title)
+        root = ET.parse(path).getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == title
 
     def test_all_empty_series_noted_in_legend(self, tmp_path):
         table = run_grid(

@@ -66,7 +66,7 @@ def _bernoulli_type1(pair, n, k, gamma):
     return tail + gamma * binom.pmf(k, n, pair.p0)
 
 
-def _bernoulli_exact(p0, p1, n, eps, deterministic):
+def _bernoulli_exact(p0, p1, n, eps):
     # (k, gamma, beta, alpha) of the NP test in exact rational arithmetic.
     def pmf(p, s):
         return math.comb(n, s) * p**s * (1 - p) ** (n - s)
@@ -75,7 +75,7 @@ def _bernoulli_exact(p0, p1, n, eps, deterministic):
         return sum((pmf(p, s) for s in range(k + 1, n + 1)), Fraction(0))
 
     k = next(k for k in range(n + 1) if above(p0, k) <= eps)
-    gamma = Fraction(0) if deterministic else (eps - above(p0, k)) / pmf(p0, k)
+    gamma = (eps - above(p0, k)) / pmf(p0, k)
     beta = 1 - above(p1, k) - gamma * pmf(p1, k)
     return k, gamma, beta, above(p0, k) + gamma * pmf(p0, k)
 
@@ -105,14 +105,6 @@ class TestBernoulli:
         assert r.log_beta == -math.inf
         assert r.achieved_alpha == 1.0
 
-    def test_deterministic_undershoots_budget(self):
-        n, eps = 20, 0.1
-        rand = np_exact_bernoulli(BERN, n, math.log(eps))
-        det = np_exact_bernoulli(BERN, n, math.log(eps), deterministic=True)
-        assert det.randomization == 0.0
-        assert det.achieved_alpha <= eps + 1e-15
-        assert det.beta >= rand.beta - 1e-15
-
     def test_mirrored_pair(self):
         a = np_exact_bernoulli(BernoulliPair(0.4, 0.7), 12, math.log(0.05))
         b = np_exact_bernoulli(BernoulliPair(0.6, 0.3), 12, math.log(0.05))
@@ -120,15 +112,14 @@ class TestBernoulli:
         assert a.achieved_alpha == pytest.approx(b.achieved_alpha, rel=1e-12)
         assert b.threshold == pytest.approx(12 - a.threshold, abs=1e-12)
 
-    @pytest.mark.parametrize("deterministic", [False, True])
     @pytest.mark.parametrize("n, eps", [(1, Fraction(3, 10)), (3, Fraction(1, 10))])
-    def test_boundary_class_at_s_equals_n(self, n, eps, deterministic):
+    def test_boundary_class_at_s_equals_n(self, n, eps):
         # P0(S = n) > eps: the test can only randomize on the all-ones sample,
         # and nothing lies above the boundary class.
         p0, p1 = Fraction(1, 2), Fraction(51, 100)
-        k, gamma, beta, alpha = _bernoulli_exact(p0, p1, n, eps, deterministic)
+        k, gamma, beta, alpha = _bernoulli_exact(p0, p1, n, eps)
         assert k == n
-        r = np_exact_bernoulli(BERN, n, math.log(float(eps)), deterministic=deterministic)
+        r = np_exact_bernoulli(BERN, n, math.log(float(eps)))
         assert r.threshold == n
         assert r.randomization == pytest.approx(float(gamma), rel=1e-12, abs=0.0)
         assert r.beta == pytest.approx(float(beta), rel=1e-12)
@@ -190,14 +181,6 @@ class TestBruteforce:
         for eps in (0.0, 0.25, 0.8):
             r = np_exact_discrete_bruteforce(pair, 4, eps)
             assert r.beta == pytest.approx(1.0 - eps, abs=1e-12)
-
-    def test_deterministic_flag(self):
-        pair = FiniteDiscretePair((0.5, 0.3, 0.2), (0.2, 0.3, 0.5))
-        rand = np_exact_discrete_bruteforce(pair, 4, 0.17)
-        det = np_exact_discrete_bruteforce(pair, 4, 0.17, deterministic=True)
-        assert det.randomization == 0.0
-        assert det.achieved_alpha <= 0.17 + 1e-15
-        assert det.beta >= rand.beta - 1e-15
 
     def test_three_symbol_randomization(self):
         pair = FiniteDiscretePair((0.5, 0.3, 0.2), (0.2, 0.3, 0.5))

@@ -21,7 +21,6 @@ from htbounds.distributions import (
 )
 from htbounds.numerics import (
     Bracket,
-    log_sum_exp,
     maximize_scalar,
     q_function,
     q_inverse,
@@ -55,12 +54,6 @@ def test_q_monotone_decreasing(x, step):
 @given(st.floats(min_value=1e-12, max_value=1.0 - 1e-12))
 def test_q_inverse_roundtrip(p):
     assert q_function(q_inverse(p)) == pytest.approx(p, rel=1e-10, abs=1e-14)
-
-
-@given(st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=8))
-def test_log_sum_exp_matches_direct(terms):
-    direct = math.log(math.fsum(math.exp(t) for t in terms))
-    assert log_sum_exp(terms) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=50)
