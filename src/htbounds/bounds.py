@@ -31,6 +31,26 @@ Achievability (upper) bounds:
   l in (0,1) with D_l > c, obtained from the threshold construction of
   ``threshold_for_rate`` with the Markov bound on alpha.
 
+Solving for the order.  With psi(l) = log sum p^l q^{1-l} over the atoms
+of the two distributions (convex: the log-moment generating function of
+the log-likelihood ratio z = log p/q) and D_l = psi(l)/(l-1), each Renyi
+objective above is stationary exactly where
+
+    H_s(l) = psi(l) - (l - s) psi'(l) = target,
+
+and H_s' = -(l - s) psi'' < 0, so the optimal order is the one root of a
+monotone function: s = 0 on the reverse atoms with target log(eps)/n for
+branch one (target -c for both phase bounds), s = 1 on the forward atoms
+with target log(1-eps)/n for branch two.  A safeguarded Newton iteration
+finds it in a handful of psi evaluations.  The ends are exact:
+H_0(1) = -D(P1||P0), so branch one is informative exactly when
+n D(P1||P0) < log(1/eps) and the phase root lies in (0, 1) exactly when
+c < D(P1||P0); and when the target is at or below H_s(inf) = log P0(A),
+A the atoms where z is largest, the optimum is the endpoint l = inf,
+reported as ``optimizer = inf`` with the limit value (log eps +
+n D_inf(P1||P0) for branch one, log(1-eps) - n D_inf(P0||P1) for branch
+two).  Gaussian pairs, where psi is quadratic, use the closed forms.
+
 Sample-size bounds: ``sample_complexity_renyi`` (valid for every l > 1,
 optimized over l when none is given) and ``sample_complexity_pensia``
 (the comparison bound at its closed-form l*).
@@ -45,6 +65,7 @@ probability bound outside [0, 1] carries no information.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -56,6 +77,8 @@ from .distributions import (
     DistributionPair,
     GaussianPair,
     UnsupportedFamilyError,
+    _tilt,
+    _tilt_atoms,
     hellinger_squared,
     kl_divergence,
     llr_moments,
@@ -92,6 +115,15 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+
+#: Safety cap on root-solver steps; bisection to adjacent floats needs about 110.
+_ROOT_STEPS = 200
+#: Offset l - s beyond which the root solver reports the l = inf endpoint.
+_ROOT_CAP = 2.0**40
+#: Machine epsilon, the spacing of floats at 1.
+_EPS = sys.float_info.epsilon
+#: The smallest order above 1.
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
 
 
 class BoundKind(Enum):
@@ -186,22 +218,112 @@ def _lower_beta(log_value: float | None, optimizer: float | None) -> BoundResult
     return BoundResult(value, log_value, optimizer, BoundKind.LOWER_BETA, value > 0.0)
 
 
-def _branch_one(pair: DistributionPair, n: int, log_eps: float) -> tuple[float, float]:
+def _tilt_root(
+    pair: DistributionPair, direction: Direction, s: float, target: float,
+    lo: float, hi: float, lam: float,
+) -> tuple[float, float]:
+    """The order l in (lo, hi) where H_s(l) = psi(l) - (l - s) psi'(l) = target.
+
+    psi is the tilted log-sum of the pair's atoms in ``direction``.  Since
+    H_s' = -(l - s) psi'', H_s strictly decreases for l > s, and lo >= s
+    here; the caller guarantees H_s(lo) > target > H_s(hi), with hi = inf
+    standing for the limit.  ``lam`` is the start, which the callers take
+    from the quadratic model psi(1 + h) ~ psi'(1) h + psi''(1) h^2 / 2.
+    Safeguarded Newton from there: a step that leaves the bracket bisects
+    the offset l - s (geometrically while the bracket spans a ratio above
+    4) or, while hi is still inf, quadruples it.  Returns (l, psi(l)) at
+    the last order evaluated, which is always inside (lo, hi), or
+    (inf, nan) when the root lies beyond l - s = 2^40, where every
+    objective here equals its l = inf limit to about 1e-12.
+    """
+    a, b = lo, hi
+    if not a < lam < b:
+        lam = a + 0.5 * (b - a) if b < math.inf else 2.0 * a
+    for _ in range(_ROOT_STEPS):
+        psi, mean, var = _tilt(pair, lam, direction)
+        resid = psi - (lam - s) * mean - target
+        if abs(resid) <= 8.0 * _EPS * (abs(psi) + abs((lam - s) * mean) + abs(target)):
+            break  # H_s(lam) equals target to within its rounding
+        if resid > 0.0:
+            a = lam
+        else:
+            b = lam
+        slope = -(lam - s) * var
+        nxt = lam - resid / slope if slope < 0.0 else math.nan
+        if b == math.inf:
+            if lam - s > _ROOT_CAP:
+                return math.inf, math.nan
+            if not a < nxt < s + 4.0 * (lam - s):
+                nxt = s + 4.0 * (lam - s)
+        elif not a < nxt < b:
+            x_a, x_b = a - s, b - s
+            nxt = s + math.sqrt(x_a * x_b) if x_b > 4.0 * x_a > 0.0 else a + 0.5 * (x_b - x_a)
+            if not a < nxt < b:
+                break  # the bracket is down to adjacent floats
+        if abs(nxt - lam) <= 1.0e-10 * (lam - s) + 4.0 * _EPS * lam:
+            break  # Newton converges quadratically, so lam is already that close
+        lam = nxt
+    return lam, psi
+
+
+def _branch_one(pair: DistributionPair, n: int, log_eps: float) -> tuple[float, float | None]:
     """Minimized exponent g* = inf_{l>1} ((l-1)/l)(log_eps + n D_l(P1||P0)).
 
-    The branch-one bound is 1 - e^{g*}; returns (g*, argmin l).
+    The branch-one bound is 1 - e^{g*}; returns (g*, argmin l), or
+    (0.0, None) when g* = 0 (the infimum is the l -> 1 limit: vacuous).
+    With t = log_eps / n, g is stationary where H_0(l) = t; H_0(1) =
+    -D(P1||P0), so the root lies in (1, inf) exactly when n D < log(1/eps),
+    and when t <= H_0(inf) = log P0(argmax p1/p0) g decreases all the way
+    and g* is its l = inf limit log_eps + n D_inf(P1||P0).
     """
+    if isinstance(pair, GaussianPair):
+        a, b = -log_eps, n * kl_divergence(pair, Direction.REVERSE)
+        if a <= b:
+            return 0.0, None
+        return -(((a - b) / (math.sqrt(a) + math.sqrt(b))) ** 2), math.sqrt(a / b)
+    t = log_eps / n
+    _, d, v = _tilt(pair, 1.0, Direction.REVERSE)
+    if t >= -d:
+        return 0.0, None
+    top = _tilt_atoms(pair, Direction.REVERSE)
+    lam = math.inf
+    if t > top.log_q_top:
+        start = math.sqrt(1.0 + 2.0 * (-t - d) / v) if v > 0.0 else math.nan
+        lam, psi = _tilt_root(pair, Direction.REVERSE, 0.0, t, 1.0, math.inf, start)
+    if lam == math.inf:
+        return log_eps + n * top.d_inf, lam
+    return ((lam - 1.0) * log_eps + n * psi) / lam, lam
 
-    def objective(lam):
-        d = renyi_divergence(pair, lam, Direction.REVERSE)
-        return -((lam - 1.0) / lam) * (log_eps + n * d)
 
-    lam, neg_g = maximize_scalar(objective, Bracket(1.0, math.inf))
-    return -neg_g, lam
+def _branch_two(pair: DistributionPair, n: int, log_1m_eps: float) -> tuple[float, float]:
+    """sup_{l>1} (l/(l-1)) log(1-eps) - n D_l(P0||P1) and its argmax l.
+
+    With u = log(1-eps) / n the objective is stationary where H_1(l) = u;
+    H_1(1) = 0 > u, and when u <= H_1(inf) = log P0(argmax p0/p1) the
+    objective increases all the way to its limit log(1-eps) - n D_inf(P0||P1).
+    """
+    if isinstance(pair, GaussianPair):
+        a, b = -log_1m_eps, n * kl_divergence(pair, Direction.FORWARD)
+        lam = max(1.0 + math.sqrt(a / b), _ABOVE_ONE)
+        return -((math.sqrt(a) + math.sqrt(b)) ** 2), lam
+    u = log_1m_eps / n
+    _, _, v = _tilt(pair, 1.0, Direction.FORWARD)
+    top = _tilt_atoms(pair, Direction.FORWARD)
+    lam = math.inf
+    if u > top.log_q_top + top.d_inf:
+        start = max(1.0 + math.sqrt(-2.0 * u / v), _ABOVE_ONE) if v > 0.0 else math.nan
+        lam, psi = _tilt_root(pair, Direction.FORWARD, 1.0, u, 1.0, math.inf, start)
+    if lam == math.inf:
+        return log_1m_eps - n * top.d_inf, lam
+    return (lam * log_1m_eps - n * psi) / (lam - 1.0), lam
 
 
 def renyi_converse(pair: DistributionPair, n: int, log_eps: float) -> BoundResult:
-    """Two-branch Renyi lower bound on beta_n(eps); optimizer is the winning l."""
+    """Two-branch Renyi lower bound on beta_n(eps); optimizer is the winning l.
+
+    The optimizer is inf when the winning branch is best in its l = inf
+    limit (see the module docstring).
+    """
     _check_n(n)
     _check_log_eps(log_eps)
     g_min, lam_one = _branch_one(pair, n, log_eps)
@@ -209,12 +331,7 @@ def renyi_converse(pair: DistributionPair, n: int, log_eps: float) -> BoundResul
     log_1m_eps = log_diff_exp(0.0, log_eps)
     log_two, lam_two = None, None
     if log_1m_eps > -math.inf:  # 1 - eps underflows only for eps within 1e-16 of 1
-
-        def objective(lam):
-            d = renyi_divergence(pair, lam, Direction.FORWARD)
-            return (lam / (lam - 1.0)) * log_1m_eps - n * d
-
-        lam_two, log_two = maximize_scalar(objective, Bracket(1.0, math.inf))
+        log_two, lam_two = _branch_two(pair, n, log_1m_eps)
     if log_one is None and log_two is None:
         return _lower_beta(None, None)
     if log_two is None or (log_one is not None and log_one >= log_two):
@@ -332,13 +449,23 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
             "for c above the divergence use phase_transition_converse"
         )
 
-    # The exponent is concave in 1/lam and negative wherever D_lam <= c, so
-    # its maximum over (0, 1) lies in the feasible set (Hoeffding, 1965).
-    def objective(lam):
-        d = renyi_divergence(pair, lam, Direction.REVERSE)
-        return ((1.0 - lam) / lam) * n * (d - c)
-
-    lam, exponent = maximize_scalar(objective, Bracket(0.0, 1.0))
+    # The exponent n (c (l-1) - psi(l)) / l is stationary where H_0(l) = -c;
+    # H_0(0) = 0 and H_0(1) = -D(P1||P0), so the root lies in (0, 1).
+    if isinstance(pair, GaussianPair):
+        lam = math.sqrt(c / d_rev)
+        exponent = n * ((d_rev - c) / (math.sqrt(d_rev) + math.sqrt(c))) ** 2
+    else:
+        _, d, v = _tilt(pair, 1.0, Direction.REVERSE)
+        start = 1.0 - 2.0 * (d - c) / v if v > 0.0 else math.nan
+        lam, psi = _tilt_root(pair, Direction.REVERSE, 0.0, -c, 0.0, 1.0,
+                              math.sqrt(start) if start > 0.0 else 0.5)
+        # Near c = D the exponent is a small difference of terms of order
+        # (l - 1) D; it is rounded down by a bound on their rounding error
+        # so that the upper bound on beta never understates.
+        atoms = _tilt_atoms(pair, Direction.REVERSE)
+        h = lam - 1.0
+        size = abs(c * h) + abs(psi) + float(atoms.p @ np.abs(np.expm1(h * atoms.z)))
+        exponent = n * (c * h - psi - (atoms.p.size + 8) * _EPS * size) / lam
     log_value = -exponent
     return BoundResult(
         float(np.exp(log_value)), log_value, lam, BoundKind.UPPER_BETA, exponent > 0.0

@@ -126,16 +126,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _json_float(x):
+    # JSON has no infinities: write them as the strings "inf" and "-inf",
+    # which float() reads back.
+    return x if x is None or math.isfinite(x) else str(x)
+
+
 def _result_json(name: str, r) -> str:
     payload = {
         "bound": name,
         "value": r.value,
-        "log_value": r.log_value,
-        "optimizer": r.optimizer,
+        "log_value": _json_float(r.log_value),
+        "optimizer": _json_float(r.optimizer),
         "kind": r.kind.value,
         "valid": r.valid,
     }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 def _log_eps_of(args) -> float:

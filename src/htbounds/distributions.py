@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -143,13 +143,8 @@ class LLRMoments:
     berry_constant: float
 
 
-@functools.lru_cache(maxsize=256)
-def _log_atoms(pair: DistributionPair, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Log-probability atoms (first, second argument) over the common support.
-
-    Cached per (pair, direction), since pairs are frozen and hashable; the
-    arrays are read-only so no caller can change what the next one gets.
-    """
+def _atoms(pair: DistributionPair, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """Probability atoms (first, second argument) over the common support."""
     if isinstance(pair, BernoulliPair):
         a0 = np.array([1.0 - pair.p0, pair.p0])
         a1 = np.array([1.0 - pair.p1, pair.p1])
@@ -162,6 +157,17 @@ def _log_atoms(pair: DistributionPair, direction: Direction) -> tuple[np.ndarray
         raise UnsupportedFamilyError(f"no discrete atoms for {type(pair).__name__}")
     if direction is Direction.REVERSE:
         a0, a1 = a1, a0
+    return a0, a1
+
+
+@functools.lru_cache(maxsize=256)
+def _log_atoms(pair: DistributionPair, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """Log-probability atoms (first, second argument) over the common support.
+
+    Cached per (pair, direction), since pairs are frozen and hashable; the
+    arrays are read-only so no caller can change what the next one gets.
+    """
+    a0, a1 = _atoms(pair, direction)
     logp, logq = np.log(a0), np.log(a1)
     logp.flags.writeable = False
     logq.flags.writeable = False
@@ -214,6 +220,70 @@ def renyi_divergence(pair: DistributionPair, lam, direction: Direction):
     logp, logq = _log_atoms(pair, direction)
     lam_col = lam.reshape(lam.shape + (1,))
     return np.logaddexp.reduce(lam_col * logp + (1.0 - lam_col) * logq, axis=-1) / (lam - 1.0)
+
+
+class _TiltAtoms(NamedTuple):
+    logp: np.ndarray  # log p
+    p: np.ndarray  # the first argument's atoms, renormalized to sum 1
+    z: np.ndarray  # log(p / q), q the second argument's atoms, renormalized
+    z_abs: float  # max |z|
+    d_inf: float  # D_inf = max z
+    log_q_top: float  # log Q(A), A the atoms where z = D_inf
+
+
+@functools.lru_cache(maxsize=256)
+def _tilt_atoms(pair: DistributionPair, direction: Direction) -> _TiltAtoms:
+    """What :func:`_tilt` needs of the pair's atoms, cached like them.
+
+    z is log1p((p - q) / q) where p / q lies within (1/2, 3/2), so it keeps
+    its relative accuracy as p -> q, where log p - log q cancels.
+    """
+    p, q = _atoms(pair, direction)
+    p, q = p / p.sum(), q / q.sum()
+    z = np.log(p / q)
+    near = np.abs(p - q) < 0.5 * q
+    z[near] = np.log1p((p[near] - q[near]) / q[near])
+    logp = np.log(p)
+    for arr in (logp, p, z):
+        arr.flags.writeable = False
+    d_inf = z.max()
+    log_q_top = np.log(q[z == d_inf].sum())
+    return _TiltAtoms(logp, p, z, float(np.max(np.abs(z))), float(d_inf), float(log_q_top))
+
+
+def _tilt(pair: DistributionPair, lam: float, direction: Direction) -> tuple[float, float, float]:
+    """The tilted log-sum psi(lam) = log sum p^lam q^(1-lam) and its two derivatives.
+
+    With z = log(p / q), psi'(lam) and psi''(lam) are the mean and the
+    variance of z under the tilted law proportional to p^lam q^(1-lam), so
+    psi is convex with psi(1) = 0 and D_lam = psi(lam) / (lam - 1).  While
+    |lam - 1| max|z| <= 1/2, psi is log1p(sum p expm1((lam - 1) z)) over
+    atoms renormalized to sum 1, which keeps its relative accuracy as
+    lam -> 1 where a log-sum-exp cancels to nothing.  Further out the sum
+    is shifted by the z that dominates it (the largest for lam > 1, the
+    smallest for lam < 1), so no term overflows and the top atoms keep
+    their exact log-probabilities however large lam is.  As lam -> inf,
+    psi(lam) - lam D_inf tends to log Q(A) (see :func:`_tilt_atoms`).
+    Discrete pairs only; lam is a float > 0.
+    """
+    logp, p, z, z_abs, _, _ = _tilt_atoms(pair, direction)
+    h = lam - 1.0
+    if abs(h) * z_abs <= 0.5:
+        w = p * np.expm1(h * z)
+        s = float(w.sum())
+        psi = math.log1p(s)
+        w += p
+        total = 1.0 + s
+    else:
+        z_top = float(z.max() if h > 0.0 else z.min())
+        x = logp + h * (z - z_top)
+        x_max = float(x.max())
+        w = np.exp(x - x_max)
+        total = float(w.sum())
+        psi = h * z_top + x_max + math.log(total)
+    mean = float(w @ z) / total
+    dz = z - mean
+    return psi, mean, float(w @ (dz * dz)) / total
 
 
 def hellinger_squared(pair: DistributionPair) -> float:

@@ -12,9 +12,12 @@ This module is the numerical kernel shared by every bound evaluation:
   quantities;
 * ``maximize_scalar``, a derivative-free maximizer over an interval that
   scans a log-spaced grid and then refines the best cell with
-  golden-section search.  Every internally optimized bound parameter
-  (the Renyi orders, the Berry-Esseen slack, the smoothing temperature)
-  goes through this one routine.
+  golden-section search.  It optimizes the Berry-Esseen slack, the
+  smoothing temperature, the order of ``sample_complexity_renyi`` and the
+  refinement step of the achievability grid.  The orders of the Renyi
+  converse and of the two phase-transition bounds do not go through it:
+  each is the root of a monotone function, solved in
+  :mod:`htbounds.bounds`.
 
 All functions are pure and thread-safe, and so are the divergences in
 :mod:`htbounds.distributions`, whose only shared state is a bounded

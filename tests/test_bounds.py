@@ -7,8 +7,10 @@ is an extremum) and frozen at 17 significant figures.
 
 import math
 
+import mpmath
 import pytest
 
+import htbounds.bounds
 from htbounds.bounds import (
     BoundKind,
     Constant,
@@ -30,11 +32,14 @@ from htbounds.bounds import (
 from htbounds.distributions import (
     BernoulliPair,
     Direction,
+    FiniteDiscretePair,
     GaussianPair,
     UnsupportedFamilyError,
     kl_divergence,
+    parse_pair,
+    renyi_divergence,
 )
-from htbounds.numerics import DomainError
+from htbounds.numerics import Bracket, DomainError, maximize_scalar
 from htbounds.oracle import np_exact_bernoulli, np_exact_gaussian
 
 BERN = BernoulliPair(0.5, 0.51)
@@ -173,6 +178,185 @@ class TestPhaseTransitionAchievability:
     def test_supercritical_rate_rejected(self):
         with pytest.raises(DomainError, match="phase_transition_converse"):
             phase_transition_achievability(GAUSS, 100, 2 * D_GAUSS)
+
+
+def _mp_atoms(pair, direction):
+    # The pair's float atoms as mpmath numbers, first argument first, each
+    # vector scaled to sum to exactly 1 as the probabilities they stand for
+    # (0.7 + 0.2 + 0.1 is 1 - 2.8e-17 in exact arithmetic on the floats).
+    if isinstance(pair, BernoulliPair):
+        p0, p1 = (1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1)
+    else:
+        p0, p1 = pair.p0, pair.p1
+    p = [mpmath.mpf(v) / mpmath.fsum(p0) for v in p0]
+    q = [mpmath.mpf(v) / mpmath.fsum(p1) for v in p1]
+    return (p, q) if direction is Direction.FORWARD else (q, p)
+
+
+def _mp_psi(atoms, lam):
+    p, q = atoms
+    return mpmath.log(mpmath.fsum(a**lam * b ** (1 - lam) for a, b in zip(p, q)))
+
+
+def _mp_golden(f, lo, hi, steps=100):
+    # Golden-section maximum of a unimodal f on [lo, hi]: the bracket
+    # shrinks by 0.618^100 ~ 1e-21, and the value at a smooth maximum
+    # misses by the square of that.
+    invphi = (mpmath.sqrt(5) - 1) / 2
+    a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return max(fc, fd)
+
+
+def _mp_renyi_converse(pair, n, log_eps):
+    """log of the two-branch bound by golden section at 120 digits.
+
+    Branch one runs over u = 1/l in (0, 1), branch two over v = log(l - 1)
+    in (-250, 60), which resolves the optimum of branch two however close
+    to 1 a tiny eps puts it.  Both objectives are unimodal in these
+    variables, and the ends u -> 0 and v -> 60 reach the l = inf endpoint,
+    so the reference finds it without being told.
+    """
+    with mpmath.workdps(120):
+        le = mpmath.mpf(log_eps)
+        rev, fwd = _mp_atoms(pair, Direction.REVERSE), _mp_atoms(pair, Direction.FORWARD)
+        # branch one: g(u) = (1 - u) log eps + n u psi_R(1/u), minimized
+        g = -_mp_golden(lambda u: -((1 - u) * le + n * u * _mp_psi(rev, 1 / u)), 0, 1)
+        # branch two: ((1 + h) log(1-eps) - n psi_F(1 + h)) / h, h = e^v, maximized
+        log_1m = mpmath.log(-mpmath.expm1(le))
+
+        def two_at(v):
+            h = mpmath.exp(v)
+            return ((1 + h) * log_1m - n * _mp_psi(fwd, 1 + h)) / h
+
+        two = _mp_golden(two_at, -250, 60)
+        one = mpmath.log1p(-mpmath.exp(g)) if g < 0 else -mpmath.inf
+        return float(max(one, two))
+
+
+class TestRenyiOrderRoot:
+    # The Renyi orders of renyi_converse and the phase bounds are roots of
+    # psi - (l - s) psi', found without maximize_scalar.  Tolerances: the
+    # bound carries the atoms' rounding (a few ulps of psi) amplified by
+    # n / (l - 1), which stays below 1e-12 relative for n <= 2000.
+    PAIRS = (
+        "bernoulli:0.5,0.51",
+        "bernoulli:0.5,0.7",
+        "bernoulli:0.1,0.35",
+        "discrete:0.2,0.3,0.5|0.5,0.3,0.2",
+        "discrete:0.7,0.2,0.1|0.1,0.3,0.6",
+    )
+
+    @pytest.mark.parametrize("spec", PAIRS)
+    def test_both_branches_match_mpmath(self, spec):
+        pair = parse_pair(spec)
+        d = kl_divergence(pair, Direction.REVERSE)
+        for n in (10, 400, 2000):
+            for log_eps in (math.log(0.3), math.log(0.01), -math.log(n), -20.0 * d * n):
+                r = renyi_converse(pair, n, log_eps)
+                want = _mp_renyi_converse(pair, n, log_eps)
+                case = (n, log_eps, r.optimizer)
+                assert r.log_value == pytest.approx(want, rel=1e-11), case
+                assert r.log_value <= want + 1e-11 * abs(want), case
+
+    def test_infinite_order_endpoint(self):
+        # appF_bernoulli20_exponential: at c = 20 D, log eps / n = -c lies
+        # below H_0(inf) = log P0(argmax p1/p0) = log 0.5, so branch one
+        # decreases in l all the way and its infimum is the l = inf limit
+        # log eps + n D_inf(P1||P0).  The old 1e6 cap gave -1.389456e-57.
+        pair = parse_pair("bernoulli:0.5,0.7")
+        c = 20.0 * kl_divergence(pair, Direction.REVERSE)
+        r = renyi_converse(pair, 100, -c * 100)
+        assert r.optimizer == math.inf
+        assert r.log_value == pytest.approx(-1.389324e-57, rel=1e-6)
+        with mpmath.workdps(60):
+            g = mpmath.mpf(-c * 100) + 100 * mpmath.log(mpmath.mpf(0.7) / mpmath.mpf(0.5))
+            want = float(mpmath.log1p(-mpmath.exp(g)))
+        assert r.log_value == pytest.approx(want, rel=1e-12)
+        from htbounds.cli import DEFAULT_N
+
+        assert all(renyi_converse(pair, n, -c * n).optimizer == math.inf for n in DEFAULT_N)
+
+    def test_gaussian_closed_forms_match_optimizer(self):
+        # The closed forms against the optimizer that evaluated these
+        # bounds before: maximize_scalar on the documented objectives.  The
+        # grid includes cases where branch one is vacuous (n D >= log 1/eps).
+        for pair in (GAUSS, GaussianPair(0.0, 0.3, 1.0), GaussianPair(1.0, -2.0, 0.5)):
+            for n in (1, 10, 100, 1000, 10000):
+                for eps in (1e-100, 1e-10, 0.01, 0.3, 0.9):
+                    log_eps = math.log(eps)
+
+                    def one(lam):
+                        return -((lam - 1.0) / lam) * (
+                            log_eps + n * renyi_divergence(pair, lam, Direction.REVERSE)
+                        )
+
+                    def two(lam):
+                        return (lam / (lam - 1.0)) * math.log1p(-eps) - n * renyi_divergence(
+                            pair, lam, Direction.FORWARD
+                        )
+
+                    g = -maximize_scalar(one, Bracket(1.0, math.inf))[1]
+                    want = maximize_scalar(two, Bracket(1.0, math.inf))[1]
+                    if -log_eps > n * kl_divergence(pair, Direction.REVERSE):
+                        want = max(want, math.log1p(-math.exp(g)))
+                    else:
+                        assert g > -1e-9  # vacuous: the infimum is the l -> 1 limit 0
+                    # The optimizer cannot go below l = 1 + 1e-9, its bracket
+                    # tolerance, which costs up to 1e-9 relative where the
+                    # optimum of branch two lies closer to 1 (eps = 1e-100).
+                    r = renyi_converse(pair, n, log_eps)
+                    assert r.log_value == pytest.approx(want, rel=2e-9, abs=1e-300), (pair, n, eps)
+                    assert r.log_value >= want - 1e-12 * abs(want), (pair, n, eps)
+
+    def test_near_critical_phase_exponent_matches_mpmath(self):
+        # The Hoeffding exponent at c just below D, where the old code lost
+        # it to cancellation (3.20e-13 returned against the true 1.0003e-13
+        # at bernoulli:0.5,0.51, c = 0.999999 D).  Never above the truth:
+        # the upper bound on beta must not understate.
+        n = 2000
+        for spec in ("bernoulli:0.5,0.51", "bernoulli:0.5,0.7"):
+            pair = parse_pair(spec)
+            rev = _mp_atoms(pair, Direction.REVERSE)
+            d = kl_divergence(pair, Direction.REVERSE)
+            for ratio in (0.999, 0.999999):
+                c = ratio * d
+                with mpmath.workdps(60):
+                    cm = mpmath.mpf(c)
+                    want = _mp_golden(lambda l: n * (cm * (l - 1) - _mp_psi(rev, l)) / l, 0, 1)
+                got = -phase_transition_achievability(pair, n, c).log_value
+                assert abs(got - want) <= 1e-6 * want, (spec, ratio, got, float(want))
+                assert got <= want, (spec, ratio)
+
+    def test_no_grid_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("maximize_scalar called")
+
+        monkeypatch.setattr(htbounds.bounds, "maximize_scalar", refuse)
+        disc = FiniteDiscretePair((0.2, 0.3, 0.5), (0.5, 0.3, 0.2))
+        for pair in (BERN, GAUSS, disc):
+            d = kl_divergence(pair, Direction.REVERSE)
+            for n in (10, 1000):
+                assert renyi_converse(pair, n, math.log(0.01)).valid
+                assert phase_transition_converse(pair, n, 2.0 * d).valid
+                assert phase_transition_achievability(pair, n, 0.5 * d).valid
+
+    def test_identical_discrete_pair(self):
+        # z = 0 everywhere: both branches sit at l = inf with value 1 - eps.
+        same = FiniteDiscretePair((0.25, 0.75), (0.25, 0.75))
+        r = renyi_converse(same, 50, math.log(0.2))
+        assert r.optimizer == math.inf
+        assert r.value == pytest.approx(0.8, rel=1e-15)
 
 
 class TestThresholdForRate:

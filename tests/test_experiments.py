@@ -363,6 +363,28 @@ class TestCli:
         assert payload["value"] == direct.value
         assert payload["optimizer"] == direct.optimizer
 
+    @pytest.mark.parametrize("spec, argv_tail, call", [
+        ("bernoulli:0.5,0.6", ["--n", "2000", "--bound", "hellinger", "--eps", "0.5"],
+         lambda p: hellinger_bound(p, 2000, math.log(0.5))),
+        ("bernoulli:0.5,0.7", ["--n", "100", "--bound", "renyi_converse", "--log-eps", "-174"],
+         lambda p: renyi_converse(p, 100, -174.0)),
+    ], ids=["log_value_minus_inf", "optimizer_inf"])
+    def test_bound_json_is_strict_with_infinities(self, capsys, spec, argv_tail, call):
+        # JSON has no infinities; they are written as the strings "inf" and
+        # "-inf", so a strict parser reads the line and float() restores them.
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        assert cli_main(["bound", "--pair", spec, *argv_tail]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        payload = json.loads(line, parse_constant=refuse)
+        direct = call(parse_pair(spec))
+        assert float(payload["log_value"]) == direct.log_value
+        optimizer = payload["optimizer"]
+        assert (optimizer is None if direct.optimizer is None
+                else float(optimizer) == direct.optimizer)
+        assert math.isinf(direct.log_value) or math.isinf(direct.optimizer)
+
     def test_bound_cases_cover_every_choice(self):
         assert [c[0] for c in BOUND_CASES] == [b for b in CANONICAL_BOUNDS if b != "np_exact"]
 
