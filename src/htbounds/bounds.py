@@ -51,6 +51,15 @@ reported as ``optimizer = inf`` with the limit value (log eps +
 n D_inf(P1||P0) for branch one, log(1-eps) - n D_inf(P0||P1) for branch
 two).  Gaussian pairs, where psi is quadratic, use the closed forms.
 
+The Berry-Esseen slack and the smoothing temperature are roots too: the
+slope of each objective changes sign once, from + to -, so the maximizer
+over the parameter's interval less 1e-9 at each end is the root of the
+slope, or the end where it lies beyond the interval.  Every one of these
+roots comes from the same Newton iteration,
+:func:`htbounds.numerics._newton_root`.  Only the order of
+``sample_complexity_renyi`` and the refinement step of the achievability
+grid still use ``maximize_scalar``.
+
 Sample-size bounds: ``sample_complexity_renyi`` (valid for every l > 1,
 optimized over l when none is given) and ``sample_complexity_pensia``
 (the comparison bound at its closed-form l*).
@@ -68,7 +77,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -88,6 +97,7 @@ from .numerics import (
     Bracket,
     DomainError,
     OptimizationError,
+    _newton_root,
     log_diff_exp,
     maximize_scalar,
     q_inverse,
@@ -116,14 +126,13 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 
-#: Safety cap on root-solver steps; bisection to adjacent floats needs about 110.
-_ROOT_STEPS = 200
-#: Offset l - s beyond which the root solver reports the l = inf endpoint.
-_ROOT_CAP = 2.0**40
 #: Machine epsilon, the spacing of floats at 1.
 _EPS = sys.float_info.epsilon
 #: The smallest order above 1.
 _ABOVE_ONE = math.nextafter(1.0, 2.0)
+#: Offset of the baselines' search domains from their open ends.
+_EDGE = 1.0e-9
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class BoundKind(Enum):
@@ -221,7 +230,7 @@ def _lower_beta(log_value: float | None, optimizer: float | None) -> BoundResult
 def _tilt_root(
     pair: DistributionPair, direction: Direction, s: float, target: float,
     lo: float, hi: float, lam: float,
-) -> tuple[float, float]:
+) -> tuple[float, float | None]:
     """The order l in (lo, hi) where H_s(l) = psi(l) - (l - s) psi'(l) = target.
 
     psi is the tilted log-sum of the pair's atoms in ``direction``.  Since
@@ -229,41 +238,36 @@ def _tilt_root(
     here; the caller guarantees H_s(lo) > target > H_s(hi), with hi = inf
     standing for the limit.  ``lam`` is the start, which the callers take
     from the quadratic model psi(1 + h) ~ psi'(1) h + psi''(1) h^2 / 2.
-    Safeguarded Newton from there: a step that leaves the bracket bisects
-    the offset l - s (geometrically while the bracket spans a ratio above
-    4) or, while hi is still inf, quadruples it.  Returns (l, psi(l)) at
-    the last order evaluated, which is always inside (lo, hi), or
-    (inf, nan) when the root lies beyond l - s = 2^40, where every
-    objective here equals its l = inf limit to about 1e-12.
+    Returns (l, psi(l)) from :func:`htbounds.numerics._newton_root` on the
+    offset l - s, or (inf, None) when the root lies beyond l - s = 2^40,
+    where every objective here equals its l = inf limit to about 1e-12.
     """
-    a, b = lo, hi
-    if not a < lam < b:
-        lam = a + 0.5 * (b - a) if b < math.inf else 2.0 * a
-    for _ in range(_ROOT_STEPS):
-        psi, mean, var = _tilt(pair, lam, direction)
-        resid = psi - (lam - s) * mean - target
-        if abs(resid) <= 8.0 * _EPS * (abs(psi) + abs((lam - s) * mean) + abs(target)):
-            break  # H_s(lam) equals target to within its rounding
-        if resid > 0.0:
-            a = lam
-        else:
-            b = lam
-        slope = -(lam - s) * var
-        nxt = lam - resid / slope if slope < 0.0 else math.nan
-        if b == math.inf:
-            if lam - s > _ROOT_CAP:
-                return math.inf, math.nan
-            if not a < nxt < s + 4.0 * (lam - s):
-                nxt = s + 4.0 * (lam - s)
-        elif not a < nxt < b:
-            x_a, x_b = a - s, b - s
-            nxt = s + math.sqrt(x_a * x_b) if x_b > 4.0 * x_a > 0.0 else a + 0.5 * (x_b - x_a)
-            if not a < nxt < b:
-                break  # the bracket is down to adjacent floats
-        if abs(nxt - lam) <= 1.0e-10 * (lam - s) + 4.0 * _EPS * lam:
-            break  # Newton converges quadratically, so lam is already that close
-        lam = nxt
-    return lam, psi
+
+    def resid(x):
+        psi, mean, var = _tilt(pair, x, direction)
+        size = abs(psi) + abs((x - s) * mean) + abs(target)
+        return psi - (x - s) * mean - target, -(x - s) * var, size, psi
+
+    return _newton_root(resid, lo, hi, lam, s)
+
+
+def _argmax_by_root(slope: Callable, hi: float, start: float) -> float:
+    """Maximizer over (0, hi) of an objective whose slope changes sign once.
+
+    The slope goes from + to - (it may stay on one side); ``slope`` follows
+    the contract of :func:`htbounds.numerics._newton_root`.  The domain is
+    [1e-9, hi - 1e-9], with the interior offsets of ``maximize_scalar``'s
+    open brackets, and like it takes the mid-point hi / 2 when that span
+    is at most 1e-9; an optimum beyond either end is reported at that end.
+    """
+    if hi - _EDGE <= _EDGE:
+        return 0.5 * hi
+    a, b = _EDGE, hi - _EDGE
+    if slope(a)[0] <= 0.0:
+        return a
+    if slope(b)[0] >= 0.0:
+        return b
+    return _newton_root(slope, a, b, start, 0.0)[0]
 
 
 def _branch_one(pair: DistributionPair, n: int, log_eps: float) -> tuple[float, float | None]:
@@ -328,13 +332,10 @@ def renyi_converse(pair: DistributionPair, n: int, log_eps: float) -> BoundResul
     _check_log_eps(log_eps)
     g_min, lam_one = _branch_one(pair, n, log_eps)
     log_one = math.log1p(-math.exp(g_min)) if g_min < 0.0 else None
-    log_1m_eps = log_diff_exp(0.0, log_eps)
-    log_two, lam_two = None, None
-    if log_1m_eps > -math.inf:  # 1 - eps underflows only for eps within 1e-16 of 1
-        log_two, lam_two = _branch_two(pair, n, log_1m_eps)
-    if log_one is None and log_two is None:
-        return _lower_beta(None, None)
-    if log_two is None or (log_one is not None and log_one >= log_two):
+    # log(1 - eps) is finite for every finite log_eps < 0: 1 - eps is at
+    # least the smallest subnormal even where eps itself rounds to 1.
+    log_two, lam_two = _branch_two(pair, n, log_diff_exp(0.0, log_eps))
+    if log_one is not None and log_one >= log_two:
         return _lower_beta(log_one, lam_one)
     return _lower_beta(log_two, lam_two)
 
@@ -573,9 +574,19 @@ def berry_esseen_bound(
                 + log Delta - (1/2) log n
 
     where V and B are the LLR variance and Berry-Esseen constant of the
-    pair.  Delta is optimized over (0, sqrt(n)(1 - eps) - B) when not
-    given; if that interval is empty (the Q^{-1} argument leaves (0, 1)
-    for every Delta) the bound is vacuous: value 0, valid=False.
+    pair.  Delta ranges over (0, hi), hi = sqrt(n)(1 - eps) - B; if that
+    interval is empty (the Q^{-1} argument leaves (0, 1) for every Delta)
+    the bound is vacuous: value 0, valid=False.
+
+    When Delta is not given it is the maximizer over [1e-9, hi - 1e-9].
+    With x = Q^{-1}(w) and w the argument above, dx/dDelta =
+    1 / (sqrt(n) phi(x)), so the slope 1/Delta - sqrt(V) / phi(x) has the
+    sign of h(Delta) = phi(x) - Delta sqrt(V).  h is concave (phi o Q^{-1}
+    is the Gaussian isoperimetric profile), h(0) = phi(x_0) > 0 (x_0 is x
+    at Delta = 0) and h(hi) = -hi sqrt(V) < 0, so the maximizer is the one
+    root of h (or an end, where h keeps one sign on the domain), found
+    by safeguarded Newton with h' = -x / sqrt(n) - sqrt(V) from
+    Delta_0 = phi(x_0) / sqrt(V).
     """
     _check_n(n)
     _check_log_eps(log_eps)
@@ -600,8 +611,15 @@ def berry_esseen_bound(
         if delta_param >= hi:
             return _lower_beta(None, delta_param)
         return _lower_beta(float(objective(delta_param)), delta_param)
-    arg_opt, log_value = maximize_scalar(objective, Bracket(0.0, hi))
-    return _lower_beta(log_value, arg_opt)
+    sqrt_v = math.sqrt(m.variance)
+
+    def h(dl):
+        x = q_inverse(one_m_eps - (m.berry_constant + dl) / sqrt_n)
+        phi = math.exp(-0.5 * x * x) / _SQRT_2PI
+        return phi - dl * sqrt_v, -x / sqrt_n - sqrt_v, phi + dl * sqrt_v, None
+
+    delta = _argmax_by_root(h, hi, h(0.0)[0] / sqrt_v)
+    return _lower_beta(float(objective(delta)), delta)
 
 
 def smoothing_out_bound(
@@ -612,8 +630,19 @@ def smoothing_out_bound(
     log beta >= -n D + log(1 - eps) / (1 - e^{-2t}) - n t
                 - (delta^2 / (2 sigma^2)) (e^t - 1)^2 - n (cosh(2t) - 1)
 
-    with D = delta^2 / (2 sigma^2).  t is optimized over (0, 10) when
-    not given.  Non-Gaussian pairs raise UnsupportedFamilyError.
+    with D = delta^2 / (2 sigma^2).  Non-Gaussian pairs raise
+    UnsupportedFamilyError.
+
+    When t is not given it is the maximizer over [1e-9, 10 - 1e-9].  The
+    objective is concave: with L = log(1 - eps) its slope
+
+        -L / (2 sinh^2 t) - n - d^2 (e^t - 1) e^t - 2n sinh 2t,  d^2 = 2 D,
+
+    has the negative derivative L cosh t / sinh^3 t - d^2 e^t (2 e^t - 1)
+    - 4n cosh 2t, so the maximizer is the one root of the slope (or the
+    lower end, when the slope is already negative there), found by
+    safeguarded Newton from t_0 = sqrt(-L / 2n), where the first two
+    terms balance.
     """
     if not isinstance(pair, GaussianPair):
         raise UnsupportedFamilyError("smoothing_out_bound is defined for Gaussian pairs only")
@@ -631,5 +660,14 @@ def smoothing_out_bound(
         if not (isinstance(t_param, (int, float)) and t_param > 0.0):
             raise DomainError(f"t_param must be > 0, got {t_param!r}")
         return _lower_beta(float(objective(t_param)), t_param)
-    arg_opt, log_value = maximize_scalar(objective, Bracket(0.0, 10.0))
-    return _lower_beta(log_value, arg_opt)
+
+    def slope(t):
+        sinh_t, e_t = math.sinh(t), math.exp(t)
+        terms = (-log_1m_eps / (2.0 * sinh_t**2), n, d2 * math.expm1(t) * e_t,
+                 2.0 * n * math.sinh(2.0 * t))
+        curve = (log_1m_eps * math.cosh(t) / sinh_t**3 - d2 * e_t * (2.0 * e_t - 1.0)
+                 - 4.0 * n * math.cosh(2.0 * t))
+        return terms[0] - terms[1] - terms[2] - terms[3], curve, sum(terms), None
+
+    t = _argmax_by_root(slope, 10.0, math.sqrt(-log_1m_eps / (2.0 * n)))
+    return _lower_beta(float(objective(t)), t)

@@ -1,4 +1,4 @@
-"""Log-domain numerics and the bracketed scalar maximizer.
+"""Log-domain numerics, the bracketed scalar maximizer and the root solver.
 
 This module is the numerical kernel shared by every bound evaluation:
 
@@ -12,12 +12,15 @@ This module is the numerical kernel shared by every bound evaluation:
   quantities;
 * ``maximize_scalar``, a derivative-free maximizer over an interval that
   scans a log-spaced grid and then refines the best cell with
-  golden-section search.  It optimizes the Berry-Esseen slack, the
-  smoothing temperature, the order of ``sample_complexity_renyi`` and the
-  refinement step of the achievability grid.  The orders of the Renyi
-  converse and of the two phase-transition bounds do not go through it:
-  each is the root of a monotone function, solved in
-  :mod:`htbounds.bounds`.
+  golden-section search.  It optimizes only the order of
+  ``sample_complexity_renyi`` and the refinement step of the
+  achievability grid;
+* ``_newton_root``, a safeguarded Newton iteration for the one sign
+  change of a function on a bracket.  Every other optimized bound is the
+  root of its stationarity equation and goes through it: the Renyi
+  orders of the converse and of the two phase-transition bounds, the
+  Berry-Esseen slack and the smoothing temperature (see
+  :mod:`htbounds.bounds`).
 
 All functions are pure and thread-safe, and so are the divergences in
 :mod:`htbounds.distributions`, whose only shared state is a bounded
@@ -31,6 +34,7 @@ give the same bits and the same errors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +54,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LOG2 = math.log(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,6 +63,13 @@ GRID_POINTS = 2048
 
 #: Upper cap on the geometric expansion of an unbounded bracket.
 EXPANSION_CAP = 1.0e6
+
+#: Safety cap on root-solver steps; bisection to adjacent floats needs about 110.
+_ROOT_STEPS = 200
+#: Offset x - origin beyond which an unbounded root search reports x = inf.
+_ROOT_CAP = 2.0**40
+#: Machine epsilon, the spacing of floats at 1.
+_EPS = sys.float_info.epsilon
 
 
 class DomainError(ValueError):
@@ -184,8 +196,10 @@ def q_inverse_log(log_p):
 def log_diff_exp(a, b):
     """``log(exp(a) - exp(b))`` for ``a >= b``, stable near ``a == b``.
 
-    Returns ``-inf`` when the arguments coincide (including both
-    ``-inf``); raises :class:`DomainError` when ``b > a``.
+    With ``d = b - a`` this is ``a + log(-expm1(d))`` for ``d > -log 2``
+    and ``a + log1p(-exp(d))`` below, each form where it keeps full
+    relative accuracy.  Returns ``-inf`` when the arguments coincide
+    (including both ``-inf``); raises :class:`DomainError` when ``b > a``.
     """
     a, b = _float_or_array(a), _float_or_array(b)
     if isinstance(a, float) and isinstance(b, float):
@@ -195,8 +209,9 @@ def log_diff_exp(a, b):
             raise DomainError("log_diff_exp requires a >= b")
         if a == -math.inf:  # so b == -inf too
             return -math.inf
+        d = b - a
         with np.errstate(divide="ignore", invalid="ignore"):
-            return float(a + np.log1p(-np.exp(b - a)))
+            return float(a + (np.log(-np.expm1(d)) if d > -_LOG2 else np.log1p(-np.exp(d))))
     aa = np.asarray(a, dtype=float)
     bb = np.asarray(b, dtype=float)
     if np.any(np.isnan(aa)) or np.any(np.isnan(bb)):
@@ -204,7 +219,8 @@ def log_diff_exp(a, b):
     if np.any(bb > aa):
         raise DomainError("log_diff_exp requires a >= b")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = aa + np.log1p(-np.exp(bb - aa))
+        d = bb - aa
+        out = aa + np.where(d > -_LOG2, np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
     return np.where((aa == -np.inf) & (bb == -np.inf), -np.inf, out)
 
 
@@ -295,3 +311,47 @@ def maximize_scalar(f: Callable, bracket: Bracket) -> tuple[float, float]:
             if fd > best_f:
                 best_x, best_f = d, fd
     return best_x, best_f
+
+
+def _newton_root(f: Callable, lo: float, hi: float, x: float, origin: float):
+    """The point in (lo, hi) where ``f`` changes sign, from + to -.
+
+    ``f(x)`` returns ``(r, slope, size, extra)``: the function value, its
+    derivative, the sum of the magnitudes of the terms ``r`` was formed
+    from (``|r| <= 8 eps size`` counts as a root) and anything the caller
+    wants back at the final point.  The caller guarantees ``origin <= lo``,
+    ``r > 0`` towards ``lo`` and ``r < 0`` towards ``hi``; neither end is
+    evaluated, and ``hi`` may be inf.  ``x`` is the start.  Safeguarded
+    Newton from there: a step that leaves the bracket, or a slope that is
+    not negative, bisects the offset ``x - origin`` (geometrically while
+    the bracket spans a ratio above 4) or, while ``hi`` is still inf,
+    quadruples it.  Returns ``(x, extra)`` at the last point evaluated,
+    which is always inside (lo, hi), or ``(inf, None)`` when ``hi`` is inf
+    and the sign change lies beyond ``x - origin = 2^40``.
+    """
+    a, b = lo, hi
+    if not a < x < b:
+        x = a + 0.5 * (b - a) if b < math.inf else 2.0 * a
+    for _ in range(_ROOT_STEPS):
+        r, slope, size, extra = f(x)
+        if abs(r) <= 8.0 * _EPS * size:
+            break  # f(x) is zero to within its rounding
+        if r > 0.0:
+            a = x
+        else:
+            b = x
+        nxt = x - r / slope if slope < 0.0 else math.nan
+        if b == math.inf:
+            if x - origin > _ROOT_CAP:
+                return math.inf, None
+            if not a < nxt < origin + 4.0 * (x - origin):
+                nxt = origin + 4.0 * (x - origin)
+        elif not a < nxt < b:
+            x_a, x_b = a - origin, b - origin
+            nxt = origin + math.sqrt(x_a * x_b) if x_b > 4.0 * x_a > 0.0 else a + 0.5 * (x_b - x_a)
+            if not a < nxt < b:
+                break  # the bracket is down to adjacent floats
+        if abs(nxt - x) <= 1.0e-10 * (x - origin) + 4.0 * _EPS * abs(x):
+            break  # Newton converges quadratically, so x is already that close
+        x = nxt
+    return x, extra

@@ -112,10 +112,21 @@ class TestRenyiConverse:
             assert r.value <= beta + 1e-12
 
     def test_eps_saturating_to_one_degenerates(self):
-        r = renyi_converse(BERN, 100, -1e-300)
-        assert r.value == 0.0
-        assert r.log_value == -math.inf
-        assert not r.valid
+        # eps rounds to 1, but log(1 - eps) = log(-expm1(log_eps)) stays
+        # exact, so branch two keeps its l = inf limit log(1 - eps) -
+        # n D_inf(P0||P1).  At log_eps = -1e-300 the bound is a valid
+        # 1.3e-301; at -5e-324 its value underflows to 0, flagged invalid,
+        # while its log is still exact.
+        for log_eps, valid in ((-1e-300, True), (-5e-324, False)):
+            r = renyi_converse(BERN, 100, log_eps)
+            with mpmath.workdps(60):
+                want = mpmath.log(-mpmath.expm1(mpmath.mpf(log_eps))) - 100 * mpmath.log(
+                    mpmath.mpf(0.5) / mpmath.mpf(0.49)
+                )
+            assert r.optimizer == math.inf
+            assert r.log_value == pytest.approx(float(want), rel=1e-13)
+            assert r.valid is valid
+            assert r.value == (math.exp(r.log_value) if valid else 0.0)
 
     def test_log_value_consistent(self):
         r = renyi_converse(GAUSS, 300, math.log(0.05))
@@ -562,3 +573,133 @@ class TestSmoothingOut:
     def test_validation(self):
         with pytest.raises(DomainError):
             smoothing_out_bound(GAUSS, 100, math.log(0.01), t_param=0.0)
+
+
+def _mp_berry_esseen(pair, n, log_eps):
+    """log of the Berry-Esseen bound maximized over Delta in [1e-9, hi - 1e-9].
+
+    At 60 digits, with the moments from the mpmath atoms (Gaussian pairs:
+    their closed forms); None when hi <= 0.  The search runs over
+    x = Q^{-1}(w) instead of Delta: Delta(x) = sqrt(n)(1 - eps - Q(x)) - B
+    increases in x, so the objective is unimodal in x and needs Q, not its
+    inverse, except at the two ends.
+    """
+    with mpmath.workdps(60):
+        if isinstance(pair, GaussianPair):
+            d = abs(mpmath.mpf(pair.delta)) / mpmath.mpf(pair.sigma)
+            mean, var, berry = d * d / 2, d * d, 6 * mpmath.sqrt(8 / mpmath.pi)
+        else:
+            p, q = _mp_atoms(pair, Direction.FORWARD)
+            z = [mpmath.log(a / b) for a, b in zip(p, q)]
+            mean = mpmath.fsum(a * zi for a, zi in zip(p, z))
+            var = mpmath.fsum(a * (zi - mean) ** 2 for a, zi in zip(p, z))
+            berry = 6 * mpmath.fsum(a * abs(zi - mean) ** 3 for a, zi in zip(p, z)) / var**1.5
+        one_m_eps = -mpmath.expm1(mpmath.mpf(log_eps))
+        sqrt_n = mpmath.sqrt(n)
+        hi = sqrt_n * one_m_eps - berry
+        if hi <= 0:
+            return None
+        edge = mpmath.mpf(1e-9)
+
+        def x_at(dl):
+            return mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * (one_m_eps - (berry + dl) / sqrt_n))
+
+        def f(x):
+            dl = sqrt_n * (one_m_eps - mpmath.erfc(x / mpmath.sqrt(2)) / 2) - berry
+            return -n * mean - mpmath.sqrt(n * var) * x + mpmath.log(dl) - mpmath.log(n) / 2
+
+        return float(_mp_golden(f, x_at(edge), x_at(hi - edge)))
+
+
+def _mp_smoothing(pair, n, log_eps):
+    """log of the smoothing bound maximized over t in [1e-9, 10 - 1e-9] at 60
+    digits, by golden section over log t, which reaches either end."""
+    with mpmath.workdps(60):
+        d2 = (mpmath.mpf(pair.delta) / mpmath.mpf(pair.sigma)) ** 2
+        log_1m_eps = mpmath.log(-mpmath.expm1(mpmath.mpf(log_eps)))
+
+        def f(u):
+            t = mpmath.exp(u)
+            return (-n * d2 / 2 + log_1m_eps / -mpmath.expm1(-2 * t) - n * t
+                    - d2 / 2 * mpmath.expm1(t) ** 2 - n * (mpmath.cosh(2 * t) - 1))
+
+        edge = mpmath.mpf(1e-9)
+        return float(_mp_golden(f, mpmath.log(edge), mpmath.log(10 - edge)))
+
+
+class TestBaselineRoots:
+    # The Berry-Esseen slack and the smoothing temperature are roots of
+    # their stationarity equations, found without maximize_scalar.  The
+    # bound's log is compared; a positive one clamps to 0.
+    PAIRS = ("bernoulli:0.5,0.6", "discrete:0.7,0.2,0.1|0.1,0.3,0.6", "gaussian:2,0.3")
+
+    @staticmethod
+    def budgets(pair, n):
+        c = 20.0 * kl_divergence(pair, Direction.REVERSE)
+        return (math.log(0.01), -math.log(n), -c * n)
+
+    @pytest.mark.parametrize("spec", PAIRS)
+    def test_berry_esseen_matches_mpmath(self, spec):
+        pair = parse_pair(spec)
+        for n in (100, 2000, 10000):
+            for log_eps in self.budgets(pair, n):
+                r = berry_esseen_bound(pair, n, log_eps)
+                want = _mp_berry_esseen(pair, n, log_eps)
+                case = (n, log_eps, r.optimizer)
+                if want is None:
+                    assert (r.value, r.optimizer, r.valid) == (0.0, None, False), case
+                    continue
+                assert r.log_value == pytest.approx(min(want, 0.0), rel=1e-12), case
+
+    @pytest.mark.parametrize("spec", ("gaussian:2,0.05", "gaussian:2,0.3", "gaussian:-1,1.5,3"))
+    def test_smoothing_matches_mpmath(self, spec):
+        pair = parse_pair(spec)
+        for n in (100, 2000, 10000):
+            for log_eps in self.budgets(pair, n):
+                r = smoothing_out_bound(pair, n, log_eps)
+                want = _mp_smoothing(pair, n, log_eps)
+                assert r.log_value == pytest.approx(want, rel=1e-12), (n, log_eps, r.optimizer)
+
+    def test_smoothing_optimum_at_and_near_lower_end(self):
+        # fig2, exponential regime, n = 2000: log(1 - eps) = -e^{-50}, so
+        # the slope is negative from t = 1e-9 on and the maximizer is that end.
+        pair = parse_pair("gaussian:2,0.05")
+        r = smoothing_out_bound(pair, 2000, -50.0)
+        assert r.optimizer == 1e-9
+        assert r.log_value == smoothing_out_bound(pair, 2000, -50.0, t_param=1e-9).log_value
+        assert r.log_value == pytest.approx(_mp_smoothing(pair, 2000, -50.0), rel=1e-12)
+        # n = 1070: the optimum t = 3.3e-8 lies just above that end, where
+        # a search resolving t to 1e-9 misses the value by 8e-11 relative.
+        r = smoothing_out_bound(pair, 1070, -26.75)
+        assert 3e-8 < r.optimizer < 4e-8
+        assert r.log_value == pytest.approx(_mp_smoothing(pair, 1070, -26.75), rel=1e-12)
+
+    def test_berry_esseen_vacuous(self):
+        # sqrt(n)(1 - eps) <= B: hi <= 0 and no Delta is admissible.
+        berry = 6.0 * math.sqrt(8.0 / math.pi)
+        for n in (1, 50, int((berry / 0.99) ** 2)):
+            r = berry_esseen_bound(GAUSS, n, math.log(0.01))
+            assert (r.value, r.log_value, r.optimizer, r.valid) == (0.0, -math.inf, None, False)
+
+    def test_berry_esseen_short_span_takes_midpoint(self):
+        # hi <= 2e-9 leaves no room for the 1e-9 offsets from both ends:
+        # Delta is hi / 2, as maximize_scalar's mid-point rule had it.
+        n, berry = 100, 6.0 * math.sqrt(8.0 / math.pi)
+        for gap in (1.5e-9, 5e-10):
+            log_eps = math.log1p(-(berry + gap) / 10.0)
+            hi = 10.0 * -math.expm1(log_eps) - berry
+            assert 0.0 < hi <= 2e-9
+            r = berry_esseen_bound(GAUSS, n, log_eps)
+            assert r.optimizer == 0.5 * hi
+            fixed = berry_esseen_bound(GAUSS, n, log_eps, delta_param=0.5 * hi)
+            assert r.log_value == fixed.log_value
+
+    def test_no_grid_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("maximize_scalar called")
+
+        monkeypatch.setattr(htbounds.bounds, "maximize_scalar", refuse)
+        for pair in (BERN, GAUSS, parse_pair("discrete:0.7,0.2,0.1|0.1,0.3,0.6")):
+            r = berry_esseen_bound(pair, 5000, math.log(0.01))
+            assert math.isfinite(r.log_value) and r.optimizer > 1e-9
+        assert smoothing_out_bound(GAUSS, 1000, math.log(0.01)).optimizer > 1e-9

@@ -12,6 +12,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import htbounds.bounds
 from htbounds.bounds import (
     Constant,
     Exponential,
@@ -27,8 +28,8 @@ from htbounds.bounds import (
     smoothing_out_bound,
     threshold_for_rate,
 )
-from htbounds.cli import DEFAULT_N, cli_main
-from htbounds.distributions import BernoulliPair, GaussianPair, parse_pair
+from htbounds.cli import _REPRODUCE_BOUNDS, _REPRODUCE_PAIRS, DEFAULT_N, cli_main
+from htbounds.distributions import BernoulliPair, Direction, GaussianPair, kl_divergence, parse_pair
 from htbounds.experiments import (
     CANONICAL_BOUNDS,
     ConfigError,
@@ -304,6 +305,26 @@ class TestEmitSvg:
         table = run_grid(small_grid(n_values=(100,)))
         with pytest.raises(ConfigError):
             emit_svg(table, str(tmp_path / "x.svg"))
+
+
+def test_reproduce_pairs_need_no_grid_search(monkeypatch):
+    # Every bound the fig1 and fig2 tables plot is a closed form, a root or
+    # an oracle: with maximize_scalar refusing, each cell still has a value.
+    def refuse(*args, **kwargs):
+        raise AssertionError("maximize_scalar called")
+
+    monkeypatch.setattr(htbounds.bounds, "maximize_scalar", refuse)
+    for target in ("fig1", "fig2"):
+        for _, spec in _REPRODUCE_PAIRS[target]:
+            pair = parse_pair(spec)
+            c = 20.0 * kl_divergence(pair, Direction.REVERSE)
+            bounds = bounds_for(pair, _REPRODUCE_BOUNDS)
+            for regime in (Constant(0.01), Linear(), Exponential(c)):
+                table = run_grid(ExperimentGrid(spec, regime, DEFAULT_N, bounds))
+                assert len(table.rows) == len(DEFAULT_N)
+                empty = [(row.n, b) for row in table.rows
+                         for b, cell in zip(bounds, row.cells) if cell.value is None]
+                assert not empty, (spec, regime, empty)
 
 
 class TestGolden:

@@ -169,6 +169,16 @@ class TestLogDiffExp:
         with pytest.raises(DomainError):
             log_diff_exp(math.nan, 0.0)
 
+    @pytest.mark.parametrize("b", [-1e-300, -1e-12, -1.29e-8, -0.5, -0.7, -5.0])
+    def test_matches_mpmath_near_and_far(self, b):
+        # log(1 - e^b): log(-expm1(b)) keeps it exact as b -> 0, where
+        # log1p(-exp(b)) lost 1.7e-10 relative at b = -1.29e-8.
+        with mpmath.workdps(60):
+            want = float(mpmath.log(-mpmath.expm1(mpmath.mpf(b))))
+        assert log_diff_exp(0.0, b) == pytest.approx(want, rel=4e-16)
+        got = log_diff_exp(np.array([0.0, 0.0]), np.array([b, b]))
+        assert got.tolist() == [log_diff_exp(0.0, b)] * 2
+
 
 def scalar_forms(x):
     """``x`` as a Python float, ``np.float64`` and 0-d array, plus an int if integral."""
