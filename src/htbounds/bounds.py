@@ -628,7 +628,7 @@ def smoothing_out_bound(
     """Smoothing baseline for Gaussian pairs, with temperature t in (0, 10).
 
     log beta >= -n D + log(1 - eps) / (1 - e^{-2t}) - n t
-                - (delta^2 / (2 sigma^2)) (e^t - 1)^2 - n (cosh(2t) - 1)
+                - (delta^2 / (2 sigma^2)) (e^t - 1)^2 - 2n sinh^2 t
 
     with D = delta^2 / (2 sigma^2).  Non-Gaussian pairs raise
     UnsupportedFamilyError.
@@ -654,7 +654,7 @@ def smoothing_out_bound(
     def objective(t):
         with np.errstate(divide="ignore"):
             smoothed = log_1m_eps / (-np.expm1(-2.0 * t))
-        return -n * d2 / 2.0 + smoothed - n * t - (d2 / 2.0) * np.expm1(t) ** 2 - n * (np.cosh(2.0 * t) - 1.0)
+        return -n * d2 / 2.0 + smoothed - n * t - (d2 / 2.0) * np.expm1(t) ** 2 - 2.0 * n * np.sinh(t) ** 2
 
     if t_param is not None:
         if not (isinstance(t_param, (int, float)) and t_param > 0.0):

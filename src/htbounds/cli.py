@@ -51,7 +51,6 @@ from .experiments import (
     run_grid,
 )
 from .numerics import DomainError, OptimizationError
-from .oracle import SizeError
 
 # Sample sizes for the reproduce sweeps: every 10 up to 500, then roughly
 # 10% steps up to 2000.
@@ -276,7 +275,6 @@ def cli_main(argv=None) -> int:
         PairSpecError,
         ConfigError,
         UnsupportedFamilyError,
-        SizeError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

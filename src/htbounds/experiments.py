@@ -42,9 +42,9 @@ from .distributions import (
 from .numerics import DomainError
 from .oracle import (
     SizeError,
-    check_bruteforce_size,
+    check_type_count,
     np_exact_bernoulli,
-    np_exact_discrete_bruteforce,
+    np_exact_discrete,
     np_exact_gaussian,
 )
 
@@ -88,7 +88,7 @@ def _np_exact(pair, regime, n, eps, log_eps):
     elif isinstance(pair, BernoulliPair):
         r = np_exact_bernoulli(pair, n, log_eps)
     else:
-        r = np_exact_discrete_bruteforce(pair, n, eps)
+        r = np_exact_discrete(pair, n, log_eps)
     return GridCell(r.beta, r.threshold, True)
 
 
@@ -194,7 +194,7 @@ def run_grid(grid: ExperimentGrid) -> GridTable:
         raise ConfigError("linear regime requires every n >= 2")
     if "np_exact" in grid.bounds and isinstance(pair, FiniteDiscretePair):
         try:
-            check_bruteforce_size(pair, grid.n_values[-1])
+            check_type_count(pair, grid.n_values[-1])
         except SizeError as exc:
             raise ConfigError(f"np_exact: {exc}") from None
 

@@ -1,9 +1,11 @@
 """Exact Neyman-Pearson optima for the supported families.
 
 beta_n(eps) computed in closed form (Gaussian), by binomial tail
-inversion (Bernoulli), or by brute-force enumeration of the product
-sample space (small finite-support problems).  These serve as ground
-truth for the bounds in :mod:`htbounds.bounds`.
+inversion (Bernoulli), or over the types of the sample (finite support:
+an i.i.d. sample's likelihood ratio depends only on its atom counts, so
+C(n + K - 1, K - 1) types stand in for K^n points; past 2.5e6 types, K = 3
+beyond n = 2,234 or K = 4 beyond n = 244, it raises :class:`SizeError`).
+These serve as ground truth for the bounds in :mod:`htbounds.bounds`.
 """
 
 from __future__ import annotations
@@ -20,19 +22,18 @@ from .numerics import DomainError, log_diff_exp, log_q, q_function, q_inverse_lo
 __all__ = [
     "NPResult",
     "SizeError",
-    "check_bruteforce_size",
+    "check_type_count",
     "np_exact_bernoulli",
-    "np_exact_discrete_bruteforce",
+    "np_exact_discrete",
     "np_exact_gaussian",
 ]
 
-# Enumeration ceilings for the brute-force oracle.
-_MAX_N = 14
-_MAX_POINTS = 10_000_000
+# Type ceiling of np_exact_discrete: K = 3 at n = 2,000 (2,003,001 types) fits in ~200 MB.
+_MAX_TYPES = 2_500_000
 
 
 class SizeError(ValueError):
-    """Brute-force enumeration would exceed the size ceiling."""
+    """Type-class enumeration would exceed the size ceiling."""
 
 
 @dataclass(frozen=True)
@@ -126,67 +127,68 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     return NPResult(beta, log_beta, threshold, gamma, math.exp(log_eps))
 
 
-def check_bruteforce_size(pair: FiniteDiscretePair, n: int) -> None:
-    """Raise SizeError unless n <= 14 and K^n <= 1e7 for support size K."""
-    k_sz = sum(1 for m in pair.p0 if m > 0.0)
-    if n > _MAX_N or k_sz**n > _MAX_POINTS:
-        raise SizeError(f"brute force needs {k_sz}^{n} sample points; ceiling is {_MAX_POINTS:g}")
+def check_type_count(pair: FiniteDiscretePair, n: int) -> None:
+    """Raise SizeError if n-samples on the support of ``pair`` have over 2.5e6 types."""
+    k = sum(1 for m in pair.p0 if m > 0.0)
+    if (count := math.comb(n + k - 1, k - 1)) > _MAX_TYPES:
+        raise SizeError(f"np_exact_discrete needs {count:,} types at n = {n}; "
+                        f"ceiling is {_MAX_TYPES:,}")
 
 
-def np_exact_discrete_bruteforce(pair: FiniteDiscretePair, n: int, eps: float) -> NPResult:
-    """Enumerate all K^n samples, sort by likelihood ratio, fill the budget.
+def np_exact_discrete(pair: FiniteDiscretePair, n: int, log_eps: float) -> NPResult:
+    """Randomized LLRT over the types of an i.i.d. finite-support sample.
 
-    Exact randomized NP test for finite-support pairs; n <= 14 and
-    K^n <= 1e7 enforced via SizeError.  Samples whose log-LR agree to
-    within 1e-10 are merged into one randomization class.  The reported
-    threshold is the log-LR of the boundary class (-inf when every
-    sample is rejected).
+    Whole types are rejected in decreasing order of their log-LR
+    c . (log p1 - log p0) until their P0 mass reaches eps; types whose
+    log-LR agree to within 1e-10 form one randomization class.  The
+    threshold is the log-LR of the boundary class (-inf when every sample
+    is rejected).  Both vectors are renormalized to sum to 1.
     """
     if not isinstance(pair, FiniteDiscretePair):
-        raise DomainError("np_exact_discrete_bruteforce requires a FiniteDiscretePair")
+        raise DomainError("np_exact_discrete requires a FiniteDiscretePair")
     _check_n(n)
-    if not (isinstance(eps, (int, float)) and 0.0 <= eps <= 1.0):
-        raise DomainError(f"eps must lie in [0, 1], got {eps!r}")
-    check_bruteforce_size(pair, n)
-    support = [i for i, m in enumerate(pair.p0) if m > 0.0]
-    la0 = np.log([pair.p0[i] for i in support])
-    la1 = np.log([pair.p1[i] for i in support])
-    acc0 = np.zeros(1)
-    acc1 = np.zeros(1)
-    for _ in range(n):
-        acc0 = (acc0[:, None] + la0[None, :]).ravel()
-        acc1 = (acc1[:, None] + la1[None, :]).ravel()
-    ratio = acc1 - acc0
-    order = np.argsort(-ratio, kind="stable")
-    r_sorted = ratio[order]
-    m0 = np.exp(acc0[order])
-    m1 = np.exp(acc1[order])
-    # Merge ties: class boundary wherever the sorted log-LR drops by > 1e-10.
-    new_class = np.empty(r_sorted.size, dtype=bool)
-    new_class[0] = True
-    new_class[1:] = (r_sorted[:-1] - r_sorted[1:]) > 1.0e-10
-    cls = np.cumsum(new_class) - 1
-    c0 = np.bincount(cls, weights=m0)
-    c1 = np.bincount(cls, weights=m1)
-    r_cls = r_sorted[new_class]
-    budget = eps
-    accepted1 = 0.0  # P1 mass of the rejection region
-    achieved = 0.0
-    threshold = -math.inf
-    gamma = 0.0
-    for i in range(c0.size):
-        if budget >= c0[i] * (1.0 - 1.0e-12):
-            budget -= c0[i]
-            accepted1 += c1[i]
-            achieved += c0[i]
-            continue
-        threshold = float(r_cls[i])
-        if budget > 0.0 and c0[i] > 0.0:
-            gamma = budget / c0[i]
-            accepted1 += gamma * c1[i]
-            achieved += budget
-        break
-    beta = max(1.0 - accepted1, 0.0)
-    return NPResult(
-        beta, math.log(beta) if beta > 0 else -math.inf, threshold, gamma, min(achieved, eps)
-    )
+    if not (isinstance(log_eps, (int, float)) and log_eps <= 0.0 and not math.isnan(log_eps)):
+        raise DomainError(f"log_eps must lie in [-inf, 0], got {log_eps!r}")
+    check_type_count(pair, n)
+    p0, p1 = ([m for m in p if m > 0.0] for p in (pair.p0, pair.p1))
+    la0 = np.log(p0) - math.log(math.fsum(p0))
+    d = np.log(p1) - math.log(math.fsum(p1)) - la0
+    log_fact = gammaln(np.arange(n + 1) + 1.0)
+    # Grow the types one coordinate at a time (r counts left: r + 1 children),
+    # carrying log P0 = log n! - sum log c! + c . log p0 and the log-LR.
+    rem, lp0, llr = np.array([n]), np.array([log_fact[n]]), np.zeros(1)
+    for j in range(la0.size - 1):
+        width = rem + 1
+        c = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        lp0 = np.repeat(lp0, width) + (c * la0[j] - log_fact[c])
+        llr = np.repeat(llr, width) + c * d[j]
+        rem = np.repeat(rem, width) - c
+    llr += rem * d[-1]
+    order = np.argsort(-llr)
+    llr, lp0 = llr[order], (lp0 + rem * la0[-1] - log_fact[rem])[order]
+    starts = np.flatnonzero(np.concatenate(([True], llr[:-1] - llr[1:] > 1.0e-10)))
+    lc0 = np.logaddexp.reduceat(lp0, starts)
+    lc1 = np.logaddexp.reduceat(lp0 + llr, starts)
+    # Boundary class b and the logs of its rejected and kept P0 shares,
+    # gamma P0(b) and (1 - gamma) P0(b), filled from the end where the budget
+    # is small (eps from the top, 1 - eps from the bottom) for relative accuracy.
+    log_keep_eps = log_diff_exp(0.0, log_eps)
+    if log_eps <= log_keep_eps:
+        cum0 = np.logaddexp.accumulate(lc0)
+        b = int(np.searchsorted(cum0, log_eps, side="right"))
+        reject = min(log_diff_exp(log_eps, cum0[b - 1] if b else -math.inf), lc0[b])
+        keep = log_diff_exp(lc0[b], reject)
+    else:
+        tail0 = np.append(np.logaddexp.accumulate(lc0[::-1])[::-1], -math.inf)
+        b = int(np.count_nonzero(tail0[:-1] >= log_keep_eps)) - 1
+        keep = min(log_diff_exp(log_keep_eps, tail0[b + 1]), lc0[b])
+        reject = log_diff_exp(lc0[b], keep)
+    # beta is the accepted P1 mass, or 1 minus the rejected one when that is
+    # the smaller, so it keeps its relative accuracy as eps -> 0.
+    log_reject1 = np.logaddexp(np.logaddexp.reduce(lc1[:b]), reject + lc1[b] - lc0[b])
+    log_accept1 = np.logaddexp(np.logaddexp.reduce(lc1[b + 1 :]), keep + lc1[b] - lc0[b])
+    log_beta = float(log_accept1 if log_accept1 <= log_reject1
+                     else log_diff_exp(0.0, min(log_reject1, 0.0)))
+    threshold = -math.inf if b == lc0.size - 1 and keep == -math.inf else float(llr[starts[b]])
+    gamma = math.exp(reject - lc0[b])
+    return NPResult(math.exp(log_beta), log_beta, threshold, gamma, math.exp(log_eps))

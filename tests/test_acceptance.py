@@ -48,7 +48,7 @@ from htbounds.distributions import (
 from htbounds.numerics import log_q, q_inverse
 from htbounds.oracle import (
     np_exact_bernoulli,
-    np_exact_discrete_bruteforce,
+    np_exact_discrete,
     np_exact_gaussian,
 )
 
@@ -174,8 +174,8 @@ def test_criterion_3_figure_dominance_and_baseline_decay():
 
 
 def test_criterion_4_oracle_cross_validation():
-    # The O(n) Bernoulli oracle against the exhaustive enumeration, then
-    # the enumeration against scaled random feasible tests.
+    # The O(n) Bernoulli oracle against the type-class oracle, then the
+    # type-class oracle against scaled random feasible tests.
     rng = np.random.default_rng(19)
     start = time.perf_counter()
     for _ in range(100):
@@ -185,8 +185,8 @@ def test_criterion_4_oracle_cross_validation():
         n = int(rng.integers(1, 15))
         eps = float(rng.uniform(0.01, 0.99))
         fast = np_exact_bernoulli(BernoulliPair(p0, p1), n, math.log(eps))
-        slow = np_exact_discrete_bruteforce(
-            FiniteDiscretePair((1.0 - p0, p0), (1.0 - p1, p1)), n, eps
+        slow = np_exact_discrete(
+            FiniteDiscretePair((1.0 - p0, p0), (1.0 - p1, p1)), n, math.log(eps)
         )
         assert abs(fast.beta - slow.beta) <= 1.0e-12, (p0, p1, n, eps)
         assert abs(fast.achieved_alpha - slow.achieved_alpha) <= 1.0e-12
@@ -196,7 +196,7 @@ def test_criterion_4_oracle_cross_validation():
         p, q = tuple(p / p.sum()), tuple(q / q.sum())
         n = int(rng.integers(1, 6))
         eps = float(rng.uniform(0.02, 0.98))
-        oracle = np_exact_discrete_bruteforce(FiniteDiscretePair(p, q), n, eps)
+        oracle = np_exact_discrete(FiniteDiscretePair(p, q), n, math.log(eps))
         m0 = reduce(np.kron, [np.asarray(p)] * n)
         m1 = reduce(np.kron, [np.asarray(q)] * n)
         best = math.inf

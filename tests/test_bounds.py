@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 import htbounds.bounds
+from htbounds.cli import DEFAULT_N
 from htbounds.bounds import (
     BoundKind,
     Constant,
@@ -40,7 +41,7 @@ from htbounds.distributions import (
     renyi_divergence,
 )
 from htbounds.numerics import Bracket, DomainError, maximize_scalar
-from htbounds.oracle import np_exact_bernoulli, np_exact_gaussian
+from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
 
 BERN = BernoulliPair(0.5, 0.51)
 GAUSS = GaussianPair(2.0, 0.05, 1.0)
@@ -110,6 +111,18 @@ class TestRenyiConverse:
             beta = np_exact_bernoulli(BERN, n, log_eps).beta
             assert r.valid
             assert r.value <= beta + 1e-12
+
+    def test_sound_far_below_linear_floor(self):
+        # A K = 3 pair at n = 2000, where beta < 1e-30: only the log-domain
+        # oracle can show the converse below it.
+        pair = parse_pair("discrete:0.5,0.3,0.2|0.2,0.3,0.5")
+        c = 0.25 * kl_divergence(pair, Direction.REVERSE)
+        for regime in (Constant(0.01), Linear(), Exponential(c)):
+            _, log_eps = eps_at(regime, 2000)
+            r = renyi_converse(pair, 2000, log_eps)
+            log_beta = np_exact_discrete(pair, 2000, log_eps).log_beta
+            assert log_beta < math.log(1e-30), regime
+            assert r.valid and r.log_value <= log_beta + 1e-12 * abs(log_beta), regime
 
     def test_eps_saturating_to_one_degenerates(self):
         # eps rounds to 1, but log(1 - eps) = log(-expm1(log_eps)) stays
@@ -560,6 +573,20 @@ class TestSmoothingOut:
             fixed = smoothing_out_bound(GAUSS, 1000, math.log(0.01), t_param=t)
             assert best.log_value >= fixed.log_value - 1e-9
 
+    @pytest.mark.parametrize("spec", ("gaussian:2,0.05", "gaussian:2,0.1", "gaussian:2,0.3"))
+    def test_log_value_matches_mpmath_at_its_temperature(self, spec):
+        # The fig2 and appF pairs at every fifth reproduce n, t from 1e-9 up:
+        # n (cosh 2t - 1) cancelled to 1.2e-13 relative, 2n sinh^2 t does not.
+        pair = parse_pair(spec)
+        c = 20.0 * kl_divergence(pair, Direction.REVERSE)
+        for n in DEFAULT_N[::5]:
+            for regime in (Constant(0.01), Linear(), Exponential(c)):
+                _, log_eps = eps_at(regime, n)
+                r = smoothing_out_bound(pair, n, log_eps)
+                with mpmath.workdps(60):
+                    want = _mp_smoothing_objective(pair, n, log_eps)(mpmath.mpf(r.optimizer))
+                assert r.log_value == pytest.approx(float(want), rel=1e-14, abs=0.0), (n, regime)
+
     def test_gaussian_only(self):
         with pytest.raises(UnsupportedFamilyError):
             smoothing_out_bound(BERN, 100, math.log(0.01))
@@ -611,20 +638,25 @@ def _mp_berry_esseen(pair, n, log_eps):
         return float(_mp_golden(f, x_at(edge), x_at(hi - edge)))
 
 
+def _mp_smoothing_objective(pair, n, log_eps):
+    """The smoothing bound's log as a function of t, in the working precision."""
+    d2 = (mpmath.mpf(pair.delta) / mpmath.mpf(pair.sigma)) ** 2
+    log_1m_eps = mpmath.log(-mpmath.expm1(mpmath.mpf(log_eps)))
+
+    def f(t):
+        return (-n * d2 / 2 + log_1m_eps / -mpmath.expm1(-2 * t) - n * t
+                - d2 / 2 * mpmath.expm1(t) ** 2 - n * (mpmath.cosh(2 * t) - 1))
+
+    return f
+
+
 def _mp_smoothing(pair, n, log_eps):
     """log of the smoothing bound maximized over t in [1e-9, 10 - 1e-9] at 60
     digits, by golden section over log t, which reaches either end."""
     with mpmath.workdps(60):
-        d2 = (mpmath.mpf(pair.delta) / mpmath.mpf(pair.sigma)) ** 2
-        log_1m_eps = mpmath.log(-mpmath.expm1(mpmath.mpf(log_eps)))
-
-        def f(u):
-            t = mpmath.exp(u)
-            return (-n * d2 / 2 + log_1m_eps / -mpmath.expm1(-2 * t) - n * t
-                    - d2 / 2 * mpmath.expm1(t) ** 2 - n * (mpmath.cosh(2 * t) - 1))
-
-        edge = mpmath.mpf(1e-9)
-        return float(_mp_golden(f, mpmath.log(edge), mpmath.log(10 - edge)))
+        f = _mp_smoothing_objective(pair, n, log_eps)
+        lo, hi = mpmath.log(mpmath.mpf(1e-9)), mpmath.log(10 - mpmath.mpf(1e-9))
+        return float(_mp_golden(lambda u: f(mpmath.exp(u)), lo, hi))
 
 
 class TestBaselineRoots:

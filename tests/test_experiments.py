@@ -43,7 +43,7 @@ from htbounds.experiments import (
     run_grid,
 )
 from htbounds.numerics import DomainError
-from htbounds.oracle import np_exact_bernoulli, np_exact_discrete_bruteforce, np_exact_gaussian
+from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -63,9 +63,8 @@ def direct_cells(pair, regime, n, names):
     """The named columns' cells at n from direct library calls, by name.
 
     The phase columns run at the row's rate, achievability is the
-    threshold test at the phase bound's order for that rate, and the
-    oracle takes log eps for Gaussian and Bernoulli pairs but linear eps
-    for brute force.  A DomainError is an empty cell.
+    threshold test at the phase bound's order for that rate, and every
+    family's oracle takes log eps.  A DomainError is an empty cell.
     """
     eps, log_eps = eps_at(regime, n)
     rate = regime.c if isinstance(regime, Exponential) else -log_eps / n
@@ -81,7 +80,7 @@ def direct_cells(pair, regime, n, names):
         elif isinstance(pair, BernoulliPair):
             r = np_exact_bernoulli(pair, n, log_eps)
         else:
-            r = np_exact_discrete_bruteforce(pair, n, eps)
+            r = np_exact_discrete(pair, n, log_eps)
         return GridCell(r.beta, r.threshold, True)
 
     calls = {
@@ -180,11 +179,12 @@ class TestRunGrid:
             run_grid(small_grid(regime=Linear(), n_values=(1, 2, 3)))
 
     def test_np_exact_discrete_size_precheck(self):
-        with pytest.raises(ConfigError):
+        # K = 3 at n = 2235 has more than 2.5e6 types: refused before any cell runs
+        with pytest.raises(ConfigError, match="np_exact"):
             run_grid(
                 small_grid(
                     pair_spec="discrete:0.2,0.3,0.5|0.5,0.3,0.2",
-                    n_values=(2, 20),
+                    n_values=(2, 2235),
                     bounds=("np_exact",),
                 )
             )
@@ -193,7 +193,7 @@ class TestRunGrid:
         table = run_grid(
             small_grid(
                 pair_spec="discrete:0.2,0.3,0.5|0.5,0.3,0.2",
-                n_values=(2, 4),
+                n_values=(2, 4, 300),
                 bounds=("np_exact",),
             )
         )

@@ -4,17 +4,21 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htbounds.cli import cli_main
 from htbounds.distributions import BernoulliPair, FiniteDiscretePair, GaussianPair
 from htbounds.numerics import DomainError, log_q
 from htbounds.oracle import (
     SizeError,
-    check_bruteforce_size,
+    check_type_count,
     np_exact_bernoulli,
-    np_exact_discrete_bruteforce,
+    np_exact_discrete,
     np_exact_gaussian,
 )
+
+from bruteforce import np_exact_discrete_bruteforce
 
 GAUSS = GaussianPair(2.0, 0.05, 1.0)
 BERN = BernoulliPair(0.5, 0.51)
@@ -155,64 +159,202 @@ class TestBernoulli:
 
 
 class TestBruteforce:
+    """The type-class oracle against the exhaustive reference in bruteforce.py."""
+
     def test_matches_bernoulli(self):
         pair_b = BernoulliPair(0.3, 0.6)
         pair_d = FiniteDiscretePair((0.7, 0.3), (0.4, 0.6))
-        for n, eps in ((1, 0.5), (6, 0.13), (10, 0.04)):
+        for n, eps in ((1, 0.5), (6, 0.13), (10, 0.04), (60, 0.01)):
             a = np_exact_bernoulli(pair_b, n, math.log(eps))
-            b = np_exact_discrete_bruteforce(pair_d, n, eps)
-            assert b.beta == pytest.approx(a.beta, abs=1e-12)
-            assert b.achieved_alpha == pytest.approx(a.achieved_alpha, abs=1e-12)
+            b = np_exact_discrete(pair_d, n, math.log(eps))
+            assert b.beta == pytest.approx(a.beta, rel=1e-11, abs=0.0)
+            assert b.achieved_alpha == pytest.approx(a.achieved_alpha, rel=1e-14, abs=0.0)
+            if n <= 10:
+                assert np_exact_discrete_bruteforce(pair_d, n, eps).beta == pytest.approx(
+                    b.beta, abs=1e-12
+                )
 
     def test_eps_zero_accepts_always(self):
         pair = FiniteDiscretePair((0.7, 0.3), (0.4, 0.6))
-        r = np_exact_discrete_bruteforce(pair, 3, 0.0)
-        assert r.beta == 1.0
-        assert r.achieved_alpha == 0.0
+        assert np_exact_discrete_bruteforce(pair, 3, 0.0).beta == 1.0
+        r = np_exact_discrete(pair, 3, -math.inf)
+        assert (r.beta, r.log_beta, r.randomization, r.achieved_alpha) == (1.0, 0.0, 0.0, 0.0)
 
     def test_eps_one_rejects_always(self):
         pair = FiniteDiscretePair((0.7, 0.3), (0.4, 0.6))
-        r = np_exact_discrete_bruteforce(pair, 3, 1.0)
-        assert r.beta == pytest.approx(0.0, abs=1e-12)
-        assert r.threshold == -math.inf
+        assert np_exact_discrete_bruteforce(pair, 3, 1.0).threshold == -math.inf
+        r = np_exact_discrete(pair, 3, 0.0)
+        assert (r.beta, r.log_beta, r.threshold) == (0.0, -math.inf, -math.inf)
+        assert r.achieved_alpha == 1.0
 
     def test_identical_pair_is_diagonal(self):
         pair = FiniteDiscretePair((0.3, 0.7), (0.3, 0.7))
         for eps in (0.0, 0.25, 0.8):
-            r = np_exact_discrete_bruteforce(pair, 4, eps)
-            assert r.beta == pytest.approx(1.0 - eps, abs=1e-12)
+            r = np_exact_discrete(pair, 4, math.log(eps) if eps else -math.inf)
+            assert r.beta == pytest.approx(1.0 - eps, rel=1e-14, abs=0.0)
+            assert np_exact_discrete_bruteforce(pair, 4, eps).beta == pytest.approx(
+                1.0 - eps, abs=1e-12
+            )
 
     def test_three_symbol_randomization(self):
         pair = FiniteDiscretePair((0.5, 0.3, 0.2), (0.2, 0.3, 0.5))
-        r = np_exact_discrete_bruteforce(pair, 5, 0.123)
-        assert r.achieved_alpha == pytest.approx(0.123, abs=1e-12)
-        assert 0.0 < r.beta < 1.0
+        r = np_exact_discrete(pair, 5, math.log(0.123))
+        ref = np_exact_discrete_bruteforce(pair, 5, 0.123)
+        assert r.achieved_alpha == pytest.approx(0.123, rel=1e-14, abs=0.0)
+        assert 0.0 < r.randomization < 1.0
+        assert (r.beta, r.threshold, r.randomization) == pytest.approx(
+            (ref.beta, ref.threshold, ref.randomization), rel=1e-12, abs=0.0
+        )
 
     def test_size_limits(self):
-        pair = FiniteDiscretePair((0.7, 0.3), (0.4, 0.6))
         with pytest.raises(SizeError):
-            np_exact_discrete_bruteforce(pair, 15, 0.1)
+            np_exact_discrete(FiniteDiscretePair((0.2, 0.3, 0.5), (0.5, 0.3, 0.2)), 2235, -1.0)
         ten = FiniteDiscretePair((0.1,) * 10, (0.1,) * 10)
         with pytest.raises(SizeError):
-            np_exact_discrete_bruteforce(ten, 8, 0.1)
+            np_exact_discrete(ten, 20, -1.0)  # C(29, 9) = 1.0e7 types
 
     def test_size_check_reach(self):
-        # n <= 14 and K^n <= 1e7, with K counting only atoms of positive mass
+        # C(n + K - 1, K - 1) <= 2.5e6, with K counting only atoms of positive mass
         three = FiniteDiscretePair((0.2, 0.3, 0.5, 0.0), (0.5, 0.3, 0.2, 0.0))
-        check_bruteforce_size(three, 14)  # 3^14 = 4.8e6
+        check_type_count(three, 2234)  # 2,498,730 types
+        with pytest.raises(SizeError):
+            check_type_count(three, 2235)
         four = FiniteDiscretePair((0.25,) * 4, (0.1, 0.2, 0.3, 0.4))
-        check_bruteforce_size(four, 11)  # 4^11 = 4.2e6
+        check_type_count(four, 244)  # 2,481,115 types
         with pytest.raises(SizeError):
-            check_bruteforce_size(four, 12)  # 4^12 = 1.7e7
-        with pytest.raises(SizeError):
-            check_bruteforce_size(FiniteDiscretePair((0.7, 0.3), (0.4, 0.6)), 15)
+            check_type_count(four, 245)
 
     def test_validation(self):
         pair = FiniteDiscretePair((0.7, 0.3), (0.4, 0.6))
+        for log_eps in (0.5, math.nan, "0.1"):
+            with pytest.raises(DomainError):
+                np_exact_discrete(pair, 3, log_eps)
         with pytest.raises(DomainError):
-            np_exact_discrete_bruteforce(pair, 3, 1.5)
+            np_exact_discrete(pair, 0, -1.0)
         with pytest.raises(DomainError):
-            np_exact_discrete_bruteforce(BERN, 3, 0.5)
+            np_exact_discrete(BERN, 3, -1.0)
+
+
+def _types(n, k):
+    # every count vector of length k summing to n
+    if k == 1:
+        yield (n,)
+        return
+    for c in range(n + 1):
+        for rest in _types(n - c, k - 1):
+            yield (c, *rest)
+
+
+def _classes(p0, p1, n):
+    # (likelihood ratio, P0, P1) of each class of equal ratio, in
+    # decreasing ratio, in exact rational arithmetic
+    classes = {}
+    for t in _types(n, len(p0)):
+        mult = math.prod(math.comb(sum(t[i:]), c) for i, c in enumerate(t))
+        m0 = mult * math.prod(a**c for a, c in zip(p0, t))
+        m1 = mult * math.prod(b**c for b, c in zip(p1, t))
+        acc = classes.setdefault(m1 / m0, [Fraction(0), Fraction(0)])
+        acc[0] += m0
+        acc[1] += m1
+    return [(lr, *classes[lr]) for lr in sorted(classes, reverse=True)]
+
+
+def _discrete_exact(p0, p1, n, eps):
+    # beta of the NP test: classes rejected in decreasing ratio until eps
+    budget, beta = eps, Fraction(1)
+    for _, m0, m1 in _classes(p0, p1, n):
+        take = min(budget, m0)
+        beta -= take / m0 * m1
+        budget -= take
+    return beta
+
+
+class TestTypeClasses:
+    """np_exact_discrete against exact rational references and the brute force."""
+
+    # (p0, p1) with rational atoms: likelihood ratios 1/3, 1, 3 (many tied
+    # classes), 1/5, 1, 3 (no ties) and dyadic ones whose class masses are
+    # exact floats
+    PAIRS = tuple(
+        tuple(tuple(map(Fraction, p.split())) for p in pq)
+        for pq in (("1/2 1/3 1/6", "1/6 1/3 1/2"), ("1/2 3/10 1/5", "1/10 3/10 3/5"),
+                   ("1/2 1/4 1/4", "1/4 1/4 1/2"))
+    )
+
+    @staticmethod
+    def _check(p0, p1, n, eps, log_eps):
+        pair = FiniteDiscretePair(tuple(map(float, p0)), tuple(map(float, p1)))
+        beta = _discrete_exact(p0, p1, n, eps)
+        r = np_exact_discrete(pair, n, log_eps)
+        assert r.log_beta == pytest.approx(math.log(beta), rel=1e-13, abs=1e-16), (p0, n, eps)
+        assert r.beta == pytest.approx(float(beta), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("pair", range(3))
+    @pytest.mark.parametrize("n", (1, 5, 12))
+    def test_matches_rational_reference(self, pair, n):
+        p0, p1 = self.PAIRS[pair]
+        for eps in (Fraction(1, 100), Fraction(1, 3), Fraction(9, 10)):
+            self._check(p0, p1, n, eps, math.log(eps))
+        # within 1e-6 of 1, where beta lives in the last accepted classes
+        self._check(p0, p1, n, 1 - Fraction(1, 10**6), math.log1p(-1e-6))
+
+    @pytest.mark.parametrize("n", (1, 4, 12))
+    def test_eps_on_a_class_boundary(self, n):
+        # Dyadic atoms: the P0 mass of the top classes is an exact float,
+        # and eps set to it is a point where the randomization switches class.
+        p0, p1 = self.PAIRS[2]
+        cum = Fraction(0)
+        for _, m0, _ in _classes(p0, p1, n)[:-1]:
+            cum += m0
+            assert float(cum) == cum
+            self._check(p0, p1, n, cum, math.log(cum))
+
+    def test_renormalizes_the_vectors(self):
+        # A pair's vectors may miss 1 by up to 1e-12, which over n = 500
+        # draws would move beta by 4e-10; the oracle tests p / sum(p).
+        pair = FiniteDiscretePair((0.5, 0.3, 0.2), (0.2, 0.3, 0.5))
+        s = 1.0 + 8e-13
+        scaled = FiniteDiscretePair(tuple(s * m for m in pair.p0), tuple(s * m for m in pair.p1))
+        for log_eps in (math.log(0.01), math.log(0.9), -1e-8):
+            want = np_exact_discrete(pair, 500, log_eps).beta
+            assert np_exact_discrete(scaled, 500, log_eps).beta == pytest.approx(
+                want, rel=1e-12, abs=0.0
+            )
+
+    def test_far_below_linear_eps(self):
+        # log eps = -737 (eps = 1e-320): the linear-space brute force sees no
+        # budget at all, while log beta = -eps times the top class's ratio 6^5,
+        # a subnormal float good to about 1e-7 relative.
+        pair = FiniteDiscretePair((0.7, 0.2, 0.1), (0.1, 0.3, 0.6))
+        assert np_exact_discrete_bruteforce(pair, 5, math.exp(-737.0)).beta == 1.0
+        r = np_exact_discrete(pair, 5, -737.0)
+        assert math.isfinite(r.log_beta) and r.log_beta < 0.0
+        assert math.log(-r.log_beta) == pytest.approx(-737.0 + 5 * math.log(6.0), abs=1e-6)
+        assert r.threshold == pytest.approx(5 * math.log(6.0), rel=1e-14)
+
+
+# A K-atom vector of positive weights, renormalized within the pair's 1e-12.
+_weights = st.lists(st.floats(min_value=0.02, max_value=1.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _weights,
+    _weights,
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=8),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_matches_bruteforce(w0, w1, k, n, eps):
+    # The brute force sums in linear space: its beta carries an absolute
+    # error of about 1e-15, so it is a 1e-9 reference only above 1e-5.
+    p0 = tuple(w / math.fsum(w0[:k]) for w in w0[:k])
+    p1 = tuple(w / math.fsum(w1[:k]) for w in w1[:k])
+    pair = FiniteDiscretePair(p0, p1)
+    ref = np_exact_discrete_bruteforce(pair, n, eps)
+    r = np_exact_discrete(pair, n, math.log(eps) if eps else -math.inf)
+    assert r.beta == pytest.approx(ref.beta, rel=1e-9, abs=1e-14)
+    assert r.achieved_alpha == pytest.approx(eps, rel=1e-12, abs=0.0)  # exp(log eps)
 
 
 class TestCrossValidation:

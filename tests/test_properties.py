@@ -25,7 +25,7 @@ from htbounds.numerics import (
     q_function,
     q_inverse,
 )
-from htbounds.oracle import np_exact_bernoulli, np_exact_discrete_bruteforce
+from htbounds.oracle import np_exact_bernoulli, np_exact_discrete
 
 probs = st.floats(min_value=0.05, max_value=0.95)
 distinct_pairs = st.tuples(probs, probs).filter(lambda t: abs(t[0] - t[1]) > 1e-3)
@@ -162,7 +162,7 @@ def test_np_beta_monotone_in_eps_and_n(ps, n, eps, bump):
 )
 def test_bruteforce_beats_random_feasible_tests(p, q, n, eps, seed):
     pair = FiniteDiscretePair(p, q)
-    oracle = np_exact_discrete_bruteforce(pair, n, eps)
+    oracle = np_exact_discrete(pair, n, math.log(eps))
     m0 = reduce(np.kron, [np.asarray(p)] * n)
     m1 = reduce(np.kron, [np.asarray(q)] * n)
     rng = np.random.default_rng(seed)
