@@ -56,12 +56,9 @@ from .experiments import (
     run_grid,
 )
 from .numerics import (
-    Bracket,
     DomainError,
-    OptimizationError,
     log_diff_exp,
     log_q,
-    maximize_scalar,
     q_function,
     q_inverse,
     q_inverse_log,
@@ -80,7 +77,6 @@ __all__ = [
     "BernoulliPair",
     "BoundKind",
     "BoundResult",
-    "Bracket",
     "CANONICAL_BOUNDS",
     "ConfigError",
     "Constant",
@@ -98,7 +94,6 @@ __all__ = [
     "LLRMoments",
     "Linear",
     "NPResult",
-    "OptimizationError",
     "PairSpecError",
     "SizeError",
     "UnsupportedFamilyError",
@@ -113,7 +108,6 @@ __all__ = [
     "llr_moments",
     "log_diff_exp",
     "log_q",
-    "maximize_scalar",
     "np_exact_bernoulli",
     "np_exact_discrete",
     "np_exact_gaussian",

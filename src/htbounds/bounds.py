@@ -51,14 +51,19 @@ reported as ``optimizer = inf`` with the limit value (log eps +
 n D_inf(P1||P0) for branch one, log(1-eps) - n D_inf(P0||P1) for branch
 two).  Gaussian pairs, where psi is quadratic, use the closed forms.
 
+The threshold achievability bound minimizes the convex
+u(l) = n psi(l) - l tau, so its order is the root of n psi'(l) = tau.
+The optimized ``sample_complexity_renyi`` is the larger of two
+crossings in n: where branch two's log bound falls to log(delta), and
+where branch one's bound rises to delta.  Each is monotone in n, with
+slope given by the envelope theorem.
+
 The Berry-Esseen slack and the smoothing temperature are roots too: the
 slope of each objective changes sign once, from + to -, so the maximizer
 over the parameter's interval less 1e-9 at each end is the root of the
-slope, or the end where it lies beyond the interval.  Every one of these
-roots comes from the same Newton iteration,
-:func:`htbounds.numerics._newton_root`.  Only the order of
-``sample_complexity_renyi`` and the refinement step of the achievability
-grid still use ``maximize_scalar``.
+slope, or the end where it lies beyond the interval.  Every optimized
+bound is a root or a closed form, and every root comes from the same
+Newton iteration, :func:`htbounds.numerics._newton_root`.
 
 Sample-size bounds: ``sample_complexity_renyi`` (valid for every l > 1,
 optimized over l when none is given) and ``sample_complexity_pensia``
@@ -94,12 +99,9 @@ from .distributions import (
     renyi_divergence,
 )
 from .numerics import (
-    Bracket,
     DomainError,
-    OptimizationError,
     _newton_root,
     log_diff_exp,
-    maximize_scalar,
     q_inverse,
 )
 
@@ -256,9 +258,9 @@ def _argmax_by_root(slope: Callable, hi: float, start: float) -> float:
 
     The slope goes from + to - (it may stay on one side); ``slope`` follows
     the contract of :func:`htbounds.numerics._newton_root`.  The domain is
-    [1e-9, hi - 1e-9], with the interior offsets of ``maximize_scalar``'s
-    open brackets, and like it takes the mid-point hi / 2 when that span
-    is at most 1e-9; an optimum beyond either end is reported at that end.
+    [1e-9, hi - 1e-9], which keeps 1e-9 away from the open ends, or the
+    mid-point hi / 2 when that span is at most 1e-9; an optimum beyond
+    either end is reported at that end.
     """
     if hi - _EDGE <= _EDGE:
         return 0.5 * hi
@@ -360,59 +362,83 @@ def phase_transition_converse(pair: DistributionPair, n: int, c: float) -> Bound
     return _lower_beta(log_value, lam)
 
 
-def _achievability_log_expr(pair, n, tau, log_alpha, lam):
-    # log of (e^{(l-1) n D_l} - alpha e^{l tau}) / e^{(l-1) tau} per lambda,
-    # +inf where the numerator is non-positive (or underflows to nothing).
-    lam_arr = np.asarray(lam, dtype=float)
-    d = np.asarray(renyi_divergence(pair, lam_arr, Direction.REVERSE))
-    t_top = (lam_arr - 1.0) * n * d
-    t_sub = log_alpha + lam_arr * tau
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_num = t_top + np.log1p(-np.exp(t_sub - t_top))
-    out = log_num - (lam_arr - 1.0) * tau
-    out = np.where((t_top > t_sub) & np.isfinite(out), out, np.inf)
-    return float(out) if lam_arr.ndim == 0 else out
-
-
 def renyi_achievability_at_threshold(
     pair: DistributionPair, n: int, tau: float, log_alpha: float
 ) -> BoundResult:
     """Upper bound on beta of the log-LR-threshold-tau test with Type I error alpha.
 
     Minimizes (e^{(l-1) n D_l(P1||P0)} - alpha e^{l tau}) / e^{(l-1) tau}
-    over l in (0, 1) in the log domain (the subtraction is a
-    log-difference).  The expression decreases in alpha, so log_alpha
-    must be the exact Type I error of the test, or a *lower* bound on it;
-    log_alpha = -inf (alpha = 0) is always safe.  Lambdas where the
-    numerator is non-positive are excluded; if any such lambda exists the
-    result is flagged valid=False and the value is the smallest positive
-    evaluation, and if none is positive the result is 0 with valid=False.
+    over l in [1e-9, 1 - 1e-9].  With psi the reverse-direction tilted
+    log-sum, (l-1) D_l = psi(l), and with u(l) = n psi(l) - l tau the log
+    of the expression is tau + log(e^u - alpha), which increases in u.  u
+    is convex, so the minimizer is that of u: the root of n psi'(l) = tau,
+    or the end beyond which it lies (Gaussian pairs, where
+    psi(l) = l (l-1) d^2 / 2 with d = delta / sigma: l = 1/2 + tau / (n d^2)).
+    The log value is formed as n psi - (l-1) tau + log(1 - alpha e^{-u}),
+    which keeps its accuracy where the first two terms nearly cancel (tau
+    near n D(P1||P0)), and is rounded up by a bound on its rounding error
+    so that the bound on beta never understates.
+
+    The expression decreases in alpha, so log_alpha must be the exact
+    Type I error of the test, or a *lower* bound on it; log_alpha = -inf
+    (alpha = 0) is always safe.  Where u <= log alpha the numerator is
+    non-positive; if any such lambda exists (min u <= log alpha) the
+    result is flagged valid=False and its value is the smaller of the
+    values at the two ends among the ends where u > log alpha, and if
+    neither is, the result is 0 with valid=False.
     """
     _check_n(n)
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)):
         raise DomainError(f"tau must be finite, got {tau!r}")
     if not (isinstance(log_alpha, (int, float)) and log_alpha <= 0.0 and not math.isnan(log_alpha)):
         raise DomainError(f"log_alpha must lie in [-inf, 0], got {log_alpha!r}")
-    tol = 1.0e-9
-    lam_grid = np.geomspace(tol, 1.0 - tol, 2048)
-    obj = _achievability_log_expr(pair, n, tau, log_alpha, lam_grid)
-    finite = np.isfinite(obj)
-    if not np.any(finite):
+    lo, hi = _EDGE, 1.0 - _EDGE
+    if isinstance(pair, GaussianPair):
+        a = n * (pair.delta / pair.sigma) ** 2
+        lam = min(max(0.5 + tau / a, lo), hi)
+
+        def terms(lam):
+            # u, n psi - (l-1) tau, and bounds on their rounding errors
+            h, ulps = lam - 1.0, 8.0 * _EPS
+            return (lam * (0.5 * h * a - tau), h * (0.5 * lam * a - tau),
+                    ulps * abs(h) * (0.5 * lam * a + abs(tau)),
+                    ulps * lam * (0.5 * abs(h) * a + abs(tau)))
+    else:
+        atoms = _tilt_atoms(pair, Direction.REVERSE)
+        t = tau / n
+
+        def slope(x):
+            _, mean, var = _tilt(pair, x, Direction.REVERSE)
+            return t - mean, -var, abs(t) + abs(mean), None
+
+        def terms(lam):
+            psi, h = _tilt(pair, lam, Direction.REVERSE)[0], lam - 1.0
+            size = n * (abs(psi) + float(atoms.p @ np.abs(np.expm1(h * atoms.z))))
+            ulps = (atoms.p.size + 8) * _EPS
+            return (n * psi - lam * tau, n * psi - h * tau,
+                    ulps * (size + abs(h * tau)), ulps * (size + abs(lam * tau)))
+
+        _, d, v = _tilt(pair, 1.0, Direction.REVERSE)
+        lam = _argmax_by_root(slope, 1.0, 1.0 + (t - d) / v if v > 0.0 else 0.5)
+
+    def log_value_at(lam):
+        # None where the numerator is non-positive.  The error of u enters
+        # log(1 - alpha e^{-u}) with the factor 1 / expm1(u - log alpha).
+        u, base, err_base, err_u = terms(lam)
+        if not u > log_alpha:
+            return None
+        corr = log_diff_exp(0.0, log_alpha - u)
+        err = err_base + err_u / math.expm1(u - log_alpha) + 4.0 * _EPS * abs(corr)
+        return base + corr + err
+
+    log_value = log_value_at(lam)
+    if log_value is not None:
+        return BoundResult(float(np.exp(log_value)), log_value, lam, BoundKind.UPPER_BETA, True)
+    ends = [(v, x) for x in (lo, hi) if (v := log_value_at(x)) is not None]
+    if not ends:
         return BoundResult(0.0, -math.inf, None, BoundKind.UPPER_BETA, False)
-    i = int(np.argmin(np.where(finite, obj, np.inf)))
-    best_lam, best_log = float(lam_grid[i]), float(obj[i])
-    a = float(lam_grid[max(i - 1, 0)])
-    b = float(lam_grid[min(i + 1, lam_grid.size - 1)])
-    try:
-        lam_ref, neg_ref = maximize_scalar(
-            lambda x: -_achievability_log_expr(pair, n, tau, log_alpha, x), Bracket(a, b)
-        )
-        if -neg_ref < best_log:
-            best_lam, best_log = lam_ref, -neg_ref
-    except OptimizationError:
-        pass  # feasible set grazes the refinement cell; the grid value stands
-    value = float(np.exp(best_log))
-    return BoundResult(value, best_log, best_lam, BoundKind.UPPER_BETA, bool(np.all(finite)))
+    log_value, lam = min(ends)
+    return BoundResult(float(np.exp(log_value)), log_value, lam, BoundKind.UPPER_BETA, False)
 
 
 def threshold_for_rate(pair: DistributionPair, n: int, c: float, lam: float) -> float:
@@ -496,6 +522,17 @@ def sample_complexity_renyi(
 
     With lam given the bound is evaluated there; otherwise it is
     maximized over l > 1.  Values below 1 clamp to 1 with valid=False.
+
+    The first term's supremum is at least n exactly when branch two of
+    ``renyi_converse`` at n, sup_l (l/(l-1)) log(1-eps) - n D_l(P0||P1),
+    is at least log(delta).  That log bound decreases in n with slope
+    -D_l*(P0||P1) at its optimal order l* (envelope theorem), so the
+    supremum is the n where it equals log(delta), found by Newton in
+    x = n D(P0||P1); Gaussian pairs have the closed form
+    (sqrt(log 1/delta) - sqrt(log 1/(1-eps)))^2 / D.  The second term's is
+    likewise where branch one's bound at eps equals delta (eps and delta
+    swapped).  The optimizer is l* at the larger crossing.  When
+    eps + delta >= 1 no term is positive: 1, valid=False, optimizer inf.
     """
     _check_prob("eps", eps)
     _check_prob("delta", delta)
@@ -504,21 +541,48 @@ def sample_complexity_renyi(
     log_inv_1m_eps = -math.log1p(-eps)
     log_inv_1m_delta = -math.log1p(-delta)
 
-    def objective(lam_):
-        ratio = lam_ / (lam_ - 1.0)
-        first = (log_inv_delta - ratio * log_inv_1m_eps) / renyi_divergence(
-            pair, lam_, Direction.FORWARD
-        )
-        second = (log_inv_eps - ratio * log_inv_1m_delta) / renyi_divergence(
-            pair, lam_, Direction.REVERSE
-        )
-        return np.maximum(first, second)
-
     if lam is not None:
         if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 1.0):
             raise DomainError(f"lam must be > 1, got {lam!r}")
-        return _lower_n(float(objective(lam)), lam)
-    arg, value = maximize_scalar(objective, Bracket(1.0, math.inf))
+        ratio = lam / (lam - 1.0)
+        first = (log_inv_delta - ratio * log_inv_1m_eps) / renyi_divergence(pair, lam, Direction.FORWARD)
+        second = (log_inv_eps - ratio * log_inv_1m_delta) / renyi_divergence(pair, lam, Direction.REVERSE)
+        return _lower_n(float(np.maximum(first, second)), lam)
+    d_fwd = kl_divergence(pair, Direction.FORWARD)
+    d_rev = kl_divergence(pair, Direction.REVERSE)
+    if not (d_fwd > 0.0 and d_rev > 0.0):
+        raise DomainError("sample_complexity_renyi requires distinct distributions")
+
+    # Residuals in x; _newton_root's last point can be 1e-10 relative from
+    # the root, so each also returns r and slope for one more Newton step.
+    def first(x):
+        # branch two's log bound at n = x / D(P0||P1), less log delta
+        val, lam_ = _branch_two(pair, x / d_fwd, -log_inv_1m_eps)
+        ratio = 1.0 if lam_ == math.inf else lam_ / (lam_ - 1.0)
+        r, slope = val + log_inv_delta, (ratio * -log_inv_1m_eps - val) / -x
+        return r, slope, abs(val) + log_inv_delta, (lam_, r, slope)
+
+    def second(x):
+        # log(1 - delta) less branch one's exponent at n = x / D(P1||P0)
+        g, lam_ = _branch_one(pair, x / d_rev, -log_inv_eps)
+        frac = 0.0 if lam_ is None else 1.0 if lam_ == math.inf else (lam_ - 1.0) / lam_
+        r, slope = -log_inv_1m_delta - g, (g + frac * log_inv_eps) / -x
+        return r, slope, abs(g) + log_inv_1m_delta, (lam_, r, slope)
+
+    crossings = []
+    for top, bottom, d, resid in ((log_inv_delta, log_inv_1m_eps, d_fwd, first),
+                                  (log_inv_eps, log_inv_1m_delta, d_rev, second)):
+        if not top > bottom:
+            continue  # the term is negative for every l
+        gap = math.sqrt(top) - math.sqrt(bottom)
+        if isinstance(pair, GaussianPair):
+            crossings.append((gap * gap / d, math.sqrt(top) / gap))
+        else:
+            x, (lam_, r, slope) = _newton_root(resid, 0.0, math.inf, gap * gap, 0.0)
+            crossings.append(((x - r / slope if slope < 0.0 else x) / d, lam_))
+    if not crossings:
+        return _lower_n(0.0, math.inf)
+    value, arg = max(crossings, key=lambda c: c[0])
     return _lower_n(value, arg)
 
 

@@ -50,7 +50,7 @@ from .experiments import (
     emit_svg,
     run_grid,
 )
-from .numerics import DomainError, OptimizationError
+from .numerics import DomainError
 
 # Sample sizes for the reproduce sweeps: every 10 up to 500, then roughly
 # 10% steps up to 2000.
@@ -271,7 +271,6 @@ def cli_main(argv=None) -> int:
         return 3
     except (
         DomainError,
-        OptimizationError,
         PairSpecError,
         ConfigError,
         UnsupportedFamilyError,

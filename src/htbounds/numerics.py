@@ -1,4 +1,4 @@
-"""Log-domain numerics, the bracketed scalar maximizer and the root solver.
+"""Log-domain numerics and the root solver.
 
 This module is the numerical kernel shared by every bound evaluation:
 
@@ -10,17 +10,12 @@ This module is the numerical kernel shared by every bound evaluation:
   ``ndtri_exp``); only the log inverse adds one Newton step of its own;
 * ``log_diff_exp`` for differences of exponentially small or large
   quantities;
-* ``maximize_scalar``, a derivative-free maximizer over an interval that
-  scans a log-spaced grid and then refines the best cell with
-  golden-section search.  It optimizes only the order of
-  ``sample_complexity_renyi`` and the refinement step of the
-  achievability grid;
 * ``_newton_root``, a safeguarded Newton iteration for the one sign
-  change of a function on a bracket.  Every other optimized bound is the
-  root of its stationarity equation and goes through it: the Renyi
-  orders of the converse and of the two phase-transition bounds, the
-  Berry-Esseen slack and the smoothing temperature (see
-  :mod:`htbounds.bounds`).
+  change of a function on a bracket.  Every optimized bound is a root or
+  a closed form, and every root goes through it: the Renyi orders of the
+  converse, of the two phase-transition bounds and of the threshold
+  achievability bound, the two sample-size crossings, the Berry-Esseen
+  slack and the smoothing temperature (see :mod:`htbounds.bounds`).
 
 All functions are pure and thread-safe, and so are the divergences in
 :mod:`htbounds.distributions`, whose only shared state is a bounded
@@ -35,19 +30,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import special
 
 __all__ = [
-    "Bracket",
     "DomainError",
-    "OptimizationError",
     "log_diff_exp",
     "log_q",
-    "maximize_scalar",
     "q_function",
     "q_inverse",
     "q_inverse_log",
@@ -56,13 +47,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _LOG2 = math.log(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Number of grid points scanned before golden-section refinement.
-GRID_POINTS = 2048
-
-#: Upper cap on the geometric expansion of an unbounded bracket.
-EXPANSION_CAP = 1.0e6
 
 #: Safety cap on root-solver steps; bisection to adjacent floats needs about 110.
 _ROOT_STEPS = 200
@@ -74,40 +58,6 @@ _EPS = sys.float_info.epsilon
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
-
-
-class OptimizationError(RuntimeError):
-    """The objective was non-finite over most of its bracket.
-
-    ``last_value`` carries the last finite evaluation seen during the
-    grid scan, or ``None`` if there was none at all.
-    """
-
-    def __init__(self, message: str, last_value: float | None = None):
-        super().__init__(message)
-        self.last_value = last_value
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Search interval ``(lo, hi)`` for :func:`maximize_scalar`.
-
-    Both ends are treated as open: the grid keeps an interior offset of
-    ``tolerance`` from each end, so objectives may diverge at the
-    endpoints themselves.  ``hi`` may be ``math.inf``, in which case the
-    effective upper end is found by geometric expansion, capped at
-    ``lo + 1e6``.
-    """
-
-    lo: float
-    hi: float
-    tolerance: float = 1.0e-9
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise DomainError(f"bracket requires lo < hi, got ({self.lo}, {self.hi})")
-        if not self.tolerance > 0.0:
-            raise DomainError(f"bracket tolerance must be positive, got {self.tolerance}")
 
 
 def _float_or_array(x):
@@ -222,95 +172,6 @@ def log_diff_exp(a, b):
         d = bb - aa
         out = aa + np.where(d > -_LOG2, np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
     return np.where((aa == -np.inf) & (bb == -np.inf), -np.inf, out)
-
-
-def _scalar_call(f: Callable, x: float) -> float:
-    v = float(f(x))
-    return v if not math.isnan(v) else -math.inf
-
-
-def _grid_values(f: Callable, xs: np.ndarray) -> np.ndarray:
-    # One vectorized call when the objective supports it, else a scalar loop.
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError, AttributeError):
-        vals = np.array([float(f(x)) for x in xs], dtype=float)
-    return vals
-
-
-def _expanded_span(f: Callable, lo: float) -> float:
-    # Geometric expansion: quadruple the span until the objective stops
-    # increasing at the upper end, so the maximum is interior to the span.
-    span = 1.0
-    prev = _scalar_call(f, lo + span)
-    while span * 4.0 <= EXPANSION_CAP:
-        span *= 4.0
-        cur = _scalar_call(f, lo + span)
-        if not cur > prev:
-            return span
-        prev = cur
-    return EXPANSION_CAP
-
-
-def maximize_scalar(f: Callable, bracket: Bracket) -> tuple[float, float]:
-    """Maximize ``f`` over ``bracket``; returns ``(arg, value)``.
-
-    The search is a ``GRID_POINTS``-point log-spaced grid scan (points
-    spaced geometrically in distance from the lower end, so that
-    structure near ``lo`` is resolved as finely as structure far from
-    it) followed by golden-section refinement of the best grid cell down
-    to ``bracket.tolerance`` on the argument.  The returned value is the
-    best evaluation seen, so it is never below the grid maximum.
-
-    NaN evaluations are treated as ``-inf``.  If more than half of the
-    grid evaluations are non-finite the search aborts with
-    :class:`OptimizationError` carrying the last finite value seen.
-    """
-    lo, tol = bracket.lo, bracket.tolerance
-    if math.isinf(bracket.hi):
-        span = _expanded_span(f, lo)
-    else:
-        span = bracket.hi - lo - tol
-    if span <= tol:
-        x = lo + 0.5 * (bracket.hi - lo) if math.isfinite(bracket.hi) else lo + span
-        return x, _scalar_call(f, x)
-    xs = lo + np.geomspace(tol, span, GRID_POINTS)
-    vals = _grid_values(f, xs)
-    finite = np.isfinite(vals)
-    n_bad = GRID_POINTS - int(np.count_nonzero(finite))
-    if n_bad > GRID_POINTS // 2:
-        last = float(vals[finite][-1]) if n_bad < GRID_POINTS else None
-        raise OptimizationError("objective non-finite over most of the bracket", last_value=last)
-    masked = np.where(finite, vals, -np.inf)
-    i = int(np.argmax(masked))
-    best_x, best_f = float(xs[i]), float(masked[i])
-    a = float(xs[i - 1]) if i > 0 else float(xs[0])
-    b = float(xs[i + 1]) if i + 1 < GRID_POINTS else float(xs[-1])
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = _scalar_call(f, c)
-    fd = _scalar_call(f, d)
-    for x_, f_ in ((c, fc), (d, fd)):
-        if f_ > best_f:
-            best_x, best_f = x_, f_
-    for _ in range(300):
-        if b - a <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = _scalar_call(f, c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = _scalar_call(f, d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
 
 
 def _newton_root(f: Callable, lo: float, hi: float, x: float, origin: float):

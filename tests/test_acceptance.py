@@ -52,6 +52,8 @@ from htbounds.oracle import (
     np_exact_gaussian,
 )
 
+from scanpolish import scan_polish as _scan_polish
+
 GAUSS = parse_pair("gaussian:2,0.05")
 
 PAIR_SPECS = (
@@ -265,42 +267,6 @@ def test_criterion_7_sample_size_values():
     assert optimized.value >= fixed.value - 1.0e-9  # any fixed order is dominated
 
 
-def _scan_polish(f, lo, hi, points=10_000):
-    """Dense geometric scan plus golden refinement; independent of
-    maximize_scalar.  f maps an array of points to objective values with
-    non-finite entries meaning infeasible.  Mirrors the library's open
-    brackets: offsets start at 1e-9 and unbounded spans cap at 1e6."""
-    span = min(hi - lo, 1.0e6)
-    xs = lo + np.geomspace(1.0e-9, span, points)
-    vals = np.asarray(f(xs), dtype=float)
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, points - 1)])
-
-    def probe(x):
-        v = float(np.asarray(f(np.asarray([x])))[0])
-        return v if math.isfinite(v) else -math.inf
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = probe(c), probe(d)
-    best = max(best, fc, fd)
-    for _ in range(200):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = probe(d)
-        best = max(best, fc, fd)
-    return best
-
-
 def _draw_pair(rng, bernoulli):
     if bernoulli:
         p0 = float(rng.uniform(0.1, 0.9))
@@ -395,6 +361,15 @@ def test_criterion_8_optimizers_match_dense_scan():
                 return np.maximum(first, second)
 
             oracle_n = _scan_polish(objective, 1.0, math.inf)
+            if isinstance(pair, BernoulliPair):
+                # The scan stops at l = 1 + 1e6; the bound's supremum can be
+                # its l -> inf limit, with D_inf = log max p/q.
+                p, q = (1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1)
+                d_inf_fwd = max(math.log(a / b) for a, b in zip(p, q))
+                d_inf_rev = max(math.log(b / a) for a, b in zip(p, q))
+                oracle_n = max(oracle_n,
+                               (-math.log(delta) + math.log1p(-eps)) / d_inf_fwd,
+                               (-math.log(eps) + math.log1p(-delta)) / d_inf_rev)
             if result.valid:
                 assert abs(result.value - oracle_n) <= 1.0e-9 * max(1.0, oracle_n), (i,)
             else:

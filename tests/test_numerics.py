@@ -1,4 +1,4 @@
-"""Tests for the log-domain primitives and the scalar maximizer.
+"""Tests for the log-domain primitives.
 
 Reference values were computed independently with mpmath at 60 digits
 and are pinned to 17 significant figures.
@@ -11,12 +11,9 @@ import numpy as np
 import pytest
 
 from htbounds.numerics import (
-    Bracket,
     DomainError,
-    OptimizationError,
     log_diff_exp,
     log_q,
-    maximize_scalar,
     q_function,
     q_inverse,
     q_inverse_log,
@@ -26,11 +23,6 @@ from htbounds.numerics import (
 Q_2326348 = 0.009999996642919077
 Q_182635 = 0.033898779108317302
 QINV_001 = 2.3263478740408411
-
-# max of ((l-1)/l)(c - l*D) over l > 1 at c = 0.025, D = 0.00125:
-# attained at l* = sqrt(c/D) with value (sqrt(c) - sqrt(D))^2
-PHASE_LAMBDA = 4.4721359549995794
-PHASE_EXPONENT = 0.015069660112501052
 
 
 def mp_q_root(p, x0):
@@ -262,89 +254,3 @@ class TestScalarFastPaths:
 
     def test_log_diff_exp_empty_arrays(self):
         assert log_diff_exp(np.array([]), np.array([])).shape == (0,)
-
-
-class TestBracket:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            Bracket(1.0, 1.0)
-        with pytest.raises(DomainError):
-            Bracket(2.0, 1.0)
-        with pytest.raises(DomainError):
-            Bracket(0.0, 1.0, tolerance=0.0)
-
-
-class TestMaximizeScalar:
-    def test_quadratic_bounded(self):
-        arg, val = maximize_scalar(lambda x: -((x - 3.0) ** 2), Bracket(1.0, 100.0))
-        assert arg == pytest.approx(3.0, abs=1e-6)
-        assert val == pytest.approx(0.0, abs=1e-12)
-
-    def test_quadratic_unbounded_bracket(self):
-        arg, val = maximize_scalar(lambda x: -((x - 3.0) ** 2), Bracket(1.0, math.inf))
-        assert arg == pytest.approx(3.0, abs=1e-6)
-        assert val == pytest.approx(0.0, abs=1e-12)
-
-    def test_phase_objective(self):
-        c, d = 0.025, 0.00125
-
-        def f(lam):
-            return ((lam - 1.0) / lam) * (c - lam * d)
-
-        arg, val = maximize_scalar(f, Bracket(1.0, math.inf))
-        assert arg == pytest.approx(PHASE_LAMBDA, rel=1e-6)
-        assert val == pytest.approx(PHASE_EXPONENT, rel=1e-9)
-
-    def test_decreasing_pins_lower_edge(self):
-        arg, val = maximize_scalar(lambda x: -x, Bracket(0.0, 10.0))
-        assert arg <= 1e-6
-        assert val >= -1e-6
-
-    def test_increasing_hits_expansion_cap(self):
-        # log grows forever, so the geometric expansion stops at its cap
-        # and the maximum lands near lo + 1e6.
-        arg, val = maximize_scalar(np.log, Bracket(1.0, math.inf))
-        assert arg > 9e5
-        assert val == pytest.approx(math.log(arg), rel=1e-12)
-
-    def test_scalar_fallback_matches_vectorized(self):
-        def vectorized(x):
-            return -((x - 3.0) ** 2)
-
-        def scalar_only(x):
-            return -((float(x) - 3.0) ** 2)  # float() raises on arrays
-
-        av, vv = maximize_scalar(vectorized, Bracket(1.0, 100.0))
-        as_, vs = maximize_scalar(scalar_only, Bracket(1.0, 100.0))
-        assert as_ == pytest.approx(av, abs=1e-9)
-        assert vs == pytest.approx(vv, abs=1e-12)
-
-    def test_nan_treated_as_neg_inf(self):
-        def f(x):
-            return np.where(x < 2.0, -((x - 1.5) ** 2), math.nan)
-
-        arg, val = maximize_scalar(f, Bracket(1.0, 100.0))
-        assert arg == pytest.approx(1.5, abs=1e-6)
-
-    def test_mostly_nonfinite_raises_with_last_value(self):
-        def f(x):
-            return np.where(x >= 0.99, 1.0, math.nan)
-
-        with pytest.raises(OptimizationError) as exc:
-            maximize_scalar(f, Bracket(0.0, 1.0))
-        assert exc.value.last_value == 1.0
-
-    def test_all_nonfinite_raises_with_none(self):
-        with pytest.raises(OptimizationError) as exc:
-            maximize_scalar(lambda x: math.nan, Bracket(0.0, 1.0))
-        assert exc.value.last_value is None
-
-    def test_value_never_below_grid_max(self):
-        # A rough multimodal objective: returned value must be >= every
-        # probe of a fresh coarse scan.
-        def f(x):
-            return np.sin(x) + 0.1 * np.sin(7.0 * x)
-
-        arg, val = maximize_scalar(f, Bracket(0.0, 10.0))
-        probes = np.linspace(0.01, 9.99, 500)
-        assert val >= float(np.max(f(probes))) - 1e-6
