@@ -17,12 +17,17 @@ def scan_polish(f, lo, hi, points=10_000):
     meaning infeasible.  The scan keeps the bound solvers' open ends:
     offsets from lo start at 1e-9, and an unbounded span is capped at 1e6.
     """
+    return scan_polish_argmax(f, lo, hi, points)[1]
+
+
+def scan_polish_argmax(f, lo, hi, points=10_000):
+    """As ``scan_polish``, but returns ``(argmax, max)``."""
     span = min(hi - lo, 1.0e6)
     xs = lo + np.geomspace(1.0e-9, span, points)
     vals = np.asarray(f(xs), dtype=float)
     vals = np.where(np.isfinite(vals), vals, -np.inf)
     i = int(np.argmax(vals))
-    best = float(vals[i])
+    best, arg = float(vals[i]), float(xs[i])
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, points - 1)])
 
@@ -34,7 +39,7 @@ def scan_polish(f, lo, hi, points=10_000):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = probe(c), probe(d)
-    best = max(best, fc, fd)
+    best, arg = max((best, arg), (fc, c), (fd, d), key=lambda t: t[0])
     for _ in range(200):
         if b - a <= 4.0 * sys.float_info.epsilon * abs(b):
             break  # the bracket is down to a few floats
@@ -46,5 +51,5 @@ def scan_polish(f, lo, hi, points=10_000):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = probe(d)
-        best = max(best, fc, fd)
-    return best
+        best, arg = max((best, arg), (fc, c), (fd, d), key=lambda t: t[0])
+    return arg, best

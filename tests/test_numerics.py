@@ -1,4 +1,4 @@
-"""Tests for the log-domain primitives.
+"""Tests for the log-domain primitives and the reference scalar maximizer.
 
 Reference values were computed independently with mpmath at 60 digits
 and are pinned to 17 significant figures.
@@ -18,11 +18,17 @@ from htbounds.numerics import (
     q_inverse,
     q_inverse_log,
 )
+from scanpolish import scan_polish_argmax
 
 # Q(2.326348), Q(1.82635), Q^{-1}(0.01)
 Q_2326348 = 0.009999996642919077
 Q_182635 = 0.033898779108317302
 QINV_001 = 2.3263478740408411
+
+# max of ((l-1)/l)(c - l*D) over l > 1 at c = 0.025, D = 0.00125:
+# attained at l* = sqrt(c/D) with value (sqrt(c) - sqrt(D))^2
+PHASE_LAMBDA = 4.4721359549995794
+PHASE_EXPONENT = 0.015069660112501052
 
 
 def mp_q_root(p, x0):
@@ -254,3 +260,56 @@ class TestScalarFastPaths:
 
     def test_log_diff_exp_empty_arrays(self):
         assert log_diff_exp(np.array([]), np.array([])).shape == (0,)
+
+
+class TestMaximizeScalar:
+    """The scan-and-polish maximizer that the bound tests use as reference."""
+
+    def test_quadratic_bounded(self):
+        arg, val = scan_polish_argmax(lambda x: -((x - 3.0) ** 2), 1.0, 100.0)
+        assert arg == pytest.approx(3.0, abs=1e-6)
+        assert val == pytest.approx(0.0, abs=1e-12)
+
+    def test_quadratic_unbounded_bracket(self):
+        arg, val = scan_polish_argmax(lambda x: -((x - 3.0) ** 2), 1.0, math.inf)
+        assert arg == pytest.approx(3.0, abs=1e-6)
+        assert val == pytest.approx(0.0, abs=1e-12)
+
+    def test_phase_objective(self):
+        c, d = 0.025, 0.00125
+
+        def f(lam):
+            return ((lam - 1.0) / lam) * (c - lam * d)
+
+        arg, val = scan_polish_argmax(f, 1.0, math.inf)
+        assert arg == pytest.approx(PHASE_LAMBDA, rel=1e-6)
+        assert val == pytest.approx(PHASE_EXPONENT, rel=1e-9)
+
+    def test_decreasing_pins_lower_edge(self):
+        arg, val = scan_polish_argmax(lambda x: -x, 0.0, 10.0)
+        assert arg <= 1e-6
+        assert val >= -1e-6
+
+    def test_increasing_hits_expansion_cap(self):
+        # log grows forever, so an unbounded span stops at its 1e6 cap
+        # and the maximum lands near lo + 1e6.
+        arg, val = scan_polish_argmax(np.log, 1.0, math.inf)
+        assert arg > 9e5
+        assert val == pytest.approx(math.log(arg), rel=1e-12)
+
+    def test_nan_treated_as_neg_inf(self):
+        def f(x):
+            return np.where(x < 2.0, -((x - 1.5) ** 2), math.nan)
+
+        arg, val = scan_polish_argmax(f, 1.0, 100.0)
+        assert arg == pytest.approx(1.5, abs=1e-6)
+
+    def test_value_never_below_grid_max(self):
+        # A rough multimodal objective: returned value must be >= every
+        # probe of a fresh coarse scan.
+        def f(x):
+            return np.sin(x) + 0.1 * np.sin(7.0 * x)
+
+        arg, val = scan_polish_argmax(f, 0.0, 10.0)
+        probes = np.linspace(0.01, 9.99, 500)
+        assert val >= float(np.max(f(probes))) - 1e-6

@@ -24,6 +24,7 @@ from htbounds.numerics import (
     q_inverse,
 )
 from htbounds.oracle import np_exact_bernoulli, np_exact_discrete
+from scanpolish import scan_polish
 
 probs = st.floats(min_value=0.05, max_value=0.95)
 distinct_pairs = st.tuples(probs, probs).filter(lambda t: abs(t[0] - t[1]) > 1e-3)
@@ -52,6 +53,22 @@ def test_q_monotone_decreasing(x, step):
 @given(st.floats(min_value=1e-12, max_value=1.0 - 1e-12))
 def test_q_inverse_roundtrip(p):
     assert q_function(q_inverse(p)) == pytest.approx(p, rel=1e-10, abs=1e-14)
+
+
+@settings(max_examples=50)
+@given(
+    st.floats(min_value=0.5, max_value=9.5),
+    st.floats(min_value=0.1, max_value=3.0),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_maximizer_beats_random_probes(center, width, seed):
+    def f(x):
+        return -width * (x - center) ** 2
+
+    val = scan_polish(f, 0.0, 10.0)
+    rng = np.random.default_rng(seed)
+    probes = rng.uniform(1e-9, 10.0 - 1e-9, size=100)
+    assert val >= float(np.max(f(probes))) - 1e-9
 
 
 @given(distinct_pairs, lambdas, lambdas)
