@@ -423,12 +423,14 @@ def renyi_achievability_at_threshold(
 
     def log_value_at(lam):
         # None where the numerator is non-positive.  The error of u enters
-        # log(1 - alpha e^{-u}) with the factor 1 / expm1(u - log alpha).
+        # log(1 - alpha e^{-u}) with the factor e^r / (1 - e^r), where
+        # r = log alpha - u < 0, which stays finite however large -r is.
         u, base, err_base, err_u = terms(lam)
         if not u > log_alpha:
             return None
-        corr = log_diff_exp(0.0, log_alpha - u)
-        err = err_base + err_u / math.expm1(u - log_alpha) + 4.0 * _EPS * abs(corr)
+        r = log_alpha - u
+        corr = log_diff_exp(0.0, r)
+        err = err_base + err_u * math.exp(r) / -math.expm1(r) + 4.0 * _EPS * abs(corr)
         return base + corr + err
 
     log_value = log_value_at(lam)

@@ -10,18 +10,13 @@ import sys
 import numpy as np
 
 
-def scan_polish(f, lo, hi, points=10_000):
-    """Dense geometric scan plus golden refinement; returns the best value.
+def scan_polish_argmax(f, lo, hi, points=10_000):
+    """Dense geometric scan plus golden refinement; returns ``(argmax, max)``.
 
     f maps an array of points to objective values, with non-finite entries
     meaning infeasible.  The scan keeps the bound solvers' open ends:
     offsets from lo start at 1e-9, and an unbounded span is capped at 1e6.
     """
-    return scan_polish_argmax(f, lo, hi, points)[1]
-
-
-def scan_polish_argmax(f, lo, hi, points=10_000):
-    """As ``scan_polish``, but returns ``(argmax, max)``."""
     span = min(hi - lo, 1.0e6)
     xs = lo + np.geomspace(1.0e-9, span, points)
     vals = np.asarray(f(xs), dtype=float)

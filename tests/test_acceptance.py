@@ -52,7 +52,7 @@ from htbounds.oracle import (
     np_exact_gaussian,
 )
 
-from scanpolish import scan_polish as _scan_polish
+from scanpolish import scan_polish_argmax
 
 GAUSS = parse_pair("gaussian:2,0.05")
 
@@ -295,55 +295,55 @@ def test_criterion_8_optimizers_match_dense_scan():
         if op == 0:
             log_eps = math.log(float(rng.uniform(0.01, 0.6)))
             impl = renyi_converse(pair, n, log_eps).log_value
-            neg_g = _scan_polish(
+            neg_g = scan_polish_argmax(
                 lambda l: -((l - 1.0) / l)
                 * (log_eps + n * renyi_divergence(pair, l, Direction.REVERSE)),
                 1.0,
                 math.inf,
-            )
+            )[1]
             g_star = -neg_g
             log_1m = math.log1p(-math.exp(log_eps))
-            log_two = _scan_polish(
+            log_two = scan_polish_argmax(
                 lambda l: (l / (l - 1.0)) * log_1m
                 - n * renyi_divergence(pair, l, Direction.FORWARD),
                 1.0,
                 math.inf,
-            )
+            )[1]
             oracle = log_two
             if g_star < 0.0:
                 oracle = max(oracle, math.log1p(-math.exp(g_star)))
         elif op == 1:
             c = float(rng.uniform(1.5, 30.0)) * d_rev
             impl = phase_transition_converse(pair, n, c).log_value
-            neg_g = _scan_polish(
+            neg_g = scan_polish_argmax(
                 lambda l: ((l - 1.0) / l)
                 * (c * n - n * renyi_divergence(pair, l, Direction.REVERSE)),
                 1.0,
                 math.inf,
-            )
+            )[1]
             assert -neg_g < 0.0
             oracle = math.log1p(-math.exp(-neg_g))
         elif op == 2:
             c = float(rng.uniform(0.1, 0.9)) * d_rev
             impl = phase_transition_achievability(pair, n, c).log_value
-            exponent = _scan_polish(
+            exponent = scan_polish_argmax(
                 lambda l: ((1.0 - l) / l)
                 * n
                 * (renyi_divergence(pair, l, Direction.REVERSE) - c),
                 1.0e-10,
                 1.0 - 1.0e-12,
-            )
+            )[1]
             oracle = -exponent
         elif op == 3:
             tau = float(rng.uniform(0.05, 0.8)) * n * d_rev
             impl = renyi_achievability_at_threshold(pair, n, tau, -math.inf).log_value
-            neg = _scan_polish(
+            neg = scan_polish_argmax(
                 lambda l: -(
                     (l - 1.0) * (n * renyi_divergence(pair, l, Direction.REVERSE) - tau)
                 ),
                 1.0e-10,
                 1.0 - 1.0e-12,
-            )
+            )[1]
             oracle = -neg
         elif op == 4:
             eps = float(rng.uniform(0.005, 0.4))
@@ -360,7 +360,7 @@ def test_criterion_8_optimizers_match_dense_scan():
                 )
                 return np.maximum(first, second)
 
-            oracle_n = _scan_polish(objective, 1.0, math.inf)
+            oracle_n = scan_polish_argmax(objective, 1.0, math.inf)[1]
             if isinstance(pair, BernoulliPair):
                 # The scan stops at l = 1 + 1e6; the bound's supremum can be
                 # its l -> inf limit, with D_inf = log max p/q.
@@ -392,7 +392,7 @@ def test_criterion_8_optimizers_match_dense_scan():
                 out = shift - scale * q_inverse(np.clip(arg, 1.0e-300, None)) + np.log(dl)
                 return np.where(arg > 0.0, out, -np.inf)
 
-            oracle = _scan_polish(objective, 0.0, hi)
+            oracle = scan_polish_argmax(objective, 0.0, hi)[1]
         else:
             pair = _draw_pair(rng, bernoulli=False)
             n = int(rng.integers(100, 3000))
@@ -411,7 +411,7 @@ def test_criterion_8_optimizers_match_dense_scan():
                     - n * (np.cosh(2.0 * t) - 1.0)
                 )
 
-            oracle = _scan_polish(objective, 0.0, 10.0)
+            oracle = scan_polish_argmax(objective, 0.0, 10.0)[1]
         assert abs(impl - oracle) <= 1.0e-9, (i, op, impl, oracle)
 
 

@@ -46,7 +46,7 @@ from htbounds.experiments import _achievability
 from htbounds.numerics import DomainError
 from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
 
-from scanpolish import scan_polish
+from scanpolish import scan_polish_argmax
 
 BERN = BernoulliPair(0.5, 0.51)
 GAUSS = GaussianPair(2.0, 0.05, 1.0)
@@ -335,8 +335,8 @@ class TestRenyiOrderRoot:
                             pair, lam, Direction.FORWARD
                         )
 
-                    g = -scan_polish(one, 1.0, math.inf)
-                    want = scan_polish(two, 1.0, math.inf)
+                    g = -scan_polish_argmax(one, 1.0, math.inf)[1]
+                    want = scan_polish_argmax(two, 1.0, math.inf)[1]
                     if -log_eps > n * kl_divergence(pair, Direction.REVERSE):
                         want = max(want, math.log1p(-math.exp(g)))
                     else:
@@ -470,18 +470,37 @@ class TestRenyiAchievabilityAtThreshold:
         assert r.value > 0.0  # the smaller end value is reported
         assert r.optimizer in (1e-9, 1.0 - 1e-9)
 
+    def test_tiny_alpha_only_ends_feasible(self):
+        # alpha = e^{-1000} at n = 10^8, tau = 1: min u is about -2500, so
+        # the numerator goes non-positive mid-range, while u is above -2 at
+        # the ends, where e^{u - log alpha} is past the largest double.  The
+        # end l = 1 - 1e-9 has the smaller value, by about 1.
+        n, tau, log_alpha = 10**8, 1.0, -1000.0
+        r = renyi_achievability_at_threshold(BERN, n, tau, log_alpha)
+        ends = (1e-9, 1.0 - 1e-9)
+        rev = _mp_atoms(BERN, Direction.REVERSE)
+        with mpmath.workdps(60):
+            u = [n * _mp_psi(rev, mpmath.mpf(x)) - mpmath.mpf(x) * tau for x in ends]
+            assert min(u) > log_alpha
+            want = float(min(tau + v + mpmath.log1p(-mpmath.exp(log_alpha - v)) for v in u))
+        assert not r.valid
+        assert r.optimizer in ends
+        assert r.log_value == pytest.approx(want, rel=1e-11, abs=0.0)
+        assert r.log_value >= want
+
     @pytest.mark.parametrize("spec", ("bernoulli:0.5,0.7", "discrete:0.7,0.2,0.1|0.1,0.3,0.6",
                                       "gaussian:2,0.3"))
     def test_matches_mpmath(self, spec):
         # tau on both sides of n psi'(0) = -n D(P0||P1) and n psi'(1) =
-        # n D(P1||P0), so the order is interior or at either end; alpha 0
-        # or e^{-2} below the smallest numerator term e^{min u}.
+        # n D(P1||P0), so the order is interior or at either end; alpha 0,
+        # or e^{-2} or e^{-1000} below the smallest numerator term e^{min u}
+        # (the latter puts e^{u - log alpha} past the largest double).
         pair = parse_pair(spec)
         d = kl_divergence(pair, Direction.REVERSE)
         for n in (10, 400):
             for tau in (-3.0 * n * d, 0.3 * n * d, 0.9 * n * d, 1.5 * n * d):
                 u_min = _mp_min_u(pair, n, tau)
-                for log_alpha in (-math.inf, float(u_min) - 2.0):
+                for log_alpha in (-math.inf, float(u_min) - 2.0, float(u_min) - 1000.0):
                     r = renyi_achievability_at_threshold(pair, n, tau, log_alpha)
                     with mpmath.workdps(60):
                         want = float(tau + u_min + mpmath.log1p(-mpmath.exp(log_alpha - u_min)))
@@ -575,7 +594,7 @@ class TestSampleComplexity:
             r = sample_complexity_renyi(pair, eps, delta)
             limit = max((-math.log(delta) + math.log1p(-eps)) / d_inf_fwd,
                         (-math.log(eps) + math.log1p(-delta)) / d_inf_rev)
-            want = max(scan_polish(objective, 1.0, math.inf), limit)
+            want = max(scan_polish_argmax(objective, 1.0, math.inf)[1], limit)
             case = (eps, delta, r.value, r.optimizer)
             if r.valid:
                 assert r.value == pytest.approx(want, rel=1e-9, abs=0.0), case

@@ -24,7 +24,7 @@ from htbounds.numerics import (
     q_inverse,
 )
 from htbounds.oracle import np_exact_bernoulli, np_exact_discrete
-from scanpolish import scan_polish
+from scanpolish import scan_polish_argmax
 
 probs = st.floats(min_value=0.05, max_value=0.95)
 distinct_pairs = st.tuples(probs, probs).filter(lambda t: abs(t[0] - t[1]) > 1e-3)
@@ -65,7 +65,7 @@ def test_maximizer_beats_random_probes(center, width, seed):
     def f(x):
         return -width * (x - center) ** 2
 
-    val = scan_polish(f, 0.0, 10.0)
+    val = scan_polish_argmax(f, 0.0, 10.0)[1]
     rng = np.random.default_rng(seed)
     probes = rng.uniform(1e-9, 10.0 - 1e-9, size=100)
     assert val >= float(np.max(f(probes))) - 1e-9
