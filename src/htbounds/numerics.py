@@ -18,8 +18,9 @@ This module is the numerical kernel shared by every bound evaluation:
   slack and the smoothing temperature (see :mod:`htbounds.bounds`).
 
 All functions are pure and thread-safe, and so are the divergences in
-:mod:`htbounds.distributions`, whose only shared state is a bounded
-per-pair cache of read-only log atoms.  The ``Q`` family and
+:mod:`htbounds.distributions` and the oracles in :mod:`htbounds.oracle`.
+Their only shared state is read-only once built: a bounded per-pair
+cache of log atoms and one cached table of log k!.  The ``Q`` family and
 ``log_diff_exp`` accept scalars or numpy arrays; scalar input yields a
 plain ``float``.  ``q_inverse`` and ``log_diff_exp`` check it with plain
 comparisons and apply the same numpy ufuncs as for arrays, so both paths

@@ -1,15 +1,19 @@
 """Exact Neyman-Pearson optima for the supported families.
 
 beta_n(eps) computed in closed form (Gaussian), by binomial tail
-inversion (Bernoulli), or over the types of the sample (finite support:
-an i.i.d. sample's likelihood ratio depends only on its atom counts, so
-C(n + K - 1, K - 1) types stand in for K^n points; past 2.5e6 types, K = 3
-beyond n = 2,234 or K = 4 beyond n = 244, it raises :class:`SizeError`).
-These serve as ground truth for the bounds in :mod:`htbounds.bounds`.
+inversion (Bernoulli, over the counts from the P0 mean up unless eps
+exceeds the P0 tail there), or over the types of the sample (finite
+support: an i.i.d. sample's likelihood ratio depends only on its atom
+counts, so C(n + K - 1, K - 1) types stand in for K^n points; past 2.5e6
+types, K = 3 beyond n = 2,234 or K = 4 beyond n = 244, it raises
+:class:`SizeError`).  Both count-based oracles take log k! from one
+cached read-only table.  These serve as ground truth for the bounds in
+:mod:`htbounds.bounds`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +61,22 @@ def _check_n(n) -> None:
         raise DomainError(f"n must be a positive integer, got {n!r}")
 
 
+@functools.lru_cache(maxsize=1)
+def _log_factorial_table(size: int) -> np.ndarray:
+    table = gammaln(np.arange(size) + 1.0)
+    table.flags.writeable = False
+    return table
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n: a read-only view of one cached table.
+
+    The table's size is rounded up to a power of two, so a run of growing
+    n rebuilds it only when n crosses one.
+    """
+    return _log_factorial_table(1 << int(n).bit_length())[: n + 1]
+
+
 def np_exact_gaussian(pair: GaussianPair, n: int, log_eps: float) -> NPResult:
     """Closed-form optimum: reject when the sample mean crosses a z-threshold.
 
@@ -86,7 +106,11 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     """Randomized LLRT on the success count S ~ Binomial(n, p).
 
     Rejects H0 when S > k, with probability gamma at S == k, where k and
-    gamma are chosen so the Type I error is exactly eps.
+    gamma are chosen so the Type I error is exactly eps.  Only counts
+    S >= k enter beta.  The P0 tail is summed from S = n down to the P0
+    mean floor(n p0), which k exceeds unless eps >= P0(S >= mean); only
+    then are the counts below the mean formed.  log k! comes from the
+    shared table of :func:`_log_factorials`.
     """
     if not isinstance(pair, BernoulliPair):
         raise DomainError("np_exact_bernoulli requires a BernoulliPair")
@@ -97,29 +121,49 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     mirrored = p1 < p0  # LR increases in S iff p1 > p0; otherwise test on n - S
     if mirrored:
         p0, p1 = 1.0 - p0, 1.0 - p1
-    ks = np.arange(n + 1)
-    log_fact = gammaln(ks + 1)
-    log_binom = log_fact[-1] - log_fact - log_fact[::-1]
-    lp0 = log_binom + ks * math.log(p0) + (n - ks) * math.log1p(-p0)
-    # tail0[j] = log P0(S >= j), j = 0..n+1
-    tail0 = np.append(np.logaddexp.accumulate(lp0[::-1])[::-1], -math.inf)
-    tail0[0] = 0.0
-    j = int(np.argmax(tail0 <= log_eps))  # smallest j with P0(S >= j) <= eps
-    k = j - 1
-    if k < 0:
+    if log_eps == 0.0:
         # eps = 1: reject always
         return NPResult(0.0, -math.inf, -1.0 if not mirrored else float(n + 1), 0.0, 1.0)
-    # P1 only from the boundary class up: lp1[i] = log P1(S = k + i), and
+    log_fact = _log_factorials(n)
+
+    def counts(a: int, b: int):
+        # s = a..b-1 with log C(n, s) and log P0(S = s)
+        s = np.arange(a, b)
+        log_binom = log_fact[-1] - log_fact[a:b] - log_fact[::-1][a:b]
+        return s, log_binom, log_binom + s * math.log(p0) + (n - s) * math.log1p(-p0)
+
+    # Counts from the P0 mean lo = floor(n p0) up, with tail0[i] =
+    # log P0(S >= lo + i) summed from S = n down.  The tail only grows as
+    # i falls, so unless eps >= P0(S >= lo) the boundary class lies above lo.
+    lo = int(n * p0)
+    s, log_binom, lp0 = counts(lo, n + 1)
+    tail0 = np.logaddexp.accumulate(lp0[::-1])[::-1]
+    if lo and log_eps >= tail0[0]:
+        # Carry the tail on down to S = 0 from tail0[0], so that its bits are
+        # those of one pass from S = n.
+        s_lo, log_binom_lo, lp0_lo = counts(0, lo)
+        tail0_lo = np.logaddexp.accumulate(np.append(tail0[0], lp0_lo[::-1]))[:0:-1]
+        s, log_binom, lp0, tail0 = (
+            np.concatenate(parts)
+            for parts in ((s_lo, s), (log_binom_lo, log_binom), (lp0_lo, lp0), (tail0_lo, tail0))
+        )
+        lo = 0
+    tail0 = np.append(tail0, -math.inf)
+    if lo == 0:
+        tail0[0] = 0.0
+    i = int(np.argmax(tail0 <= log_eps)) - 1  # smallest j with P0(S >= lo + j) <= eps, less 1
+    k = lo + i
+    # P1 only from the boundary class up: lp1[m] = log P1(S = k + m), and
     # tail1 = log P1(S > k), summed from S = n down (-inf when k == n).
-    lp1 = log_binom[k:] + ks[k:] * math.log(p1) + (n - ks[k:]) * math.log1p(-p1)
+    lp1 = log_binom[i:] + s[i:] * math.log(p1) + (n - s[i:]) * math.log1p(-p1)
     tail1 = np.logaddexp.reduce(lp1[:0:-1])
-    log_excess = log_diff_exp(log_eps, tail0[k + 1]) if log_eps > tail0[k + 1] else -math.inf
-    if log_excess > lp0[k]:  # gamma > 1: only rounding can pick such a k
+    log_excess = log_diff_exp(log_eps, tail0[i + 1]) if log_eps > tail0[i + 1] else -math.inf
+    if log_excess > lp0[i]:  # gamma > 1: only rounding can pick such a k
         raise DomainError(
             "np_exact_bernoulli: rounding in the log P0 tail puts the tie "
             f"randomization above 1 (n = {n}, log_eps = {log_eps!r}); eps is too close to 1"
         )
-    gamma = math.exp(log_excess - lp0[k]) if log_excess > -math.inf else 0.0
+    gamma = math.exp(log_excess - lp0[i]) if log_excess > -math.inf else 0.0
     log_accept1 = np.logaddexp(tail1, math.log(gamma) + lp1[0]) if gamma > 0.0 else tail1
     beta = -math.expm1(log_accept1)
     log_beta = log_diff_exp(0.0, log_accept1) if log_accept1 < 0.0 else -math.inf
@@ -153,7 +197,7 @@ def np_exact_discrete(pair: FiniteDiscretePair, n: int, log_eps: float) -> NPRes
     p0, p1 = ([m for m in p if m > 0.0] for p in (pair.p0, pair.p1))
     la0 = np.log(p0) - math.log(math.fsum(p0))
     d = np.log(p1) - math.log(math.fsum(p1)) - la0
-    log_fact = gammaln(np.arange(n + 1) + 1.0)
+    log_fact = _log_factorials(n)
     # Grow the types one coordinate at a time (r counts left: r + 1 children),
     # carrying log P0 = log n! - sum log c! + c . log p0 and the log-LR.
     rem, lp0, llr = np.array([n]), np.array([log_fact[n]]), np.zeros(1)

@@ -1,15 +1,22 @@
-"""Exhaustive NP oracle for finite-support pairs: the small-n test reference.
+"""Reference NP oracles for the tests.
 
-It enumerates all K^n sample points, so keep K^n to a few million.  It
-takes eps in linear space, so it cannot see beta below about 1e-16 or eps
-within 1e-16 of 0 or 1; ``htbounds.oracle.np_exact_discrete`` is checked
-against it where both are exact.
+``np_exact_discrete_bruteforce`` is the exhaustive oracle for finite-support
+pairs.  It enumerates all K^n sample points, so keep K^n to a few million.
+It takes eps in linear space, so it cannot see beta below about 1e-16 or
+eps within 1e-16 of 0 or 1; ``htbounds.oracle.np_exact_discrete`` is
+checked against it where both are exact.
+
+``np_exact_bernoulli_fullrange`` is the binomial tail inversion over all
+n + 1 counts; ``htbounds.oracle.np_exact_bernoulli``, which forms only the
+counts it needs, must give the same bits and the same errors.
 """
 
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
+from htbounds.numerics import DomainError, log_diff_exp
 from htbounds.oracle import NPResult
 
 
@@ -64,3 +71,37 @@ def np_exact_discrete_bruteforce(pair, n: int, eps: float) -> NPResult:
     return NPResult(
         beta, math.log(beta) if beta > 0 else -math.inf, threshold, gamma, min(achieved, eps)
     )
+
+
+def np_exact_bernoulli_fullrange(pair, n: int, log_eps: float) -> NPResult:
+    """The randomized LLRT on the count S, with every count S = 0..n formed."""
+    p0, p1 = pair.p0, pair.p1
+    mirrored = p1 < p0  # LR increases in S iff p1 > p0; otherwise test on n - S
+    if mirrored:
+        p0, p1 = 1.0 - p0, 1.0 - p1
+    ks = np.arange(n + 1)
+    log_fact = gammaln(ks + 1)
+    log_binom = log_fact[-1] - log_fact - log_fact[::-1]
+    lp0 = log_binom + ks * math.log(p0) + (n - ks) * math.log1p(-p0)
+    # tail0[j] = log P0(S >= j), j = 0..n+1
+    tail0 = np.append(np.logaddexp.accumulate(lp0[::-1])[::-1], -math.inf)
+    tail0[0] = 0.0
+    j = int(np.argmax(tail0 <= log_eps))  # smallest j with P0(S >= j) <= eps
+    k = j - 1
+    if k < 0:
+        # eps = 1: reject always
+        return NPResult(0.0, -math.inf, -1.0 if not mirrored else float(n + 1), 0.0, 1.0)
+    lp1 = log_binom[k:] + ks[k:] * math.log(p1) + (n - ks[k:]) * math.log1p(-p1)
+    tail1 = np.logaddexp.reduce(lp1[:0:-1])
+    log_excess = log_diff_exp(log_eps, tail0[k + 1]) if log_eps > tail0[k + 1] else -math.inf
+    if log_excess > lp0[k]:  # gamma > 1: only rounding can pick such a k
+        raise DomainError(
+            "np_exact_bernoulli: rounding in the log P0 tail puts the tie "
+            f"randomization above 1 (n = {n}, log_eps = {log_eps!r}); eps is too close to 1"
+        )
+    gamma = math.exp(log_excess - lp0[k]) if log_excess > -math.inf else 0.0
+    log_accept1 = np.logaddexp(tail1, math.log(gamma) + lp1[0]) if gamma > 0.0 else tail1
+    beta = -math.expm1(log_accept1)
+    log_beta = log_diff_exp(0.0, log_accept1) if log_accept1 < 0.0 else -math.inf
+    threshold = float(n - k) if mirrored else float(k)
+    return NPResult(beta, log_beta, threshold, gamma, math.exp(log_eps))

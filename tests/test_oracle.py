@@ -3,22 +3,25 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from htbounds.cli import cli_main
 from htbounds.distributions import BernoulliPair, FiniteDiscretePair, GaussianPair
 from htbounds.numerics import DomainError, log_q
 from htbounds.oracle import (
     SizeError,
+    _log_factorials,
     check_type_count,
     np_exact_bernoulli,
     np_exact_discrete,
     np_exact_gaussian,
 )
 
-from bruteforce import np_exact_discrete_bruteforce
+from bruteforce import np_exact_bernoulli_fullrange, np_exact_discrete_bruteforce
 
 GAUSS = GaussianPair(2.0, 0.05, 1.0)
 BERN = BernoulliPair(0.5, 0.51)
@@ -31,18 +34,18 @@ NP_GAUSS_GAMMA = 2.2326347874040841
 class TestGaussian:
     def test_reference_point(self):
         r = np_exact_gaussian(GAUSS, 100, math.log(0.01))
-        assert r.beta == pytest.approx(NP_GAUSS_BETA, rel=1e-12)
-        assert r.threshold == pytest.approx(NP_GAUSS_GAMMA, rel=1e-12)
+        assert r.beta == pytest.approx(NP_GAUSS_BETA, rel=1e-12, abs=0.0)
+        assert r.threshold == pytest.approx(NP_GAUSS_GAMMA, rel=1e-12, abs=0.0)
         assert r.randomization == 0.0
-        assert r.achieved_alpha == pytest.approx(0.01, rel=1e-14)
-        assert r.log_beta == pytest.approx(math.log(r.beta), rel=1e-12)
+        assert r.achieved_alpha == pytest.approx(0.01, rel=1e-14, abs=0.0)
+        assert r.log_beta == pytest.approx(math.log(r.beta), rel=1e-12, abs=0.0)
 
     def test_negative_delta_is_symmetric(self):
         pos = np_exact_gaussian(GaussianPair(2.0, 0.05), 100, math.log(0.01))
         neg = np_exact_gaussian(GaussianPair(2.0, -0.05), 100, math.log(0.01))
-        assert neg.beta == pytest.approx(pos.beta, rel=1e-14)
+        assert neg.beta == pytest.approx(pos.beta, rel=1e-14, abs=0.0)
         # mirrored critical value: mu - (gamma_pos - mu)
-        assert neg.threshold == pytest.approx(2.0 - (pos.threshold - 2.0), rel=1e-12)
+        assert neg.threshold == pytest.approx(2.0 - (pos.threshold - 2.0), rel=1e-12, abs=0.0)
 
     def test_beta_decreases_with_n(self):
         betas = [np_exact_gaussian(GAUSS, n, math.log(0.01)).beta for n in (10, 100, 1000, 10000)]
@@ -87,8 +90,8 @@ def _bernoulli_exact(p0, p1, n, eps):
 class TestBernoulli:
     def test_single_sample_half_budget(self):
         r = np_exact_bernoulli(BERN, 1, math.log(0.5))
-        assert r.beta == pytest.approx(0.49, rel=1e-12)
-        assert r.achieved_alpha == pytest.approx(0.5, rel=1e-12)
+        assert r.beta == pytest.approx(0.49, rel=1e-12, abs=0.0)
+        assert r.achieved_alpha == pytest.approx(0.5, rel=1e-12, abs=0.0)
         # the defining property: the test spends the whole Type I budget
         assert _bernoulli_type1(BERN, 1, r.threshold, r.randomization) == pytest.approx(
             0.5, abs=1e-12
@@ -112,8 +115,8 @@ class TestBernoulli:
     def test_mirrored_pair(self):
         a = np_exact_bernoulli(BernoulliPair(0.4, 0.7), 12, math.log(0.05))
         b = np_exact_bernoulli(BernoulliPair(0.6, 0.3), 12, math.log(0.05))
-        assert a.beta == pytest.approx(b.beta, rel=1e-12)
-        assert a.achieved_alpha == pytest.approx(b.achieved_alpha, rel=1e-12)
+        assert a.beta == pytest.approx(b.beta, rel=1e-12, abs=0.0)
+        assert a.achieved_alpha == pytest.approx(b.achieved_alpha, rel=1e-12, abs=0.0)
         assert b.threshold == pytest.approx(12 - a.threshold, abs=1e-12)
 
     @pytest.mark.parametrize("n, eps", [(1, Fraction(3, 10)), (3, Fraction(1, 10))])
@@ -126,7 +129,7 @@ class TestBernoulli:
         r = np_exact_bernoulli(BERN, n, math.log(float(eps)))
         assert r.threshold == n
         assert r.randomization == pytest.approx(float(gamma), rel=1e-12, abs=0.0)
-        assert r.beta == pytest.approx(float(beta), rel=1e-12)
+        assert r.beta == pytest.approx(float(beta), rel=1e-12, abs=0.0)
         assert r.log_beta == pytest.approx(math.log(beta), rel=1e-12, abs=1e-15)
         assert r.achieved_alpha == pytest.approx(float(alpha), rel=1e-12, abs=0.0)
 
@@ -149,13 +152,89 @@ class TestBernoulli:
 
     def test_log_beta_consistent(self):
         r = np_exact_bernoulli(BERN, 500, math.log(0.01))
-        assert r.beta == pytest.approx(math.exp(r.log_beta), rel=1e-12)
+        assert r.beta == pytest.approx(math.exp(r.log_beta), rel=1e-12, abs=0.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
             np_exact_bernoulli(GAUSS, 10, math.log(0.1))
         with pytest.raises(DomainError):
             np_exact_bernoulli(BERN, 10, 0.5)
+
+
+def _outcome(oracle, pair, n, log_eps):
+    # every field by repr (so -0.0 and 0.0 differ), or the error raised
+    try:
+        return repr(oracle(pair, n, log_eps))
+    except DomainError as e:
+        return f"DomainError: {e}"
+
+
+def _same_as_fullrange(p0, p1, n, log_eps):
+    pair = BernoulliPair(p0, p1)
+    want = _outcome(np_exact_bernoulli_fullrange, pair, n, log_eps)
+    assert _outcome(np_exact_bernoulli, pair, n, log_eps) == want, (p0, p1, n, log_eps)
+    return want
+
+
+_prob = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
+_log_eps = st.one_of(
+    st.sampled_from([0.0, -math.inf]),
+    st.floats(min_value=-3000.0, max_value=0.0),
+    st.floats(min_value=-17.0, max_value=-0.1).map(lambda u: math.log1p(-(10.0**u))),
+    st.floats(min_value=-18.0, max_value=-10.0).map(lambda u: -(10.0**u)),
+)
+
+
+class TestBernoulliWindow:
+    """np_exact_bernoulli forms only counts from the P0 mean up; the
+    full-range reference in bruteforce.py must give the same bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_prob, _prob, st.integers(min_value=1, max_value=20_000), _log_eps)
+    @example(0.4, 0.7, 12, math.log(0.05))
+    @example(0.6, 0.3, 12, math.log(0.05))  # mirrored
+    @example(0.3, 0.8, 20_000, -2000.0)
+    @example(0.9, 0.2, 20_000, math.log(0.3))  # mirrored, k far from n p0
+    def test_bit_identical_to_fullrange(self, p0, p1, n, log_eps):
+        assume(p0 != p1)
+        _same_as_fullrange(p0, p1, n, log_eps)
+
+    @pytest.mark.parametrize("p0, p1", [(0.5, 0.51), (0.51, 0.5)])
+    @pytest.mark.parametrize("n", [1, 7, 20_000])
+    def test_eps_one_and_zero(self, p0, p1, n):
+        for log_eps in (0.0, -0.0, -math.inf):
+            _same_as_fullrange(p0, p1, n, log_eps)
+        assert np_exact_bernoulli(BernoulliPair(p0, p1), n, 0.0).beta == 0.0
+        assert np_exact_bernoulli(BernoulliPair(p0, p1), n, -math.inf).beta == 1.0
+
+    @pytest.mark.parametrize("n, eps", [(1, 0.3), (3, 0.1), (40, 1e-13)])
+    def test_boundary_class_at_n(self, n, eps):
+        _same_as_fullrange(0.5, 0.51, n, math.log(eps))
+        assert np_exact_bernoulli(BERN, n, math.log(eps)).threshold == n
+
+    @pytest.mark.parametrize("p0, p1", [(0.5, 0.51), (0.3, 0.6), (0.8, 0.1)])
+    @pytest.mark.parametrize("eps", [0.6, 0.9, 1.0 - 1e-9])
+    def test_eps_above_the_tail_at_the_mean(self, p0, p1, eps):
+        # eps >= P0(S >= mean): the boundary class lies below the P0 mean,
+        # so the counts below it must be formed too.
+        n = 2000
+        r = np_exact_bernoulli(BernoulliPair(p0, p1), n, math.log(eps))
+        k = n - r.threshold if p1 < p0 else r.threshold
+        assert k < int(n * (1.0 - p0 if p1 < p0 else p0))
+        _same_as_fullrange(p0, p1, n, math.log(eps))
+
+    def test_refusal_is_the_same_error(self):
+        # the refusal that test_tie_randomization_above_one_is_a_domain_error pins
+        want = _same_as_fullrange(0.51, 0.5, 10_000, math.log(1.0 - 1e-12))
+        assert want.startswith("DomainError: np_exact_bernoulli: rounding in the log P0 tail")
+
+    def test_log_factorials_table(self):
+        for n in (5, 20_000, 3, 1, 700, 20_000, 64, 63, 2):
+            got = _log_factorials(n)
+            assert np.array_equal(got, gammaln(np.arange(n + 1) + 1)), n
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1.0
 
 
 class TestBruteforce:
@@ -330,7 +409,7 @@ class TestTypeClasses:
         r = np_exact_discrete(pair, 5, -737.0)
         assert math.isfinite(r.log_beta) and r.log_beta < 0.0
         assert math.log(-r.log_beta) == pytest.approx(-737.0 + 5 * math.log(6.0), abs=1e-6)
-        assert r.threshold == pytest.approx(5 * math.log(6.0), rel=1e-14)
+        assert r.threshold == pytest.approx(5 * math.log(6.0), rel=1e-14, abs=0.0)
 
 
 # A K-atom vector of positive weights, renormalized within the pair's 1e-12.
