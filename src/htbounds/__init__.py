@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`htbounds.numerics`       log-domain primitives and the 1-D maximizer
+* :mod:`htbounds.numerics`       log-domain primitives and the root solver
 * :mod:`htbounds.distributions`  distribution pairs and their divergences
 * :mod:`htbounds.bounds`         converse/achievability/sample-size bounds
 * :mod:`htbounds.oracle`         exact Neyman-Pearson optima

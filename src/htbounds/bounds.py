@@ -100,6 +100,9 @@ from .distributions import (
 )
 from .numerics import (
     DomainError,
+    _check_log_eps,
+    _check_log_prob,
+    _check_n,
     _newton_root,
     log_diff_exp,
     q_inverse,
@@ -190,14 +193,9 @@ class Exponential:
 ErrorRegime = Union[Constant, Linear, Exponential]
 
 
-def _check_n(n, minimum: int = 1) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < minimum:
-        raise DomainError(f"n must be an integer >= {minimum}, got {n!r}")
-
-
-def _check_log_eps(log_eps: float) -> None:
-    if not (isinstance(log_eps, (int, float)) and math.isfinite(log_eps) and log_eps < 0.0):
-        raise DomainError(f"log_eps must be finite and < 0, got {log_eps!r}")
+def _check_rate(c: float) -> None:
+    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
+        raise DomainError(f"rate c must be finite and > 0, got {c!r}")
 
 
 def eps_at(regime: ErrorRegime, n: int) -> tuple[float, float]:
@@ -240,17 +238,19 @@ def _tilt_root(
     here; the caller guarantees H_s(lo) > target > H_s(hi), with hi = inf
     standing for the limit.  ``lam`` is the start, which the callers take
     from the quadratic model psi(1 + h) ~ psi'(1) h + psi''(1) h^2 / 2.
-    Returns (l, psi(l)) from :func:`htbounds.numerics._newton_root` on the
-    offset l - s, or (inf, None) when the root lies beyond l - s = 2^40,
-    where every objective here equals its l = inf limit to about 1e-12.
+    Returns (l, psi(l), size of psi) from :func:`htbounds.numerics._newton_root`
+    on the offset l - s, or (inf, None, None) when the root lies beyond
+    l - s = 2^40, where every objective here equals its l = inf limit to
+    about 1e-12.
     """
 
     def resid(x):
-        psi, mean, var = _tilt(pair, x, direction)
+        psi, mean, var, psi_size = _tilt(pair, x, direction)
         size = abs(psi) + abs((x - s) * mean) + abs(target)
-        return psi - (x - s) * mean - target, -(x - s) * var, size, psi
+        return psi - (x - s) * mean - target, -(x - s) * var, size, (psi, psi_size)
 
-    return _newton_root(resid, lo, hi, lam, s)
+    lam, extra = _newton_root(resid, lo, hi, lam, s)
+    return (lam, *extra) if extra else (lam, None, None)
 
 
 def _argmax_by_root(slope: Callable, hi: float, start: float) -> float:
@@ -288,14 +288,14 @@ def _branch_one(pair: DistributionPair, n: int, log_eps: float) -> tuple[float, 
             return 0.0, None
         return -(((a - b) / (math.sqrt(a) + math.sqrt(b))) ** 2), math.sqrt(a / b)
     t = log_eps / n
-    _, d, v = _tilt(pair, 1.0, Direction.REVERSE)
+    _, d, v, _ = _tilt(pair, 1.0, Direction.REVERSE)
     if t >= -d:
         return 0.0, None
     top = _tilt_atoms(pair, Direction.REVERSE)
     lam = math.inf
     if t > top.log_q_top:
         start = math.sqrt(1.0 + 2.0 * (-t - d) / v) if v > 0.0 else math.nan
-        lam, psi = _tilt_root(pair, Direction.REVERSE, 0.0, t, 1.0, math.inf, start)
+        lam, psi, _ = _tilt_root(pair, Direction.REVERSE, 0.0, t, 1.0, math.inf, start)
     if lam == math.inf:
         return log_eps + n * top.d_inf, lam
     return ((lam - 1.0) * log_eps + n * psi) / lam, lam
@@ -313,12 +313,12 @@ def _branch_two(pair: DistributionPair, n: int, log_1m_eps: float) -> tuple[floa
         lam = max(1.0 + math.sqrt(a / b), _ABOVE_ONE)
         return -((math.sqrt(a) + math.sqrt(b)) ** 2), lam
     u = log_1m_eps / n
-    _, _, v = _tilt(pair, 1.0, Direction.FORWARD)
+    _, _, v, _ = _tilt(pair, 1.0, Direction.FORWARD)
     top = _tilt_atoms(pair, Direction.FORWARD)
     lam = math.inf
     if u > top.log_q_top + top.d_inf:
         start = max(1.0 + math.sqrt(-2.0 * u / v), _ABOVE_ONE) if v > 0.0 else math.nan
-        lam, psi = _tilt_root(pair, Direction.FORWARD, 1.0, u, 1.0, math.inf, start)
+        lam, psi, _ = _tilt_root(pair, Direction.FORWARD, 1.0, u, 1.0, math.inf, start)
     if lam == math.inf:
         return log_1m_eps - n * top.d_inf, lam
     return (lam * log_1m_eps - n * psi) / (lam - 1.0), lam
@@ -349,8 +349,7 @@ def phase_transition_converse(pair: DistributionPair, n: int, c: float) -> Bound
     which tends to 1: above the divergence the test problem flips phase.
     """
     _check_n(n)
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
-        raise DomainError(f"rate c must be finite and > 0, got {c!r}")
+    _check_rate(c)
     d_rev = kl_divergence(pair, Direction.REVERSE)
     if c <= d_rev:
         raise DomainError(
@@ -390,8 +389,7 @@ def renyi_achievability_at_threshold(
     _check_n(n)
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)):
         raise DomainError(f"tau must be finite, got {tau!r}")
-    if not (isinstance(log_alpha, (int, float)) and log_alpha <= 0.0 and not math.isnan(log_alpha)):
-        raise DomainError(f"log_alpha must lie in [-inf, 0], got {log_alpha!r}")
+    _check_log_prob("log_alpha", log_alpha)
     lo, hi = _EDGE, 1.0 - _EDGE
     if isinstance(pair, GaussianPair):
         a = n * (pair.delta / pair.sigma) ** 2
@@ -404,21 +402,20 @@ def renyi_achievability_at_threshold(
                     ulps * abs(h) * (0.5 * lam * a + abs(tau)),
                     ulps * lam * (0.5 * abs(h) * a + abs(tau)))
     else:
-        atoms = _tilt_atoms(pair, Direction.REVERSE)
+        ulps = (_tilt_atoms(pair, Direction.REVERSE).p.size + 8) * _EPS
         t = tau / n
 
         def slope(x):
-            _, mean, var = _tilt(pair, x, Direction.REVERSE)
+            _, mean, var, _ = _tilt(pair, x, Direction.REVERSE)
             return t - mean, -var, abs(t) + abs(mean), None
 
         def terms(lam):
-            psi, h = _tilt(pair, lam, Direction.REVERSE)[0], lam - 1.0
-            size = n * (abs(psi) + float(atoms.p @ np.abs(np.expm1(h * atoms.z))))
-            ulps = (atoms.p.size + 8) * _EPS
+            psi, _, _, psi_size = _tilt(pair, lam, Direction.REVERSE)
+            h, size = lam - 1.0, n * (abs(psi) + psi_size)
             return (n * psi - lam * tau, n * psi - h * tau,
                     ulps * (size + abs(h * tau)), ulps * (size + abs(lam * tau)))
 
-        _, d, v = _tilt(pair, 1.0, Direction.REVERSE)
+        _, d, v, _ = _tilt(pair, 1.0, Direction.REVERSE)
         lam = _argmax_by_root(slope, 1.0, 1.0 + (t - d) / v if v > 0.0 else 0.5)
 
     def log_value_at(lam):
@@ -446,18 +443,24 @@ def renyi_achievability_at_threshold(
 def threshold_for_rate(pair: DistributionPair, n: int, c: float, lam: float) -> float:
     """Log-LR threshold whose Markov bound pins the Type I error at e^{-nc}.
 
-    tau = n D_lam(P1||P0) - n (D_lam(P1||P0) - c) / lam for lam in (0,1);
+    tau = n D_lam(P1||P0) - n (D_lam(P1||P0) - c) / lam for lam in (0,1),
+    formed as n (psi(lam) + c) / lam with psi(lam) = (lam - 1) D_lam, the
+    reverse-direction tilted log-sum, which keeps its accuracy as lam -> 1;
     requires c < D_lam(P1||P0) so the threshold sits below n D_lam.
     """
     _check_n(n)
     if not (isinstance(lam, (int, float)) and 0.0 < lam < 1.0):
         raise DomainError(f"lam must lie in (0, 1), got {lam!r}")
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
-        raise DomainError(f"rate c must be finite and > 0, got {c!r}")
-    d = renyi_divergence(pair, lam, Direction.REVERSE)
+    _check_rate(c)
+    if isinstance(pair, GaussianPair):
+        d = renyi_divergence(pair, lam, Direction.REVERSE)
+        psi = (lam - 1.0) * d
+    else:
+        psi = _tilt(pair, lam, Direction.REVERSE)[0]
+        d = psi / (lam - 1.0)
     if c >= d:
         raise DomainError(f"threshold_for_rate requires c < D_lambda(P1||P0) = {d:.6g}")
-    return n * (d - (d - c) / lam)
+    return n * (psi + c) / lam
 
 
 def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> BoundResult:
@@ -469,8 +472,7 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
     of the achievability bound dropped.
     """
     _check_n(n)
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
-        raise DomainError(f"rate c must be finite and > 0, got {c!r}")
+    _check_rate(c)
     d_rev = kl_divergence(pair, Direction.REVERSE)
     if c >= d_rev:
         raise DomainError(
@@ -484,17 +486,17 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
         lam = math.sqrt(c / d_rev)
         exponent = n * ((d_rev - c) / (math.sqrt(d_rev) + math.sqrt(c))) ** 2
     else:
-        _, d, v = _tilt(pair, 1.0, Direction.REVERSE)
+        _, d, v, _ = _tilt(pair, 1.0, Direction.REVERSE)
         start = 1.0 - 2.0 * (d - c) / v if v > 0.0 else math.nan
-        lam, psi = _tilt_root(pair, Direction.REVERSE, 0.0, -c, 0.0, 1.0,
-                              math.sqrt(start) if start > 0.0 else 0.5)
+        lam, psi, psi_size = _tilt_root(pair, Direction.REVERSE, 0.0, -c, 0.0, 1.0,
+                                        math.sqrt(start) if start > 0.0 else 0.5)
         # Near c = D the exponent is a small difference of terms of order
         # (l - 1) D; it is rounded down by a bound on their rounding error
         # so that the upper bound on beta never understates.
-        atoms = _tilt_atoms(pair, Direction.REVERSE)
         h = lam - 1.0
-        size = abs(c * h) + abs(psi) + float(atoms.p @ np.abs(np.expm1(h * atoms.z)))
-        exponent = n * (c * h - psi - (atoms.p.size + 8) * _EPS * size) / lam
+        size = abs(c * h) + abs(psi) + psi_size
+        ulps = (_tilt_atoms(pair, Direction.REVERSE).p.size + 8) * _EPS
+        exponent = n * (c * h - psi - ulps * size) / lam
     log_value = -exponent
     return BoundResult(
         float(np.exp(log_value)), log_value, lam, BoundKind.UPPER_BETA, exponent > 0.0

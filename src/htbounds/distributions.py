@@ -143,49 +143,104 @@ class LLRMoments:
     berry_constant: float
 
 
-def _atoms(pair: DistributionPair, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Probability atoms (first, second argument) over the common support."""
-    if isinstance(pair, BernoulliPair):
-        a0 = np.array([1.0 - pair.p0, pair.p0])
-        a1 = np.array([1.0 - pair.p1, pair.p1])
-    elif isinstance(pair, FiniteDiscretePair):
-        a0 = np.asarray(pair.p0, dtype=float)
-        a1 = np.asarray(pair.p1, dtype=float)
-        mask = a0 > 0.0
-        a0, a1 = a0[mask], a1[mask]
-    else:
-        raise UnsupportedFamilyError(f"no discrete atoms for {type(pair).__name__}")
-    if direction is Direction.REVERSE:
-        a0, a1 = a1, a0
-    return a0, a1
-
-
-@functools.lru_cache(maxsize=256)
-def _log_atoms(pair: DistributionPair, direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Log-probability atoms (first, second argument) over the common support.
-
-    Cached per (pair, direction), since pairs are frozen and hashable; the
-    arrays are read-only so no caller can change what the next one gets.
-    """
-    a0, a1 = _atoms(pair, direction)
-    logp, logq = np.log(a0), np.log(a1)
-    logp.flags.writeable = False
-    logq.flags.writeable = False
-    return logp, logq
-
-
 def _gaussian_d2(pair: GaussianPair) -> float:
     # Squared standardized separation (delta / sigma)^2.
     return (pair.delta / pair.sigma) ** 2
+
+
+class _TiltAtoms(NamedTuple):
+    logp: np.ndarray  # log p
+    p: np.ndarray  # the first argument's atoms, renormalized to sum 1
+    q: np.ndarray  # the second argument's atoms, renormalized to sum 1
+    z: np.ndarray  # log(p / q)
+    z_abs: float  # max |z|
+    d_inf: float  # D_inf = max z
+    log_q_top: float  # log Q(A), A the atoms where z = D_inf
+    kl: float  # D(P || Q) = sum p z = psi'(1)
+
+
+@functools.lru_cache(maxsize=256)
+def _tilt_atoms(pair: DistributionPair, direction: Direction) -> _TiltAtoms:
+    """The atoms of a discrete pair (first, second argument) that :func:`_tilt` sums.
+
+    Cached per (pair, direction), since pairs are frozen and hashable; the
+    arrays are read-only so no caller can change what the next one gets.
+    Atoms where both vectors vanish are dropped, and each vector is scaled
+    to sum to 1.  z is log1p((p - q) / q) where p / q lies within (1/2, 3/2),
+    so it keeps its relative accuracy as p -> q, where log p - log q cancels.
+    """
+    if isinstance(pair, BernoulliPair):
+        p, q = np.array([1.0 - pair.p0, pair.p0]), np.array([1.0 - pair.p1, pair.p1])
+    elif isinstance(pair, FiniteDiscretePair):
+        p, q = np.array(pair.p0), np.array(pair.p1)
+        p, q = p[p > 0.0], q[p > 0.0]
+    else:
+        raise UnsupportedFamilyError(f"no discrete atoms for {type(pair).__name__}")
+    if direction is Direction.REVERSE:
+        p, q = q, p
+    p, q = p / p.sum(), q / q.sum()
+    z = np.log(p / q)
+    near = np.abs(p - q) < 0.5 * q
+    z[near] = np.log1p((p[near] - q[near]) / q[near])
+    logp = np.log(p)
+    for arr in (logp, p, q, z):
+        arr.flags.writeable = False
+    d_inf = float(z.max())
+    return _TiltAtoms(logp, p, q, z, float(np.max(np.abs(z))), d_inf,
+                      float(np.log(q[z == d_inf].sum())), float(p @ z))
+
+
+def _tilt(pair: DistributionPair, lam: float,
+          direction: Direction) -> tuple[float, float, float, float]:
+    """The tilted log-sum psi(lam) = log sum p^lam q^(1-lam), psi', psi'' and a size.
+
+    With z = log(p / q), psi'(lam) and psi''(lam) are the mean and the
+    variance of z under the tilted law proportional to p^lam q^(1-lam), so
+    psi is convex with psi(0) = psi(1) = 0 and D_lam = psi(lam) / (lam - 1).
+    Near either zero psi is an expansion about it, which keeps its
+    relative accuracy where a log-sum-exp cancels to nothing: while
+    lam < 1/2 and lam max|z| <= 1/2, psi = log1p(sum q expm1(lam z)) (the
+    step is lam itself: lam - 1 would round away 1e-7 of lam = 1e-9), and
+    while |lam - 1| max|z| <= 1/2, psi = log1p(sum p expm1((lam - 1) z)).
+    Elsewhere the sum is shifted by the z that dominates it (the largest
+    for lam > 1, the smallest for lam < 1), so no term overflows and the
+    top atoms keep their exact log-probabilities however large lam is.  As
+    lam -> inf, psi(lam) - lam D_inf tends to log Q(A) (see
+    :func:`_tilt_atoms`).  The size is the magnitude psi was summed from:
+    sum |q expm1(lam z)| or sum |p expm1((lam - 1) z)| in the expansions,
+    and in the shifted sum a bound on its terms and on the errors z
+    carries into them; psi is within a few ulps of |psi| + size per atom.
+    Discrete pairs only; lam is a float > 0.
+    """
+    logp, p, q, z, z_abs, _, _, _ = _tilt_atoms(pair, direction)
+    h = lam - 1.0
+    near_zero = lam < 0.5 and lam * z_abs <= 0.5
+    if near_zero or abs(h) * z_abs <= 0.5:
+        base = q if near_zero else p
+        w = base * np.expm1((lam if near_zero else h) * z)
+        terms = w.tolist()  # Python sums: faster than numpy's for a few atoms
+        s = math.fsum(terms)
+        psi, size, total = math.log1p(s), sum(map(abs, terms)), 1.0 + s
+        w += base
+    else:
+        z_top = float(z.max() if h > 0.0 else z.min())
+        x = logp + h * (z - z_top)  # every term is <= 0
+        x_max = float(x.max())
+        w = np.exp(x - x_max)
+        total = float(w.sum())
+        log_total = math.log(total)
+        psi = h * z_top + x_max + log_total
+        size = 2.0 * (abs(h) * z_abs - float(w @ x) / total) + log_total
+    mean = float(w @ z) / total
+    dz = z - mean
+    return psi, mean, float(w @ (dz * dz)) / total, size
 
 
 def kl_divergence(pair: DistributionPair, direction: Direction) -> float:
     """Kullback-Leibler divergence of the pair in the given direction (nats)."""
     if isinstance(pair, GaussianPair):
         return _gaussian_d2(pair) / 2.0
-    logp, logq = _log_atoms(pair, direction)
-    p = np.exp(logp)
-    return float(np.sum(p * (logp - logq)))
+    return _tilt_atoms(pair, direction).kl
 
 
 def _lambda_error(arr: np.ndarray) -> DomainError:
@@ -201,9 +256,10 @@ def renyi_divergence(pair: DistributionPair, lam, direction: Direction):
     """Renyi divergence D_lambda of the pair; lam may be a scalar or array.
 
     D_lambda(P || Q) = log( sum p^lambda q^(1-lambda) ) / (lambda - 1)
-    for discrete pairs; for Gaussians it is lambda * delta^2 / (2 sigma^2)
-    in either direction.  Requires lam > 0 and lam != 1 (the lam -> 1
-    limit is the KL divergence; call kl_divergence for it).
+    for discrete pairs (the tilted log-sum of :func:`_tilt` over
+    lambda - 1); for Gaussians it is lambda * delta^2 / (2 sigma^2) in
+    either direction.  Requires lam > 0 and lam != 1 (the lam -> 1 limit
+    is the KL divergence; call kl_divergence for it).
     """
     lam = _float_or_array(lam)
     if isinstance(lam, float):
@@ -211,92 +267,28 @@ def renyi_divergence(pair: DistributionPair, lam, direction: Direction):
             raise _lambda_error(np.asarray(lam))
         if isinstance(pair, GaussianPair):
             return lam * (_gaussian_d2(pair) / 2.0)
-        logp, logq = _log_atoms(pair, direction)
-        return float(np.logaddexp.reduce(lam * logp + (1.0 - lam) * logq) / (lam - 1.0))
+        return _tilt(pair, lam, direction)[0] / (lam - 1.0)
     if not (lam.size and np.all((lam > 0.0) & (lam < math.inf) & (lam != 1.0))):
         raise _lambda_error(lam)
     if isinstance(pair, GaussianPair):
         return lam * (_gaussian_d2(pair) / 2.0)
-    logp, logq = _log_atoms(pair, direction)
-    lam_col = lam.reshape(lam.shape + (1,))
-    return np.logaddexp.reduce(lam_col * logp + (1.0 - lam_col) * logq, axis=-1) / (lam - 1.0)
-
-
-class _TiltAtoms(NamedTuple):
-    logp: np.ndarray  # log p
-    p: np.ndarray  # the first argument's atoms, renormalized to sum 1
-    z: np.ndarray  # log(p / q), q the second argument's atoms, renormalized
-    z_abs: float  # max |z|
-    d_inf: float  # D_inf = max z
-    log_q_top: float  # log Q(A), A the atoms where z = D_inf
-
-
-@functools.lru_cache(maxsize=256)
-def _tilt_atoms(pair: DistributionPair, direction: Direction) -> _TiltAtoms:
-    """What :func:`_tilt` needs of the pair's atoms, cached like them.
-
-    z is log1p((p - q) / q) where p / q lies within (1/2, 3/2), so it keeps
-    its relative accuracy as p -> q, where log p - log q cancels.
-    """
-    p, q = _atoms(pair, direction)
-    p, q = p / p.sum(), q / q.sum()
-    z = np.log(p / q)
-    near = np.abs(p - q) < 0.5 * q
-    z[near] = np.log1p((p[near] - q[near]) / q[near])
-    logp = np.log(p)
-    for arr in (logp, p, z):
-        arr.flags.writeable = False
-    d_inf = z.max()
-    log_q_top = np.log(q[z == d_inf].sum())
-    return _TiltAtoms(logp, p, z, float(np.max(np.abs(z))), float(d_inf), float(log_q_top))
-
-
-def _tilt(pair: DistributionPair, lam: float, direction: Direction) -> tuple[float, float, float]:
-    """The tilted log-sum psi(lam) = log sum p^lam q^(1-lam) and its two derivatives.
-
-    With z = log(p / q), psi'(lam) and psi''(lam) are the mean and the
-    variance of z under the tilted law proportional to p^lam q^(1-lam), so
-    psi is convex with psi(1) = 0 and D_lam = psi(lam) / (lam - 1).  While
-    |lam - 1| max|z| <= 1/2, psi is log1p(sum p expm1((lam - 1) z)) over
-    atoms renormalized to sum 1, which keeps its relative accuracy as
-    lam -> 1 where a log-sum-exp cancels to nothing.  Further out the sum
-    is shifted by the z that dominates it (the largest for lam > 1, the
-    smallest for lam < 1), so no term overflows and the top atoms keep
-    their exact log-probabilities however large lam is.  As lam -> inf,
-    psi(lam) - lam D_inf tends to log Q(A) (see :func:`_tilt_atoms`).
-    Discrete pairs only; lam is a float > 0.
-    """
-    logp, p, z, z_abs, _, _ = _tilt_atoms(pair, direction)
-    h = lam - 1.0
-    if abs(h) * z_abs <= 0.5:
-        w = p * np.expm1(h * z)
-        s = float(w.sum())
-        psi = math.log1p(s)
-        w += p
-        total = 1.0 + s
-    else:
-        z_top = float(z.max() if h > 0.0 else z.min())
-        x = logp + h * (z - z_top)
-        x_max = float(x.max())
-        w = np.exp(x - x_max)
-        total = float(w.sum())
-        psi = h * z_top + x_max + math.log(total)
-    mean = float(w @ z) / total
-    dz = z - mean
-    return psi, mean, float(w @ (dz * dz)) / total
+    psi = [_tilt(pair, x, direction)[0] for x in lam.ravel().tolist()]
+    return np.reshape(psi, lam.shape) / (lam - 1.0)
 
 
 def hellinger_squared(pair: DistributionPair) -> float:
-    """Squared Hellinger distance H^2 = 1 - sum sqrt(p0 p1) in [0, 1]."""
+    """Squared Hellinger distance H^2 = 1 - sum sqrt(p0 p1) = 1 - e^psi(1/2) in [0, 1]."""
     if isinstance(pair, GaussianPair):
         return float(-np.expm1(-_gaussian_d2(pair) / 8.0))
-    logp, logq = _log_atoms(pair, Direction.FORWARD)
-    log_affinity = np.logaddexp.reduce(0.5 * (logp + logq))
-    return float(-np.expm1(min(log_affinity, 0.0)))
+    return -math.expm1(min(_tilt(pair, 0.5, Direction.FORWARD)[0], 0.0))
 
 
 def llr_moments(pair: DistributionPair) -> LLRMoments:
-    """Mean, variance, and absolute third central moment of log(p0/p1) under P0."""
+    """Mean, variance, and absolute third central moment of log(p0/p1) under P0.
+
+    For discrete pairs the mean and variance are psi'(1) and psi''(1) of
+    the forward tilted log-sum (see :func:`_tilt`).
+    """
     if isinstance(pair, GaussianPair):
         d = abs(pair.delta) / pair.sigma
         variance = d * d
@@ -307,12 +299,9 @@ def llr_moments(pair: DistributionPair) -> LLRMoments:
             third_abs_central=third,
             berry_constant=6.0 * math.sqrt(8.0 / math.pi),
         )
-    logp, logq = _log_atoms(pair, Direction.FORWARD)
-    w = np.exp(logp)
-    z = logp - logq
-    mean = float(np.sum(w * z))
-    variance = float(np.sum(w * (z - mean) ** 2))
-    third = float(np.sum(w * np.abs(z - mean) ** 3))
+    atoms = _tilt_atoms(pair, Direction.FORWARD)
+    _, mean, variance, _ = _tilt(pair, 1.0, Direction.FORWARD)
+    third = float(atoms.p @ np.abs(atoms.z - mean) ** 3)
     berry = 6.0 * third / variance**1.5 if variance > 0.0 else 0.0
     return LLRMoments(mean=mean, variance=variance, third_abs_central=third, berry_constant=berry)
 

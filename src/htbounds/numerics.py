@@ -19,12 +19,12 @@ This module is the numerical kernel shared by every bound evaluation:
 
 All functions are pure and thread-safe, and so are the divergences in
 :mod:`htbounds.distributions` and the oracles in :mod:`htbounds.oracle`.
-Their only shared state is read-only once built: a bounded per-pair
-cache of log atoms and one cached table of log k!.  The ``Q`` family and
-``log_diff_exp`` accept scalars or numpy arrays; scalar input yields a
-plain ``float``.  ``q_inverse`` and ``log_diff_exp`` check it with plain
-comparisons and apply the same numpy ufuncs as for arrays, so both paths
-give the same bits and the same errors.
+Their only shared state is read-only once built: one bounded cache of
+atoms per pair and direction, and one cached table of log k!.  The ``Q``
+family and ``log_diff_exp`` accept scalars or numpy arrays; scalar input
+yields a plain ``float``.  ``q_inverse`` and ``log_diff_exp`` check it
+with plain comparisons and apply the same numpy ufuncs as for arrays, so
+both paths give the same bits and the same errors.
 """
 
 from __future__ import annotations
@@ -59,6 +59,21 @@ _EPS = sys.float_info.epsilon
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
+
+
+def _check_n(n, minimum: int = 1) -> None:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < minimum:
+        raise DomainError(f"n must be an integer >= {minimum}, got {n!r}")
+
+
+def _check_log_eps(log_eps: float) -> None:
+    if not (isinstance(log_eps, (int, float)) and math.isfinite(log_eps) and log_eps < 0.0):
+        raise DomainError(f"log_eps must be finite and < 0, got {log_eps!r}")
+
+
+def _check_log_prob(name: str, value: float) -> None:
+    if not (isinstance(value, (int, float)) and value <= 0.0 and not math.isnan(value)):
+        raise DomainError(f"{name} must lie in [-inf, 0], got {value!r}")
 
 
 def _float_or_array(x):

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import BernoulliPair, FiniteDiscretePair, GaussianPair
-from .numerics import DomainError, log_diff_exp, log_q, q_function, q_inverse_log
+from .numerics import (DomainError, _check_log_eps, _check_log_prob, _check_n, log_diff_exp,
+                       log_q, q_function, q_inverse_log)
 
 __all__ = [
     "NPResult",
@@ -56,11 +57,6 @@ class NPResult:
     achieved_alpha: float
 
 
-def _check_n(n) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-
-
 @functools.lru_cache(maxsize=1)
 def _log_factorial_table(size: int) -> np.ndarray:
     table = gammaln(np.arange(size) + 1.0)
@@ -87,8 +83,7 @@ def np_exact_gaussian(pair: GaussianPair, n: int, log_eps: float) -> NPResult:
     if not isinstance(pair, GaussianPair):
         raise DomainError("np_exact_gaussian requires a GaussianPair")
     _check_n(n)
-    if not (isinstance(log_eps, (int, float)) and math.isfinite(log_eps) and log_eps < 0.0):
-        raise DomainError(f"log_eps must be finite and < 0, got {log_eps!r}")
+    _check_log_eps(log_eps)
     xq = q_inverse_log(log_eps)
     arg = math.sqrt(n) * abs(pair.delta) / pair.sigma - xq
     offset = pair.sigma * xq / math.sqrt(n)
@@ -115,8 +110,7 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     if not isinstance(pair, BernoulliPair):
         raise DomainError("np_exact_bernoulli requires a BernoulliPair")
     _check_n(n)
-    if not (isinstance(log_eps, (int, float)) and log_eps <= 0.0 and not math.isnan(log_eps)):
-        raise DomainError(f"log_eps must lie in [-inf, 0], got {log_eps!r}")
+    _check_log_prob("log_eps", log_eps)
     p0, p1 = pair.p0, pair.p1
     mirrored = p1 < p0  # LR increases in S iff p1 > p0; otherwise test on n - S
     if mirrored:
@@ -191,8 +185,7 @@ def np_exact_discrete(pair: FiniteDiscretePair, n: int, log_eps: float) -> NPRes
     if not isinstance(pair, FiniteDiscretePair):
         raise DomainError("np_exact_discrete requires a FiniteDiscretePair")
     _check_n(n)
-    if not (isinstance(log_eps, (int, float)) and log_eps <= 0.0 and not math.isnan(log_eps)):
-        raise DomainError(f"log_eps must lie in [-inf, 0], got {log_eps!r}")
+    _check_log_prob("log_eps", log_eps)
     check_type_count(pair, n)
     p0, p1 = ([m for m in p if m > 0.0] for p in (pair.p0, pair.p1))
     la0 = np.log(p0) - math.log(math.fsum(p0))

@@ -38,6 +38,7 @@ from htbounds.distributions import (
     FiniteDiscretePair,
     GaussianPair,
     UnsupportedFamilyError,
+    _tilt,
     kl_divergence,
     parse_pair,
     renyi_divergence,
@@ -407,6 +408,17 @@ class TestThresholdForRate:
             with pytest.raises(DomainError):
                 threshold_for_rate(GAUSS, 100, D_GAUSS / 2, bad)
 
+    def test_near_one_matches_mpmath(self):
+        # tau = n (psi(l) + c) / l at the sweep's near-critical cell, where
+        # forming it from D_l by a log-sum-exp lost 1.7e-13 relative.
+        n, lam = 2000, 0.9999995
+        c = 0.999999 * kl_divergence(BERN, Direction.REVERSE)
+        rev = _mp_atoms(BERN, Direction.REVERSE)
+        with mpmath.workdps(60):
+            lm = mpmath.mpf(lam)
+            want = float(n * (_mp_psi(rev, lm) + mpmath.mpf(c)) / lm)
+        assert threshold_for_rate(BERN, n, c, lam) == pytest.approx(want, rel=1e-15, abs=0.0)
+
 
 def _mp_min_u(pair, n, tau):
     """min of u(l) = n psi(l) - l tau over l in [1e-9, 1 - 1e-9], at 60 digits.
@@ -508,6 +520,25 @@ class TestRenyiAchievabilityAtThreshold:
                     assert r.valid, case
                     assert r.log_value == pytest.approx(want, rel=1e-11, abs=0.0), case
                     assert r.log_value >= want, case
+
+    @pytest.mark.parametrize("spec", ("bernoulli:0.5,0.7", "discrete:0.7,0.2,0.1|0.1,0.3,0.6"))
+    def test_order_below_half_is_sound(self, spec):
+        # tau = n psi'(l0) puts the optimal order at l0 < 1/2, where psi is
+        # summed about l = 0 (and, for the K = 3 pair at l0 = 0.3, as a
+        # shifted sum); the value is still never below mpmath.
+        pair = parse_pair(spec)
+        n = 400
+        for lam0 in (0.1, 0.3):
+            tau = n * _tilt(pair, lam0, Direction.REVERSE)[1]
+            u_min = _mp_min_u(pair, n, tau)
+            for log_alpha in (-math.inf, float(u_min) - 2.0):
+                r = renyi_achievability_at_threshold(pair, n, tau, log_alpha)
+                with mpmath.workdps(60):
+                    want = float(tau + u_min + mpmath.log1p(-mpmath.exp(log_alpha - u_min)))
+                case = (lam0, log_alpha, r.optimizer)
+                assert r.valid and r.optimizer == pytest.approx(lam0, rel=1e-9, abs=0.0), case
+                assert r.log_value == pytest.approx(want, rel=1e-11, abs=0.0), case
+                assert r.log_value >= want, case
 
     def test_near_critical_exponent_matches_mpmath(self):
         # The sweep's cell at c just below D, where forming (l - 1) n D_l

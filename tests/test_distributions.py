@@ -1,7 +1,9 @@
 """Tests for distribution pairs, divergences, and the pair grammar.
 
 Reference divergence and moment values are from an independent mpmath
-computation at 60 digits, pinned to 17 significant figures.
+computation at 60 digits, pinned to 17 significant figures, or formed at
+60 digits in the test on the pair's atoms, each vector scaled to sum to
+exactly 1 as the library documents.
 """
 
 import math
@@ -17,7 +19,7 @@ from htbounds.distributions import (
     GaussianPair,
     PairSpecError,
     UnsupportedFamilyError,
-    _log_atoms,
+    _tilt_atoms,
     hellinger_squared,
     kl_divergence,
     llr_moments,
@@ -84,40 +86,105 @@ class TestConstructors:
         assert pair.p0 == (1.0, 0.0, 0.0, 0.0)
 
 
+def mp_atoms(pair, direction):
+    """The pair's float atoms as mpmath numbers, first argument first.
+
+    Each vector is scaled to sum to exactly 1: 0.999 + 0.001 is not 1 in
+    exact arithmetic on the floats.
+    """
+    if isinstance(pair, BernoulliPair):
+        p0, p1 = (1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1)
+    else:
+        p0, p1 = pair.p0, pair.p1
+    with mpmath.workdps(60):
+        p = [mpmath.mpf(v) / mpmath.fsum(p0) for v in p0]
+        q = [mpmath.mpf(v) / mpmath.fsum(p1) for v in p1]
+    return (p, q) if direction is Direction.FORWARD else (q, p)
+
+
+# Pairs near each other (0.5 vs 0.51, where log p - log q cancels), apart,
+# and with a tiny atom, plus the K = 3 and K = 4 pairs of TestRenyi.
+MP_SPECS = (
+    "bernoulli:0.5,0.51",
+    "bernoulli:0.3,0.2",
+    "discrete:0.999,0.001|0.998,0.002",
+    "discrete:0.2,0.3,0.5|0.4,0.4,0.2",
+    "discrete:0.1,0.2,0.3,0.4|0.25,0.25,0.25,0.25",
+)
+
+
+@pytest.mark.parametrize("spec", MP_SPECS)
+class TestMpmathReferences:
+    """KL, Hellinger and the LLR moments within 1e-14 relative of 60 digits."""
+
+    def test_kl_both_directions(self, spec):
+        pair = parse_pair(spec)
+        for direction in Direction:
+            p, q = mp_atoms(pair, direction)
+            with mpmath.workdps(60):
+                want = float(mpmath.fsum(a * mpmath.log(a / b) for a, b in zip(p, q)))
+            got = kl_divergence(pair, direction)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), direction
+
+    def test_hellinger(self, spec):
+        pair = parse_pair(spec)
+        p, q = mp_atoms(pair, Direction.FORWARD)
+        with mpmath.workdps(60):
+            want = float(1 - mpmath.fsum(mpmath.sqrt(a * b) for a, b in zip(p, q)))
+        assert hellinger_squared(pair) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_llr_moments(self, spec):
+        pair = parse_pair(spec)
+        p, q = mp_atoms(pair, Direction.FORWARD)
+        with mpmath.workdps(60):
+            z = [mpmath.log(a / b) for a, b in zip(p, q)]
+            mean = mpmath.fsum(a * x for a, x in zip(p, z))
+            var = mpmath.fsum(a * (x - mean) ** 2 for a, x in zip(p, z))
+            third = mpmath.fsum(a * abs(x - mean) ** 3 for a, x in zip(p, z))
+        m = llr_moments(pair)
+        assert m.mean == pytest.approx(float(mean), rel=1e-14, abs=0.0)
+        assert m.variance == pytest.approx(float(var), rel=1e-14, abs=0.0)
+        assert m.third_abs_central == pytest.approx(float(third), rel=1e-14, abs=0.0)
+
+
 class TestKL:
     def test_bernoulli_reference(self):
-        assert kl_divergence(BERN, Direction.FORWARD) == pytest.approx(BERN_KL_FWD, rel=1e-12)
-        assert kl_divergence(BERN, Direction.REVERSE) == pytest.approx(BERN_KL_REV, rel=1e-12)
-        assert kl_divergence(BERN06, Direction.REVERSE) == pytest.approx(BERN06_KL_REV, rel=1e-12)
+        for pair, direction, want in ((BERN, Direction.FORWARD, BERN_KL_FWD),
+                                      (BERN, Direction.REVERSE, BERN_KL_REV),
+                                      (BERN06, Direction.REVERSE, BERN06_KL_REV)):
+            got = kl_divergence(pair, direction)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (pair, direction)
 
     def test_gaussian_closed_form(self):
-        assert kl_divergence(GAUSS, Direction.FORWARD) == pytest.approx(0.00125, rel=1e-15)
-        assert kl_divergence(GAUSS, Direction.REVERSE) == pytest.approx(0.00125, rel=1e-15)
+        assert kl_divergence(GAUSS, Direction.FORWARD) == pytest.approx(0.00125, rel=1e-15, abs=0.0)
+        assert kl_divergence(GAUSS, Direction.REVERSE) == pytest.approx(0.00125, rel=1e-15, abs=0.0)
         scaled = GaussianPair(-1.0, 1.0, 2.0)  # delta/sigma = 0.5
-        assert kl_divergence(scaled, Direction.FORWARD) == pytest.approx(0.125, rel=1e-15)
+        assert kl_divergence(scaled, Direction.FORWARD) == pytest.approx(0.125, rel=1e-15, abs=0.0)
 
     def test_discrete_matches_bernoulli(self):
         pair = FiniteDiscretePair((0.5, 0.5), (0.49, 0.51))
-        assert kl_divergence(pair, Direction.FORWARD) == pytest.approx(BERN_KL_FWD, rel=1e-12)
+        got = kl_divergence(pair, Direction.FORWARD)
+        assert got == pytest.approx(BERN_KL_FWD, rel=1e-12, abs=0.0)
 
 
 class TestRenyi:
     def test_bernoulli_reference(self):
         assert renyi_divergence(BERN, 2.0, Direction.REVERSE) == pytest.approx(
-            BERN_D2_REV, rel=1e-12
+            BERN_D2_REV, rel=1e-12, abs=0.0
         )
 
     def test_gaussian_linear_in_lambda(self):
         for lam in (0.3, 0.5, 2.0, 7.0):
             assert renyi_divergence(GAUSS, lam, Direction.FORWARD) == pytest.approx(
-                lam * 0.00125, rel=1e-13
+                lam * 0.00125, rel=1e-13, abs=0.0
             )
 
     def test_array_matches_scalar(self):
         lams = np.array([0.3, 0.9, 1.5, 4.0])
         arr = renyi_divergence(BERN, lams, Direction.FORWARD)
         for lam, v in zip(lams, arr):
-            assert v == pytest.approx(renyi_divergence(BERN, float(lam), Direction.FORWARD), rel=1e-14)
+            want = renyi_divergence(BERN, float(lam), Direction.FORWARD)
+            assert v == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_monotone_in_lambda(self):
         vals = [renyi_divergence(BERN06, lam, Direction.FORWARD) for lam in (0.2, 0.6, 1.5, 3.0, 10.0)]
@@ -131,9 +198,11 @@ class TestRenyi:
 
     def test_matches_mpmath(self):
         # Orders log-spaced towards 0, towards 1 from both sides, and out
-        # to 1 + 1e6.  The two 1/... terms of the tolerance allow for the
-        # formula's own cancellation near lambda = 1 and lambda = 0.
+        # to 1 + 1e6, within a flat 1e-13 relative: the tilted log-sum is
+        # an expansion about lambda = 0 and about lambda = 1, so it keeps
+        # its accuracy towards both.
         specs = (
+            "bernoulli:0.5,0.51",
             "discrete:0.3,0.7|0.6,0.4",
             "discrete:0.999,0.001|0.998,0.002",
             "discrete:0.2,0.3,0.5|0.4,0.4,0.2",
@@ -149,19 +218,16 @@ class TestRenyi:
         for spec in specs:
             pair = parse_pair(spec)
             for direction in Direction:
-                p, q = (pair.p0, pair.p1) if direction is Direction.FORWARD else (pair.p1, pair.p0)
+                p, q = mp_atoms(pair, direction)
                 got = renyi_divergence(pair, lams, direction)
                 for lam, vec in zip(lams.tolist(), got.tolist()):
-                    with mpmath.workdps(50):
+                    with mpmath.workdps(60):
                         lam_mp = mpmath.mpf(lam)
-                        s = mpmath.fsum(
-                            mpmath.mpf(a) ** lam_mp * mpmath.mpf(b) ** (1 - lam_mp) for a, b in zip(p, q)
-                        )
+                        s = mpmath.fsum(a**lam_mp * b ** (1 - lam_mp) for a, b in zip(p, q))
                         ref = float(mpmath.log(s) / (lam_mp - 1))
-                    tol = max(1e-13, 1e-14 / abs(lam - 1.0), 1e-14 / lam)
                     scalar = renyi_divergence(pair, lam, direction)
                     for val in (vec, scalar):
-                        assert abs(val - ref) <= tol * abs(ref), (spec, direction, lam)
+                        assert abs(val - ref) <= 1e-13 * abs(ref), (spec, direction, lam)
 
     def test_lambda_validation(self):
         for bad in (1.0, 0.0, -2.0, math.nan, math.inf):
@@ -233,12 +299,12 @@ class TestRenyiFastPath:
 
 
 class TestAtomCache:
-    """White-box checks of the per-(pair, direction) cache in _log_atoms."""
+    """White-box checks of the per-(pair, direction) cache in _tilt_atoms."""
 
     def test_atoms_are_read_only(self):
         before = renyi_divergence(K3, 2.5, Direction.FORWARD)
-        logp, logq = _log_atoms(K3, Direction.FORWARD)
-        for arr in (logp, logq):
+        atoms = _tilt_atoms(K3, Direction.FORWARD)
+        for arr in (atoms.logp, atoms.p, atoms.q, atoms.z):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -255,41 +321,42 @@ class TestAtomCache:
                 )
 
     def test_directions_stay_distinct(self):
-        _log_atoms.cache_clear()
+        _tilt_atoms.cache_clear()
         pair = BernoulliPair(0.1, 0.35)
         fwd = [renyi_divergence(pair, lam, Direction.FORWARD) for lam in (0.3, 2.0)]
         rev = [renyi_divergence(pair, lam, Direction.REVERSE) for lam in (0.3, 2.0)]
         assert fwd[0] != rev[0] and fwd[1] != rev[1]
-        logp_f, logq_f = _log_atoms(pair, Direction.FORWARD)
-        logp_r, logq_r = _log_atoms(pair, Direction.REVERSE)
-        assert logp_f.tolist() == logq_r.tolist() and logq_f.tolist() == logp_r.tolist()
+        fwd_atoms = _tilt_atoms(pair, Direction.FORWARD)
+        rev_atoms = _tilt_atoms(pair, Direction.REVERSE)
+        assert fwd_atoms.p.tolist() == rev_atoms.q.tolist()
+        assert fwd_atoms.q.tolist() == rev_atoms.p.tolist()
         # From a cold cache the order of first use does not matter.
-        _log_atoms.cache_clear()
+        _tilt_atoms.cache_clear()
         assert [renyi_divergence(pair, lam, Direction.REVERSE) for lam in (0.3, 2.0)] == rev
         assert [renyi_divergence(pair, lam, Direction.FORWARD) for lam in (0.3, 2.0)] == fwd
 
     def test_unsupported_atoms(self):
         with pytest.raises(UnsupportedFamilyError):
-            _log_atoms(GAUSS, Direction.FORWARD)
+            _tilt_atoms(GAUSS, Direction.FORWARD)
 
     def test_cache_stays_bounded(self):
         for i in range(1000):
             renyi_divergence(BernoulliPair(0.5, 0.1 + 0.3 * i / 1000), 2.0, Direction.FORWARD)
-        info = _log_atoms.cache_info()
+        info = _tilt_atoms.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
 
 
 class TestHellinger:
     def test_reference_values(self):
-        assert hellinger_squared(BERN) == pytest.approx(BERN_H2, rel=1e-11)
-        assert hellinger_squared(GAUSS) == pytest.approx(GAUSS_H2, rel=1e-12)
+        assert hellinger_squared(BERN) == pytest.approx(BERN_H2, rel=1e-11, abs=0.0)
+        assert hellinger_squared(GAUSS) == pytest.approx(GAUSS_H2, rel=1e-12, abs=0.0)
 
     def test_direct_sum_agreement(self):
         direct = 1.0 - (
             math.sqrt(0.5 * 0.4) + math.sqrt(0.5 * 0.6)
         )
-        assert hellinger_squared(BERN06) == pytest.approx(direct, rel=1e-12)
+        assert hellinger_squared(BERN06) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_range(self):
         assert 0.0 < hellinger_squared(BERN) < 1.0
@@ -300,24 +367,24 @@ class TestHellinger:
 class TestLLRMoments:
     def test_bernoulli_reference(self):
         m = llr_moments(BERN)
-        assert m.mean == pytest.approx(BERN_KL_FWD, rel=1e-12)
-        assert m.variance == pytest.approx(BERN_LLR_VAR, rel=1e-12)
-        assert m.third_abs_central == pytest.approx(BERN_LLR_T3, rel=1e-12)
+        assert m.mean == pytest.approx(BERN_KL_FWD, rel=1e-12, abs=0.0)
+        assert m.variance == pytest.approx(BERN_LLR_VAR, rel=1e-12, abs=0.0)
+        assert m.third_abs_central == pytest.approx(BERN_LLR_T3, rel=1e-12, abs=0.0)
         # p0 = 1/2 makes the LLR a symmetric two-point variable, so
         # 6 E|Z - EZ|^3 / Var^{3/2} collapses to exactly 6.
-        assert m.berry_constant == pytest.approx(6.0, rel=1e-12)
+        assert m.berry_constant == pytest.approx(6.0, rel=1e-12, abs=0.0)
 
     def test_gaussian_reference(self):
         m = llr_moments(GAUSS)
-        assert m.mean == pytest.approx(0.00125, rel=1e-14)
-        assert m.variance == pytest.approx(0.0025, rel=1e-14)
-        assert m.third_abs_central == pytest.approx(GAUSS_T3, rel=1e-12)
-        assert m.berry_constant == pytest.approx(GAUSS_B, rel=1e-12)
+        assert m.mean == pytest.approx(0.00125, rel=1e-14, abs=0.0)
+        assert m.variance == pytest.approx(0.0025, rel=1e-14, abs=0.0)
+        assert m.third_abs_central == pytest.approx(GAUSS_T3, rel=1e-12, abs=0.0)
+        assert m.berry_constant == pytest.approx(GAUSS_B, rel=1e-12, abs=0.0)
 
     def test_mean_is_forward_kl(self):
         for pair in (BERN, BERN06, FiniteDiscretePair((0.2, 0.3, 0.5), (0.5, 0.25, 0.25))):
             assert llr_moments(pair).mean == pytest.approx(
-                kl_divergence(pair, Direction.FORWARD), rel=1e-11
+                kl_divergence(pair, Direction.FORWARD), rel=1e-11, abs=0.0
             )
 
     def test_identical_pair_degenerates(self):
