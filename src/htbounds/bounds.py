@@ -288,10 +288,10 @@ def _branch_one(pair: DistributionPair, n: int, log_eps: float) -> tuple[float, 
             return 0.0, None
         return -(((a - b) / (math.sqrt(a) + math.sqrt(b))) ** 2), math.sqrt(a / b)
     t = log_eps / n
-    _, d, v, _ = _tilt(pair, 1.0, Direction.REVERSE)
+    top = _tilt_atoms(pair, Direction.REVERSE)
+    d, v = top.kl, top.var
     if t >= -d:
         return 0.0, None
-    top = _tilt_atoms(pair, Direction.REVERSE)
     lam = math.inf
     if t > top.log_q_top:
         start = math.sqrt(1.0 + 2.0 * (-t - d) / v) if v > 0.0 else math.nan
@@ -313,8 +313,8 @@ def _branch_two(pair: DistributionPair, n: int, log_1m_eps: float) -> tuple[floa
         lam = max(1.0 + math.sqrt(a / b), _ABOVE_ONE)
         return -((math.sqrt(a) + math.sqrt(b)) ** 2), lam
     u = log_1m_eps / n
-    _, _, v, _ = _tilt(pair, 1.0, Direction.FORWARD)
     top = _tilt_atoms(pair, Direction.FORWARD)
+    v = top.var
     lam = math.inf
     if u > top.log_q_top + top.d_inf:
         start = max(1.0 + math.sqrt(-2.0 * u / v), _ABOVE_ONE) if v > 0.0 else math.nan
@@ -402,7 +402,8 @@ def renyi_achievability_at_threshold(
                     ulps * abs(h) * (0.5 * lam * a + abs(tau)),
                     ulps * lam * (0.5 * abs(h) * a + abs(tau)))
     else:
-        ulps = (_tilt_atoms(pair, Direction.REVERSE).p.size + 8) * _EPS
+        atoms = _tilt_atoms(pair, Direction.REVERSE)
+        ulps = (atoms.p.size + 8) * _EPS
         t = tau / n
 
         def slope(x):
@@ -415,7 +416,7 @@ def renyi_achievability_at_threshold(
             return (n * psi - lam * tau, n * psi - h * tau,
                     ulps * (size + abs(h * tau)), ulps * (size + abs(lam * tau)))
 
-        _, d, v, _ = _tilt(pair, 1.0, Direction.REVERSE)
+        d, v = atoms.kl, atoms.var
         lam = _argmax_by_root(slope, 1.0, 1.0 + (t - d) / v if v > 0.0 else 0.5)
 
     def log_value_at(lam):
@@ -444,23 +445,19 @@ def threshold_for_rate(pair: DistributionPair, n: int, c: float, lam: float) -> 
     """Log-LR threshold whose Markov bound pins the Type I error at e^{-nc}.
 
     tau = n D_lam(P1||P0) - n (D_lam(P1||P0) - c) / lam for lam in (0,1),
-    formed as n (psi(lam) + c) / lam with psi(lam) = (lam - 1) D_lam, the
-    reverse-direction tilted log-sum, which keeps its accuracy as lam -> 1;
-    requires c < D_lam(P1||P0) so the threshold sits below n D_lam.
+    formed as n ((lam - 1) D_lam + c) / lam: (lam - 1) D_lam gives back the
+    reverse-direction tilted log-sum psi(lam) to about an ulp, and psi + c
+    does not cancel, so tau keeps its accuracy as lam -> 1.  Requires
+    c < D_lam(P1||P0) so the threshold sits below n D_lam.
     """
     _check_n(n)
     if not (isinstance(lam, (int, float)) and 0.0 < lam < 1.0):
         raise DomainError(f"lam must lie in (0, 1), got {lam!r}")
     _check_rate(c)
-    if isinstance(pair, GaussianPair):
-        d = renyi_divergence(pair, lam, Direction.REVERSE)
-        psi = (lam - 1.0) * d
-    else:
-        psi = _tilt(pair, lam, Direction.REVERSE)[0]
-        d = psi / (lam - 1.0)
+    d = renyi_divergence(pair, lam, Direction.REVERSE)
     if c >= d:
         raise DomainError(f"threshold_for_rate requires c < D_lambda(P1||P0) = {d:.6g}")
-    return n * (psi + c) / lam
+    return n * ((lam - 1.0) * d + c) / lam
 
 
 def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> BoundResult:
@@ -486,8 +483,8 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
         lam = math.sqrt(c / d_rev)
         exponent = n * ((d_rev - c) / (math.sqrt(d_rev) + math.sqrt(c))) ** 2
     else:
-        _, d, v, _ = _tilt(pair, 1.0, Direction.REVERSE)
-        start = 1.0 - 2.0 * (d - c) / v if v > 0.0 else math.nan
+        atoms = _tilt_atoms(pair, Direction.REVERSE)
+        start = 1.0 - 2.0 * (d_rev - c) / atoms.var if atoms.var > 0.0 else math.nan
         lam, psi, psi_size = _tilt_root(pair, Direction.REVERSE, 0.0, -c, 0.0, 1.0,
                                         math.sqrt(start) if start > 0.0 else 0.5)
         # Near c = D the exponent is a small difference of terms of order
@@ -495,7 +492,7 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
         # so that the upper bound on beta never understates.
         h = lam - 1.0
         size = abs(c * h) + abs(psi) + psi_size
-        ulps = (_tilt_atoms(pair, Direction.REVERSE).p.size + 8) * _EPS
+        ulps = (atoms.p.size + 8) * _EPS
         exponent = n * (c * h - psi - ulps * size) / lam
     log_value = -exponent
     return BoundResult(

@@ -157,6 +157,7 @@ class _TiltAtoms(NamedTuple):
     d_inf: float  # D_inf = max z
     log_q_top: float  # log Q(A), A the atoms where z = D_inf
     kl: float  # D(P || Q) = sum p z = psi'(1)
+    var: float  # sum p (z - kl)^2 = psi''(1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -185,9 +186,10 @@ def _tilt_atoms(pair: DistributionPair, direction: Direction) -> _TiltAtoms:
     logp = np.log(p)
     for arr in (logp, p, q, z):
         arr.flags.writeable = False
-    d_inf = float(z.max())
+    d_inf, kl = float(z.max()), float(p @ z)
+    dz = z - kl
     return _TiltAtoms(logp, p, q, z, float(np.max(np.abs(z))), d_inf,
-                      float(np.log(q[z == d_inf].sum())), float(p @ z))
+                      float(np.log(q[z == d_inf].sum())), kl, float(p @ (dz * dz)))
 
 
 def _tilt(pair: DistributionPair, lam: float,
@@ -212,7 +214,7 @@ def _tilt(pair: DistributionPair, lam: float,
     carries into them; psi is within a few ulps of |psi| + size per atom.
     Discrete pairs only; lam is a float > 0.
     """
-    logp, p, q, z, z_abs, _, _, _ = _tilt_atoms(pair, direction)
+    logp, p, q, z, z_abs = _tilt_atoms(pair, direction)[:5]
     h = lam - 1.0
     near_zero = lam < 0.5 and lam * z_abs <= 0.5
     if near_zero or abs(h) * z_abs <= 0.5:
@@ -287,7 +289,7 @@ def llr_moments(pair: DistributionPair) -> LLRMoments:
     """Mean, variance, and absolute third central moment of log(p0/p1) under P0.
 
     For discrete pairs the mean and variance are psi'(1) and psi''(1) of
-    the forward tilted log-sum (see :func:`_tilt`).
+    the forward tilted log-sum (see :func:`_tilt`), cached with its atoms.
     """
     if isinstance(pair, GaussianPair):
         d = abs(pair.delta) / pair.sigma
@@ -300,7 +302,7 @@ def llr_moments(pair: DistributionPair) -> LLRMoments:
             berry_constant=6.0 * math.sqrt(8.0 / math.pi),
         )
     atoms = _tilt_atoms(pair, Direction.FORWARD)
-    _, mean, variance, _ = _tilt(pair, 1.0, Direction.FORWARD)
+    mean, variance = atoms.kl, atoms.var
     third = float(atoms.p @ np.abs(atoms.z - mean) ** 3)
     berry = 6.0 * third / variance**1.5 if variance > 0.0 else 0.0
     return LLRMoments(mean=mean, variance=variance, third_abs_central=third, berry_constant=berry)

@@ -83,11 +83,11 @@ def test_criterion_1_phase_converse_gaussian_closed_form():
     for n in (50, 100, 200, 500):
         r = phase_transition_converse(GAUSS, n, c)
         gap = -math.expm1(r.log_value)  # 1 - bound
-        assert gap == pytest.approx(math.exp(-n * exponent), rel=1.0e-6, abs=0.0)
-        assert r.optimizer == pytest.approx(lam_star, rel=1.0e-3, abs=0.0)
+        assert gap == pytest.approx(math.exp(-n * exponent), rel=1.0e-6)
+        assert r.optimizer == pytest.approx(lam_star, rel=1.0e-3)
     elapsed = time.perf_counter() - start
     assert phase_transition_converse(GAUSS, 200, c).value == pytest.approx(
-        0.95090175668401493, rel=1.0e-12, abs=0.0
+        0.95090175668401493, rel=1.0e-12
     )
     assert elapsed < 1.0
 
@@ -154,7 +154,7 @@ def test_criterion_3_figure_dominance_and_baseline_decay():
         }
         for name, value in closed.items():
             if results[name].valid:
-                assert results[name].value == pytest.approx(value, rel=1.0e-12, abs=0.0), (name, n)
+                assert results[name].value == pytest.approx(value, rel=1.0e-12), (name, n)
         # every term of the smoothing objective after -n D is <= 0
         assert results["smoothing_out"].value <= math.exp(-n * d2 / 2.0), n
         baselines.append({name: r.value for name, r in results.items()})
@@ -257,11 +257,11 @@ def test_criterion_6_tensorization_random_products():
 def test_criterion_7_sample_size_values():
     fixed = sample_complexity_renyi(GAUSS, 0.01, 0.01, lam=2.0)
     assert fixed.valid and fixed.optimizer == 2.0
-    assert fixed.value == pytest.approx(1834.0278057124354, rel=1.0e-12, abs=0.0)
+    assert fixed.value == pytest.approx(1834.0278057124354, rel=1.0e-12)
     assert math.ceil(fixed.value) in (1833, 1834, 1835)
     pensia = sample_complexity_pensia(GAUSS, 0.01, 0.001)
-    assert pensia.optimizer == pytest.approx(0.61368959081162535, rel=1.0e-12, abs=0.0)
-    assert pensia.value == pytest.approx(4050.6524415401351, rel=1.0e-12, abs=0.0)
+    assert pensia.optimizer == pytest.approx(0.61368959081162535, rel=1.0e-12)
+    assert pensia.value == pytest.approx(4050.6524415401351, rel=1.0e-12)
     assert math.ceil(pensia.value) in (4049, 4050, 4051, 4052, 4053)
     optimized = sample_complexity_renyi(GAUSS, 0.01, 0.01)
     assert optimized.value >= fixed.value - 1.0e-9  # any fixed order is dominated

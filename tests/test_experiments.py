@@ -133,8 +133,8 @@ class TestRunGrid:
         row = table.rows[1]
         direct_r = renyi_converse(pair, 200, math.log(0.01))
         direct_f = fano_bound(pair, 200, math.log(0.01))
-        assert row.cells[0].value == pytest.approx(direct_r.value, rel=1e-14, abs=0.0)
-        assert row.cells[1].value == pytest.approx(direct_f.value, rel=1e-14, abs=0.0)
+        assert row.cells[0].value == pytest.approx(direct_r.value, rel=1e-14)
+        assert row.cells[1].value == pytest.approx(direct_f.value, rel=1e-14)
         assert row.cells[2].valid  # np_exact
 
     @pytest.mark.parametrize(
@@ -368,7 +368,7 @@ class TestCli:
         payload = json.loads(out.strip().splitlines()[-1])
         pair = parse_pair("bernoulli:0.5,0.51")
         direct = renyi_converse(pair, 1000, math.log(0.01))
-        assert payload["value"] == pytest.approx(direct.value, rel=1e-14, abs=0.0)
+        assert payload["value"] == pytest.approx(direct.value, rel=1e-14)
         assert payload["valid"] is True
 
     @pytest.mark.parametrize("bound, spec, flags, call", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])

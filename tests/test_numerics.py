@@ -42,8 +42,8 @@ def mp_q_root(p, x0):
 
 class TestQFunction:
     def test_reference_values(self):
-        assert q_function(2.326348) == pytest.approx(Q_2326348, rel=1e-14, abs=0.0)
-        assert q_function(1.82635) == pytest.approx(Q_182635, rel=1e-14, abs=0.0)
+        assert q_function(2.326348) == pytest.approx(Q_2326348, rel=1e-14)
+        assert q_function(1.82635) == pytest.approx(Q_182635, rel=1e-14)
         assert q_function(0.0) == 0.5
 
     def test_symmetry(self):
@@ -65,7 +65,7 @@ class TestQFunction:
 class TestLogQ:
     def test_matches_log_of_q(self):
         for x in (-3.0, 0.0, 1.0, 5.0):
-            assert log_q(x) == pytest.approx(math.log(q_function(x)), rel=1e-13, abs=0.0)
+            assert log_q(x) == pytest.approx(math.log(q_function(x)), rel=1e-13)
 
     def test_deep_tail_stays_finite(self):
         val = log_q(40.0)
@@ -79,7 +79,7 @@ class TestLogQ:
 
 class TestQInverse:
     def test_reference_value(self):
-        assert q_inverse(0.01) == pytest.approx(QINV_001, rel=1e-13, abs=0.0)
+        assert q_inverse(0.01) == pytest.approx(QINV_001, rel=1e-13)
 
     def test_roundtrip(self):
         for p in (1e-300, 1e-15, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.97, 1.0 - 1e-12):
@@ -115,12 +115,12 @@ class TestQInverse:
 class TestQInverseLog:
     def test_agrees_with_q_inverse_when_shallow(self):
         for p in (0.01, 0.3, 1e-100):
-            assert q_inverse_log(math.log(p)) == pytest.approx(q_inverse(p), rel=1e-12, abs=0.0)
+            assert q_inverse_log(math.log(p)) == pytest.approx(q_inverse(p), rel=1e-12)
 
     def test_deep_roundtrip(self):
         for lp in (-1e3, -1e4, -1e6):
             x = q_inverse_log(lp)
-            assert log_q(x) == pytest.approx(lp, rel=1e-9, abs=0.0)
+            assert log_q(x) == pytest.approx(lp, rel=1e-9)
 
     def test_roundtrip_within_four_ulps_of_log_p(self):
         # An absolute accuracy cannot hold at -1e6, where one ulp of log p
@@ -150,12 +150,12 @@ class TestQInverseLog:
 class TestLogDiffExp:
     def test_basic(self):
         assert log_diff_exp(math.log(3.0), math.log(1.0)) == pytest.approx(
-            math.log(2.0), rel=1e-14, abs=0.0
+            math.log(2.0), rel=1e-14
         )
 
     def test_near_cancellation(self):
         # exp(a) - exp(b) with a - b = 1e-12: answer ~ log(1e-12)
-        assert log_diff_exp(1e-12, 0.0) == pytest.approx(math.log(1e-12), rel=1e-3, abs=0.0)
+        assert log_diff_exp(1e-12, 0.0) == pytest.approx(math.log(1e-12), rel=1e-3)
 
     def test_equal_gives_neg_inf(self):
         assert log_diff_exp(1.5, 1.5) == -math.inf
@@ -173,7 +173,7 @@ class TestLogDiffExp:
         # log1p(-exp(b)) lost 1.7e-10 relative at b = -1.29e-8.
         with mpmath.workdps(60):
             want = float(mpmath.log(-mpmath.expm1(mpmath.mpf(b))))
-        assert log_diff_exp(0.0, b) == pytest.approx(want, rel=4e-16, abs=0.0)
+        assert log_diff_exp(0.0, b) == pytest.approx(want, rel=4e-16)
         got = log_diff_exp(np.array([0.0, 0.0]), np.array([b, b]))
         assert got.tolist() == [log_diff_exp(0.0, b)] * 2
 
@@ -282,8 +282,8 @@ class TestMaximizeScalar:
             return ((lam - 1.0) / lam) * (c - lam * d)
 
         arg, val = scan_polish_argmax(f, 1.0, math.inf)
-        assert arg == pytest.approx(PHASE_LAMBDA, rel=1e-6, abs=0.0)
-        assert val == pytest.approx(PHASE_EXPONENT, rel=1e-9, abs=0.0)
+        assert arg == pytest.approx(PHASE_LAMBDA, rel=1e-6)
+        assert val == pytest.approx(PHASE_EXPONENT, rel=1e-9)
 
     def test_decreasing_pins_lower_edge(self):
         arg, val = scan_polish_argmax(lambda x: -x, 0.0, 10.0)
@@ -295,7 +295,7 @@ class TestMaximizeScalar:
         # and the maximum lands near lo + 1e6.
         arg, val = scan_polish_argmax(np.log, 1.0, math.inf)
         assert arg > 9e5
-        assert val == pytest.approx(math.log(arg), rel=1e-12, abs=0.0)
+        assert val == pytest.approx(math.log(arg), rel=1e-12)
 
     def test_nan_treated_as_neg_inf(self):
         def f(x):

@@ -100,7 +100,7 @@ class TestBernoulli:
     def test_randomization_exhausts_budget(self):
         for n, eps in ((10, 0.07), (25, 0.01), (60, 0.321)):
             r = np_exact_bernoulli(BERN, n, math.log(eps))
-            assert r.achieved_alpha == pytest.approx(eps, rel=1e-10, abs=0.0)
+            assert r.achieved_alpha == pytest.approx(eps, rel=1e-10)
             assert 0.0 <= r.randomization < 1.0
             assert _bernoulli_type1(BERN, n, r.threshold, r.randomization) == pytest.approx(
                 eps, abs=1e-12
@@ -450,5 +450,5 @@ class TestCrossValidation:
         r = np_exact_gaussian(GAUSS, n, math.log(0.05))
         xq = math.sqrt(n) * (r.threshold - GAUSS.mu) / GAUSS.sigma
         assert log_q(xq - math.sqrt(n) * GAUSS.delta / GAUSS.sigma) == pytest.approx(
-            math.log1p(-r.beta), rel=1e-9, abs=0.0
+            math.log1p(-r.beta), rel=1e-9
         )
