@@ -545,9 +545,13 @@ def sample_complexity_renyi(
     if lam is not None:
         if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 1.0):
             raise DomainError(f"lam must be > 1, got {lam!r}")
+        d_fwd = renyi_divergence(pair, lam, Direction.FORWARD)
+        d_rev = renyi_divergence(pair, lam, Direction.REVERSE)
+        if not (d_fwd > 0.0 and d_rev > 0.0):
+            raise DomainError("sample_complexity_renyi requires distinct distributions")
         ratio = lam / (lam - 1.0)
-        first = (log_inv_delta - ratio * log_inv_1m_eps) / renyi_divergence(pair, lam, Direction.FORWARD)
-        second = (log_inv_eps - ratio * log_inv_1m_delta) / renyi_divergence(pair, lam, Direction.REVERSE)
+        first = (log_inv_delta - ratio * log_inv_1m_eps) / d_fwd
+        second = (log_inv_eps - ratio * log_inv_1m_delta) / d_rev
         return _lower_n(float(np.maximum(first, second)), lam)
     d_fwd = kl_divergence(pair, Direction.FORWARD)
     d_rev = kl_divergence(pair, Direction.REVERSE)
@@ -592,7 +596,7 @@ def sample_complexity_pensia(pair: DistributionPair, eps: float, delta: float) -
 
     n >= (1/2) (l*/(1-l*)) log(1/(2 eps)) / D_{l*}(P0||P1) with
     l* = log(1/(2 delta)) / (log(1/(2 delta)) + log(1/(2 eps)));
-    requires eps, delta < 1/2.
+    requires eps, delta < 1/2 and distinct distributions.
     """
     _check_prob("eps", eps, upper=0.5)
     _check_prob("delta", delta, upper=0.5)
@@ -600,6 +604,8 @@ def sample_complexity_pensia(pair: DistributionPair, eps: float, delta: float) -
     log_e = -math.log(2.0 * eps)
     lam_star = log_s / (log_s + log_e)
     d = renyi_divergence(pair, lam_star, Direction.FORWARD)
+    if not d > 0.0:
+        raise DomainError("sample_complexity_pensia requires distinct distributions")
     value = 0.5 * (lam_star / (1.0 - lam_star)) * log_e / d
     return _lower_n(value, lam_star)
 

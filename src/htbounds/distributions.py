@@ -25,7 +25,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .numerics import DomainError, _float_or_array
+from .numerics import DomainError
 
 __all__ = [
     "BernoulliPair",
@@ -245,37 +245,26 @@ def kl_divergence(pair: DistributionPair, direction: Direction) -> float:
     return _tilt_atoms(pair, direction).kl
 
 
-def _lambda_error(arr: np.ndarray) -> DomainError:
-    # The first failing check, in the order finite, > 0, != 1.
-    if arr.size == 0 or not np.all(np.isfinite(arr)):
-        return DomainError("renyi_divergence requires finite lambda")
-    if np.any(arr <= 0.0):
-        return DomainError("renyi_divergence requires lambda > 0")
-    return DomainError("lambda = 1 is the KL limit; use kl_divergence")
-
-
-def renyi_divergence(pair: DistributionPair, lam, direction: Direction):
-    """Renyi divergence D_lambda of the pair; lam may be a scalar or array.
+def renyi_divergence(pair: DistributionPair, lam: float, direction: Direction) -> float:
+    """Renyi divergence D_lambda of the pair at a scalar order lam.
 
     D_lambda(P || Q) = log( sum p^lambda q^(1-lambda) ) / (lambda - 1)
     for discrete pairs (the tilted log-sum of :func:`_tilt` over
     lambda - 1); for Gaussians it is lambda * delta^2 / (2 sigma^2) in
-    either direction.  Requires lam > 0 and lam != 1 (the lam -> 1 limit
-    is the KL divergence; call kl_divergence for it).
+    either direction.  Requires a finite scalar lam > 0 with lam != 1 (the
+    lam -> 1 limit is the KL divergence; call kl_divergence for it); an
+    array or any other lam raises :class:`DomainError`.
     """
-    lam = _float_or_array(lam)
-    if isinstance(lam, float):
-        if not (math.isfinite(lam) and lam > 0.0 and lam != 1.0):
-            raise _lambda_error(np.asarray(lam))
-        if isinstance(pair, GaussianPair):
-            return lam * (_gaussian_d2(pair) / 2.0)
-        return _tilt(pair, lam, direction)[0] / (lam - 1.0)
-    if not (lam.size and np.all((lam > 0.0) & (lam < math.inf) & (lam != 1.0))):
-        raise _lambda_error(lam)
+    if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
+        raise DomainError("renyi_divergence requires finite lambda")
+    if lam <= 0.0:
+        raise DomainError("renyi_divergence requires lambda > 0")
+    if lam == 1.0:
+        raise DomainError("lambda = 1 is the KL limit; use kl_divergence")
+    lam = float(lam)
     if isinstance(pair, GaussianPair):
         return lam * (_gaussian_d2(pair) / 2.0)
-    psi = [_tilt(pair, x, direction)[0] for x in lam.ravel().tolist()]
-    return np.reshape(psi, lam.shape) / (lam - 1.0)
+    return _tilt(pair, lam, direction)[0] / (lam - 1.0)
 
 
 def hellinger_squared(pair: DistributionPair) -> float:

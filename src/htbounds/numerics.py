@@ -20,11 +20,11 @@ This module is the numerical kernel shared by every bound evaluation:
 All functions are pure and thread-safe, and so are the divergences in
 :mod:`htbounds.distributions` and the oracles in :mod:`htbounds.oracle`.
 Their only shared state is read-only once built: one bounded cache of
-atoms per pair and direction, and one cached table of log k!.  The ``Q``
-family and ``log_diff_exp`` accept scalars or numpy arrays; scalar input
-yields a plain ``float``.  ``q_inverse`` and ``log_diff_exp`` check it
-with plain comparisons and apply the same numpy ufuncs as for arrays, so
-both paths give the same bits and the same errors.
+atoms per pair and direction, and one cached table of log k!.  Every bound
+solves one scalar problem at a time, so the ``Q`` family and
+``log_diff_exp`` take scalars (``int`` or ``float``) only, check them with
+plain comparisons, and return a plain ``float``; an array or any other
+argument raises :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -76,63 +76,46 @@ def _check_log_prob(name: str, value: float) -> None:
         raise DomainError(f"{name} must lie in [-inf, 0], got {value!r}")
 
 
-def _float_or_array(x):
-    # A plain float for scalars and 0-d arrays, else a float array; the
-    # common float skips np.asarray.
-    if isinstance(x, float):
-        return float(x)
-    arr = np.asarray(x, dtype=float)
-    return float(arr) if arr.ndim == 0 else arr
-
-
-def q_function(x):
+def q_function(x: float) -> float:
     """Gaussian upper-tail probability ``Q(x) = P(Z >= x)`` for standard ``Z``.
 
     Evaluated as ``erfc(x / sqrt(2)) / 2``, which keeps full relative
     accuracy out to ``|x|`` of at least 38, where the tail reaches the
-    subnormal range.  Accepts scalars or arrays; raises
-    :class:`DomainError` on non-finite input.
+    subnormal range.  Raises :class:`DomainError` unless ``x`` is a
+    finite scalar.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not (isinstance(x, (int, float)) and math.isfinite(x)):
         raise DomainError("q_function requires finite input")
-    out = 0.5 * special.erfc(arr / _SQRT2)
-    return float(out) if arr.ndim == 0 else out
+    return float(0.5 * special.erfc(x / _SQRT2))
 
 
-def log_q(x):
+def log_q(x: float) -> float:
     """``log Q(x)``, accurate over the whole real line.
 
     Uses the log-CDF of the normal distribution (``log_ndtr``), which
     switches to an asymptotic expansion in the far tail instead of
-    underflowing; ``log_q(50.0)`` is about ``-1254.8``.
+    underflowing; ``log_q(50.0)`` is about ``-1254.8``.  Raises
+    :class:`DomainError` unless ``x`` is a finite scalar.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not (isinstance(x, (int, float)) and math.isfinite(x)):
         raise DomainError("log_q requires finite input")
-    out = special.log_ndtr(-arr)
-    return float(out) if arr.ndim == 0 else out
+    return float(special.log_ndtr(-x))
 
 
-def q_inverse(p):
-    """Inverse of :func:`q_function` on ``p`` in ``(0, 1)``.
+def q_inverse(p: float) -> float:
+    """Inverse of :func:`q_function` on a scalar ``p`` in ``(0, 1)``.
 
     The library special function ``-ndtri(p)`` (``ndtri`` is the inverse
     of the normal CDF, and ``Q(x) = Phi(-x)``).  It is accurate to a few
     ulps in ``x`` from ``p = 1e-300`` up to ``1 - 1e-15``.
     """
-    p = _float_or_array(p)
-    if isinstance(p, float):
-        if not 0.0 < p < 1.0:
-            raise DomainError("q_inverse requires p in (0, 1)")
-        return float(-special.ndtri(p))
-    if p.size and not np.all((p > 0.0) & (p < 1.0)):
+    if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
         raise DomainError("q_inverse requires p in (0, 1)")
-    return -special.ndtri(p)
+    return float(-special.ndtri(p))
 
 
-def q_inverse_log(log_p):
-    """Inverse of ``log Q``: the ``x`` with ``log Q(x) = log_p``.
+def q_inverse_log(log_p: float) -> float:
+    """Inverse of ``log Q``: the ``x`` with ``log Q(x) = log_p``, a finite scalar < 0.
 
     The library special function ``-ndtri_exp(log_p)``, which never forms
     ``p`` itself, followed by one Newton step on ``log_ndtr`` that removes
@@ -144,50 +127,39 @@ def q_inverse_log(log_p):
     of ``log_p`` between neighbouring doubles ``x``, and that spacing is
     the limit.
     """
-    arr = np.asarray(log_p, dtype=float)
-    if arr.size and not (np.all(np.isfinite(arr)) and np.all(arr < 0.0)):
+    if not (isinstance(log_p, (int, float)) and -math.inf < log_p < 0.0):
         raise DomainError("q_inverse_log requires finite log_p < 0")
-    x = -special.ndtri_exp(arr)
+    x = -special.ndtri_exp(log_p)
     logq = special.log_ndtr(-x)
     # d/dx log Q = -phi/Q, so the Newton step is resid * Q / phi.
     # For |log_p| below about 1e-310, Q / phi overflows and the step is
     # inf or NaN; the ndtri_exp value is kept there.
     log_phi = -0.5 * x * x - _LOG_SQRT_2PI
     with np.errstate(over="ignore", invalid="ignore"):
-        step = (logq - arr) * np.exp(logq - log_phi)
-    out = np.where(np.isfinite(step), x + step, x)
-    return float(out) if arr.ndim == 0 else out
+        step = (logq - log_p) * np.exp(logq - log_phi)
+    return float(x + step if math.isfinite(step) else x)
 
 
-def log_diff_exp(a, b):
-    """``log(exp(a) - exp(b))`` for ``a >= b``, stable near ``a == b``.
+def log_diff_exp(a: float, b: float) -> float:
+    """``log(exp(a) - exp(b))`` for scalars ``a >= b``, stable near ``a == b``.
 
     With ``d = b - a`` this is ``a + log(-expm1(d))`` for ``d > -log 2``
     and ``a + log1p(-exp(d))`` below, each form where it keeps full
     relative accuracy.  Returns ``-inf`` when the arguments coincide
-    (including both ``-inf``); raises :class:`DomainError` when ``b > a``.
+    (including both ``-inf``); raises :class:`DomainError` when ``b > a``
+    or either argument is NaN or not a scalar.
     """
-    a, b = _float_or_array(a), _float_or_array(b)
-    if isinstance(a, float) and isinstance(b, float):
-        if math.isnan(a) or math.isnan(b):
-            raise DomainError("log_diff_exp requires non-NaN arguments")
-        if b > a:
-            raise DomainError("log_diff_exp requires a >= b")
-        if a == -math.inf:  # so b == -inf too
-            return -math.inf
-        d = b - a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return float(a + (np.log(-np.expm1(d)) if d > -_LOG2 else np.log1p(-np.exp(d))))
-    aa = np.asarray(a, dtype=float)
-    bb = np.asarray(b, dtype=float)
-    if np.any(np.isnan(aa)) or np.any(np.isnan(bb)):
+    if not (isinstance(a, (int, float)) and isinstance(b, (int, float))
+            and not math.isnan(a) and not math.isnan(b)):
         raise DomainError("log_diff_exp requires non-NaN arguments")
-    if np.any(bb > aa):
+    if b > a:
         raise DomainError("log_diff_exp requires a >= b")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = bb - aa
-        out = aa + np.where(d > -_LOG2, np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
-    return np.where((aa == -np.inf) & (bb == -np.inf), -np.inf, out)
+    if a == -math.inf:  # so b == -inf too
+        return -math.inf
+    a, b = float(a), float(b)  # an int may be too big for a ufunc; np.float64 warns on inf - inf
+    d = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(a + (np.log(-np.expm1(d)) if d > -_LOG2 else np.log1p(-np.exp(d))))
 
 
 def _newton_root(f: Callable, lo: float, hi: float, x: float, origin: float):

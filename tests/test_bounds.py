@@ -47,7 +47,7 @@ from htbounds.experiments import _achievability
 from htbounds.numerics import DomainError
 from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
 
-from scanpolish import scan_polish_argmax
+from scanpolish import renyi_reference, scan_polish_argmax
 
 BERN = BernoulliPair(0.5, 0.51)
 GAUSS = GaussianPair(2.0, 0.05, 1.0)
@@ -328,11 +328,11 @@ class TestRenyiOrderRoot:
 
                     def one(lam):
                         return -((lam - 1.0) / lam) * (
-                            log_eps + n * renyi_divergence(pair, lam, Direction.REVERSE)
+                            log_eps + n * renyi_reference(pair, lam, Direction.REVERSE)
                         )
 
                     def two(lam):
-                        return (lam / (lam - 1.0)) * math.log1p(-eps) - n * renyi_divergence(
+                        return (lam / (lam - 1.0)) * math.log1p(-eps) - n * renyi_reference(
                             pair, lam, Direction.FORWARD
                         )
 
@@ -394,8 +394,6 @@ class TestThresholdForRate:
         assert tau == pytest.approx(TAU_EXAMPLE, rel=1e-12, abs=0.0)
 
     def test_rate_at_or_above_divergence_rejected(self):
-        from htbounds.distributions import renyi_divergence
-
         lam = 0.5
         d_lam = renyi_divergence(GAUSS, lam, Direction.REVERSE)
         with pytest.raises(DomainError):
@@ -616,9 +614,9 @@ class TestSampleComplexity:
         for eps, delta in ((0.01, 0.01), (0.01, 1e-6), (0.3, 0.05), (1e-8, 0.2), (0.4, 0.4)):
             def objective(lam):
                 ratio = lam / (lam - 1.0)
-                first = (-math.log(delta) + ratio * math.log1p(-eps)) / renyi_divergence(
+                first = (-math.log(delta) + ratio * math.log1p(-eps)) / renyi_reference(
                     pair, lam, Direction.FORWARD)
-                second = (-math.log(eps) + ratio * math.log1p(-delta)) / renyi_divergence(
+                second = (-math.log(eps) + ratio * math.log1p(-delta)) / renyi_reference(
                     pair, lam, Direction.REVERSE)
                 return np.maximum(first, second)
 
@@ -642,9 +640,15 @@ class TestSampleComplexity:
             assert (r.value, r.valid, r.optimizer) == (1.0, False, math.inf)
 
     def test_identical_pair_rejected(self):
+        # Optimized or at a fixed order: D_lam = 0 would be the divisor.
         same = FiniteDiscretePair((0.25, 0.75), (0.25, 0.75))
-        with pytest.raises(DomainError, match="distinct"):
-            sample_complexity_renyi(same, 0.01, 0.01)
+        for lam in (None, 1.5, 2.0, 1e6):
+            with pytest.raises(DomainError) as info:
+                sample_complexity_renyi(same, 0.01, 0.01, lam=lam)
+            assert str(info.value) == "sample_complexity_renyi requires distinct distributions"
+        with pytest.raises(DomainError) as info:
+            sample_complexity_pensia(same, 0.01, 0.01)
+        assert str(info.value) == "sample_complexity_pensia requires distinct distributions"
 
     def test_clamps_below_one(self):
         wide = GaussianPair(0.0, 5.0)  # D = 12.5, one sample more than enough

@@ -428,6 +428,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ceil 1835" in out
 
+    @pytest.mark.parametrize("extra", [["--lam", "2"], []])
+    def test_samplesize_identical_pair_exits_two(self, capsys, extra):
+        code = cli_main(["samplesize", "--pair", "discrete:0.5,0.5|0.5,0.5",
+                         "--eps", "0.1", "--delta", "0.1", *extra])
+        assert code == 2
+        assert "requires distinct distributions" in capsys.readouterr().err
+
     def test_samplesize_skips_pensia_out_of_range(self, capsys):
         code = cli_main(
             ["samplesize", "--pair", "gaussian:2,0.05", "--eps", "0.6", "--delta", "0.01"]
