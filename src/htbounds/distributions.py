@@ -80,7 +80,11 @@ class BernoulliPair:
 
 @dataclass(frozen=True)
 class GaussianPair:
-    """N(mu, sigma^2) versus N(mu + delta, sigma^2), with delta != 0."""
+    """N(mu, sigma^2) versus N(mu + delta, sigma^2), with delta != 0.
+
+    (delta / sigma)^2 must be a positive finite float: a separation whose
+    square underflows to 0 or overflows raises :class:`DomainError`.
+    """
 
     mu: float
     delta: float
@@ -93,6 +97,14 @@ class GaussianPair:
             raise DomainError(f"GaussianPair requires sigma > 0, got {self.sigma}")
         if self.delta == 0.0:
             raise DomainError("GaussianPair requires delta != 0")
+        # Every divergence is a multiple of (delta / sigma)^2; it must be a
+        # positive finite float, or the bounds divide by 0 or overflow.
+        z = self.delta / self.sigma
+        if not 0.0 < z * z < math.inf:
+            raise DomainError(
+                f"GaussianPair requires (delta / sigma)^2 in the float range, "
+                f"got delta / sigma = {z!r}"
+            )
 
 
 @dataclass(frozen=True)

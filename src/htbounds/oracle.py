@@ -1,8 +1,12 @@
 """Exact Neyman-Pearson optima for the supported families.
 
 beta_n(eps) computed in closed form (Gaussian), by binomial tail
-inversion (Bernoulli, over the counts from the P0 mean up unless eps
-exceeds the P0 tail there), or over the types of the sample (finite
+inversion (Bernoulli: the P0 tail is summed from the last count whose
+P0 mass is within C = 64 log 2 + log(n + 1) nats of eps down to the P0
+mean, or to 0 when eps exceeds the P0 tail there, and the P1 tail above
+the boundary count from the last count within C nats of its largest
+term, so that each dropped mass is below 2^-64 of the tail it belongs
+to), or over the types of the sample (finite
 support: an i.i.d. sample's likelihood ratio depends only on its atom
 counts, so C(n + K - 1, K - 1) types stand in for K^n points; past 2.5e6
 types, K = 3 beyond n = 2,234 or K = 4 beyond n = 244, it raises
@@ -102,10 +106,34 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
 
     Rejects H0 when S > k, with probability gamma at S == k, where k and
     gamma are chosen so the Type I error is exactly eps.  Only counts
-    S >= k enter beta.  The P0 tail is summed from S = n down to the P0
-    mean floor(n p0), which k exceeds unless eps >= P0(S >= mean); only
-    then are the counts below the mean formed.  log k! comes from the
-    shared table of :func:`_log_factorials`.
+    S >= k enter beta.  Log masses are formed from the P0 mean floor(n p0)
+    up, which k exceeds unless eps >= P0(S >= mean); only then are the
+    counts below the mean formed.  log k! comes from the shared table of
+    :func:`_log_factorials`.
+
+    Neither tail is summed from S = n.  The P0 tail starts at the last
+    count m with log P0(S = m) >= log eps - C, and the P1 tail P1(S > k)
+    at the last count m with log P1(S = m) >= log P1(S = q) - C, where
+    q = max(k + 1, P1 mode) holds the largest P1 term above k.  Both
+    counts come from a binary search, since past the mode a binomial pmf b
+    falls: its step ratio r(s) = b(s + 1) / b(s) = (n - s) p / ((s + 1)(1 - p))
+    decreases in s (b is log-concave), and above the mode floor((n + 1) p)
+    1 - r(s) = (s + 1 - (n + 1) p) / ((s + 1)(1 - p)) > 1 / (n + 1).  So
+    the mass the chain drops is a geometric tail,
+
+        sum_{s > m} b(s) <= b(m + 1) / (1 - r(m + 1)) < (n + 1) e^{L - C},
+
+    with L = log eps for P0 and L = log P1(S = q) for P1.  The margin
+    C = 64 log 2 + log(n + 1) (54.3 nats at n = 20,000) puts the dropped
+    mass below 2^-64 e^L, so below 2^-64 of the smallest tail the oracle
+    reads: e^L = eps < P0(S >= k), and the boundary-class share
+    gamma P0(k) = eps - P0(S > k) moves by less than 2^-64 eps; e^L =
+    P1(S = q) <= P1(S > k).  Every count from the P0 mean to its mode
+    holds more than e^-C, so the P0 cut lies past the mode.  2^-64 is
+    2^-11 of a double's relative rounding step: on every cell tested the
+    shortened chains reach the bits of the full ones before the counts
+    the oracle reads, and ``tests/test_oracle.py`` checks every field
+    against the sums over all n + 1 counts.
     """
     if not isinstance(pair, BernoulliPair):
         raise DomainError("np_exact_bernoulli requires a BernoulliPair")
@@ -126,15 +154,20 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
         log_binom = log_fact[-1] - log_fact[a:b] - log_fact[::-1][a:b]
         return s, log_binom, log_binom + s * math.log(p0) + (n - s) * math.log1p(-p0)
 
+    # Past the mode, the binomial tail beyond the last count within this
+    # many nats of a term holds less than 2^-64 of that term (see the docstring).
+    cut = 64.0 * math.log(2.0) + math.log(n + 1.0)
     # Counts from the P0 mean lo = floor(n p0) up, with tail0[i] =
-    # log P0(S >= lo + i) summed from S = n down.  The tail only grows as
-    # i falls, so unless eps >= P0(S >= lo) the boundary class lies above lo.
+    # log P0(S >= lo + i) summed down from the last count within cut of
+    # log eps.  The tail only grows as i falls, so unless eps >= P0(S >= lo)
+    # the boundary class lies above lo.
     lo = int(n * p0)
     s, log_binom, lp0 = counts(lo, n + 1)
-    tail0 = np.logaddexp.accumulate(lp0[::-1])[::-1]
+    top0 = int(np.searchsorted(-lp0, cut - log_eps, side="right"))
+    tail0 = np.logaddexp.accumulate(lp0[:top0][::-1])[::-1]
     if lo and log_eps >= tail0[0]:
         # Carry the tail on down to S = 0 from tail0[0], so that its bits are
-        # those of one pass from S = n.
+        # those of one pass down from the top count.
         s_lo, log_binom_lo, lp0_lo = counts(0, lo)
         tail0_lo = np.logaddexp.accumulate(np.append(tail0[0], lp0_lo[::-1]))[:0:-1]
         s, log_binom, lp0, tail0 = (
@@ -148,9 +181,12 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     i = int(np.argmax(tail0 <= log_eps)) - 1  # smallest j with P0(S >= lo + j) <= eps, less 1
     k = lo + i
     # P1 only from the boundary class up: lp1[m] = log P1(S = k + m), and
-    # tail1 = log P1(S > k), summed from S = n down (-inf when k == n).
+    # tail1 = log P1(S > k), summed down from the last count within cut of
+    # its largest term lp1[q] (-inf when k == n).
     lp1 = log_binom[i:] + s[i:] * math.log(p1) + (n - s[i:]) * math.log1p(-p1)
-    tail1 = np.logaddexp.reduce(lp1[:0:-1])
+    q = min(max(int((n + 1) * p1), k + 1), n) - k
+    top1 = q + int(np.searchsorted(-lp1[q:], cut - lp1[q], side="right"))
+    tail1 = np.logaddexp.reduce(lp1[top1 - 1 : 0 : -1])
     log_excess = log_diff_exp(log_eps, tail0[i + 1]) if log_eps > tail0[i + 1] else -math.inf
     if log_excess > lp0[i]:  # gamma > 1: only rounding can pick such a k
         raise DomainError(

@@ -88,7 +88,7 @@ def test_criterion_1_phase_converse_gaussian_closed_form():
         assert r.optimizer == pytest.approx(lam_star, rel=1.0e-3)
     elapsed = time.perf_counter() - start
     assert phase_transition_converse(GAUSS, 200, c).value == pytest.approx(
-        0.95090175668401493, rel=1.0e-12
+        0.95090175668401493, rel=1.0e-12, abs=0.0
     )
     assert elapsed < 1.0
 
@@ -155,7 +155,7 @@ def test_criterion_3_figure_dominance_and_baseline_decay():
         }
         for name, value in closed.items():
             if results[name].valid:
-                assert results[name].value == pytest.approx(value, rel=1.0e-12), (name, n)
+                assert results[name].value == pytest.approx(value, rel=1.0e-12, abs=0.0), (name, n)
         # every term of the smoothing objective after -n D is <= 0
         assert results["smoothing_out"].value <= math.exp(-n * d2 / 2.0), n
         baselines.append({name: r.value for name, r in results.items()})
@@ -261,7 +261,7 @@ def test_criterion_7_sample_size_values():
     assert fixed.value == pytest.approx(1834.0278057124354, rel=1.0e-12)
     assert math.ceil(fixed.value) in (1833, 1834, 1835)
     pensia = sample_complexity_pensia(GAUSS, 0.01, 0.001)
-    assert pensia.optimizer == pytest.approx(0.61368959081162535, rel=1.0e-12)
+    assert pensia.optimizer == pytest.approx(0.61368959081162535, rel=1.0e-12, abs=0.0)
     assert pensia.value == pytest.approx(4050.6524415401351, rel=1.0e-12)
     assert math.ceil(pensia.value) in (4049, 4050, 4051, 4052, 4053)
     optimized = sample_complexity_renyi(GAUSS, 0.01, 0.01)

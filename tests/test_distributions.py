@@ -65,6 +65,23 @@ class TestConstructors:
             GaussianPair(math.inf, 0.1)
         assert GaussianPair(0.0, -0.3).sigma == 1.0
 
+    @pytest.mark.parametrize("args", [
+        (0.0, 1e-300),  # (delta / sigma)^2 underflows to 0
+        (0.0, -1e-170),
+        (0.0, 1e-200, 1e200),  # delta / sigma itself underflows
+        (0.0, 1e300),  # (delta / sigma)^2 overflows
+        (0.0, -1e160),
+        (0.0, 1.0, 1e-300),
+    ])
+    def test_gaussian_separation_out_of_float_range(self, args):
+        with pytest.raises(DomainError, match=r"\(delta / sigma\)\^2 in the float range"):
+            GaussianPair(*args)
+
+    def test_gaussian_separation_in_float_range(self):
+        for delta in (1e-150, -1e-150, 1e150, -1e150):
+            pair = GaussianPair(0.0, delta)
+            assert 0.0 < kl_divergence(pair, Direction.FORWARD) < math.inf
+
     def test_discrete_validation(self):
         with pytest.raises(DomainError):
             FiniteDiscretePair((0.5, 0.5), (0.2, 0.3, 0.5))

@@ -133,8 +133,8 @@ class TestRunGrid:
         row = table.rows[1]
         direct_r = renyi_converse(pair, 200, math.log(0.01))
         direct_f = fano_bound(pair, 200, math.log(0.01))
-        assert row.cells[0].value == pytest.approx(direct_r.value, rel=1e-14)
-        assert row.cells[1].value == pytest.approx(direct_f.value, rel=1e-14)
+        assert row.cells[0].value == pytest.approx(direct_r.value, rel=1e-14, abs=0.0)
+        assert row.cells[1].value == pytest.approx(direct_f.value, rel=1e-14, abs=0.0)
         assert row.cells[2].valid  # np_exact
 
     @pytest.mark.parametrize(
@@ -368,7 +368,7 @@ class TestCli:
         payload = json.loads(out.strip().splitlines()[-1])
         pair = parse_pair("bernoulli:0.5,0.51")
         direct = renyi_converse(pair, 1000, math.log(0.01))
-        assert payload["value"] == pytest.approx(direct.value, rel=1e-14)
+        assert payload["value"] == pytest.approx(direct.value, rel=1e-14, abs=0.0)
         assert payload["valid"] is True
 
     @pytest.mark.parametrize("bound, spec, flags, call", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
@@ -470,6 +470,24 @@ class TestCli:
         )
         assert code == 2
         assert "Gaussian" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--n-min", "10", "--n-max", "20"],
+        ["samplesize", "--eps", "0.1", "--delta", "0.1"],
+        *(["bound", "--n", "10", "--bound", bound, *flags] for bound, flags in (
+            ("renyi_converse", []), ("achievability", ["--tau", "1"]),
+            ("phase_converse", ["--c", "1"]), ("phase_achievability", ["--c", "1"]),
+            ("fano", []), ("hellinger", []), ("berry_esseen", []), ("smoothing_out", []),
+        )),
+    ], ids=lambda argv: argv[0] if argv[0] != "bound" else argv[4])
+    def test_gaussian_separation_out_of_float_range_exits_two(self, capsys, command, delta):
+        # (delta / sigma)^2 underflows to 0 (1e-300) or overflows (1e300)
+        argv = [command[0], "--pair", f"gaussian:0,{delta}", *command[1:]]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: GaussianPair requires (delta / sigma)^2 in the float range" in err
+        assert "Traceback" not in err
 
     def test_bad_pair_exits_two(self, capsys):
         code = cli_main(["bound", "--pair", "cauchy:0,1", "--bound", "fano", "--n", "10"])

@@ -186,8 +186,9 @@ _log_eps = st.one_of(
 
 
 class TestBernoulliWindow:
-    """np_exact_bernoulli forms only counts from the P0 mean up; the
-    full-range reference in bruteforce.py must give the same bits."""
+    """np_exact_bernoulli forms only counts from the P0 mean up and sums
+    each tail only from its cut down; the full-range reference in
+    bruteforce.py must give the same bits."""
 
     @settings(max_examples=150, deadline=None)
     @given(_prob, _prob, st.integers(min_value=1, max_value=20_000), _log_eps)
@@ -195,6 +196,14 @@ class TestBernoulliWindow:
     @example(0.6, 0.3, 12, math.log(0.05))  # mirrored
     @example(0.3, 0.8, 20_000, -2000.0)
     @example(0.9, 0.2, 20_000, math.log(0.3))  # mirrored, k far from n p0
+    # Both tails start where the mass falls C nats below eps or below the
+    # largest P1 term above k; these cells sit at the edges of that cut.
+    @example(0.5, 0.7, 20_000, math.log(0.01))
+    @example(0.02, 0.98, 20_000, math.log(0.01))  # far pair
+    @example(0.5, 0.5001, 20_000, math.log(0.01))  # near pair
+    @example(0.5, 0.7, 20_000, -3000.0)
+    @example(0.5, 0.51, 20_000, -6.058369314320538)  # k = 10,200: k + 1 just above n p1
+    @example(0.5, 0.51, 20_000, -6.0142747792811315)  # k = 10,199: k + 1 the P1 mode
     def test_bit_identical_to_fullrange(self, p0, p1, n, log_eps):
         assume(p0 != p1)
         _same_as_fullrange(p0, p1, n, log_eps)
