@@ -91,9 +91,9 @@ from .distributions import (
     DistributionPair,
     GaussianPair,
     UnsupportedFamilyError,
+    _log_affinity,
     _tilt,
     _tilt_atoms,
-    hellinger_squared,
     kl_divergence,
     llr_moments,
     renyi_divergence,
@@ -623,8 +623,7 @@ def hellinger_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResu
     """Hellinger baseline beta >= 1 - sqrt(1 - (1 - H^2)^{2n}) - eps."""
     _check_n(n)
     _check_log_eps(log_eps)
-    h2 = hellinger_squared(pair)
-    log_affinity_2n = 2.0 * n * math.log1p(-h2)
+    log_affinity_2n = 2.0 * n * _log_affinity(pair)  # log1p(-H^2) fails where H^2 rounds to 1
     x = -math.expm1(log_affinity_2n)  # 1 - (1 - H^2)^{2n} in [0, 1)
     if x > 0.5:
         one_minus_sqrt = math.exp(log_affinity_2n) / (1.0 + math.sqrt(x))

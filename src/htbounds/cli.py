@@ -134,7 +134,7 @@ def _json_float(x):
 def _result_json(name: str, r) -> str:
     payload = {
         "bound": name,
-        "value": r.value,
+        "value": _json_float(r.value),
         "log_value": _json_float(r.log_value),
         "optimizer": _json_float(r.optimizer),
         "kind": r.kind.value,
@@ -179,14 +179,19 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _ceil(x: float):
+    # an infinite sample size has no integer ceiling: print it as inf
+    return math.ceil(x) if math.isfinite(x) else x
+
+
 def _cmd_samplesize(args) -> int:
     pair = parse_pair(args.pair)
     r = sample_complexity_renyi(pair, args.eps, args.delta, lam=args.lam)
-    print(f"renyi: n >= {r.value:.12g}  (ceil {math.ceil(r.value)}, order {r.optimizer:.6g})")
+    print(f"renyi: n >= {r.value:.12g}  (ceil {_ceil(r.value)}, order {r.optimizer:.6g})")
     print(_result_json("sample_complexity_renyi", r))
     if args.eps < 0.5 and args.delta < 0.5:
         rp = sample_complexity_pensia(pair, args.eps, args.delta)
-        print(f"pensia: n >= {rp.value:.12g}  (ceil {math.ceil(rp.value)}, order {rp.optimizer:.6g})")
+        print(f"pensia: n >= {rp.value:.12g}  (ceil {_ceil(rp.value)}, order {rp.optimizer:.6g})")
         print(_result_json("sample_complexity_pensia", rp))
     else:
         print("pensia: skipped (requires eps and delta below 1/2)")

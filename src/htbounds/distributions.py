@@ -279,11 +279,19 @@ def renyi_divergence(pair: DistributionPair, lam: float, direction: Direction) -
     return _tilt(pair, lam, direction)[0] / (lam - 1.0)
 
 
+def _log_affinity(pair: DistributionPair) -> float:
+    """psi(1/2) = log sum sqrt(p0 p1) = log(1 - H^2) <= 0; -(delta / sigma)^2 / 8 for Gaussians.
+
+    It stays finite where 1 - H^2 rounds to 0 (|delta / sigma| above about 17.3).
+    """
+    if isinstance(pair, GaussianPair):
+        return -_gaussian_d2(pair) / 8.0
+    return min(_tilt(pair, 0.5, Direction.FORWARD)[0], 0.0)
+
+
 def hellinger_squared(pair: DistributionPair) -> float:
     """Squared Hellinger distance H^2 = 1 - sum sqrt(p0 p1) = 1 - e^psi(1/2) in [0, 1]."""
-    if isinstance(pair, GaussianPair):
-        return float(-np.expm1(-_gaussian_d2(pair) / 8.0))
-    return -math.expm1(min(_tilt(pair, 0.5, Direction.FORWARD)[0], 0.0))
+    return -math.expm1(_log_affinity(pair))
 
 
 def llr_moments(pair: DistributionPair) -> LLRMoments:
@@ -295,7 +303,7 @@ def llr_moments(pair: DistributionPair) -> LLRMoments:
     if isinstance(pair, GaussianPair):
         d = abs(pair.delta) / pair.sigma
         variance = d * d
-        third = d**3 * math.sqrt(8.0 / math.pi)
+        third = variance * d * math.sqrt(8.0 / math.pi)  # inf, not OverflowError, past d = 5.6e102
         return LLRMoments(
             mean=d * d / 2.0,
             variance=variance,

@@ -2,15 +2,18 @@
 
 beta_n(eps) computed in closed form (Gaussian), by binomial tail
 inversion (Bernoulli: the P0 tail is summed from the last count whose
-P0 mass is within C = 64 log 2 + log(n + 1) nats of eps down to the P0
-mean, or to 0 when eps exceeds the P0 tail there, and the P1 tail above
-the boundary count from the last count within C nats of its largest
-term, so that each dropped mass is below 2^-64 of the tail it belongs
-to), or over the types of the sample (finite
-support: an i.i.d. sample's likelihood ratio depends only on its atom
-counts, so C(n + K - 1, K - 1) types stand in for K^n points; past 2.5e6
-types, K = 3 beyond n = 2,234 or K = 4 beyond n = 244, it raises
-:class:`SizeError`).  Both count-based oracles take log k! from one
+P0 mass is within C = 64 log 2 + log(n + 1) nats of L = log eps down to
+the P0 mean, or to 0 when eps exceeds the P0 tail there, and the P1 tail
+above the boundary count from the last count within C nats of its
+largest term L, so that each dropped mass is below 2^-64 of the tail it
+belongs to; the log masses are formed only up to the count
+n p + sqrt(n (C - L) / 2) + 2, past which Chernoff's bound with Pinsker's
+inequality puts every mass more than C nats below L: 770 of the 20,001
+counts for P0 at n = 20,000, eps = 0.01), or over the types of the
+sample (finite support: an i.i.d. sample's likelihood ratio depends only
+on its atom counts, so C(n + K - 1, K - 1) types stand in for K^n points;
+past 2.5e6 types, K = 3 beyond n = 2,234 or K = 4 beyond n = 244, it
+raises :class:`SizeError`).  Both count-based oracles take log k! from one
 cached read-only table.  These serve as ground truth for the bounds in
 :mod:`htbounds.bounds`.
 """
@@ -106,9 +109,7 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
 
     Rejects H0 when S > k, with probability gamma at S == k, where k and
     gamma are chosen so the Type I error is exactly eps.  Only counts
-    S >= k enter beta.  Log masses are formed from the P0 mean floor(n p0)
-    up, which k exceeds unless eps >= P0(S >= mean); only then are the
-    counts below the mean formed.  log k! comes from the shared table of
+    S >= k enter beta.  log k! comes from the shared table of
     :func:`_log_factorials`.
 
     Neither tail is summed from S = n.  The P0 tail starts at the last
@@ -134,6 +135,27 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     shortened chains reach the bits of the full ones before the counts
     the oracle reads, and ``tests/test_oracle.py`` checks every field
     against the sums over all n + 1 counts.
+
+    Nor are log masses formed past the cuts.  By Chernoff's bound and
+    Pinsker's inequality D(s/n || p) >= 2 (s/n - p)^2, every count s >= n p
+    has
+
+        b(s) <= P(S >= s) <= e^{-n D(s/n || p)} <= e^{-2 (s - n p)^2 / n},
+
+    so every count beyond n p + sqrt(n (C - L) / 2) holds less than
+    e^{L - C} and lies past the cut.  The P0 masses are formed from the P0
+    mean floor(n p0) up to that end with L = log eps (770 counts at
+    n = 20,000, eps = 0.01), and the P1 masses from k up to it with
+    L = log P1(S = q), evaluated once as a scalar by the formula of the
+    array.  Each window runs 2 counts further, so at its first unformed
+    count the bound lies more than 8 sqrt(C / 2n) nats below L - C (0.29
+    at n = 20,000), far beyond the rounding of the log masses (about
+    1e-16 log n! nats, 2e-11 at n = 20,000).  So each binary search finds
+    the cut it would find over all n + 1 counts, and each chain sums the
+    same terms.  The boundary class lies above the P0 mean unless
+    eps >= P0(S >= mean); only then are the P0 masses formed again from
+    S = 0 and summed down in one pass, which gives the bits of carrying
+    the tail on down from the mean, since an accumulation is sequential.
     """
     if not isinstance(pair, BernoulliPair):
         raise DomainError("np_exact_bernoulli requires a BernoulliPair")
@@ -147,53 +169,52 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
         # eps = 1: reject always
         return NPResult(0.0, -math.inf, -1.0 if not mirrored else float(n + 1), 0.0, 1.0)
     log_fact = _log_factorials(n)
-
-    def counts(a: int, b: int):
-        # s = a..b-1 with log C(n, s) and log P0(S = s)
-        s = np.arange(a, b)
-        log_binom = log_fact[-1] - log_fact[a:b] - log_fact[::-1][a:b]
-        return s, log_binom, log_binom + s * math.log(p0) + (n - s) * math.log1p(-p0)
-
     # Past the mode, the binomial tail beyond the last count within this
     # many nats of a term holds less than 2^-64 of that term (see the docstring).
     cut = 64.0 * math.log(2.0) + math.log(n + 1.0)
-    # Counts from the P0 mean lo = floor(n p0) up, with tail0[i] =
-    # log P0(S >= lo + i) summed down from the last count within cut of
-    # log eps.  The tail only grows as i falls, so unless eps >= P0(S >= lo)
-    # the boundary class lies above lo.
+
+    def log_pmf(p: float, a: int, b: int) -> np.ndarray:
+        # log P(S = s) for s = a..b-1
+        s = np.arange(a, b)
+        return (log_fact[-1] - log_fact[a:b] - log_fact[::-1][a:b]
+                + s * math.log(p) + (n - s) * math.log1p(-p))
+
+    def window_end(p: float, log_top: float) -> int:
+        # One past the last count that can hold log_top - cut, plus 2 (see the docstring).
+        return int(min(n + 1.0, n * p + math.sqrt(0.5 * n * (cut - log_top)) + 3.0))
+
+    # P0 masses from the mean lo = floor(n p0) up; rise0[j] = log P0(S >= top0 - 1 - j),
+    # summed down from the last count top0 - 1 within cut of log eps.
     lo = int(n * p0)
-    s, log_binom, lp0 = counts(lo, n + 1)
-    top0 = int(np.searchsorted(-lp0, cut - log_eps, side="right"))
-    tail0 = np.logaddexp.accumulate(lp0[:top0][::-1])[::-1]
-    if lo and log_eps >= tail0[0]:
-        # Carry the tail on down to S = 0 from tail0[0], so that its bits are
-        # those of one pass down from the top count.
-        s_lo, log_binom_lo, lp0_lo = counts(0, lo)
-        tail0_lo = np.logaddexp.accumulate(np.append(tail0[0], lp0_lo[::-1]))[:0:-1]
-        s, log_binom, lp0, tail0 = (
-            np.concatenate(parts)
-            for parts in ((s_lo, s), (log_binom_lo, log_binom), (lp0_lo, lp0), (tail0_lo, tail0))
-        )
+    lp0 = log_pmf(p0, lo, window_end(p0, log_eps))
+    top0 = lo + int(np.searchsorted(-lp0, cut - log_eps, side="right"))
+    rise0 = np.logaddexp.accumulate(lp0[: top0 - lo][::-1])
+    if lo and log_eps >= rise0[-1]:
+        # eps >= P0(S >= lo): the boundary class lies below the mean.
         lo = 0
-    tail0 = np.append(tail0, -math.inf)
-    if lo == 0:
-        tail0[0] = 0.0
-    i = int(np.argmax(tail0 <= log_eps)) - 1  # smallest j with P0(S >= lo + j) <= eps, less 1
-    k = lo + i
-    # P1 only from the boundary class up: lp1[m] = log P1(S = k + m), and
+        lp0 = log_pmf(p0, 0, top0)
+        rise0 = np.logaddexp.accumulate(lp0[::-1])
+    # k is the largest count with P0(S >= k) > eps, counting P0(S >= 0) as 1
+    # whatever the rounded sum; log_above = log P0(S > k).
+    k = max(top0 - 1 - int(np.searchsorted(rise0, log_eps, side="right")), 0)
+    log_above = rise0[top0 - k - 2] if k + 1 < top0 else -math.inf
+    # P1 masses from the boundary class up: lp1[m] = log P1(S = k + m), and
     # tail1 = log P1(S > k), summed down from the last count within cut of
-    # its largest term lp1[q] (-inf when k == n).
-    lp1 = log_binom[i:] + s[i:] * math.log(p1) + (n - s[i:]) * math.log1p(-p1)
-    q = min(max(int((n + 1) * p1), k + 1), n) - k
-    top1 = q + int(np.searchsorted(-lp1[q:], cut - lp1[q], side="right"))
+    # its largest term, at q (-inf when k == n).
+    q = min(max(int((n + 1) * p1), k + 1), n)
+    # log P1(S = q) by lp1's formula, before lp1 exists: it sets lp1's window end
+    log_top1 = (log_fact[-1] - log_fact[q] - log_fact[n - q]
+                + q * math.log(p1) + (n - q) * math.log1p(-p1))
+    lp1 = log_pmf(p1, k, window_end(p1, log_top1))
+    top1 = q - k + int(np.searchsorted(-lp1[q - k :], cut - log_top1, side="right"))
     tail1 = np.logaddexp.reduce(lp1[top1 - 1 : 0 : -1])
-    log_excess = log_diff_exp(log_eps, tail0[i + 1]) if log_eps > tail0[i + 1] else -math.inf
-    if log_excess > lp0[i]:  # gamma > 1: only rounding can pick such a k
+    log_excess = log_diff_exp(log_eps, log_above) if log_eps > log_above else -math.inf
+    if log_excess > lp0[k - lo]:  # gamma > 1: only rounding can pick such a k
         raise DomainError(
             "np_exact_bernoulli: rounding in the log P0 tail puts the tie "
             f"randomization above 1 (n = {n}, log_eps = {log_eps!r}); eps is too close to 1"
         )
-    gamma = math.exp(log_excess - lp0[i]) if log_excess > -math.inf else 0.0
+    gamma = math.exp(log_excess - lp0[k - lo]) if log_excess > -math.inf else 0.0
     log_accept1 = np.logaddexp(tail1, math.log(gamma) + lp1[0]) if gamma > 0.0 else tail1
     beta = -math.expm1(log_accept1)
     log_beta = log_diff_exp(0.0, log_accept1) if log_accept1 < 0.0 else -math.inf

@@ -387,6 +387,13 @@ class TestLLRMoments:
         assert m.third_abs_central == pytest.approx(GAUSS_T3, rel=1e-12, abs=0.0)
         assert m.berry_constant == pytest.approx(GAUSS_B, rel=1e-12, abs=0.0)
 
+    def test_gaussian_third_moment_past_float_range(self):
+        # d^3 overflows at d = 1e103 while d^2 = 1e206 is in range
+        m = llr_moments(GaussianPair(0.0, 1e103))
+        assert m.variance == pytest.approx(1e206, rel=1e-15, abs=0.0)
+        assert m.third_abs_central == math.inf
+        assert m.berry_constant == pytest.approx(GAUSS_B, rel=1e-12, abs=0.0)
+
     def test_mean_is_forward_kl(self):
         for pair in (BERN, BERN06, FiniteDiscretePair((0.2, 0.3, 0.5), (0.5, 0.25, 0.25))):
             assert llr_moments(pair).mean == pytest.approx(

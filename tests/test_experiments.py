@@ -489,6 +489,40 @@ class TestCli:
         assert "error: GaussianPair requires (delta / sigma)^2 in the float range" in err
         assert "Traceback" not in err
 
+    def test_hellinger_far_gaussian_pair_is_degenerate(self, tmp_path, capsys):
+        # 1 - H^2 = e^{-d^2/8} rounds to 0 beyond |delta/sigma| = 17.3, so the
+        # bound reads log(1 - H^2) = -d^2/8 from the kernel, not log1p(-H^2)
+        argv = ["bound", "--pair", "gaussian:0,20", "--bound", "hellinger", "--n", "10"]
+        assert cli_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (payload["value"], payload["valid"]) == (0.0, False)
+        csv = tmp_path / "far.csv"
+        assert cli_main(["sweep", "--pair", "gaussian:0,20", "--n-min", "10", "--n-max", "20",
+                         "--n-step", "10", "--csv", str(csv)]) == 0
+        assert "hellinger_value" in csv.read_text().splitlines()[0]
+
+    def test_berry_esseen_third_moment_out_of_float_range(self, capsys):
+        # E|Z - EZ|^3 = d^3 sqrt(8/pi) overflows past |delta/sigma| = 5.6e102
+        # while d^2 is in range; the bound uses only the constant 6 sqrt(8/pi)
+        argv = ["bound", "--pair", "gaussian:0,1e103", "--bound", "berry_esseen", "--n", "10"]
+        assert cli_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["bound"] == "berry_esseen"
+
+    def test_samplesize_infinite(self, capsys):
+        # (delta/sigma)^2 = 1e-320 is subnormal but in range: n is infinite,
+        # printed as inf and written to JSON as the string "inf"
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        code = cli_main(["samplesize", "--pair", "gaussian:0,1e-160", "--eps", "0.1",
+                         "--delta", "0.1"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert "(ceil inf," in lines[0] and "(ceil inf," in lines[2]
+        for line in (lines[1], lines[3]):
+            assert float(json.loads(line, parse_constant=refuse)["value"]) == math.inf
+
     def test_bad_pair_exits_two(self, capsys):
         code = cli_main(["bound", "--pair", "cauchy:0,1", "--bound", "fano", "--n", "10"])
         assert code == 2

@@ -100,7 +100,7 @@ class TestBernoulli:
     def test_randomization_exhausts_budget(self):
         for n, eps in ((10, 0.07), (25, 0.01), (60, 0.321)):
             r = np_exact_bernoulli(BERN, n, math.log(eps))
-            assert r.achieved_alpha == pytest.approx(eps, rel=1e-10)
+            assert r.achieved_alpha == pytest.approx(eps, rel=1e-10, abs=0.0)
             assert 0.0 <= r.randomization < 1.0
             assert _bernoulli_type1(BERN, n, r.threshold, r.randomization) == pytest.approx(
                 eps, abs=1e-12
@@ -186,8 +186,9 @@ _log_eps = st.one_of(
 
 
 class TestBernoulliWindow:
-    """np_exact_bernoulli forms only counts from the P0 mean up and sums
-    each tail only from its cut down; the full-range reference in
+    """np_exact_bernoulli forms each tail's log masses only over a window
+    from the P0 mean (P0) or k (P1) up to a closed-form bound past its cut,
+    and sums each tail only from its cut down; the full-range reference in
     bruteforce.py must give the same bits."""
 
     @settings(max_examples=150, deadline=None)
@@ -204,6 +205,12 @@ class TestBernoulliWindow:
     @example(0.5, 0.7, 20_000, -3000.0)
     @example(0.5, 0.51, 20_000, -6.058369314320538)  # k = 10,200: k + 1 just above n p1
     @example(0.5, 0.51, 20_000, -6.0142747792811315)  # k = 10,199: k + 1 the P1 mode
+    # The log masses are formed only up to a closed-form bound past each cut.
+    @example(0.0078125, 0.25, 47, -220.0)  # skewed: a normal-approximation end misses the cut
+    @example(0.5, 0.999, 20_000, math.log(0.01))  # p1 near 1: the P1 window reaches n
+    @example(0.5, 0.51, 20_000, -600.0)  # k above the P1 mode
+    @example(0.3, 0.6, 1, math.log(0.2))  # n = 1
+    @example(0.6, 0.3, 1, math.log(0.7))  # n = 1, mirrored
     def test_bit_identical_to_fullrange(self, p0, p1, n, log_eps):
         assume(p0 != p1)
         _same_as_fullrange(p0, p1, n, log_eps)
