@@ -73,7 +73,9 @@ Every bound returns a :class:`BoundResult`.  Lower bounds on beta that
 come out non-positive are clamped to 0 and flagged valid=False; ones
 that come out above 1 (possible for the literal Fano display at small n
 and large eps) are clamped to 1 and likewise flagged, since a Type II
-probability bound outside [0, 1] carries no information.
+probability bound outside [0, 1] carries no information.  An upper bound
+on beta whose log is above 0 (a vacuous threshold, or rounding at an
+exponent near 0) keeps that log_value and its flag, and its value is 1.
 """
 
 from __future__ import annotations
@@ -227,6 +229,12 @@ def _lower_beta(log_value: float | None, optimizer: float | None) -> BoundResult
     return BoundResult(value, log_value, optimizer, BoundKind.LOWER_BETA, value > 0.0)
 
 
+def _upper_beta(log_value: float, optimizer: float | None, valid: bool) -> BoundResult:
+    # beta <= 1 always, so the value is at most 1; log_value keeps the bound's own log.
+    return BoundResult(min(1.0, float(np.exp(log_value))), log_value, optimizer,
+                       BoundKind.UPPER_BETA, valid)
+
+
 def _tilt_root(
     pair: DistributionPair, direction: Direction, s: float, target: float,
     lo: float, hi: float, lam: float,
@@ -270,6 +278,14 @@ def _argmax_by_root(slope: Callable, hi: float, start: float) -> float:
     if slope(b)[0] >= 0.0:
         return b
     return _newton_root(slope, a, b, start, 0.0)[0]
+
+
+def _log1m_exp(g: float) -> float:
+    # log(1 - e^g) for g < 0: log1p(-e^g), whose bits the goldens and the
+    # benchmark references hold, except where e^g rounds to 1 and log1p(-1)
+    # raises; there 1 - e^g = -expm1(g) is tiny but exact.
+    e = math.exp(g)
+    return math.log1p(-e) if e < 1.0 else math.log(-math.expm1(g))
 
 
 def _branch_one(pair: DistributionPair, n: int, log_eps: float) -> tuple[float, float | None]:
@@ -333,7 +349,7 @@ def renyi_converse(pair: DistributionPair, n: int, log_eps: float) -> BoundResul
     _check_n(n)
     _check_log_eps(log_eps)
     g_min, lam_one = _branch_one(pair, n, log_eps)
-    log_one = math.log1p(-math.exp(g_min)) if g_min < 0.0 else None
+    log_one = _log1m_exp(g_min) if g_min < 0.0 else None
     # log(1 - eps) is finite for every finite log_eps < 0: 1 - eps is at
     # least the smallest subnormal even where eps itself rounds to 1.
     log_two, lam_two = _branch_two(pair, n, log_diff_exp(0.0, log_eps))
@@ -357,7 +373,7 @@ def phase_transition_converse(pair: DistributionPair, n: int, c: float) -> Bound
             "for c below the divergence use phase_transition_achievability"
         )
     g_min, lam = _branch_one(pair, n, -c * n)
-    log_value = math.log1p(-math.exp(g_min)) if g_min < 0.0 else None
+    log_value = _log1m_exp(g_min) if g_min < 0.0 else None
     return _lower_beta(log_value, lam)
 
 
@@ -433,12 +449,12 @@ def renyi_achievability_at_threshold(
 
     log_value = log_value_at(lam)
     if log_value is not None:
-        return BoundResult(float(np.exp(log_value)), log_value, lam, BoundKind.UPPER_BETA, True)
+        return _upper_beta(log_value, lam, True)
     ends = [(v, x) for x in (lo, hi) if (v := log_value_at(x)) is not None]
     if not ends:
-        return BoundResult(0.0, -math.inf, None, BoundKind.UPPER_BETA, False)
+        return _upper_beta(-math.inf, None, False)
     log_value, lam = min(ends)
-    return BoundResult(float(np.exp(log_value)), log_value, lam, BoundKind.UPPER_BETA, False)
+    return _upper_beta(log_value, lam, False)
 
 
 def threshold_for_rate(pair: DistributionPair, n: int, c: float, lam: float) -> float:
@@ -494,10 +510,7 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
         size = abs(c * h) + abs(psi) + psi_size
         ulps = (atoms.p.size + 8) * _EPS
         exponent = n * (c * h - psi - ulps * size) / lam
-    log_value = -exponent
-    return BoundResult(
-        float(np.exp(log_value)), log_value, lam, BoundKind.UPPER_BETA, exponent > 0.0
-    )
+    return _upper_beta(-exponent, lam, exponent > 0.0)
 
 
 def _lower_n(value: float, optimizer: float | None) -> BoundResult:
@@ -668,7 +681,9 @@ def berry_esseen_bound(
     hi = sqrt_n * one_m_eps - m.berry_constant
     if hi <= 0.0:
         return _lower_beta(None, None)
-    scale = math.sqrt(n * m.variance)
+    # n V overflows for Gaussian pairs far apart, where sqrt(n) sqrt(V) does not
+    scale = math.sqrt(n * m.variance) if n * m.variance < math.inf else (
+        math.sqrt(n) * math.sqrt(m.variance))
     shift = -n * m.mean - 0.5 * math.log(n)
 
     def objective(dl):

@@ -7,6 +7,7 @@ exactly 1 as the library documents.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -399,6 +400,23 @@ class TestLLRMoments:
             assert llr_moments(pair).mean == pytest.approx(
                 kl_divergence(pair, Direction.FORWARD), rel=1e-11, abs=0.0
             )
+
+    @pytest.mark.parametrize("p0, p1", [(1e-300, 0.5), (1e-200, 1.001e-200)])
+    def test_berry_constant_below_normal_variance(self, p0, p1):
+        # Var^{3/2} is below the normal range (0 for the first pair); a
+        # two-valued LLR with mass p0 on one value has 6 rho / sigma^3 =
+        # 6 (p0^2 + (1 - p0)^2) / sqrt(p0 (1 - p0)) = 6 / sqrt(p0) here
+        m = llr_moments(BernoulliPair(p0, p1))
+        assert m.variance**1.5 < sys.float_info.min
+        assert m.berry_constant == pytest.approx(6.0 / math.sqrt(p0), rel=1e-13, abs=0.0)
+
+    def test_berry_constant_where_third_moment_underflows(self):
+        # rho underflows to 0 while the variance (2e-322) does not: the
+        # constant is still about 6 / sqrt(p0), not 0; the subnormal
+        # variance holds only about 2 digits
+        m = llr_moments(BernoulliPair(1e-290, 1.0000000000000002e-290))
+        assert m.third_abs_central == 0.0 and m.variance > 0.0
+        assert m.berry_constant == pytest.approx(6e145, rel=1e-2, abs=0.0)
 
     def test_identical_pair_degenerates(self):
         m = llr_moments(FiniteDiscretePair((0.3, 0.7), (0.3, 0.7)))

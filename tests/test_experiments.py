@@ -335,6 +335,29 @@ class TestGolden:
         assert got == (GOLDEN / f"{table}.csv").read_bytes()
 
 
+class TestGcFreeze:
+    # Each case runs in a fresh interpreter: cli_main freezes whatever the
+    # process holds, so in this one it would count pytest's objects too.
+    @staticmethod
+    def _run(code, *args):
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env=env, check=True)
+        return proc.stdout.splitlines()[-1]
+
+    def test_cli_freezes_the_import_heap(self, tmp_path):
+        code = ("import gc, sys\nfrom htbounds.cli import cli_main\n"
+                "assert cli_main(['reproduce', 'fig2', '--outdir', sys.argv[1]]) == 0\n"
+                "print(gc.get_freeze_count())")
+        assert int(self._run(code, str(tmp_path))) > 10_000
+        got = (tmp_path / "fig2_exponential.csv").read_bytes()
+        assert got == (GOLDEN / "fig2_exponential.csv").read_bytes()
+
+    def test_import_leaves_the_collector_alone(self):
+        code = "import gc, htbounds\nprint(gc.get_freeze_count(), gc.isenabled())"
+        assert self._run(code) == "0 True"
+
+
 # One case per `bound --bound` choice: pair, flags, and the library call
 # that the command line must reproduce at n = 100.
 BOUND_CASES = [
@@ -508,6 +531,57 @@ class TestCli:
         assert cli_main(argv) == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["bound"] == "berry_esseen"
+
+    @pytest.mark.parametrize("spec", ["bernoulli:1e-300,0.5", "bernoulli:0.5,1e-300",
+                                      "discrete:1e-300,1|1e-200,1"])
+    def test_berry_esseen_llr_variance_below_normal_range(self, capsys, spec):
+        # Var^{3/2} underflows to 0 on the first and last pair, whose
+        # Berry-Esseen constant is about 6e150; the second pair's is 6.
+        # Either way n = 10 leaves the slack interval empty: vacuous.
+        argv = ["bound", "--pair", spec, "--bound", "berry_esseen", "--n", "10"]
+        assert cli_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (payload["value"], payload["valid"]) == (0.0, False)
+
+    def test_berry_esseen_scale_past_float_range(self, capsys):
+        # n V = 2060e306 overflows; sqrt(n) sqrt(V) does not, so the
+        # objective is -inf (n D overflows too), not -inf + inf = nan
+        argv = ["bound", "--pair", "gaussian:0,1e153", "--bound", "berry_esseen",
+                "--n", "2060", "--eps", "1e-163"]
+        assert cli_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (payload["value"], payload["valid"]) == (0.0, False)
+
+    def test_phase_converse_where_exp_rounds_to_one(self, capsys):
+        # identical pair: the exponent is -n c = -1e-247, whose exp rounds to
+        # 1, so log(1 - e^g) is log(-expm1(g)), not log1p(-1)
+        argv = ["bound", "--pair", "discrete:0.1,0.9|0.1,0.9", "--bound", "phase_converse",
+                "--n", "1000", "--c", "1e-250"]
+        assert cli_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["value"] == pytest.approx(1e-247, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["--pair", "bernoulli:0.5,0.6", "--bound", "achievability", "--n", "100", "--tau", "500"],
+        ["--pair", "bernoulli:1e-13,1e-14", "--bound", "phase_achievability", "--n", "1",
+         "--c", "1e-14"],
+    ], ids=["achievability", "phase_achievability"])
+    def test_upper_bound_above_one_prints_one(self, capsys, argv):
+        # log beta's upper bound is above 0 (4.98e-7; rounding at exponent
+        # 1.4e-14): beta <= 1 is printed, the log keeps the bound's own
+        assert cli_main(["bound", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["value"] == 1.0 and payload["log_value"] > 0.0
+
+    def test_samplesize_order_at_branch_one_end(self, capsys):
+        # the crossing lies where branch one turns vacuous, whose order is
+        # None: printed as "-" and written to JSON as null
+        code = cli_main(["samplesize", "--pair", "bernoulli:0.1,1e-14",
+                         "--eps", "0.36787944117144233", "--delta", "1.5428112031918877e-13"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].endswith("order -)")
+        assert json.loads(lines[1])["optimizer"] is None
 
     def test_samplesize_infinite(self, capsys):
         # (delta/sigma)^2 = 1e-320 is subnormal but in range: n is infinite,

@@ -1,17 +1,21 @@
 """Property-based tests: invariants that must hold on random inputs."""
 
+import contextlib
+import io
+import json
 import math
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from htbounds.bounds import (
     phase_transition_achievability,
     renyi_converse,
 )
+from htbounds.cli import cli_main
 from htbounds.distributions import (
     BernoulliPair,
     Direction,
@@ -170,3 +174,109 @@ def test_bruteforce_beats_random_feasible_tests(p, q, n, eps, seed):
     scale = np.minimum(1.0, eps / np.maximum(alpha, 1e-300))
     beta = 1.0 - (accept * scale[:, None]) @ m1
     assert float(np.min(beta)) >= oracle.beta - 1e-9
+
+
+# The float-range contract of the command line: across the float range every
+# call answers with probabilities in [0, 1] (sample sizes >= 0 or inf) or
+# exits 2 with one `error:` line, and never raises.
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(min_value=lo_exp, max_value=hi_exp).map(lambda u: 10.0**u)
+
+
+# Bernoulli parameters in [1e-300, 1 - 2^-53]: near 0, or near 1 no closer than 2^-53.
+_bern_p = st.one_of(
+    _log_uniform(-300.0, 0.0).filter(lambda p: p < 1.0),
+    _log_uniform(-15.95, -0.31).map(lambda t: 1.0 - t),
+)
+
+
+@st.composite
+def _k3_vector(draw):
+    a, b = draw(_log_uniform(-300.0, -0.5)), draw(_log_uniform(-300.0, -0.5))
+    return (a, b, 1.0 - (a + b))
+
+
+@st.composite
+def _cli_pair(draw):
+    family = draw(st.sampled_from(["gaussian", "bernoulli", "discrete"]))
+    if family == "gaussian":
+        d = draw(_log_uniform(-160.0, 154.0)) * draw(st.sampled_from([1.0, -1.0]))
+        return f"gaussian:0,{d!r}"
+    if family == "bernoulli":
+        return f"bernoulli:{draw(_bern_p)!r},{draw(_bern_p)!r}"
+    p, q = draw(_k3_vector()), draw(_k3_vector())
+    return "discrete:" + ",".join(map(repr, p)) + "|" + ",".join(map(repr, q))
+
+
+_LOG_EPS_MAX = math.log(1.0 - 1e-12)
+_log_eps = st.one_of(st.floats(min_value=-1e4, max_value=-1.0),
+                     st.floats(min_value=-1.0, max_value=_LOG_EPS_MAX))
+# eps itself, for the commands that take it as a number: log eps >= -700 keeps it above 0
+_eps = st.one_of(st.floats(min_value=-700.0, max_value=-1.0),
+                 st.floats(min_value=-1.0, max_value=_LOG_EPS_MAX)).map(math.exp)
+# Every sweep column defined for all three families, np_exact aside: the
+# Bernoulli oracle can still print a beta rounded below 0 (-9.3e-20 at
+# bernoulli:0.1,0.9999, n = 6, eps = 1/e) until it forms beta from the
+# smaller of the accepted and rejected P1 masses, and on a mirrored pair it
+# exits with "math domain error" where 1 - p rounds to 1 (bernoulli:0.5,1e-300).
+_SWEEP_BOUNDS = ("renyi_converse,achievability,phase_converse,phase_achievability,"
+                 "fano,hellinger,berry_esseen")
+_BOUND_FLAGS = {
+    "renyi_converse": {}, "fano": {}, "hellinger": {}, "berry_esseen": {}, "smoothing_out": {},
+    "achievability": {"--tau": st.floats(min_value=-1e3, max_value=1e3),
+                      "--log-alpha": st.floats(min_value=-1e4, max_value=0.0)},
+    "phase_converse": {"--c": _log_uniform(-300.0, 3.0)},
+    "phase_achievability": {"--c": _log_uniform(-300.0, 3.0)},
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    pair = draw(_cli_pair())
+    command = draw(st.sampled_from(["bound", "samplesize", "sweep"]))
+    if command == "samplesize":
+        return ["samplesize", "--pair", pair, f"--eps={draw(_eps)!r}", f"--delta={draw(_eps)!r}"]
+    n = draw(st.integers(min_value=1, max_value=10**6))
+    if command == "sweep":
+        return ["sweep", "--pair", pair, "--n-min", str(n), "--n-max", str(n + 1),
+                "--n-step", "1", f"--eps={draw(_eps)!r}", f"--bounds={_SWEEP_BOUNDS}"]
+    bound = draw(st.sampled_from(sorted(_BOUND_FLAGS)))
+    argv = ["bound", "--pair", pair, "--bound", bound, "--n", str(n),
+            f"--log-eps={draw(_log_eps)!r}"]
+    argv += [f"{flag}={draw(values)!r}" for flag, values in _BOUND_FLAGS[bound].items()]
+    return argv
+
+
+# Python's own messages, which name no domain
+_BARE_MESSAGES = ("math domain error", "math range error", "division by zero")
+
+
+def _printed_values(command, out):
+    # the probabilities (bound, sweep) or sample sizes (samplesize) printed
+    lines = out.splitlines()
+    if command == "sweep":
+        fields = [line.split(": ")[1] for line in lines[1:]]
+        return [float(v) for v in fields if v != "-"] + [float(lines[0].split("eps=")[1])]
+    return [float(json.loads(line)["value"]) for line in lines if line.startswith("{")]
+
+
+@settings(max_examples=60, deadline=None)
+@example(argv=["bound", "--pair", "bernoulli:1e-300,0.5", "--bound", "berry_esseen", "--n", "10"])
+@example(argv=["bound", "--pair", "bernoulli:0.5,1e-300", "--bound", "berry_esseen", "--n", "10"])
+@example(argv=["bound", "--pair", "discrete:1e-300,1|1e-200,1", "--bound", "berry_esseen",
+               "--n", "10"])
+@given(argv=_cli_argv())
+def test_cli_answers_or_exits_two_across_the_float_range(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) > 7, lines
+        assert not any(bare in lines[0] for bare in _BARE_MESSAGES), lines
+        return
+    assert code == 0, (code, err.getvalue())
+    values = _printed_values(argv[0], out.getvalue())
+    assert values
+    for v in values:
+        assert (v >= 0.0) if argv[0] == "samplesize" else (0.0 <= v <= 1.0), (v, out.getvalue())
