@@ -81,12 +81,9 @@ exponent near 0) keeps that log_value and its flag, and its value is 1.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
-
-import numpy as np
 
 from .distributions import (
     Direction,
@@ -101,6 +98,8 @@ from .distributions import (
     renyi_divergence,
 )
 from .numerics import (
+    _EPS,
+    _LOG2,
     DomainError,
     _check_log_eps,
     _check_log_prob,
@@ -131,10 +130,6 @@ __all__ = [
     "threshold_for_rate",
 ]
 
-_LOG2 = math.log(2.0)
-
-#: Machine epsilon, the spacing of floats at 1.
-_EPS = sys.float_info.epsilon
 #: The smallest order above 1.
 _ABOVE_ONE = math.nextafter(1.0, 2.0)
 #: Offset of the baselines' search domains from their open ends.
@@ -231,7 +226,7 @@ def _lower_beta(log_value: float | None, optimizer: float | None) -> BoundResult
 
 def _upper_beta(log_value: float, optimizer: float | None, valid: bool) -> BoundResult:
     # beta <= 1 always, so the value is at most 1; log_value keeps the bound's own log.
-    return BoundResult(min(1.0, float(np.exp(log_value))), log_value, optimizer,
+    return BoundResult(math.exp(min(log_value, 0.0)), log_value, optimizer,
                        BoundKind.UPPER_BETA, valid)
 
 
@@ -278,14 +273,6 @@ def _argmax_by_root(slope: Callable, hi: float, start: float) -> float:
     if slope(b)[0] >= 0.0:
         return b
     return _newton_root(slope, a, b, start, 0.0)[0]
-
-
-def _log1m_exp(g: float) -> float:
-    # log(1 - e^g) for g < 0: log1p(-e^g), whose bits the goldens and the
-    # benchmark references hold, except where e^g rounds to 1 and log1p(-1)
-    # raises; there 1 - e^g = -expm1(g) is tiny but exact.
-    e = math.exp(g)
-    return math.log1p(-e) if e < 1.0 else math.log(-math.expm1(g))
 
 
 def _branch_one(pair: DistributionPair, n: int, log_eps: float) -> tuple[float, float | None]:
@@ -349,7 +336,7 @@ def renyi_converse(pair: DistributionPair, n: int, log_eps: float) -> BoundResul
     _check_n(n)
     _check_log_eps(log_eps)
     g_min, lam_one = _branch_one(pair, n, log_eps)
-    log_one = _log1m_exp(g_min) if g_min < 0.0 else None
+    log_one = log_diff_exp(0.0, g_min) if g_min < 0.0 else None
     # log(1 - eps) is finite for every finite log_eps < 0: 1 - eps is at
     # least the smallest subnormal even where eps itself rounds to 1.
     log_two, lam_two = _branch_two(pair, n, log_diff_exp(0.0, log_eps))
@@ -373,7 +360,7 @@ def phase_transition_converse(pair: DistributionPair, n: int, c: float) -> Bound
             "for c below the divergence use phase_transition_achievability"
         )
     g_min, lam = _branch_one(pair, n, -c * n)
-    log_value = _log1m_exp(g_min) if g_min < 0.0 else None
+    log_value = log_diff_exp(0.0, g_min) if g_min < 0.0 else None
     return _lower_beta(log_value, lam)
 
 
@@ -565,7 +552,7 @@ def sample_complexity_renyi(
         ratio = lam / (lam - 1.0)
         first = (log_inv_delta - ratio * log_inv_1m_eps) / d_fwd
         second = (log_inv_eps - ratio * log_inv_1m_delta) / d_rev
-        return _lower_n(float(np.maximum(first, second)), lam)
+        return _lower_n(max(first, second), lam)
     d_fwd = kl_divergence(pair, Direction.FORWARD)
     d_rev = kl_divergence(pair, Direction.REVERSE)
     if not (d_fwd > 0.0 and d_rev > 0.0):
@@ -596,7 +583,10 @@ def sample_complexity_renyi(
         if isinstance(pair, GaussianPair):
             crossings.append((gap * gap / d, math.sqrt(top) / gap))
         else:
-            x, (lam_, r, slope) = _newton_root(resid, 0.0, math.inf, gap * gap, 0.0)
+            # x = n D lies below top (each term is at most top / D_l <= top / D),
+            # and branch one is vacuous from x = top on: searching below top
+            # ends where the order is known, up to rounding at top itself.
+            x, (lam_, r, slope) = _newton_root(resid, 0.0, top, gap * gap, 0.0)
             crossings.append(((x - r / slope if slope < 0.0 else x) / d, lam_))
     if not crossings:
         return _lower_n(0.0, math.inf)
@@ -638,11 +628,8 @@ def hellinger_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResu
     _check_log_eps(log_eps)
     log_affinity_2n = 2.0 * n * _log_affinity(pair)  # log1p(-H^2) fails where H^2 rounds to 1
     x = -math.expm1(log_affinity_2n)  # 1 - (1 - H^2)^{2n} in [0, 1)
-    if x > 0.5:
-        one_minus_sqrt = math.exp(log_affinity_2n) / (1.0 + math.sqrt(x))
-    else:
-        one_minus_sqrt = 1.0 - math.sqrt(x)
-    value = one_minus_sqrt - math.exp(log_eps)
+    # 1 - sqrt(x) = (1 - x) / (1 + sqrt(x)), which does not cancel as x -> 1
+    value = math.exp(log_affinity_2n) / (1.0 + math.sqrt(x)) - math.exp(log_eps)
     if value <= 0.0:
         return _lower_beta(None, None)
     return _lower_beta(math.log(value), None)
@@ -681,22 +668,20 @@ def berry_esseen_bound(
     hi = sqrt_n * one_m_eps - m.berry_constant
     if hi <= 0.0:
         return _lower_beta(None, None)
-    # n V overflows for Gaussian pairs far apart, where sqrt(n) sqrt(V) does not
-    scale = math.sqrt(n * m.variance) if n * m.variance < math.inf else (
-        math.sqrt(n) * math.sqrt(m.variance))
+    sqrt_v = math.sqrt(m.variance)
+    scale = sqrt_n * sqrt_v  # n V overflows for Gaussian pairs far apart
     shift = -n * m.mean - 0.5 * math.log(n)
 
     def objective(dl):
         arg = one_m_eps - (m.berry_constant + dl) / sqrt_n
-        return shift - scale * q_inverse(arg) + np.log(dl)
+        return shift - scale * q_inverse(arg) + math.log(dl)
 
     if delta_param is not None:
         if not (isinstance(delta_param, (int, float)) and delta_param > 0.0):
             raise DomainError(f"delta_param must be > 0, got {delta_param!r}")
         if delta_param >= hi:
             return _lower_beta(None, delta_param)
-        return _lower_beta(float(objective(delta_param)), delta_param)
-    sqrt_v = math.sqrt(m.variance)
+        return _lower_beta(objective(delta_param), delta_param)
 
     def h(dl):
         x = q_inverse(one_m_eps - (m.berry_constant + dl) / sqrt_n)
@@ -704,7 +689,7 @@ def berry_esseen_bound(
         return phi - dl * sqrt_v, -x / sqrt_n - sqrt_v, phi + dl * sqrt_v, None
 
     delta = _argmax_by_root(h, hi, h(0.0)[0] / sqrt_v)
-    return _lower_beta(float(objective(delta)), delta)
+    return _lower_beta(objective(delta), delta)
 
 
 def smoothing_out_bound(
@@ -737,14 +722,17 @@ def smoothing_out_bound(
     log_1m_eps = log_diff_exp(0.0, log_eps)
 
     def objective(t):
-        with np.errstate(divide="ignore"):
-            smoothed = log_1m_eps / (-np.expm1(-2.0 * t))
-        return -n * d2 / 2.0 + smoothed - n * t - (d2 / 2.0) * np.expm1(t) ** 2 - 2.0 * n * np.sinh(t) ** 2
+        smoothed = log_1m_eps / -math.expm1(-2.0 * t)
+        try:
+            return (-n * d2 / 2.0 + smoothed - n * t - (d2 / 2.0) * math.expm1(t) ** 2
+                    - 2.0 * n * math.sinh(t) ** 2)
+        except OverflowError:  # every term is <= 0, so the sum is -inf
+            return -math.inf
 
     if t_param is not None:
         if not (isinstance(t_param, (int, float)) and t_param > 0.0):
             raise DomainError(f"t_param must be > 0, got {t_param!r}")
-        return _lower_beta(float(objective(t_param)), t_param)
+        return _lower_beta(objective(t_param), t_param)
 
     def slope(t):
         sinh_t, e_t = math.sinh(t), math.exp(t)
@@ -755,4 +743,4 @@ def smoothing_out_bound(
         return terms[0] - terms[1] - terms[2] - terms[3], curve, sum(terms), None
 
     t = _argmax_by_root(slope, 10.0, math.sqrt(-log_1m_eps / (2.0 * n)))
-    return _lower_beta(float(objective(t)), t)
+    return _lower_beta(objective(t), t)

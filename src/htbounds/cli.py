@@ -35,13 +35,7 @@ from .bounds import (
     smoothing_out_bound,
     threshold_for_rate,
 )
-from .distributions import (
-    Direction,
-    PairSpecError,
-    UnsupportedFamilyError,
-    kl_divergence,
-    parse_pair,
-)
+from .distributions import Direction, kl_divergence, parse_pair
 from .experiments import (
     CANONICAL_BOUNDS,
     ConfigError,
@@ -297,13 +291,7 @@ def cli_main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        DomainError,
-        PairSpecError,
-        ConfigError,
-        UnsupportedFamilyError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # every input error of the library subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

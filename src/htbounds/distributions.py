@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
@@ -300,11 +299,10 @@ def llr_moments(pair: DistributionPair) -> LLRMoments:
 
     For discrete pairs the mean and variance are psi'(1) and psi''(1) of
     the forward tilted log-sum (see :func:`_tilt`), cached with its atoms.
-    The Berry-Esseen constant 6 rho / sigma^3 is formed as 6 rho / (sigma^2)^1.5
-    while that power is a normal float.  Below it (sigma^2 < 1e-205, where
-    rho too may underflow) it is 6 sum (p s^2) s over the standardized
-    atoms s = |z - mean| / sigma, in which p s^2 <= 1 and s <= max|z| / sigma,
-    so it neither divides by 0 nor overflows.
+    The Berry-Esseen constant 6 rho / sigma^3 is 6 sum (p s^2) s over the
+    standardized atoms s = |z - mean| / sigma, in which p s^2 <= 1 and
+    s <= max|z| / sigma, so it neither divides by 0 nor overflows where
+    sigma^3 or rho leaves the normal range (sigma^2 < 1e-205).
     """
     if isinstance(pair, GaussianPair):
         d = abs(pair.delta) / pair.sigma
@@ -320,14 +318,10 @@ def llr_moments(pair: DistributionPair) -> LLRMoments:
     mean, variance = atoms.kl, atoms.var
     dev = np.abs(atoms.z - mean)
     third = float(atoms.p @ dev**3)
-    v15 = variance**1.5
-    if v15 >= sys.float_info.min:
-        berry = 6.0 * third / v15
-    elif variance > 0.0:
+    berry = 0.0
+    if variance > 0.0:
         s = dev / math.sqrt(variance)
-        berry = 6.0 * float((atoms.p * s * s) @ s)  # p s^2 <= 1: no term overflows
-    else:
-        berry = 0.0
+        berry = 6.0 * float((atoms.p * s * s) @ s)
     return LLRMoments(mean=mean, variance=variance, third_abs_central=third, berry_constant=berry)
 
 

@@ -24,7 +24,10 @@ atoms per pair and direction, and one cached table of log k!.  Every bound
 solves one scalar problem at a time, so the ``Q`` family and
 ``log_diff_exp`` take scalars (``int`` or ``float``) only, check them with
 plain comparisons, and return a plain ``float``; an array or any other
-argument raises :class:`DomainError`.
+argument raises :class:`DomainError`.  Scalar arithmetic here and in
+:mod:`htbounds.bounds` uses :mod:`math`, not numpy's ufuncs, with one
+formula per quantity; an overflow there is an ``OverflowError``, handled
+where it can occur, not a warning.
 """
 
 from __future__ import annotations
@@ -129,15 +132,16 @@ def q_inverse_log(log_p: float) -> float:
     """
     if not (isinstance(log_p, (int, float)) and -math.inf < log_p < 0.0):
         raise DomainError("q_inverse_log requires finite log_p < 0")
-    x = -special.ndtri_exp(log_p)
-    logq = special.log_ndtr(-x)
+    x = float(-special.ndtri_exp(log_p))
+    logq = float(special.log_ndtr(-x))
     # d/dx log Q = -phi/Q, so the Newton step is resid * Q / phi.
-    # For |log_p| below about 1e-310, Q / phi overflows and the step is
-    # inf or NaN; the ndtri_exp value is kept there.
+    # For |log_p| below about 1e-310, Q / phi overflows; the ndtri_exp
+    # value is kept there.
     log_phi = -0.5 * x * x - _LOG_SQRT_2PI
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = (logq - log_p) * np.exp(logq - log_phi)
-    return float(x + step if math.isfinite(step) else x)
+    try:
+        return x + (logq - log_p) * math.exp(logq - log_phi)
+    except OverflowError:
+        return x
 
 
 def log_diff_exp(a: float, b: float) -> float:
@@ -154,12 +158,11 @@ def log_diff_exp(a: float, b: float) -> float:
         raise DomainError("log_diff_exp requires non-NaN arguments")
     if b > a:
         raise DomainError("log_diff_exp requires a >= b")
-    if a == -math.inf:  # so b == -inf too
-        return -math.inf
-    a, b = float(a), float(b)  # an int may be too big for a ufunc; np.float64 warns on inf - inf
+    a, b = float(a), float(b)
     d = b - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(a + (np.log(-np.expm1(d)) if d > -_LOG2 else np.log1p(-np.exp(d))))
+    if d == 0.0 or a == -math.inf:  # equal arguments; a == -inf forces b == -inf
+        return -math.inf
+    return a + (math.log(-math.expm1(d)) if d > -_LOG2 else math.log1p(-math.exp(d)))
 
 
 def _newton_root(f: Callable, lo: float, hi: float, x: float, origin: float):

@@ -146,9 +146,9 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     e^{L - C} and lies past the cut.  The P0 masses are formed from the P0
     mean floor(n p0) up to that end with L = log eps (770 counts at
     n = 20,000, eps = 0.01), and the P1 masses from k up to it with
-    L = log P1(S = q), evaluated once as a scalar by the formula of the
-    array.  Each window runs 2 counts further, so at its first unformed
-    count the bound lies more than 8 sqrt(C / 2n) nats below L - C (0.29
+    L = log P1(S = q), formed first as a window of one count.  Each
+    window runs 2 counts further, so at its first unformed count the
+    bound lies more than 8 sqrt(C / 2n) nats below L - C (0.29
     at n = 20,000), far beyond the rounding of the log masses (about
     1e-16 log n! nats, 2e-11 at n = 20,000).  So each binary search finds
     the cut it would find over all n + 1 counts, and each chain sums the
@@ -202,9 +202,7 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     # tail1 = log P1(S > k), summed down from the last count within cut of
     # its largest term, at q (-inf when k == n).
     q = min(max(int((n + 1) * p1), k + 1), n)
-    # log P1(S = q) by lp1's formula, before lp1 exists: it sets lp1's window end
-    log_top1 = (log_fact[-1] - log_fact[q] - log_fact[n - q]
-                + q * math.log(p1) + (n - q) * math.log1p(-p1))
+    log_top1 = log_pmf(p1, q, q + 1)[0]  # log P1(S = q): it sets lp1's window end
     lp1 = log_pmf(p1, k, window_end(p1, log_top1))
     top1 = q - k + int(np.searchsorted(-lp1[q - k :], cut - log_top1, side="right"))
     tail1 = np.logaddexp.reduce(lp1[top1 - 1 : 0 : -1])

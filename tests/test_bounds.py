@@ -632,6 +632,21 @@ class TestSampleComplexity:
             fixed = max(sample_complexity_renyi(pair, eps, delta, lam=float(x)).value for x in lams)
             assert r.value >= fixed * (1.0 - 1e-12), case
 
+    @pytest.mark.parametrize("eps, delta", [(1e-12, 2.8875612077371645e-12),
+                                            (0.36787944117144233, 1.5428112031918877e-13)])
+    def test_order_where_branch_one_turns_vacuous(self, eps, delta):
+        # The second crossing lies just below n D(P1||P0) = log(1/eps),
+        # where branch one turns vacuous.  Its term increases in l here, so
+        # the crossing is the l -> inf limit (log(1/eps) + log(1 - delta)) /
+        # D_inf(P1||P0), and that order is reported, not None.
+        r = sample_complexity_renyi(BernoulliPair(0.1, 1e-14), eps, delta)
+        with mpmath.workdps(60):
+            p, q = _mp_atoms(BernoulliPair(0.1, 1e-14), Direction.REVERSE)
+            d_inf = max(mpmath.log(a / b) for a, b in zip(p, q))
+            want = float((-mpmath.log(eps) + mpmath.log1p(-delta)) / d_inf)
+        assert r.optimizer == math.inf
+        assert r.value == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_no_crossing_when_eps_plus_delta_reaches_one(self):
         # Both terms are negative for every l: clamped to 1, with the
         # optimizer at the l -> inf limit the supremum is approached in.
@@ -704,6 +719,21 @@ class TestHellinger:
         r = hellinger_bound(BernoulliPair(0.5, 0.7), 1000, math.log(0.01))
         assert r.value == 0.0
         assert not r.valid
+
+    @pytest.mark.parametrize("delta, n", [(2.0**-10, 1), (0.5, 1), (0.5, 11), (0.5, 12),
+                                          (0.5, 100), (0.5, 2000)])
+    def test_one_minus_sqrt_matches_mpmath(self, delta, n):
+        # For a Gaussian pair 2n log(1 - H^2) = -n delta^2 / 4, exact here,
+        # and eps = e^-1000 rounds to 0, so the bound is 1 - sqrt(x) with
+        # x = 1 - e^{-n delta^2 / 4}: below 1/2 up to (0.5, 11), above from
+        # (0.5, 12).  Its log is compared, to 1e-14 absolute (so the value
+        # to 1e-14 relative), since exp(log) would add |log| ulps.  1 - sqrt(x)
+        # cancels 55 digits at (0.5, 2000), so the reference runs at 120 digits.
+        r = hellinger_bound(GaussianPair(0.0, delta), n, -1000.0)
+        with mpmath.workdps(120):
+            x = -mpmath.expm1(-n * mpmath.mpf(delta) ** 2 / 4)
+            want = float(mpmath.log(1 - mpmath.sqrt(x)))
+        assert r.log_value == pytest.approx(want, rel=0.0, abs=1e-14)
 
     def test_sound_against_oracle(self):
         for n in (10, 100, 400):

@@ -574,14 +574,28 @@ class TestCli:
         assert payload["value"] == 1.0 and payload["log_value"] > 0.0
 
     def test_samplesize_order_at_branch_one_end(self, capsys):
-        # the crossing lies where branch one turns vacuous, whose order is
-        # None: printed as "-" and written to JSON as null
+        # the crossing lies just below where branch one turns vacuous; its
+        # order is the l = inf limit: printed as inf and written to JSON as "inf"
         code = cli_main(["samplesize", "--pair", "bernoulli:0.1,1e-14",
                          "--eps", "0.36787944117144233", "--delta", "1.5428112031918877e-13"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].endswith("order -)")
-        assert json.loads(lines[1])["optimizer"] is None
+        assert lines[0].endswith("order inf)")
+        assert json.loads(lines[1])["optimizer"] == "inf"
+
+    @pytest.mark.parametrize("argv", [
+        ["--bound", "smoothing_out", "--pair", "gaussian:2,0.1", "--t-param", "1000"],
+        ["--bound", "berry_esseen", "--pair", "gaussian:2,0.1", "--delta-param", "1e300"],
+    ], ids=["t_param_1000", "delta_param_1e300"])
+    def test_bound_parameter_far_out_is_degenerate(self, capsys, argv):
+        # (e^t - 1)^2 and sinh^2 t overflow past t = 355; every term of the
+        # smoothing objective is <= 0, so the log bound is -inf, flagged
+        # degenerate, with nothing on stderr
+        assert cli_main(["bound", "--n", "100", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert "[degenerate]" in out and err == ""
+        payload = json.loads(out.strip().splitlines()[-1])
+        assert (payload["value"], payload["log_value"], payload["valid"]) == (0.0, "-inf", False)
 
     def test_samplesize_infinite(self, capsys):
         # (delta/sigma)^2 = 1e-320 is subnormal but in range: n is infinite,

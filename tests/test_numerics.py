@@ -167,13 +167,34 @@ class TestLogDiffExp:
         with pytest.raises(DomainError):
             log_diff_exp(math.nan, 0.0)
 
-    @pytest.mark.parametrize("b", [-1e-300, -1e-12, -1.29e-8, -0.5, -0.7, -5.0])
+    @pytest.mark.parametrize("b", [-1e-300, -1e-100, -1e-12, -1.29e-8, -0.5, -0.6931471805599452,
+                                   -0.6931471805599453, -0.6931471805599454, -0.7, -1.0, -5.0,
+                                   -40.0, -700.0, -708.5, -745.0])
     def test_matches_mpmath_near_and_far(self, b):
-        # log(1 - e^b): log(-expm1(b)) keeps it exact as b -> 0, where
-        # log1p(-exp(b)) lost 1.7e-10 relative at b = -1.29e-8.
+        # log(1 - e^b) on both sides of b = -log 2: log(-expm1(b)) keeps it
+        # exact as b -> 0, where log1p(-exp(b)) lost 1.7e-10 relative at
+        # b = -1.29e-8 and 8e-7 at b = -1e-12; the subnormal results past
+        # b = -708.4 are exact too, as log1p(-y) = -y there.
         with mpmath.workdps(60):
-            want = float(mpmath.log(-mpmath.expm1(mpmath.mpf(b))))
+            x = mpmath.mpf(b)
+            want = float(mpmath.log(-mpmath.expm1(x)) if b > -1.0 else mpmath.log1p(-mpmath.exp(x)))
         assert log_diff_exp(0.0, b) == pytest.approx(want, rel=4e-16, abs=0.0)
+
+    # Special cases and argument types, pinned by repr: equal arguments give
+    # -inf, and (inf, inf) gives nan, as inf - inf does.
+    @pytest.mark.parametrize("a, b, want", [
+        (1.5, 1.5, "-inf"), (3, 3, "-inf"), (0.0, -0.0, "-inf"),
+        (-math.inf, -math.inf, "-inf"), (math.inf, math.inf, "nan"),
+        (math.inf, 0.0, "inf"), (math.inf, -math.inf, "inf"), (0.0, -math.inf, "0.0"),
+        (-1.0, -math.inf, "-1.0"), (1e308, -1e308, "1e+308"), (700.0, -745.0, "700.0"),
+        (3, 1, "2.854586542131141"), (0, -1, "-0.45867514538708193"),
+        (np.float64(0.0), np.float64(-1.0), "-0.45867514538708193"),
+        (np.float64(2.5), 1, "2.2475175410745463"), (0.0, -5e-324, "-744.4400719213812"),
+        (-745.0, -746.0, "-745.4586751453871"),
+    ])
+    def test_special_cases(self, a, b, want):
+        got = log_diff_exp(a, b)
+        assert type(got) is float and repr(got) == want
 
 
 def scalar_forms(x):
