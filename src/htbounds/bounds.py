@@ -93,6 +93,7 @@ from .distributions import (
     _log_affinity,
     _tilt,
     _tilt_atoms,
+    _TiltAtoms,
     kl_divergence,
     llr_moments,
     renyi_divergence,
@@ -230,13 +231,11 @@ def _upper_beta(log_value: float, optimizer: float | None, valid: bool) -> Bound
                        BoundKind.UPPER_BETA, valid)
 
 
-def _tilt_root(
-    pair: DistributionPair, direction: Direction, s: float, target: float,
-    lo: float, hi: float, lam: float,
-) -> tuple[float, float | None]:
+def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float, hi: float,
+               lam: float) -> tuple[float, float | None]:
     """The order l in (lo, hi) where H_s(l) = psi(l) - (l - s) psi'(l) = target.
 
-    psi is the tilted log-sum of the pair's atoms in ``direction``.  Since
+    psi is the tilted log-sum over ``atoms``, one pair's record.  Since
     H_s' = -(l - s) psi'', H_s strictly decreases for l > s, and lo >= s
     here; the caller guarantees H_s(lo) > target > H_s(hi), with hi = inf
     standing for the limit.  ``lam`` is the start, which the callers take
@@ -248,7 +247,7 @@ def _tilt_root(
     """
 
     def resid(x):
-        psi, mean, var, psi_size = _tilt(pair, x, direction)
+        psi, mean, var, psi_size = _tilt(atoms, x)
         size = abs(psi) + abs((x - s) * mean) + abs(target)
         return psi - (x - s) * mean - target, -(x - s) * var, size, (psi, psi_size)
 
@@ -298,7 +297,7 @@ def _branch_one(pair: DistributionPair, n: int, log_eps: float) -> tuple[float, 
     lam = math.inf
     if t > top.log_q_top:
         start = math.sqrt(1.0 + 2.0 * (-t - d) / v) if v > 0.0 else math.nan
-        lam, psi, _ = _tilt_root(pair, Direction.REVERSE, 0.0, t, 1.0, math.inf, start)
+        lam, psi, _ = _tilt_root(top, 0.0, t, 1.0, math.inf, start)
     if lam == math.inf:
         return log_eps + n * top.d_inf, lam
     return ((lam - 1.0) * log_eps + n * psi) / lam, lam
@@ -321,7 +320,7 @@ def _branch_two(pair: DistributionPair, n: int, log_1m_eps: float) -> tuple[floa
     lam = math.inf
     if u > top.log_q_top + top.d_inf:
         start = max(1.0 + math.sqrt(-2.0 * u / v), _ABOVE_ONE) if v > 0.0 else math.nan
-        lam, psi, _ = _tilt_root(pair, Direction.FORWARD, 1.0, u, 1.0, math.inf, start)
+        lam, psi, _ = _tilt_root(top, 1.0, u, 1.0, math.inf, start)
     if lam == math.inf:
         return log_1m_eps - n * top.d_inf, lam
     return (lam * log_1m_eps - n * psi) / (lam - 1.0), lam
@@ -406,15 +405,15 @@ def renyi_achievability_at_threshold(
                     ulps * lam * (0.5 * abs(h) * a + abs(tau)))
     else:
         atoms = _tilt_atoms(pair, Direction.REVERSE)
-        ulps = (atoms.p.size + 8) * _EPS
+        ulps = (len(atoms.p) + 8) * _EPS
         t = tau / n
 
         def slope(x):
-            _, mean, var, _ = _tilt(pair, x, Direction.REVERSE)
+            _, mean, var, _ = _tilt(atoms, x)
             return t - mean, -var, abs(t) + abs(mean), None
 
         def terms(lam):
-            psi, _, _, psi_size = _tilt(pair, lam, Direction.REVERSE)
+            psi, _, _, psi_size = _tilt(atoms, lam)
             h, size = lam - 1.0, n * (abs(psi) + psi_size)
             return (n * psi - lam * tau, n * psi - h * tau,
                     ulps * (size + abs(h * tau)), ulps * (size + abs(lam * tau)))
@@ -488,14 +487,14 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
     else:
         atoms = _tilt_atoms(pair, Direction.REVERSE)
         start = 1.0 - 2.0 * (d_rev - c) / atoms.var if atoms.var > 0.0 else math.nan
-        lam, psi, psi_size = _tilt_root(pair, Direction.REVERSE, 0.0, -c, 0.0, 1.0,
+        lam, psi, psi_size = _tilt_root(atoms, 0.0, -c, 0.0, 1.0,
                                         math.sqrt(start) if start > 0.0 else 0.5)
         # Near c = D the exponent is a small difference of terms of order
         # (l - 1) D; it is rounded down by a bound on their rounding error
         # so that the upper bound on beta never understates.
         h = lam - 1.0
         size = abs(c * h) + abs(psi) + psi_size
-        ulps = (atoms.p.size + 8) * _EPS
+        ulps = (len(atoms.p) + 8) * _EPS
         exponent = n * (c * h - psi - ulps * size) / lam
     return _upper_beta(-exponent, lam, exponent > 0.0)
 

@@ -13,17 +13,21 @@ swaps the roles.  Log-likelihood ratio moments are always those of
 log(p0/p1) under P0, the orientation the Berry-Esseen baseline needs.
 Gaussian formulas are exact for any sigma because the testing problem
 (mu, delta, sigma) rescales to (0, delta/sigma, 1).
+
+Discrete pairs go through one cached record per pair and direction
+(:func:`_tilt_atoms`) and the tilted log-sum :func:`_tilt` over it, in
+scalar ``math``.  Each sum is a ``math.fsum``: correctly rounded, the same
+on every Python, and within the (K - 1) eps of a sequential sum of K terms.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
-
-import numpy as np
 
 from .numerics import DomainError
 
@@ -161,93 +165,98 @@ def _gaussian_d2(pair: GaussianPair) -> float:
 
 
 class _TiltAtoms(NamedTuple):
-    logp: np.ndarray  # log p
-    p: np.ndarray  # the first argument's atoms, renormalized to sum 1
-    q: np.ndarray  # the second argument's atoms, renormalized to sum 1
-    z: np.ndarray  # log(p / q)
+    logp: tuple[float, ...]  # log p
+    p: tuple[float, ...]  # the first argument's atoms, renormalized to sum 1
+    q: tuple[float, ...]  # the second argument's atoms, renormalized to sum 1
+    z: tuple[float, ...]  # log(p / q)
     z_abs: float  # max |z|
+    z_min: float  # min z
     d_inf: float  # D_inf = max z
     log_q_top: float  # log Q(A), A the atoms where z = D_inf
-    kl: float  # D(P || Q) = sum p z = psi'(1)
-    var: float  # sum p (z - kl)^2 = psi''(1)
+    kl: float = math.nan  # D(P || Q) = sum p z = psi'(1)
+    var: float = math.nan  # sum p (z - kl)^2 = psi''(1)
+    third: float = math.nan  # sum p |z - kl|^3
+    berry: float = math.nan  # 6 sum (p s^2) s, s = |z - kl| / sqrt(var); 0 if var = 0
+    log_affinity: float = math.nan  # min(psi(1/2), 0)
 
 
 @functools.lru_cache(maxsize=256)
 def _tilt_atoms(pair: DistributionPair, direction: Direction) -> _TiltAtoms:
-    """The atoms of a discrete pair (first, second argument) that :func:`_tilt` sums.
+    """The one record of a discrete pair: its atoms (first, second argument) and constants.
 
-    Cached per (pair, direction), since pairs are frozen and hashable; the
-    arrays are read-only so no caller can change what the next one gets.
-    Atoms where both vectors vanish are dropped, and each vector is scaled
-    to sum to 1.  z is log1p((p - q) / q) where p / q lies within (1/2, 3/2),
-    so it keeps its relative accuracy as p -> q, where log p - log q cancels.
+    Cached per (pair, direction), in tuples no caller can change.  Atoms
+    where both vectors vanish are dropped; each vector is divided by its
+    fsum.  z is log1p((p - q) / q) where p / q lies within (1/2, 3/2), so
+    it keeps its relative accuracy as p -> q, where log p - log q cancels.
+    The constants (nan until filled in) come from :func:`_tilt` on the
+    atoms: kl and var at lam = 1, log_affinity at lam = 1/2.
     """
     if isinstance(pair, BernoulliPair):
-        p, q = np.array([1.0 - pair.p0, pair.p0]), np.array([1.0 - pair.p1, pair.p1])
+        p, q = (1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1)
     elif isinstance(pair, FiniteDiscretePair):
-        p, q = np.array(pair.p0), np.array(pair.p1)
-        p, q = p[p > 0.0], q[p > 0.0]
+        p, q = zip(*((a, b) for a, b in zip(pair.p0, pair.p1) if a > 0.0))
     else:
         raise UnsupportedFamilyError(f"no discrete atoms for {type(pair).__name__}")
     if direction is Direction.REVERSE:
         p, q = q, p
-    p, q = p / p.sum(), q / q.sum()
-    z = np.log(p / q)
-    near = np.abs(p - q) < 0.5 * q
-    z[near] = np.log1p((p[near] - q[near]) / q[near])
-    logp = np.log(p)
-    for arr in (logp, p, q, z):
-        arr.flags.writeable = False
-    d_inf, kl = float(z.max()), float(p @ z)
-    dz = z - kl
-    return _TiltAtoms(logp, p, q, z, float(np.max(np.abs(z))), d_inf,
-                      float(np.log(q[z == d_inf].sum())), kl, float(p @ (dz * dz)))
+    sp, sq = math.fsum(p), math.fsum(q)
+    p, q = tuple(a / sp for a in p), tuple(b / sq for b in q)
+    z = tuple(math.log1p((a - b) / b) if abs(a - b) < 0.5 * b else math.log(a / b)
+              for a, b in zip(p, q))
+    z_min, d_inf = min(z), max(z)
+    atoms = _TiltAtoms(tuple(map(math.log, p)), p, q, z, max(d_inf, -z_min), z_min, d_inf,
+                       math.log(math.fsum(b for b, x in zip(q, z) if x == d_inf)))
+    _, kl, var, _ = _tilt(atoms, 1.0)
+    dev, sd = [abs(x - kl) for x in z], math.sqrt(var)
+    berry = 6.0 * math.fsum(a * s * s * s for a, s in zip(p, (d / sd for d in dev))) if sd else 0.0
+    atoms = atoms._replace(kl=kl, var=var, third=math.fsum(a * d**3 for a, d in zip(p, dev)),
+                           berry=berry)
+    return atoms._replace(log_affinity=min(_tilt(atoms, 0.5)[0], 0.0))
 
 
-def _tilt(pair: DistributionPair, lam: float,
-          direction: Direction) -> tuple[float, float, float, float]:
+def _tilt(atoms: _TiltAtoms, lam: float) -> tuple[float, float, float, float]:
     """The tilted log-sum psi(lam) = log sum p^lam q^(1-lam), psi', psi'' and a size.
 
-    With z = log(p / q), psi'(lam) and psi''(lam) are the mean and the
-    variance of z under the tilted law proportional to p^lam q^(1-lam), so
-    psi is convex with psi(0) = psi(1) = 0 and D_lam = psi(lam) / (lam - 1).
-    Near either zero psi is an expansion about it, which keeps its
-    relative accuracy where a log-sum-exp cancels to nothing: while
-    lam < 1/2 and lam max|z| <= 1/2, psi = log1p(sum q expm1(lam z)) (the
-    step is lam itself: lam - 1 would round away 1e-7 of lam = 1e-9), and
-    while |lam - 1| max|z| <= 1/2, psi = log1p(sum p expm1((lam - 1) z)).
-    Elsewhere the sum is shifted by the z that dominates it (the largest
-    for lam > 1, the smallest for lam < 1), so no term overflows and the
-    top atoms keep their exact log-probabilities however large lam is.  As
-    lam -> inf, psi(lam) - lam D_inf tends to log Q(A) (see
-    :func:`_tilt_atoms`).  The size is the magnitude psi was summed from:
-    sum |q expm1(lam z)| or sum |p expm1((lam - 1) z)| in the expansions,
-    and in the shifted sum a bound on its terms and on the errors z
-    carries into them; psi is within a few ulps of |psi| + size per atom.
-    Discrete pairs only; lam is a float > 0.
+    Over one :func:`_tilt_atoms` record.  With z = log(p / q), psi'(lam)
+    and psi''(lam) are the mean and the variance of z under the tilted law
+    proportional to p^lam q^(1-lam), so psi is convex with psi(0) = psi(1)
+    = 0 and D_lam = psi(lam) / (lam - 1).  Near either zero psi is an
+    expansion about it, which keeps its relative accuracy where a
+    log-sum-exp cancels to nothing: while lam < 1/2 and lam max|z| <= 1/2,
+    psi = log1p(sum q expm1(lam z)) (the step is lam itself: lam - 1 would
+    round away 1e-7 of lam = 1e-9), and while |lam - 1| max|z| <= 1/2,
+    psi = log1p(sum p expm1((lam - 1) z)).  Elsewhere the sum is shifted
+    by the z that dominates it (the largest for lam > 1, the smallest for
+    lam < 1), so no term overflows and the top atoms keep their exact
+    log-probabilities however large lam is; as lam -> inf, psi(lam) -
+    lam D_inf tends to log Q(A).  The size is the magnitude psi was summed
+    from: sum |q expm1(lam z)| or sum |p expm1((lam - 1) z)| in the
+    expansions, and in the shifted sum a bound on its terms and on the
+    errors z carries into them.  With fsum sums, psi is within about
+    (K + 8) eps of |psi| + size, psi' of the tilted mean of |z|, and psi''
+    of itself plus what errors of eps |z| in z - psi' make of it (the
+    model :mod:`htbounds.bounds` assumes).  lam is a float > 0.
     """
-    logp, p, q, z, z_abs = _tilt_atoms(pair, direction)[:5]
-    h = lam - 1.0
+    z, z_abs, h = atoms.z, atoms.z_abs, lam - 1.0
     near_zero = lam < 0.5 and lam * z_abs <= 0.5
     if near_zero or abs(h) * z_abs <= 0.5:
-        base = q if near_zero else p
-        w = base * np.expm1((lam if near_zero else h) * z)
-        terms = w.tolist()  # Python sums: faster than numpy's for a few atoms
+        base, step = (atoms.q, lam) if near_zero else (atoms.p, h)
+        terms = [b * math.expm1(step * x) for b, x in zip(base, z)]
         s = math.fsum(terms)
-        psi, size, total = math.log1p(s), sum(map(abs, terms)), 1.0 + s
-        w += base
+        psi, size, total = math.log1p(s), math.fsum(map(abs, terms)), 1.0 + s
+        w = list(map(operator.add, terms, base))
     else:
-        z_top = float(z.max() if h > 0.0 else z.min())
-        x = logp + h * (z - z_top)  # every term is <= 0
-        x_max = float(x.max())
-        w = np.exp(x - x_max)
-        total = float(w.sum())
+        z_top = atoms.d_inf if h > 0.0 else atoms.z_min
+        x = [lp + h * (v - z_top) for lp, v in zip(atoms.logp, z)]  # every term is <= 0
+        x_max = max(x)
+        w = [math.exp(v - x_max) for v in x]
+        total = math.fsum(w)
         log_total = math.log(total)
         psi = h * z_top + x_max + log_total
-        size = 2.0 * (abs(h) * z_abs - float(w @ x) / total) + log_total
-    mean = float(w @ z) / total
-    dz = z - mean
-    return psi, mean, float(w @ (dz * dz)) / total, size
+        size = 2.0 * (abs(h) * z_abs - math.fsum(map(operator.mul, w, x)) / total) + log_total
+    mean = math.fsum(map(operator.mul, w, z)) / total
+    dz = [v - mean for v in z]
+    return psi, mean, math.fsum(map(operator.mul, w, map(operator.mul, dz, dz))) / total, size
 
 
 def kl_divergence(pair: DistributionPair, direction: Direction) -> float:
@@ -276,7 +285,7 @@ def renyi_divergence(pair: DistributionPair, lam: float, direction: Direction) -
     lam = float(lam)
     if isinstance(pair, GaussianPair):
         return lam * (_gaussian_d2(pair) / 2.0)
-    return _tilt(pair, lam, direction)[0] / (lam - 1.0)
+    return _tilt(_tilt_atoms(pair, direction), lam)[0] / (lam - 1.0)
 
 
 def _log_affinity(pair: DistributionPair) -> float:
@@ -286,7 +295,7 @@ def _log_affinity(pair: DistributionPair) -> float:
     """
     if isinstance(pair, GaussianPair):
         return -_gaussian_d2(pair) / 8.0
-    return min(_tilt(pair, 0.5, Direction.FORWARD)[0], 0.0)
+    return _tilt_atoms(pair, Direction.FORWARD).log_affinity
 
 
 def hellinger_squared(pair: DistributionPair) -> float:
@@ -297,32 +306,19 @@ def hellinger_squared(pair: DistributionPair) -> float:
 def llr_moments(pair: DistributionPair) -> LLRMoments:
     """Mean, variance, and absolute third central moment of log(p0/p1) under P0.
 
-    For discrete pairs the mean and variance are psi'(1) and psi''(1) of
-    the forward tilted log-sum (see :func:`_tilt`), cached with its atoms.
-    The Berry-Esseen constant 6 rho / sigma^3 is 6 sum (p s^2) s over the
-    standardized atoms s = |z - mean| / sigma, in which p s^2 <= 1 and
+    For discrete pairs all four are constants read from the forward
+    record: the mean and variance are psi'(1) and psi''(1) (see
+    :func:`_tilt`), and the Berry-Esseen constant 6 rho / sigma^3 is
+    6 sum (p s^2) s over s = |z - mean| / sigma, in which p s^2 <= 1 and
     s <= max|z| / sigma, so it neither divides by 0 nor overflows where
     sigma^3 or rho leaves the normal range (sigma^2 < 1e-205).
     """
     if isinstance(pair, GaussianPair):
-        d = abs(pair.delta) / pair.sigma
-        variance = d * d
-        third = variance * d * math.sqrt(8.0 / math.pi)  # inf, not OverflowError, past d = 5.6e102
-        return LLRMoments(
-            mean=d * d / 2.0,
-            variance=variance,
-            third_abs_central=third,
-            berry_constant=6.0 * math.sqrt(8.0 / math.pi),
-        )
+        d, c = abs(pair.delta) / pair.sigma, math.sqrt(8.0 / math.pi)
+        # the third moment is inf, not an OverflowError, past d = 5.6e102
+        return LLRMoments(d * d / 2.0, d * d, d * d * d * c, 6.0 * c)
     atoms = _tilt_atoms(pair, Direction.FORWARD)
-    mean, variance = atoms.kl, atoms.var
-    dev = np.abs(atoms.z - mean)
-    third = float(atoms.p @ dev**3)
-    berry = 0.0
-    if variance > 0.0:
-        s = dev / math.sqrt(variance)
-        berry = 6.0 * float((atoms.p * s * s) @ s)
-    return LLRMoments(mean=mean, variance=variance, third_abs_central=third, berry_constant=berry)
+    return LLRMoments(atoms.kl, atoms.var, atoms.third, atoms.berry)
 
 
 def _parse_floats(text: str, base: int, label: str) -> list[float]:

@@ -20,7 +20,7 @@ This module is the numerical kernel shared by every bound evaluation:
 All functions are pure and thread-safe, and so are the divergences in
 :mod:`htbounds.distributions` and the oracles in :mod:`htbounds.oracle`.
 Their only shared state is read-only once built: one bounded cache of
-atoms per pair and direction, and one cached table of log k!.  Every bound
+each pair's record per direction, and one cached table of log k!.  Every bound
 solves one scalar problem at a time, so the ``Q`` family and
 ``log_diff_exp`` take scalars (``int`` or ``float``) only, check them with
 plain comparisons, and return a plain ``float``; an array or any other

@@ -168,16 +168,19 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     if log_eps == 0.0:
         # eps = 1: reject always
         return NPResult(0.0, -math.inf, -1.0 if not mirrored else float(n + 1), 0.0, 1.0)
+    if p1 == 1.0:  # 1 - p rounds to 1 for p <= 2^-54: the mirrored count has no log-mass
+        raise DomainError(f"np_exact_bernoulli: 1 - {pair.p1!r} rounds to 1 on the mirrored "
+                          "pair; the oracle needs min(p0, p1) above 2^-54")
     log_fact = _log_factorials(n)
     # Past the mode, the binomial tail beyond the last count within this
     # many nats of a term holds less than 2^-64 of that term (see the docstring).
     cut = 64.0 * math.log(2.0) + math.log(n + 1.0)
+    logs0, logs1 = (math.log(p0), math.log1p(-p0)), (math.log(p1), math.log1p(-p1))
 
-    def log_pmf(p: float, a: int, b: int) -> np.ndarray:
-        # log P(S = s) for s = a..b-1
-        s = np.arange(a, b)
-        return (log_fact[-1] - log_fact[a:b] - log_fact[::-1][a:b]
-                + s * math.log(p) + (n - s) * math.log1p(-p))
+    def log_pmf(logs: tuple[float, float], a: int, b: int) -> np.ndarray:
+        # log P(S = s) for s = a..b-1 from logs = (log p, log(1 - p)); floats hold s exactly
+        s = np.arange(a, b, dtype=float)
+        return log_fact[-1] - log_fact[a:b] - log_fact[::-1][a:b] + s * logs[0] + (n - s) * logs[1]
 
     def window_end(p: float, log_top: float) -> int:
         # One past the last count that can hold log_top - cut, plus 2 (see the docstring).
@@ -186,34 +189,36 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     # P0 masses from the mean lo = floor(n p0) up; rise0[j] = log P0(S >= top0 - 1 - j),
     # summed down from the last count top0 - 1 within cut of log eps.
     lo = int(n * p0)
-    lp0 = log_pmf(p0, lo, window_end(p0, log_eps))
-    top0 = lo + int(np.searchsorted(-lp0, cut - log_eps, side="right"))
+    lp0 = log_pmf(logs0, lo, window_end(p0, log_eps))
+    top0 = lo + int((-lp0).searchsorted(cut - log_eps, side="right"))
     rise0 = np.logaddexp.accumulate(lp0[: top0 - lo][::-1])
     if lo and log_eps >= rise0[-1]:
         # eps >= P0(S >= lo): the boundary class lies below the mean.
         lo = 0
-        lp0 = log_pmf(p0, 0, top0)
+        lp0 = log_pmf(logs0, 0, top0)
         rise0 = np.logaddexp.accumulate(lp0[::-1])
     # k is the largest count with P0(S >= k) > eps, counting P0(S >= 0) as 1
     # whatever the rounded sum; log_above = log P0(S > k).
-    k = max(top0 - 1 - int(np.searchsorted(rise0, log_eps, side="right")), 0)
-    log_above = rise0[top0 - k - 2] if k + 1 < top0 else -math.inf
+    k = max(top0 - 1 - int(rise0.searchsorted(log_eps, side="right")), 0)
+    log_above = float(rise0[top0 - k - 2]) if k + 1 < top0 else -math.inf
     # P1 masses from the boundary class up: lp1[m] = log P1(S = k + m), and
     # tail1 = log P1(S > k), summed down from the last count within cut of
     # its largest term, at q (-inf when k == n).
     q = min(max(int((n + 1) * p1), k + 1), n)
-    log_top1 = log_pmf(p1, q, q + 1)[0]  # log P1(S = q): it sets lp1's window end
-    lp1 = log_pmf(p1, k, window_end(p1, log_top1))
-    top1 = q - k + int(np.searchsorted(-lp1[q - k :], cut - log_top1, side="right"))
+    # log P1(S = q) by log_pmf's formula, in its order: it sets lp1's window end
+    log_top1 = log_fact[n] - log_fact[q] - log_fact[n - q] + q * logs1[0] + (n - q) * logs1[1]
+    lp1 = log_pmf(logs1, k, window_end(p1, log_top1))
+    top1 = q - k + int((-lp1[q - k :]).searchsorted(cut - log_top1, side="right"))
     tail1 = np.logaddexp.reduce(lp1[top1 - 1 : 0 : -1])
     log_excess = log_diff_exp(log_eps, log_above) if log_eps > log_above else -math.inf
-    if log_excess > lp0[k - lo]:  # gamma > 1: only rounding can pick such a k
+    log_k0 = float(lp0[k - lo])  # log P0(S = k)
+    if log_excess > log_k0:  # gamma > 1: only rounding can pick such a k
         raise DomainError(
             "np_exact_bernoulli: rounding in the log P0 tail puts the tie "
             f"randomization above 1 (n = {n}, log_eps = {log_eps!r}); eps is too close to 1"
         )
-    gamma = math.exp(log_excess - lp0[k - lo]) if log_excess > -math.inf else 0.0
-    log_accept1 = np.logaddexp(tail1, math.log(gamma) + lp1[0]) if gamma > 0.0 else tail1
+    gamma = math.exp(log_excess - log_k0) if log_excess > -math.inf else 0.0
+    log_accept1 = np.logaddexp(tail1, math.log(gamma) + float(lp1[0])) if gamma > 0.0 else tail1
     beta = -math.expm1(log_accept1)
     log_beta = log_diff_exp(0.0, log_accept1) if log_accept1 < 0.0 else -math.inf
     threshold = float(n - k) if mirrored else float(k)

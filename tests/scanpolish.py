@@ -21,8 +21,11 @@ def renyi_reference(pair, lams, direction):
     Gaussian pairs use the closed form lambda delta^2 / (2 sigma^2).
     Discrete pairs use a log-sum-exp of lambda log p + (1 - lambda) log q
     over the atoms, each vector renormalized to sum 1, broadcast over the
-    orders.  Accurate to about 1e-16 / |(lambda - 1) D_lambda| relative,
-    so less so as lambda -> 1.
+    orders, which is accurate to about 1e-16 / |(lambda - 1) D_lambda|
+    relative.  Where |lambda - 1| max|z| <= 1/2, with z = log(p / q), that
+    cancels as lambda -> 1, so there D_lambda is
+    log1p(sum p expm1((lambda - 1) z)) / (lambda - 1), which keeps its
+    relative accuracy.
     """
     lams = np.asarray(lams, dtype=float)
     if isinstance(pair, GaussianPair):
@@ -34,11 +37,16 @@ def renyi_reference(pair, lams, direction):
         p, q = p[p > 0.0], q[p > 0.0]
     if direction is Direction.REVERSE:
         p, q = q, p
-    logp, logq = np.log(p / p.sum()), np.log(q / q.sum())
-    col = lams[..., None]
-    x = col * logp + (1.0 - col) * logq
+    p, q = p / p.sum(), q / q.sum()
+    col = lams.reshape(-1, 1)
+    x = col * np.log(p) + (1.0 - col) * np.log(q)
     top = x.max(axis=-1)
-    return (top + np.log(np.exp(x - top[..., None]).sum(axis=-1))) / (lams - 1.0)
+    psi = top + np.log(np.exp(x - top[:, None]).sum(axis=-1))
+    h = col - 1.0
+    z = np.log(p / q)
+    near = np.abs(h[:, 0]) * np.abs(z).max() <= 0.5
+    psi[near] = np.log1p((p * np.expm1(h[near] * z)).sum(axis=-1))
+    return (psi / h[:, 0]).reshape(lams.shape)
 
 
 def scan_polish_argmax(f, lo, hi, points=10_000):

@@ -39,6 +39,7 @@ from htbounds.distributions import (
     GaussianPair,
     UnsupportedFamilyError,
     _tilt,
+    _tilt_atoms,
     kl_divergence,
     parse_pair,
     renyi_divergence,
@@ -527,7 +528,7 @@ class TestRenyiAchievabilityAtThreshold:
         pair = parse_pair(spec)
         n = 400
         for lam0 in (0.1, 0.3):
-            tau = n * _tilt(pair, lam0, Direction.REVERSE)[1]
+            tau = n * _tilt(_tilt_atoms(pair, Direction.REVERSE), lam0)[1]
             u_min = _mp_min_u(pair, n, tau)
             for log_alpha in (-math.inf, float(u_min) - 2.0):
                 r = renyi_achievability_at_threshold(pair, n, tau, log_alpha)
@@ -611,7 +612,8 @@ class TestSampleComplexity:
             p, q = _mp_atoms(pair, Direction.FORWARD)
             d_inf_fwd = float(max(mpmath.log(a / b) for a, b in zip(p, q)))
             d_inf_rev = float(max(mpmath.log(b / a) for a, b in zip(p, q)))
-        for eps, delta in ((0.01, 0.01), (0.01, 1e-6), (0.3, 0.05), (1e-8, 0.2), (0.4, 0.4)):
+        for eps, delta in ((0.01, 0.01), (0.01, 1e-6), (0.3, 0.05), (1e-8, 0.2), (0.4, 0.4),
+                           (1e-12, 2.89e-12)):
             def objective(lam):
                 ratio = lam / (lam - 1.0)
                 first = (-math.log(delta) + ratio * math.log1p(-eps)) / renyi_reference(

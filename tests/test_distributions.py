@@ -20,6 +20,7 @@ from htbounds.distributions import (
     GaussianPair,
     PairSpecError,
     UnsupportedFamilyError,
+    _tilt,
     _tilt_atoms,
     hellinger_squared,
     kl_divergence,
@@ -168,6 +169,81 @@ class TestMpmathReferences:
         assert m.berry_constant == pytest.approx(float(berry), rel=1e-14, abs=0.0)
 
 
+def _k64_pair():
+    # Atoms from 1e-300 to 1: p falls geometrically, q is log-uniform in a
+    # seeded order, so z = log(p / q) spans about -690 to 690.
+    rng = np.random.default_rng(64)
+    raw_p = 10.0 ** (-300.0 * np.arange(64) / 63)
+    raw_q = 10.0 ** (-300.0 * rng.random(64))
+    return FiniteDiscretePair(tuple((raw_p / math.fsum(raw_p)).tolist()),
+                              tuple((raw_q / math.fsum(raw_q)).tolist()))
+
+
+# The demo's two-fold product of a K = 3 pair (K = 9), and a K = 64 pair.
+KERNEL_PAIRS = (
+    FiniteDiscretePair(tuple(np.kron((0.2, 0.3, 0.5), (0.2, 0.3, 0.5))),
+                       tuple(np.kron((0.4, 0.4, 0.2), (0.4, 0.4, 0.2)))),
+    _k64_pair(),
+)
+# Both expansions (towards 0 and 1) and the shifted sum on either side of 1;
+# at lam = 1 the kernel gives the pair constants kl and var.
+KERNEL_LAMS = (1e-9, 1e-4, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 + 1e-6, 1.1, 2.0, 7.0, 50.0, 1e4)
+
+
+@pytest.mark.parametrize("pair", KERNEL_PAIRS, ids=("K9", "K64"))
+@pytest.mark.parametrize("direction", Direction)
+class TestScalarKernel:
+    """The scalar psi kernel and the pair constants against 60 digits, within
+    the (K + 8) eps rounding model that bounds.py's error bounds assume."""
+
+    def test_psi_and_its_derivatives(self, pair, direction):
+        p, q = mp_atoms(pair, direction)
+        ulps = (len(p) + 8) * sys.float_info.epsilon
+        for lam in KERNEL_LAMS:
+            psi, mean, var, size = _tilt(_tilt_atoms(pair, direction), lam)
+            with mpmath.workdps(60):
+                lam_mp = mpmath.mpf(lam)
+                w = [a**lam_mp * b ** (1 - lam_mp) for a, b in zip(p, q)]
+                z = [mpmath.log(a / b) for a, b in zip(p, q)]
+                total = mpmath.fsum(w)
+                want_mean = mpmath.fsum(x * y for x, y in zip(w, z)) / total
+                abs_mean = float(mpmath.fsum(x * abs(y) for x, y in zip(w, z)) / total)
+                rms = float(mpmath.sqrt(mpmath.fsum(x * y * y for x, y in zip(w, z)) / total))
+                want_var = mpmath.fsum(x * (y - want_mean) ** 2 for x, y in zip(w, z)) / total
+                errs = (float(abs(psi - mpmath.log(total))), float(abs(mean - want_mean)),
+                        float(abs(var - want_var)))
+            # psi to its size; psi' to the tilted mean of |z|; psi'' relative,
+            # plus what the errors of z, up to ulps rms(z), do to (z - mean)^2.
+            dz = ulps * rms
+            assert errs[0] <= ulps * (abs(psi) + size), (lam, errs)
+            assert errs[1] <= ulps * abs_mean, (lam, errs)
+            assert errs[2] <= ulps * float(want_var) + 2.0 * math.sqrt(want_var) * dz + dz * dz, (
+                lam, errs)
+
+    def test_pair_constants(self, pair, direction):
+        p, q = mp_atoms(pair, direction)
+        atoms = _tilt_atoms(pair, direction)
+        with mpmath.workdps(60):
+            z = [mpmath.log(a / b) for a, b in zip(p, q)]
+            kl = mpmath.fsum(a * x for a, x in zip(p, z))
+            var = mpmath.fsum(a * (x - kl) ** 2 for a, x in zip(p, z))
+            third = mpmath.fsum(a * abs(x - kl) ** 3 for a, x in zip(p, z))
+            want = {
+                "z_abs": max(abs(x) for x in z),
+                "z_min": min(z),
+                "d_inf": max(z),
+                "log_q_top": mpmath.log(mpmath.fsum(b for b, x in zip(q, z) if x == max(z))),
+                "kl": kl,
+                "var": var,
+                "third": third,
+                "berry": 6 * third / var**1.5,
+                "log_affinity": mpmath.log(mpmath.fsum(mpmath.sqrt(a * b) for a, b in zip(p, q))),
+            }
+        ulps = (len(p) + 8) * sys.float_info.epsilon
+        for name, value in want.items():
+            assert getattr(atoms, name) == pytest.approx(float(value), rel=ulps, abs=0.0), name
+
+
 class TestKL:
     def test_bernoulli_reference(self):
         for pair, direction, want in ((BERN, Direction.FORWARD, BERN_KL_FWD),
@@ -314,10 +390,10 @@ class TestAtomCache:
     def test_atoms_are_read_only(self):
         before = renyi_divergence(K3, 2.5, Direction.FORWARD)
         atoms = _tilt_atoms(K3, Direction.FORWARD)
-        for arr in (atoms.logp, atoms.p, atoms.q, atoms.z):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        for atoms_of in (atoms.logp, atoms.p, atoms.q, atoms.z):
+            assert isinstance(atoms_of, tuple)
+            with pytest.raises(TypeError):
+                atoms_of[0] = 0.0
         assert repr(renyi_divergence(K3, 2.5, Direction.FORWARD)) == repr(before)
 
     def test_equal_pairs_give_identical_divergences(self):
@@ -338,8 +414,8 @@ class TestAtomCache:
         assert fwd[0] != rev[0] and fwd[1] != rev[1]
         fwd_atoms = _tilt_atoms(pair, Direction.FORWARD)
         rev_atoms = _tilt_atoms(pair, Direction.REVERSE)
-        assert fwd_atoms.p.tolist() == rev_atoms.q.tolist()
-        assert fwd_atoms.q.tolist() == rev_atoms.p.tolist()
+        assert fwd_atoms.p == rev_atoms.q
+        assert fwd_atoms.q == rev_atoms.p
         # From a cold cache the order of first use does not matter.
         _tilt_atoms.cache_clear()
         assert [renyi_divergence(pair, lam, Direction.REVERSE) for lam in (0.3, 2.0)] == rev

@@ -150,6 +150,32 @@ class TestBernoulli:
         cells = dict(zip(header.split(","), row.split(",")))
         assert (cells["np_exact_value"], cells["np_exact_valid"]) == ("", "false")
 
+    def test_mirrored_success_rounding_to_one_is_a_domain_error(self, tmp_path):
+        # p1 < p0 is tested on n - S, with success probabilities 1 - p; where
+        # 1 - p1 rounds to 1 (p1 <= 2^-54) the oracle refuses, and a sweep
+        # keeps every other column and leaves np_exact empty.
+        for p1 in (1e-300, 2.0**-54):
+            with pytest.raises(DomainError, match="rounds to 1"):
+                np_exact_bernoulli(BernoulliPair(0.5, p1), 10, math.log(0.01))
+        assert 0.0 < np_exact_bernoulli(BernoulliPair(0.5, 2.0**-53), 10, math.log(0.01)).beta < 1.0
+        csv = tmp_path / "out.csv"
+        argv = ["sweep", "--pair", "bernoulli:0.5,1e-300", "--n-min", "10", "--n-max", "20"]
+        assert cli_main([*argv, "--csv", str(csv)]) == 0
+        header, *rows = csv.read_text().splitlines()
+        others = tmp_path / "others.csv"
+        columns = header.split(",")
+        bounds = [c[: -len("_value")] for c in columns if c.endswith("_value")]
+        assert "np_exact" in bounds
+        bounds.remove("np_exact")
+        assert cli_main([*argv, "--bounds", ",".join(bounds), "--csv", str(others)]) == 0
+        other_header, *other_rows = others.read_text().splitlines()
+        want = [dict(zip(other_header.split(","), row.split(","))) for row in other_rows]
+        for row, expected in zip(rows, want, strict=True):
+            cells = dict(zip(columns, row.split(",")))
+            assert (cells.pop("np_exact_value"), cells.pop("np_exact_valid")) == ("", "false")
+            cells.pop("np_exact_optimizer")
+            assert cells == expected
+
     def test_log_beta_consistent(self):
         r = np_exact_bernoulli(BERN, 500, math.log(0.01))
         assert r.beta == pytest.approx(math.exp(r.log_beta), rel=1e-12, abs=0.0)

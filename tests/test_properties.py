@@ -217,8 +217,7 @@ _eps = st.one_of(st.floats(min_value=-700.0, max_value=-1.0),
 # Every sweep column defined for all three families, np_exact aside: the
 # Bernoulli oracle can still print a beta rounded below 0 (-9.3e-20 at
 # bernoulli:0.1,0.9999, n = 6, eps = 1/e) until it forms beta from the
-# smaller of the accepted and rejected P1 masses, and on a mirrored pair it
-# exits with "math domain error" where 1 - p rounds to 1 (bernoulli:0.5,1e-300).
+# smaller of the accepted and rejected P1 masses.
 _SWEEP_BOUNDS = ("renyi_converse,achievability,phase_converse,phase_achievability,"
                  "fano,hellinger,berry_esseen")
 _BOUND_FLAGS = {
