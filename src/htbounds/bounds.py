@@ -41,8 +41,10 @@ objective above is stationary exactly where
 and H_s' = -(l - s) psi'' < 0, so the optimal order is the one root of a
 monotone function: s = 0 on the reverse atoms with target log(eps)/n for
 branch one (target -c for both phase bounds), s = 1 on the forward atoms
-with target log(1-eps)/n for branch two.  A safeguarded Newton iteration
-finds it in a handful of psi evaluations.  The ends are exact:
+with target log(1-eps)/n for branch two.  One solver, ``_tilt_root``,
+finds it in a handful of psi evaluations: safeguarded Newton from the
+root of psi's quadratic model at l = 1, and it tests the l = inf end
+itself.  The ends are exact:
 H_0(1) = -D(P1||P0), so branch one is informative exactly when
 n D(P1||P0) < log(1/eps) and the phase root lies in (0, 1) exactly when
 c < D(P1||P0); and when the target is at or below H_s(inf) = log P0(A),
@@ -131,8 +133,6 @@ __all__ = [
     "threshold_for_rate",
 ]
 
-#: The smallest order above 1.
-_ABOVE_ONE = math.nextafter(1.0, 2.0)
 #: Offset of the baselines' search domains from their open ends.
 _EDGE = 1.0e-9
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -161,6 +161,16 @@ class BoundResult:
     valid: bool
 
 
+def _check_prob(name: str, p: float, upper: float = 1.0) -> None:
+    if not (isinstance(p, (int, float)) and 0.0 < p < upper):
+        raise DomainError(f"{name} must lie in (0, {upper:g}), got {p!r}")
+
+
+def _check_rate(c: float) -> None:
+    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
+        raise DomainError(f"rate c must be finite and > 0, got {c!r}")
+
+
 @dataclass(frozen=True)
 class Constant:
     """Fixed Type I budget eps_n = eps."""
@@ -168,8 +178,7 @@ class Constant:
     eps: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.eps, (int, float)) and 0.0 < self.eps < 1.0):
-            raise DomainError(f"Constant regime requires 0 < eps < 1, got {self.eps!r}")
+        _check_prob("eps", self.eps)
 
 
 @dataclass(frozen=True)
@@ -184,16 +193,10 @@ class Exponential:
     c: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0.0):
-            raise DomainError(f"Exponential regime requires finite c > 0, got {self.c!r}")
+        _check_rate(self.c)
 
 
 ErrorRegime = Union[Constant, Linear, Exponential]
-
-
-def _check_rate(c: float) -> None:
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
-        raise DomainError(f"rate c must be finite and > 0, got {c!r}")
 
 
 def eps_at(regime: ErrorRegime, n: int) -> tuple[float, float]:
@@ -231,27 +234,38 @@ def _upper_beta(log_value: float, optimizer: float | None, valid: bool) -> Bound
                        BoundKind.UPPER_BETA, valid)
 
 
-def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float, hi: float,
-               lam: float) -> tuple[float, float | None]:
+def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float,
+               hi: float) -> tuple[float, float | None, float | None]:
     """The order l in (lo, hi) where H_s(l) = psi(l) - (l - s) psi'(l) = target.
 
     psi is the tilted log-sum over ``atoms``, one pair's record.  Since
     H_s' = -(l - s) psi'', H_s strictly decreases for l > s, and lo >= s
-    here; the caller guarantees H_s(lo) > target > H_s(hi), with hi = inf
-    standing for the limit.  ``lam`` is the start, which the callers take
-    from the quadratic model psi(1 + h) ~ psi'(1) h + psi''(1) h^2 / 2.
-    Returns (l, psi(l), size of psi) from :func:`htbounds.numerics._newton_root`
-    on the offset l - s, or (inf, None, None) when the root lies beyond
-    l - s = 2^40, where every objective here equals its l = inf limit to
-    about 1e-12.
+    here; the caller guarantees H_s(lo) > target, and target > H_s(hi) for
+    a finite hi.  For hi = inf, H_s falls to H_s(inf) = log Q(A) + s D_inf,
+    A the atoms where z is largest: at or below it there is no root, and
+    the optimum is the l = inf end.  Newton starts where the quadratic
+    model psi(1 + h) ~ psi'(1) h + psi''(1) h^2 / 2 puts the root,
+
+        l = s + sqrt((1 - s)^2 - 2 ((1 - s) psi'(1) + target) / psi''(1)),
+
+    kept above lo, or at nan (the bracket's own start) where psi''(1) = 0
+    or the value under the root is negative.  Returns (l, psi(l), size of
+    psi) from :func:`htbounds.numerics._newton_root` on the offset l - s,
+    or (inf, None, None) at the l = inf end or past l - s = 2^40, where
+    every objective here equals its l = inf limit to about 1e-12.
     """
+    if hi == math.inf and target <= atoms.log_q_top + s * atoms.d_inf:
+        return math.inf, None, None
+    w = ((1.0 - s) ** 2 - 2.0 * ((1.0 - s) * atoms.kl + target) / atoms.var
+         if atoms.var > 0.0 else math.nan)
+    start = max(s + math.sqrt(w), math.nextafter(lo, hi)) if w >= 0.0 else math.nan
 
     def resid(x):
         psi, mean, var, psi_size = _tilt(atoms, x)
         size = abs(psi) + abs((x - s) * mean) + abs(target)
         return psi - (x - s) * mean - target, -(x - s) * var, size, (psi, psi_size)
 
-    lam, extra = _newton_root(resid, lo, hi, lam, s)
+    lam, extra = _newton_root(resid, lo, hi, start, s)
     return (lam, *extra) if extra else (lam, None, None)
 
 
@@ -291,13 +305,9 @@ def _branch_one(pair: DistributionPair, n: int, log_eps: float) -> tuple[float, 
         return -(((a - b) / (math.sqrt(a) + math.sqrt(b))) ** 2), math.sqrt(a / b)
     t = log_eps / n
     top = _tilt_atoms(pair, Direction.REVERSE)
-    d, v = top.kl, top.var
-    if t >= -d:
+    if t >= -top.kl:
         return 0.0, None
-    lam = math.inf
-    if t > top.log_q_top:
-        start = math.sqrt(1.0 + 2.0 * (-t - d) / v) if v > 0.0 else math.nan
-        lam, psi, _ = _tilt_root(top, 0.0, t, 1.0, math.inf, start)
+    lam, psi, _ = _tilt_root(top, 0.0, t, 1.0, math.inf)
     if lam == math.inf:
         return log_eps + n * top.d_inf, lam
     return ((lam - 1.0) * log_eps + n * psi) / lam, lam
@@ -312,15 +322,11 @@ def _branch_two(pair: DistributionPair, n: int, log_1m_eps: float) -> tuple[floa
     """
     if isinstance(pair, GaussianPair):
         a, b = -log_1m_eps, n * kl_divergence(pair, Direction.FORWARD)
-        lam = max(1.0 + math.sqrt(a / b), _ABOVE_ONE)
+        lam = max(1.0 + math.sqrt(a / b), math.nextafter(1.0, 2.0))
         return -((math.sqrt(a) + math.sqrt(b)) ** 2), lam
     u = log_1m_eps / n
     top = _tilt_atoms(pair, Direction.FORWARD)
-    v = top.var
-    lam = math.inf
-    if u > top.log_q_top + top.d_inf:
-        start = max(1.0 + math.sqrt(-2.0 * u / v), _ABOVE_ONE) if v > 0.0 else math.nan
-        lam, psi, _ = _tilt_root(top, 1.0, u, 1.0, math.inf, start)
+    lam, psi, _ = _tilt_root(top, 1.0, u, 1.0, math.inf)
     if lam == math.inf:
         return log_1m_eps - n * top.d_inf, lam
     return (lam * log_1m_eps - n * psi) / (lam - 1.0), lam
@@ -486,9 +492,7 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
         exponent = n * ((d_rev - c) / (math.sqrt(d_rev) + math.sqrt(c))) ** 2
     else:
         atoms = _tilt_atoms(pair, Direction.REVERSE)
-        start = 1.0 - 2.0 * (d_rev - c) / atoms.var if atoms.var > 0.0 else math.nan
-        lam, psi, psi_size = _tilt_root(atoms, 0.0, -c, 0.0, 1.0,
-                                        math.sqrt(start) if start > 0.0 else 0.5)
+        lam, psi, psi_size = _tilt_root(atoms, 0.0, -c, 0.0, 1.0)
         # Near c = D the exponent is a small difference of terms of order
         # (l - 1) D; it is rounded down by a bound on their rounding error
         # so that the upper bound on beta never understates.
@@ -503,11 +507,6 @@ def _lower_n(value: float, optimizer: float | None) -> BoundResult:
     if not value >= 1.0:
         return BoundResult(1.0, 0.0, optimizer, BoundKind.LOWER_N, False)
     return BoundResult(value, math.log(value), optimizer, BoundKind.LOWER_N, True)
-
-
-def _check_prob(name: str, p: float, upper: float = 1.0) -> None:
-    if not (isinstance(p, (int, float)) and 0.0 < p < upper):
-        raise DomainError(f"{name} must lie in (0, {upper:g}), got {p!r}")
 
 
 def sample_complexity_renyi(
@@ -659,6 +658,8 @@ def berry_esseen_bound(
     """
     _check_n(n)
     _check_log_eps(log_eps)
+    if delta_param is not None and not (isinstance(delta_param, (int, float)) and delta_param > 0):
+        raise DomainError(f"delta_param must be > 0, got {delta_param!r}")
     m = llr_moments(pair)
     if m.variance <= 0.0:
         return _lower_beta(None, None)
@@ -676,8 +677,6 @@ def berry_esseen_bound(
         return shift - scale * q_inverse(arg) + math.log(dl)
 
     if delta_param is not None:
-        if not (isinstance(delta_param, (int, float)) and delta_param > 0.0):
-            raise DomainError(f"delta_param must be > 0, got {delta_param!r}")
         if delta_param >= hi:
             return _lower_beta(None, delta_param)
         return _lower_beta(objective(delta_param), delta_param)

@@ -199,11 +199,6 @@ def _cmd_samplesize(args) -> int:
     return 0
 
 
-def _sweep_table(pair_spec, regime, n_values, bounds):
-    grid = ExperimentGrid(pair_spec=pair_spec, regime=regime, n_values=n_values, bounds=bounds)
-    return run_grid(grid)
-
-
 def _cmd_sweep(args) -> int:
     if args.n_min < 1 or args.n_max < args.n_min or args.n_step < 1:
         raise ConfigError("need 1 <= n-min <= n-max and n-step >= 1")
@@ -218,7 +213,7 @@ def _cmd_sweep(args) -> int:
         bounds = bounds_for(parse_pair(args.pair))
     else:
         bounds = tuple(b.strip() for b in args.bounds.split(",") if b.strip())
-    table = _sweep_table(args.pair, regime, ns, bounds)
+    table = run_grid(ExperimentGrid(args.pair, regime, ns, bounds))
     if args.csv:
         emit_csv(table, args.csv)
         print(f"wrote {args.csv}")
@@ -245,7 +240,7 @@ def _cmd_reproduce(args) -> int:
             "exponential": Exponential(20.0 * kl_divergence(pair, Direction.REVERSE)),
         }
         for reg_name, regime in regimes.items():
-            table = _sweep_table(pair_spec, regime, DEFAULT_N, bounds)
+            table = run_grid(ExperimentGrid(pair_spec, regime, DEFAULT_N, bounds))
             base = os.path.join(args.outdir, f"{tag}_{reg_name}")
             emit_csv(table, base + ".csv")
             emit_svg(

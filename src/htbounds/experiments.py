@@ -74,7 +74,7 @@ def _rate(regime: ErrorRegime, n: int, log_eps: float) -> float:
     return -log_eps / n
 
 
-def _achievability(pair, regime, n, eps, log_eps):
+def _achievability(pair, regime, n, log_eps):
     # The threshold test at the rate's optimal order for the phase form.
     c = _rate(regime, n, log_eps)
     pa = phase_transition_achievability(pair, n, c)
@@ -82,7 +82,7 @@ def _achievability(pair, regime, n, eps, log_eps):
     return renyi_achievability_at_threshold(pair, n, tau, -math.inf)
 
 
-def _np_exact(pair, regime, n, eps, log_eps):
+def _np_exact(pair, regime, n, log_eps):
     if isinstance(pair, GaussianPair):
         r = np_exact_gaussian(pair, n, log_eps)
     elif isinstance(pair, BernoulliPair):
@@ -95,23 +95,23 @@ def _np_exact(pair, regime, n, eps, log_eps):
 _Bound = namedtuple("_Bound", "colour evaluate family", defaults=(object,))
 
 # Every bound a grid can evaluate, in column order: plot colour, cell evaluation
-# (pair, regime, n, eps, log_eps) -> result with value, optimizer and valid, and
-# the pair type it is defined for.  Evaluations look the bound functions up by
+# (pair, regime, n, log_eps) -> result with value, optimizer and valid, and the
+# pair type it is defined for.  Evaluations look the bound functions up by
 # module-global name when called, so a wrapper set on this module sees every cell.
 _BOUNDS = {
-    "renyi_converse": _Bound("#d62728", lambda pair, regime, n, eps, log_eps:
+    "renyi_converse": _Bound("#d62728", lambda pair, regime, n, log_eps:
         renyi_converse(pair, n, log_eps)),
     "achievability": _Bound("#9467bd", _achievability),
-    "phase_converse": _Bound("#e377c2", lambda pair, regime, n, eps, log_eps:
+    "phase_converse": _Bound("#e377c2", lambda pair, regime, n, log_eps:
         phase_transition_converse(pair, n, _rate(regime, n, log_eps))),
-    "phase_achievability": _Bound("#8c564b", lambda pair, regime, n, eps, log_eps:
+    "phase_achievability": _Bound("#8c564b", lambda pair, regime, n, log_eps:
         phase_transition_achievability(pair, n, _rate(regime, n, log_eps))),
-    "fano": _Bound("#1f77b4", lambda pair, regime, n, eps, log_eps: fano_bound(pair, n, log_eps)),
-    "hellinger": _Bound("#2ca02c", lambda pair, regime, n, eps, log_eps:
+    "fano": _Bound("#1f77b4", lambda pair, regime, n, log_eps: fano_bound(pair, n, log_eps)),
+    "hellinger": _Bound("#2ca02c", lambda pair, regime, n, log_eps:
         hellinger_bound(pair, n, log_eps)),
-    "berry_esseen": _Bound("#ff7f0e", lambda pair, regime, n, eps, log_eps:
+    "berry_esseen": _Bound("#ff7f0e", lambda pair, regime, n, log_eps:
         berry_esseen_bound(pair, n, log_eps)),
-    "smoothing_out": _Bound("#17becf", lambda pair, regime, n, eps, log_eps:
+    "smoothing_out": _Bound("#17becf", lambda pair, regime, n, log_eps:
         smoothing_out_bound(pair, n, log_eps), GaussianPair),
     "np_exact": _Bound("#000000", _np_exact),
 }
@@ -176,9 +176,9 @@ class GridTable:
     rows: tuple
 
 
-def _cell(name, pair, regime, n, eps, log_eps) -> GridCell:
+def _cell(name, pair, regime, n, log_eps) -> GridCell:
     try:
-        b = _BOUNDS[name].evaluate(pair, regime, n, eps, log_eps)
+        b = _BOUNDS[name].evaluate(pair, regime, n, log_eps)
     except DomainError:
         return GridCell(None, None, False)
     return GridCell(b.value, b.optimizer, b.valid)
@@ -201,7 +201,7 @@ def run_grid(grid: ExperimentGrid) -> GridTable:
     rows = []
     for n in grid.n_values:
         eps, log_eps = eps_at(regime, n)
-        cells = tuple(_cell(b, pair, regime, n, eps, log_eps) for b in grid.bounds)
+        cells = tuple(_cell(b, pair, regime, n, log_eps) for b in grid.bounds)
         rows.append(GridRow(n, eps, log_eps, cells))
     return GridTable(grid.pair_spec, grid.bounds, tuple(rows))
 
@@ -247,120 +247,92 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     return [first + i * step for i in range(int((hi - first) / step) + 1)]
 
 
+def _tag(name: str, text: str | None = None, **attrs) -> str:
+    """One SVG element: floats print to 2 decimals, and ``_`` in a name is ``-``."""
+    head = "<" + name
+    for k, v in attrs.items():
+        k = k.replace("_", "-")
+        head += f' {k}="{v:.2f}"' if type(v) is float else f' {k}="{v}"'
+    return head + "/>" if text is None else f"{head}>{text}</{name}>"
+
+
 def emit_svg(table: GridTable, path: str, log_y: bool = False, title: str = "") -> None:
     """Render the table as a standalone SVG line plot, one polyline per bound.
 
-    Each curve carries a data-bound attribute with the bound name.  With
-    log_y, zero and negative values are dropped (gaps in the curve) and
-    the legend says so.  A bound with no plottable point is listed in the
-    legend as having none.  Needs at least two rows.
+    Each curve carries a data-bound attribute with the bound name; a point
+    with no plottable neighbour is a circle.  With log_y, zero and negative
+    values are dropped (gaps in the curve) and the legend says so.  A bound
+    with no plottable point is listed in the legend as having none.  Needs
+    at least two rows.
     """
     if len(table.rows) < 2:
         raise ConfigError("plot needs at least two rows")
-    ns = [row.n for row in table.rows]
-    x_lo, x_hi = float(ns[0]), float(ns[-1])
-
-    def y_of(v: float | None) -> float | None:
-        if v is None:
-            return None
-        if log_y:
-            return math.log10(v) if v > 0.0 else None
-        return v
-
-    series: dict[str, list[list[tuple[float, float]]]] = {}
-    y_all: list[float] = []
+    x_lo, x_hi = float(table.rows[0].n), float(table.rows[-1].n)
+    # Each bound's runs of (row index, y), split at a None (with log_y, at a value <= 0).
+    series = {}
     for j, b in enumerate(table.bounds):
-        segs: list[list[tuple[float, float]]] = [[]]
-        for row in table.rows:
-            y = y_of(row.cells[j].value)
-            if y is None:
-                if segs[-1]:
-                    segs.append([])
-                continue
-            segs[-1].append((float(row.n), y))
-            y_all.append(y)
-        series[b] = [s for s in segs if len(s) >= 1]
-    if y_all:
-        y_lo, y_hi = min(y_all), max(y_all)
-    else:
-        y_lo, y_hi = 0.0, 1.0
+        segs = [[]]
+        for i, row in enumerate(table.rows):
+            v = row.cells[j].value
+            if v is None or log_y and not v > 0.0:
+                segs.append([])
+            else:
+                segs[-1].append((i, math.log10(v) if log_y else v))
+        series[b] = [seg for seg in segs if seg]
+    y_all = [y for segs in series.values() for seg in segs for _, y in seg]
+    y_lo, y_hi = (min(y_all), max(y_all)) if y_all else (0.0, 1.0)
     if y_hi - y_lo < 1.0e-12:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
 
     def sx(x: float) -> float:
-        return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+        return _ML + (x - x_lo) / x_span * (_W - _ML - _MR)
 
     def sy(y: float) -> float:
-        return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+        return _H - _MB - (y - y_lo) / y_span * (_H - _MT - _MB)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" version="1.1">',
-        f'<rect width="{_W}" height="{_H}" fill="#ffffff"/>',
-    ]
+    xs = ["%.2f" % sx(row.n) for row in table.rows]  # each row's x, shared by every curve
+    ax, font = {"stroke": "#444444", "stroke_width": 1}, "sans-serif"
+    parts = [_tag("rect", width=_W, height=_H, fill="#ffffff")]
     if title:
-        parts.append(
-            f'<text x="{_ML}" y="24" font-family="sans-serif" font-size="15">'
-            f"{html.escape(title, quote=False)}</text>"
-        )
-    ax = 'stroke="#444444" stroke-width="1"'
-    parts.append(f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" {ax}/>')
-    parts.append(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" {ax}/>')
+        parts.append(_tag("text", html.escape(title, quote=False), x=_ML, y=24,
+                          font_family=font, font_size=15))
+    parts.append(_tag("line", x1=_ML, y1=_H - _MB, x2=_W - _MR, y2=_H - _MB, **ax))
+    parts.append(_tag("line", x1=_ML, y1=_MT, x2=_ML, y2=_H - _MB, **ax))
     for t in _ticks(x_lo, x_hi):
         x = sx(t)
-        parts.append(f'<line x1="{x:.2f}" y1="{_H - _MB}" x2="{x:.2f}" y2="{_H - _MB + 5}" {ax}/>')
-        parts.append(
-            f'<text x="{x:.2f}" y="{_H - _MB + 18}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="middle">{t:g}</text>'
-        )
+        parts.append(_tag("line", x1=x, y1=_H - _MB, x2=x, y2=_H - _MB + 5, **ax))
+        parts.append(_tag("text", f"{t:g}", x=x, y=_H - _MB + 18, font_family=font,
+                          font_size=11, text_anchor="middle"))
     for t in _ticks(y_lo, y_hi):
         y = sy(t)
-        parts.append(f'<line x1="{_ML - 5}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" {ax}/>')
-        label = f"1e{t:g}" if log_y else f"{t:g}"
-        parts.append(
-            f'<text x="{_ML - 8}" y="{y + 4:.2f}" font-family="sans-serif" font-size="11" '
-            f'text-anchor="end">{label}</text>'
-        )
-    parts.append(
-        f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_H - 12}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle">n</text>'
-    )
+        parts.append(_tag("line", x1=_ML - 5, y1=y, x2=_ML, y2=y, **ax))
+        parts.append(_tag("text", f"1e{t:g}" if log_y else f"{t:g}", x=_ML - 8, y=y + 4,
+                          font_family=font, font_size=11, text_anchor="end"))
+    parts.append(_tag("text", "n", x=(_ML + _W - _MR) / 2, y=_H - 12, font_family=font,
+                      font_size=12, text_anchor="middle"))
     legend_y = _MT + 10
     for b in table.bounds:
         color = _BOUNDS[b].colour
-        drew = False
-        for seg in series.get(b, []):
+        for seg in series[b]:
             if len(seg) == 1:
-                x, y = seg[0]
-                parts.append(
-                    f'<circle data-bound="{b}" cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" '
-                    f'fill="{color}"/>'
-                )
-                drew = True
-                continue
-            pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in seg)
-            parts.append(
-                f'<polyline data-bound="{b}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5" points="{pts}"/>'
-            )
-            drew = True
-        note = "" if drew else " (no valid points)"
-        parts.append(
-            f'<line x1="{_W - _MR + 12}" y1="{legend_y - 4}" x2="{_W - _MR + 34}" '
-            f'y2="{legend_y - 4}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_W - _MR + 40}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="12">{b}{note}</text>'
-        )
+                parts.append(_tag("circle", data_bound=b, cx=xs[seg[0][0]], cy=sy(seg[0][1]),
+                                  r="2.5", fill=color))
+            else:
+                pts = " ".join(["%s,%.2f" % (xs[i], sy(y)) for i, y in seg])
+                parts.append(_tag("polyline", data_bound=b, fill="none", stroke=color,
+                                  stroke_width="1.5", points=pts))
+        parts.append(_tag("line", x1=_W - _MR + 12, y1=legend_y - 4, x2=_W - _MR + 34,
+                          y2=legend_y - 4, stroke=color, stroke_width=2))
+        parts.append(_tag("text", b if series[b] else f"{b} (no valid points)", x=_W - _MR + 40,
+                          y=legend_y, font_family=font, font_size=12))
         legend_y += 18
     if log_y:
-        parts.append(
-            f'<text x="{_W - _MR + 12}" y="{legend_y + 4}" font-family="sans-serif" '
-            f'font-size="10" fill="#666666">log scale; zeros omitted</text>'
-        )
-    parts.append("</svg>")
+        parts.append(_tag("text", "log scale; zeros omitted", x=_W - _MR + 12, y=legend_y + 4,
+                          font_family=font, font_size=10, fill="#666666"))
+    svg = _tag("svg", "\n" + "\n".join(parts) + "\n", xmlns="http://www.w3.org/2000/svg",
+               width=_W, height=_H, viewBox=f"0 0 {_W} {_H}", version="1.1")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(svg + "\n")

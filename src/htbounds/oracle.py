@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .distributions import BernoulliPair, FiniteDiscretePair, GaussianPair
+from .distributions import BernoulliPair, Direction, FiniteDiscretePair, GaussianPair, _tilt_atoms
 from .numerics import (DomainError, _check_log_eps, _check_log_prob, _check_n, log_diff_exp,
                        log_q, q_function, q_inverse_log)
 
@@ -227,7 +227,7 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
 
 def check_type_count(pair: FiniteDiscretePair, n: int) -> None:
     """Raise SizeError if n-samples on the support of ``pair`` have over 2.5e6 types."""
-    k = sum(1 for m in pair.p0 if m > 0.0)
+    k = len(_tilt_atoms(pair, Direction.FORWARD).p)
     if (count := math.comb(n + k - 1, k - 1)) > _MAX_TYPES:
         raise SizeError(f"np_exact_discrete needs {count:,} types at n = {n}; "
                         f"ceiling is {_MAX_TYPES:,}")
@@ -240,21 +240,21 @@ def np_exact_discrete(pair: FiniteDiscretePair, n: int, log_eps: float) -> NPRes
     c . (log p1 - log p0) until their P0 mass reaches eps; types whose
     log-LR agree to within 1e-10 form one randomization class.  The
     threshold is the log-LR of the boundary class (-inf when every sample
-    is rejected).  Both vectors are renormalized to sum to 1.
+    is rejected).  It reads the pair's forward record (both vectors
+    renormalized to sum to 1): log p0 and z = log(p0 / p1) = -log-LR.
     """
     if not isinstance(pair, FiniteDiscretePair):
         raise DomainError("np_exact_discrete requires a FiniteDiscretePair")
     _check_n(n)
     _check_log_prob("log_eps", log_eps)
     check_type_count(pair, n)
-    p0, p1 = ([m for m in p if m > 0.0] for p in (pair.p0, pair.p1))
-    la0 = np.log(p0) - math.log(math.fsum(p0))
-    d = np.log(p1) - math.log(math.fsum(p1)) - la0
+    atoms = _tilt_atoms(pair, Direction.FORWARD)
+    la0, d = atoms.logp, [-x for x in atoms.z]
     log_fact = _log_factorials(n)
     # Grow the types one coordinate at a time (r counts left: r + 1 children),
     # carrying log P0 = log n! - sum log c! + c . log p0 and the log-LR.
     rem, lp0, llr = np.array([n]), np.array([log_fact[n]]), np.zeros(1)
-    for j in range(la0.size - 1):
+    for j in range(len(la0) - 1):
         width = rem + 1
         c = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
         lp0 = np.repeat(lp0, width) + (c * la0[j] - log_fact[c])

@@ -318,6 +318,26 @@ class TestRenyiOrderRoot:
 
         assert all(renyi_converse(pair, n, -c * n).optimizer == math.inf for n in DEFAULT_N)
 
+    @pytest.mark.parametrize("s, direction", [(0.0, Direction.REVERSE), (1.0, Direction.FORWARD)])
+    def test_root_solver_reports_the_infinite_order_end(self, s, direction):
+        # H_s falls to H_s(inf) = log Q(A) + s D_inf as l -> inf, so the
+        # solver returns l = inf exactly for targets at or below that end,
+        # and a finite root of H_s = target above it, however close.  At
+        # s = 1 an end test that left out s D_inf would return a finite
+        # order at the end itself, where H_s(l) rounds onto the target.
+        atoms = _tilt_atoms(parse_pair("discrete:0.7,0.2,0.1|0.1,0.3,0.6"), direction)
+        end = atoms.log_q_top + s * atoms.d_inf
+        h_one = -atoms.kl if s == 0.0 else 0.0  # H_s(1)
+        for target in (end - 1.0, end - 1e-9, end):
+            got = htbounds.bounds._tilt_root(atoms, s, target, 1.0, math.inf)
+            assert got == (math.inf, None, None), target - end
+        for target in (end + 1e-12, end + 1e-9, end + 1e-3, 0.5 * (end + h_one)):
+            lam, psi, _ = htbounds.bounds._tilt_root(atoms, s, target, 1.0, math.inf)
+            assert 1.0 < lam < math.inf, target - end
+            psi_at, mean, _, _ = _tilt(atoms, lam)
+            assert psi == psi_at
+            assert psi - (lam - s) * mean == pytest.approx(target, rel=1e-12, abs=0.0)
+
     def test_gaussian_closed_forms_match_optimizer(self):
         # The closed forms against a dense scan-and-polish of the
         # documented objectives.  The grid includes cases where branch one
@@ -551,7 +571,7 @@ class TestRenyiAchievabilityAtThreshold:
             d = kl_divergence(pair, Direction.REVERSE)
             for ratio in (0.999, 0.999999):
                 c = ratio * d
-                r = _achievability(pair, Exponential(c), n, math.exp(-c * n), -c * n)
+                r = _achievability(pair, Exponential(c), n, -c * n)
                 lam = phase_transition_achievability(pair, n, c).optimizer
                 tau = threshold_for_rate(pair, n, c, lam)
                 want = -float(tau + _mp_min_u(pair, n, tau))
@@ -772,8 +792,13 @@ class TestBerryEsseen:
         assert r.value <= beta + 1e-12
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            berry_esseen_bound(GAUSS, 10000, math.log(0.01), delta_param=-1.0)
+        # Checked before the early exits: at n = 10 the interval for Delta
+        # is empty, and an identical pair has no LLR variance.
+        same = parse_pair("discrete:0.5,0.5|0.5,0.5")
+        for pair, n in ((GAUSS, 10000), (BERN, 10), (same, 1000)):
+            for bad in (-1.0, math.nan):
+                with pytest.raises(DomainError, match="delta_param must be > 0"):
+                    berry_esseen_bound(pair, n, math.log(0.01), delta_param=bad)
 
 
 class TestSmoothingOut:

@@ -301,6 +301,19 @@ class TestEmitSvg:
         assert len(points_of(log)) == 3
         assert "zeros omitted" in log.read_text()
 
+    def test_isolated_point_is_a_circle(self, tmp_path):
+        # A valid value with no valid neighbour has no line to be part of.
+        values = (None, 0.25, None, 0.5, 0.75)
+        rows = tuple(GridRow(n, 0.01, math.log(0.01), (GridCell(v, None, v is not None),))
+                     for n, v in zip(range(10, 60, 10), values))
+        path = tmp_path / "out.svg"
+        emit_svg(GridTable("x", ("fano",), rows), str(path))
+        text = path.read_text()
+        assert text.count("<circle") == 1
+        assert text.count('<circle data-bound="fano"') == 1
+        assert text.count('<polyline data-bound="fano"') == 1
+        assert "(no valid points)" not in text
+
     def test_needs_two_rows(self, tmp_path):
         table = run_grid(small_grid(n_values=(100,)))
         with pytest.raises(ConfigError):
@@ -326,13 +339,16 @@ def test_reproduce_pairs_need_no_grid_search():
 
 class TestGolden:
     # fig1 is Bernoulli, so it pins the discrete Renyi path that fig2's
-    # Gaussian pair never reaches.
-    @pytest.mark.parametrize("table", ["fig1_exponential", "fig2_exponential"])
+    # Gaussian pair never reaches.  The SVGs pin the plot writer, with a
+    # log-y axis (fig1_exponential) and a linear one (fig2_constant).
+    @pytest.mark.parametrize("table", ["fig1_exponential", "fig2_exponential",
+                                       "fig1_exponential.svg", "fig2_constant.svg"])
     def test_reproduce_matches_pinned_csv(self, table, tmp_path):
         figure = table.split("_")[0]
+        name = table if table.endswith(".svg") else f"{table}.csv"
         assert cli_main(["reproduce", figure, "--outdir", str(tmp_path)]) == 0
-        got = (tmp_path / f"{table}.csv").read_bytes()
-        assert got == (GOLDEN / f"{table}.csv").read_bytes()
+        got = (tmp_path / name).read_bytes()
+        assert got == (GOLDEN / name).read_bytes()
 
 
 class TestGcFreeze:
