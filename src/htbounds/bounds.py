@@ -51,14 +51,15 @@ c < D(P1||P0); and when the target is at or below H_s(inf) = log P0(A),
 A the atoms where z is largest, the optimum is the endpoint l = inf,
 reported as ``optimizer = inf`` with the limit value (log eps +
 n D_inf(P1||P0) for branch one, log(1-eps) - n D_inf(P0||P1) for branch
-two).  Gaussian pairs, where psi is quadratic, use the closed forms.
+two).  For a Gaussian pair psi is the quadratic model itself, so Newton
+starts at the root, and D_inf = inf, so there is no l = inf end.
 
 The threshold achievability bound minimizes the convex
 u(l) = n psi(l) - l tau, so its order is the root of n psi'(l) = tau.
 The optimized ``sample_complexity_renyi`` is the larger of two
 crossings in n: where branch two's log bound falls to log(delta), and
-where branch one's bound rises to delta.  Each is monotone in n, with
-slope given by the envelope theorem.
+the same crossing with P0 and P1 swapped and eps and delta swapped.  Each
+is monotone in n, with slope given by the envelope theorem.
 
 The Berry-Esseen slack and the smoothing temperature are roots too: the
 slope of each objective changes sign once, from + to -, so the maximizer
@@ -243,22 +244,26 @@ def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float,
     here; the caller guarantees H_s(lo) > target, and target > H_s(hi) for
     a finite hi.  For hi = inf, H_s falls to H_s(inf) = log Q(A) + s D_inf,
     A the atoms where z is largest: at or below it there is no root, and
-    the optimum is the l = inf end.  Newton starts where the quadratic
-    model psi(1 + h) ~ psi'(1) h + psi''(1) h^2 / 2 puts the root,
+    the optimum is the l = inf end (a Gaussian record, with D_inf = inf,
+    has none).  Newton starts where psi(1 + h) ~ psi'(1) h + psi''(1) h^2 / 2,
+    a quadratic model that is exact for a Gaussian pair, puts the root,
 
-        l = s + sqrt((1 - s)^2 - 2 ((1 - s) psi'(1) + target) / psi''(1)),
+        l = s + sqrt(w) / sqrt(psi''(1)),
+        w = ((1 - s) sqrt(psi''(1)))^2 - 2 ((1 - s) psi'(1) + target),
 
+    so that neither w nor l overflows at psi''(1) = 1e-320, l = 1e160;
     kept above lo, or at nan (the bracket's own start) where psi''(1) = 0
-    or the value under the root is negative.  Returns (l, psi(l), size of
-    psi) from :func:`htbounds.numerics._newton_root` on the offset l - s,
-    or (inf, None, None) at the l = inf end or past l - s = 2^40, where
-    every objective here equals its l = inf limit to about 1e-12.
+    or w is negative.  Returns (l, psi(l), size of psi) from
+    :func:`htbounds.numerics._newton_root` on the offset l - s, or
+    (inf, None, None) at the l = inf end or past l - s = 2^40, where every
+    objective here equals its l = inf limit to about 1e-12 (a Gaussian root
+    is its start, so it comes back inf only past the float range).
     """
-    if hi == math.inf and target <= atoms.log_q_top + s * atoms.d_inf:
+    if hi == math.inf and atoms.d_inf < math.inf and target <= atoms.log_q_top + s * atoms.d_inf:
         return math.inf, None, None
-    w = ((1.0 - s) ** 2 - 2.0 * ((1.0 - s) * atoms.kl + target) / atoms.var
-         if atoms.var > 0.0 else math.nan)
-    start = max(s + math.sqrt(w), math.nextafter(lo, hi)) if w >= 0.0 else math.nan
+    sd = math.sqrt(atoms.var)
+    w = ((1.0 - s) * sd) ** 2 - 2.0 * ((1.0 - s) * atoms.kl + target)
+    start = max(s + math.sqrt(w) / sd, math.nextafter(lo, hi)) if w >= 0.0 and sd else math.nan
 
     def resid(x):
         psi, mean, var, psi_size = _tilt(atoms, x)
@@ -288,7 +293,7 @@ def _argmax_by_root(slope: Callable, hi: float, start: float) -> float:
     return _newton_root(slope, a, b, start, 0.0)[0]
 
 
-def _branch_one(pair: DistributionPair, n: int, log_eps: float) -> tuple[float, float | None]:
+def _branch_one(rev: _TiltAtoms, n: int, log_eps: float) -> tuple[float, float | None]:
     """Minimized exponent g* = inf_{l>1} ((l-1)/l)(log_eps + n D_l(P1||P0)).
 
     The branch-one bound is 1 - e^{g*}; returns (g*, argmin l), or
@@ -298,37 +303,26 @@ def _branch_one(pair: DistributionPair, n: int, log_eps: float) -> tuple[float, 
     and when t <= H_0(inf) = log P0(argmax p1/p0) g decreases all the way
     and g* is its l = inf limit log_eps + n D_inf(P1||P0).
     """
-    if isinstance(pair, GaussianPair):
-        a, b = -log_eps, n * kl_divergence(pair, Direction.REVERSE)
-        if a <= b:
-            return 0.0, None
-        return -(((a - b) / (math.sqrt(a) + math.sqrt(b))) ** 2), math.sqrt(a / b)
     t = log_eps / n
-    top = _tilt_atoms(pair, Direction.REVERSE)
-    if t >= -top.kl:
+    if t >= -rev.kl:
         return 0.0, None
-    lam, psi, _ = _tilt_root(top, 0.0, t, 1.0, math.inf)
+    lam, psi, _ = _tilt_root(rev, 0.0, t, 1.0, math.inf)
     if lam == math.inf:
-        return log_eps + n * top.d_inf, lam
+        return log_eps + n * rev.d_inf, lam
     return ((lam - 1.0) * log_eps + n * psi) / lam, lam
 
 
-def _branch_two(pair: DistributionPair, n: int, log_1m_eps: float) -> tuple[float, float]:
+def _branch_two(fwd: _TiltAtoms, n: float, log_1m_eps: float) -> tuple[float, float]:
     """sup_{l>1} (l/(l-1)) log(1-eps) - n D_l(P0||P1) and its argmax l.
 
     With u = log(1-eps) / n the objective is stationary where H_1(l) = u;
     H_1(1) = 0 > u, and when u <= H_1(inf) = log P0(argmax p0/p1) the
     objective increases all the way to its limit log(1-eps) - n D_inf(P0||P1).
     """
-    if isinstance(pair, GaussianPair):
-        a, b = -log_1m_eps, n * kl_divergence(pair, Direction.FORWARD)
-        lam = max(1.0 + math.sqrt(a / b), math.nextafter(1.0, 2.0))
-        return -((math.sqrt(a) + math.sqrt(b)) ** 2), lam
     u = log_1m_eps / n
-    top = _tilt_atoms(pair, Direction.FORWARD)
-    lam, psi, _ = _tilt_root(top, 1.0, u, 1.0, math.inf)
+    lam, psi, _ = _tilt_root(fwd, 1.0, u, 1.0, math.inf)
     if lam == math.inf:
-        return log_1m_eps - n * top.d_inf, lam
+        return log_1m_eps - n * fwd.d_inf, lam
     return (lam * log_1m_eps - n * psi) / (lam - 1.0), lam
 
 
@@ -340,11 +334,12 @@ def renyi_converse(pair: DistributionPair, n: int, log_eps: float) -> BoundResul
     """
     _check_n(n)
     _check_log_eps(log_eps)
-    g_min, lam_one = _branch_one(pair, n, log_eps)
+    g_min, lam_one = _branch_one(_tilt_atoms(pair, Direction.REVERSE), n, log_eps)
     log_one = log_diff_exp(0.0, g_min) if g_min < 0.0 else None
     # log(1 - eps) is finite for every finite log_eps < 0: 1 - eps is at
     # least the smallest subnormal even where eps itself rounds to 1.
-    log_two, lam_two = _branch_two(pair, n, log_diff_exp(0.0, log_eps))
+    log_two, lam_two = _branch_two(_tilt_atoms(pair, Direction.FORWARD), n,
+                                   log_diff_exp(0.0, log_eps))
     if log_one is not None and log_one >= log_two:
         return _lower_beta(log_one, lam_one)
     return _lower_beta(log_two, lam_two)
@@ -364,7 +359,7 @@ def phase_transition_converse(pair: DistributionPair, n: int, c: float) -> Bound
             f"phase_transition_converse requires c > D(P1||P0) = {d_rev:.6g}; "
             "for c below the divergence use phase_transition_achievability"
         )
-    g_min, lam = _branch_one(pair, n, -c * n)
+    g_min, lam = _branch_one(_tilt_atoms(pair, Direction.REVERSE), n, -c * n)
     log_value = log_diff_exp(0.0, g_min) if g_min < 0.0 else None
     return _lower_beta(log_value, lam)
 
@@ -379,8 +374,9 @@ def renyi_achievability_at_threshold(
     log-sum, (l-1) D_l = psi(l), and with u(l) = n psi(l) - l tau the log
     of the expression is tau + log(e^u - alpha), which increases in u.  u
     is convex, so the minimizer is that of u: the root of n psi'(l) = tau,
-    or the end beyond which it lies (Gaussian pairs, where
-    psi(l) = l (l-1) d^2 / 2 with d = delta / sigma: l = 1/2 + tau / (n d^2)).
+    or the end beyond which it lies (for a Gaussian pair, where
+    psi'(l) = (l - 1/2) d^2 with d = delta / sigma, Newton's start
+    l = 1 + (tau / n - psi'(1)) / psi''(1) = 1/2 + tau / (n d^2) is the root).
     The log value is formed as n psi - (l-1) tau + log(1 - alpha e^{-u}),
     which keeps its accuracy where the first two terms nearly cancel (tau
     near n D(P1||P0)), and is rounded up by a bound on its rounding error
@@ -399,33 +395,23 @@ def renyi_achievability_at_threshold(
         raise DomainError(f"tau must be finite, got {tau!r}")
     _check_log_prob("log_alpha", log_alpha)
     lo, hi = _EDGE, 1.0 - _EDGE
-    if isinstance(pair, GaussianPair):
-        a = n * (pair.delta / pair.sigma) ** 2
-        lam = min(max(0.5 + tau / a, lo), hi)
+    atoms = _tilt_atoms(pair, Direction.REVERSE)
+    ulps = (len(atoms.p) + 8) * _EPS
+    t = tau / n
 
-        def terms(lam):
-            # u, n psi - (l-1) tau, and bounds on their rounding errors
-            h, ulps = lam - 1.0, 8.0 * _EPS
-            return (lam * (0.5 * h * a - tau), h * (0.5 * lam * a - tau),
-                    ulps * abs(h) * (0.5 * lam * a + abs(tau)),
-                    ulps * lam * (0.5 * abs(h) * a + abs(tau)))
-    else:
-        atoms = _tilt_atoms(pair, Direction.REVERSE)
-        ulps = (len(atoms.p) + 8) * _EPS
-        t = tau / n
+    def slope(x):
+        _, mean, var, _ = _tilt(atoms, x)
+        return t - mean, -var, abs(t) + abs(mean), None
 
-        def slope(x):
-            _, mean, var, _ = _tilt(atoms, x)
-            return t - mean, -var, abs(t) + abs(mean), None
+    def terms(lam):
+        # u, n psi - (l-1) tau, and bounds on their rounding errors
+        psi, _, _, psi_size = _tilt(atoms, lam)
+        h, size = lam - 1.0, n * (abs(psi) + psi_size)
+        return (n * psi - lam * tau, n * psi - h * tau,
+                ulps * (size + abs(h * tau)), ulps * (size + abs(lam * tau)))
 
-        def terms(lam):
-            psi, _, _, psi_size = _tilt(atoms, lam)
-            h, size = lam - 1.0, n * (abs(psi) + psi_size)
-            return (n * psi - lam * tau, n * psi - h * tau,
-                    ulps * (size + abs(h * tau)), ulps * (size + abs(lam * tau)))
-
-        d, v = atoms.kl, atoms.var
-        lam = _argmax_by_root(slope, 1.0, 1.0 + (t - d) / v if v > 0.0 else 0.5)
+    d, v = atoms.kl, atoms.var
+    lam = _argmax_by_root(slope, 1.0, 1.0 + (t - d) / v if v > 0.0 else 0.5)
 
     def log_value_at(lam):
         # None where the numerator is non-positive.  The error of u enters
@@ -487,19 +473,15 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
 
     # The exponent n (c (l-1) - psi(l)) / l is stationary where H_0(l) = -c;
     # H_0(0) = 0 and H_0(1) = -D(P1||P0), so the root lies in (0, 1).
-    if isinstance(pair, GaussianPair):
-        lam = math.sqrt(c / d_rev)
-        exponent = n * ((d_rev - c) / (math.sqrt(d_rev) + math.sqrt(c))) ** 2
-    else:
-        atoms = _tilt_atoms(pair, Direction.REVERSE)
-        lam, psi, psi_size = _tilt_root(atoms, 0.0, -c, 0.0, 1.0)
-        # Near c = D the exponent is a small difference of terms of order
-        # (l - 1) D; it is rounded down by a bound on their rounding error
-        # so that the upper bound on beta never understates.
-        h = lam - 1.0
-        size = abs(c * h) + abs(psi) + psi_size
-        ulps = (len(atoms.p) + 8) * _EPS
-        exponent = n * (c * h - psi - ulps * size) / lam
+    atoms = _tilt_atoms(pair, Direction.REVERSE)
+    lam, psi, psi_size = _tilt_root(atoms, 0.0, -c, 0.0, 1.0)
+    # Near c = D the exponent is a small difference of terms of order
+    # (l - 1) D; it is rounded down by a bound on their rounding error
+    # so that the upper bound on beta never understates.
+    h = lam - 1.0
+    size = abs(c * h) + abs(psi) + psi_size
+    ulps = (len(atoms.p) + 8) * _EPS
+    exponent = n * (c * h - psi - ulps * size) / lam
     return _upper_beta(-exponent, lam, exponent > 0.0)
 
 
@@ -528,64 +510,48 @@ def sample_complexity_renyi(
     -D_l*(P0||P1) at its optimal order l* (envelope theorem), so the
     supremum is the n where it equals log(delta), found by Newton in
     x = n D(P0||P1); Gaussian pairs have the closed form
-    (sqrt(log 1/delta) - sqrt(log 1/(1-eps)))^2 / D.  The second term's is
-    likewise where branch one's bound at eps equals delta (eps and delta
-    swapped).  The optimizer is l* at the larger crossing.  When
-    eps + delta >= 1 no term is positive: 1, valid=False, optimizer inf.
+    (sqrt(log 1/delta) - sqrt(log 1/(1-eps)))^2 / D.  The second term is
+    the first with P0 and P1 swapped and eps and delta swapped, so its
+    supremum is the same crossing on the reverse record.  The optimizer is
+    l* at the larger crossing.  When eps + delta >= 1 no term is positive:
+    1, valid=False, optimizer inf.
     """
     _check_prob("eps", eps)
     _check_prob("delta", delta)
-    log_inv_delta = -math.log(delta)
-    log_inv_eps = -math.log(eps)
-    log_inv_1m_eps = -math.log1p(-eps)
-    log_inv_1m_delta = -math.log1p(-delta)
-
-    if lam is not None:
-        if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 1.0):
-            raise DomainError(f"lam must be > 1, got {lam!r}")
-        d_fwd = renyi_divergence(pair, lam, Direction.FORWARD)
-        d_rev = renyi_divergence(pair, lam, Direction.REVERSE)
-        if not (d_fwd > 0.0 and d_rev > 0.0):
-            raise DomainError("sample_complexity_renyi requires distinct distributions")
-        ratio = lam / (lam - 1.0)
-        first = (log_inv_delta - ratio * log_inv_1m_eps) / d_fwd
-        second = (log_inv_eps - ratio * log_inv_1m_delta) / d_rev
-        return _lower_n(max(first, second), lam)
-    d_fwd = kl_divergence(pair, Direction.FORWARD)
-    d_rev = kl_divergence(pair, Direction.REVERSE)
-    if not (d_fwd > 0.0 and d_rev > 0.0):
-        raise DomainError("sample_complexity_renyi requires distinct distributions")
-
-    # Residuals in x; _newton_root's last point can be 1e-10 relative from
-    # the root, so each also returns r and slope for one more Newton step.
-    def first(x):
-        # branch two's log bound at n = x / D(P0||P1), less log delta
-        val, lam_ = _branch_two(pair, x / d_fwd, -log_inv_1m_eps)
-        ratio = 1.0 if lam_ == math.inf else lam_ / (lam_ - 1.0)
-        r, slope = val + log_inv_delta, (ratio * -log_inv_1m_eps - val) / -x
-        return r, slope, abs(val) + log_inv_delta, (lam_, r, slope)
-
-    def second(x):
-        # log(1 - delta) less branch one's exponent at n = x / D(P1||P0)
-        g, lam_ = _branch_one(pair, x / d_rev, -log_inv_eps)
-        frac = 0.0 if lam_ is None else 1.0 if lam_ == math.inf else (lam_ - 1.0) / lam_
-        r, slope = -log_inv_1m_delta - g, (g + frac * log_inv_eps) / -x
-        return r, slope, abs(g) + log_inv_1m_delta, (lam_, r, slope)
-
+    if lam is not None and not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 1.0):
+        raise DomainError(f"lam must be > 1, got {lam!r}")
     crossings = []
-    for top, bottom, d, resid in ((log_inv_delta, log_inv_1m_eps, d_fwd, first),
-                                  (log_inv_eps, log_inv_1m_delta, d_rev, second)):
+    # the term (log(1/b) - (l/(l-1)) log(1/(1-a))) / D_l in this direction
+    for direction, a, b in ((Direction.FORWARD, eps, delta), (Direction.REVERSE, delta, eps)):
+        d = kl_divergence(pair, direction)
+        if not d > 0.0:
+            raise DomainError("sample_complexity_renyi requires distinct distributions")
+        top, bottom = -math.log(b), -math.log1p(-a)
+        if lam is not None:
+            # D_lam of a distinct pair is 0 only where psi(lam) underflows
+            num, d_lam = top - lam / (lam - 1.0) * bottom, renyi_divergence(pair, lam, direction)
+            crossings.append((num / d_lam if d_lam > 0.0 else math.inf if num > 0.0 else 0.0, lam))
+            continue
         if not top > bottom:
             continue  # the term is negative for every l
         gap = math.sqrt(top) - math.sqrt(bottom)
         if isinstance(pair, GaussianPair):
             crossings.append((gap * gap / d, math.sqrt(top) / gap))
-        else:
-            # x = n D lies below top (each term is at most top / D_l <= top / D),
-            # and branch one is vacuous from x = top on: searching below top
-            # ends where the order is known, up to rounding at top itself.
-            x, (lam_, r, slope) = _newton_root(resid, 0.0, top, gap * gap, 0.0)
-            crossings.append(((x - r / slope if slope < 0.0 else x) / d, lam_))
+            continue
+        atoms = _tilt_atoms(pair, direction)
+
+        def resid(x):
+            # branch two's log bound at n = x / d less log(b), with r and slope for
+            # one more Newton step (_newton_root may stop 1e-10 relative from the root)
+            val, lam_ = _branch_two(atoms, x / d, -bottom)
+            ratio = 1.0 if lam_ == math.inf else lam_ / (lam_ - 1.0)
+            r, slope = val + top, (ratio * -bottom - val) / -x
+            return r, slope, abs(val) + top, (lam_, r, slope)
+
+        # x = n D lies below top (the term is at most top / D_l <= top / D),
+        # where branch two's log bound is at most -top.
+        x, (lam_, r, slope) = _newton_root(resid, 0.0, top, gap * gap, 0.0)
+        crossings.append(((x - r / slope if slope < 0.0 else x) / d, lam_))
     if not crossings:
         return _lower_n(0.0, math.inf)
     value, arg = max(crossings, key=lambda c: c[0])
@@ -604,10 +570,11 @@ def sample_complexity_pensia(pair: DistributionPair, eps: float, delta: float) -
     log_s = -math.log(2.0 * delta)
     log_e = -math.log(2.0 * eps)
     lam_star = log_s / (log_s + log_e)
-    d = renyi_divergence(pair, lam_star, Direction.FORWARD)
-    if not d > 0.0:
+    if not kl_divergence(pair, Direction.FORWARD) > 0.0:
         raise DomainError("sample_complexity_pensia requires distinct distributions")
-    value = 0.5 * (lam_star / (1.0 - lam_star)) * log_e / d
+    # D_lam of a distinct pair is 0 only where psi(lam) underflows
+    d = renyi_divergence(pair, lam_star, Direction.FORWARD)
+    value = 0.5 * (lam_star / (1.0 - lam_star)) * log_e / d if d > 0.0 else math.inf
     return _lower_n(value, lam_star)
 
 

@@ -33,7 +33,6 @@ from .bounds import (
     sample_complexity_pensia,
     sample_complexity_renyi,
     smoothing_out_bound,
-    threshold_for_rate,
 )
 from .distributions import Direction, kl_divergence, parse_pair
 from .experiments import (
@@ -180,9 +179,7 @@ def _ceil(x: float):
 
 
 def _size_line(name: str, r) -> str:
-    # the order is None where the crossing lies at the l -> 1 end of branch one
-    order = "-" if r.optimizer is None else f"{r.optimizer:.6g}"
-    return f"{name}: n >= {r.value:.12g}  (ceil {_ceil(r.value)}, order {order})"
+    return f"{name}: n >= {r.value:.12g}  (ceil {_ceil(r.value)}, order {r.optimizer:.6g})"
 
 
 def _cmd_samplesize(args) -> int:

@@ -11,13 +11,13 @@ Conventions: Direction.FORWARD means the functional's first argument is
 the null P0 (so kl_divergence(pair, FORWARD) = D(P0 || P1)), REVERSE
 swaps the roles.  Log-likelihood ratio moments are always those of
 log(p0/p1) under P0, the orientation the Berry-Esseen baseline needs.
-Gaussian formulas are exact for any sigma because the testing problem
-(mu, delta, sigma) rescales to (0, delta/sigma, 1).
-
-Discrete pairs go through one cached record per pair and direction
+Every divergence is read from one cached record per pair and direction
 (:func:`_tilt_atoms`) and the tilted log-sum :func:`_tilt` over it, in
-scalar ``math``.  Each sum is a ``math.fsum``: correctly rounded, the same
-on every Python, and within the (K - 1) eps of a sequential sum of K terms.
+scalar ``math``.  A discrete record holds the atoms, and each sum over
+them is a ``math.fsum``: correctly rounded, the same on every Python, and
+within the (K - 1) eps of a sequential sum of K terms.  A Gaussian record
+holds no atoms, only d^2 = (delta / sigma)^2, exact for any sigma because
+the testing problem (mu, delta, sigma) rescales to (0, delta/sigma, 1).
 """
 
 from __future__ import annotations
@@ -159,11 +159,6 @@ class LLRMoments:
     berry_constant: float
 
 
-def _gaussian_d2(pair: GaussianPair) -> float:
-    # Squared standardized separation (delta / sigma)^2.
-    return (pair.delta / pair.sigma) ** 2
-
-
 class _TiltAtoms(NamedTuple):
     logp: tuple[float, ...]  # log p
     p: tuple[float, ...]  # the first argument's atoms, renormalized to sum 1
@@ -182,21 +177,29 @@ class _TiltAtoms(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _tilt_atoms(pair: DistributionPair, direction: Direction) -> _TiltAtoms:
-    """The one record of a discrete pair: its atoms (first, second argument) and constants.
+    """The one record of a pair: its atoms (first, second argument) and constants.
 
-    Cached per (pair, direction), in tuples no caller can change.  Atoms
-    where both vectors vanish are dropped; each vector is divided by its
-    fsum.  z is log1p((p - q) / q) where p / q lies within (1/2, 3/2), so
-    it keeps its relative accuracy as p -> q, where log p - log q cancels.
-    The constants (nan until filled in) come from :func:`_tilt` on the
-    atoms: kl and var at lam = 1, log_affinity at lam = 1/2.
+    Cached per (pair, direction), in tuples no caller can change.  A
+    Gaussian record has no atoms; with d = |delta| / sigma it holds
+    kl = d^2 / 2, var = d^2, third = d^3 sqrt(8 / pi), berry = 6 sqrt(8 / pi)
+    and log_affinity = -d^2 / 8, and z is unbounded (D_inf = inf, Q(A) = 0),
+    so there is no lam = inf end.  For a discrete pair, atoms where both
+    vectors vanish are dropped; each vector is divided by its fsum.  z is
+    log1p((p - q) / q) where p / q lies within (1/2, 3/2), so it keeps its
+    relative accuracy as p -> q, where log p - log q cancels.  The
+    constants (nan until filled in) come from :func:`_tilt` on the atoms:
+    kl and var at lam = 1, log_affinity at lam = 1/2.
     """
+    if isinstance(pair, GaussianPair):
+        d, d2 = abs(pair.delta) / pair.sigma, (pair.delta / pair.sigma) ** 2
+        c = math.sqrt(8.0 / math.pi)
+        # the third moment is inf, not an OverflowError, past d = 5.6e102
+        return _TiltAtoms((), (), (), (), math.inf, -math.inf, math.inf, -math.inf,
+                          d2 / 2.0, d * d, d * d * d * c, 6.0 * c, -d2 / 8.0)
     if isinstance(pair, BernoulliPair):
         p, q = (1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1)
-    elif isinstance(pair, FiniteDiscretePair):
-        p, q = zip(*((a, b) for a, b in zip(pair.p0, pair.p1) if a > 0.0))
     else:
-        raise UnsupportedFamilyError(f"no discrete atoms for {type(pair).__name__}")
+        p, q = zip(*((a, b) for a, b in zip(pair.p0, pair.p1) if a > 0.0))
     if direction is Direction.REVERSE:
         p, q = q, p
     sp, sq = math.fsum(p), math.fsum(q)
@@ -235,8 +238,14 @@ def _tilt(atoms: _TiltAtoms, lam: float) -> tuple[float, float, float, float]:
     errors z carries into them.  With fsum sums, psi is within about
     (K + 8) eps of |psi| + size, psi' of the tilted mean of |z|, and psi''
     of itself plus what errors of eps |z| in z - psi' make of it (the
-    model :mod:`htbounds.bounds` assumes).  lam is a float > 0.
+    model :mod:`htbounds.bounds` assumes).  Over a Gaussian record, with
+    no atoms, psi is the quadratic lam (lam - 1) var / 2, formed as
+    lam ((lam - 1) var / 2) since lam (lam - 1) overflows past lam = 1.3e154,
+    with psi' = (lam - 1/2) var, psi'' = var and size 0.  lam is a float > 0.
     """
+    if not atoms.z:
+        v = atoms.var
+        return lam * ((lam - 1.0) * v / 2.0), (lam - 0.5) * v, v, 0.0
     z, z_abs, h = atoms.z, atoms.z_abs, lam - 1.0
     near_zero = lam < 0.5 and lam * z_abs <= 0.5
     if near_zero or abs(h) * z_abs <= 0.5:
@@ -261,17 +270,15 @@ def _tilt(atoms: _TiltAtoms, lam: float) -> tuple[float, float, float, float]:
 
 def kl_divergence(pair: DistributionPair, direction: Direction) -> float:
     """Kullback-Leibler divergence of the pair in the given direction (nats)."""
-    if isinstance(pair, GaussianPair):
-        return _gaussian_d2(pair) / 2.0
     return _tilt_atoms(pair, direction).kl
 
 
 def renyi_divergence(pair: DistributionPair, lam: float, direction: Direction) -> float:
     """Renyi divergence D_lambda of the pair at a scalar order lam.
 
-    D_lambda(P || Q) = log( sum p^lambda q^(1-lambda) ) / (lambda - 1)
-    for discrete pairs (the tilted log-sum of :func:`_tilt` over
-    lambda - 1); for Gaussians it is lambda * delta^2 / (2 sigma^2) in
+    D_lambda(P || Q) = psi(lambda) / (lambda - 1), with psi the tilted
+    log-sum of :func:`_tilt`: log( sum p^lambda q^(1-lambda) ) for discrete
+    pairs, and lambda (lambda - 1) delta^2 / (2 sigma^2) for Gaussians in
     either direction.  Requires a finite scalar lam > 0 with lam != 1 (the
     lam -> 1 limit is the KL divergence; call kl_divergence for it); an
     array or any other lam raises :class:`DomainError`.
@@ -283,8 +290,6 @@ def renyi_divergence(pair: DistributionPair, lam: float, direction: Direction) -
     if lam == 1.0:
         raise DomainError("lambda = 1 is the KL limit; use kl_divergence")
     lam = float(lam)
-    if isinstance(pair, GaussianPair):
-        return lam * (_gaussian_d2(pair) / 2.0)
     return _tilt(_tilt_atoms(pair, direction), lam)[0] / (lam - 1.0)
 
 
@@ -293,8 +298,6 @@ def _log_affinity(pair: DistributionPair) -> float:
 
     It stays finite where 1 - H^2 rounds to 0 (|delta / sigma| above about 17.3).
     """
-    if isinstance(pair, GaussianPair):
-        return -_gaussian_d2(pair) / 8.0
     return _tilt_atoms(pair, Direction.FORWARD).log_affinity
 
 
@@ -306,17 +309,13 @@ def hellinger_squared(pair: DistributionPair) -> float:
 def llr_moments(pair: DistributionPair) -> LLRMoments:
     """Mean, variance, and absolute third central moment of log(p0/p1) under P0.
 
-    For discrete pairs all four are constants read from the forward
-    record: the mean and variance are psi'(1) and psi''(1) (see
-    :func:`_tilt`), and the Berry-Esseen constant 6 rho / sigma^3 is
-    6 sum (p s^2) s over s = |z - mean| / sigma, in which p s^2 <= 1 and
-    s <= max|z| / sigma, so it neither divides by 0 nor overflows where
-    sigma^3 or rho leaves the normal range (sigma^2 < 1e-205).
+    All four are constants read from the forward record: the mean and
+    variance are psi'(1) and psi''(1) (see :func:`_tilt`), and a discrete
+    pair's Berry-Esseen constant 6 rho / sigma^3 is 6 sum (p s^2) s over
+    s = |z - mean| / sigma, in which p s^2 <= 1 and s <= max|z| / sigma, so
+    it neither divides by 0 nor overflows where sigma^3 or rho leaves the
+    normal range (sigma^2 < 1e-205).
     """
-    if isinstance(pair, GaussianPair):
-        d, c = abs(pair.delta) / pair.sigma, math.sqrt(8.0 / math.pi)
-        # the third moment is inf, not an OverflowError, past d = 5.6e102
-        return LLRMoments(d * d / 2.0, d * d, d * d * d * c, 6.0 * c)
     atoms = _tilt_atoms(pair, Direction.FORWARD)
     return LLRMoments(atoms.kl, atoms.var, atoms.third, atoms.berry)
 

@@ -33,10 +33,10 @@ where it can occur, not a warning.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from typing import Callable
 
-import numpy as np
 from scipy import special
 
 __all__ = [
@@ -65,7 +65,9 @@ class DomainError(ValueError):
 
 
 def _check_n(n, minimum: int = 1) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < minimum:
+    # int first: an isinstance against the numbers.Integral ABC costs about 0.6 us
+    integral = isinstance(n, int) or isinstance(n, numbers.Integral)
+    if not integral or isinstance(n, bool) or n < minimum:
         raise DomainError(f"n must be an integer >= {minimum}, got {n!r}")
 
 

@@ -158,6 +158,10 @@ class TestRenyiConverse:
         with pytest.raises(DomainError):
             renyi_converse(BERN, 2.5, math.log(0.01))
         with pytest.raises(DomainError):
+            renyi_converse(BERN, True, math.log(0.01))
+        assert renyi_converse(BERN, np.int64(10), math.log(0.01)) == renyi_converse(
+            BERN, 10, math.log(0.01))
+        with pytest.raises(DomainError):
             renyi_converse(BERN, 10, 0.0)
         with pytest.raises(DomainError):
             renyi_converse(BERN, 10, math.nan)
@@ -401,6 +405,19 @@ class TestRenyiOrderRoot:
                 assert phase_transition_converse(pair, n, 2.0 * d).valid
                 assert phase_transition_achievability(pair, n, 0.5 * d).valid
 
+    # Gaussian pairs with psi''(1) = (delta / sigma)^2 of 1e-320 and 1e-306,
+    # whose orders (about 1e153 to 1e160) are the quadratic model's root:
+    # that start overflows unless it is formed as s + sqrt(w) / sqrt(psi''(1)).
+    @pytest.mark.parametrize("bound, delta, arg, want", [
+        (renyi_converse, 1e-160, -5.0, 0.9932620530009145),
+        (phase_transition_converse, 1e-160, 1e-6, 9.999995000001659e-07),
+        (phase_transition_converse, 1e-153, 999.0, 1.0),
+    ])
+    def test_start_in_float_range_at_tiny_separation(self, bound, delta, arg, want):
+        r = bound(GaussianPair(0.0, delta), 1, arg)
+        assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert r.valid
+
     def test_identical_discrete_pair(self):
         # z = 0 everywhere: both branches sit at l = inf with value 1 - eps.
         same = FiniteDiscretePair((0.25, 0.75), (0.25, 0.75))
@@ -608,6 +625,17 @@ class TestSampleComplexity:
         assert r.value == pytest.approx(COR1_VALUE, rel=1e-12, abs=0.0)
         assert math.ceil(r.value) == 1835
         assert r.kind is BoundKind.LOWER_N
+
+    def test_infinite_where_the_divergence_underflows(self):
+        # gaussian:0,1e-160 has d^2 = 1e-320, so psi(l) = l (l - 1) d^2 / 2, and
+        # with it D_l, underflows to 0 within about 4e-4 of l = 0 or 1; the pair
+        # is still distinct, and each of these sample sizes is inf
+        pair, e1 = GaussianPair(0.0, 1e-160), math.exp(-1.0)
+        for eps, delta in ((1e-300, e1), (e1, 1e-300)):
+            r = sample_complexity_pensia(pair, eps, delta)
+            assert r.value == math.inf and r.valid
+        r = sample_complexity_renyi(pair, e1, 1e-300, lam=1.0001)
+        assert r.value == math.inf and r.valid
 
     def test_optimized_dominates_fixed_lambda(self):
         fixed = sample_complexity_renyi(GAUSS, 0.01, 0.01, lam=2.0)

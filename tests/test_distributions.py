@@ -19,7 +19,6 @@ from htbounds.distributions import (
     FiniteDiscretePair,
     GaussianPair,
     PairSpecError,
-    UnsupportedFamilyError,
     _tilt,
     _tilt_atoms,
     hellinger_squared,
@@ -421,9 +420,31 @@ class TestAtomCache:
         assert [renyi_divergence(pair, lam, Direction.REVERSE) for lam in (0.3, 2.0)] == rev
         assert [renyi_divergence(pair, lam, Direction.FORWARD) for lam in (0.3, 2.0)] == fwd
 
-    def test_unsupported_atoms(self):
-        with pytest.raises(UnsupportedFamilyError):
-            _tilt_atoms(GAUSS, Direction.FORWARD)
+    # (delta / sigma)**2 and d * d differ by an ulp at the second pair, so
+    # kl and log_affinity are pinned to the first form and var to the second.
+    @pytest.mark.parametrize("pair", [
+        GAUSS, GaussianPair(0.0, 0.39390836244285854, 1.1969007746861755),
+        GaussianPair(1.0, -3.0, 0.5), GaussianPair(0.0, 1e103),
+    ])
+    def test_gaussian_record(self, pair):
+        d, z = abs(pair.delta) / pair.sigma, pair.delta / pair.sigma
+        c = math.sqrt(8.0 / math.pi)
+        for direction in Direction:
+            atoms = _tilt_atoms(pair, direction)
+            assert atoms.z == () and atoms.d_inf == math.inf and atoms.log_q_top == -math.inf
+            got = (atoms.kl, atoms.var, atoms.third, atoms.berry, atoms.log_affinity)
+            assert repr(got) == repr((z**2 / 2.0, d * d, d * d * d * c, 6.0 * c, -(z**2) / 8.0))
+
+    @pytest.mark.parametrize("pair", [GAUSS, GaussianPair(0.0, 1e-150), GaussianPair(0.0, -1e100)])
+    @pytest.mark.parametrize("lam", [1e-9, 0.5, 1.001, 1e6])
+    def test_gaussian_tilt_matches_mpmath(self, pair, lam):
+        psi, mean, var, size = _tilt(_tilt_atoms(pair, Direction.FORWARD), lam)
+        with mpmath.workdps(60):
+            d2, x = (mpmath.mpf(pair.delta) / mpmath.mpf(pair.sigma)) ** 2, mpmath.mpf(lam)
+            want = (x * (x - 1) * d2 / 2, (x - mpmath.mpf(0.5)) * d2, d2)
+        for got, ref in zip((psi, mean, var), want):
+            assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+        assert size == 0.0
 
     def test_cache_stays_bounded(self):
         for i in range(1000):

@@ -338,10 +338,13 @@ def test_reproduce_pairs_need_no_grid_search():
 
 
 class TestGolden:
-    # fig1 is Bernoulli, so it pins the discrete Renyi path that fig2's
-    # Gaussian pair never reaches.  The SVGs pin the plot writer, with a
-    # log-y axis (fig1_exponential) and a linear one (fig2_constant).
+    # fig1 is a Bernoulli pair and the other two tables Gaussian ones.  The
+    # Gaussian renyi_converse cells are branch one in fig2_exponential and
+    # branch two in 56 of the 65 rows of appF_gaussian30_constant.  The SVGs
+    # pin the plot writer, with a log-y axis (fig1_exponential) and a linear
+    # one (fig2_constant).
     @pytest.mark.parametrize("table", ["fig1_exponential", "fig2_exponential",
+                                       "appF_gaussian30_constant",
                                        "fig1_exponential.svg", "fig2_constant.svg"])
     def test_reproduce_matches_pinned_csv(self, table, tmp_path):
         figure = table.split("_")[0]

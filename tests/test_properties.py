@@ -264,6 +264,9 @@ def _printed_values(command, out):
 @example(argv=["bound", "--pair", "bernoulli:0.5,1e-300", "--bound", "berry_esseen", "--n", "10"])
 @example(argv=["bound", "--pair", "discrete:1e-300,1|1e-200,1", "--bound", "berry_esseen",
                "--n", "10"])
+# n = x / D underflows to 0 if the Gaussian crossing is solved by Newton in x = n D
+@example(argv=["samplesize", "--pair", "gaussian:0,1e+153", "--eps=0.36787944117144233",
+               "--delta=0.6065306597126334"])
 @given(argv=_cli_argv())
 def test_cli_answers_or_exits_two_across_the_float_range(argv):
     out, err = io.StringIO(), io.StringIO()
