@@ -254,10 +254,12 @@ def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float,
     so that neither w nor l overflows at psi''(1) = 1e-320, l = 1e160;
     kept above lo, or at nan (the bracket's own start) where psi''(1) = 0
     or w is negative.  Returns (l, psi(l), size of psi) from
-    :func:`htbounds.numerics._newton_root` on the offset l - s, or
-    (inf, None, None) at the l = inf end or past l - s = 2^40, where every
-    objective here equals its l = inf limit to about 1e-12 (a Gaussian root
-    is its start, so it comes back inf only past the float range).
+    :func:`htbounds.numerics._newton_root` on the offset l - s, which
+    stops past l - s = 2^40 (a Gaussian root is its start, so only one
+    past the float range gets there); every l > 1 gives a valid bound, and
+    there every objective here is within about 1e-12 of its l = inf limit.
+    This is the one source of l = inf: (inf, None, None) at the end of a
+    record with a finite D_inf.
     """
     if hi == math.inf and atoms.d_inf < math.inf and target <= atoms.log_q_top + s * atoms.d_inf:
         return math.inf, None, None
@@ -270,8 +272,8 @@ def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float,
         size = abs(psi) + abs((x - s) * mean) + abs(target)
         return psi - (x - s) * mean - target, -(x - s) * var, size, (psi, psi_size)
 
-    lam, extra = _newton_root(resid, lo, hi, start, s)
-    return (lam, *extra) if extra else (lam, None, None)
+    lam, (psi, psi_size) = _newton_root(resid, lo, hi, start, s)
+    return lam, psi, psi_size
 
 
 def _argmax_by_root(slope: Callable, hi: float, start: float) -> float:
@@ -293,23 +295,23 @@ def _argmax_by_root(slope: Callable, hi: float, start: float) -> float:
     return _newton_root(slope, a, b, start, 0.0)[0]
 
 
-def _branch_one(rev: _TiltAtoms, n: int, log_eps: float) -> tuple[float, float | None]:
-    """Minimized exponent g* = inf_{l>1} ((l-1)/l)(log_eps + n D_l(P1||P0)).
+def _branch_one(rev: _TiltAtoms, n: int, log_eps: float) -> tuple[float | None, float | None]:
+    """Branch one's log bound log(1 - e^{g*}) and its order l*.
 
-    The branch-one bound is 1 - e^{g*}; returns (g*, argmin l), or
-    (0.0, None) when g* = 0 (the infimum is the l -> 1 limit: vacuous).
-    With t = log_eps / n, g is stationary where H_0(l) = t; H_0(1) =
+    g* = inf_{l>1} ((l-1)/l)(log_eps + n D_l(P1||P0)).  With
+    t = log_eps / n, g is stationary where H_0(l) = t; H_0(1) =
     -D(P1||P0), so the root lies in (1, inf) exactly when n D < log(1/eps),
     and when t <= H_0(inf) = log P0(argmax p1/p0) g decreases all the way
-    and g* is its l = inf limit log_eps + n D_inf(P1||P0).
+    and g* is its l = inf limit log_eps + n D_inf(P1||P0).  The log bound
+    is None where g* >= 0 (vacuous), and l* is None where g* is the l -> 1
+    limit 0.
     """
     t = log_eps / n
     if t >= -rev.kl:
-        return 0.0, None
+        return None, None
     lam, psi, _ = _tilt_root(rev, 0.0, t, 1.0, math.inf)
-    if lam == math.inf:
-        return log_eps + n * rev.d_inf, lam
-    return ((lam - 1.0) * log_eps + n * psi) / lam, lam
+    g = log_eps + n * rev.d_inf if lam == math.inf else ((lam - 1.0) * log_eps + n * psi) / lam
+    return (log_diff_exp(0.0, g) if g < 0.0 else None), lam
 
 
 def _branch_two(fwd: _TiltAtoms, n: float, log_1m_eps: float) -> tuple[float, float]:
@@ -334,8 +336,7 @@ def renyi_converse(pair: DistributionPair, n: int, log_eps: float) -> BoundResul
     """
     _check_n(n)
     _check_log_eps(log_eps)
-    g_min, lam_one = _branch_one(_tilt_atoms(pair, Direction.REVERSE), n, log_eps)
-    log_one = log_diff_exp(0.0, g_min) if g_min < 0.0 else None
+    log_one, lam_one = _branch_one(_tilt_atoms(pair, Direction.REVERSE), n, log_eps)
     # log(1 - eps) is finite for every finite log_eps < 0: 1 - eps is at
     # least the smallest subnormal even where eps itself rounds to 1.
     log_two, lam_two = _branch_two(_tilt_atoms(pair, Direction.FORWARD), n,
@@ -353,15 +354,13 @@ def phase_transition_converse(pair: DistributionPair, n: int, c: float) -> Bound
     """
     _check_n(n)
     _check_rate(c)
-    d_rev = kl_divergence(pair, Direction.REVERSE)
-    if c <= d_rev:
+    rev = _tilt_atoms(pair, Direction.REVERSE)
+    if c <= rev.kl:
         raise DomainError(
-            f"phase_transition_converse requires c > D(P1||P0) = {d_rev:.6g}; "
+            f"phase_transition_converse requires c > D(P1||P0) = {rev.kl:.6g}; "
             "for c below the divergence use phase_transition_achievability"
         )
-    g_min, lam = _branch_one(_tilt_atoms(pair, Direction.REVERSE), n, -c * n)
-    log_value = log_diff_exp(0.0, g_min) if g_min < 0.0 else None
-    return _lower_beta(log_value, lam)
+    return _lower_beta(*_branch_one(rev, n, -c * n))
 
 
 def renyi_achievability_at_threshold(
@@ -464,16 +463,15 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
     """
     _check_n(n)
     _check_rate(c)
-    d_rev = kl_divergence(pair, Direction.REVERSE)
-    if c >= d_rev:
+    atoms = _tilt_atoms(pair, Direction.REVERSE)
+    if c >= atoms.kl:
         raise DomainError(
-            f"phase_transition_achievability requires c < D(P1||P0) = {d_rev:.6g}; "
+            f"phase_transition_achievability requires c < D(P1||P0) = {atoms.kl:.6g}; "
             "for c above the divergence use phase_transition_converse"
         )
 
     # The exponent n (c (l-1) - psi(l)) / l is stationary where H_0(l) = -c;
     # H_0(0) = 0 and H_0(1) = -D(P1||P0), so the root lies in (0, 1).
-    atoms = _tilt_atoms(pair, Direction.REVERSE)
     lam, psi, psi_size = _tilt_root(atoms, 0.0, -c, 0.0, 1.0)
     # Near c = D the exponent is a small difference of terms of order
     # (l - 1) D; it is rounded down by a bound on their rounding error
@@ -643,18 +641,13 @@ def berry_esseen_bound(
         arg = one_m_eps - (m.berry_constant + dl) / sqrt_n
         return shift - scale * q_inverse(arg) + math.log(dl)
 
-    if delta_param is not None:
-        if delta_param >= hi:
-            return _lower_beta(None, delta_param)
-        return _lower_beta(objective(delta_param), delta_param)
-
     def h(dl):
         x = q_inverse(one_m_eps - (m.berry_constant + dl) / sqrt_n)
         phi = math.exp(-0.5 * x * x) / _SQRT_2PI
         return phi - dl * sqrt_v, -x / sqrt_n - sqrt_v, phi + dl * sqrt_v, None
 
-    delta = _argmax_by_root(h, hi, h(0.0)[0] / sqrt_v)
-    return _lower_beta(objective(delta), delta)
+    delta = _argmax_by_root(h, hi, h(0.0)[0] / sqrt_v) if delta_param is None else delta_param
+    return _lower_beta(objective(delta) if delta < hi else None, delta)
 
 
 def smoothing_out_bound(
@@ -683,7 +676,9 @@ def smoothing_out_bound(
         raise UnsupportedFamilyError("smoothing_out_bound is defined for Gaussian pairs only")
     _check_n(n)
     _check_log_eps(log_eps)
-    d2 = (pair.delta / pair.sigma) ** 2
+    if t_param is not None and not (isinstance(t_param, (int, float)) and t_param > 0.0):
+        raise DomainError(f"t_param must be > 0, got {t_param!r}")
+    d2 = _tilt_atoms(pair, Direction.FORWARD).var
     log_1m_eps = log_diff_exp(0.0, log_eps)
 
     def objective(t):
@@ -694,11 +689,6 @@ def smoothing_out_bound(
         except OverflowError:  # every term is <= 0, so the sum is -inf
             return -math.inf
 
-    if t_param is not None:
-        if not (isinstance(t_param, (int, float)) and t_param > 0.0):
-            raise DomainError(f"t_param must be > 0, got {t_param!r}")
-        return _lower_beta(objective(t_param), t_param)
-
     def slope(t):
         sinh_t, e_t = math.sinh(t), math.exp(t)
         terms = (-log_1m_eps / (2.0 * sinh_t**2), n, d2 * math.expm1(t) * e_t,
@@ -707,5 +697,6 @@ def smoothing_out_bound(
                  - 4.0 * n * math.cosh(2.0 * t))
         return terms[0] - terms[1] - terms[2] - terms[3], curve, sum(terms), None
 
-    t = _argmax_by_root(slope, 10.0, math.sqrt(-log_1m_eps / (2.0 * n)))
+    start = math.sqrt(-log_1m_eps / (2.0 * n))
+    t = _argmax_by_root(slope, 10.0, start) if t_param is None else t_param
     return _lower_beta(objective(t), t)

@@ -237,10 +237,10 @@ _W, _H = 880, 540
 _ML, _MR, _MT, _MB = 70, 230, 40, 50
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / count
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     first = math.ceil(lo / step) * step

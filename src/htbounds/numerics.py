@@ -15,7 +15,10 @@ This module is the numerical kernel shared by every bound evaluation:
   a closed form, and every root goes through it: the Renyi orders of the
   converse, of the two phase-transition bounds and of the threshold
   achievability bound, the two sample-size crossings, the Berry-Esseen
-  slack and the smoothing temperature (see :mod:`htbounds.bounds`).
+  slack and the smoothing temperature (see :mod:`htbounds.bounds`).  It
+  always returns a finite point of the bracket: a search with no upper
+  end stops past an offset of 2^40, and only the caller can say what an
+  infinite root means.
 
 All functions are pure and thread-safe, and so are the divergences in
 :mod:`htbounds.distributions` and the oracles in :mod:`htbounds.oracle`.
@@ -54,7 +57,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 #: Safety cap on root-solver steps; bisection to adjacent floats needs about 110.
 _ROOT_STEPS = 200
-#: Offset x - origin beyond which an unbounded root search reports x = inf.
+#: Offset x - origin beyond which an unbounded root search stops.
 _ROOT_CAP = 2.0**40
 #: Machine epsilon, the spacing of floats at 1.
 _EPS = sys.float_info.epsilon
@@ -180,8 +183,9 @@ def _newton_root(f: Callable, lo: float, hi: float, x: float, origin: float):
     not negative, bisects the offset ``x - origin`` (geometrically while
     the bracket spans a ratio above 4) or, while ``hi`` is still inf,
     quadruples it.  Returns ``(x, extra)`` at the last point evaluated,
-    which is always inside (lo, hi), or ``(inf, None)`` when ``hi`` is inf
-    and the sign change lies beyond ``x - origin = 2^40``.
+    which is always inside (lo, hi) and finite: when ``hi`` is inf and the
+    sign change lies beyond ``x - origin = 2^40``, the search stops at the
+    first point past that offset.
     """
     a, b = lo, hi
     if not a < x < b:
@@ -197,7 +201,7 @@ def _newton_root(f: Callable, lo: float, hi: float, x: float, origin: float):
         nxt = x - r / slope if slope < 0.0 else math.nan
         if b == math.inf:
             if x - origin > _ROOT_CAP:
-                return math.inf, None
+                break  # the sign change lies further out; stop at this point
             if not a < nxt < origin + 4.0 * (x - origin):
                 nxt = origin + 4.0 * (x - origin)
         elif not a < nxt < b:

@@ -205,8 +205,8 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     # tail1 = log P1(S > k), summed down from the last count within cut of
     # its largest term, at q (-inf when k == n).
     q = min(max(int((n + 1) * p1), k + 1), n)
-    # log P1(S = q) by log_pmf's formula, in its order: it sets lp1's window end
-    log_top1 = log_fact[n] - log_fact[q] - log_fact[n - q] + q * logs1[0] + (n - q) * logs1[1]
+    # log P1(S = q) sets lp1's window end
+    log_top1 = log_pmf(logs1, q, q + 1)[0]
     lp1 = log_pmf(logs1, k, window_end(p1, log_top1))
     top1 = q - k + int((-lp1[q - k :]).searchsorted(cut - log_top1, side="right"))
     tail1 = np.logaddexp.reduce(lp1[top1 - 1 : 0 : -1])

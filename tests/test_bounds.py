@@ -49,6 +49,7 @@ from htbounds.numerics import DomainError
 from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
 
 from scanpolish import renyi_reference, scan_polish_argmax
+from shared import mp_atoms
 
 BERN = BernoulliPair(0.5, 0.51)
 GAUSS = GaussianPair(2.0, 0.05, 1.0)
@@ -215,19 +216,6 @@ class TestPhaseTransitionAchievability:
             phase_transition_achievability(GAUSS, 100, 2 * D_GAUSS)
 
 
-def _mp_atoms(pair, direction):
-    # The pair's float atoms as mpmath numbers, first argument first, each
-    # vector scaled to sum to exactly 1 as the probabilities they stand for
-    # (0.7 + 0.2 + 0.1 is 1 - 2.8e-17 in exact arithmetic on the floats).
-    if isinstance(pair, BernoulliPair):
-        p0, p1 = (1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1)
-    else:
-        p0, p1 = pair.p0, pair.p1
-    p = [mpmath.mpf(v) / mpmath.fsum(p0) for v in p0]
-    q = [mpmath.mpf(v) / mpmath.fsum(p1) for v in p1]
-    return (p, q) if direction is Direction.FORWARD else (q, p)
-
-
 def _mp_psi(atoms, lam):
     p, q = atoms
     return mpmath.log(mpmath.fsum(a**lam * b ** (1 - lam) for a, b in zip(p, q)))
@@ -264,7 +252,7 @@ def _mp_renyi_converse(pair, n, log_eps):
     """
     with mpmath.workdps(120):
         le = mpmath.mpf(log_eps)
-        rev, fwd = _mp_atoms(pair, Direction.REVERSE), _mp_atoms(pair, Direction.FORWARD)
+        rev, fwd = mp_atoms(pair, Direction.REVERSE), mp_atoms(pair, Direction.FORWARD)
         # branch one: g(u) = (1 - u) log eps + n u psi_R(1/u), minimized
         g = -_mp_golden(lambda u: -((1 - u) * le + n * u * _mp_psi(rev, 1 / u)), 0, 1)
         # branch two: ((1 + h) log(1-eps) - n psi_F(1 + h)) / h, h = e^v, maximized
@@ -382,7 +370,7 @@ class TestRenyiOrderRoot:
         n = 2000
         for spec in ("bernoulli:0.5,0.51", "bernoulli:0.5,0.7"):
             pair = parse_pair(spec)
-            rev = _mp_atoms(pair, Direction.REVERSE)
+            rev = mp_atoms(pair, Direction.REVERSE)
             d = kl_divergence(pair, Direction.REVERSE)
             for ratio in (0.999, 0.999999):
                 c = ratio * d
@@ -412,6 +400,9 @@ class TestRenyiOrderRoot:
         (renyi_converse, 1e-160, -5.0, 0.9932620530009145),
         (phase_transition_converse, 1e-160, 1e-6, 9.999995000001659e-07),
         (phase_transition_converse, 1e-153, 999.0, 1.0),
+        # an order past the float range: the root search stops at l ~ 2^41,
+        # where g* is log eps to double precision
+        (phase_transition_converse, 1e-160, 1e300, 1.0),
     ])
     def test_start_in_float_range_at_tiny_separation(self, bound, delta, arg, want):
         r = bound(GaussianPair(0.0, delta), 1, arg)
@@ -449,7 +440,7 @@ class TestThresholdForRate:
         # forming it from D_l by a log-sum-exp lost 1.7e-13 relative.
         n, lam = 2000, 0.9999995
         c = 0.999999 * kl_divergence(BERN, Direction.REVERSE)
-        rev = _mp_atoms(BERN, Direction.REVERSE)
+        rev = mp_atoms(BERN, Direction.REVERSE)
         with mpmath.workdps(60):
             lm = mpmath.mpf(lam)
             want = float(n * (_mp_psi(rev, lm) + mpmath.mpf(c)) / lm)
@@ -473,7 +464,7 @@ def _mp_min_u(pair, n, tau):
             def psi(lam):
                 return lam * (lam - 1) * d2 / 2
         else:
-            rev = _mp_atoms(pair, Direction.REVERSE)
+            rev = mp_atoms(pair, Direction.REVERSE)
 
             def psi(lam):
                 return _mp_psi(rev, lam)
@@ -526,7 +517,7 @@ class TestRenyiAchievabilityAtThreshold:
         n, tau, log_alpha = 10**8, 1.0, -1000.0
         r = renyi_achievability_at_threshold(BERN, n, tau, log_alpha)
         ends = (1e-9, 1.0 - 1e-9)
-        rev = _mp_atoms(BERN, Direction.REVERSE)
+        rev = mp_atoms(BERN, Direction.REVERSE)
         with mpmath.workdps(60):
             u = [n * _mp_psi(rev, mpmath.mpf(x)) - mpmath.mpf(x) * tau for x in ends]
             assert min(u) > log_alpha
@@ -657,7 +648,7 @@ class TestSampleComplexity:
         if isinstance(pair, GaussianPair):
             d_inf_fwd = d_inf_rev = math.inf
         else:
-            p, q = _mp_atoms(pair, Direction.FORWARD)
+            p, q = mp_atoms(pair, Direction.FORWARD)
             d_inf_fwd = float(max(mpmath.log(a / b) for a, b in zip(p, q)))
             d_inf_rev = float(max(mpmath.log(b / a) for a, b in zip(p, q)))
         for eps, delta in ((0.01, 0.01), (0.01, 1e-6), (0.3, 0.05), (1e-8, 0.2), (0.4, 0.4),
@@ -691,7 +682,7 @@ class TestSampleComplexity:
         # D_inf(P1||P0), and that order is reported, not None.
         r = sample_complexity_renyi(BernoulliPair(0.1, 1e-14), eps, delta)
         with mpmath.workdps(60):
-            p, q = _mp_atoms(BernoulliPair(0.1, 1e-14), Direction.REVERSE)
+            p, q = mp_atoms(BernoulliPair(0.1, 1e-14), Direction.REVERSE)
             d_inf = max(mpmath.log(a / b) for a, b in zip(p, q))
             want = float((-mpmath.log(eps) + mpmath.log1p(-delta)) / d_inf)
         assert r.optimizer == math.inf
@@ -884,7 +875,7 @@ def _mp_berry_esseen(pair, n, log_eps):
             d = abs(mpmath.mpf(pair.delta)) / mpmath.mpf(pair.sigma)
             mean, var, berry = d * d / 2, d * d, 6 * mpmath.sqrt(8 / mpmath.pi)
         else:
-            p, q = _mp_atoms(pair, Direction.FORWARD)
+            p, q = mp_atoms(pair, Direction.FORWARD)
             z = [mpmath.log(a / b) for a, b in zip(p, q)]
             mean = mpmath.fsum(a * zi for a, zi in zip(p, z))
             var = mpmath.fsum(a * (zi - mean) ** 2 for a, zi in zip(p, z))

@@ -29,6 +29,8 @@ from htbounds.distributions import (
 )
 from htbounds.numerics import DomainError
 
+from shared import mp_atoms, scalar_forms
+
 BERN = BernoulliPair(0.5, 0.51)
 BERN06 = BernoulliPair(0.5, 0.6)
 GAUSS = GaussianPair(2.0, 0.05, 1.0)
@@ -104,22 +106,6 @@ class TestConstructors:
         assert pair.p0 == (1.0, 0.0, 0.0, 0.0)
 
 
-def mp_atoms(pair, direction):
-    """The pair's float atoms as mpmath numbers, first argument first.
-
-    Each vector is scaled to sum to exactly 1: 0.999 + 0.001 is not 1 in
-    exact arithmetic on the floats.
-    """
-    if isinstance(pair, BernoulliPair):
-        p0, p1 = (1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1)
-    else:
-        p0, p1 = pair.p0, pair.p1
-    with mpmath.workdps(60):
-        p = [mpmath.mpf(v) / mpmath.fsum(p0) for v in p0]
-        q = [mpmath.mpf(v) / mpmath.fsum(p1) for v in p1]
-    return (p, q) if direction is Direction.FORWARD else (q, p)
-
-
 # Pairs near each other (0.5 vs 0.51, where log p - log q cancels), apart,
 # and with a tiny atom, plus the K = 3 and K = 4 pairs of TestRenyi.
 MP_SPECS = (
@@ -139,7 +125,7 @@ class TestMpmathReferences:
     def test_kl_both_directions(self, spec):
         pair = parse_pair(spec)
         for direction in Direction:
-            p, q = mp_atoms(pair, direction)
+            p, q = mp_atoms(pair, direction, dps=60)
             with mpmath.workdps(60):
                 want = float(mpmath.fsum(a * mpmath.log(a / b) for a, b in zip(p, q)))
             got = kl_divergence(pair, direction)
@@ -147,14 +133,14 @@ class TestMpmathReferences:
 
     def test_hellinger(self, spec):
         pair = parse_pair(spec)
-        p, q = mp_atoms(pair, Direction.FORWARD)
+        p, q = mp_atoms(pair, Direction.FORWARD, dps=60)
         with mpmath.workdps(60):
             want = float(1 - mpmath.fsum(mpmath.sqrt(a * b) for a, b in zip(p, q)))
         assert hellinger_squared(pair) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_llr_moments(self, spec):
         pair = parse_pair(spec)
-        p, q = mp_atoms(pair, Direction.FORWARD)
+        p, q = mp_atoms(pair, Direction.FORWARD, dps=60)
         with mpmath.workdps(60):
             z = [mpmath.log(a / b) for a, b in zip(p, q)]
             mean = mpmath.fsum(a * x for a, x in zip(p, z))
@@ -196,7 +182,7 @@ class TestScalarKernel:
     the (K + 8) eps rounding model that bounds.py's error bounds assume."""
 
     def test_psi_and_its_derivatives(self, pair, direction):
-        p, q = mp_atoms(pair, direction)
+        p, q = mp_atoms(pair, direction, dps=60)
         ulps = (len(p) + 8) * sys.float_info.epsilon
         for lam in KERNEL_LAMS:
             psi, mean, var, size = _tilt(_tilt_atoms(pair, direction), lam)
@@ -220,7 +206,7 @@ class TestScalarKernel:
                 lam, errs)
 
     def test_pair_constants(self, pair, direction):
-        p, q = mp_atoms(pair, direction)
+        p, q = mp_atoms(pair, direction, dps=60)
         atoms = _tilt_atoms(pair, direction)
         with mpmath.workdps(60):
             z = [mpmath.log(a / b) for a, b in zip(p, q)]
@@ -307,7 +293,7 @@ class TestRenyi:
         for spec in specs:
             pair = parse_pair(spec)
             for direction in Direction:
-                p, q = mp_atoms(pair, direction)
+                p, q = mp_atoms(pair, direction, dps=60)
                 for lam in lams.tolist():
                     with mpmath.workdps(60):
                         lam_mp = mpmath.mpf(lam)
@@ -322,14 +308,6 @@ class TestRenyi:
                 renyi_divergence(BERN, bad, Direction.FORWARD)
         with pytest.raises(DomainError):
             renyi_divergence(BERN, np.array([0.5, 1.0]), Direction.FORWARD)
-
-
-def scalar_forms(x):
-    """``x`` as a Python float and ``np.float64``, plus an int if integral."""
-    forms = [float(x), np.float64(x)]
-    if float(x).is_integer():
-        forms.append(int(x))
-    return forms
 
 
 LAMBDA_FINITE = "renyi_divergence requires finite lambda"

@@ -12,7 +12,9 @@ import pytest
 from scipy import special
 
 from htbounds.numerics import (
+    _ROOT_CAP,
     DomainError,
+    _newton_root,
     log_diff_exp,
     log_q,
     q_function,
@@ -20,6 +22,7 @@ from htbounds.numerics import (
     q_inverse_log,
 )
 from scanpolish import scan_polish_argmax
+from shared import scalar_forms
 
 # Q(2.326348), Q(1.82635), Q^{-1}(0.01)
 Q_2326348 = 0.009999996642919077
@@ -197,14 +200,6 @@ class TestLogDiffExp:
         assert type(got) is float and repr(got) == want
 
 
-def scalar_forms(x):
-    """``x`` as a Python float and ``np.float64``, plus an int if integral."""
-    forms = [float(x), np.float64(x)]
-    if float(x).is_integer():
-        forms.append(int(x))
-    return forms
-
-
 Q_INVERSE_DOMAIN = "q_inverse requires p in (0, 1)"
 LOG_DIFF_NAN = "log_diff_exp requires non-NaN arguments"
 LOG_DIFF_ORDER = "log_diff_exp requires a >= b"
@@ -291,6 +286,21 @@ class TestScalarFastPaths:
                 with pytest.raises(DomainError) as info:
                     log_diff_exp(a, b)
                 assert str(info.value) == LOG_DIFF_NAN
+
+
+class TestNewtonRoot:
+    def test_unbounded_search_stops_at_a_finite_point(self):
+        # The sign change lies at x = 1e20, beyond origin + 2^40: the search
+        # quadruples the offset past 2^40 and returns that point and its
+        # extra, never an infinite root.
+        origin = 1.0
+
+        def f(x):
+            return 1e20 - x, -1.0, 1e20 + x, ("extra at", x)
+
+        x, extra = _newton_root(f, origin, math.inf, 2.0, origin)
+        assert _ROOT_CAP < x - origin <= 4.0 * _ROOT_CAP
+        assert extra == ("extra at", x)
 
 
 class TestMaximizeScalar:
