@@ -637,12 +637,17 @@ def berry_esseen_bound(
     scale = sqrt_n * sqrt_v  # n V overflows for Gaussian pairs far apart
     shift = -n * m.mean - 0.5 * math.log(n)
 
+    def x_at(dl):
+        # Q^{-1} of the argument, or its limit inf where the argument rounds
+        # to 0 or below, as at the end hi - 1e-9 once that rounds to hi (hi > 2^24)
+        w = one_m_eps - (m.berry_constant + dl) / sqrt_n
+        return q_inverse(w) if w > 0.0 else math.inf
+
     def objective(dl):
-        arg = one_m_eps - (m.berry_constant + dl) / sqrt_n
-        return shift - scale * q_inverse(arg) + math.log(dl)
+        return shift - scale * x_at(dl) + math.log(dl)
 
     def h(dl):
-        x = q_inverse(one_m_eps - (m.berry_constant + dl) / sqrt_n)
+        x = x_at(dl)
         phi = math.exp(-0.5 * x * x) / _SQRT_2PI
         return phi - dl * sqrt_v, -x / sqrt_n - sqrt_v, phi + dl * sqrt_v, None
 

@@ -86,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--n-max", type=int, default=1000)
     sw.add_argument("--n-step", type=int, default=10)
     reg = sw.add_mutually_exclusive_group()
-    reg.add_argument("--eps", type=float, help="constant Type I budget (default 0.01)")
+    reg.add_argument("--eps", type=float, default=0.01,
+                     help="constant Type I budget (default %(default)s)")
     reg.add_argument("--linear", action="store_true", help="budget 1/n")
     reg.add_argument("--exp-rate", type=float, help="budget e^{-cn} at this rate c")
     sw.add_argument("--csv", help="CSV output path")
@@ -187,12 +188,13 @@ def _cmd_samplesize(args) -> int:
     r = sample_complexity_renyi(pair, args.eps, args.delta, lam=args.lam)
     print(_size_line("renyi", r))
     print(_result_json("sample_complexity_renyi", r))
-    if args.eps < 0.5 and args.delta < 0.5:
+    try:
         rp = sample_complexity_pensia(pair, args.eps, args.delta)
+    except DomainError as exc:
+        print(f"pensia: skipped ({exc})")
+    else:
         print(_size_line("pensia", rp))
         print(_result_json("sample_complexity_pensia", rp))
-    else:
-        print("pensia: skipped (requires eps and delta below 1/2)")
     return 0
 
 
@@ -205,11 +207,9 @@ def _cmd_sweep(args) -> int:
     elif args.exp_rate is not None:
         regime = Exponential(args.exp_rate)
     else:
-        regime = Constant(args.eps if args.eps is not None else 0.01)
-    if args.bounds is None:
-        bounds = bounds_for(parse_pair(args.pair))
-    else:
-        bounds = tuple(b.strip() for b in args.bounds.split(",") if b.strip())
+        regime = Constant(args.eps)
+    bounds = None if args.bounds is None else tuple(
+        b.strip() for b in args.bounds.split(",") if b.strip())
     table = run_grid(ExperimentGrid(args.pair, regime, ns, bounds))
     if args.csv:
         emit_csv(table, args.csv)

@@ -282,6 +282,12 @@ def renyi_divergence(pair: DistributionPair, lam: float, direction: Direction) -
     either direction.  Requires a finite scalar lam > 0 with lam != 1 (the
     lam -> 1 limit is the KL divergence; call kl_divergence for it); an
     array or any other lam raises :class:`DomainError`.
+
+    Where psi(lambda) overflows D_lambda is still finite: lambda d^2 / 2 for
+    a Gaussian pair, and for a discrete one D_inf + L / (lambda - 1) with L
+    in [log P(A), 0], A the atoms where p / q is largest.  There that term
+    is below an ulp of D_inf (|L| < 745, and the overflow needs D_inf > 1),
+    so D_lambda rounds to D_inf.
     """
     if not (isinstance(lam, (int, float)) and math.isfinite(lam)):
         raise DomainError("renyi_divergence requires finite lambda")
@@ -290,7 +296,11 @@ def renyi_divergence(pair: DistributionPair, lam: float, direction: Direction) -
     if lam == 1.0:
         raise DomainError("lambda = 1 is the KL limit; use kl_divergence")
     lam = float(lam)
-    return _tilt(_tilt_atoms(pair, direction), lam)[0] / (lam - 1.0)
+    atoms = _tilt_atoms(pair, direction)
+    psi = _tilt(atoms, lam)[0]
+    if psi < math.inf:
+        return psi / (lam - 1.0)
+    return atoms.d_inf if atoms.z else 0.5 * lam * atoms.var
 
 
 def _log_affinity(pair: DistributionPair) -> float:

@@ -4,7 +4,8 @@ A grid pairs one distribution pair and one Type I error regime with a
 set of sample sizes and a selection of bounds; running it produces a
 table that can be serialized to CSV (byte-deterministic) or rendered to
 a standalone SVG plot.  Rows are evaluated one after another, in n
-order, on the caller's thread.
+order, on the caller's thread.  The regime only sets each row's log eps;
+every cell is a function of the pair, n and log eps.
 
 One registry, ``_BOUNDS``, holds each bound's column, plot colour, cell
 evaluation and the pair family it is defined for; ``bounds_for`` applies
@@ -16,11 +17,10 @@ from __future__ import annotations
 import html
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bounds import (
     ErrorRegime,
-    Exponential,
     Linear,
     berry_esseen_bound,
     eps_at,
@@ -66,23 +66,15 @@ class ConfigError(ValueError):
     """The experiment grid is malformed or infeasible as configured."""
 
 
-def _rate(regime: ErrorRegime, n: int, log_eps: float) -> float:
-    # Effective exponential rate at this row; exact in the exponential
-    # regime, -log(eps)/n otherwise so the phase columns stay defined.
-    if isinstance(regime, Exponential):
-        return regime.c
-    return -log_eps / n
-
-
-def _achievability(pair, regime, n, log_eps):
-    # The threshold test at the rate's optimal order for the phase form.
-    c = _rate(regime, n, log_eps)
+def _achievability(pair, n, log_eps):
+    # The threshold test at the row's rate, at the phase form's optimal order.
+    c = -log_eps / n
     pa = phase_transition_achievability(pair, n, c)
     tau = threshold_for_rate(pair, n, c, pa.optimizer)
     return renyi_achievability_at_threshold(pair, n, tau, -math.inf)
 
 
-def _np_exact(pair, regime, n, log_eps):
+def _np_exact(pair, n, log_eps):
     if isinstance(pair, GaussianPair):
         r = np_exact_gaussian(pair, n, log_eps)
     elif isinstance(pair, BernoulliPair):
@@ -95,23 +87,21 @@ def _np_exact(pair, regime, n, log_eps):
 _Bound = namedtuple("_Bound", "colour evaluate family", defaults=(object,))
 
 # Every bound a grid can evaluate, in column order: plot colour, cell evaluation
-# (pair, regime, n, log_eps) -> result with value, optimizer and valid, and the
-# pair type it is defined for.  Evaluations look the bound functions up by
-# module-global name when called, so a wrapper set on this module sees every cell.
+# (pair, n, log_eps) -> result with value, optimizer and valid, and the pair type
+# it is defined for.  Evaluations look the bound functions up by module-global
+# name when called, so a wrapper set on this module sees every cell.
 _BOUNDS = {
-    "renyi_converse": _Bound("#d62728", lambda pair, regime, n, log_eps:
-        renyi_converse(pair, n, log_eps)),
+    "renyi_converse": _Bound("#d62728", lambda pair, n, log_eps: renyi_converse(pair, n, log_eps)),
     "achievability": _Bound("#9467bd", _achievability),
-    "phase_converse": _Bound("#e377c2", lambda pair, regime, n, log_eps:
-        phase_transition_converse(pair, n, _rate(regime, n, log_eps))),
-    "phase_achievability": _Bound("#8c564b", lambda pair, regime, n, log_eps:
-        phase_transition_achievability(pair, n, _rate(regime, n, log_eps))),
-    "fano": _Bound("#1f77b4", lambda pair, regime, n, log_eps: fano_bound(pair, n, log_eps)),
-    "hellinger": _Bound("#2ca02c", lambda pair, regime, n, log_eps:
-        hellinger_bound(pair, n, log_eps)),
-    "berry_esseen": _Bound("#ff7f0e", lambda pair, regime, n, log_eps:
+    "phase_converse": _Bound("#e377c2", lambda pair, n, log_eps:
+        phase_transition_converse(pair, n, -log_eps / n)),
+    "phase_achievability": _Bound("#8c564b", lambda pair, n, log_eps:
+        phase_transition_achievability(pair, n, -log_eps / n)),
+    "fano": _Bound("#1f77b4", lambda pair, n, log_eps: fano_bound(pair, n, log_eps)),
+    "hellinger": _Bound("#2ca02c", lambda pair, n, log_eps: hellinger_bound(pair, n, log_eps)),
+    "berry_esseen": _Bound("#ff7f0e", lambda pair, n, log_eps:
         berry_esseen_bound(pair, n, log_eps)),
-    "smoothing_out": _Bound("#17becf", lambda pair, regime, n, log_eps:
+    "smoothing_out": _Bound("#17becf", lambda pair, n, log_eps:
         smoothing_out_bound(pair, n, log_eps), GaussianPair),
     "np_exact": _Bound("#000000", _np_exact),
 }
@@ -126,12 +116,12 @@ def bounds_for(pair, names=CANONICAL_BOUNDS) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Specification of one sweep: pair, regime, sample sizes, bounds."""
+    """Specification of one sweep; ``bounds=None`` selects every bound defined for the pair."""
 
     pair_spec: str
     regime: ErrorRegime
-    n_values: tuple = ()
-    bounds: tuple = CANONICAL_BOUNDS
+    n_values: tuple
+    bounds: tuple | None = None
 
     def __post_init__(self) -> None:
         ns = tuple(int(n) for n in self.n_values)
@@ -140,11 +130,11 @@ class ExperimentGrid:
         if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
             raise ConfigError("n_values must be strictly increasing positive integers")
         object.__setattr__(self, "n_values", ns)
-        unknown = [b for b in self.bounds if b not in CANONICAL_BOUNDS]
+        names = bounds_for(parse_pair(self.pair_spec)) if self.bounds is None else self.bounds
+        unknown = [b for b in names if b not in CANONICAL_BOUNDS]
         if unknown:
             raise ConfigError(f"unknown bounds {unknown!r}; choose from {CANONICAL_BOUNDS}")
-        ordered = tuple(b for b in CANONICAL_BOUNDS if b in self.bounds)
-        object.__setattr__(self, "bounds", ordered)
+        object.__setattr__(self, "bounds", tuple(b for b in CANONICAL_BOUNDS if b in names))
 
 
 @dataclass(frozen=True)
@@ -166,7 +156,7 @@ class GridRow:
     n: int
     eps: float
     log_eps: float
-    cells: tuple = field(default_factory=tuple)
+    cells: tuple
 
 
 @dataclass(frozen=True)
@@ -176,9 +166,9 @@ class GridTable:
     rows: tuple
 
 
-def _cell(name, pair, regime, n, log_eps) -> GridCell:
+def _cell(name, pair, n, log_eps) -> GridCell:
     try:
-        b = _BOUNDS[name].evaluate(pair, regime, n, log_eps)
+        b = _BOUNDS[name].evaluate(pair, n, log_eps)
     except DomainError:
         return GridCell(None, None, False)
     return GridCell(b.value, b.optimizer, b.valid)
@@ -201,7 +191,7 @@ def run_grid(grid: ExperimentGrid) -> GridTable:
     rows = []
     for n in grid.n_values:
         eps, log_eps = eps_at(regime, n)
-        cells = tuple(_cell(b, pair, regime, n, log_eps) for b in grid.bounds)
+        cells = tuple(_cell(b, pair, n, log_eps) for b in grid.bounds)
         rows.append(GridRow(n, eps, log_eps, cells))
     return GridTable(grid.pair_spec, grid.bounds, tuple(rows))
 

@@ -579,7 +579,7 @@ class TestRenyiAchievabilityAtThreshold:
             d = kl_divergence(pair, Direction.REVERSE)
             for ratio in (0.999, 0.999999):
                 c = ratio * d
-                r = _achievability(pair, Exponential(c), n, -c * n)
+                r = _achievability(pair, n, -c * n)
                 lam = phase_transition_achievability(pair, n, c).optimizer
                 tau = threshold_for_rate(pair, n, c, lam)
                 want = -float(tau + _mp_min_u(pair, n, tau))
@@ -809,6 +809,18 @@ class TestBerryEsseen:
         beta = np_exact_gaussian(GAUSS, n, log_eps).beta
         assert r.valid
         assert r.value <= beta + 1e-12
+
+    @pytest.mark.parametrize("n", [10**16, 10**30])
+    def test_answers_where_the_upper_end_rounds_to_hi(self, n):
+        # Past hi = 2^24, hi - 1e-9 rounds to hi, where the Q^{-1} argument
+        # rounds to 0 or below: the slope there is its limit, and the bound
+        # answers with its log (beta itself underflows to 0).
+        pair = BernoulliPair(0.5, 0.6)
+        r = berry_esseen_bound(pair, n, math.log(0.01))
+        assert r.value == 0.0 and not r.valid
+        nd = n * kl_divergence(pair, Direction.FORWARD)
+        assert r.log_value == pytest.approx(-nd, rel=1e-5, abs=0.0)
+        assert 0.13 < r.optimizer < 0.14
 
     def test_validation(self):
         # Checked before the early exits: at n = 10 the interval for Delta

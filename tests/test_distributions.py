@@ -271,6 +271,17 @@ class TestRenyi:
         cap = math.log(0.6 / 0.5)
         assert renyi_divergence(BERN06, 1e5, Direction.REVERSE) < cap + 1e-6
 
+    def test_finite_where_psi_overflows(self):
+        # psi(lambda) passes 1.8e308 while D_lambda stays finite: a Gaussian
+        # D_lambda is lambda d^2 / 2, a discrete one rounds to D_inf there.
+        assert renyi_divergence(GaussianPair(0.0, 1.0), 1e300, Direction.FORWARD) == 5e299
+        d = renyi_divergence(GaussianPair(0.0, 1e-152), 1e307, Direction.REVERSE)
+        assert d == pytest.approx(500.0, rel=1e-15, abs=0.0)
+        pair = BernoulliPair(0.1, 0.9)
+        d_inf = math.log(0.9 / 0.1)
+        vals = [renyi_divergence(pair, lam, Direction.FORWARD) for lam in (1e300, 1e307, 1e308)]
+        assert vals == [d_inf] * 3
+
     def test_matches_mpmath(self):
         # Orders log-spaced towards 0, towards 1 from both sides, and out
         # to 1 + 1e6, within a flat 1e-13 relative: the tilted log-sum is

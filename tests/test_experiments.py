@@ -62,12 +62,12 @@ def small_grid(**kw):
 def direct_cells(pair, regime, n, names):
     """The named columns' cells at n from direct library calls, by name.
 
-    The phase columns run at the row's rate, achievability is the
-    threshold test at the phase bound's order for that rate, and every
+    The phase columns run at the row's rate -log(eps)/n, achievability is
+    the threshold test at the phase bound's order for that rate, and every
     family's oracle takes log eps.  A DomainError is an empty cell.
     """
     eps, log_eps = eps_at(regime, n)
-    rate = regime.c if isinstance(regime, Exponential) else -log_eps / n
+    rate = -log_eps / n
 
     def achievability():
         lam = phase_transition_achievability(pair, n, rate).optimizer
@@ -113,6 +113,16 @@ class TestExperimentGrid:
     def test_unknown_bound_rejected(self):
         with pytest.raises(ConfigError):
             small_grid(bounds=("renyi_converse", "chernoff"))
+
+    @pytest.mark.parametrize(
+        "spec", ["bernoulli:0.3,0.7", "discrete:0.2,0.3,0.5|0.5,0.3,0.2", "gaussian:0,1"]
+    )
+    def test_default_bounds_are_those_of_the_pair(self, spec):
+        grid = ExperimentGrid(spec, Constant(0.01), (20, 40))
+        assert grid.bounds == bounds_for(parse_pair(spec))
+        table = run_grid(grid)
+        assert table.bounds == grid.bounds
+        assert all(len(row.cells) == len(grid.bounds) for row in table.rows)
 
     def test_n_values_validation(self):
         with pytest.raises(ConfigError):
@@ -482,7 +492,16 @@ class TestCli:
             ["samplesize", "--pair", "gaussian:2,0.05", "--eps", "0.6", "--delta", "0.01"]
         )
         assert code == 0
-        assert "pensia: skipped" in capsys.readouterr().out
+        # the reason is the library's own domain message
+        assert "pensia: skipped (eps must lie in (0, 0.5), got 0.6)" in capsys.readouterr().out
+
+    def test_samplesize_order_past_psi_overflow(self, capsys):
+        # psi(1e307) = 1e307^2 1e-304 / 2 overflows, D_lambda = 500 does not
+        code = cli_main(["samplesize", "--pair", "gaussian:0,1e-152", "--eps=1e-300",
+                         "--delta=1e-300", "--lam=1e307"])
+        assert code == 0
+        r = json.loads(capsys.readouterr().out.splitlines()[1])
+        assert r["valid"] and r["value"] == 1.3815510557964272
 
     def test_sweep_writes_files(self, tmp_path, capsys):
         csv, svg = tmp_path / "s.csv", tmp_path / "s.svg"

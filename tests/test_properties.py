@@ -264,6 +264,9 @@ def _printed_values(command, out):
 @example(argv=["bound", "--pair", "bernoulli:0.5,1e-300", "--bound", "berry_esseen", "--n", "10"])
 @example(argv=["bound", "--pair", "discrete:1e-300,1|1e-200,1", "--bound", "berry_esseen",
                "--n", "10"])
+# the slack's upper end hi - 1e-9 rounds to hi, where the Q^{-1} argument is 0 or below
+@example(argv=["bound", "--pair", "bernoulli:0.5,0.6", "--bound", "berry_esseen",
+               "--n", "10000000000000000", "--eps", "0.01"])
 # n = x / D underflows to 0 if the Gaussian crossing is solved by Newton in x = n D
 @example(argv=["samplesize", "--pair", "gaussian:0,1e+153", "--eps=0.36787944117144233",
                "--delta=0.6065306597126334"])
