@@ -578,7 +578,7 @@ def sample_complexity_pensia(pair: DistributionPair, eps: float, delta: float) -
 
 def fano_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResult:
     """Weak-converse baseline beta >= e^{-n D(P0||P1) - log 2} / (1 - eps)."""
-    _check_n(n, minimum=0)
+    _check_n(n)
     _check_log_eps(log_eps)
     d = kl_divergence(pair, Direction.FORWARD)
     log_value = -n * d - _LOG2 - log_diff_exp(0.0, log_eps)
@@ -598,10 +598,8 @@ def hellinger_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResu
     return _lower_beta(math.log(value), None)
 
 
-def berry_esseen_bound(
-    pair: DistributionPair, n: int, log_eps: float, delta_param: float | None = None
-) -> BoundResult:
-    """Berry-Esseen baseline on log beta, with slack parameter Delta.
+def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResult:
+    """Berry-Esseen baseline on log beta, at its best slack parameter Delta.
 
     log beta >= -n D(P0||P1) - sqrt(n V) Q^{-1}(1 - eps - (B + Delta)/sqrt(n))
                 + log Delta - (1/2) log n
@@ -611,20 +609,17 @@ def berry_esseen_bound(
     interval is empty (the Q^{-1} argument leaves (0, 1) for every Delta)
     the bound is vacuous: value 0, valid=False.
 
-    When Delta is not given it is the maximizer over [1e-9, hi - 1e-9].
-    With x = Q^{-1}(w) and w the argument above, dx/dDelta =
-    1 / (sqrt(n) phi(x)), so the slope 1/Delta - sqrt(V) / phi(x) has the
-    sign of h(Delta) = phi(x) - Delta sqrt(V).  h is concave (phi o Q^{-1}
-    is the Gaussian isoperimetric profile), h(0) = phi(x_0) > 0 (x_0 is x
-    at Delta = 0) and h(hi) = -hi sqrt(V) < 0, so the maximizer is the one
-    root of h (or an end, where h keeps one sign on the domain), found
-    by safeguarded Newton with h' = -x / sqrt(n) - sqrt(V) from
-    Delta_0 = phi(x_0) / sqrt(V).
+    Delta is the maximizer over [1e-9, hi - 1e-9].  With x = Q^{-1}(w) and
+    w the argument above, dx/dDelta = 1 / (sqrt(n) phi(x)), so the slope
+    1/Delta - sqrt(V) / phi(x) has the sign of h(Delta) = phi(x) - Delta
+    sqrt(V).  h is concave (phi o Q^{-1} is the Gaussian isoperimetric
+    profile), h(0) = phi(x_0) > 0 (x_0 is x at Delta = 0) and
+    h(hi) = -hi sqrt(V) < 0, so the maximizer is the one root of h (or an
+    end, where h keeps one sign on the domain), found by safeguarded
+    Newton with h' = -x / sqrt(n) - sqrt(V) from Delta_0 = phi(x_0) / sqrt(V).
     """
     _check_n(n)
     _check_log_eps(log_eps)
-    if delta_param is not None and not (isinstance(delta_param, (int, float)) and delta_param > 0):
-        raise DomainError(f"delta_param must be > 0, got {delta_param!r}")
     m = llr_moments(pair)
     if m.variance <= 0.0:
         return _lower_beta(None, None)
@@ -643,22 +638,17 @@ def berry_esseen_bound(
         w = one_m_eps - (m.berry_constant + dl) / sqrt_n
         return q_inverse(w) if w > 0.0 else math.inf
 
-    def objective(dl):
-        return shift - scale * x_at(dl) + math.log(dl)
-
     def h(dl):
         x = x_at(dl)
         phi = math.exp(-0.5 * x * x) / _SQRT_2PI
         return phi - dl * sqrt_v, -x / sqrt_n - sqrt_v, phi + dl * sqrt_v, None
 
-    delta = _argmax_by_root(h, hi, h(0.0)[0] / sqrt_v) if delta_param is None else delta_param
-    return _lower_beta(objective(delta) if delta < hi else None, delta)
+    dl = _argmax_by_root(h, hi, h(0.0)[0] / sqrt_v)
+    return _lower_beta(shift - scale * x_at(dl) + math.log(dl) if dl < hi else None, dl)
 
 
-def smoothing_out_bound(
-    pair: DistributionPair, n: int, log_eps: float, t_param: float | None = None
-) -> BoundResult:
-    """Smoothing baseline for Gaussian pairs, with temperature t in (0, 10).
+def smoothing_out_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResult:
+    """Smoothing baseline for Gaussian pairs, at its best temperature t in (0, 10).
 
     log beta >= -n D + log(1 - eps) / (1 - e^{-2t}) - n t
                 - (delta^2 / (2 sigma^2)) (e^t - 1)^2 - 2n sinh^2 t
@@ -666,8 +656,8 @@ def smoothing_out_bound(
     with D = delta^2 / (2 sigma^2).  Non-Gaussian pairs raise
     UnsupportedFamilyError.
 
-    When t is not given it is the maximizer over [1e-9, 10 - 1e-9].  The
-    objective is concave: with L = log(1 - eps) its slope
+    t is the maximizer over [1e-9, 10 - 1e-9].  The objective is concave:
+    with L = log(1 - eps) its slope
 
         -L / (2 sinh^2 t) - n - d^2 (e^t - 1) e^t - 2n sinh 2t,  d^2 = 2 D,
 
@@ -681,18 +671,8 @@ def smoothing_out_bound(
         raise UnsupportedFamilyError("smoothing_out_bound is defined for Gaussian pairs only")
     _check_n(n)
     _check_log_eps(log_eps)
-    if t_param is not None and not (isinstance(t_param, (int, float)) and t_param > 0.0):
-        raise DomainError(f"t_param must be > 0, got {t_param!r}")
     d2 = _tilt_atoms(pair, Direction.FORWARD).var
     log_1m_eps = log_diff_exp(0.0, log_eps)
-
-    def objective(t):
-        smoothed = log_1m_eps / -math.expm1(-2.0 * t)
-        try:
-            return (-n * d2 / 2.0 + smoothed - n * t - (d2 / 2.0) * math.expm1(t) ** 2
-                    - 2.0 * n * math.sinh(t) ** 2)
-        except OverflowError:  # every term is <= 0, so the sum is -inf
-            return -math.inf
 
     def slope(t):
         sinh_t, e_t = math.sinh(t), math.exp(t)
@@ -703,5 +683,7 @@ def smoothing_out_bound(
         return terms[0] - terms[1] - terms[2] - terms[3], curve, sum(terms), None
 
     start = math.sqrt(-log_1m_eps / (2.0 * n))
-    t = _argmax_by_root(slope, 10.0, start) if t_param is None else t_param
-    return _lower_beta(objective(t), t)
+    t = _argmax_by_root(slope, 10.0, start)
+    smoothed = log_1m_eps / -math.expm1(-2.0 * t)
+    return _lower_beta(-n * d2 / 2.0 + smoothed - n * t - (d2 / 2.0) * math.expm1(t) ** 2
+                       - 2.0 * n * math.sinh(t) ** 2, t)

@@ -23,19 +23,15 @@ from .bounds import (
     Constant,
     Exponential,
     Linear,
-    berry_esseen_bound,
-    fano_bound,
-    hellinger_bound,
     phase_transition_achievability,
     phase_transition_converse,
     renyi_achievability_at_threshold,
-    renyi_converse,
     sample_complexity_pensia,
     sample_complexity_renyi,
-    smoothing_out_bound,
 )
 from .distributions import Direction, kl_divergence, parse_pair
 from .experiments import (
+    _BOUNDS,
     CANONICAL_BOUNDS,
     ConfigError,
     ExperimentGrid,
@@ -105,8 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--c", type=float, help="exponential rate, for the phase bounds")
     bd.add_argument("--tau", type=float, help="log-LR threshold, for achievability")
     bd.add_argument("--log-alpha", type=float, default=-math.inf)
-    bd.add_argument("--delta-param", type=float, help="fix the Berry-Esseen slack")
-    bd.add_argument("--t-param", type=float, help="fix the smoothing temperature")
 
     ss = sub.add_parser("samplesize", help="sample-complexity bounds")
     ss.add_argument("--pair", required=True)
@@ -138,35 +132,25 @@ def _result_json(name: str, r) -> str:
     return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
-def _log_eps_of(args) -> float:
-    return args.log_eps if args.log_eps is not None else math.log(args.eps)
+# The phase bounds at the rate --c (a sweep derives it as -log eps / n).
+_PHASE = {"phase_converse": phase_transition_converse,
+          "phase_achievability": phase_transition_achievability}
 
 
 def _cmd_bound(args) -> int:
     pair = parse_pair(args.pair)
     name = args.bound
-    if name == "renyi_converse":
-        r = renyi_converse(pair, args.n, _log_eps_of(args))
-    elif name == "achievability":
+    if name == "achievability":
         if args.tau is None:
             raise DomainError("achievability requires --tau")
         r = renyi_achievability_at_threshold(pair, args.n, args.tau, args.log_alpha)
-    elif name == "phase_converse":
+    elif name in _PHASE:
         if args.c is None:
-            raise DomainError("phase_converse requires --c")
-        r = phase_transition_converse(pair, args.n, args.c)
-    elif name == "phase_achievability":
-        if args.c is None:
-            raise DomainError("phase_achievability requires --c")
-        r = phase_transition_achievability(pair, args.n, args.c)
-    elif name == "fano":
-        r = fano_bound(pair, args.n, _log_eps_of(args))
-    elif name == "hellinger":
-        r = hellinger_bound(pair, args.n, _log_eps_of(args))
-    elif name == "berry_esseen":
-        r = berry_esseen_bound(pair, args.n, _log_eps_of(args), delta_param=args.delta_param)
-    else:
-        r = smoothing_out_bound(pair, args.n, _log_eps_of(args), t_param=args.t_param)
+            raise DomainError(f"{name} requires --c")
+        r = _PHASE[name](pair, args.n, args.c)
+    else:  # the sweep's own cell at (pair, n, log eps)
+        log_eps = args.log_eps if args.log_eps is not None else math.log(args.eps)
+        r = _BOUNDS[name].evaluate(pair, args.n, log_eps)
     rel = {"lower_bound_on_beta": ">=", "upper_bound_on_beta": "<"}[r.kind.value]
     tag = "" if r.valid else "  [degenerate]"
     print(f"{name}: beta {rel} {r.value:.12g}  (log {r.log_value:.12g}){tag}")

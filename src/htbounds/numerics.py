@@ -61,17 +61,22 @@ _ROOT_STEPS = 200
 _ROOT_CAP = 2.0**40
 #: Machine epsilon, the spacing of floats at 1.
 _EPS = sys.float_info.epsilon
+#: The largest sample size, the largest finite float: every bound computes with n as a float.
+_MAX_N = int(sys.float_info.max)
 
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-def _check_n(n, minimum: int = 1) -> None:
+def _check_n(n) -> None:
     # int first: an isinstance against the numbers.Integral ABC costs about 0.6 us
     integral = isinstance(n, int) or isinstance(n, numbers.Integral)
-    if not integral or isinstance(n, bool) or n < minimum:
-        raise DomainError(f"n must be an integer >= {minimum}, got {n!r}")
+    if not integral or isinstance(n, bool) or n < 1:
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    if n > _MAX_N:
+        raise DomainError(f"n must be at most the largest float, got an integer of "
+                          f"{n.bit_length()} bits")
 
 
 def _check_log_eps(log_eps: float) -> None:

@@ -417,7 +417,7 @@ def test_criterion_8_optimizers_match_dense_scan():
         assert abs(impl - oracle) <= 1.0e-9, (i, op, impl, oracle)
 
 
-def test_criterion_9_thread_count_determinism(tmp_path):
+def test_criterion_9_reproduce_is_deterministic(tmp_path):
     # Reproduction output must be byte-identical from run to run: rows are
     # evaluated serially, in n order, so running twice gives the same files.
     from htbounds.cli import cli_main

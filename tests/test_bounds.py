@@ -69,7 +69,7 @@ COR1_VALUE = 1834.0278057124354
 # sample_complexity_pensia(GAUSS, 0.01, 0.001)
 PENSIA_VALUE = 4050.6524415401351
 PENSIA_LAMBDA = 0.61368959081162535
-# smoothing_out_bound(GAUSS, 1000, log 0.01, t=0.001): log value
+# the smoothing objective at GAUSS, n = 1000, log 0.01, t = 0.001
 SMOOTH_TOTAL = -7.2821947716512527
 # exp(-0.3125): cap for the achievability example below
 E_M03125 = 0.73161562894664179
@@ -160,6 +160,8 @@ class TestRenyiConverse:
             renyi_converse(BERN, 2.5, math.log(0.01))
         with pytest.raises(DomainError):
             renyi_converse(BERN, True, math.log(0.01))
+        with pytest.raises(DomainError, match="at most the largest float"):
+            renyi_converse(BERN, 10**400, math.log(0.01))
         assert renyi_converse(BERN, np.int64(10), math.log(0.01)) == renyi_converse(
             BERN, 10, math.log(0.01))
         with pytest.raises(DomainError):
@@ -745,9 +747,10 @@ class TestFano:
         assert r.log_value == 0.0
         assert not r.valid
 
-    def test_n_zero_allowed(self):
-        r = fano_bound(GAUSS, 0, math.log(0.01))
-        assert r.value == pytest.approx(0.5 / 0.99, rel=1e-12, abs=0.0)
+    def test_n_zero_rejected(self):
+        # as by every other bound
+        with pytest.raises(DomainError, match="n must be an integer >= 1, got 0"):
+            fano_bound(GAUSS, 0, math.log(0.01))
 
 
 class TestHellinger:
@@ -795,13 +798,10 @@ class TestBerryEsseen:
         n, log_eps = 10000, math.log(0.01)
         best = berry_esseen_bound(GAUSS, n, log_eps)
         assert best.valid
-        for delta in (0.5, 1.0, 20.0):
-            fixed = berry_esseen_bound(GAUSS, n, log_eps, delta_param=delta)
-            assert best.log_value >= fixed.log_value - 1e-9
-
-    def test_delta_param_out_of_range_degenerates(self):
-        r = berry_esseen_bound(GAUSS, 10000, math.log(0.01), delta_param=1e6)
-        assert not r.valid
+        with mpmath.workdps(60):
+            f = _mp_berry_esseen_objective(GAUSS, n, log_eps)
+            for delta in (0.5, 1.0, 20.0):
+                assert best.log_value >= float(f(mpmath.mpf(delta))) - 1e-9
 
     def test_sound_against_oracle(self):
         n, log_eps = 10000, math.log(0.01)
@@ -827,22 +827,32 @@ class TestBerryEsseen:
         # is empty, and an identical pair has no LLR variance.
         same = parse_pair("discrete:0.5,0.5|0.5,0.5")
         for pair, n in ((GAUSS, 10000), (BERN, 10), (same, 1000)):
-            for bad in (-1.0, math.nan):
-                with pytest.raises(DomainError, match="delta_param must be > 0"):
-                    berry_esseen_bound(pair, n, math.log(0.01), delta_param=bad)
+            for bad in (0.0, math.nan):
+                with pytest.raises(DomainError, match="log_eps must be finite and < 0"):
+                    berry_esseen_bound(pair, n, bad)
+        for pair in (GAUSS, BERN, same):
+            with pytest.raises(DomainError, match="n must be an integer >= 1"):
+                berry_esseen_bound(pair, 0, math.log(0.01))
 
 
 class TestSmoothingOut:
     def test_five_term_reference(self):
-        r = smoothing_out_bound(GAUSS, 1000, math.log(0.01), t_param=0.001)
-        assert r.log_value == pytest.approx(SMOOTH_TOTAL, abs=1e-12)
-        assert r.optimizer == 0.001
+        # The test-side objective is the five-term formula at the pinned
+        # point, and the bound is that objective at its own temperature.
+        r = smoothing_out_bound(GAUSS, 1000, math.log(0.01))
+        with mpmath.workdps(60):
+            f = _mp_smoothing_objective(GAUSS, 1000, math.log(0.01))
+            assert float(f(mpmath.mpf(0.001))) == pytest.approx(SMOOTH_TOTAL, abs=1e-12)
+            want = float(f(mpmath.mpf(r.optimizer)))
+        assert r.log_value == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert r.log_value > SMOOTH_TOTAL
 
     def test_optimized_dominates_fixed_t(self):
         best = smoothing_out_bound(GAUSS, 1000, math.log(0.01))
-        for t in (0.001, 0.01, 0.1, 1.0):
-            fixed = smoothing_out_bound(GAUSS, 1000, math.log(0.01), t_param=t)
-            assert best.log_value >= fixed.log_value - 1e-9
+        with mpmath.workdps(60):
+            f = _mp_smoothing_objective(GAUSS, 1000, math.log(0.01))
+            for t in (0.001, 0.01, 0.1, 1.0):
+                assert best.log_value >= float(f(mpmath.mpf(t))) - 1e-9
 
     @pytest.mark.parametrize("spec", ("gaussian:2,0.05", "gaussian:2,0.1", "gaussian:2,0.3"))
     def test_log_value_matches_mpmath_at_its_temperature(self, spec):
@@ -869,29 +879,46 @@ class TestSmoothingOut:
         assert a.log_value == pytest.approx(b.log_value, rel=1e-12, abs=0.0)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            smoothing_out_bound(GAUSS, 100, math.log(0.01), t_param=0.0)
+        for n, log_eps in ((0, math.log(0.01)), (100, 0.0), (100, math.nan)):
+            with pytest.raises(DomainError):
+                smoothing_out_bound(GAUSS, n, log_eps)
+
+
+def _mp_llr_moments(pair):
+    """Mean, variance and Berry-Esseen constant of the LLR in the working
+    precision, from the mpmath atoms (Gaussian pairs: their closed forms)."""
+    if isinstance(pair, GaussianPair):
+        d = abs(mpmath.mpf(pair.delta)) / mpmath.mpf(pair.sigma)
+        return d * d / 2, d * d, 6 * mpmath.sqrt(8 / mpmath.pi)
+    p, q = mp_atoms(pair, Direction.FORWARD)
+    z = [mpmath.log(a / b) for a, b in zip(p, q)]
+    mean = mpmath.fsum(a * zi for a, zi in zip(p, z))
+    var = mpmath.fsum(a * (zi - mean) ** 2 for a, zi in zip(p, z))
+    return mean, var, 6 * mpmath.fsum(a * abs(zi - mean) ** 3 for a, zi in zip(p, z)) / var**1.5
+
+
+def _mp_berry_esseen_objective(pair, n, log_eps):
+    """The Berry-Esseen bound's log as a function of Delta, in the working precision."""
+    mean, var, berry = _mp_llr_moments(pair)
+    one_m_eps = -mpmath.expm1(mpmath.mpf(log_eps))
+
+    def f(dl):
+        x = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * (one_m_eps - (berry + dl) / mpmath.sqrt(n)))
+        return -n * mean - mpmath.sqrt(n * var) * x + mpmath.log(dl) - mpmath.log(n) / 2
+
+    return f
 
 
 def _mp_berry_esseen(pair, n, log_eps):
     """log of the Berry-Esseen bound maximized over Delta in [1e-9, hi - 1e-9].
 
-    At 60 digits, with the moments from the mpmath atoms (Gaussian pairs:
-    their closed forms); None when hi <= 0.  The search runs over
-    x = Q^{-1}(w) instead of Delta: Delta(x) = sqrt(n)(1 - eps - Q(x)) - B
-    increases in x, so the objective is unimodal in x and needs Q, not its
-    inverse, except at the two ends.
+    At 60 digits; None when hi <= 0.  The search runs over x = Q^{-1}(w)
+    instead of Delta: Delta(x) = sqrt(n)(1 - eps - Q(x)) - B increases in
+    x, so the objective is unimodal in x and needs Q, not its inverse,
+    except at the two ends.
     """
     with mpmath.workdps(60):
-        if isinstance(pair, GaussianPair):
-            d = abs(mpmath.mpf(pair.delta)) / mpmath.mpf(pair.sigma)
-            mean, var, berry = d * d / 2, d * d, 6 * mpmath.sqrt(8 / mpmath.pi)
-        else:
-            p, q = mp_atoms(pair, Direction.FORWARD)
-            z = [mpmath.log(a / b) for a, b in zip(p, q)]
-            mean = mpmath.fsum(a * zi for a, zi in zip(p, z))
-            var = mpmath.fsum(a * (zi - mean) ** 2 for a, zi in zip(p, z))
-            berry = 6 * mpmath.fsum(a * abs(zi - mean) ** 3 for a, zi in zip(p, z)) / var**1.5
+        mean, var, berry = _mp_llr_moments(pair)
         one_m_eps = -mpmath.expm1(mpmath.mpf(log_eps))
         sqrt_n = mpmath.sqrt(n)
         hi = sqrt_n * one_m_eps - berry
@@ -970,7 +997,9 @@ class TestBaselineRoots:
         pair = parse_pair("gaussian:2,0.05")
         r = smoothing_out_bound(pair, 2000, -50.0)
         assert r.optimizer == 1e-9
-        assert r.log_value == smoothing_out_bound(pair, 2000, -50.0, t_param=1e-9).log_value
+        with mpmath.workdps(60):
+            want = float(_mp_smoothing_objective(pair, 2000, -50.0)(mpmath.mpf(1e-9)))
+        assert r.log_value == pytest.approx(want, rel=1e-14, abs=0.0)
         assert r.log_value == pytest.approx(_mp_smoothing(pair, 2000, -50.0), rel=1e-12, abs=0.0)
         # n = 1070: the optimum t = 3.3e-8 lies just above that end, where
         # a search resolving t to 1e-9 misses the value by 8e-11 relative.
@@ -995,8 +1024,13 @@ class TestBaselineRoots:
             assert 0.0 < hi <= 2e-9
             r = berry_esseen_bound(GAUSS, n, log_eps)
             assert r.optimizer == 0.5 * hi
-            fixed = berry_esseen_bound(GAUSS, n, log_eps, delta_param=0.5 * hi)
-            assert r.log_value == fixed.log_value
+            # hi cancels 1 - eps against B, each rounded to about 1e-16, so the
+            # Q^{-1} argument (about 1e-10) is off by up to 1e-6 relative and
+            # the log value by about 1e-8; a Delta a quarter of hi off the
+            # mid-point would move log(Delta) alone by over 0.2.
+            with mpmath.workdps(60):
+                want = float(_mp_berry_esseen_objective(GAUSS, n, log_eps)(mpmath.mpf(0.5 * hi)))
+            assert r.log_value == pytest.approx(want, rel=1e-7, abs=0.0)
 
     def test_no_grid_search(self):
         assert not hasattr(htbounds.numerics, "maximize_scalar")

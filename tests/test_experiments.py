@@ -402,11 +402,22 @@ BOUND_CASES = [
      lambda p: fano_bound(p, 100, -3.0)),
     ("hellinger", "bernoulli:0.5,0.6", ["--eps", "0.05"],
      lambda p: hellinger_bound(p, 100, math.log(0.05))),
-    ("berry_esseen", "bernoulli:0.5,0.6", ["--delta-param", "0.1"],
-     lambda p: berry_esseen_bound(p, 100, math.log(0.01), delta_param=0.1)),
-    ("smoothing_out", "gaussian:2,0.1", ["--t-param", "0.3"],
-     lambda p: smoothing_out_bound(p, 100, math.log(0.01), t_param=0.3)),
+    ("berry_esseen", "bernoulli:0.5,0.6", [],
+     lambda p: berry_esseen_bound(p, 100, math.log(0.01))),
+    ("smoothing_out", "gaussian:2,0.1", [],
+     lambda p: smoothing_out_bound(p, 100, math.log(0.01))),
 ]
+# The bounds whose inputs are not those of a sweep cell (pair, n, log eps).
+_FLAG_BOUNDS = ("achievability", "phase_converse", "phase_achievability")
+
+
+def _budget(flags):
+    # eps and log eps as a `bound` command line sets them (default eps = 0.01)
+    opts = dict(zip(flags[::2], flags[1::2]))
+    if "--log-eps" in opts:
+        return math.exp(float(opts["--log-eps"])), float(opts["--log-eps"])
+    eps = float(opts.get("--eps", 0.01))
+    return eps, math.log(eps)
 
 
 class TestCli:
@@ -432,6 +443,15 @@ class TestCli:
         assert payload["bound"] == bound
         assert payload["value"] == direct.value
         assert payload["optimizer"] == direct.optimizer
+        if bound in _FLAG_BOUNDS:
+            return
+        # every other bound prints the cell of a one-row sweep at the same budget
+        eps, log_eps = _budget(flags)
+        row = run_grid(ExperimentGrid(spec, Constant(eps), (100,), (bound,))).rows[0]
+        assert row.log_eps == log_eps
+        cell = row.cells[0]
+        assert (payload["value"], payload["optimizer"], payload["valid"]) == (
+            cell.value, cell.optimizer, cell.valid)
 
     @pytest.mark.parametrize("spec, argv_tail, call", [
         ("bernoulli:0.5,0.6", ["--n", "2000", "--bound", "hellinger", "--eps", "0.5"],
@@ -622,18 +642,13 @@ class TestCli:
         assert json.loads(lines[1])["optimizer"] == "inf"
 
     @pytest.mark.parametrize("argv", [
-        ["--bound", "smoothing_out", "--pair", "gaussian:2,0.1", "--t-param", "1000"],
-        ["--bound", "berry_esseen", "--pair", "gaussian:2,0.1", "--delta-param", "1e300"],
-    ], ids=["t_param_1000", "delta_param_1e300"])
-    def test_bound_parameter_far_out_is_degenerate(self, capsys, argv):
-        # (e^t - 1)^2 and sinh^2 t overflow past t = 355; every term of the
-        # smoothing objective is <= 0, so the log bound is -inf, flagged
-        # degenerate, with nothing on stderr
-        assert cli_main(["bound", "--n", "100", *argv]) == 0
-        out, err = capsys.readouterr()
-        assert "[degenerate]" in out and err == ""
-        payload = json.loads(out.strip().splitlines()[-1])
-        assert (payload["value"], payload["log_value"], payload["valid"]) == (0.0, "-inf", False)
+        ["--bound", "smoothing_out", "--pair", "gaussian:2,0.1", "--t-param", "0.3"],
+        ["--bound", "berry_esseen", "--pair", "bernoulli:0.5,0.6", "--delta-param", "0.1"],
+    ], ids=["t_param", "delta_param"])
+    def test_bound_parameter_flags_exit_two(self, capsys, argv):
+        # a baseline is evaluated at its best parameter only, as in a sweep
+        assert cli_main(["bound", "--n", "100", *argv]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_samplesize_infinite(self, capsys):
         # (delta/sigma)^2 = 1e-320 is subnormal but in range: n is infinite,

@@ -65,7 +65,7 @@ def test_q_inverse_roundtrip(p):
     st.floats(min_value=0.1, max_value=3.0),
     st.integers(min_value=0, max_value=10**6),
 )
-def test_maximizer_beats_random_probes(center, width, seed):
+def test_scan_polish_argmax_beats_random_probes(center, width, seed):
     def f(x):
         return -width * (x - center) ** 2
 
@@ -267,6 +267,10 @@ def _printed_values(command, out):
 # the slack's upper end hi - 1e-9 rounds to hi, where the Q^{-1} argument is 0 or below
 @example(argv=["bound", "--pair", "bernoulli:0.5,0.6", "--bound", "berry_esseen",
                "--n", "10000000000000000", "--eps", "0.01"])
+# n above the float range: n * D would raise OverflowError
+@example(argv=["bound", "--pair", "bernoulli:0.5,0.6", "--bound", "fano", "--n", str(10**400)])
+@example(argv=["sweep", "--pair", "bernoulli:0.5,0.6", "--n-min", str(10**400),
+               "--n-max", str(10**400)])
 # n = x / D underflows to 0 if the Gaussian crossing is solved by Newton in x = n D
 @example(argv=["samplesize", "--pair", "gaussian:0,1e+153", "--eps=0.36787944117144233",
                "--delta=0.6065306597126334"])
