@@ -507,8 +507,13 @@ def sample_complexity_renyi(
     is at least log(delta).  That log bound decreases in n with slope
     -D_l*(P0||P1) at its optimal order l* (envelope theorem), so the
     supremum is the n where it equals log(delta), found by Newton in
-    x = n D(P0||P1); Gaussian pairs have the closed form
-    (sqrt(log 1/delta) - sqrt(log 1/(1-eps)))^2 / D.  The second term is
+    x = n D(P0||P1) from x = (sqrt(log 1/delta) - sqrt(log 1/(1-eps)))^2.
+    For a Gaussian pair that start is the root, at the order
+    sqrt(log 1/delta) / (sqrt(log 1/delta) - sqrt(log 1/(1-eps))) for
+    every separation, and it is taken without Newton: at extreme
+    separations branch two cannot be formed at n = x / D (at
+    ``gaussian:0,1e+153`` n is near 1e-309 and psi overflows at the
+    order; at ``gaussian:0,1e-160`` n overflows).  The second term is
     the first with P0 and P1 swapped and eps and delta swapped, so its
     supremum is the same crossing on the reverse record.  The optimizer is
     l* at the larger crossing.  When eps + delta >= 1 no term is positive:
@@ -533,7 +538,7 @@ def sample_complexity_renyi(
         if not top > bottom:
             continue  # the term is negative for every l
         gap = math.sqrt(top) - math.sqrt(bottom)
-        if isinstance(pair, GaussianPair):
+        if isinstance(pair, GaussianPair):  # the start is the root (see the docstring)
             crossings.append((gap * gap / d, math.sqrt(top) / gap))
             continue
         atoms = _tilt_atoms(pair, direction)

@@ -97,10 +97,14 @@ def _build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--n", type=int, required=True)
     budget = bd.add_mutually_exclusive_group()
     budget.add_argument("--eps", type=float, default=0.01)
-    budget.add_argument("--log-eps", type=float)
+    budget.add_argument("--log-eps", type=float,
+                        help="log of the Type I budget; give a negative value as --log-eps=-1e6")
     bd.add_argument("--c", type=float, help="exponential rate, for the phase bounds")
-    bd.add_argument("--tau", type=float, help="log-LR threshold, for achievability")
-    bd.add_argument("--log-alpha", type=float, default=-math.inf)
+    bd.add_argument("--tau", type=float,
+                    help="log-LR threshold, for achievability; e.g. --tau=-2.5e1")
+    bd.add_argument("--log-alpha", type=float, default=-math.inf,
+                    help="log Type I term of achievability (default %(default)s); "
+                         "e.g. --log-alpha=-1e3")
 
     ss = sub.add_parser("samplesize", help="sample-complexity bounds")
     ss.add_argument("--pair", required=True)

@@ -33,20 +33,9 @@ from .bounds import (
     smoothing_out_bound,
     threshold_for_rate,
 )
-from .distributions import (
-    BernoulliPair,
-    FiniteDiscretePair,
-    GaussianPair,
-    parse_pair,
-)
+from .distributions import BernoulliPair, GaussianPair, parse_pair
 from .numerics import DomainError
-from .oracle import (
-    SizeError,
-    check_type_count,
-    np_exact_bernoulli,
-    np_exact_discrete,
-    np_exact_gaussian,
-)
+from .oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
 
 __all__ = [
     "CANONICAL_BOUNDS",
@@ -182,11 +171,6 @@ def run_grid(grid: ExperimentGrid) -> GridTable:
         raise ConfigError(f"{b} applies to {_BOUNDS[b].family.__name__} only")
     if isinstance(regime := grid.regime, Linear) and grid.n_values[0] < 2:
         raise ConfigError("linear regime requires every n >= 2")
-    if "np_exact" in grid.bounds and isinstance(pair, FiniteDiscretePair):
-        try:
-            check_type_count(pair, grid.n_values[-1])
-        except SizeError as exc:
-            raise ConfigError(f"np_exact: {exc}") from None
 
     rows = []
     for n in grid.n_values:

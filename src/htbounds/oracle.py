@@ -13,8 +13,9 @@ counts for P0 at n = 20,000, eps = 0.01), or over the types of the
 sample (finite support: an i.i.d. sample's likelihood ratio depends only
 on its atom counts, so C(n + K - 1, K - 1) types stand in for K^n points;
 past 2.5e6 types, K = 3 beyond n = 2,234 or K = 4 beyond n = 244, it
-raises :class:`SizeError`).  Both count-based oracles take log k! from one
-cached read-only table.  These serve as ground truth for the bounds in
+raises :class:`DomainError`, as at every other limit, so a sweep leaves
+that cell empty).  Both count-based oracles take log k! from one cached
+read-only table.  These serve as ground truth for the bounds in
 :mod:`htbounds.bounds`.
 """
 
@@ -33,8 +34,6 @@ from .numerics import (DomainError, _check_log_eps, _check_log_prob, _check_n, l
 
 __all__ = [
     "NPResult",
-    "SizeError",
-    "check_type_count",
     "np_exact_bernoulli",
     "np_exact_discrete",
     "np_exact_gaussian",
@@ -44,24 +43,19 @@ __all__ = [
 _MAX_TYPES = 2_500_000
 
 
-class SizeError(ValueError):
-    """Type-class enumeration would exceed the size ceiling."""
-
-
 @dataclass(frozen=True)
 class NPResult:
-    """An exact optimal test and its errors.
+    """An exact optimal test and its Type II error.
 
     The optimal test rejects H0 when the statistic exceeds ``threshold``,
-    randomizing with probability ``randomization`` on a tie.
-    ``achieved_alpha`` is its exact Type I error (== eps up to rounding).
+    randomizing with probability ``randomization`` on a tie; its Type I
+    error is the eps it was asked for.
     """
 
     beta: float
     log_beta: float
     threshold: float
     randomization: float
-    achieved_alpha: float
 
 
 @functools.lru_cache(maxsize=1)
@@ -100,7 +94,6 @@ def np_exact_gaussian(pair: GaussianPair, n: int, log_eps: float) -> NPResult:
         log_beta=log_q(arg),
         threshold=threshold,
         randomization=0.0,
-        achieved_alpha=math.exp(log_eps),
     )
 
 
@@ -167,7 +160,7 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
         p0, p1 = 1.0 - p0, 1.0 - p1
     if log_eps == 0.0:
         # eps = 1: reject always
-        return NPResult(0.0, -math.inf, -1.0 if not mirrored else float(n + 1), 0.0, 1.0)
+        return NPResult(0.0, -math.inf, -1.0 if not mirrored else float(n + 1), 0.0)
     if p1 == 1.0:  # 1 - p rounds to 1 for p <= 2^-54: the mirrored count has no log-mass
         raise DomainError(f"np_exact_bernoulli: 1 - {pair.p1!r} rounds to 1 on the mirrored "
                           "pair; the oracle needs min(p0, p1) above 2^-54")
@@ -222,15 +215,15 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     beta = -math.expm1(log_accept1)
     log_beta = log_diff_exp(0.0, log_accept1) if log_accept1 < 0.0 else -math.inf
     threshold = float(n - k) if mirrored else float(k)
-    return NPResult(beta, log_beta, threshold, gamma, math.exp(log_eps))
+    return NPResult(beta, log_beta, threshold, gamma)
 
 
-def check_type_count(pair: FiniteDiscretePair, n: int) -> None:
-    """Raise SizeError if n-samples on the support of ``pair`` have over 2.5e6 types."""
-    k = len(_tilt_atoms(pair, Direction.FORWARD).p)
+def _check_type_count(atoms, n: int) -> None:
+    """Raise DomainError if n-samples on the support of ``atoms`` have over 2.5e6 types."""
+    k = len(atoms.p)
     if (count := math.comb(n + k - 1, k - 1)) > _MAX_TYPES:
-        raise SizeError(f"np_exact_discrete needs {count:,} types at n = {n}; "
-                        f"ceiling is {_MAX_TYPES:,}")
+        raise DomainError(f"np_exact_discrete needs {count:,} types at n = {n}; "
+                          f"ceiling is {_MAX_TYPES:,}")
 
 
 def np_exact_discrete(pair: FiniteDiscretePair, n: int, log_eps: float) -> NPResult:
@@ -247,8 +240,8 @@ def np_exact_discrete(pair: FiniteDiscretePair, n: int, log_eps: float) -> NPRes
         raise DomainError("np_exact_discrete requires a FiniteDiscretePair")
     _check_n(n)
     _check_log_prob("log_eps", log_eps)
-    check_type_count(pair, n)
     atoms = _tilt_atoms(pair, Direction.FORWARD)
+    _check_type_count(atoms, n)
     la0, d = atoms.logp, [-x for x in atoms.z]
     log_fact = _log_factorials(n)
     # Grow the types one coordinate at a time (r counts left: r + 1 children),
@@ -288,4 +281,4 @@ def np_exact_discrete(pair: FiniteDiscretePair, n: int, log_eps: float) -> NPRes
                      else log_diff_exp(0.0, min(log_reject1, 0.0)))
     threshold = -math.inf if b == lc0.size - 1 and keep == -math.inf else float(llr[starts[b]])
     gamma = math.exp(reject - lc0[b])
-    return NPResult(math.exp(log_beta), log_beta, threshold, gamma, math.exp(log_eps))
+    return NPResult(math.exp(log_beta), log_beta, threshold, gamma)

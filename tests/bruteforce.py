@@ -52,25 +52,20 @@ def np_exact_discrete_bruteforce(pair, n: int, eps: float) -> NPResult:
     r_cls = r_sorted[new_class]
     budget = eps
     accepted1 = 0.0  # P1 mass of the rejection region
-    achieved = 0.0
     threshold = -math.inf
     gamma = 0.0
     for i in range(c0.size):
         if budget >= c0[i] * (1.0 - 1.0e-12):
             budget -= c0[i]
             accepted1 += c1[i]
-            achieved += c0[i]
             continue
         threshold = float(r_cls[i])
         if budget > 0.0 and c0[i] > 0.0:
             gamma = budget / c0[i]
             accepted1 += gamma * c1[i]
-            achieved += budget
         break
     beta = max(1.0 - accepted1, 0.0)
-    return NPResult(
-        beta, math.log(beta) if beta > 0 else -math.inf, threshold, gamma, min(achieved, eps)
-    )
+    return NPResult(beta, math.log(beta) if beta > 0 else -math.inf, threshold, gamma)
 
 
 def np_exact_bernoulli_fullrange(pair, n: int, log_eps: float) -> NPResult:
@@ -90,7 +85,7 @@ def np_exact_bernoulli_fullrange(pair, n: int, log_eps: float) -> NPResult:
     k = j - 1
     if k < 0:
         # eps = 1: reject always
-        return NPResult(0.0, -math.inf, -1.0 if not mirrored else float(n + 1), 0.0, 1.0)
+        return NPResult(0.0, -math.inf, -1.0 if not mirrored else float(n + 1), 0.0)
     lp1 = log_binom[k:] + ks[k:] * math.log(p1) + (n - ks[k:]) * math.log1p(-p1)
     tail1 = np.logaddexp.reduce(lp1[:0:-1])
     log_excess = log_diff_exp(log_eps, tail0[k + 1]) if log_eps > tail0[k + 1] else -math.inf
@@ -104,4 +99,4 @@ def np_exact_bernoulli_fullrange(pair, n: int, log_eps: float) -> NPResult:
     beta = -math.expm1(log_accept1)
     log_beta = log_diff_exp(0.0, log_accept1) if log_accept1 < 0.0 else -math.inf
     threshold = float(n - k) if mirrored else float(k)
-    return NPResult(beta, log_beta, threshold, gamma, math.exp(log_eps))
+    return NPResult(beta, log_beta, threshold, gamma)

@@ -269,6 +269,47 @@ def _mp_renyi_converse(pair, n, log_eps):
         return float(max(one, two))
 
 
+def _budgets(pair, n):
+    # log eps at eps = 0.3, eps = 0.01, eps = 1/n and eps = e^{-20 D(P1||P0) n}
+    d = kl_divergence(pair, Direction.REVERSE)
+    return (math.log(0.3), math.log(0.01), -math.log(n), -20.0 * d * n)
+
+
+# _mp_renyi_converse(pair, n, log_eps) for each budget of _budgets(pair, n), in order.
+MP_RENYI_CONVERSE = {
+    ("bernoulli:0.5,0.51", 10):
+        (-0.39989666907543936, -0.011962234232733055, -0.12067921078321692, -3.3922917479631565),
+    ("bernoulli:0.5,0.51", 400):
+        (-0.7236838963951373, -0.031501865934115414, -0.009228127254781943, -0.47966028636385283),
+    ("bernoulli:0.5,0.51", 2000):
+        (-1.5122668473172893, -0.10660269267070054, -0.010999477278394842, -0.008061400168294292),
+    ("bernoulli:0.5,0.7", 10):
+        (-2.3531699819967375, -0.1874757143585667, -1.0777502251778757, -2.061962613293992e-06),
+    ("bernoulli:0.5,0.7", 400):
+        (-42.382570019557654, -36.08199484660718, -35.472684960891435, -3.725748647055289e-228),
+    ("bernoulli:0.5,0.7", 2000):
+        (-190.7115180777733, -177.04956133354656, -174.9530922191586, -0.0),
+    ("bernoulli:0.1,0.35", 10):
+        (-3.1266382338273067, -1.2497481296240178, -2.4214099238015776, -5.3543554991560085e-15),
+    ("bernoulli:0.1,0.35", 400):
+        (-75.24306035453206, -68.38985451959581, -67.71297996860973, -0.0),
+    ("bernoulli:0.1,0.35", 2000):
+        (-353.2963335507784, -338.2154652520513, -335.8776677343424, -0.0),
+    ("discrete:0.2,0.3,0.5|0.5,0.3,0.2", 10):
+        (-4.95840763865539, -1.469151403717369, -3.8770576136356643, -1.26765060022823e-20),
+    ("discrete:0.2,0.3,0.5|0.5,0.3,0.2", 400):
+        (-122.34954244726882, -111.99278289064749, -110.9697537981932, -0.0),
+    ("discrete:0.2,0.3,0.5|0.5,0.3,0.2", 2000):
+        (-577.112335600934, -554.320616943476, -550.7870728383488, -0.0),
+    ("discrete:0.7,0.2,0.1|0.1,0.3,0.6", 10):
+        (-14.747291198934544, -11.623502341737318, -13.010063932530743, -5.4934821126173415e-80),
+    ("discrete:0.7,0.2,0.1|0.1,0.3,0.6", 400):
+        (-463.52453373369593, -444.5463780109414, -442.64198964120754, -0.0),
+    ("discrete:0.7,0.2,0.1|0.1,0.3,0.6", 2000):
+        (-2254.4537320575523, -2212.2251912411734, -2205.6290601509363, -0.0),
+}
+
+
 class TestRenyiOrderRoot:
     # The Renyi orders of renyi_converse and the phase bounds are roots of
     # psi - (l - s) psi', found without a grid search.  Tolerances: the
@@ -285,14 +326,19 @@ class TestRenyiOrderRoot:
     @pytest.mark.parametrize("spec", PAIRS)
     def test_both_branches_match_mpmath(self, spec):
         pair = parse_pair(spec)
-        d = kl_divergence(pair, Direction.REVERSE)
         for n in (10, 400, 2000):
-            for log_eps in (math.log(0.3), math.log(0.01), -math.log(n), -20.0 * d * n):
+            for log_eps, want in zip(_budgets(pair, n), MP_RENYI_CONVERSE[spec, n]):
                 r = renyi_converse(pair, n, log_eps)
-                want = _mp_renyi_converse(pair, n, log_eps)
                 case = (n, log_eps, r.optimizer)
                 assert r.log_value == pytest.approx(want, rel=1e-11, abs=0.0), case
                 assert r.log_value <= want + 1e-11 * abs(want), case
+
+    def test_frozen_references_match_their_generator(self):
+        # one row of MP_RENYI_CONVERSE recomputed; its last budget is at the l = inf end
+        pair = parse_pair("bernoulli:0.5,0.7")
+        got = tuple(_mp_renyi_converse(pair, 400, log_eps) for log_eps in _budgets(pair, 400))
+        assert got == pytest.approx(MP_RENYI_CONVERSE["bernoulli:0.5,0.7", 400], rel=1e-15,
+                                    abs=0.0)
 
     def test_infinite_order_endpoint(self):
         # appF_bernoulli20_exponential: at c = 20 D, log eps / n = -c lies
@@ -629,6 +675,18 @@ class TestSampleComplexity:
             assert r.value == math.inf and r.valid
         r = sample_complexity_renyi(pair, e1, 1e-300, lam=1.0001)
         assert r.value == math.inf and r.valid
+
+    @pytest.mark.parametrize("eps, delta", [(0.1, 0.01), (math.exp(-0.5), math.exp(-1.0))])
+    def test_gaussian_order_at_every_separation(self, eps, delta):
+        # The order of the first crossing, the larger here, is
+        # sqrt(log 1/delta) / gap at every separation.  Newton in x = n D
+        # could not form branch two at n = x / D for the outer two: n is
+        # near 1e-309, or past the float range (where both crossings are inf).
+        top, bottom = -math.log(delta), -math.log1p(-eps)
+        want = math.sqrt(top) / (math.sqrt(top) - math.sqrt(bottom))
+        for sep in (1e-160, 1.0, 1e153):
+            r = sample_complexity_renyi(GaussianPair(0.0, sep), eps, delta)
+            assert r.optimizer == pytest.approx(want, rel=1e-14, abs=0.0), sep
 
     def test_optimized_dominates_fixed_lambda(self):
         fixed = sample_complexity_renyi(GAUSS, 0.01, 0.01, lam=2.0)

@@ -188,16 +188,20 @@ class TestRunGrid:
         with pytest.raises(ConfigError):
             run_grid(small_grid(regime=Linear(), n_values=(1, 2, 3)))
 
-    def test_np_exact_discrete_size_precheck(self):
-        # K = 3 at n = 2235 has more than 2.5e6 types: refused before any cell runs
-        with pytest.raises(ConfigError, match="np_exact"):
-            run_grid(
-                small_grid(
-                    pair_spec="discrete:0.2,0.3,0.5|0.5,0.3,0.2",
-                    n_values=(2, 2235),
-                    bounds=("np_exact",),
-                )
+    def test_np_exact_past_the_type_ceiling_is_empty(self):
+        # K = 3 at n = 2235 has more than 2.5e6 types: that one cell is empty,
+        # like any other the library cannot answer, and the rest is computed
+        table = run_grid(
+            small_grid(
+                pair_spec="discrete:0.2,0.3,0.5|0.5,0.3,0.2",
+                n_values=(2, 2235),
+                bounds=("renyi_converse", "np_exact"),
             )
+        )
+        (conv2, exact2), (conv_big, exact_big) = (row.cells for row in table.rows)
+        assert exact2.valid and 0.0 < exact2.value < 1.0
+        assert (exact_big.value, exact_big.valid) == (None, False)
+        assert conv2.value is not None and conv_big.value is not None
 
     def test_np_exact_discrete_small_ok(self):
         table = run_grid(
@@ -485,6 +489,14 @@ class TestCli:
                 "--n", "100", "--eps", "0.01", *extra]
         assert cli_main(argv) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--bound", "renyi_converse", "--log-eps=-1e6"],
+        ["--bound", "achievability", "--tau=-2.5e1"],
+    ], ids=["log_eps", "tau"])
+    def test_bound_negative_exponent_values(self, capsys, flags):
+        # argparse reads "-1e6" after a space as an option; "=" keeps it a value
+        assert cli_main(["bound", "--pair", "gaussian:0,1", "--n", "10", *flags]) == 0
+
     def test_bound_requires_tau_for_achievability(self, capsys):
         code = cli_main(
             ["bound", "--pair", "bernoulli:0.5,0.51", "--bound", "achievability", "--n", "100"]
@@ -532,6 +544,19 @@ class TestCli:
         )
         assert code == 0
         assert csv.exists() and svg.exists()
+
+    def test_sweep_past_the_type_ceiling_empties_one_cell(self, tmp_path, capsys):
+        csv = tmp_path / "k3.csv"
+        code = cli_main(
+            ["sweep", "--pair", "discrete:0.2,0.3,0.5|0.5,0.3,0.2", "--n-min", "2",
+             "--n-max", "2235", "--n-step", "2233", "--bounds", "renyi_converse,np_exact",
+             "--csv", str(csv)]
+        )
+        assert code == 0
+        small, big = (line.split(",") for line in csv.read_text().splitlines()[1:])
+        # n, eps, log_eps, then value, optimizer, valid for each bound
+        assert small[0] == "2" and small[6] != "" and small[8] == "true"
+        assert big[0] == "2235" and big[3] != "" and big[6:] == ["", "", "false"]
 
     def test_sweep_default_bounds_fit_the_pair(self, tmp_path, capsys):
         # with no --bounds the Gaussian-only smoothing bound is dropped

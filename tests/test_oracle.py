@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from htbounds.cli import cli_main
-from htbounds.distributions import BernoulliPair, FiniteDiscretePair, GaussianPair
+from htbounds.distributions import (BernoulliPair, Direction, FiniteDiscretePair, GaussianPair,
+                                    _tilt_atoms)
 from htbounds.numerics import DomainError, log_q
 from htbounds.oracle import (
-    SizeError,
+    _check_type_count,
     _log_factorials,
-    check_type_count,
     np_exact_bernoulli,
     np_exact_discrete,
     np_exact_gaussian,
@@ -37,7 +37,6 @@ class TestGaussian:
         assert r.beta == pytest.approx(NP_GAUSS_BETA, rel=1e-12, abs=0.0)
         assert r.threshold == pytest.approx(NP_GAUSS_GAMMA, rel=1e-12, abs=0.0)
         assert r.randomization == 0.0
-        assert r.achieved_alpha == pytest.approx(0.01, rel=1e-14, abs=0.0)
         assert r.log_beta == pytest.approx(math.log(r.beta), rel=1e-12, abs=0.0)
 
     def test_negative_delta_is_symmetric(self):
@@ -74,7 +73,7 @@ def _bernoulli_type1(pair, n, k, gamma):
 
 
 def _bernoulli_exact(p0, p1, n, eps):
-    # (k, gamma, beta, alpha) of the NP test in exact rational arithmetic.
+    # (k, gamma, beta) of the NP test in exact rational arithmetic.
     def pmf(p, s):
         return math.comb(n, s) * p**s * (1 - p) ** (n - s)
 
@@ -84,14 +83,13 @@ def _bernoulli_exact(p0, p1, n, eps):
     k = next(k for k in range(n + 1) if above(p0, k) <= eps)
     gamma = (eps - above(p0, k)) / pmf(p0, k)
     beta = 1 - above(p1, k) - gamma * pmf(p1, k)
-    return k, gamma, beta, above(p0, k) + gamma * pmf(p0, k)
+    return k, gamma, beta
 
 
 class TestBernoulli:
     def test_single_sample_half_budget(self):
         r = np_exact_bernoulli(BERN, 1, math.log(0.5))
         assert r.beta == pytest.approx(0.49, rel=1e-12, abs=0.0)
-        assert r.achieved_alpha == pytest.approx(0.5, rel=1e-12, abs=0.0)
         # the defining property: the test spends the whole Type I budget
         assert _bernoulli_type1(BERN, 1, r.threshold, r.randomization) == pytest.approx(
             0.5, abs=1e-12
@@ -100,7 +98,6 @@ class TestBernoulli:
     def test_randomization_exhausts_budget(self):
         for n, eps in ((10, 0.07), (25, 0.01), (60, 0.321)):
             r = np_exact_bernoulli(BERN, n, math.log(eps))
-            assert r.achieved_alpha == pytest.approx(eps, rel=1e-10, abs=0.0)
             assert 0.0 <= r.randomization < 1.0
             assert _bernoulli_type1(BERN, n, r.threshold, r.randomization) == pytest.approx(
                 eps, abs=1e-12
@@ -110,13 +107,11 @@ class TestBernoulli:
         r = np_exact_bernoulli(BERN, 5, 0.0)
         assert r.beta == 0.0
         assert r.log_beta == -math.inf
-        assert r.achieved_alpha == 1.0
 
     def test_mirrored_pair(self):
         a = np_exact_bernoulli(BernoulliPair(0.4, 0.7), 12, math.log(0.05))
         b = np_exact_bernoulli(BernoulliPair(0.6, 0.3), 12, math.log(0.05))
         assert a.beta == pytest.approx(b.beta, rel=1e-12, abs=0.0)
-        assert a.achieved_alpha == pytest.approx(b.achieved_alpha, rel=1e-12, abs=0.0)
         assert b.threshold == pytest.approx(12 - a.threshold, abs=1e-12)
 
     @pytest.mark.parametrize("n, eps", [(1, Fraction(3, 10)), (3, Fraction(1, 10))])
@@ -124,14 +119,13 @@ class TestBernoulli:
         # P0(S = n) > eps: the test can only randomize on the all-ones sample,
         # and nothing lies above the boundary class.
         p0, p1 = Fraction(1, 2), Fraction(51, 100)
-        k, gamma, beta, alpha = _bernoulli_exact(p0, p1, n, eps)
+        k, gamma, beta = _bernoulli_exact(p0, p1, n, eps)
         assert k == n
         r = np_exact_bernoulli(BERN, n, math.log(float(eps)))
         assert r.threshold == n
         assert r.randomization == pytest.approx(float(gamma), rel=1e-12, abs=0.0)
         assert r.beta == pytest.approx(float(beta), rel=1e-12, abs=0.0)
         assert r.log_beta == pytest.approx(math.log(beta), rel=1e-12, abs=1e-15)
-        assert r.achieved_alpha == pytest.approx(float(alpha), rel=1e-12, abs=0.0)
 
     def test_tie_randomization_above_one_is_a_domain_error(self, tmp_path):
         # At eps = 1 - 1e-12 and n = 10,000 rounding in the log P0 tail picks
@@ -289,7 +283,6 @@ class TestBruteforce:
             a = np_exact_bernoulli(pair_b, n, math.log(eps))
             b = np_exact_discrete(pair_d, n, math.log(eps))
             assert b.beta == pytest.approx(a.beta, rel=1e-11, abs=0.0)
-            assert b.achieved_alpha == pytest.approx(a.achieved_alpha, rel=1e-14, abs=0.0)
             if n <= 10:
                 assert np_exact_discrete_bruteforce(pair_d, n, eps).beta == pytest.approx(
                     b.beta, abs=1e-12
@@ -299,14 +292,13 @@ class TestBruteforce:
         pair = FiniteDiscretePair((0.7, 0.3), (0.4, 0.6))
         assert np_exact_discrete_bruteforce(pair, 3, 0.0).beta == 1.0
         r = np_exact_discrete(pair, 3, -math.inf)
-        assert (r.beta, r.log_beta, r.randomization, r.achieved_alpha) == (1.0, 0.0, 0.0, 0.0)
+        assert (r.beta, r.log_beta, r.randomization) == (1.0, 0.0, 0.0)
 
     def test_eps_one_rejects_always(self):
         pair = FiniteDiscretePair((0.7, 0.3), (0.4, 0.6))
         assert np_exact_discrete_bruteforce(pair, 3, 1.0).threshold == -math.inf
         r = np_exact_discrete(pair, 3, 0.0)
         assert (r.beta, r.log_beta, r.threshold) == (0.0, -math.inf, -math.inf)
-        assert r.achieved_alpha == 1.0
 
     def test_identical_pair_is_diagonal(self):
         pair = FiniteDiscretePair((0.3, 0.7), (0.3, 0.7))
@@ -321,29 +313,30 @@ class TestBruteforce:
         pair = FiniteDiscretePair((0.5, 0.3, 0.2), (0.2, 0.3, 0.5))
         r = np_exact_discrete(pair, 5, math.log(0.123))
         ref = np_exact_discrete_bruteforce(pair, 5, 0.123)
-        assert r.achieved_alpha == pytest.approx(0.123, rel=1e-14, abs=0.0)
         assert 0.0 < r.randomization < 1.0
         assert (r.beta, r.threshold, r.randomization) == pytest.approx(
             (ref.beta, ref.threshold, ref.randomization), rel=1e-12, abs=0.0
         )
 
     def test_size_limits(self):
-        with pytest.raises(SizeError):
+        with pytest.raises(DomainError, match="needs 2,500,966 types at n = 2235"):
             np_exact_discrete(FiniteDiscretePair((0.2, 0.3, 0.5), (0.5, 0.3, 0.2)), 2235, -1.0)
         ten = FiniteDiscretePair((0.1,) * 10, (0.1,) * 10)
-        with pytest.raises(SizeError):
+        with pytest.raises(DomainError):
             np_exact_discrete(ten, 20, -1.0)  # C(29, 9) = 1.0e7 types
 
     def test_size_check_reach(self):
-        # C(n + K - 1, K - 1) <= 2.5e6, with K counting only atoms of positive mass
-        three = FiniteDiscretePair((0.2, 0.3, 0.5, 0.0), (0.5, 0.3, 0.2, 0.0))
-        check_type_count(three, 2234)  # 2,498,730 types
-        with pytest.raises(SizeError):
-            check_type_count(three, 2235)
-        four = FiniteDiscretePair((0.25,) * 4, (0.1, 0.2, 0.3, 0.4))
-        check_type_count(four, 244)  # 2,481,115 types
-        with pytest.raises(SizeError):
-            check_type_count(four, 245)
+        # C(n + K - 1, K - 1) <= 2.5e6, with K counting only atoms of positive mass;
+        # the check alone, so no types are enumerated
+        three = _tilt_atoms(FiniteDiscretePair((0.2, 0.3, 0.5, 0.0), (0.5, 0.3, 0.2, 0.0)),
+                            Direction.FORWARD)
+        _check_type_count(three, 2234)  # 2,498,730 types
+        with pytest.raises(DomainError):
+            _check_type_count(three, 2235)
+        four = _tilt_atoms(FiniteDiscretePair((0.25,) * 4, (0.1, 0.2, 0.3, 0.4)), Direction.FORWARD)
+        _check_type_count(four, 244)  # 2,481,115 types
+        with pytest.raises(DomainError):
+            _check_type_count(four, 245)
 
     def test_validation(self):
         pair = FiniteDiscretePair((0.7, 0.3), (0.4, 0.6))
@@ -475,7 +468,6 @@ def test_matches_bruteforce(w0, w1, k, n, eps):
     ref = np_exact_discrete_bruteforce(pair, n, eps)
     r = np_exact_discrete(pair, n, math.log(eps) if eps else -math.inf)
     assert r.beta == pytest.approx(ref.beta, rel=1e-9, abs=1e-14)
-    assert r.achieved_alpha == pytest.approx(eps, rel=1e-12, abs=0.0)  # exp(log eps)
 
 
 class TestCrossValidation:
