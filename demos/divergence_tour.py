@@ -8,7 +8,6 @@ from htbounds import (
     Direction,
     FiniteDiscretePair,
     GaussianPair,
-    hellinger_squared,
     kl_divergence,
     renyi_divergence,
 )
@@ -43,5 +42,7 @@ for lam in (0.5, 3.0):
     d2 = renyi_divergence(product, lam, Direction.FORWARD)
     print(f"lam={lam}: single={d1:.12f}  product={d2:.12f}  ratio={d2 / d1:.12f}")
 
+# The squared Hellinger distance is 1 - e^{-D_1/2 / 2}.
 print()
-print("squared Hellinger:", hellinger_squared(bern), hellinger_squared(gauss))
+h2 = [-np.expm1(-renyi_divergence(pair, 0.5, Direction.FORWARD) / 2.0) for pair in (bern, gauss)]
+print("squared Hellinger:", *h2)

@@ -92,8 +92,6 @@ from .distributions import (
     Direction,
     DistributionPair,
     GaussianPair,
-    UnsupportedFamilyError,
-    _log_affinity,
     _tilt,
     _tilt_atoms,
     _TiltAtoms,
@@ -594,7 +592,8 @@ def hellinger_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResu
     """Hellinger baseline beta >= 1 - sqrt(1 - (1 - H^2)^{2n}) - eps."""
     _check_n(n)
     _check_log_eps(log_eps)
-    log_affinity_2n = 2.0 * n * _log_affinity(pair)  # log1p(-H^2) fails where H^2 rounds to 1
+    # log(1 - H^2) from the record: log1p(-H^2) fails where H^2 rounds to 1
+    log_affinity_2n = 2.0 * n * _tilt_atoms(pair, Direction.FORWARD).log_affinity
     x = -math.expm1(log_affinity_2n)  # 1 - (1 - H^2)^{2n} in [0, 1)
     # 1 - sqrt(x) = (1 - x) / (1 + sqrt(x)), which does not cancel as x -> 1
     value = math.exp(log_affinity_2n) / (1.0 + math.sqrt(x)) - math.exp(log_eps)
@@ -658,8 +657,8 @@ def smoothing_out_bound(pair: DistributionPair, n: int, log_eps: float) -> Bound
     log beta >= -n D + log(1 - eps) / (1 - e^{-2t}) - n t
                 - (delta^2 / (2 sigma^2)) (e^t - 1)^2 - 2n sinh^2 t
 
-    with D = delta^2 / (2 sigma^2).  Non-Gaussian pairs raise
-    UnsupportedFamilyError.
+    with D = delta^2 / (2 sigma^2).  A non-Gaussian pair raises
+    :class:`DomainError`, as in the oracles.
 
     t is the maximizer over [1e-9, 10 - 1e-9].  The objective is concave:
     with L = log(1 - eps) its slope
@@ -673,7 +672,7 @@ def smoothing_out_bound(pair: DistributionPair, n: int, log_eps: float) -> Bound
     terms balance.
     """
     if not isinstance(pair, GaussianPair):
-        raise UnsupportedFamilyError("smoothing_out_bound is defined for Gaussian pairs only")
+        raise DomainError("smoothing_out_bound requires a GaussianPair")
     _check_n(n)
     _check_log_eps(log_eps)
     d2 = _tilt_atoms(pair, Direction.FORWARD).var

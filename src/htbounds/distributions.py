@@ -39,17 +39,11 @@ __all__ = [
     "GaussianPair",
     "LLRMoments",
     "PairSpecError",
-    "UnsupportedFamilyError",
-    "hellinger_squared",
     "kl_divergence",
     "llr_moments",
     "parse_pair",
     "renyi_divergence",
 ]
-
-
-class UnsupportedFamilyError(ValueError):
-    """The operation is not defined for this distribution family."""
 
 
 class PairSpecError(ValueError):
@@ -172,7 +166,7 @@ class _TiltAtoms(NamedTuple):
     var: float = math.nan  # sum p (z - kl)^2 = psi''(1)
     third: float = math.nan  # sum p |z - kl|^3
     berry: float = math.nan  # 6 sum (p s^2) s, s = |z - kl| / sqrt(var); 0 if var = 0
-    log_affinity: float = math.nan  # min(psi(1/2), 0)
+    log_affinity: float = math.nan  # min(psi(1/2), 0) = log(1 - H^2), H the Hellinger distance
 
 
 @functools.lru_cache(maxsize=256)
@@ -301,19 +295,6 @@ def renyi_divergence(pair: DistributionPair, lam: float, direction: Direction) -
     if psi < math.inf:
         return psi / (lam - 1.0)
     return atoms.d_inf if atoms.z else 0.5 * lam * atoms.var
-
-
-def _log_affinity(pair: DistributionPair) -> float:
-    """psi(1/2) = log sum sqrt(p0 p1) = log(1 - H^2) <= 0; -(delta / sigma)^2 / 8 for Gaussians.
-
-    It stays finite where 1 - H^2 rounds to 0 (|delta / sigma| above about 17.3).
-    """
-    return _tilt_atoms(pair, Direction.FORWARD).log_affinity
-
-
-def hellinger_squared(pair: DistributionPair) -> float:
-    """Squared Hellinger distance H^2 = 1 - sum sqrt(p0 p1) = 1 - e^psi(1/2) in [0, 1]."""
-    return -math.expm1(_log_affinity(pair))
 
 
 def llr_moments(pair: DistributionPair) -> LLRMoments:

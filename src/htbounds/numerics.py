@@ -2,12 +2,13 @@
 
 This module is the numerical kernel shared by every bound evaluation:
 
-* the standard Gaussian upper-tail function ``Q(x) = P(Z >= x)``, its
-  logarithm, and two inverses, one taking the tail probability ``p`` and
-  one taking ``log p`` so that thresholds stay accurate long after ``p``
-  itself has underflowed (``log p`` down to about ``-1e6``).  All four
-  are scipy special functions (``erfc``, ``log_ndtr``, ``ndtri``,
-  ``ndtri_exp``); only the log inverse adds one Newton step of its own;
+* the logarithm of the standard Gaussian upper-tail function
+  ``Q(x) = P(Z >= x)``, and two inverses of ``Q``, one taking the tail
+  probability ``p`` and one taking ``log p`` so that thresholds stay
+  accurate long after ``p`` itself has underflowed (``log p`` down to
+  about ``-1e6``).  All three are scipy special functions (``log_ndtr``,
+  ``ndtri``, ``ndtri_exp``); only the log inverse adds one Newton step of
+  its own.  ``Q(x)`` itself is ``exp(log_q(x))``;
 * ``log_diff_exp`` for differences of exponentially small or large
   quantities;
 * ``_newton_root``, a safeguarded Newton iteration for the one sign
@@ -46,12 +47,10 @@ __all__ = [
     "DomainError",
     "log_diff_exp",
     "log_q",
-    "q_function",
     "q_inverse",
     "q_inverse_log",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _LOG2 = math.log(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -89,19 +88,6 @@ def _check_log_prob(name: str, value: float) -> None:
         raise DomainError(f"{name} must lie in [-inf, 0], got {value!r}")
 
 
-def q_function(x: float) -> float:
-    """Gaussian upper-tail probability ``Q(x) = P(Z >= x)`` for standard ``Z``.
-
-    Evaluated as ``erfc(x / sqrt(2)) / 2``, which keeps full relative
-    accuracy out to ``|x|`` of at least 38, where the tail reaches the
-    subnormal range.  Raises :class:`DomainError` unless ``x`` is a
-    finite scalar.
-    """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError("q_function requires finite input")
-    return float(0.5 * special.erfc(x / _SQRT2))
-
-
 def log_q(x: float) -> float:
     """``log Q(x)``, accurate over the whole real line.
 
@@ -116,7 +102,7 @@ def log_q(x: float) -> float:
 
 
 def q_inverse(p: float) -> float:
-    """Inverse of :func:`q_function` on a scalar ``p`` in ``(0, 1)``.
+    """Inverse of ``Q`` on a scalar ``p`` in ``(0, 1)``: the ``x`` with ``Q(x) = p``.
 
     The library special function ``-ndtri(p)`` (``ndtri`` is the inverse
     of the normal CDF, and ``Q(x) = Phi(-x)``).  It is accurate to a few

@@ -30,7 +30,7 @@ from scipy.special import gammaln
 
 from .distributions import BernoulliPair, Direction, FiniteDiscretePair, GaussianPair, _tilt_atoms
 from .numerics import (DomainError, _check_log_eps, _check_log_prob, _check_n, log_diff_exp,
-                       log_q, q_function, q_inverse_log)
+                       log_q, q_inverse_log)
 
 __all__ = [
     "NPResult",
@@ -49,7 +49,9 @@ class NPResult:
 
     The optimal test rejects H0 when the statistic exceeds ``threshold``,
     randomizing with probability ``randomization`` on a tie; its Type I
-    error is the eps it was asked for.
+    error is the eps it was asked for.  The Gaussian and discrete oracles
+    form ``log_beta`` alone and report ``beta = exp(log_beta)``; the
+    Bernoulli oracle still forms ``beta`` as 1 minus the rejected P1 mass.
     """
 
     beta: float
@@ -77,9 +79,10 @@ def _log_factorials(n: int) -> np.ndarray:
 def np_exact_gaussian(pair: GaussianPair, n: int, log_eps: float) -> NPResult:
     """Closed-form optimum: reject when the sample mean crosses a z-threshold.
 
-    beta = Q(sqrt(n) |delta| / sigma - Q^{-1}(eps)).  For delta < 0 the
-    optimal test accepts above the threshold and rejects below; the
-    reported threshold is the critical sample-mean value either way.
+    beta = Q(sqrt(n) |delta| / sigma - Q^{-1}(eps)), formed once as log Q,
+    with beta = exp(log beta).  For delta < 0 the optimal test accepts
+    above the threshold and rejects below; the reported threshold is the
+    critical sample-mean value either way.
     """
     if not isinstance(pair, GaussianPair):
         raise DomainError("np_exact_gaussian requires a GaussianPair")
@@ -89,12 +92,8 @@ def np_exact_gaussian(pair: GaussianPair, n: int, log_eps: float) -> NPResult:
     arg = math.sqrt(n) * abs(pair.delta) / pair.sigma - xq
     offset = pair.sigma * xq / math.sqrt(n)
     threshold = pair.mu + offset if pair.delta > 0 else pair.mu - offset
-    return NPResult(
-        beta=q_function(arg),
-        log_beta=log_q(arg),
-        threshold=threshold,
-        randomization=0.0,
-    )
+    log_beta = log_q(arg)
+    return NPResult(math.exp(log_beta), log_beta, threshold, 0.0)
 
 
 def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
@@ -211,9 +210,9 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
             f"randomization above 1 (n = {n}, log_eps = {log_eps!r}); eps is too close to 1"
         )
     gamma = math.exp(log_excess - log_k0) if log_excess > -math.inf else 0.0
-    log_accept1 = np.logaddexp(tail1, math.log(gamma) + float(lp1[0])) if gamma > 0.0 else tail1
-    beta = -math.expm1(log_accept1)
-    log_beta = log_diff_exp(0.0, log_accept1) if log_accept1 < 0.0 else -math.inf
+    log_reject1 = np.logaddexp(tail1, math.log(gamma) + float(lp1[0])) if gamma > 0.0 else tail1
+    beta = -math.expm1(log_reject1)
+    log_beta = log_diff_exp(0.0, log_reject1) if log_reject1 < 0.0 else -math.inf
     threshold = float(n - k) if mirrored else float(k)
     return NPResult(beta, log_beta, threshold, gamma)
 

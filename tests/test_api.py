@@ -1,4 +1,10 @@
-"""The package re-exports exactly the submodules' public names."""
+"""The package re-exports exactly the submodules' public names, and the
+README's library example runs on them."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
 
 import htbounds
 from htbounds import bounds, distributions, experiments, numerics, oracle
@@ -18,3 +24,16 @@ def test_every_public_name_is_a_submodule_export():
     for m in SUBMODULES:
         for name in m.__all__:
             assert getattr(htbounds, name) is getattr(m, name), f"htbounds.{name}"
+
+
+def test_readme_quick_start_runs():
+    # The README's "Library quick start" block, run as written: a name
+    # retired from the library cannot linger there.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    bound, exact = map(float, out.getvalue().split("<="))
+    assert 0.0 < bound <= exact < 1.0

@@ -37,7 +37,6 @@ from htbounds.distributions import (
     Direction,
     FiniteDiscretePair,
     GaussianPair,
-    UnsupportedFamilyError,
     _tilt,
     _tilt_atoms,
     kl_divergence,
@@ -927,7 +926,7 @@ class TestSmoothingOut:
                 assert r.log_value == pytest.approx(float(want), rel=1e-14, abs=0.0), (n, regime)
 
     def test_gaussian_only(self):
-        with pytest.raises(UnsupportedFamilyError):
+        with pytest.raises(DomainError, match="smoothing_out_bound requires a GaussianPair"):
             smoothing_out_bound(BERN, 100, math.log(0.01))
 
     def test_sigma_rescaling_invariance(self):

@@ -21,7 +21,6 @@ from htbounds.distributions import (
     PairSpecError,
     _tilt,
     _tilt_atoms,
-    hellinger_squared,
     kl_divergence,
     llr_moments,
     parse_pair,
@@ -48,6 +47,14 @@ BERN06_KL_REV = 0.020135513550688873
 GAUSS_H2 = 0.00031245117696086568
 GAUSS_T3 = 0.00019947114020071634
 GAUSS_B = 9.5746147296343843
+
+
+def hellinger_forms(pair):
+    """H^2 = 1 - e^psi(1/2) from the record's log affinity psi(1/2), and
+    from the public D_1/2 = -2 psi(1/2) as -expm1(-D_1/2 / 2)."""
+    d_half = renyi_divergence(pair, 0.5, Direction.FORWARD)
+    return (-math.expm1(_tilt_atoms(pair, Direction.FORWARD).log_affinity),
+            -math.expm1(-d_half / 2.0))
 
 
 class TestConstructors:
@@ -136,7 +143,8 @@ class TestMpmathReferences:
         p, q = mp_atoms(pair, Direction.FORWARD, dps=60)
         with mpmath.workdps(60):
             want = float(1 - mpmath.fsum(mpmath.sqrt(a * b) for a, b in zip(p, q)))
-        assert hellinger_squared(pair) == pytest.approx(want, rel=1e-14, abs=0.0)
+        for got in hellinger_forms(pair):
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_llr_moments(self, spec):
         pair = parse_pair(spec)
@@ -445,19 +453,24 @@ class TestAtomCache:
 
 class TestHellinger:
     def test_reference_values(self):
-        assert hellinger_squared(BERN) == pytest.approx(BERN_H2, rel=1e-11, abs=0.0)
-        assert hellinger_squared(GAUSS) == pytest.approx(GAUSS_H2, rel=1e-12, abs=0.0)
+        for got in hellinger_forms(BERN):
+            assert got == pytest.approx(BERN_H2, rel=1e-11, abs=0.0)
+        for got in hellinger_forms(GAUSS):
+            assert got == pytest.approx(GAUSS_H2, rel=1e-12, abs=0.0)
 
     def test_direct_sum_agreement(self):
         direct = 1.0 - (
             math.sqrt(0.5 * 0.4) + math.sqrt(0.5 * 0.6)
         )
-        assert hellinger_squared(BERN06) == pytest.approx(direct, rel=1e-12, abs=0.0)
+        for got in hellinger_forms(BERN06):
+            assert got == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_range(self):
-        assert 0.0 < hellinger_squared(BERN) < 1.0
         far = FiniteDiscretePair((0.999, 0.001), (0.001, 0.999))
-        assert 0.5 < hellinger_squared(far) < 1.0
+        for got in hellinger_forms(BERN):
+            assert 0.0 < got < 1.0
+        for got in hellinger_forms(far):
+            assert 0.5 < got < 1.0
 
 
 class TestLLRMoments:

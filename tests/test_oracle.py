@@ -9,9 +9,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from htbounds.cli import cli_main
+from htbounds.bounds import Constant, Exponential, Linear, eps_at
+from htbounds.cli import DEFAULT_N, cli_main
 from htbounds.distributions import (BernoulliPair, Direction, FiniteDiscretePair, GaussianPair,
-                                    _tilt_atoms)
+                                    _tilt_atoms, kl_divergence, parse_pair)
 from htbounds.numerics import DomainError, log_q
 from htbounds.oracle import (
     _check_type_count,
@@ -486,3 +487,36 @@ class TestCrossValidation:
         assert log_q(xq - math.sqrt(n) * GAUSS.delta / GAUSS.sigma) == pytest.approx(
             math.log1p(-r.beta), rel=1e-9
         )
+
+
+# The Gaussian and discrete oracles form log beta alone and report
+# beta = exp(log beta), bit for bit.  The Bernoulli oracle is excluded
+# until ROADMAP 2(a): it still forms beta as 1 minus the rejected P1 mass.
+REPRODUCE_GAUSSIANS = ("gaussian:2,0.05", "gaussian:2,0.1", "gaussian:2,0.3")
+
+
+def _beta_is_exp_log_beta(oracle, pair, budgets):
+    """The (n, log eps) of ``budgets`` where beta != exp(log beta)."""
+    return [(n, log_eps) for n, log_eps in budgets
+            if (r := oracle(pair, n, log_eps)).beta != math.exp(r.log_beta)]
+
+
+class TestBetaFromLogBeta:
+    @pytest.mark.parametrize("spec", REPRODUCE_GAUSSIANS)
+    def test_gaussian(self, spec):
+        # Every cell of the pair's three reproduce tables, then deep-tail
+        # rows: beta near 1 at tiny eps, and far below the float range at large n.
+        pair = parse_pair(spec)
+        c = 20.0 * kl_divergence(pair, Direction.REVERSE)
+        budgets = [(n, eps_at(regime, n)[1])
+                   for regime in (Constant(0.01), Linear(), Exponential(c)) for n in DEFAULT_N]
+        budgets += [(n, log_eps) for n in (1, 10, 1000, 100_000)
+                    for log_eps in (-50.0, -700.0, -745.0, -1e3, -5e3, -1e4)]
+        assert _beta_is_exp_log_beta(np_exact_gaussian, pair, budgets) == []
+
+    @pytest.mark.parametrize("spec", ["discrete:0.4,0.6|0.6,0.4",
+                                      "discrete:0.2,0.3,0.5|0.4,0.4,0.2"])
+    def test_discrete(self, spec):
+        budgets = [(n, log_eps) for n in (1, 10, 100, 400)
+                   for log_eps in (math.log(0.5), math.log(0.01), -50.0, -1e3)]
+        assert _beta_is_exp_log_beta(np_exact_discrete, parse_pair(spec), budgets) == []
