@@ -51,7 +51,7 @@ emit_svg(
 
 for row in table.rows[::16]:
     cells = ", ".join(
-        f"{name}={cell.value:.4g}" if cell.value is not None else f"{name}=-"
+        f"{name}=-" if cell is None else f"{name}={cell.value:.4g}"
         for name, cell in zip(table.bounds, row.cells)
     )
     print(f"n={row.n:4d}: {cells}")

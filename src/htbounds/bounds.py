@@ -138,9 +138,12 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class BoundKind(Enum):
+    """What a result's value is: a bound on beta or on n, or the exact beta of an oracle."""
+
     LOWER_BETA = "lower_bound_on_beta"
     UPPER_BETA = "upper_bound_on_beta"
     LOWER_N = "lower_bound_on_n"
+    EXACT_BETA = "exact_beta"
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,9 @@ class BoundResult:
     ``value == exp(log_value)`` up to 1e-12 whenever both are
     representable.  ``valid`` is False when the bound degenerated (a beta
     lower bound clamped to 0 or 1, a sample-size bound clamped to 1, or
-    an upper bound whose premises admitted no positive value).
+    an upper bound whose premises admitted no positive value).  A grid's
+    oracle cell is one too: kind EXACT_BETA, the oracle's test threshold
+    as optimizer, valid when its log beta is finite.
     """
 
     value: float

@@ -153,7 +153,7 @@ def _cmd_bound(args) -> int:
             raise DomainError(f"{name} requires --c")
         r = _PHASE[name](pair, args.n, args.c)
     else:  # the sweep's own cell at (pair, n, log eps)
-        log_eps = args.log_eps if args.log_eps is not None else math.log(args.eps)
+        log_eps = args.log_eps if args.log_eps is not None else math.log(Constant(args.eps).eps)
         r = _BOUNDS[name].evaluate(pair, args.n, log_eps)
     rel = {"lower_bound_on_beta": ">=", "upper_bound_on_beta": "<"}[r.kind.value]
     tag = "" if r.valid else "  [degenerate]"
@@ -209,7 +209,7 @@ def _cmd_sweep(args) -> int:
         last = table.rows[-1]
         print(f"n={last.n} eps={last.eps:.6g}")
         for b, cell in zip(table.bounds, last.cells):
-            v = "-" if cell.value is None else f"{cell.value:.9g}"
+            v = "-" if cell is None else f"{cell.value:.9g}"
             print(f"  {b}: {v}")
     return 0
 

@@ -7,6 +7,10 @@ a standalone SVG plot.  Rows are evaluated one after another, in n
 order, on the caller's thread.  The regime only sets each row's log eps;
 every cell is a function of the pair, n and log eps.
 
+A cell is the :class:`BoundResult` its bound returns, as ``htbounds bound``
+prints it, or None where the bound raised ``DomainError``.  CSV and SVG
+read the linear values; a row keeps the logs and kinds as well.
+
 One registry, ``_BOUNDS``, holds each bound's column, plot colour, cell
 evaluation and the pair family it is defined for; ``bounds_for`` applies
 that family rule to grid validation and default selections.
@@ -20,6 +24,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .bounds import (
+    BoundKind,
+    BoundResult,
     ErrorRegime,
     Linear,
     berry_esseen_bound,
@@ -41,7 +47,6 @@ __all__ = [
     "CANONICAL_BOUNDS",
     "ConfigError",
     "ExperimentGrid",
-    "GridCell",
     "GridRow",
     "GridTable",
     "bounds_for",
@@ -70,15 +75,16 @@ def _np_exact(pair, n, log_eps):
         r = np_exact_bernoulli(pair, n, log_eps)
     else:
         r = np_exact_discrete(pair, n, log_eps)
-    return GridCell(r.beta, r.threshold, True)
+    return BoundResult(r.beta, r.log_beta, r.threshold, BoundKind.EXACT_BETA,
+                       math.isfinite(r.log_beta))
 
 
 _Bound = namedtuple("_Bound", "colour evaluate family", defaults=(object,))
 
 # Every bound a grid can evaluate, in column order: plot colour, cell evaluation
-# (pair, n, log_eps) -> result with value, optimizer and valid, and the pair type
-# it is defined for.  Evaluations look the bound functions up by module-global
-# name when called, so a wrapper set on this module sees every cell.
+# (pair, n, log_eps) -> BoundResult, and the pair type it is defined for.
+# Evaluations look the bound functions up by module-global name when called, so a
+# wrapper set on this module sees every cell.
 _BOUNDS = {
     "renyi_converse": _Bound("#d62728", lambda pair, n, log_eps: renyi_converse(pair, n, log_eps)),
     "achievability": _Bound("#9467bd", _achievability),
@@ -127,20 +133,6 @@ class ExperimentGrid:
 
 
 @dataclass(frozen=True)
-class GridCell:
-    """One bound at one n: value, optimizing parameter, validity.
-
-    value is None when the bound is undefined at this point (out of its
-    regime, unsupported family); such cells are empty in CSV and break
-    the curve in plots.
-    """
-
-    value: float | None
-    optimizer: float | None
-    valid: bool
-
-
-@dataclass(frozen=True)
 class GridRow:
     n: int
     eps: float
@@ -150,17 +142,15 @@ class GridRow:
 
 @dataclass(frozen=True)
 class GridTable:
-    pair_spec: str
     bounds: tuple
     rows: tuple
 
 
-def _cell(name, pair, n, log_eps) -> GridCell:
+def _cell(name, pair, n, log_eps) -> BoundResult | None:
     try:
-        b = _BOUNDS[name].evaluate(pair, n, log_eps)
+        return _BOUNDS[name].evaluate(pair, n, log_eps)
     except DomainError:
-        return GridCell(None, None, False)
-    return GridCell(b.value, b.optimizer, b.valid)
+        return None
 
 
 def run_grid(grid: ExperimentGrid) -> GridTable:
@@ -177,7 +167,7 @@ def run_grid(grid: ExperimentGrid) -> GridTable:
         eps, log_eps = eps_at(regime, n)
         cells = tuple(_cell(b, pair, n, log_eps) for b in grid.bounds)
         rows.append(GridRow(n, eps, log_eps, cells))
-    return GridTable(grid.pair_spec, grid.bounds, tuple(rows))
+    return GridTable(grid.bounds, tuple(rows))
 
 
 def _fmt(x: float) -> str:
@@ -188,7 +178,7 @@ def emit_csv(table: GridTable, path: str) -> None:
     """Write the table as CSV; identical tables produce identical bytes.
 
     Columns: n, eps, log_eps, then value/optimizer/valid per bound.
-    Floats use repr-roundtrip precision; empty cells stay empty.
+    Floats use repr-roundtrip precision; a None cell is ``,,false``.
     """
     if not table.rows:
         raise ConfigError("cannot serialize an empty table")
@@ -199,9 +189,12 @@ def emit_csv(table: GridTable, path: str) -> None:
     for row in table.rows:
         rec = [str(row.n), _fmt(row.eps), _fmt(row.log_eps)]
         for cell in row.cells:
-            rec.append("" if cell.value is None else _fmt(cell.value))
-            rec.append("" if cell.optimizer is None else _fmt(cell.optimizer))
-            rec.append("true" if cell.valid else "false")
+            if cell is None:
+                rec += ("", "", "false")
+            else:
+                rec.append(_fmt(cell.value))
+                rec.append("" if cell.optimizer is None else _fmt(cell.optimizer))
+                rec.append("true" if cell.valid else "false")
         lines.append(",".join(rec))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -247,11 +240,11 @@ def emit_svg(table: GridTable, path: str, log_y: bool = False, title: str = "") 
     for j, b in enumerate(table.bounds):
         segs = [[]]
         for i, row in enumerate(table.rows):
-            v = row.cells[j].value
-            if v is None or log_y and not v > 0.0:
+            cell = row.cells[j]
+            if cell is None or log_y and not cell.value > 0.0:
                 segs.append([])
             else:
-                segs[-1].append((i, math.log10(v) if log_y else v))
+                segs[-1].append((i, math.log10(cell.value) if log_y else cell.value))
         series[b] = [seg for seg in segs if seg]
     y_all = [y for segs in series.values() for seg in segs for _, y in seg]
     y_lo, y_hi = (min(y_all), max(y_all)) if y_all else (0.0, 1.0)

@@ -14,6 +14,8 @@ import pytest
 
 import htbounds.numerics
 from htbounds.bounds import (
+    BoundKind,
+    BoundResult,
     Constant,
     Exponential,
     Linear,
@@ -34,7 +36,6 @@ from htbounds.experiments import (
     CANONICAL_BOUNDS,
     ConfigError,
     ExperimentGrid,
-    GridCell,
     GridRow,
     GridTable,
     bounds_for,
@@ -64,7 +65,7 @@ def direct_cells(pair, regime, n, names):
 
     The phase columns run at the row's rate -log(eps)/n, achievability is
     the threshold test at the phase bound's order for that rate, and every
-    family's oracle takes log eps.  A DomainError is an empty cell.
+    family's oracle takes log eps.  A DomainError is an empty cell: None.
     """
     eps, log_eps = eps_at(regime, n)
     rate = -log_eps / n
@@ -81,7 +82,8 @@ def direct_cells(pair, regime, n, names):
             r = np_exact_bernoulli(pair, n, log_eps)
         else:
             r = np_exact_discrete(pair, n, log_eps)
-        return GridCell(r.beta, r.threshold, True)
+        return BoundResult(r.beta, r.log_beta, r.threshold, BoundKind.EXACT_BETA,
+                           math.isfinite(r.log_beta))
 
     calls = {
         "renyi_converse": lambda: renyi_converse(pair, n, log_eps),
@@ -97,11 +99,9 @@ def direct_cells(pair, regime, n, names):
     cells = {}
     for name in names:
         try:
-            r = calls[name]()
+            cells[name] = calls[name]()
         except DomainError:
-            cells[name] = GridCell(None, None, False)
-        else:
-            cells[name] = GridCell(r.value, r.optimizer, r.valid)
+            cells[name] = None
     return cells
 
 
@@ -145,7 +145,11 @@ class TestRunGrid:
         direct_f = fano_bound(pair, 200, math.log(0.01))
         assert row.cells[0].value == pytest.approx(direct_r.value, rel=1e-14, abs=0.0)
         assert row.cells[1].value == pytest.approx(direct_f.value, rel=1e-14, abs=0.0)
-        assert row.cells[2].valid  # np_exact
+        # the oracle cell carries the oracle's log beta, and its threshold as optimizer
+        exact = np_exact_gaussian(pair, 200, math.log(0.01))
+        assert row.cells[2] == BoundResult(exact.beta, exact.log_beta, exact.threshold,
+                                           BoundKind.EXACT_BETA, True)
+        assert row.cells[2].kind.value == "exact_beta"
 
     @pytest.mark.parametrize(
         "spec", ["bernoulli:0.3,0.7", "gaussian:0,1", "discrete:0.2,0.3,0.5|0.5,0.3,0.2"]
@@ -162,7 +166,7 @@ class TestRunGrid:
                 direct = direct_cells(pair, regime, row.n, names)
                 for name, cell in zip(names, row.cells):
                     assert cell == direct[name], (name, regime, row.n)
-                    if cell.value is not None:
+                    if cell is not None:
                         seen.add(name)
         assert seen == set(names)  # every column was compared on a value
 
@@ -176,9 +180,9 @@ class TestRunGrid:
         )
         assert table.bounds == ("renyi_converse", "achievability", "phase_achievability")
         for row in table.rows:
-            assert row.cells[0].value is not None
-            assert row.cells[1].value is None
-            assert row.cells[2].value is None
+            assert row.cells[0] is not None
+            assert row.cells[1] is None
+            assert row.cells[2] is None
 
     def test_smoothing_needs_gaussian(self):
         with pytest.raises(ConfigError):
@@ -200,8 +204,20 @@ class TestRunGrid:
         )
         (conv2, exact2), (conv_big, exact_big) = (row.cells for row in table.rows)
         assert exact2.valid and 0.0 < exact2.value < 1.0
-        assert (exact_big.value, exact_big.valid) == (None, False)
-        assert conv2.value is not None and conv_big.value is not None
+        assert exact_big is None
+        assert conv2 is not None and conv_big is not None
+
+    def test_np_exact_non_positive_beta_is_not_valid(self, tmp_path):
+        # eps one ulp below 1: the Bernoulli oracle forms beta as 1 minus the
+        # rejected P1 mass, which rounds below 0 (-4.36e-16); its log is -inf
+        table = run_grid(ExperimentGrid("bernoulli:0.5,0.6", Constant(0.9999999999999999), (10,),
+                                        ("np_exact",)))
+        cell = table.rows[0].cells[0]
+        assert cell.value < 0.0
+        assert cell.log_value == -math.inf and not cell.valid
+        path = tmp_path / "neg.csv"
+        emit_csv(table, str(path))
+        assert path.read_text().splitlines()[1].endswith(",false")
 
     def test_np_exact_discrete_small_ok(self):
         table = run_grid(
@@ -248,8 +264,9 @@ class TestEmitCsv:
         emit_csv(table, str(path))
         rows = [ln.split(",") for ln in path.read_text().splitlines()]
         # canonical order puts renyi_converse first, achievability second;
-        # achievability is out of regime: empty value/optimizer, valid false
-        assert rows[1][6] == "" and rows[1][7] == "" and rows[1][8] == "false"
+        # achievability is out of regime: a None cell, written ",,false"
+        assert table.rows[0].cells[1] is None
+        assert rows[1][6:9] == ["", "", "false"]
         # renyi value round-trips through repr precision
         assert float(rows[1][3]) == table.rows[0].cells[0].value
 
@@ -261,7 +278,7 @@ class TestEmitCsv:
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            emit_csv(GridTable("x", ("fano",), ()), str(tmp_path / "e.csv"))
+            emit_csv(GridTable(("fano",), ()), str(tmp_path / "e.csv"))
 
 
 class TestEmitSvg:
@@ -318,10 +335,12 @@ class TestEmitSvg:
     def test_isolated_point_is_a_circle(self, tmp_path):
         # A valid value with no valid neighbour has no line to be part of.
         values = (None, 0.25, None, 0.5, 0.75)
-        rows = tuple(GridRow(n, 0.01, math.log(0.01), (GridCell(v, None, v is not None),))
-                     for n, v in zip(range(10, 60, 10), values))
+        cells = (None if v is None else BoundResult(v, math.log(v), None, BoundKind.LOWER_BETA, True)
+                 for v in values)
+        rows = tuple(GridRow(n, 0.01, math.log(0.01), (cell,))
+                     for n, cell in zip(range(10, 60, 10), cells))
         path = tmp_path / "out.svg"
-        emit_svg(GridTable("x", ("fano",), rows), str(path))
+        emit_svg(GridTable(("fano",), rows), str(path))
         text = path.read_text()
         assert text.count("<circle") == 1
         assert text.count('<circle data-bound="fano"') == 1
@@ -347,7 +366,7 @@ def test_reproduce_pairs_need_no_grid_search():
                 table = run_grid(ExperimentGrid(spec, regime, DEFAULT_N, bounds))
                 assert len(table.rows) == len(DEFAULT_N)
                 empty = [(row.n, b) for row in table.rows
-                         for b, cell in zip(bounds, row.cells) if cell.value is None]
+                         for b, cell in zip(bounds, row.cells) if cell is None]
                 assert not empty, (spec, regime, empty)
 
 
@@ -454,8 +473,9 @@ class TestCli:
         row = run_grid(ExperimentGrid(spec, Constant(eps), (100,), (bound,))).rows[0]
         assert row.log_eps == log_eps
         cell = row.cells[0]
-        assert (payload["value"], payload["optimizer"], payload["valid"]) == (
-            cell.value, cell.optimizer, cell.valid)
+        assert (payload["value"], float(payload["log_value"]), payload["optimizer"],
+                payload["kind"], payload["valid"]) == (cell.value, cell.log_value, cell.optimizer,
+                                                       cell.kind.value, cell.valid)
 
     @pytest.mark.parametrize("spec, argv_tail, call", [
         ("bernoulli:0.5,0.6", ["--n", "2000", "--bound", "hellinger", "--eps", "0.5"],
@@ -481,6 +501,13 @@ class TestCli:
 
     def test_bound_cases_cover_every_choice(self):
         assert [c[0] for c in BOUND_CASES] == [b for b in CANONICAL_BOUNDS if b != "np_exact"]
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "1.5"])
+    def test_bound_eps_outside_unit_interval_exits_two(self, capsys, eps):
+        argv = ["bound", "--pair", "bernoulli:0.5,0.6", "--bound", "fano", "--n", "100",
+                f"--eps={eps}"]
+        assert cli_main(argv) == 2
+        assert f"error: eps must lie in (0, 1), got {float(eps)!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [["--lam", "1.5"], ["--log-eps", "-3"]])
     def test_bound_rejects_lam_and_a_second_budget(self, capsys, extra):
