@@ -72,13 +72,14 @@ Sample-size bounds: ``sample_complexity_renyi`` (valid for every l > 1,
 optimized over l when none is given) and ``sample_complexity_pensia``
 (the comparison bound at its closed-form l*).
 
-Every bound returns a :class:`BoundResult`.  Lower bounds on beta that
-come out non-positive are clamped to 0 and flagged valid=False; ones
-that come out above 1 (possible for the literal Fano display at small n
-and large eps) are clamped to 1 and likewise flagged, since a Type II
-probability bound outside [0, 1] carries no information.  An upper bound
-on beta whose log is above 0 (a vacuous threshold, or rounding at an
-exponent near 0) keeps that log_value and its flag, and its value is 1.
+Every bound returns a :class:`BoundResult`, which stores the bound's own
+log; a bound on beta has value exp(min(log_value, 0)), at most 1.  A
+lower bound on beta is valid exactly when -inf < log_value <= 0: one
+that comes out non-positive has log -inf, and one above 1 (possible for
+the literal Fano display at small n and large eps) keeps its positive
+log, since a Type II probability bound outside [0, 1] carries no
+information.  An upper bound on beta keeps its log likewise, above 0 for
+a vacuous threshold or rounding at an exponent near 0.
 """
 
 from __future__ import annotations
@@ -148,21 +149,26 @@ class BoundKind(Enum):
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A bound value with its log, the optimizing free parameter, and kind.
+    """A bound's log value, the optimizing free parameter, and kind.
 
-    ``value == exp(log_value)`` up to 1e-12 whenever both are
-    representable.  ``valid`` is False when the bound degenerated (a beta
-    lower bound clamped to 0 or 1, a sample-size bound clamped to 1, or
-    an upper bound whose premises admitted no positive value).  A grid's
-    oracle cell is one too: kind EXACT_BETA, the oracle's test threshold
-    as optimizer, valid when its log beta is finite.
+    The log is the one stored number; ``value`` is derived from it.
+    ``valid`` is False when the bound degenerated (a beta lower bound whose
+    log is -inf or above 0, a sample-size bound clamped to 1, or an upper
+    bound whose premises admitted no positive value).  A grid's oracle
+    cell is one too: kind EXACT_BETA, the oracle's test threshold as
+    optimizer, valid when its log beta is finite.
     """
 
-    value: float
     log_value: float
     optimizer: float | None
     kind: BoundKind
     valid: bool
+
+    @property
+    def value(self) -> float:
+        """exp(log_value); a bound on beta caps it at 1."""
+        cap = math.inf if self.kind is BoundKind.LOWER_N else 0.0
+        return math.exp(min(self.log_value, cap))
 
 
 def _check_prob(name: str, p: float, upper: float = 1.0) -> None:
@@ -223,19 +229,13 @@ def eps_at(regime: ErrorRegime, n: int) -> tuple[float, float]:
 
 
 def _lower_beta(log_value: float | None, optimizer: float | None) -> BoundResult:
-    # Common clamping for lower bounds on beta; see the module docstring.
-    if log_value is None or log_value == -math.inf:
-        return BoundResult(0.0, -math.inf, optimizer, BoundKind.LOWER_BETA, False)
-    if log_value > 0.0:
-        return BoundResult(1.0, 0.0, optimizer, BoundKind.LOWER_BETA, False)
-    value = math.exp(log_value)
-    return BoundResult(value, log_value, optimizer, BoundKind.LOWER_BETA, value > 0.0)
+    # None is a bound with no positive value; see the module docstring.
+    log_value = -math.inf if log_value is None else log_value
+    return BoundResult(log_value, optimizer, BoundKind.LOWER_BETA, -math.inf < log_value <= 0.0)
 
 
 def _upper_beta(log_value: float, optimizer: float | None, valid: bool) -> BoundResult:
-    # beta <= 1 always, so the value is at most 1; log_value keeps the bound's own log.
-    return BoundResult(math.exp(min(log_value, 0.0)), log_value, optimizer,
-                       BoundKind.UPPER_BETA, valid)
+    return BoundResult(log_value, optimizer, BoundKind.UPPER_BETA, valid)
 
 
 def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float,
@@ -488,8 +488,8 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
 
 def _lower_n(value: float, optimizer: float | None) -> BoundResult:
     if not value >= 1.0:
-        return BoundResult(1.0, 0.0, optimizer, BoundKind.LOWER_N, False)
-    return BoundResult(value, math.log(value), optimizer, BoundKind.LOWER_N, True)
+        return BoundResult(0.0, optimizer, BoundKind.LOWER_N, False)
+    return BoundResult(math.log(value), optimizer, BoundKind.LOWER_N, True)
 
 
 def sample_complexity_renyi(
@@ -601,10 +601,8 @@ def hellinger_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResu
     log_affinity_2n = 2.0 * n * _tilt_atoms(pair, Direction.FORWARD).log_affinity
     x = -math.expm1(log_affinity_2n)  # 1 - (1 - H^2)^{2n} in [0, 1)
     # 1 - sqrt(x) = (1 - x) / (1 + sqrt(x)), which does not cancel as x -> 1
-    value = math.exp(log_affinity_2n) / (1.0 + math.sqrt(x)) - math.exp(log_eps)
-    if value <= 0.0:
-        return _lower_beta(None, None)
-    return _lower_beta(math.log(value), None)
+    log_root = log_affinity_2n - math.log1p(math.sqrt(x))
+    return _lower_beta(log_diff_exp(log_root, log_eps) if log_root >= log_eps else None, None)
 
 
 def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResult:

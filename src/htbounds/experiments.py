@@ -8,8 +8,8 @@ order, on the caller's thread.  The regime only sets each row's log eps;
 every cell is a function of the pair, n and log eps.
 
 A cell is the :class:`BoundResult` its bound returns, as ``htbounds bound``
-prints it, or None where the bound raised ``DomainError``.  CSV and SVG
-read the linear values; a row keeps the logs and kinds as well.
+prints it, or None where the bound raised ``DomainError``.  The CSV
+prints the value each cell derives from its log; a row keeps the kinds.
 
 One registry, ``_BOUNDS``, holds each bound's column, plot colour, cell
 evaluation and the pair family it is defined for; ``bounds_for`` applies
@@ -75,8 +75,7 @@ def _np_exact(pair, n, log_eps):
         r = np_exact_bernoulli(pair, n, log_eps)
     else:
         r = np_exact_discrete(pair, n, log_eps)
-    return BoundResult(r.beta, r.log_beta, r.threshold, BoundKind.EXACT_BETA,
-                       math.isfinite(r.log_beta))
+    return BoundResult(r.log_beta, r.threshold, BoundKind.EXACT_BETA, math.isfinite(r.log_beta))
 
 
 _Bound = namedtuple("_Bound", "colour evaluate family", defaults=(object,))
@@ -201,6 +200,7 @@ def emit_csv(table: GridTable, path: str) -> None:
 
 
 _W, _H = 880, 540
+_LN10 = math.log(10.0)
 _ML, _MR, _MT, _MB = 70, 230, 40, 50
 
 
@@ -227,24 +227,24 @@ def emit_svg(table: GridTable, path: str, log_y: bool = False, title: str = "") 
     """Render the table as a standalone SVG line plot, one polyline per bound.
 
     Each curve carries a data-bound attribute with the bound name; a point
-    with no plottable neighbour is a circle.  With log_y, zero and negative
-    values are dropped (gaps in the curve) and the legend says so.  A bound
-    with no plottable point is listed in the legend as having none.  Needs
-    at least two rows.
+    with no plottable neighbour is a circle.  With log_y, y is the log
+    value (capped at 0) in decades, so an underflowed value is drawn and
+    a log of -inf is a gap, as the legend says.  A bound with no plottable
+    point is listed in the legend as having none.  Needs two rows.
     """
     if len(table.rows) < 2:
         raise ConfigError("plot needs at least two rows")
     x_lo, x_hi = float(table.rows[0].n), float(table.rows[-1].n)
-    # Each bound's runs of (row index, y), split at a None (with log_y, at a value <= 0).
+    # Each bound's runs of (row index, y), split at a None (with log_y, at a log of -inf).
     series = {}
     for j, b in enumerate(table.bounds):
         segs = [[]]
         for i, row in enumerate(table.rows):
             cell = row.cells[j]
-            if cell is None or log_y and not cell.value > 0.0:
+            if cell is None or log_y and not cell.log_value > -math.inf:
                 segs.append([])
             else:
-                segs[-1].append((i, math.log10(cell.value) if log_y else cell.value))
+                segs[-1].append((i, min(cell.log_value, 0.0) / _LN10 if log_y else cell.value))
         series[b] = [seg for seg in segs if seg]
     y_all = [y for segs in series.values() for seg in segs for _, y in seg]
     y_lo, y_hi = (min(y_all), max(y_all)) if y_all else (0.0, 1.0)

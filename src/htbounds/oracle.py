@@ -49,15 +49,18 @@ class NPResult:
 
     The optimal test rejects H0 when the statistic exceeds ``threshold``,
     randomizing with probability ``randomization`` on a tie; its Type I
-    error is the eps it was asked for.  The Gaussian and discrete oracles
-    form ``log_beta`` alone and report ``beta = exp(log_beta)``; the
-    Bernoulli oracle still forms ``beta`` as 1 minus the rejected P1 mass.
+    error is the eps it was asked for.  Every oracle forms ``log_beta``
+    alone, and ``beta`` is derived from it.
     """
 
-    beta: float
     log_beta: float
     threshold: float
     randomization: float
+
+    @property
+    def beta(self) -> float:
+        """exp(log_beta), capped at 1."""
+        return math.exp(min(self.log_beta, 0.0))
 
 
 @functools.lru_cache(maxsize=1)
@@ -79,10 +82,10 @@ def _log_factorials(n: int) -> np.ndarray:
 def np_exact_gaussian(pair: GaussianPair, n: int, log_eps: float) -> NPResult:
     """Closed-form optimum: reject when the sample mean crosses a z-threshold.
 
-    beta = Q(sqrt(n) |delta| / sigma - Q^{-1}(eps)), formed once as log Q,
-    with beta = exp(log beta).  For delta < 0 the optimal test accepts
-    above the threshold and rejects below; the reported threshold is the
-    critical sample-mean value either way.
+    beta = Q(sqrt(n) |delta| / sigma - Q^{-1}(eps)), formed as log Q.  For
+    delta < 0 the optimal test accepts above the threshold and rejects
+    below; the reported threshold is the critical sample-mean value either
+    way.
     """
     if not isinstance(pair, GaussianPair):
         raise DomainError("np_exact_gaussian requires a GaussianPair")
@@ -92,8 +95,7 @@ def np_exact_gaussian(pair: GaussianPair, n: int, log_eps: float) -> NPResult:
     arg = math.sqrt(n) * abs(pair.delta) / pair.sigma - xq
     offset = pair.sigma * xq / math.sqrt(n)
     threshold = pair.mu + offset if pair.delta > 0 else pair.mu - offset
-    log_beta = log_q(arg)
-    return NPResult(math.exp(log_beta), log_beta, threshold, 0.0)
+    return NPResult(log_q(arg), threshold, 0.0)
 
 
 def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
@@ -159,7 +161,7 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
         p0, p1 = 1.0 - p0, 1.0 - p1
     if log_eps == 0.0:
         # eps = 1: reject always
-        return NPResult(0.0, -math.inf, -1.0 if not mirrored else float(n + 1), 0.0)
+        return NPResult(-math.inf, -1.0 if not mirrored else float(n + 1), 0.0)
     if p1 == 1.0:  # 1 - p rounds to 1 for p <= 2^-54: the mirrored count has no log-mass
         raise DomainError(f"np_exact_bernoulli: 1 - {pair.p1!r} rounds to 1 on the mirrored "
                           "pair; the oracle needs min(p0, p1) above 2^-54")
@@ -211,10 +213,9 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
         )
     gamma = math.exp(log_excess - log_k0) if log_excess > -math.inf else 0.0
     log_reject1 = np.logaddexp(tail1, math.log(gamma) + float(lp1[0])) if gamma > 0.0 else tail1
-    beta = -math.expm1(log_reject1)
     log_beta = log_diff_exp(0.0, log_reject1) if log_reject1 < 0.0 else -math.inf
     threshold = float(n - k) if mirrored else float(k)
-    return NPResult(beta, log_beta, threshold, gamma)
+    return NPResult(log_beta, threshold, gamma)
 
 
 def _check_type_count(atoms, n: int) -> None:
@@ -280,4 +281,4 @@ def np_exact_discrete(pair: FiniteDiscretePair, n: int, log_eps: float) -> NPRes
                      else log_diff_exp(0.0, min(log_reject1, 0.0)))
     threshold = -math.inf if b == lc0.size - 1 and keep == -math.inf else float(llr[starts[b]])
     gamma = math.exp(reject - lc0[b])
-    return NPResult(math.exp(log_beta), log_beta, threshold, gamma)
+    return NPResult(log_beta, threshold, gamma)

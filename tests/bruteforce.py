@@ -64,8 +64,7 @@ def np_exact_discrete_bruteforce(pair, n: int, eps: float) -> NPResult:
             gamma = budget / c0[i]
             accepted1 += gamma * c1[i]
         break
-    beta = max(1.0 - accepted1, 0.0)
-    return NPResult(beta, math.log(beta) if beta > 0 else -math.inf, threshold, gamma)
+    return NPResult(math.log1p(-accepted1) if accepted1 < 1.0 else -math.inf, threshold, gamma)
 
 
 def np_exact_bernoulli_fullrange(pair, n: int, log_eps: float) -> NPResult:
@@ -85,7 +84,7 @@ def np_exact_bernoulli_fullrange(pair, n: int, log_eps: float) -> NPResult:
     k = j - 1
     if k < 0:
         # eps = 1: reject always
-        return NPResult(0.0, -math.inf, -1.0 if not mirrored else float(n + 1), 0.0)
+        return NPResult(-math.inf, -1.0 if not mirrored else float(n + 1), 0.0)
     lp1 = log_binom[k:] + ks[k:] * math.log(p1) + (n - ks[k:]) * math.log1p(-p1)
     tail1 = np.logaddexp.reduce(lp1[:0:-1])
     log_excess = log_diff_exp(log_eps, tail0[k + 1]) if log_eps > tail0[k + 1] else -math.inf
@@ -96,7 +95,6 @@ def np_exact_bernoulli_fullrange(pair, n: int, log_eps: float) -> NPResult:
         )
     gamma = math.exp(log_excess - lp0[k]) if log_excess > -math.inf else 0.0
     log_accept1 = np.logaddexp(tail1, math.log(gamma) + lp1[0]) if gamma > 0.0 else tail1
-    beta = -math.expm1(log_accept1)
     log_beta = log_diff_exp(0.0, log_accept1) if log_accept1 < 0.0 else -math.inf
     threshold = float(n - k) if mirrored else float(k)
-    return NPResult(beta, log_beta, threshold, gamma)
+    return NPResult(log_beta, threshold, gamma)

@@ -134,10 +134,10 @@ class TestRenyiConverse:
     def test_eps_saturating_to_one_degenerates(self):
         # eps rounds to 1, but log(1 - eps) = log(-expm1(log_eps)) stays
         # exact, so branch two keeps its l = inf limit log(1 - eps) -
-        # n D_inf(P0||P1).  At log_eps = -1e-300 the bound is a valid
-        # 1.3e-301; at -5e-324 its value underflows to 0, flagged invalid,
-        # while its log is still exact.
-        for log_eps, valid in ((-1e-300, True), (-5e-324, False)):
+        # n D_inf(P0||P1).  At log_eps = -1e-300 the bound is 1.3e-301; at
+        # -5e-324 its value underflows to 0, while its log is still exact,
+        # so it stays valid.
+        for log_eps, value in ((-1e-300, 1.3e-301), (-5e-324, 0.0)):
             r = renyi_converse(BERN, 100, log_eps)
             with mpmath.workdps(60):
                 want = mpmath.log(-mpmath.expm1(mpmath.mpf(log_eps))) - 100 * mpmath.log(
@@ -145,8 +145,8 @@ class TestRenyiConverse:
                 )
             assert r.optimizer == math.inf
             assert r.log_value == pytest.approx(float(want), rel=1e-13, abs=0.0)
-            assert r.valid is valid
-            assert r.value == (math.exp(r.log_value) if valid else 0.0)
+            assert r.valid
+            assert r.value == math.exp(r.log_value) == pytest.approx(value, rel=0.1, abs=0.0)
 
     def test_log_value_consistent(self):
         r = renyi_converse(GAUSS, 300, math.log(0.05))
@@ -798,10 +798,12 @@ class TestFano:
         assert r.valid
 
     def test_clamps_above_one(self):
-        # Small n and large eps push the display above 1.
+        # Small n and large eps push the display above 1: the value caps at
+        # 1, and the log keeps the unclamped display.
         r = fano_bound(GAUSS, 10, math.log(0.9))
+        want = -10 * kl_divergence(GAUSS, Direction.FORWARD) - math.log(2.0) - math.log(0.1)
         assert r.value == 1.0
-        assert r.log_value == 0.0
+        assert r.log_value == pytest.approx(want, rel=1e-14, abs=0.0) and r.log_value > 0.0
         assert not r.valid
 
     def test_n_zero_rejected(self):
@@ -871,10 +873,10 @@ class TestBerryEsseen:
     def test_answers_where_the_upper_end_rounds_to_hi(self, n):
         # Past hi = 2^24, hi - 1e-9 rounds to hi, where the Q^{-1} argument
         # rounds to 0 or below: the slope there is its limit, and the bound
-        # answers with its log (beta itself underflows to 0).
+        # answers with its log, valid though beta itself underflows to 0.
         pair = BernoulliPair(0.5, 0.6)
         r = berry_esseen_bound(pair, n, math.log(0.01))
-        assert r.value == 0.0 and not r.valid
+        assert r.value == 0.0 and r.valid
         nd = n * kl_divergence(pair, Direction.FORWARD)
         assert r.log_value == pytest.approx(-nd, rel=1e-5, abs=0.0)
         assert 0.13 < r.optimizer < 0.14

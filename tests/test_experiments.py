@@ -82,7 +82,7 @@ def direct_cells(pair, regime, n, names):
             r = np_exact_bernoulli(pair, n, log_eps)
         else:
             r = np_exact_discrete(pair, n, log_eps)
-        return BoundResult(r.beta, r.log_beta, r.threshold, BoundKind.EXACT_BETA,
+        return BoundResult(r.log_beta, r.threshold, BoundKind.EXACT_BETA,
                            math.isfinite(r.log_beta))
 
     calls = {
@@ -147,7 +147,7 @@ class TestRunGrid:
         assert row.cells[1].value == pytest.approx(direct_f.value, rel=1e-14, abs=0.0)
         # the oracle cell carries the oracle's log beta, and its threshold as optimizer
         exact = np_exact_gaussian(pair, 200, math.log(0.01))
-        assert row.cells[2] == BoundResult(exact.beta, exact.log_beta, exact.threshold,
+        assert row.cells[2] == BoundResult(exact.log_beta, exact.threshold,
                                            BoundKind.EXACT_BETA, True)
         assert row.cells[2].kind.value == "exact_beta"
 
@@ -208,16 +208,16 @@ class TestRunGrid:
         assert conv2 is not None and conv_big is not None
 
     def test_np_exact_non_positive_beta_is_not_valid(self, tmp_path):
-        # eps one ulp below 1: the Bernoulli oracle forms beta as 1 minus the
-        # rejected P1 mass, which rounds below 0 (-4.36e-16); its log is -inf
+        # eps one ulp below 1: the rejected P1 mass rounds to 1 or above, so
+        # the Bernoulli oracle's log beta is -inf; the cell prints 0, not valid
         table = run_grid(ExperimentGrid("bernoulli:0.5,0.6", Constant(0.9999999999999999), (10,),
                                         ("np_exact",)))
         cell = table.rows[0].cells[0]
-        assert cell.value < 0.0
+        assert cell.value == 0.0
         assert cell.log_value == -math.inf and not cell.valid
         path = tmp_path / "neg.csv"
         emit_csv(table, str(path))
-        assert path.read_text().splitlines()[1].endswith(",false")
+        assert path.read_text().splitlines()[1].endswith(",0,0,false")
 
     def test_np_exact_discrete_small_ok(self):
         table = run_grid(
@@ -332,10 +332,25 @@ class TestEmitSvg:
         assert len(points_of(log)) == 3
         assert "zeros omitted" in log.read_text()
 
+    def test_log_scale_draws_values_below_the_float_range(self, tmp_path):
+        # At c = 0.05 renyi_converse's value underflows to 0 at n = 10,500
+        # and 20,000 (log -10,216.5 at n = 20,000), but its log is finite,
+        # so the log-scale curve keeps all three points.
+        table = run_grid(ExperimentGrid("bernoulli:0.5,0.9", Exponential(0.05),
+                                        (1000, 10500, 20000), ("renyi_converse",)))
+        low = table.rows[-1].cells[0]
+        assert low.value == 0.0 and low.log_value == pytest.approx(-10216.5, abs=0.05)
+        path = tmp_path / "log.svg"
+        emit_svg(table, str(path), log_y=True)
+        text = path.read_text()
+        m = re.search(r'data-bound="renyi_converse"[^/]*points="([^"]*)"', text)
+        assert m and len(m.group(1).split()) == 3
+        assert ">1e-4000<" in text  # the axis reaches log10 beta = -4,437
+
     def test_isolated_point_is_a_circle(self, tmp_path):
         # A valid value with no valid neighbour has no line to be part of.
         values = (None, 0.25, None, 0.5, 0.75)
-        cells = (None if v is None else BoundResult(v, math.log(v), None, BoundKind.LOWER_BETA, True)
+        cells = (None if v is None else BoundResult(math.log(v), None, BoundKind.LOWER_BETA, True)
                  for v in values)
         rows = tuple(GridRow(n, 0.01, math.log(0.01), (cell,))
                      for n, cell in zip(range(10, 60, 10), cells))

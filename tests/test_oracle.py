@@ -489,9 +489,9 @@ class TestCrossValidation:
         )
 
 
-# The Gaussian and discrete oracles form log beta alone and report
-# beta = exp(log beta), bit for bit.  The Bernoulli oracle is excluded
-# until ROADMAP 2(a): it still forms beta as 1 minus the rejected P1 mass.
+# Every oracle stores log beta alone, and beta = exp(log beta), bit for bit.
+# The Bernoulli oracle is left out here: its log beta is still formed from
+# the rejected P1 mass (ROADMAP 2(a)), so its cells are checked elsewhere.
 REPRODUCE_GAUSSIANS = ("gaussian:2,0.05", "gaussian:2,0.1", "gaussian:2,0.3")
 
 

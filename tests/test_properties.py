@@ -215,12 +215,9 @@ _log_eps = st.one_of(st.floats(min_value=-1e4, max_value=-1.0),
 # eps itself, for the commands that take it as a number: log eps >= -700 keeps it above 0
 _eps = st.one_of(st.floats(min_value=-700.0, max_value=-1.0),
                  st.floats(min_value=-1.0, max_value=_LOG_EPS_MAX)).map(math.exp)
-# Every sweep column defined for all three families, np_exact aside: the
-# Bernoulli oracle can still print a beta rounded below 0 (-9.3e-20 at
-# bernoulli:0.1,0.9999, n = 6, eps = 1/e) until it forms beta from the
-# smaller of the accepted and rejected P1 masses.
+# Every sweep column defined for all three families
 _SWEEP_BOUNDS = ("renyi_converse,achievability,phase_converse,phase_achievability,"
-                 "fano,hellinger,berry_esseen")
+                 "fano,hellinger,berry_esseen,np_exact")
 _BOUND_FLAGS = {
     "renyi_converse": {}, "fano": {}, "hellinger": {}, "berry_esseen": {}, "smoothing_out": {},
     "achievability": {"--tau": st.floats(min_value=-1e3, max_value=1e3),
@@ -275,6 +272,9 @@ def _printed_values(command, out):
 # n = x / D underflows to 0 if the Gaussian crossing is solved by Newton in x = n D
 @example(argv=["samplesize", "--pair", "gaussian:0,1e+153", "--eps=0.36787944117144233",
                "--delta=0.6065306597126334"])
+# the Bernoulli oracle's rejected P1 mass rounds to 1 or above: beta prints 0, not -9.3e-20
+@example(argv=["sweep", "--pair", "bernoulli:0.1,0.9999", "--n-min", "6", "--n-max", "6",
+               "--n-step", "1", "--eps=0.36787944117144233", f"--bounds={_SWEEP_BOUNDS}"])
 @given(argv=_cli_argv())
 def test_cli_answers_or_exits_two_across_the_float_range(argv):
     out, err = io.StringIO(), io.StringIO()
