@@ -97,7 +97,6 @@ from .distributions import (
     _tilt_atoms,
     _TiltAtoms,
     kl_divergence,
-    llr_moments,
     renyi_divergence,
 )
 from .numerics import (
@@ -611,10 +610,13 @@ def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundR
     log beta >= -n D(P0||P1) - sqrt(n V) Q^{-1}(1 - eps - (B + Delta)/sqrt(n))
                 + log Delta - (1/2) log n
 
-    where V and B are the LLR variance and Berry-Esseen constant of the
-    pair.  Delta ranges over (0, hi), hi = sqrt(n)(1 - eps) - B; if that
-    interval is empty (the Q^{-1} argument leaves (0, 1) for every Delta)
-    the bound is vacuous: value 0, valid=False.
+    where D, V and B are the mean, the variance and the Berry-Esseen
+    constant 6 E|Z - D|^3 / V^{3/2} of the log-likelihood ratio
+    Z = log(p0/p1) under P0: the ``kl``, ``var`` and ``berry`` of the
+    pair's forward record (:func:`htbounds.distributions._tilt_atoms`).
+    Delta ranges over (0, hi), hi = sqrt(n)(1 - eps) - B; if that interval
+    is empty (the Q^{-1} argument leaves (0, 1) for every Delta) the bound
+    is vacuous: value 0, valid=False.
 
     Delta is the maximizer over [1e-9, hi - 1e-9].  With x = Q^{-1}(w) and
     w the argument above, dx/dDelta = 1 / (sqrt(n) phi(x)), so the slope
@@ -627,22 +629,22 @@ def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundR
     """
     _check_n(n)
     _check_log_eps(log_eps)
-    m = llr_moments(pair)
-    if m.variance <= 0.0:
+    atoms = _tilt_atoms(pair, Direction.FORWARD)
+    if atoms.var <= 0.0:
         return _lower_beta(None, None)
     one_m_eps = -math.expm1(log_eps)
     sqrt_n = math.sqrt(n)
-    hi = sqrt_n * one_m_eps - m.berry_constant
+    hi = sqrt_n * one_m_eps - atoms.berry
     if hi <= 0.0:
         return _lower_beta(None, None)
-    sqrt_v = math.sqrt(m.variance)
+    sqrt_v = math.sqrt(atoms.var)
     scale = sqrt_n * sqrt_v  # n V overflows for Gaussian pairs far apart
-    shift = -n * m.mean - 0.5 * math.log(n)
+    shift = -n * atoms.kl - 0.5 * math.log(n)
 
     def x_at(dl):
         # Q^{-1} of the argument, or its limit inf where the argument rounds
         # to 0 or below, as at the end hi - 1e-9 once that rounds to hi (hi > 2^24)
-        w = one_m_eps - (m.berry_constant + dl) / sqrt_n
+        w = one_m_eps - (atoms.berry + dl) / sqrt_n
         return q_inverse(w) if w > 0.0 else math.inf
 
     def h(dl):

@@ -33,7 +33,6 @@ from .distributions import Direction, kl_divergence, parse_pair
 from .experiments import (
     _BOUNDS,
     CANONICAL_BOUNDS,
-    ConfigError,
     ExperimentGrid,
     bounds_for,
     emit_csv,
@@ -188,7 +187,7 @@ def _cmd_samplesize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.n_min < 1 or args.n_max < args.n_min or args.n_step < 1:
-        raise ConfigError("need 1 <= n-min <= n-max and n-step >= 1")
+        raise DomainError("need 1 <= n-min <= n-max and n-step >= 1")
     ns = tuple(range(args.n_min, args.n_max + 1, args.n_step))
     if args.linear:
         regime = Linear()
@@ -206,10 +205,11 @@ def _cmd_sweep(args) -> int:
         emit_svg(table, args.svg, log_y=args.log_y, title=args.title)
         print(f"wrote {args.svg}")
     if not args.csv and not args.svg:
+        # the last row, each value beside its log, which is exact where the value underflows
         last = table.rows[-1]
-        print(f"n={last.n} eps={last.eps:.6g}")
+        print(f"n={last.n} eps={last.eps:.6g}  (log {last.log_eps:.9g})")
         for b, cell in zip(table.bounds, last.cells):
-            v = "-" if cell is None else f"{cell.value:.9g}"
+            v = "-" if cell is None else f"{cell.value:.9g}  (log {cell.log_value:.9g})"
             print(f"  {b}: {v}")
     return 0
 

@@ -9,15 +9,16 @@ pairs only through the functionals defined here.
 
 Conventions: Direction.FORWARD means the functional's first argument is
 the null P0 (so kl_divergence(pair, FORWARD) = D(P0 || P1)), REVERSE
-swaps the roles.  Log-likelihood ratio moments are always those of
-log(p0/p1) under P0, the orientation the Berry-Esseen baseline needs.
-Every divergence is read from one cached record per pair and direction
-(:func:`_tilt_atoms`) and the tilted log-sum :func:`_tilt` over it, in
-scalar ``math``.  A discrete record holds the atoms, and each sum over
-them is a ``math.fsum``: correctly rounded, the same on every Python, and
-within the (K - 1) eps of a sequential sum of K terms.  A Gaussian record
-holds no atoms, only d^2 = (delta / sigma)^2, exact for any sigma because
-the testing problem (mu, delta, sigma) rescales to (0, delta/sigma, 1).
+swaps the roles.  Every divergence is read from one cached record per
+pair and direction (:func:`_tilt_atoms`) and the tilted log-sum
+:func:`_tilt` over it, in scalar ``math``; the record also holds the
+constants the baselines read, such as the forward record's mean,
+variance and Berry-Esseen constant of log(p0/p1) under P0.  A discrete
+record holds the atoms, and each sum over them is a ``math.fsum``:
+correctly rounded, the same on every Python, and within the (K - 1) eps
+of a sequential sum of K terms.  A Gaussian record holds no atoms, only
+d^2 = (delta / sigma)^2, exact for any sigma because the testing problem
+(mu, delta, sigma) rescales to (0, delta/sigma, 1).
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ __all__ = [
     "DistributionPair",
     "FiniteDiscretePair",
     "GaussianPair",
-    "LLRMoments",
     "PairSpecError",
     "kl_divergence",
-    "llr_moments",
     "parse_pair",
     "renyi_divergence",
 ]
@@ -138,21 +137,6 @@ class FiniteDiscretePair:
 DistributionPair = Union[BernoulliPair, GaussianPair, FiniteDiscretePair]
 
 
-@dataclass(frozen=True)
-class LLRMoments:
-    """Moments under P0 of the log-likelihood ratio log(p0/p1).
-
-    ``berry_constant`` is 6 * third_abs_central / variance^{3/2}, the
-    constant entering the Berry-Esseen correction; it is 0 when the
-    variance vanishes (identical pair).
-    """
-
-    mean: float
-    variance: float
-    third_abs_central: float
-    berry_constant: float
-
-
 class _TiltAtoms(NamedTuple):
     logp: tuple[float, ...]  # log p
     p: tuple[float, ...]  # the first argument's atoms, renormalized to sum 1
@@ -164,7 +148,6 @@ class _TiltAtoms(NamedTuple):
     log_q_top: float  # log Q(A), A the atoms where z = D_inf
     kl: float = math.nan  # D(P || Q) = sum p z = psi'(1)
     var: float = math.nan  # sum p (z - kl)^2 = psi''(1)
-    third: float = math.nan  # sum p |z - kl|^3
     berry: float = math.nan  # 6 sum (p s^2) s, s = |z - kl| / sqrt(var); 0 if var = 0
     log_affinity: float = math.nan  # min(psi(1/2), 0) = log(1 - H^2), H the Hellinger distance
 
@@ -175,21 +158,23 @@ def _tilt_atoms(pair: DistributionPair, direction: Direction) -> _TiltAtoms:
 
     Cached per (pair, direction), in tuples no caller can change.  A
     Gaussian record has no atoms; with d = |delta| / sigma it holds
-    kl = d^2 / 2, var = d^2, third = d^3 sqrt(8 / pi), berry = 6 sqrt(8 / pi)
-    and log_affinity = -d^2 / 8, and z is unbounded (D_inf = inf, Q(A) = 0),
+    kl = d^2 / 2, var = d^2, berry = 6 sqrt(8 / pi) and
+    log_affinity = -d^2 / 8, and z is unbounded (D_inf = inf, Q(A) = 0),
     so there is no lam = inf end.  For a discrete pair, atoms where both
     vectors vanish are dropped; each vector is divided by its fsum.  z is
     log1p((p - q) / q) where p / q lies within (1/2, 3/2), so it keeps its
     relative accuracy as p -> q, where log p - log q cancels.  The
     constants (nan until filled in) come from :func:`_tilt` on the atoms:
-    kl and var at lam = 1, log_affinity at lam = 1/2.
+    kl and var at lam = 1, log_affinity at lam = 1/2.  The Berry-Esseen
+    constant 6 rho / sigma^3 (rho = sum p |z - kl|^3, sigma^2 = var) is
+    6 sum (p s^2) s over s = |z - kl| / sigma, in which p s^2 <= 1 and
+    s <= max|z| / sigma, so it neither divides by 0 nor overflows where
+    sigma^3 or rho leaves the normal range (sigma^2 < 1e-205).
     """
     if isinstance(pair, GaussianPair):
         d, d2 = abs(pair.delta) / pair.sigma, (pair.delta / pair.sigma) ** 2
-        c = math.sqrt(8.0 / math.pi)
-        # the third moment is inf, not an OverflowError, past d = 5.6e102
         return _TiltAtoms((), (), (), (), math.inf, -math.inf, math.inf, -math.inf,
-                          d2 / 2.0, d * d, d * d * d * c, 6.0 * c, -d2 / 8.0)
+                          d2 / 2.0, d * d, 6.0 * math.sqrt(8.0 / math.pi), -d2 / 8.0)
     if isinstance(pair, BernoulliPair):
         p, q = (1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1)
     else:
@@ -204,10 +189,10 @@ def _tilt_atoms(pair: DistributionPair, direction: Direction) -> _TiltAtoms:
     atoms = _TiltAtoms(tuple(map(math.log, p)), p, q, z, max(d_inf, -z_min), z_min, d_inf,
                        math.log(math.fsum(b for b, x in zip(q, z) if x == d_inf)))
     _, kl, var, _ = _tilt(atoms, 1.0)
-    dev, sd = [abs(x - kl) for x in z], math.sqrt(var)
-    berry = 6.0 * math.fsum(a * s * s * s for a, s in zip(p, (d / sd for d in dev))) if sd else 0.0
-    atoms = atoms._replace(kl=kl, var=var, third=math.fsum(a * d**3 for a, d in zip(p, dev)),
-                           berry=berry)
+    sd = math.sqrt(var)
+    dev = (abs(x - kl) / sd for x in z)  # the docstring's s, read only where sd > 0
+    berry = 6.0 * math.fsum(a * s * s * s for a, s in zip(p, dev)) if sd else 0.0
+    atoms = atoms._replace(kl=kl, var=var, berry=berry)
     return atoms._replace(log_affinity=min(_tilt(atoms, 0.5)[0], 0.0))
 
 
@@ -295,20 +280,6 @@ def renyi_divergence(pair: DistributionPair, lam: float, direction: Direction) -
     if psi < math.inf:
         return psi / (lam - 1.0)
     return atoms.d_inf if atoms.z else 0.5 * lam * atoms.var
-
-
-def llr_moments(pair: DistributionPair) -> LLRMoments:
-    """Mean, variance, and absolute third central moment of log(p0/p1) under P0.
-
-    All four are constants read from the forward record: the mean and
-    variance are psi'(1) and psi''(1) (see :func:`_tilt`), and a discrete
-    pair's Berry-Esseen constant 6 rho / sigma^3 is 6 sum (p s^2) s over
-    s = |z - mean| / sigma, in which p s^2 <= 1 and s <= max|z| / sigma, so
-    it neither divides by 0 nor overflows where sigma^3 or rho leaves the
-    normal range (sigma^2 < 1e-205).
-    """
-    atoms = _tilt_atoms(pair, Direction.FORWARD)
-    return LLRMoments(atoms.kl, atoms.var, atoms.third, atoms.berry)
 
 
 def _parse_floats(text: str, base: int, label: str) -> list[float]:

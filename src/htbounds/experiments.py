@@ -27,7 +27,6 @@ from .bounds import (
     BoundKind,
     BoundResult,
     ErrorRegime,
-    Linear,
     berry_esseen_bound,
     eps_at,
     fano_bound,
@@ -45,7 +44,6 @@ from .oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
 
 __all__ = [
     "CANONICAL_BOUNDS",
-    "ConfigError",
     "ExperimentGrid",
     "GridRow",
     "GridTable",
@@ -54,10 +52,6 @@ __all__ = [
     "emit_svg",
     "run_grid",
 ]
-
-
-class ConfigError(ValueError):
-    """The experiment grid is malformed or infeasible as configured."""
 
 
 def _achievability(pair, n, log_eps):
@@ -110,7 +104,11 @@ def bounds_for(pair, names=CANONICAL_BOUNDS) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Specification of one sweep; ``bounds=None`` selects every bound defined for the pair."""
+    """Specification of one sweep; ``bounds=None`` selects every bound defined for the pair.
+
+    An empty selection, or any name outside ``CANONICAL_BOUNDS``, raises
+    :class:`DomainError`.
+    """
 
     pair_spec: str
     regime: ErrorRegime
@@ -120,14 +118,16 @@ class ExperimentGrid:
     def __post_init__(self) -> None:
         ns = tuple(int(n) for n in self.n_values)
         if not ns:
-            raise ConfigError("n_values must be non-empty")
+            raise DomainError("n_values must be non-empty")
         if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
-            raise ConfigError("n_values must be strictly increasing positive integers")
+            raise DomainError("n_values must be strictly increasing positive integers")
         object.__setattr__(self, "n_values", ns)
         names = bounds_for(parse_pair(self.pair_spec)) if self.bounds is None else self.bounds
         unknown = [b for b in names if b not in CANONICAL_BOUNDS]
         if unknown:
-            raise ConfigError(f"unknown bounds {unknown!r}; choose from {CANONICAL_BOUNDS}")
+            raise DomainError(f"unknown bounds {unknown!r}; choose from {CANONICAL_BOUNDS}")
+        if not names:
+            raise DomainError(f"select at least one bound from {CANONICAL_BOUNDS}")
         object.__setattr__(self, "bounds", tuple(b for b in CANONICAL_BOUNDS if b in names))
 
 
@@ -157,13 +157,11 @@ def run_grid(grid: ExperimentGrid) -> GridTable:
     pair = parse_pair(grid.pair_spec)
     if (defined := bounds_for(pair, grid.bounds)) != grid.bounds:
         b = next(b for b in grid.bounds if b not in defined)
-        raise ConfigError(f"{b} applies to {_BOUNDS[b].family.__name__} only")
-    if isinstance(regime := grid.regime, Linear) and grid.n_values[0] < 2:
-        raise ConfigError("linear regime requires every n >= 2")
+        raise DomainError(f"{b} applies to {_BOUNDS[b].family.__name__} only")
 
     rows = []
     for n in grid.n_values:
-        eps, log_eps = eps_at(regime, n)
+        eps, log_eps = eps_at(grid.regime, n)
         cells = tuple(_cell(b, pair, n, log_eps) for b in grid.bounds)
         rows.append(GridRow(n, eps, log_eps, cells))
     return GridTable(grid.bounds, tuple(rows))
@@ -180,7 +178,7 @@ def emit_csv(table: GridTable, path: str) -> None:
     Floats use repr-roundtrip precision; a None cell is ``,,false``.
     """
     if not table.rows:
-        raise ConfigError("cannot serialize an empty table")
+        raise DomainError("cannot serialize an empty table")
     header = ["n", "eps", "log_eps"]
     for b in table.bounds:
         header += [f"{b}_value", f"{b}_optimizer", f"{b}_valid"]
@@ -233,7 +231,7 @@ def emit_svg(table: GridTable, path: str, log_y: bool = False, title: str = "") 
     point is listed in the legend as having none.  Needs two rows.
     """
     if len(table.rows) < 2:
-        raise ConfigError("plot needs at least two rows")
+        raise DomainError("plot needs at least two rows")
     x_lo, x_hi = float(table.rows[0].n), float(table.rows[-1].n)
     # Each bound's runs of (row index, y), split at a None (with log_y, at a log of -inf).
     series = {}

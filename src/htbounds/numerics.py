@@ -65,7 +65,13 @@ _MAX_N = int(sys.float_info.max)
 
 
 class DomainError(ValueError):
-    """An input lies outside the mathematical domain of an operation."""
+    """An input the library cannot answer.
+
+    Either it lies outside the mathematical domain of an operation (a
+    parameter, a sample size, a budget), or an experiment grid is
+    malformed: no sample sizes or bounds selected, an unknown bound, a
+    bound not defined for the pair, or a table too short to write.
+    """
 
 
 def _check_n(n) -> None:

@@ -41,8 +41,8 @@ from htbounds.distributions import (
     Direction,
     FiniteDiscretePair,
     GaussianPair,
+    _tilt_atoms,
     kl_divergence,
-    llr_moments,
     parse_pair,
     renyi_divergence,
 )
@@ -379,16 +379,16 @@ def test_criterion_8_optimizers_match_dense_scan():
             n = int(rng.integers(1500, 4000))
             log_eps = math.log(float(rng.uniform(0.05, 0.3)))
             impl = berry_esseen_bound(pair, n, log_eps).log_value
-            m = llr_moments(pair)
+            m = _tilt_atoms(pair, Direction.FORWARD)  # the LLR's kl, var and berry
             one_m_eps = -math.expm1(log_eps)
             sqrt_n = math.sqrt(n)
-            hi = sqrt_n * one_m_eps - m.berry_constant
+            hi = sqrt_n * one_m_eps - m.berry
             assert hi > 0.0
-            scale = math.sqrt(n * m.variance)
-            shift = -n * m.mean - 0.5 * math.log(n)
+            scale = math.sqrt(n * m.var)
+            shift = -n * m.kl - 0.5 * math.log(n)
 
             def objective(dl):
-                arg = one_m_eps - (m.berry_constant + dl) / sqrt_n
+                arg = one_m_eps - (m.berry + dl) / sqrt_n
                 # Q^{-1}(p) = -ndtri(p), vectorized over the scan
                 out = shift + scale * ndtri(np.clip(arg, 1.0e-300, None)) + np.log(dl)
                 return np.where(arg > 0.0, out, -np.inf)

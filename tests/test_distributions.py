@@ -22,7 +22,6 @@ from htbounds.distributions import (
     _tilt,
     _tilt_atoms,
     kl_divergence,
-    llr_moments,
     parse_pair,
     renyi_divergence,
 )
@@ -40,12 +39,10 @@ BERN_KL_REV = 0.00020001333546712392
 BERN_D2_REV = 0.00039992002132693538
 BERN_H2 = 5.0006251312835251e-5
 BERN_LLR_VAR = 0.00040010669938850906
-BERN_LLR_T3 = 8.0032011951100233e-6
 # Bernoulli(0.5) vs Bernoulli(0.6)
 BERN06_KL_REV = 0.020135513550688873
 # Gaussian mu=2, delta=0.05, sigma=1
 GAUSS_H2 = 0.00031245117696086568
-GAUSS_T3 = 0.00019947114020071634
 GAUSS_B = 9.5746147296343843
 
 
@@ -153,13 +150,11 @@ class TestMpmathReferences:
             z = [mpmath.log(a / b) for a, b in zip(p, q)]
             mean = mpmath.fsum(a * x for a, x in zip(p, z))
             var = mpmath.fsum(a * (x - mean) ** 2 for a, x in zip(p, z))
-            third = mpmath.fsum(a * abs(x - mean) ** 3 for a, x in zip(p, z))
-            berry = 6 * third / var**1.5
-        m = llr_moments(pair)
-        assert m.mean == pytest.approx(float(mean), rel=1e-14, abs=0.0)
-        assert m.variance == pytest.approx(float(var), rel=1e-14, abs=0.0)
-        assert m.third_abs_central == pytest.approx(float(third), rel=1e-14, abs=0.0)
-        assert m.berry_constant == pytest.approx(float(berry), rel=1e-14, abs=0.0)
+            berry = 6 * mpmath.fsum(a * abs(x - mean) ** 3 for a, x in zip(p, z)) / var**1.5
+        atoms = _tilt_atoms(pair, Direction.FORWARD)
+        assert atoms.kl == pytest.approx(float(mean), rel=1e-14, abs=0.0)
+        assert atoms.var == pytest.approx(float(var), rel=1e-14, abs=0.0)
+        assert atoms.berry == pytest.approx(float(berry), rel=1e-14, abs=0.0)
 
 
 def _k64_pair():
@@ -220,7 +215,6 @@ class TestScalarKernel:
             z = [mpmath.log(a / b) for a, b in zip(p, q)]
             kl = mpmath.fsum(a * x for a, x in zip(p, z))
             var = mpmath.fsum(a * (x - kl) ** 2 for a, x in zip(p, z))
-            third = mpmath.fsum(a * abs(x - kl) ** 3 for a, x in zip(p, z))
             want = {
                 "z_abs": max(abs(x) for x in z),
                 "z_min": min(z),
@@ -228,8 +222,7 @@ class TestScalarKernel:
                 "log_q_top": mpmath.log(mpmath.fsum(b for b, x in zip(q, z) if x == max(z))),
                 "kl": kl,
                 "var": var,
-                "third": third,
-                "berry": 6 * third / var**1.5,
+                "berry": 6 * mpmath.fsum(a * abs(x - kl) ** 3 for a, x in zip(p, z)) / var**1.5,
                 "log_affinity": mpmath.log(mpmath.fsum(mpmath.sqrt(a * b) for a, b in zip(p, q))),
             }
         ulps = (len(p) + 8) * sys.float_info.epsilon
@@ -429,8 +422,8 @@ class TestAtomCache:
         for direction in Direction:
             atoms = _tilt_atoms(pair, direction)
             assert atoms.z == () and atoms.d_inf == math.inf and atoms.log_q_top == -math.inf
-            got = (atoms.kl, atoms.var, atoms.third, atoms.berry, atoms.log_affinity)
-            assert repr(got) == repr((z**2 / 2.0, d * d, d * d * d * c, 6.0 * c, -(z**2) / 8.0))
+            got = (atoms.kl, atoms.var, atoms.berry, atoms.log_affinity)
+            assert repr(got) == repr((z**2 / 2.0, d * d, 6.0 * c, -(z**2) / 8.0))
 
     @pytest.mark.parametrize("pair", [GAUSS, GaussianPair(0.0, 1e-150), GaussianPair(0.0, -1e100)])
     @pytest.mark.parametrize("lam", [1e-9, 0.5, 1.001, 1e6])
@@ -474,32 +467,32 @@ class TestHellinger:
 
 
 class TestLLRMoments:
+    """The forward record's LLR constants: kl, var and berry of log(p0/p1) under P0."""
+
     def test_bernoulli_reference(self):
-        m = llr_moments(BERN)
-        assert m.mean == pytest.approx(BERN_KL_FWD, rel=1e-12, abs=0.0)
-        assert m.variance == pytest.approx(BERN_LLR_VAR, rel=1e-12, abs=0.0)
-        assert m.third_abs_central == pytest.approx(BERN_LLR_T3, rel=1e-12, abs=0.0)
+        atoms = _tilt_atoms(BERN, Direction.FORWARD)
+        assert atoms.kl == pytest.approx(BERN_KL_FWD, rel=1e-12, abs=0.0)
+        assert atoms.var == pytest.approx(BERN_LLR_VAR, rel=1e-12, abs=0.0)
         # p0 = 1/2 makes the LLR a symmetric two-point variable, so
         # 6 E|Z - EZ|^3 / Var^{3/2} collapses to exactly 6.
-        assert m.berry_constant == pytest.approx(6.0, rel=1e-12, abs=0.0)
+        assert atoms.berry == pytest.approx(6.0, rel=1e-12, abs=0.0)
 
     def test_gaussian_reference(self):
-        m = llr_moments(GAUSS)
-        assert m.mean == pytest.approx(0.00125, rel=1e-14, abs=0.0)
-        assert m.variance == pytest.approx(0.0025, rel=1e-14, abs=0.0)
-        assert m.third_abs_central == pytest.approx(GAUSS_T3, rel=1e-12, abs=0.0)
-        assert m.berry_constant == pytest.approx(GAUSS_B, rel=1e-12, abs=0.0)
+        atoms = _tilt_atoms(GAUSS, Direction.FORWARD)
+        assert atoms.kl == pytest.approx(0.00125, rel=1e-14, abs=0.0)
+        assert atoms.var == pytest.approx(0.0025, rel=1e-14, abs=0.0)
+        assert atoms.berry == pytest.approx(GAUSS_B, rel=1e-12, abs=0.0)
 
     def test_gaussian_third_moment_past_float_range(self):
-        # d^3 overflows at d = 1e103 while d^2 = 1e206 is in range
-        m = llr_moments(GaussianPair(0.0, 1e103))
-        assert m.variance == pytest.approx(1e206, rel=1e-15, abs=0.0)
-        assert m.third_abs_central == math.inf
-        assert m.berry_constant == pytest.approx(GAUSS_B, rel=1e-12, abs=0.0)
+        # d^3 sqrt(8/pi) overflows at d = 1e103 while d^2 = 1e206 is in
+        # range; the record's constant 6 sqrt(8/pi) does not involve it
+        atoms = _tilt_atoms(GaussianPair(0.0, 1e103), Direction.FORWARD)
+        assert atoms.var == pytest.approx(1e206, rel=1e-15, abs=0.0)
+        assert atoms.berry == pytest.approx(GAUSS_B, rel=1e-12, abs=0.0)
 
     def test_mean_is_forward_kl(self):
         for pair in (BERN, BERN06, FiniteDiscretePair((0.2, 0.3, 0.5), (0.5, 0.25, 0.25))):
-            assert llr_moments(pair).mean == pytest.approx(
+            assert _tilt_atoms(pair, Direction.FORWARD).kl == pytest.approx(
                 kl_divergence(pair, Direction.FORWARD), rel=1e-11, abs=0.0
             )
 
@@ -508,22 +501,23 @@ class TestLLRMoments:
         # Var^{3/2} is below the normal range (0 for the first pair); a
         # two-valued LLR with mass p0 on one value has 6 rho / sigma^3 =
         # 6 (p0^2 + (1 - p0)^2) / sqrt(p0 (1 - p0)) = 6 / sqrt(p0) here
-        m = llr_moments(BernoulliPair(p0, p1))
-        assert m.variance**1.5 < sys.float_info.min
-        assert m.berry_constant == pytest.approx(6.0 / math.sqrt(p0), rel=1e-13, abs=0.0)
+        atoms = _tilt_atoms(BernoulliPair(p0, p1), Direction.FORWARD)
+        assert atoms.var**1.5 < sys.float_info.min
+        assert atoms.berry == pytest.approx(6.0 / math.sqrt(p0), rel=1e-13, abs=0.0)
 
     def test_berry_constant_where_third_moment_underflows(self):
-        # rho underflows to 0 while the variance (2e-322) does not: the
-        # constant is still about 6 / sqrt(p0), not 0; the subnormal
-        # variance holds only about 2 digits
-        m = llr_moments(BernoulliPair(1e-290, 1.0000000000000002e-290))
-        assert m.third_abs_central == 0.0 and m.variance > 0.0
-        assert m.berry_constant == pytest.approx(6e145, rel=1e-2, abs=0.0)
+        # rho = sum p |z - kl|^3 underflows to 0 while the variance (2e-322)
+        # does not: the constant is still about 6 / sqrt(p0), not 0; the
+        # subnormal variance holds only about 2 digits
+        atoms = _tilt_atoms(BernoulliPair(1e-290, 1.0000000000000002e-290), Direction.FORWARD)
+        assert math.fsum(a * abs(x - atoms.kl) ** 3 for a, x in zip(atoms.p, atoms.z)) == 0.0
+        assert atoms.var > 0.0
+        assert atoms.berry == pytest.approx(6e145, rel=1e-2, abs=0.0)
 
     def test_identical_pair_degenerates(self):
-        m = llr_moments(FiniteDiscretePair((0.3, 0.7), (0.3, 0.7)))
-        assert m.variance == pytest.approx(0.0, abs=1e-18)
-        assert m.berry_constant == 0.0
+        atoms = _tilt_atoms(FiniteDiscretePair((0.3, 0.7), (0.3, 0.7)), Direction.FORWARD)
+        assert atoms.var == pytest.approx(0.0, abs=1e-18)
+        assert atoms.berry == 0.0
 
 
 class TestParsePair:

@@ -34,7 +34,6 @@ from htbounds.cli import _REPRODUCE_BOUNDS, _REPRODUCE_PAIRS, DEFAULT_N, cli_mai
 from htbounds.distributions import BernoulliPair, Direction, GaussianPair, kl_divergence, parse_pair
 from htbounds.experiments import (
     CANONICAL_BOUNDS,
-    ConfigError,
     ExperimentGrid,
     GridRow,
     GridTable,
@@ -111,8 +110,13 @@ class TestExperimentGrid:
         assert g.bounds == ("renyi_converse", "fano", "np_exact")
 
     def test_unknown_bound_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             small_grid(bounds=("renyi_converse", "chernoff"))
+
+    def test_empty_bound_selection_rejected(self):
+        # a table of n, eps and log_eps alone answers nothing
+        with pytest.raises(DomainError, match="select at least one bound"):
+            small_grid(bounds=())
 
     @pytest.mark.parametrize(
         "spec", ["bernoulli:0.3,0.7", "discrete:0.2,0.3,0.5|0.5,0.3,0.2", "gaussian:0,1"]
@@ -125,13 +129,13 @@ class TestExperimentGrid:
         assert all(len(row.cells) == len(grid.bounds) for row in table.rows)
 
     def test_n_values_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             small_grid(n_values=())
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             small_grid(n_values=(10, 10, 20))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             small_grid(n_values=(30, 20))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             small_grid(n_values=(0, 5))
 
 
@@ -185,11 +189,11 @@ class TestRunGrid:
             assert row.cells[2] is None
 
     def test_smoothing_needs_gaussian(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             run_grid(small_grid(pair_spec="bernoulli:0.5,0.51", bounds=("smoothing_out",)))
 
     def test_linear_regime_needs_n_at_least_two(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             run_grid(small_grid(regime=Linear(), n_values=(1, 2, 3)))
 
     def test_np_exact_past_the_type_ceiling_is_empty(self):
@@ -277,7 +281,7 @@ class TestEmitCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_table_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             emit_csv(GridTable(("fano",), ()), str(tmp_path / "e.csv"))
 
 
@@ -364,7 +368,7 @@ class TestEmitSvg:
 
     def test_needs_two_rows(self, tmp_path):
         table = run_grid(small_grid(n_values=(100,)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             emit_svg(table, str(tmp_path / "x.svg"))
 
 
@@ -599,6 +603,33 @@ class TestCli:
         # n, eps, log_eps, then value, optimizer, valid for each bound
         assert small[0] == "2" and small[6] != "" and small[8] == "true"
         assert big[0] == "2235" and big[3] != "" and big[6:] == ["", "", "false"]
+
+    @pytest.mark.parametrize("selection", ["", ",", " , "])
+    def test_sweep_empty_bound_selection_exits_two(self, tmp_path, capsys, selection):
+        csv = tmp_path / "empty.csv"
+        code = cli_main(["sweep", "--pair", "bernoulli:0.5,0.6", "--n-min", "50", "--n-max",
+                         "150", "--n-step", "50", f"--bounds={selection}", "--csv", str(csv)])
+        assert code == 2
+        assert "error: select at least one bound" in capsys.readouterr().err
+        assert not csv.exists()
+
+    def test_sweep_summary_prints_logs_beside_values(self, capsys):
+        # at eps = e^-1000 every value underflows to 0; the logs still tell the cells apart
+        pair, n, log_eps = parse_pair("bernoulli:0.5,0.9"), 20000, -0.05 * 20000
+        code = cli_main(["sweep", "--pair", "bernoulli:0.5,0.9", "--exp-rate", "0.05",
+                         "--n-min", "20000", "--n-max", "20000",
+                         "--bounds", "renyi_converse,phase_converse,phase_achievability"])
+        assert code == 0
+        head, *lines = capsys.readouterr().out.splitlines()
+        assert head == f"n=20000 eps=0  (log {log_eps:.9g})"
+        converse = renyi_converse(pair, n, log_eps)
+        phase = phase_transition_achievability(pair, n, -log_eps / n)
+        assert converse.log_value < -10000.0 and phase.log_value < -4000.0
+        assert lines == [
+            f"  renyi_converse: 0  (log {converse.log_value:.9g})",
+            "  phase_converse: -",
+            f"  phase_achievability: 0  (log {phase.log_value:.9g})",
+        ]
 
     def test_sweep_default_bounds_fit_the_pair(self, tmp_path, capsys):
         # with no --bounds the Gaussian-only smoothing bound is dropped
