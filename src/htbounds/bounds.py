@@ -73,13 +73,9 @@ optimized over l when none is given) and ``sample_complexity_pensia``
 (the comparison bound at its closed-form l*).
 
 Every bound returns a :class:`BoundResult`, which stores the bound's own
-log; a bound on beta has value exp(min(log_value, 0)), at most 1.  A
-lower bound on beta is valid exactly when -inf < log_value <= 0: one
-that comes out non-positive has log -inf, and one above 1 (possible for
-the literal Fano display at small n and large eps) keeps its positive
-log, since a Type II probability bound outside [0, 1] carries no
-information.  An upper bound on beta keeps its log likewise, above 0 for
-a vacuous threshold or rounding at an exponent near 0.
+log, unclamped, and derives its value and validity from it.  A bound on
+beta is valid exactly when -inf < log_value <= 0; a sample-size bound is
+valid exactly when log_value >= 0.
 """
 
 from __future__ import annotations
@@ -138,7 +134,12 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class BoundKind(Enum):
-    """What a result's value is: a bound on beta or on n, or the exact beta of an oracle."""
+    """What a result's value is: a bound on beta or on n, or the exact beta of an oracle.
+
+    The kind sets how ``BoundResult`` reads its log: every kind but
+    LOWER_N is a probability, capped at 1 and valid in (-inf, 0]; a LOWER_N
+    is a sample size, floored at 1 and valid in [0, inf].
+    """
 
     LOWER_BETA = "lower_bound_on_beta"
     UPPER_BETA = "upper_bound_on_beta"
@@ -150,24 +151,32 @@ class BoundKind(Enum):
 class BoundResult:
     """A bound's log value, the optimizing free parameter, and kind.
 
-    The log is the one stored number; ``value`` is derived from it.
-    ``valid`` is False when the bound degenerated (a beta lower bound whose
-    log is -inf or above 0, a sample-size bound clamped to 1, or an upper
-    bound whose premises admitted no positive value).  A grid's oracle
-    cell is one too: kind EXACT_BETA, the oracle's test threshold as
-    optimizer, valid when its log beta is finite.
+    The log is the one stored number, never clamped; ``value`` and
+    ``valid`` are read from it.  A bound on beta, or an exact beta, is valid
+    exactly when -inf < log_value <= 0: a log of -inf is a bound with no
+    positive value or a failed premise, and one above 0 carries no
+    information about a probability.  A sample-size bound is valid exactly
+    when log_value >= 0.  A grid's oracle cell is one too: kind EXACT_BETA,
+    with the oracle's test threshold as optimizer.
     """
 
     log_value: float
     optimizer: float | None
     kind: BoundKind
-    valid: bool
 
     @property
     def value(self) -> float:
-        """exp(log_value); a bound on beta caps it at 1."""
-        cap = math.inf if self.kind is BoundKind.LOWER_N else 0.0
-        return math.exp(min(self.log_value, cap))
+        """exp(log_value); a bound on beta caps it at 1, a sample size floors it at 1."""
+        if self.kind is BoundKind.LOWER_N:
+            return math.exp(max(self.log_value, 0.0))
+        return math.exp(min(self.log_value, 0.0))
+
+    @property
+    def valid(self) -> bool:
+        """Whether the log lies in the kind's informative range (see the class docstring)."""
+        if self.kind is BoundKind.LOWER_N:
+            return self.log_value >= 0.0
+        return -math.inf < self.log_value <= 0.0
 
 
 def _check_prob(name: str, p: float, upper: float = 1.0) -> None:
@@ -227,14 +236,8 @@ def eps_at(regime: ErrorRegime, n: int) -> tuple[float, float]:
     raise DomainError(f"unknown regime {regime!r}")
 
 
-def _lower_beta(log_value: float | None, optimizer: float | None) -> BoundResult:
-    # None is a bound with no positive value; see the module docstring.
-    log_value = -math.inf if log_value is None else log_value
-    return BoundResult(log_value, optimizer, BoundKind.LOWER_BETA, -math.inf < log_value <= 0.0)
-
-
-def _upper_beta(log_value: float, optimizer: float | None, valid: bool) -> BoundResult:
-    return BoundResult(log_value, optimizer, BoundKind.UPPER_BETA, valid)
+def _lower_beta(log_value: float, optimizer: float | None) -> BoundResult:
+    return BoundResult(log_value, optimizer, BoundKind.LOWER_BETA)
 
 
 def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float,
@@ -297,7 +300,7 @@ def _argmax_by_root(slope: Callable, hi: float, start: float) -> float:
     return _newton_root(slope, a, b, start, 0.0)[0]
 
 
-def _branch_one(rev: _TiltAtoms, n: int, log_eps: float) -> tuple[float | None, float | None]:
+def _branch_one(rev: _TiltAtoms, n: int, log_eps: float) -> tuple[float, float | None]:
     """Branch one's log bound log(1 - e^{g*}) and its order l*.
 
     g* = inf_{l>1} ((l-1)/l)(log_eps + n D_l(P1||P0)).  With
@@ -305,15 +308,15 @@ def _branch_one(rev: _TiltAtoms, n: int, log_eps: float) -> tuple[float | None, 
     -D(P1||P0), so the root lies in (1, inf) exactly when n D < log(1/eps),
     and when t <= H_0(inf) = log P0(argmax p1/p0) g decreases all the way
     and g* is its l = inf limit log_eps + n D_inf(P1||P0).  The log bound
-    is None where g* >= 0 (vacuous), and l* is None where g* is the l -> 1
+    is -inf where g* >= 0 (vacuous), and l* is None where g* is the l -> 1
     limit 0.
     """
     t = log_eps / n
     if t >= -rev.kl:
-        return None, None
+        return -math.inf, None
     lam, psi, _ = _tilt_root(rev, 0.0, t, 1.0, math.inf)
     g = log_eps + n * rev.d_inf if lam == math.inf else ((lam - 1.0) * log_eps + n * psi) / lam
-    return (log_diff_exp(0.0, g) if g < 0.0 else None), lam
+    return (log_diff_exp(0.0, g) if g < 0.0 else -math.inf), lam
 
 
 def _branch_two(fwd: _TiltAtoms, n: float, log_1m_eps: float) -> tuple[float, float]:
@@ -343,7 +346,7 @@ def renyi_converse(pair: DistributionPair, n: int, log_eps: float) -> BoundResul
     # least the smallest subnormal even where eps itself rounds to 1.
     log_two, lam_two = _branch_two(_tilt_atoms(pair, Direction.FORWARD), n,
                                    log_diff_exp(0.0, log_eps))
-    if log_one is not None and log_one >= log_two:
+    if log_one > -math.inf and log_one >= log_two:
         return _lower_beta(log_one, lam_one)
     return _lower_beta(log_two, lam_two)
 
@@ -385,17 +388,15 @@ def renyi_achievability_at_threshold(
 
     The expression decreases in alpha, so log_alpha must be the exact
     Type I error of the test, or a *lower* bound on it; log_alpha = -inf
-    (alpha = 0) is always safe.  Where u <= log alpha the numerator is
-    non-positive; if any such lambda exists (min u <= log alpha) the
-    result is flagged valid=False and its value is the smaller of the
-    values at the two ends among the ends where u > log alpha, and if
-    neither is, the result is 0 with valid=False.
+    (alpha = 0) is always safe.  Where min u <= log alpha the numerator is
+    non-positive at the minimizer, so the premise fails: the result is
+    log -inf with optimizer None, which is not valid.  A log above 0 (a
+    vacuous threshold) is kept, and is not valid either.
     """
     _check_n(n)
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)):
         raise DomainError(f"tau must be finite, got {tau!r}")
     _check_log_prob("log_alpha", log_alpha)
-    lo, hi = _EDGE, 1.0 - _EDGE
     atoms = _tilt_atoms(pair, Direction.REVERSE)
     ulps = (len(atoms.p) + 8) * _EPS
     t = tau / n
@@ -404,36 +405,22 @@ def renyi_achievability_at_threshold(
         _, mean, var, _ = _tilt(atoms, x)
         return t - mean, -var, abs(t) + abs(mean), None
 
-    def terms(lam):
-        # u, n psi - (l-1) tau, and bounds on their rounding errors
-        psi, _, _, psi_size = _tilt(atoms, lam)
-        h, size = lam - 1.0, n * (abs(psi) + psi_size)
-        return (n * psi - lam * tau, n * psi - h * tau,
-                ulps * (size + abs(h * tau)), ulps * (size + abs(lam * tau)))
-
     d, v = atoms.kl, atoms.var
     lam = _argmax_by_root(slope, 1.0, 1.0 + (t - d) / v if v > 0.0 else 0.5)
-
-    def log_value_at(lam):
-        # None where the numerator is non-positive.  The error of u enters
-        # log(1 - alpha e^{-u}) with the factor e^r / (1 - e^r), where
-        # r = log alpha - u < 0, which stays finite however large -r is.
-        u, base, err_base, err_u = terms(lam)
-        if not u > log_alpha:
-            return None
-        r = log_alpha - u
-        corr = log_diff_exp(0.0, r)
-        err = err_base + err_u * math.exp(r) / -math.expm1(r) + 4.0 * _EPS * abs(corr)
-        return base + corr + err
-
-    log_value = log_value_at(lam)
-    if log_value is not None:
-        return _upper_beta(log_value, lam, True)
-    ends = [(v, x) for x in (lo, hi) if (v := log_value_at(x)) is not None]
-    if not ends:
-        return _upper_beta(-math.inf, None, False)
-    log_value, lam = min(ends)
-    return _upper_beta(log_value, lam, False)
+    psi, _, _, psi_size = _tilt(atoms, lam)
+    h = lam - 1.0
+    u, base = n * psi - lam * tau, n * psi - h * tau
+    if not u > log_alpha:
+        return BoundResult(-math.inf, None, BoundKind.UPPER_BETA)
+    # Bounds on the rounding errors of base and u.  The error of u enters
+    # log(1 - alpha e^{-u}) with the factor e^r / (1 - e^r), where
+    # r = log alpha - u < 0, which stays finite however large -r is.
+    size = n * (abs(psi) + psi_size)
+    err_base, err_u = ulps * (size + abs(h * tau)), ulps * (size + abs(lam * tau))
+    r = log_alpha - u
+    corr = log_diff_exp(0.0, r)
+    err = err_base + err_u * math.exp(r) / -math.expm1(r) + 4.0 * _EPS * abs(corr)
+    return BoundResult(base + corr + err, lam, BoundKind.UPPER_BETA)
 
 
 def threshold_for_rate(pair: DistributionPair, n: int, c: float, lam: float) -> float:
@@ -482,13 +469,12 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
     size = abs(c * h) + abs(psi) + psi_size
     ulps = (len(atoms.p) + 8) * _EPS
     exponent = n * (c * h - psi - ulps * size) / lam
-    return _upper_beta(-exponent, lam, exponent > 0.0)
+    return BoundResult(-exponent, lam, BoundKind.UPPER_BETA)
 
 
 def _lower_n(value: float, optimizer: float | None) -> BoundResult:
-    if not value >= 1.0:
-        return BoundResult(0.0, optimizer, BoundKind.LOWER_N, False)
-    return BoundResult(math.log(value), optimizer, BoundKind.LOWER_N, True)
+    # log -inf where no term is positive
+    return BoundResult(math.log(value) if value > 0.0 else -math.inf, optimizer, BoundKind.LOWER_N)
 
 
 def sample_complexity_renyi(
@@ -502,7 +488,7 @@ def sample_complexity_renyi(
                   (log(1/eps) - (l/(l-1)) log(1/(1-delta))) / D_l(P1||P0) }.
 
     With lam given the bound is evaluated there; otherwise it is
-    maximized over l > 1.  Values below 1 clamp to 1 with valid=False.
+    maximized over l > 1.  A value below 1 keeps its log and is not valid.
 
     The first term's supremum is at least n exactly when branch two of
     ``renyi_converse`` at n, sup_l (l/(l-1)) log(1-eps) - n D_l(P0||P1),
@@ -519,7 +505,7 @@ def sample_complexity_renyi(
     the first with P0 and P1 swapped and eps and delta swapped, so its
     supremum is the same crossing on the reverse record.  The optimizer is
     l* at the larger crossing.  When eps + delta >= 1 no term is positive:
-    1, valid=False, optimizer inf.
+    log -inf, optimizer inf.
     """
     _check_prob("eps", eps)
     _check_prob("delta", delta)
@@ -601,7 +587,7 @@ def hellinger_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResu
     x = -math.expm1(log_affinity_2n)  # 1 - (1 - H^2)^{2n} in [0, 1)
     # 1 - sqrt(x) = (1 - x) / (1 + sqrt(x)), which does not cancel as x -> 1
     log_root = log_affinity_2n - math.log1p(math.sqrt(x))
-    return _lower_beta(log_diff_exp(log_root, log_eps) if log_root >= log_eps else None, None)
+    return _lower_beta(log_diff_exp(log_root, log_eps) if log_root >= log_eps else -math.inf, None)
 
 
 def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResult:
@@ -616,7 +602,7 @@ def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundR
     pair's forward record (:func:`htbounds.distributions._tilt_atoms`).
     Delta ranges over (0, hi), hi = sqrt(n)(1 - eps) - B; if that interval
     is empty (the Q^{-1} argument leaves (0, 1) for every Delta) the bound
-    is vacuous: value 0, valid=False.
+    is vacuous: log -inf.
 
     Delta is the maximizer over [1e-9, hi - 1e-9].  With x = Q^{-1}(w) and
     w the argument above, dx/dDelta = 1 / (sqrt(n) phi(x)), so the slope
@@ -631,12 +617,12 @@ def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundR
     _check_log_eps(log_eps)
     atoms = _tilt_atoms(pair, Direction.FORWARD)
     if atoms.var <= 0.0:
-        return _lower_beta(None, None)
+        return _lower_beta(-math.inf, None)
     one_m_eps = -math.expm1(log_eps)
     sqrt_n = math.sqrt(n)
     hi = sqrt_n * one_m_eps - atoms.berry
     if hi <= 0.0:
-        return _lower_beta(None, None)
+        return _lower_beta(-math.inf, None)
     sqrt_v = math.sqrt(atoms.var)
     scale = sqrt_n * sqrt_v  # n V overflows for Gaussian pairs far apart
     shift = -n * atoms.kl - 0.5 * math.log(n)
@@ -653,7 +639,7 @@ def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundR
         return phi - dl * sqrt_v, -x / sqrt_n - sqrt_v, phi + dl * sqrt_v, None
 
     dl = _argmax_by_root(h, hi, h(0.0)[0] / sqrt_v)
-    return _lower_beta(shift - scale * x_at(dl) + math.log(dl) if dl < hi else None, dl)
+    return _lower_beta(shift - scale * x_at(dl) + math.log(dl) if dl < hi else -math.inf, dl)
 
 
 def smoothing_out_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResult:

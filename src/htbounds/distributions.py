@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-class PairSpecError(ValueError):
+class PairSpecError(DomainError):
     """A textual pair spec failed to parse; ``offset`` points at the error."""
 
     def __init__(self, message: str, offset: int):
@@ -303,10 +303,10 @@ def parse_pair(spec: str) -> DistributionPair:
         gaussian:MU,DELTA[,SIGMA]
         discrete:P,P,...|Q,Q,...
 
-    Parse failures raise :class:`PairSpecError` whose ``offset`` is the
-    character position of the offending token; semantically invalid
-    parameters (e.g. p0 = p1) raise :class:`DomainError` from the pair
-    constructor.
+    Parse failures raise :class:`PairSpecError`, a :class:`DomainError`
+    whose ``offset`` is the character position of the offending token;
+    semantically invalid parameters (e.g. p0 = p1) raise a plain
+    :class:`DomainError` from the pair constructor.
     """
     head, sep, body = spec.partition(":")
     if not sep:

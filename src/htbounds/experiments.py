@@ -39,7 +39,7 @@ from .bounds import (
     threshold_for_rate,
 )
 from .distributions import BernoulliPair, GaussianPair, parse_pair
-from .numerics import DomainError
+from .numerics import DomainError, _check_n
 from .oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
 
 __all__ = [
@@ -69,7 +69,7 @@ def _np_exact(pair, n, log_eps):
         r = np_exact_bernoulli(pair, n, log_eps)
     else:
         r = np_exact_discrete(pair, n, log_eps)
-    return BoundResult(r.log_beta, r.threshold, BoundKind.EXACT_BETA, math.isfinite(r.log_beta))
+    return BoundResult(r.log_beta, r.threshold, BoundKind.EXACT_BETA)
 
 
 _Bound = namedtuple("_Bound", "colour evaluate family", defaults=(object,))
@@ -106,7 +106,9 @@ def bounds_for(pair, names=CANONICAL_BOUNDS) -> tuple:
 class ExperimentGrid:
     """Specification of one sweep; ``bounds=None`` selects every bound defined for the pair.
 
-    An empty selection, or any name outside ``CANONICAL_BOUNDS``, raises
+    An empty selection, any name outside ``CANONICAL_BOUNDS``, sample sizes
+    that are not integers >= 1 in strictly increasing order, or (with
+    ``bounds=None``) a pair spec that does not parse raises
     :class:`DomainError`.
     """
 
@@ -116,11 +118,14 @@ class ExperimentGrid:
     bounds: tuple | None = None
 
     def __post_init__(self) -> None:
-        ns = tuple(int(n) for n in self.n_values)
+        ns = tuple(self.n_values)
         if not ns:
             raise DomainError("n_values must be non-empty")
-        if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
-            raise DomainError("n_values must be strictly increasing positive integers")
+        for n in ns:
+            _check_n(n)
+        ns = tuple(map(int, ns))
+        if any(b <= a for a, b in zip(ns, ns[1:])):
+            raise DomainError("n_values must be strictly increasing")
         object.__setattr__(self, "n_values", ns)
         names = bounds_for(parse_pair(self.pair_spec)) if self.bounds is None else self.bounds
         unknown = [b for b in names if b not in CANONICAL_BOUNDS]
@@ -203,8 +208,6 @@ _ML, _MR, _MT, _MB = 70, 230, 40, 50
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)

@@ -68,8 +68,9 @@ class DomainError(ValueError):
     """An input the library cannot answer.
 
     Either it lies outside the mathematical domain of an operation (a
-    parameter, a sample size, a budget), or an experiment grid is
-    malformed: no sample sizes or bounds selected, an unknown bound, a
+    parameter, a sample size, a budget), a pair spec does not parse
+    (:class:`htbounds.distributions.PairSpecError`), or an experiment grid
+    is malformed: no sample sizes or bounds selected, an unknown bound, a
     bound not defined for the pair, or a table too short to write.
     """
 

@@ -5,6 +5,7 @@ Every pinned number was computed independently with mpmath at 60 digits
 is an extremum) and frozen at 17 significant figures.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -16,6 +17,7 @@ import htbounds.numerics
 from htbounds.cli import DEFAULT_N
 from htbounds.bounds import (
     BoundKind,
+    BoundResult,
     Constant,
     Exponential,
     Linear,
@@ -70,8 +72,28 @@ PENSIA_VALUE = 4050.6524415401351
 PENSIA_LAMBDA = 0.61368959081162535
 # the smoothing objective at GAUSS, n = 1000, log 0.01, t = 0.001
 SMOOTH_TOTAL = -7.2821947716512527
-# exp(-0.3125): cap for the achievability example below
-E_M03125 = 0.73161562894664179
+
+
+class TestBoundResult:
+    def test_fields_are_log_optimizer_and_kind(self):
+        assert [f.name for f in dataclasses.fields(BoundResult)] == ["log_value", "optimizer", "kind"]
+
+    @pytest.mark.parametrize("kind", [BoundKind.LOWER_BETA, BoundKind.UPPER_BETA,
+                                      BoundKind.EXACT_BETA])
+    def test_probability_is_valid_in_minus_inf_to_zero(self, kind):
+        # (log, value, valid): a log of exactly 0 is valid and -inf is not
+        for log_value, value, valid in ((-math.inf, 0.0, False), (-800.0, 0.0, True),
+                                        (-1.0, math.exp(-1.0), True), (0.0, 1.0, True),
+                                        (1e-14, 1.0, False), (math.inf, 1.0, False)):
+            r = BoundResult(log_value, None, kind)
+            assert (r.value, r.valid) == (value, valid), log_value
+
+    def test_sample_size_is_valid_from_zero_and_floored_at_one(self):
+        for log_value, value, valid in ((-math.inf, 1.0, False), (-5.0, 1.0, False),
+                                        (0.0, 1.0, True), (2.0, math.exp(2.0), True),
+                                        (math.inf, math.inf, True)):
+            r = BoundResult(log_value, None, BoundKind.LOWER_N)
+            assert (r.value, r.valid) == (value, valid), log_value
 
 
 class TestRegimes:
@@ -536,43 +558,33 @@ class TestRenyiAchievabilityAtThreshold:
         assert r.log_value == pytest.approx(pa.log_value, rel=1e-11, abs=0.0)
         assert r.valid
 
+    # Where min u <= log alpha the numerator is non-positive at the minimizer:
+    # alpha is not a lower bound on the test's Type I error, and no end value
+    # stands in for the bound.
+    FAILED_PREMISE = (0.0, -math.inf, None, False)
+
     def test_alpha_term_cancels_to_zero_at_optimum(self):
         # At tau = 0 with alpha = e^{-nc} and c = D/4 the numerator
-        # vanishes exactly at lambda* = 1/2, so alpha is not a lower bound
-        # on the test's Type I error: the result is flagged invalid, with
-        # the value at the ends, 1 - alpha (the two ends agree to 1e-9).
+        # vanishes exactly at lambda* = 1/2.
         n, c = 1000, D_GAUSS / 4
         r = renyi_achievability_at_threshold(GAUSS, n, 0.0, -n * c)
-        assert not r.valid
-        assert r.optimizer in (1e-9, 1.0 - 1e-9)
-        assert r.value == pytest.approx(1.0 - E_M03125, rel=1e-8, abs=0.0)
+        assert (r.value, r.log_value, r.optimizer, r.valid) == self.FAILED_PREMISE
 
     def test_infeasible_lambdas_flagged(self):
         # At n = 10^4, alpha = 0.9 the numerator goes non-positive for
         # mid-range lambda (where (lambda-1) n D_lambda dips below
         # log alpha) while the ends of (0, 1) stay feasible.
         r = renyi_achievability_at_threshold(BERN, 10000, 0.0, math.log(0.9))
-        assert not r.valid
-        assert r.value > 0.0  # the smaller end value is reported
-        assert r.optimizer in (1e-9, 1.0 - 1e-9)
+        assert (r.value, r.log_value, r.optimizer, r.valid) == self.FAILED_PREMISE
 
     def test_tiny_alpha_only_ends_feasible(self):
         # alpha = e^{-1000} at n = 10^8, tau = 1: min u is about -2500, so
         # the numerator goes non-positive mid-range, while u is above -2 at
-        # the ends, where e^{u - log alpha} is past the largest double.  The
-        # end l = 1 - 1e-9 has the smaller value, by about 1.
+        # the ends, where e^{u - log alpha} is past the largest double.
         n, tau, log_alpha = 10**8, 1.0, -1000.0
+        assert _mp_min_u(BERN, n, tau) < log_alpha
         r = renyi_achievability_at_threshold(BERN, n, tau, log_alpha)
-        ends = (1e-9, 1.0 - 1e-9)
-        rev = mp_atoms(BERN, Direction.REVERSE)
-        with mpmath.workdps(60):
-            u = [n * _mp_psi(rev, mpmath.mpf(x)) - mpmath.mpf(x) * tau for x in ends]
-            assert min(u) > log_alpha
-            want = float(min(tau + v + mpmath.log1p(-mpmath.exp(log_alpha - v)) for v in u))
-        assert not r.valid
-        assert r.optimizer in ends
-        assert r.log_value == pytest.approx(want, rel=1e-11, abs=0.0)
-        assert r.log_value >= want
+        assert (r.value, r.log_value, r.optimizer, r.valid) == self.FAILED_PREMISE
 
     @pytest.mark.parametrize("spec", ("bernoulli:0.5,0.7", "discrete:0.7,0.2,0.1|0.1,0.3,0.6",
                                       "gaussian:2,0.3"))
@@ -580,7 +592,9 @@ class TestRenyiAchievabilityAtThreshold:
         # tau on both sides of n psi'(0) = -n D(P0||P1) and n psi'(1) =
         # n D(P1||P0), so the order is interior or at either end; alpha 0,
         # or e^{-2} or e^{-1000} below the smallest numerator term e^{min u}
-        # (the latter puts e^{u - log alpha} past the largest double).
+        # (the latter puts e^{u - log alpha} past the largest double).  At
+        # tau = 1.5 n D the bound is vacuous: its log is above 0 by 4e-10 to
+        # 2e-7, and it is not valid.
         pair = parse_pair(spec)
         d = kl_divergence(pair, Direction.REVERSE)
         for n in (10, 400):
@@ -591,7 +605,7 @@ class TestRenyiAchievabilityAtThreshold:
                     with mpmath.workdps(60):
                         want = float(tau + u_min + mpmath.log1p(-mpmath.exp(log_alpha - u_min)))
                     case = (n, tau, log_alpha, r.optimizer)
-                    assert r.valid, case
+                    assert r.optimizer is not None and r.valid == (r.log_value <= 0.0), case
                     assert r.log_value == pytest.approx(want, rel=1e-11, abs=0.0), case
                     assert r.log_value >= want, case
 
@@ -637,10 +651,7 @@ class TestRenyiAchievabilityAtThreshold:
 
     def test_entirely_infeasible_degenerates(self):
         r = renyi_achievability_at_threshold(BERN, 100, 0.0, 0.0)
-        assert r.value == 0.0
-        assert r.log_value == -math.inf
-        assert r.optimizer is None
-        assert not r.valid
+        assert (r.value, r.log_value, r.optimizer, r.valid) == self.FAILED_PREMISE
 
     def test_decreasing_in_alpha(self):
         tau = 0.5

@@ -557,6 +557,14 @@ class TestParsePair:
         with pytest.raises(PairSpecError):
             parse_pair("gaussian:1")
 
+    def test_parse_errors_are_domain_errors(self):
+        # one except clause answers every input the library cannot answer
+        with pytest.raises(DomainError) as exc:
+            parse_pair("bernoulli:x,0.6")
+        assert isinstance(exc.value, PairSpecError)
+        assert exc.value.offset == len("bernoulli:")
+        assert str(exc.value) == "bad number 'x' in bernoulli parameters (at offset 10)"
+
     def test_discrete_missing_bar(self):
         with pytest.raises(PairSpecError):
             parse_pair("discrete:0.5,0.5")

@@ -81,8 +81,7 @@ def direct_cells(pair, regime, n, names):
             r = np_exact_bernoulli(pair, n, log_eps)
         else:
             r = np_exact_discrete(pair, n, log_eps)
-        return BoundResult(r.log_beta, r.threshold, BoundKind.EXACT_BETA,
-                           math.isfinite(r.log_beta))
+        return BoundResult(r.log_beta, r.threshold, BoundKind.EXACT_BETA)
 
     calls = {
         "renyi_converse": lambda: renyi_converse(pair, n, log_eps),
@@ -137,6 +136,16 @@ class TestExperimentGrid:
             small_grid(n_values=(30, 20))
         with pytest.raises(DomainError):
             small_grid(n_values=(0, 5))
+        # every bound rejects a fractional n, so a row may not truncate it
+        with pytest.raises(DomainError, match="n must be an integer"):
+            small_grid(n_values=(10.7, 20.2))
+        with pytest.raises(DomainError, match="n must be an integer"):
+            small_grid(n_values=("x",))
+
+    def test_unparsable_pair_spec_is_a_domain_error(self):
+        # bounds=None parses the pair to select its bounds
+        with pytest.raises(DomainError, match="bad number 'x'"):
+            ExperimentGrid("bernoulli:x,0.6", Constant(0.01), (10, 20))
 
 
 class TestRunGrid:
@@ -151,8 +160,8 @@ class TestRunGrid:
         assert row.cells[1].value == pytest.approx(direct_f.value, rel=1e-14, abs=0.0)
         # the oracle cell carries the oracle's log beta, and its threshold as optimizer
         exact = np_exact_gaussian(pair, 200, math.log(0.01))
-        assert row.cells[2] == BoundResult(exact.log_beta, exact.threshold,
-                                           BoundKind.EXACT_BETA, True)
+        assert row.cells[2] == BoundResult(exact.log_beta, exact.threshold, BoundKind.EXACT_BETA)
+        assert row.cells[2].valid
         assert row.cells[2].kind.value == "exact_beta"
 
     @pytest.mark.parametrize(
@@ -354,7 +363,7 @@ class TestEmitSvg:
     def test_isolated_point_is_a_circle(self, tmp_path):
         # A valid value with no valid neighbour has no line to be part of.
         values = (None, 0.25, None, 0.5, 0.75)
-        cells = (None if v is None else BoundResult(math.log(v), None, BoundKind.LOWER_BETA, True)
+        cells = (None if v is None else BoundResult(math.log(v), None, BoundKind.LOWER_BETA)
                  for v in values)
         rows = tuple(GridRow(n, 0.01, math.log(0.01), (cell,))
                      for n, cell in zip(range(10, 60, 10), cells))
@@ -365,6 +374,18 @@ class TestEmitSvg:
         assert text.count('<circle data-bound="fano"') == 1
         assert text.count('<polyline data-bound="fano"') == 1
         assert "(no valid points)" not in text
+
+    def test_flat_table_is_widened_about_its_value(self, tmp_path, capsys):
+        # every Fano value is 1 (its log is above 0), so the y range is
+        # widened to [0.5, 1.5] before padding and the curve is drawn mid-plot
+        svg = tmp_path / "flat.svg"
+        assert cli_main(["sweep", "--pair", "bernoulli:0.5,0.51", "--bounds", "fano", "--eps",
+                         "0.9", "--n-min", "1", "--n-max", "3", "--n-step", "1",
+                         "--svg", str(svg)]) == 0
+        text = svg.read_text()
+        assert 'points="70.00,265.00 360.00,265.00 650.00,265.00"' in text
+        labels = re.findall(r'text-anchor="end">([^<]*)<', text)
+        assert labels == ["0.6", "0.8", "1", "1.2", "1.4"]
 
     def test_needs_two_rows(self, tmp_path):
         table = run_grid(small_grid(n_values=(100,)))
@@ -544,10 +565,20 @@ class TestCli:
         assert cli_main(["bound", "--pair", "gaussian:0,1", "--n", "10", *flags]) == 0
 
     def test_bound_requires_tau_for_achievability(self, capsys):
-        code = cli_main(
-            ["bound", "--pair", "bernoulli:0.5,0.51", "--bound", "achievability", "--n", "100"]
-        )
+        # and each phase bound its rate --c
+        for bound, flag in (("achievability", "--tau"), ("phase_converse", "--c"),
+                            ("phase_achievability", "--c")):
+            code = cli_main(
+                ["bound", "--pair", "bernoulli:0.5,0.51", "--bound", bound, "--n", "100"]
+            )
+            assert code == 2
+            assert f"error: {bound} requires {flag}" in capsys.readouterr().err
+
+    def test_sweep_zero_n_step_exits_two(self, capsys):
+        code = cli_main(["sweep", "--pair", "gaussian:2,0.05", "--n-min", "100", "--n-max",
+                         "200", "--n-step", "0", "--bounds", "fano"])
         assert code == 2
+        assert "need 1 <= n-min <= n-max and n-step >= 1" in capsys.readouterr().err
 
     def test_samplesize_prints_ceils(self, capsys):
         code = cli_main(
@@ -724,10 +755,25 @@ class TestCli:
     ], ids=["achievability", "phase_achievability"])
     def test_upper_bound_above_one_prints_one(self, capsys, argv):
         # log beta's upper bound is above 0 (4.98e-7; rounding at exponent
-        # 1.4e-14): beta <= 1 is printed, the log keeps the bound's own
+        # 1.4e-14): beta <= 1 is printed, the log keeps the bound's own,
+        # and a bound on a probability above 1 is not valid
         assert cli_main(["bound", *argv]) == 0
-        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        text, json_line = capsys.readouterr().out.strip().splitlines()
+        payload = json.loads(json_line)
         assert payload["value"] == 1.0 and payload["log_value"] > 0.0
+        assert payload["valid"] is False and text.endswith("[degenerate]")
+
+    def test_samplesize_below_one_keeps_its_log(self, capsys):
+        # eps = delta = 0.4 at a wide separation: both bounds are below one
+        # sample, printed as 1 and not valid, with their own negative logs
+        code = cli_main(["samplesize", "--pair", "gaussian:0,5", "--eps", "0.4",
+                         "--delta", "0.4"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        for line, want in ((lines[1], -5.35915247828568), (lines[3], -4.025668631067771)):
+            payload = json.loads(line)
+            assert (payload["value"], payload["valid"]) == (1.0, False)
+            assert payload["log_value"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_samplesize_order_at_branch_one_end(self, capsys):
         # the crossing lies just below where branch one turns vacuous; its
