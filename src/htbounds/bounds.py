@@ -38,28 +38,29 @@ objective above is stationary exactly where
 
     H_s(l) = psi(l) - (l - s) psi'(l) = target,
 
-and H_s' = -(l - s) psi'' < 0, so the optimal order is the one root of a
-monotone function: s = 0 on the reverse atoms with target log(eps)/n for
-branch one (target -c for both phase bounds), s = 1 on the forward atoms
-with target log(1-eps)/n for branch two.  One solver, ``_tilt_root``,
+and H_s' = -(l - s) psi'' < 0 for l > s, so the optimal order is the one
+root of a monotone function: s = 0 on the reverse atoms with target
+log(eps)/n for branch one (target -c for both phase bounds), s = 1 on the
+forward atoms with target log(1-eps)/n for branch two, and
+s = top / (top - bottom) > 1 with target 0 for a term of the sample-size
+bound (top = log 1/delta and bottom = log 1/(1-eps) on the forward atoms,
+eps and delta swapped on the reverse ones).  One solver, ``_tilt_root``,
 finds it in a handful of psi evaluations: safeguarded Newton from the
 root of psi's quadratic model at l = 1, and it tests the l = inf end
-itself.  The ends are exact:
-H_0(1) = -D(P1||P0), so branch one is informative exactly when
-n D(P1||P0) < log(1/eps) and the phase root lies in (0, 1) exactly when
-c < D(P1||P0); and when the target is at or below H_s(inf) = log P0(A),
-A the atoms where z is largest, the optimum is the endpoint l = inf,
-reported as ``optimizer = inf`` with the limit value (log eps +
-n D_inf(P1||P0) for branch one, log(1-eps) - n D_inf(P0||P1) for branch
-two).  For a Gaussian pair psi is the quadratic model itself, so Newton
-starts at the root, and D_inf = inf, so there is no l = inf end.
+itself.  The ends are exact: H_0(1) = -D(P1||P0), so branch one is
+informative exactly when n D(P1||P0) < log(1/eps) and the phase root lies
+in (0, 1) exactly when c < D(P1||P0); and when the target is at or below
+H_s(inf) = log Q(A) + s D_inf (log P0(A) for both branches), Q the
+record's second distribution and A the atoms where z is largest, the
+optimum is the endpoint l = inf, reported as ``optimizer = inf`` with
+the limit value (log eps + n D_inf(P1||P0) for branch one, log(1-eps) -
+n D_inf(P0||P1) for branch two, (top - bottom) / D_inf for a sample-size
+term).  For a Gaussian pair psi is the quadratic model itself, so Newton
+starts at the root (the sample-size root is taken in closed form), and
+D_inf = inf, so there is no l = inf end.
 
 The threshold achievability bound minimizes the convex
 u(l) = n psi(l) - l tau, so its order is the root of n psi'(l) = tau.
-The optimized ``sample_complexity_renyi`` is the larger of two
-crossings in n: where branch two's log bound falls to log(delta), and
-the same crossing with P0 and P1 swapped and eps and delta swapped.  Each
-is monotone in n, with slope given by the envelope theorem.
 
 The Berry-Esseen slack and the smoothing temperature are roots too: the
 slope of each objective changes sign once, from + to -, so the maximizer
@@ -240,18 +241,29 @@ def _lower_beta(log_value: float, optimizer: float | None) -> BoundResult:
     return BoundResult(log_value, optimizer, BoundKind.LOWER_BETA)
 
 
-def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float,
-               hi: float) -> tuple[float, float | None, float | None]:
+def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float, hi: float,
+               ds: float = 0.0) -> tuple[float, float | None, float | None]:
     """The order l in (lo, hi) where H_s(l) = psi(l) - (l - s) psi'(l) = target.
 
-    psi is the tilted log-sum over ``atoms``, one pair's record.  Since
-    H_s' = -(l - s) psi'', H_s strictly decreases for l > s, and lo >= s
-    here; the caller guarantees H_s(lo) > target, and target > H_s(hi) for
-    a finite hi.  For hi = inf, H_s falls to H_s(inf) = log Q(A) + s D_inf,
-    A the atoms where z is largest: at or below it there is no root, and
-    the optimum is the l = inf end (a Gaussian record, with D_inf = inf,
-    has none).  Newton starts where psi(1 + h) ~ psi'(1) h + psi''(1) h^2 / 2,
-    a quadratic model that is exact for a Gaussian pair, puts the root,
+    psi is the tilted log-sum over ``atoms``, one pair's record.  The
+    order is s + ``ds``, with ds the part that the float s cannot hold:
+    the residual forms l - s as (l - s) - ds, and the start and the l = inf
+    test below read s alone, which moves them by an ulp of s at most.  The
+    sample-size bound passes s = top / (top - bottom) and
+    ds = sigma - (s - 1), sigma = bottom / (top - bottom), so that the
+    residual carries (l - 1) - sigma with sigma to a few ulps of itself;
+    the float s keeps sigma = s - 1 only to an ulp of 1: at
+    eps = 1.9e-12, delta = 1.8e-12 it turns 7.026e-14 into 7.039e-14 and
+    moves n by 2.2e-13 relative, and at eps <= 1e-100 s is exactly 1.  The
+    other callers pass ds = 0, which leaves every bit as it was.
+    Since H_s' = -(l - s) psi'', H_s increases up to s and strictly
+    decreases beyond; the caller guarantees H_s(lo) > target, so the one
+    root lies past s, and target > H_s(hi) for a finite hi.  For hi = inf,
+    H_s falls to H_s(inf) = log Q(A) + s D_inf, A the atoms where z is
+    largest: at or below it there is no root, and the optimum is the
+    l = inf end (a Gaussian record, with D_inf = inf, has none).  Newton
+    starts where psi(1 + h) ~ psi'(1) h + psi''(1) h^2 / 2, a quadratic
+    model that is exact for a Gaussian pair, puts the root,
 
         l = s + sqrt(w) / sqrt(psi''(1)),
         w = ((1 - s) sqrt(psi''(1)))^2 - 2 ((1 - s) psi'(1) + target),
@@ -274,8 +286,9 @@ def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float,
 
     def resid(x):
         psi, mean, var, psi_size = _tilt(atoms, x)
-        size = abs(psi) + abs((x - s) * mean) + abs(target)
-        return psi - (x - s) * mean - target, -(x - s) * var, size, (psi, psi_size)
+        h = (x - s) - ds
+        size = abs(psi) + abs(h * mean) + abs(target)
+        return psi - h * mean - target, -h * var, size, (psi, psi_size)
 
     lam, (psi, psi_size) = _newton_root(resid, lo, hi, start, s)
     return lam, psi, psi_size
@@ -319,7 +332,7 @@ def _branch_one(rev: _TiltAtoms, n: int, log_eps: float) -> tuple[float, float |
     return (log_diff_exp(0.0, g) if g < 0.0 else -math.inf), lam
 
 
-def _branch_two(fwd: _TiltAtoms, n: float, log_1m_eps: float) -> tuple[float, float]:
+def _branch_two(fwd: _TiltAtoms, n: int, log_1m_eps: float) -> tuple[float, float]:
     """sup_{l>1} (l/(l-1)) log(1-eps) - n D_l(P0||P1) and its argmax l.
 
     With u = log(1-eps) / n the objective is stationary where H_1(l) = u;
@@ -490,22 +503,23 @@ def sample_complexity_renyi(
     With lam given the bound is evaluated there; otherwise it is
     maximized over l > 1.  A value below 1 keeps its log and is not valid.
 
-    The first term's supremum is at least n exactly when branch two of
-    ``renyi_converse`` at n, sup_l (l/(l-1)) log(1-eps) - n D_l(P0||P1),
-    is at least log(delta).  That log bound decreases in n with slope
-    -D_l*(P0||P1) at its optimal order l* (envelope theorem), so the
-    supremum is the n where it equals log(delta), found by Newton in
-    x = n D(P0||P1) from x = (sqrt(log 1/delta) - sqrt(log 1/(1-eps)))^2.
-    For a Gaussian pair that start is the root, at the order
-    sqrt(log 1/delta) / (sqrt(log 1/delta) - sqrt(log 1/(1-eps))) for
-    every separation, and it is taken without Newton: at extreme
-    separations branch two cannot be formed at n = x / D (at
-    ``gaussian:0,1e+153`` n is near 1e-309 and psi overflows at the
-    order; at ``gaussian:0,1e-160`` n overflows).  The second term is
-    the first with P0 and P1 swapped and eps and delta swapped, so its
-    supremum is the same crossing on the reverse record.  The optimizer is
-    l* at the larger crossing.  When eps + delta >= 1 no term is positive:
-    log -inf, optimizer inf.
+    In a direction's record, with (a, b) = (eps, delta) forward and
+    (delta, eps) reverse, top = log(1/b), bottom = log(1/(1-a)) and psi
+    the record's tilted log-sum (D_l = psi(l) / (l - 1)), the term is
+    T(l) = ((l - 1) top - l bottom) / psi(l), negative for every l unless
+    top > bottom.  Its slope is (top - bottom) H_s(l) / psi(l)^2 with
+    H_s = psi - (l - s) psi' and s = top / (top - bottom) > 1, so the
+    supremum is at the one root of H_s = 0 past s, from ``_tilt_root``
+    with s - 1 carried as sigma = bottom / (top - bottom) (see there), or
+    at its l = inf end, T(inf) = (top - bottom) / D_inf.  For a Gaussian
+    pair psi = l (l - 1) D, and the root is the closed form
+    l* = s + sqrt(s (s - 1)) = sqrt(top) / gap, gap = sqrt(top) -
+    sqrt(bottom), with T(l*) = gap^2 / D.  It is taken without the solver,
+    which on a Gaussian record returned the order 1.0466 for 1.0490 at
+    ``gaussian:0,1e-160`` (eps = delta = 0.01) and overflowed forming its
+    start at ``gaussian:0,1e153`` (eps = e^-1/2, delta = e^-1).  The
+    optimizer is l* of the larger term.  When eps + delta >= 1 no term is
+    positive: log -inf, optimizer inf.
     """
     _check_prob("eps", eps)
     _check_prob("delta", delta)
@@ -514,8 +528,8 @@ def sample_complexity_renyi(
     crossings = []
     # the term (log(1/b) - (l/(l-1)) log(1/(1-a))) / D_l in this direction
     for direction, a, b in ((Direction.FORWARD, eps, delta), (Direction.REVERSE, delta, eps)):
-        d = kl_divergence(pair, direction)
-        if not d > 0.0:
+        atoms = _tilt_atoms(pair, direction)
+        if not atoms.kl > 0.0:
             raise DomainError("sample_complexity_renyi requires distinct distributions")
         top, bottom = -math.log(b), -math.log1p(-a)
         if lam is not None:
@@ -525,24 +539,15 @@ def sample_complexity_renyi(
             continue
         if not top > bottom:
             continue  # the term is negative for every l
-        gap = math.sqrt(top) - math.sqrt(bottom)
-        if isinstance(pair, GaussianPair):  # the start is the root (see the docstring)
-            crossings.append((gap * gap / d, math.sqrt(top) / gap))
+        if isinstance(pair, GaussianPair):  # the root in closed form (see the docstring)
+            gap = math.sqrt(top) - math.sqrt(bottom)
+            crossings.append((gap * gap / atoms.kl, math.sqrt(top) / gap))
             continue
-        atoms = _tilt_atoms(pair, direction)
-
-        def resid(x):
-            # branch two's log bound at n = x / d less log(b), with r and slope for
-            # one more Newton step (_newton_root may stop 1e-10 relative from the root)
-            val, lam_ = _branch_two(atoms, x / d, -bottom)
-            ratio = 1.0 if lam_ == math.inf else lam_ / (lam_ - 1.0)
-            r, slope = val + top, (ratio * -bottom - val) / -x
-            return r, slope, abs(val) + top, (lam_, r, slope)
-
-        # x = n D lies below top (the term is at most top / D_l <= top / D),
-        # where branch two's log bound is at most -top.
-        x, (lam_, r, slope) = _newton_root(resid, 0.0, top, gap * gap, 0.0)
-        crossings.append(((x - r / slope if slope < 0.0 else x) / d, lam_))
+        s = top / (top - bottom)  # with ds below, s + ds = 1 + sigma keeps sigma's digits
+        order, psi, _ = _tilt_root(atoms, s, 0.0, s, math.inf, bottom / (top - bottom) - (s - 1.0))
+        end = order == math.inf  # the term's l = inf limit is (top - bottom) / D_inf
+        num = top - bottom if end else (order - 1.0) * top - order * bottom
+        crossings.append((num / (atoms.d_inf if end else psi), order))
     if not crossings:
         return _lower_n(0.0, math.inf)
     value, arg = max(crossings, key=lambda c: c[0])

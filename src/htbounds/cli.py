@@ -167,7 +167,8 @@ def _ceil(x: float):
 
 
 def _size_line(name: str, r) -> str:
-    return f"{name}: n >= {r.value:.12g}  (ceil {_ceil(r.value)}, order {r.optimizer:.6g})"
+    tag = "" if r.valid else "  [degenerate]"
+    return f"{name}: n >= {r.value:.12g}  (ceil {_ceil(r.value)}, order {r.optimizer:.6g}){tag}"
 
 
 def _cmd_samplesize(args) -> int:

@@ -46,7 +46,7 @@ from htbounds.distributions import (
     renyi_divergence,
 )
 from htbounds.experiments import _achievability
-from htbounds.numerics import DomainError
+from htbounds.numerics import DomainError, q_inverse
 from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
 
 from scanpolish import renyi_reference, scan_polish_argmax
@@ -668,6 +668,68 @@ class TestRenyiAchievabilityAtThreshold:
             renyi_achievability_at_threshold(BERN, 100, 0.0, math.nan)
 
 
+def _mp_sample_size(pair, eps, delta):
+    """The optimized sample-size bound by golden section at 50 digits.
+
+    Each direction's term ((l-1) top - l bottom) / psi(l), top = log 1/b
+    and bottom = log 1/(1-a), runs over v = log(l - 1) in (-800, 60), with
+    psi(1 + h) = log1p(sum p expm1(h z)), so that an order within 1e-300
+    of 1 keeps its digits.  The term is unimodal in v, and v -> 60 reaches
+    its l = inf limit.
+    """
+    with mpmath.workdps(50):
+        terms = []
+        for direction, a, b in ((Direction.FORWARD, eps, delta), (Direction.REVERSE, delta, eps)):
+            p, q = mp_atoms(pair, direction)
+            z = [mpmath.log(x / y) for x, y in zip(p, q)]
+            top, bottom = -mpmath.log(b), -mpmath.log1p(-mpmath.mpf(a))
+
+            def term(v, p=p, z=z, top=top, bottom=bottom):
+                h = mpmath.exp(v)
+                psi = mpmath.log1p(mpmath.fsum(x * mpmath.expm1(h * w) for x, w in zip(p, z)))
+                return (h * top - (1 + h) * bottom) / psi
+
+            terms.append(_mp_golden(term, -800, 60))
+        return float(max(terms))
+
+
+# _mp_sample_size(pair, eps, delta): at (1.9e-12, 1.8e-12), s - 1 = log 1/(1-eps) /
+# (log 1/delta - log 1/(1-eps)) is about 7e-14, and at (1e-300, 1e-300) the
+# optimal order lies below an ulp above 1.
+MP_SAMPLE_SIZE = {
+    ("bernoulli:0.5,0.6", 0.01, 0.01): 208.04969189050504,
+    ("bernoulli:0.5,0.6", 1.9e-12, 1.8e-12): 1340.375717936083,
+    ("bernoulli:0.5,0.6", 1e-300, 1e-300): 34306.327780479245,
+    ("discrete:0.2,0.3,0.5|0.5,0.3,0.2", 0.01, 0.01): 15.278802139233752,
+    ("discrete:0.2,0.3,0.5|0.5,0.3,0.2", 1.9e-12, 1.8e-12): 98.37933046538392,
+    ("discrete:0.2,0.3,0.5|0.5,0.3,0.2", 1e-300, 1e-300): 2512.9415947320604,
+}
+
+
+def _exact_sample_size(pair, eps, delta):
+    """n*, the smallest n with beta_n(eps) <= delta.
+
+    For a Gaussian pair, sqrt(n) d >= Q^{-1}(eps) + Q^{-1}(delta) with d the
+    mean shift over sigma; for a Bernoulli pair, bisection in n over the
+    K = 2 type oracle, since beta_n(eps) does not increase with n.
+    """
+    if isinstance(pair, GaussianPair):
+        d = abs(pair.delta) / pair.sigma
+        return math.ceil(((q_inverse(eps) + q_inverse(delta)) / d) ** 2)
+    k2 = FiniteDiscretePair((1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1))
+
+    def enough(n):
+        return np_exact_discrete(k2, n, math.log(eps)).log_beta <= math.log(delta)
+
+    lo, hi = 0, 1  # enough(hi), and not enough(lo) (lo = 0 samples never suffice)
+    while not enough(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
+
+
 class TestSampleComplexity:
     def test_renyi_reference_at_lambda_two(self):
         r = sample_complexity_renyi(GAUSS, 0.01, 0.01, lam=2.0)
@@ -688,15 +750,44 @@ class TestSampleComplexity:
 
     @pytest.mark.parametrize("eps, delta", [(0.1, 0.01), (math.exp(-0.5), math.exp(-1.0))])
     def test_gaussian_order_at_every_separation(self, eps, delta):
-        # The order of the first crossing, the larger here, is
-        # sqrt(log 1/delta) / gap at every separation.  Newton in x = n D
-        # could not form branch two at n = x / D for the outer two: n is
-        # near 1e-309, or past the float range (where both crossings are inf).
+        # The order of the first crossing, the larger here, is the closed-form
+        # root sqrt(log 1/delta) / gap at every separation (the value is inf
+        # at 1e-160, past the float range).  The general root of _tilt_root
+        # on a Gaussian record misses it at the outer two: 1.1758 for 1.1782
+        # at 1e-160 (eps = 0.1), and at 1e153 (eps = e^-1/2) its start overflows.
         top, bottom = -math.log(delta), -math.log1p(-eps)
         want = math.sqrt(top) / (math.sqrt(top) - math.sqrt(bottom))
         for sep in (1e-160, 1.0, 1e153):
             r = sample_complexity_renyi(GaussianPair(0.0, sep), eps, delta)
             assert r.optimizer == pytest.approx(want, rel=1e-14, abs=0.0), sep
+
+    @pytest.mark.parametrize("spec, eps, delta", list(MP_SAMPLE_SIZE))
+    def test_optimized_matches_mpmath_at_the_edges(self, spec, eps, delta):
+        r = sample_complexity_renyi(parse_pair(spec), eps, delta)
+        want = MP_SAMPLE_SIZE[spec, eps, delta]
+        assert r.value == pytest.approx(want, rel=1e-13, abs=0.0), r.optimizer
+
+    def test_frozen_sample_size_references_match_their_generator(self):
+        # the row whose optimal order lies below an ulp above 1, recomputed
+        key = ("bernoulli:0.5,0.6", 1e-300, 1e-300)
+        assert _mp_sample_size(parse_pair(key[0]), *key[1:]) == pytest.approx(
+            MP_SAMPLE_SIZE[key], rel=1e-15, abs=0.0)
+
+    def test_exact_sample_size_pinned(self):
+        pair = parse_pair("bernoulli:0.5,0.6")
+        assert _exact_sample_size(pair, 0.01, 0.01) == 534
+        assert sample_complexity_renyi(pair, 0.01, 0.01).value == pytest.approx(
+            208.05, rel=1e-5, abs=0.0)
+
+    @pytest.mark.parametrize("spec", ("bernoulli:0.5,0.6", "bernoulli:0.1,0.35",
+                                      "bernoulli:0.8,0.6", "gaussian:2,0.05", "gaussian:0,1",
+                                      "gaussian:-1,1.5,3"))
+    def test_sound_against_exact_sample_size(self, spec):
+        # the bound never asks for more samples than the exact n*
+        pair = parse_pair(spec)
+        for eps, delta in ((0.01, 0.01), (0.1, 1e-4), (1e-4, 0.2), (0.3, 0.3)):
+            r = sample_complexity_renyi(pair, eps, delta)
+            assert r.value <= _exact_sample_size(pair, eps, delta), (eps, delta, r.value)
 
     def test_optimized_dominates_fixed_lambda(self):
         fixed = sample_complexity_renyi(GAUSS, 0.01, 0.01, lam=2.0)

@@ -775,6 +775,18 @@ class TestCli:
             assert (payload["value"], payload["valid"]) == (1.0, False)
             assert payload["log_value"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("argv, tagged", [
+        (["--pair", "gaussian:0,5", "--eps", "0.4", "--delta", "0.4"], True),
+        (["--pair", "gaussian:2,0.05", "--eps", "0.01", "--delta", "0.01", "--lam", "2"], False),
+    ], ids=["below_one", "readme"])
+    def test_samplesize_tags_invalid_results(self, capsys, argv, tagged):
+        # each text line carries the tag exactly where its JSON line is not valid
+        assert cli_main(["samplesize", *argv]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        for text, json_line in ((lines[0], lines[1]), (lines[2], lines[3])):
+            assert json.loads(json_line)["valid"] is not tagged
+            assert text.endswith("  [degenerate]") is tagged, text
+
     def test_samplesize_order_at_branch_one_end(self, capsys):
         # the crossing lies just below where branch one turns vacuous; its
         # order is the l = inf limit: printed as inf and written to JSON as "inf"
