@@ -28,8 +28,11 @@ Achievability (upper) bounds:
 
 * ``phase_transition_achievability``: the rate form at c < D(P1||P0),
   beta_n(e^{-nc}) < inf_{l} e^{-n ((1-l)/l)(D_l(P1||P0) - c)} over the
-  l in (0,1) with D_l > c, obtained from the threshold construction of
-  ``threshold_for_rate`` with the Markov bound on alpha.
+  l in (0,1) with D_l > c.  It is the threshold bound with alpha = 0 at
+  tau = n (psi(l*) + c) / l*, l* its optimal order (psi and H_0 as
+  below): H_0(l*) = -c gives n psi'(l*) = tau, so the threshold bound is
+  minimized at l* itself, where its log n psi(l*) - (l* - 1) tau equals
+  n (psi(l*) - (l* - 1) c) / l*, the rate form's.
 
 Solving for the order.  With psi(l) = log sum p^l q^{1-l} over the atoms
 of the two distributions (convex: the log-moment generating function of
@@ -126,7 +129,6 @@ __all__ = [
     "sample_complexity_pensia",
     "sample_complexity_renyi",
     "smoothing_out_bound",
-    "threshold_for_rate",
 ]
 
 #: Offset of the baselines' search domains from their open ends.
@@ -436,32 +438,16 @@ def renyi_achievability_at_threshold(
     return BoundResult(base + corr + err, lam, BoundKind.UPPER_BETA)
 
 
-def threshold_for_rate(pair: DistributionPair, n: int, c: float, lam: float) -> float:
-    """Log-LR threshold whose Markov bound pins the Type I error at e^{-nc}.
-
-    tau = n D_lam(P1||P0) - n (D_lam(P1||P0) - c) / lam for lam in (0,1),
-    formed as n ((lam - 1) D_lam + c) / lam: (lam - 1) D_lam gives back the
-    reverse-direction tilted log-sum psi(lam) to about an ulp, and psi + c
-    does not cancel, so tau keeps its accuracy as lam -> 1.  Requires
-    c < D_lam(P1||P0) so the threshold sits below n D_lam.
-    """
-    _check_n(n)
-    if not (isinstance(lam, (int, float)) and 0.0 < lam < 1.0):
-        raise DomainError(f"lam must lie in (0, 1), got {lam!r}")
-    _check_rate(c)
-    d = renyi_divergence(pair, lam, Direction.REVERSE)
-    if c >= d:
-        raise DomainError(f"threshold_for_rate requires c < D_lambda(P1||P0) = {d:.6g}")
-    return n * ((lam - 1.0) * d + c) / lam
-
-
 def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> BoundResult:
     """Upper bound on beta_n(e^{-nc}) for rates below the divergence.
 
     beta_n(e^{-nc}) < inf e^{-n ((1-l)/l)(D_l(P1||P0) - c)}, the infimum
-    over the l in (0, 1) with D_l(P1||P0) > c; each such l corresponds to
-    the threshold test of :func:`threshold_for_rate` with the alpha term
-    of the achievability bound dropped.
+    over the l in (0, 1) with D_l(P1||P0) > c.  It is the bound of
+    :func:`renyi_achievability_at_threshold` with alpha = 0 at the threshold
+    tau = n (psi(l*) + c) / l*, l* the optimal order below and psi the
+    reverse-direction tilted log-sum: H_0(l*) = -c gives n psi'(l*) = tau,
+    so the threshold bound is minimized at l* itself, where its log
+    n psi(l*) - (l* - 1) tau is n (psi(l*) - (l* - 1) c) / l*, this bound's.
     """
     _check_n(n)
     _check_rate(c)
@@ -546,6 +532,8 @@ def sample_complexity_renyi(
         s = top / (top - bottom)  # with ds below, s + ds = 1 + sigma keeps sigma's digits
         order, psi, _ = _tilt_root(atoms, s, 0.0, s, math.inf, bottom / (top - bottom) - (s - 1.0))
         end = order == math.inf  # the term's l = inf limit is (top - bottom) / D_inf
+        if not (end or psi > 0.0):
+            continue  # psi(l*) rounds to 0 or below: the record cannot resolve the term
         num = top - bottom if end else (order - 1.0) * top - order * bottom
         crossings.append((num / (atoms.d_inf if end else psi), order))
     if not crossings:

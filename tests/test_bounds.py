@@ -32,7 +32,6 @@ from htbounds.bounds import (
     sample_complexity_pensia,
     sample_complexity_renyi,
     smoothing_out_bound,
-    threshold_for_rate,
 )
 from htbounds.distributions import (
     BernoulliPair,
@@ -43,9 +42,7 @@ from htbounds.distributions import (
     _tilt_atoms,
     kl_divergence,
     parse_pair,
-    renyi_divergence,
 )
-from htbounds.experiments import _achievability
 from htbounds.numerics import DomainError, q_inverse
 from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
 
@@ -63,8 +60,6 @@ PHASE_LAMBDA = 4.4721359549995794
 FANO_1000 = 0.14469939235363136
 # hellinger_bound(GAUSS, 50, log 0.01)
 HELL_BOUND_50 = 0.81459542331040527
-# threshold_for_rate(GAUSS, 100, D/2, sqrt(1/2))
-TAU_EXAMPLE = 0.051776695296636881
 # sample_complexity_renyi(GAUSS, 0.01, 0.01, lam=2)
 COR1_VALUE = 1834.0278057124354
 # sample_complexity_pensia(GAUSS, 0.01, 0.001)
@@ -486,34 +481,14 @@ class TestRenyiOrderRoot:
         assert r.value == pytest.approx(0.8, rel=1e-15, abs=0.0)
 
 
-class TestThresholdForRate:
-    def test_reference_value(self):
-        tau = threshold_for_rate(GAUSS, 100, D_GAUSS / 2, math.sqrt(0.5))
-        assert tau == pytest.approx(TAU_EXAMPLE, rel=1e-12, abs=0.0)
+def _phase_threshold(pair, n, c):
+    """tau = n (psi(l*) + c) / l* at the rate-c bound's order l*, psi from the reverse record.
 
-    def test_rate_at_or_above_divergence_rejected(self):
-        lam = 0.5
-        d_lam = renyi_divergence(GAUSS, lam, Direction.REVERSE)
-        with pytest.raises(DomainError):
-            threshold_for_rate(GAUSS, 100, d_lam, lam)
-        with pytest.raises(DomainError):
-            threshold_for_rate(GAUSS, 100, 2.0 * d_lam, lam)
-
-    def test_lambda_domain(self):
-        for bad in (0.0, 1.0, 1.5, -0.2):
-            with pytest.raises(DomainError):
-                threshold_for_rate(GAUSS, 100, D_GAUSS / 2, bad)
-
-    def test_near_one_matches_mpmath(self):
-        # tau = n (psi(l) + c) / l at the sweep's near-critical cell, where
-        # forming it from D_l by a log-sum-exp lost 1.7e-13 relative.
-        n, lam = 2000, 0.9999995
-        c = 0.999999 * kl_divergence(BERN, Direction.REVERSE)
-        rev = mp_atoms(BERN, Direction.REVERSE)
-        with mpmath.workdps(60):
-            lm = mpmath.mpf(lam)
-            want = float(n * (_mp_psi(rev, lm) + mpmath.mpf(c)) / lm)
-        assert threshold_for_rate(BERN, n, c, lam) == pytest.approx(want, rel=1e-15, abs=0.0)
+    psi + c does not cancel, so tau keeps its accuracy as l* -> 1.
+    """
+    lam = phase_transition_achievability(pair, n, c).optimizer
+    psi = _tilt(_tilt_atoms(pair, Direction.REVERSE), lam)[0]
+    return n * (psi + c) / lam
 
 
 def _mp_min_u(pair, n, tau):
@@ -552,8 +527,7 @@ class TestRenyiAchievabilityAtThreshold:
         c = kl_divergence(BERN, Direction.REVERSE) / 2
         n = 10000
         pa = phase_transition_achievability(BERN, n, c)
-        tau = threshold_for_rate(BERN, n, c, pa.optimizer)
-        r = renyi_achievability_at_threshold(BERN, n, tau, -math.inf)
+        r = renyi_achievability_at_threshold(BERN, n, _phase_threshold(BERN, n, c), -math.inf)
         # Both are about -0.17; they differ by the rounding of tau.
         assert r.log_value == pytest.approx(pa.log_value, rel=1e-11, abs=0.0)
         assert r.valid
@@ -629,9 +603,10 @@ class TestRenyiAchievabilityAtThreshold:
                 assert r.log_value >= want, case
 
     def test_near_critical_exponent_matches_mpmath(self):
-        # The sweep's cell at c just below D, where forming (l - 1) n D_l
-        # from a log-sum-exp overstated the exponent (-3.98e-13 returned at
-        # bernoulli:0.5,0.51, n = 2000, c = 0.999999 D, against 1.0003e-13).
+        # The threshold of the rate-c bound at c just below D, where forming
+        # (l - 1) n D_l from a log-sum-exp overstated the exponent (-3.98e-13
+        # returned at bernoulli:0.5,0.51, n = 2000, c = 0.999999 D, against
+        # 1.0003e-13).
         # The truth is the bound at the same float tau, minimized at 60
         # digits; the returned exponent is never above it.
         n = 2000
@@ -640,9 +615,8 @@ class TestRenyiAchievabilityAtThreshold:
             d = kl_divergence(pair, Direction.REVERSE)
             for ratio in (0.999, 0.999999):
                 c = ratio * d
-                r = _achievability(pair, n, -c * n)
-                lam = phase_transition_achievability(pair, n, c).optimizer
-                tau = threshold_for_rate(pair, n, c, lam)
+                tau = _phase_threshold(pair, n, c)
+                r = renyi_achievability_at_threshold(pair, n, tau, -math.inf)
                 want = -float(tau + _mp_min_u(pair, n, tau))
                 got = -r.log_value
                 assert r.valid

@@ -28,10 +28,16 @@ from htbounds.bounds import (
     renyi_achievability_at_threshold,
     renyi_converse,
     smoothing_out_bound,
-    threshold_for_rate,
 )
 from htbounds.cli import _REPRODUCE_BOUNDS, _REPRODUCE_PAIRS, DEFAULT_N, cli_main
-from htbounds.distributions import BernoulliPair, Direction, GaussianPair, kl_divergence, parse_pair
+from htbounds.distributions import (
+    BernoulliPair,
+    Direction,
+    FiniteDiscretePair,
+    GaussianPair,
+    kl_divergence,
+    parse_pair,
+)
 from htbounds.experiments import (
     CANONICAL_BOUNDS,
     ExperimentGrid,
@@ -62,17 +68,12 @@ def small_grid(**kw):
 def direct_cells(pair, regime, n, names):
     """The named columns' cells at n from direct library calls, by name.
 
-    The phase columns run at the row's rate -log(eps)/n, achievability is
-    the threshold test at the phase bound's order for that rate, and every
-    family's oracle takes log eps.  A DomainError is an empty cell: None.
+    The phase columns and achievability (the phase_achievability cell
+    again) run at the row's rate -log(eps)/n, and every family's oracle
+    takes log eps.  A DomainError is an empty cell: None.
     """
     eps, log_eps = eps_at(regime, n)
     rate = -log_eps / n
-
-    def achievability():
-        lam = phase_transition_achievability(pair, n, rate).optimizer
-        tau = threshold_for_rate(pair, n, rate, lam)
-        return renyi_achievability_at_threshold(pair, n, tau, -math.inf)
 
     def np_exact():
         if isinstance(pair, GaussianPair):
@@ -85,7 +86,7 @@ def direct_cells(pair, regime, n, names):
 
     calls = {
         "renyi_converse": lambda: renyi_converse(pair, n, log_eps),
-        "achievability": achievability,
+        "achievability": lambda: phase_transition_achievability(pair, n, rate),
         "phase_converse": lambda: phase_transition_converse(pair, n, rate),
         "phase_achievability": lambda: phase_transition_achievability(pair, n, rate),
         "fano": lambda: fano_bound(pair, n, log_eps),
@@ -196,6 +197,44 @@ class TestRunGrid:
             assert row.cells[0] is not None
             assert row.cells[1] is None
             assert row.cells[2] is None
+
+    def test_near_critical_achievability_is_the_phase_cell(self):
+        # c = (1 - 1e-9) D(P1||P0): the threshold test at the phase order,
+        # with that order clamped to 1 - 1e-9, gave log +1.257e-23, not valid
+        spec = "bernoulli:0.5,0.51"
+        c = (1.0 - 1e-9) * kl_divergence(parse_pair(spec), Direction.REVERSE)
+        grid = ExperimentGrid(spec, Exponential(c), (2000,), ("achievability", "phase_achievability"))
+        ach, phase = run_grid(grid).rows[0].cells
+        assert ach == phase
+        assert ach.valid
+        assert ach.log_value == pytest.approx(-9.998e-20, rel=1e-4, abs=0.0)
+        assert ach.optimizer == pytest.approx(0.9999999995, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gap", (1e-3, 1e-9, 1e-13))
+    @pytest.mark.parametrize(
+        "spec", ["bernoulli:0.3,0.7", "gaussian:0,1", "discrete:0.2,0.3,0.5|0.5,0.3,0.2"]
+    )
+    def test_near_critical_achievability_is_sound(self, spec, gap):
+        # c = (1 - gap) D(P1||P0): every valid cell is at or above the exact
+        # log beta (Bernoulli through the K = 2 type oracle, exact in log)
+        pair = parse_pair(spec)
+        c = (1.0 - gap) * kl_divergence(pair, Direction.REVERSE)
+        grid = ExperimentGrid(spec, Exponential(c), (1, 2, 5, 10, 30, 100, 300, 1000),
+                              ("achievability", "phase_achievability"))
+        if isinstance(pair, BernoulliPair):
+            exact = np_exact_discrete
+            pair = FiniteDiscretePair((1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1))
+        else:
+            exact = np_exact_gaussian if isinstance(pair, GaussianPair) else np_exact_discrete
+        valid = 0
+        for row in run_grid(grid).rows:
+            ach, phase = row.cells
+            assert ach == phase, row.n
+            if ach.valid:
+                valid += 1
+                log_beta = exact(pair, row.n, row.log_eps).log_beta
+                assert ach.log_value >= log_beta - 1e-12 * max(1.0, abs(log_beta)), row.n
+        assert valid == len(grid.n_values)
 
     def test_smoothing_needs_gaussian(self):
         with pytest.raises(DomainError):

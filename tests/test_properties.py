@@ -288,6 +288,9 @@ def _printed_values(command, out):
 # the Bernoulli oracle's rejected P1 mass rounds to 1 or above: beta prints 0, not -9.3e-20
 @example(argv=["sweep", "--pair", "bernoulli:0.1,0.9999", "--n-min", "6", "--n-max", "6",
                "--n-step", "1", "--eps=0.36787944117144233", f"--bounds={_SWEEP_BOUNDS}"])
+# psi at the reverse sample-size root rounds to 0 (D = 1.1e-14): 0 / 0 raised ZeroDivisionError
+@example(argv=["samplesize", "--pair", "discrete:1e-14,1e-73,0.99999999999999|1e-17,1e-17,1.0",
+               "--eps=0.36787944117144233", "--delta=0.006737946999085467"])
 @given(argv=_cli_argv())
 def test_cli_answers_or_exits_two_across_the_float_range(argv):
     out, err = io.StringIO(), io.StringIO()
