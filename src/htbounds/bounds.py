@@ -23,8 +23,11 @@ Achievability (upper) bounds:
 * ``renyi_achievability_at_threshold``: for the likelihood-ratio test
   with log-LR threshold tau and Type I error alpha,
 
-      beta < inf_{l in (0,1)}
+      beta < inf_{l in [0,1]}
              (e^{(l-1) n D_l(P1||P0)} - alpha e^{l tau}) / e^{(l-1) tau}
+
+  which holds at both ends by continuity: e^tau (1 - alpha) at l = 0 and
+  1 - alpha e^tau at l = 1.
 
 * ``phase_transition_achievability``: the rate form at c < D(P1||P0),
   beta_n(e^{-nc}) < inf_{l} e^{-n ((1-l)/l)(D_l(P1||P0) - c)} over the
@@ -63,12 +66,21 @@ starts at the root (the sample-size root is taken in closed form), and
 D_inf = inf, so there is no l = inf end.
 
 The threshold achievability bound minimizes the convex
-u(l) = n psi(l) - l tau, so its order is the root of n psi'(l) = tau.
+u(l) = n psi(l) - l tau over l in [0, 1], so its order is the root of
+n psi'(l) = tau, or the end beyond which that root lies.
 
 The Berry-Esseen slack and the smoothing temperature are roots too: the
 slope of each objective changes sign once, from + to -, so the maximizer
-over the parameter's interval less 1e-9 at each end is the root of the
-slope, or the end where it lies beyond the interval.  Every optimized
+over the closed domain each bound states is the root of the slope, or the
+end where it lies beyond the domain.  The threshold order searches
+[0, 1], where psi(0) = psi(1) = 0 on the common support makes both ends
+exact; the Berry-Esseen slack searches [0, hi], where its slope is
+positive at 0 and negative at hi.  Only the smoothing temperature keeps
+an offset domain, [1e-9, 10 - 1e-9]: its supremum can lie below 1e-9
+(on 97 of the 195 exponential-regime Gaussian rows of ``reproduce``,
+by up to 2e-6), and the floor stays until the benchmark
+references that pin those cells are recaptured, since a floor of 1e-100
+moves 20 ``reproduce`` values past their 1e-6 tolerance.  Every optimized
 bound is a root or a closed form, and every root comes from the same
 Newton iteration, :func:`htbounds.numerics._newton_root`.
 
@@ -131,8 +143,6 @@ __all__ = [
     "smoothing_out_bound",
 ]
 
-#: Offset of the baselines' search domains from their open ends.
-_EDGE = 1.0e-9
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -296,23 +306,19 @@ def _tilt_root(atoms: _TiltAtoms, s: float, target: float, lo: float, hi: float,
     return lam, psi, psi_size
 
 
-def _argmax_by_root(slope: Callable, hi: float, start: float) -> float:
-    """Maximizer over (0, hi) of an objective whose slope changes sign once.
+def _argmax_by_root(slope: Callable, lo: float, hi: float, start: float) -> float:
+    """Maximizer over [lo, hi] of an objective whose slope changes sign once.
 
     The slope goes from + to - (it may stay on one side); ``slope`` follows
     the contract of :func:`htbounds.numerics._newton_root`.  The domain is
-    [1e-9, hi - 1e-9], which keeps 1e-9 away from the open ends, or the
-    mid-point hi / 2 when that span is at most 1e-9; an optimum beyond
-    either end is reported at that end.
+    the caller's, closed, with 0 <= lo < hi, and ``slope`` answers at both
+    ends; an optimum at or beyond either end is reported at that end.
     """
-    if hi - _EDGE <= _EDGE:
-        return 0.5 * hi
-    a, b = _EDGE, hi - _EDGE
-    if slope(a)[0] <= 0.0:
-        return a
-    if slope(b)[0] >= 0.0:
-        return b
-    return _newton_root(slope, a, b, start, 0.0)[0]
+    if slope(lo)[0] <= 0.0:
+        return lo
+    if slope(hi)[0] >= 0.0:
+        return hi
+    return _newton_root(slope, lo, hi, start, 0.0)[0]
 
 
 def _branch_one(rev: _TiltAtoms, n: int, log_eps: float) -> tuple[float, float | None]:
@@ -389,13 +395,16 @@ def renyi_achievability_at_threshold(
     """Upper bound on beta of the log-LR-threshold-tau test with Type I error alpha.
 
     Minimizes (e^{(l-1) n D_l(P1||P0)} - alpha e^{l tau}) / e^{(l-1) tau}
-    over l in [1e-9, 1 - 1e-9].  With psi the reverse-direction tilted
-    log-sum, (l-1) D_l = psi(l), and with u(l) = n psi(l) - l tau the log
-    of the expression is tau + log(e^u - alpha), which increases in u.  u
-    is convex, so the minimizer is that of u: the root of n psi'(l) = tau,
-    or the end beyond which it lies (for a Gaussian pair, where
+    over l in [0, 1].  With psi the reverse-direction tilted log-sum,
+    (l-1) D_l = psi(l), and with u(l) = n psi(l) - l tau the log of the
+    expression is tau + log(e^u - alpha), which increases in u.  u is
+    convex, so the minimizer is that of u: the root of n psi'(l) = tau,
+    or the end beyond which it lies.  psi(0) = psi(1) = 0 on the pair's
+    common support, so both ends evaluate exactly, to e^tau (1 - alpha)
+    at l = 0 (tau below n psi'(0) = -n D(P0||P1)) and 1 - alpha e^tau at
+    l = 1 (tau above n psi'(1) = n D(P1||P0)).  For a Gaussian pair, where
     psi'(l) = (l - 1/2) d^2 with d = delta / sigma, Newton's start
-    l = 1 + (tau / n - psi'(1)) / psi''(1) = 1/2 + tau / (n d^2) is the root).
+    l = 1 + (tau / n - psi'(1)) / psi''(1) = 1/2 + tau / (n d^2) is the root.
     The log value is formed as n psi - (l-1) tau + log(1 - alpha e^{-u}),
     which keeps its accuracy where the first two terms nearly cancel (tau
     near n D(P1||P0)), and is rounded up by a bound on its rounding error
@@ -405,8 +414,10 @@ def renyi_achievability_at_threshold(
     Type I error of the test, or a *lower* bound on it; log_alpha = -inf
     (alpha = 0) is always safe.  Where min u <= log alpha the numerator is
     non-positive at the minimizer, so the premise fails: the result is
-    log -inf with optimizer None, which is not valid.  A log above 0 (a
-    vacuous threshold) is kept, and is not valid either.
+    log -inf with optimizer None, which is not valid.  A log above 0 is
+    kept, and is not valid either: where tau lies within about 1e-12
+    relative of n D(P1||P0), the root's rounding bound can exceed its
+    margin below 0.
     """
     _check_n(n)
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)):
@@ -421,7 +432,7 @@ def renyi_achievability_at_threshold(
         return t - mean, -var, abs(t) + abs(mean), None
 
     d, v = atoms.kl, atoms.var
-    lam = _argmax_by_root(slope, 1.0, 1.0 + (t - d) / v if v > 0.0 else 0.5)
+    lam = _argmax_by_root(slope, 0.0, 1.0, 1.0 + (t - d) / v if v > 0.0 else 0.5)
     psi, _, _, psi_size = _tilt(atoms, lam)
     h = lam - 1.0
     u, base = n * psi - lam * tau, n * psi - h * tau
@@ -597,14 +608,17 @@ def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundR
     is empty (the Q^{-1} argument leaves (0, 1) for every Delta) the bound
     is vacuous: log -inf.
 
-    Delta is the maximizer over [1e-9, hi - 1e-9].  With x = Q^{-1}(w) and
-    w the argument above, dx/dDelta = 1 / (sqrt(n) phi(x)), so the slope
+    Delta is the maximizer over [0, hi].  With x = Q^{-1}(w) and w the
+    argument above, dx/dDelta = 1 / (sqrt(n) phi(x)), so the slope
     1/Delta - sqrt(V) / phi(x) has the sign of h(Delta) = phi(x) - Delta
     sqrt(V).  h is concave (phi o Q^{-1} is the Gaussian isoperimetric
     profile), h(0) = phi(x_0) > 0 (x_0 is x at Delta = 0) and
-    h(hi) = -hi sqrt(V) < 0, so the maximizer is the one root of h (or an
-    end, where h keeps one sign on the domain), found by safeguarded
-    Newton with h' = -x / sqrt(n) - sqrt(V) from Delta_0 = phi(x_0) / sqrt(V).
+    h(hi) = -hi sqrt(V) < 0, so the maximizer is the one root of h, found
+    by safeguarded Newton with h' = -x / sqrt(n) - sqrt(V) from
+    Delta_0 = phi(x_0) / sqrt(V).  Both ends give log -inf (log 0 at
+    Delta = 0, Q^{-1}(0) = inf at hi).  The search stops at Delta = 0 only
+    where w rounds to 0 or below there, so that h(0) = 0 and the bound is
+    that end's -inf.
     """
     _check_n(n)
     _check_log_eps(log_eps)
@@ -622,7 +636,7 @@ def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundR
 
     def x_at(dl):
         # Q^{-1} of the argument, or its limit inf where the argument rounds
-        # to 0 or below, as at the end hi - 1e-9 once that rounds to hi (hi > 2^24)
+        # to 0 or below, as it may at the end hi
         w = one_m_eps - (atoms.berry + dl) / sqrt_n
         return q_inverse(w) if w > 0.0 else math.inf
 
@@ -631,8 +645,9 @@ def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundR
         phi = math.exp(-0.5 * x * x) / _SQRT_2PI
         return phi - dl * sqrt_v, -x / sqrt_n - sqrt_v, phi + dl * sqrt_v, None
 
-    dl = _argmax_by_root(h, hi, h(0.0)[0] / sqrt_v)
-    return _lower_beta(shift - scale * x_at(dl) + math.log(dl) if dl < hi else -math.inf, dl)
+    dl = _argmax_by_root(h, 0.0, hi, h(0.0)[0] / sqrt_v)
+    return _lower_beta(shift - scale * x_at(dl) + math.log(dl) if 0.0 < dl < hi else -math.inf,
+                       dl)
 
 
 def smoothing_out_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundResult:
@@ -644,7 +659,10 @@ def smoothing_out_bound(pair: DistributionPair, n: int, log_eps: float) -> Bound
     with D = delta^2 / (2 sigma^2).  A non-Gaussian pair raises
     :class:`DomainError`, as in the oracles.
 
-    t is the maximizer over [1e-9, 10 - 1e-9].  The objective is concave:
+    t is the maximizer over [1e-9, 10 - 1e-9], the one offset domain of
+    the library: the supremum can lie below t = 1e-9 (see the module
+    docstring), and the floor stays until the benchmark references that
+    pin those cells are recaptured.  The objective is concave:
     with L = log(1 - eps) its slope
 
         -L / (2 sinh^2 t) - n - d^2 (e^t - 1) e^t - 2n sinh 2t,  d^2 = 2 D,
@@ -671,7 +689,7 @@ def smoothing_out_bound(pair: DistributionPair, n: int, log_eps: float) -> Bound
         return terms[0] - terms[1] - terms[2] - terms[3], curve, sum(terms), None
 
     start = math.sqrt(-log_1m_eps / (2.0 * n))
-    t = _argmax_by_root(slope, 10.0, start)
+    t = _argmax_by_root(slope, 1.0e-9, 10.0 - 1.0e-9, start)  # the floor: see the docstring
     smoothed = log_1m_eps / -math.expm1(-2.0 * t)
     return _lower_beta(-n * d2 / 2.0 + smoothed - n * t - (d2 / 2.0) * math.expm1(t) ** 2
                        - 2.0 * n * math.sinh(t) ** 2, t)

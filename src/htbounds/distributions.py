@@ -220,7 +220,7 @@ def _tilt(atoms: _TiltAtoms, lam: float) -> tuple[float, float, float, float]:
     model :mod:`htbounds.bounds` assumes).  Over a Gaussian record, with
     no atoms, psi is the quadratic lam (lam - 1) var / 2, formed as
     lam ((lam - 1) var / 2) since lam (lam - 1) overflows past lam = 1.3e154,
-    with psi' = (lam - 1/2) var, psi'' = var and size 0.  lam is a float > 0.
+    with psi' = (lam - 1/2) var, psi'' = var and size 0.  lam is a float >= 0.
     """
     if not atoms.z:
         v = atoms.var

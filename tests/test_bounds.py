@@ -492,13 +492,13 @@ def _phase_threshold(pair, n, c):
 
 
 def _mp_min_u(pair, n, tau):
-    """min of u(l) = n psi(l) - l tau over l in [1e-9, 1 - 1e-9], at 60 digits.
+    """min of u(l) = n psi(l) - l tau over l in [0, 1], at 60 digits.
 
     psi is the reverse-direction tilted log-sum (Gaussian pairs: its closed
     form l (l - 1) d^2 / 2); u is convex, so golden section finds it, or
-    an end, where golden section stops 1e-21 short.  The ends are the
-    float ones, since u can move by 1e-8 relative between 1 - 1e-9 and its
-    nearest double.
+    an end, where golden section stops 1e-21 short.  The ends are taken
+    exactly, u(0) = 0 and u(1) = -tau, since psi(0) = psi(1) = 0 on a
+    common support; psi summed at 60 digits leaves about 1e-61 there.
     """
     with mpmath.workdps(60):
         t = mpmath.mpf(tau)
@@ -516,8 +516,7 @@ def _mp_min_u(pair, n, tau):
         def neg_u(lam):
             return lam * t - n * psi(lam)
 
-        lo, hi = mpmath.mpf(1e-9), mpmath.mpf(1.0 - 1e-9)
-        return -max(_mp_golden(neg_u, lo, hi), neg_u(lo), neg_u(hi))
+        return -max(_mp_golden(neg_u, 0, 1), 0, t)
 
 
 class TestRenyiAchievabilityAtThreshold:
@@ -567,8 +566,8 @@ class TestRenyiAchievabilityAtThreshold:
         # n D(P1||P0), so the order is interior or at either end; alpha 0,
         # or e^{-2} or e^{-1000} below the smallest numerator term e^{min u}
         # (the latter puts e^{u - log alpha} past the largest double).  At
-        # tau = 1.5 n D the bound is vacuous: its log is above 0 by 4e-10 to
-        # 2e-7, and it is not valid.
+        # tau = -3 n D the order is the end l = 0, and at tau = 1.5 n D the
+        # end l = 1, where the bound is 1 - alpha e^tau: log 0 at alpha = 0.
         pair = parse_pair(spec)
         d = kl_divergence(pair, Direction.REVERSE)
         for n in (10, 400):
@@ -622,6 +621,24 @@ class TestRenyiAchievabilityAtThreshold:
                 assert r.valid
                 assert abs(got - want) <= 1e-6 * want, (spec, ratio, got, want)
                 assert got <= want, (spec, ratio, got, want)
+
+    def test_near_critical_threshold_is_valid(self):
+        # tau just below n D(P1||P0), from c = (1 - 1e-9) D: the order is the
+        # root 0.9999999995, beyond 1 - 1e-9, and the log is the
+        # phase_achievability cell's to the rounding of tau
+        r = renyi_achievability_at_threshold(BERN, 2000, 0.40002667053422375, -math.inf)
+        assert r.valid
+        assert r.log_value == pytest.approx(-9.997993717e-20, rel=1e-7, abs=0.0)
+        assert 0.9999999994 < r.optimizer < 0.9999999996
+
+    def test_order_zero_end(self):
+        # tau = -50 is below -n D(P0||P1) = -5: the order is the end l = 0,
+        # where psi = 0 and the bound is e^tau (1 - alpha), e^-50 at alpha = 0
+        # (l = 1e-9 gives -49.999999955); TestCli pins the end l = 1
+        r = renyi_achievability_at_threshold(parse_pair("gaussian:0,1"), 10, -50.0, -math.inf)
+        assert r.optimizer == 0.0 and r.valid
+        assert r.log_value == pytest.approx(-50.0, rel=1e-14, abs=0.0)
+        assert r.log_value >= -50.0
 
     def test_entirely_infeasible_degenerates(self):
         r = renyi_achievability_at_threshold(BERN, 100, 0.0, 0.0)
@@ -947,9 +964,9 @@ class TestBerryEsseen:
 
     @pytest.mark.parametrize("n", [10**16, 10**30])
     def test_answers_where_the_upper_end_rounds_to_hi(self, n):
-        # Past hi = 2^24, hi - 1e-9 rounds to hi, where the Q^{-1} argument
-        # rounds to 0 or below: the slope there is its limit, and the bound
-        # answers with its log, valid though beta itself underflows to 0.
+        # At the end Delta = hi the Q^{-1} argument rounds to 0 or below: the
+        # slope there is its limit, and the bound answers with its log,
+        # valid though beta itself underflows to 0.
         pair = BernoulliPair(0.5, 0.6)
         r = berry_esseen_bound(pair, n, math.log(0.01))
         assert r.value == 0.0 and r.valid
@@ -1050,7 +1067,9 @@ def _mp_berry_esseen(pair, n, log_eps):
     At 60 digits; None when hi <= 0.  The search runs over x = Q^{-1}(w)
     instead of Delta: Delta(x) = sqrt(n)(1 - eps - Q(x)) - B increases in
     x, so the objective is unimodal in x and needs Q, not its inverse,
-    except at the two ends.
+    except at the two ends.  The bound falls to -inf at both ends of the
+    library's domain [0, hi], so an interior maximum, as in every case
+    compared here, is the same over either.
     """
     with mpmath.workdps(60):
         mean, var, berry = _mp_llr_moments(pair)
@@ -1149,23 +1168,35 @@ class TestBaselineRoots:
             r = berry_esseen_bound(GAUSS, n, math.log(0.01))
             assert (r.value, r.log_value, r.optimizer, r.valid) == (0.0, -math.inf, None, False)
 
-    def test_berry_esseen_short_span_takes_midpoint(self):
-        # hi <= 2e-9 leaves no room for the 1e-9 offsets from both ends:
-        # Delta is the mid-point hi / 2.
+    def test_berry_esseen_short_span_is_a_root(self):
+        # hi <= 2e-9: Delta is still the root of the slope in (0, hi), about
+        # 0.93 hi, where the mid-point hi / 2 is 0.47 nats lower (-26.17
+        # against -26.64 at gap 1.5e-9).
         n, berry = 100, 6.0 * math.sqrt(8.0 / math.pi)
         for gap in (1.5e-9, 5e-10):
             log_eps = math.log1p(-(berry + gap) / 10.0)
             hi = 10.0 * -math.expm1(log_eps) - berry
             assert 0.0 < hi <= 2e-9
             r = berry_esseen_bound(GAUSS, n, log_eps)
-            assert r.optimizer == 0.5 * hi
+            assert 0.0 < r.optimizer < hi
             # hi cancels 1 - eps against B, each rounded to about 1e-16, so the
             # Q^{-1} argument (about 1e-10) is off by up to 1e-6 relative and
-            # the log value by about 1e-8; a Delta a quarter of hi off the
-            # mid-point would move log(Delta) alone by over 0.2.
+            # the log value by about 1e-8; the search in log Delta stays
+            # below 0.999 hi, inside the 60-digit objective's own interval.
             with mpmath.workdps(60):
-                want = float(_mp_berry_esseen_objective(GAUSS, n, log_eps)(mpmath.mpf(0.5 * hi)))
-            assert r.log_value == pytest.approx(want, rel=1e-7, abs=0.0)
+                f = _mp_berry_esseen_objective(GAUSS, n, log_eps)
+                mid = float(f(mpmath.mpf(0.5 * hi)))
+                best = float(_mp_golden(lambda u: f(mpmath.exp(u)), mpmath.log(1e-3 * hi),
+                                        mpmath.log(0.999 * hi)))
+            assert r.log_value > mid + 0.4
+            assert r.log_value == pytest.approx(best, rel=1e-7, abs=0.0)
+
+    def test_berry_esseen_argument_rounding_to_zero_at_zero_slack(self):
+        # hi = 1.8e-15 > 0, but the Q^{-1} argument at Delta = 0 rounds to
+        # 0: h(0) = 0, the search stops at that end, and the bound is its
+        # log there, -inf, not log 0 (a math domain error)
+        r = berry_esseen_bound(GAUSS, 85956265, -0.0010332535076927926)
+        assert (r.log_value, r.optimizer, r.valid) == (-math.inf, 0.0, False)
 
     def test_no_grid_search(self):
         assert not hasattr(htbounds.numerics, "maximize_scalar")

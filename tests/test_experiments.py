@@ -199,8 +199,9 @@ class TestRunGrid:
             assert row.cells[2] is None
 
     def test_near_critical_achievability_is_the_phase_cell(self):
-        # c = (1 - 1e-9) D(P1||P0): the threshold test at the phase order,
-        # with that order clamped to 1 - 1e-9, gave log +1.257e-23, not valid
+        # c = (1 - 1e-9) D(P1||P0): the column is the phase cell, valid at the
+        # order 0.9999999995 (the threshold bound at this cell's own tau is
+        # TestRenyiAchievabilityAtThreshold's near-critical case)
         spec = "bernoulli:0.5,0.51"
         c = (1.0 - 1e-9) * kl_divergence(parse_pair(spec), Direction.REVERSE)
         grid = ExperimentGrid(spec, Exponential(c), (2000,), ("achievability", "phase_achievability"))
@@ -788,19 +789,30 @@ class TestCli:
         assert payload["value"] == pytest.approx(1e-247, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("argv", [
-        ["--pair", "bernoulli:0.5,0.6", "--bound", "achievability", "--n", "100", "--tau", "500"],
         ["--pair", "bernoulli:1e-13,1e-14", "--bound", "phase_achievability", "--n", "1",
          "--c", "1e-14"],
-    ], ids=["achievability", "phase_achievability"])
+    ], ids=["phase_achievability"])
     def test_upper_bound_above_one_prints_one(self, capsys, argv):
-        # log beta's upper bound is above 0 (4.98e-7; rounding at exponent
-        # 1.4e-14): beta <= 1 is printed, the log keeps the bound's own,
-        # and a bound on a probability above 1 is not valid
+        # log beta's upper bound is above 0 (rounding at exponent 1.4e-14):
+        # beta <= 1 is printed, the log keeps the bound's own, and a bound
+        # on a probability above 1 is not valid
         assert cli_main(["bound", *argv]) == 0
         text, json_line = capsys.readouterr().out.strip().splitlines()
         payload = json.loads(json_line)
         assert payload["value"] == 1.0 and payload["log_value"] > 0.0
         assert payload["valid"] is False and text.endswith("[degenerate]")
+
+    def test_threshold_above_n_kl_takes_the_order_one_end(self, capsys):
+        # tau = 500 is above n D(P1||P0) = 2.0: the order is the end l = 1,
+        # where the bound is 1 - alpha e^tau, log 0 at alpha = 0, and valid
+        # (the order 1 - 1e-9 gives log +4.98e-7, which is not valid)
+        argv = ["--pair", "bernoulli:0.5,0.6", "--bound", "achievability", "--n", "100",
+                "--tau", "500"]
+        assert cli_main(["bound", *argv]) == 0
+        text, json_line = capsys.readouterr().out.strip().splitlines()
+        payload = json.loads(json_line)
+        assert (payload["value"], payload["log_value"], payload["optimizer"]) == (1.0, 0.0, 1.0)
+        assert payload["valid"] is True and not text.endswith("[degenerate]")
 
     def test_samplesize_below_one_keeps_its_log(self, capsys):
         # eps = delta = 0.4 at a wide separation: both bounds are below one

@@ -6,30 +6,32 @@ import json
 import math
 from functools import reduce
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from htbounds.bounds import (
-    phase_transition_achievability,
-    renyi_converse,
-)
+from htbounds.bounds import BoundKind, renyi_achievability_at_threshold
 from htbounds.cli import cli_main
 from htbounds.distributions import (
     BernoulliPair,
     Direction,
     FiniteDiscretePair,
+    GaussianPair,
     kl_divergence,
     renyi_divergence,
 )
+from htbounds.experiments import _BOUNDS, bounds_for
 from htbounds.numerics import (
+    DomainError,
     log_q,
     q_inverse,
 )
-from htbounds.oracle import np_exact_bernoulli, np_exact_discrete
+from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
 from scanpolish import scan_polish_argmax
+from shared import mp_atoms
 
 probs = st.floats(min_value=0.05, max_value=0.95)
 distinct_pairs = st.tuples(probs, probs).filter(lambda t: abs(t[0] - t[1]) > 1e-3)
@@ -125,31 +127,94 @@ def _log_slack(log_beta):
     return 1e-12 * max(1.0, abs(log_beta))
 
 
+# The registry's soundness: every bound on beta in `_BOUNDS`, on each family it
+# is defined for, in the constant and the exponential regime, against the exact
+# beta, in log.  Left out: `np_exact`, the exact value itself, and `fano` and
+# `smoothing_out`, which lie above the exact beta on part of their domain
+# (README, "Known limits").
+_NOT_SOUND_BOUNDS = ("np_exact", "fano", "smoothing_out")
+_weights = st.tuples(probs, probs, probs).map(weights3)
+
+
+@st.composite
+def _sound_case(draw, family):
+    # (pair, the oracle's pair, the oracle, n, log eps); the exponential rate
+    # c = r D(P1||P0) lies on both sides of the phase bounds' divergence
+    if family == "bernoulli":
+        p0, p1 = draw(distinct_pairs)
+        pair, exact = BernoulliPair(p0, p1), _two_atoms(p0, p1)
+        oracle, n_max = np_exact_discrete, 500
+    elif family == "discrete":
+        p, q = draw(st.tuples(_weights, _weights).filter(
+            lambda t: max(abs(a - b) for a, b in zip(*t)) > 1e-3))
+        pair = exact = FiniteDiscretePair(p, q)
+        oracle, n_max = np_exact_discrete, 150  # at most 11,476 types
+    else:
+        pair = exact = GaussianPair(0.0, draw(st.floats(min_value=0.01, max_value=3.0)))
+        oracle, n_max = np_exact_gaussian, 500
+    n = draw(st.integers(min_value=1, max_value=n_max))
+    if draw(st.booleans()):
+        log_eps = math.log(draw(st.floats(min_value=1e-6, max_value=0.999)))
+    else:
+        rate = draw(st.floats(min_value=0.1, max_value=2.0))
+        log_eps = -rate * kl_divergence(pair, Direction.REVERSE) * n
+    return pair, exact, oracle, n, log_eps
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "gaussian", "discrete"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_registry_bounds_sound(family, data):
+    pair, exact, oracle, n, log_eps = data.draw(_sound_case(family))
+    log_beta = oracle(exact, n, log_eps).log_beta
+    for name in bounds_for(pair):
+        if name in _NOT_SOUND_BOUNDS:
+            continue
+        try:
+            r = _BOUNDS[name].evaluate(pair, n, log_eps)
+        except DomainError:
+            continue  # outside the bound's domain: a phase bound on the other side of D
+        if r.kind is BoundKind.LOWER_BETA:
+            assert r.log_value <= log_beta + _log_slack(log_beta), (name, r, log_beta)
+        else:
+            assert r.kind is BoundKind.UPPER_BETA, (name, r)
+            assert r.log_value >= log_beta - _log_slack(log_beta), (name, r, log_beta)
+
+
+def _mp_threshold_log_beta(pair, n, tau):
+    """log beta of the test that rejects H0 when the log-LR L exceeds tau, at 50 digits.
+
+    Over n Bernoulli draws L = S u + (n - S) d, with S the count of ones,
+    u = log(P1(1) / P0(1)) and d = log(P1(0) / P0(0)): monotone in S, so
+    beta = P1(L <= tau) is the P1 mass of the counts on one side of a cut,
+    summed over the pair's float atoms.
+    """
+    with mpmath.workdps(50):
+        (p0, p1), (q0, q1) = mp_atoms(pair, Direction.FORWARD)  # P0's atoms, then P1's
+        u, d = mpmath.log(q1 / p1), mpmath.log(q0 / p0)
+        term, beta = q0**n, mpmath.mpf(0)
+        for s in range(n + 1):  # term = P1(S = s), by the pmf recurrence
+            if s * u + (n - s) * d <= tau:
+                beta += term
+            term *= (n - s) * q1 / ((s + 1) * q0)
+        return float(mpmath.log(beta)) if beta > 0 else -math.inf
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    distinct_pairs,
-    st.integers(min_value=1, max_value=300),
-    st.floats(min_value=1e-6, max_value=0.999),
-)
-def test_renyi_converse_sound_on_random_instances(ps, n, eps):
-    log_eps = math.log(eps)
-    bound = renyi_converse(BernoulliPair(*ps), n, log_eps)
-    log_beta = np_exact_discrete(_two_atoms(*ps), n, log_eps).log_beta
-    assert bound.log_value <= log_beta + _log_slack(log_beta)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    distinct_pairs,
-    st.integers(min_value=50, max_value=500),
-    st.floats(min_value=0.1, max_value=0.9),
-)
-def test_phase_achievability_sound_on_random_instances(ps, n, frac):
+# c = (1 - 1e-9) D: tau just below n D, where the order is the root 0.9999999995
+@example(ps=(0.5, 0.51), n=2000, ratio=1.0 - 1e-9)
+@example(ps=(0.3, 0.7), n=50, ratio=-3.0)  # below -n D(P0||P1): the end l = 0
+@example(ps=(0.3, 0.7), n=50, ratio=2.0)  # above n D(P1||P0): the end l = 1
+@given(distinct_pairs, st.integers(min_value=1, max_value=300),
+       st.floats(min_value=-3.0, max_value=2.0))
+def test_threshold_achievability_sound_against_its_own_test(ps, n, ratio):
+    # tau = ratio n D(P1||P0) from below 0 to above n D, and alpha = 0: the
+    # bound is at or above the exact beta of the test it bounds
     pair = BernoulliPair(*ps)
-    c = frac * kl_divergence(pair, Direction.REVERSE)
-    bound = phase_transition_achievability(pair, n, c)
-    log_beta = np_exact_discrete(_two_atoms(*ps), n, -c * n).log_beta
-    assert log_beta <= bound.log_value + _log_slack(log_beta)
+    tau = ratio * n * kl_divergence(pair, Direction.REVERSE)
+    r = renyi_achievability_at_threshold(pair, n, tau, -math.inf)
+    log_beta = _mp_threshold_log_beta(pair, n, tau)
+    assert r.log_value >= log_beta - _log_slack(log_beta), (r, log_beta)
 
 
 @settings(max_examples=30, deadline=None)
@@ -275,7 +340,7 @@ def _printed_values(command, out):
 @example(argv=["bound", "--pair", "bernoulli:0.5,1e-300", "--bound", "berry_esseen", "--n", "10"])
 @example(argv=["bound", "--pair", "discrete:1e-300,1|1e-200,1", "--bound", "berry_esseen",
                "--n", "10"])
-# the slack's upper end hi - 1e-9 rounds to hi, where the Q^{-1} argument is 0 or below
+# at the slack's upper end hi (about 9.9e7 here) the Q^{-1} argument is 0 or below
 @example(argv=["bound", "--pair", "bernoulli:0.5,0.6", "--bound", "berry_esseen",
                "--n", "10000000000000000", "--eps", "0.01"])
 # n above the float range: n * D would raise OverflowError
