@@ -35,7 +35,11 @@ Achievability (upper) bounds:
   tau = n (psi(l*) + c) / l*, l* its optimal order (psi and H_0 as
   below): H_0(l*) = -c gives n psi'(l*) = tau, so the threshold bound is
   minimized at l* itself, where its log n psi(l*) - (l* - 1) tau equals
-  n (psi(l*) - (l* - 1) c) / l*, the rate form's.
+  n (psi(l*) - (l* - 1) c) / l*, the rate form's.  So it is evaluated as
+  the threshold bound at its own order: one value formula and one
+  rounding bound, ``_threshold_log``, serve both.  Each takes its end
+  l = 1 (log 0 at alpha = 0) wherever the root's rounded-up log would lie
+  above it, so at alpha = 0 neither prints a bound above 1.
 
 Solving for the order.  With psi(l) = log sum p^l q^{1-l} over the atoms
 of the two distributions (convex: the log-moment generating function of
@@ -389,6 +393,34 @@ def phase_transition_converse(pair: DistributionPair, n: int, c: float) -> Bound
     return _lower_beta(*_branch_one(rev, n, -c * n))
 
 
+def _threshold_log(atoms: _TiltAtoms, n: int, lam: float, psi: float, psi_size: float,
+                   tau: float, log_alpha: float) -> float:
+    """The threshold bound's log at the order lam, rounded up; -inf where u <= log alpha.
+
+    With u = n psi - lam tau, the log is n psi - (lam - 1) tau +
+    log(1 - alpha e^{-u}), ``psi`` and ``psi_size`` being
+    :func:`htbounds.distributions._tilt`'s psi(lam) and size over ``atoms``.
+    The first two terms are formed as they stand, which keeps their
+    accuracy where they nearly cancel (tau near n D(P1||P0)), and the sum
+    is rounded up by a bound on its rounding error, so that the bound on
+    beta never understates.  Where u <= log alpha the numerator
+    e^u - alpha is not positive: the premise fails.
+    """
+    h = lam - 1.0
+    u, base = n * psi - lam * tau, n * psi - h * tau
+    if not u > log_alpha:
+        return -math.inf
+    # Bounds on the rounding errors of base and u.  The error of u enters
+    # log(1 - alpha e^{-u}) with the factor e^r / (1 - e^r), where
+    # r = log alpha - u < 0, which stays finite however large -r is.
+    ulps, size = (len(atoms.p) + 8) * _EPS, n * (abs(psi) + psi_size)
+    err_base, err_u = ulps * (size + abs(h * tau)), ulps * (size + abs(lam * tau))
+    r = log_alpha - u
+    corr = log_diff_exp(0.0, r)
+    err = err_base + err_u * math.exp(r) / -math.expm1(r) + 4.0 * _EPS * abs(corr)
+    return base + corr + err
+
+
 def renyi_achievability_at_threshold(
     pair: DistributionPair, n: int, tau: float, log_alpha: float
 ) -> BoundResult:
@@ -405,26 +437,26 @@ def renyi_achievability_at_threshold(
     l = 1 (tau above n psi'(1) = n D(P1||P0)).  For a Gaussian pair, where
     psi'(l) = (l - 1/2) d^2 with d = delta / sigma, Newton's start
     l = 1 + (tau / n - psi'(1)) / psi''(1) = 1/2 + tau / (n d^2) is the root.
-    The log value is formed as n psi - (l-1) tau + log(1 - alpha e^{-u}),
-    which keeps its accuracy where the first two terms nearly cancel (tau
-    near n D(P1||P0)), and is rounded up by a bound on its rounding error
-    so that the bound on beta never understates.
+    The log value is :func:`_threshold_log`'s, rounded up so that the bound
+    on beta never understates; the rate form of
+    :func:`phase_transition_achievability` is the same formula at its own
+    order.  It is the smaller of that value at the root and at the end
+    l = 1, where psi(1) = 0 exactly: where tau lies within a few 1e-13
+    relative of n D(P1||P0), the root's rounding bound can exceed its
+    margin below 0, and the end's log(1 - alpha e^tau) is the bound.  The
+    optimizer is the order whose value is returned.
 
     The expression decreases in alpha, so log_alpha must be the exact
     Type I error of the test, or a *lower* bound on it; log_alpha = -inf
     (alpha = 0) is always safe.  Where min u <= log alpha the numerator is
     non-positive at the minimizer, so the premise fails: the result is
-    log -inf with optimizer None, which is not valid.  A log above 0 is
-    kept, and is not valid either: where tau lies within about 1e-12
-    relative of n D(P1||P0), the root's rounding bound can exceed its
-    margin below 0.
+    log -inf with optimizer None, which is not valid.
     """
     _check_n(n)
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)):
         raise DomainError(f"tau must be finite, got {tau!r}")
     _check_log_prob("log_alpha", log_alpha)
     atoms = _tilt_atoms(pair, Direction.REVERSE)
-    ulps = (len(atoms.p) + 8) * _EPS
     t = tau / n
 
     def slope(x):
@@ -434,19 +466,10 @@ def renyi_achievability_at_threshold(
     d, v = atoms.kl, atoms.var
     lam = _argmax_by_root(slope, 0.0, 1.0, 1.0 + (t - d) / v if v > 0.0 else 0.5)
     psi, _, _, psi_size = _tilt(atoms, lam)
-    h = lam - 1.0
-    u, base = n * psi - lam * tau, n * psi - h * tau
-    if not u > log_alpha:
-        return BoundResult(-math.inf, None, BoundKind.UPPER_BETA)
-    # Bounds on the rounding errors of base and u.  The error of u enters
-    # log(1 - alpha e^{-u}) with the factor e^r / (1 - e^r), where
-    # r = log alpha - u < 0, which stays finite however large -r is.
-    size = n * (abs(psi) + psi_size)
-    err_base, err_u = ulps * (size + abs(h * tau)), ulps * (size + abs(lam * tau))
-    r = log_alpha - u
-    corr = log_diff_exp(0.0, r)
-    err = err_base + err_u * math.exp(r) / -math.expm1(r) + 4.0 * _EPS * abs(corr)
-    return BoundResult(base + corr + err, lam, BoundKind.UPPER_BETA)
+    # the end l = 1, where psi = 0 exactly, wherever the root's rounded-up log lies above it
+    log_value, lam = min((_threshold_log(atoms, n, lam, psi, psi_size, tau, log_alpha), lam),
+                         (_threshold_log(atoms, n, 1.0, 0.0, 0.0, tau, log_alpha), 1.0))
+    return BoundResult(log_value, lam if log_value > -math.inf else None, BoundKind.UPPER_BETA)
 
 
 def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> BoundResult:
@@ -459,6 +482,15 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
     reverse-direction tilted log-sum: H_0(l*) = -c gives n psi'(l*) = tau,
     so the threshold bound is minimized at l* itself, where its log
     n psi(l*) - (l* - 1) tau is n (psi(l*) - (l* - 1) c) / l*, this bound's.
+    It is evaluated as exactly that, the threshold bound at its own order:
+    :func:`_threshold_log` at l* and that tau, with psi(l*) and its size
+    from the root.  That is this bound's value at every l, not only at an
+    exact l*, since n psi(l) - (l - 1) n (psi(l) + c) / l is
+    n (psi(l) - (l - 1) c) / l identically, and the rounding of tau lies
+    in the |(l - 1) tau| term of the rounding bound.  Where that
+    rounded-up log lies above 0 (c within a few 1e-13 relative of D), the
+    bound is the end l = 1, log 0, the threshold bound's there at
+    alpha = 0, and the optimizer is 1.
     """
     _check_n(n)
     _check_rate(c)
@@ -472,14 +504,8 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
     # The exponent n (c (l-1) - psi(l)) / l is stationary where H_0(l) = -c;
     # H_0(0) = 0 and H_0(1) = -D(P1||P0), so the root lies in (0, 1).
     lam, psi, psi_size = _tilt_root(atoms, 0.0, -c, 0.0, 1.0)
-    # Near c = D the exponent is a small difference of terms of order
-    # (l - 1) D; it is rounded down by a bound on their rounding error
-    # so that the upper bound on beta never understates.
-    h = lam - 1.0
-    size = abs(c * h) + abs(psi) + psi_size
-    ulps = (len(atoms.p) + 8) * _EPS
-    exponent = n * (c * h - psi - ulps * size) / lam
-    return BoundResult(-exponent, lam, BoundKind.UPPER_BETA)
+    log_value = _threshold_log(atoms, n, lam, psi, psi_size, n * (psi + c) / lam, -math.inf)
+    return BoundResult(*min((log_value, lam), (0.0, 1.0)), BoundKind.UPPER_BETA)
 
 
 def _lower_n(value: float, optimizer: float | None) -> BoundResult:

@@ -67,10 +67,18 @@ PAIR_SPECS = (
 )
 
 
-def _beta_exact(pair, n, log_eps):
+def _log_beta_exact(pair, n, log_eps):
+    # log beta_n(eps): a Bernoulli pair's from the K = 2 type oracle, which is
+    # exact in log, where the Bernoulli oracle forms beta as 1 - P1(reject)
     if isinstance(pair, GaussianPair):
-        return np_exact_gaussian(pair, n, log_eps).beta
-    return np_exact_bernoulli(pair, n, log_eps).beta
+        return np_exact_gaussian(pair, n, log_eps).log_beta
+    two_atoms = FiniteDiscretePair((1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1))
+    return np_exact_discrete(two_atoms, n, log_eps).log_beta
+
+
+def _log_slack(log_beta):
+    # rounding of the bound and the oracle, relative to log beta
+    return 1.0e-12 * max(1.0, abs(log_beta))
 
 
 def test_criterion_1_phase_converse_gaussian_closed_form():
@@ -107,8 +115,8 @@ def test_criterion_2_converse_sound_against_oracle():
             for n in ns:
                 _, log_eps = eps_at(regime, n)
                 bound = renyi_converse(pair, n, log_eps)
-                beta = _beta_exact(pair, n, log_eps)
-                assert bound.value <= beta + 1.0e-9, (spec, regime, n)
+                log_beta = _log_beta_exact(pair, n, log_eps)
+                assert bound.log_value <= log_beta + _log_slack(log_beta), (spec, regime, n)
                 combos += 1
     assert combos >= 200
     for spec in PAIR_SPECS:
@@ -118,8 +126,8 @@ def test_criterion_2_converse_sound_against_oracle():
             c = frac * d_rev
             for n in ns:
                 upper = phase_transition_achievability(pair, n, c)
-                beta = _beta_exact(pair, n, -c * n)
-                assert beta <= upper.value + 1.0e-9, (spec, frac, n)
+                log_beta = _log_beta_exact(pair, n, -c * n)
+                assert upper.log_value >= log_beta - _log_slack(log_beta), (spec, frac, n)
     assert time.perf_counter() - start < 120.0
 
 

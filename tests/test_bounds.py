@@ -229,6 +229,12 @@ class TestPhaseTransitionAchievability:
             beta = np_exact_bernoulli(BERN, n, -c * n).beta
             assert beta <= r.value + 1e-12
 
+    def test_rate_within_rounding_of_d_takes_the_order_one_end(self):
+        # c = (1 - 1e-13) D: the root's log, rounded up, is +3.6e-27, so the
+        # bound is the end l = 1, log 0, the threshold bound's at alpha = 0
+        r = phase_transition_achievability(BERN, 2000, 0.00020001333546710518)
+        assert (r.log_value, r.optimizer, r.valid) == (0.0, 1.0, True)
+
     def test_supercritical_rate_rejected(self):
         with pytest.raises(DomainError, match="phase_transition_converse"):
             phase_transition_achievability(GAUSS, 100, 2 * D_GAUSS)

@@ -788,19 +788,31 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["value"] == pytest.approx(1e-247, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("argv", [
-        ["--pair", "bernoulli:1e-13,1e-14", "--bound", "phase_achievability", "--n", "1",
-         "--c", "1e-14"],
-    ], ids=["phase_achievability"])
-    def test_upper_bound_above_one_prints_one(self, capsys, argv):
-        # log beta's upper bound is above 0 (rounding at exponent 1.4e-14):
-        # beta <= 1 is printed, the log keeps the bound's own, and a bound
-        # on a probability above 1 is not valid
+    def test_bound_above_one_prints_one(self, capsys):
+        # Fano's log is log(e^{-n D} / 2 / (1 - eps)) = +1.589 at eps = 0.9:
+        # beta >= 1 is printed, the log keeps the bound's own, and a bound on
+        # a probability above 1 is not valid
+        argv = ["--pair", "bernoulli:0.5,0.6", "--bound", "fano", "--n", "1", "--eps", "0.9"]
         assert cli_main(["bound", *argv]) == 0
         text, json_line = capsys.readouterr().out.strip().splitlines()
         payload = json.loads(json_line)
-        assert payload["value"] == 1.0 and payload["log_value"] > 0.0
+        assert payload["value"] == 1.0
+        assert payload["log_value"] == pytest.approx(1.589026915173973, rel=1e-12, abs=0.0)
         assert payload["valid"] is False and text.endswith("[degenerate]")
+
+    def test_phase_achievability_at_a_tiny_rate_is_valid_and_sound(self, capsys):
+        # c = 1e-14 below D(P1||P0) = 6.7e-14, at n = 1: the exponent is
+        # 5.5286e-14, the bound's own expression n (psi(l) - (l - 1) c) / l
+        # at its optimum by 60-digit golden section.  The log is rounded up
+        # from it by less than its own size and stays at or below 0 (it was
+        # +1.2e-14 while the rate form kept a rounding bound of its own)
+        argv = ["--pair", "bernoulli:1e-13,1e-14", "--bound", "phase_achievability", "--n", "1",
+                "--c", "1e-14"]
+        assert cli_main(["bound", *argv]) == 0
+        text, json_line = capsys.readouterr().out.strip().splitlines()
+        payload = json.loads(json_line)
+        assert payload["valid"] is True and not text.endswith("[degenerate]")
+        assert -5.5285995506544845e-14 <= payload["log_value"] <= 0.0
 
     def test_threshold_above_n_kl_takes_the_order_one_end(self, capsys):
         # tau = 500 is above n D(P1||P0) = 2.0: the order is the end l = 1,
@@ -808,6 +820,18 @@ class TestCli:
         # (the order 1 - 1e-9 gives log +4.98e-7, which is not valid)
         argv = ["--pair", "bernoulli:0.5,0.6", "--bound", "achievability", "--n", "100",
                 "--tau", "500"]
+        assert cli_main(["bound", *argv]) == 0
+        text, json_line = capsys.readouterr().out.strip().splitlines()
+        payload = json.loads(json_line)
+        assert (payload["value"], payload["log_value"], payload["optimizer"]) == (1.0, 0.0, 1.0)
+        assert payload["valid"] is True and not text.endswith("[degenerate]")
+
+    def test_threshold_within_rounding_of_n_kl_takes_the_order_one_end(self, capsys):
+        # tau within 1e-13 relative of n D(P1||P0) = 0.40002667093425: the
+        # root 0.99999999999995 gives log -2.8e-27 rounded up to +3.6e-27,
+        # not valid, so the bound is the end l = 1, where psi(1) = 0 exactly
+        argv = ["--pair", "bernoulli:0.5,0.51", "--bound", "achievability", "--n", "2000",
+                "--tau", "0.40002667093421035"]
         assert cli_main(["bound", *argv]) == 0
         text, json_line = capsys.readouterr().out.strip().splitlines()
         payload = json.loads(json_line)

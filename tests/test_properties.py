@@ -13,7 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from htbounds.bounds import BoundKind, renyi_achievability_at_threshold
+from htbounds.bounds import (
+    BoundKind,
+    phase_transition_achievability,
+    renyi_achievability_at_threshold,
+)
 from htbounds.cli import cli_main
 from htbounds.distributions import (
     BernoulliPair,
@@ -215,6 +219,61 @@ def test_threshold_achievability_sound_against_its_own_test(ps, n, ratio):
     r = renyi_achievability_at_threshold(pair, n, tau, -math.inf)
     log_beta = _mp_threshold_log_beta(pair, n, tau)
     assert r.log_value >= log_beta - _log_slack(log_beta), (r, log_beta)
+
+
+def _near_critical_reference(pair, n):
+    # the exact oracle that reaches (pair, n) and the pair it takes, or None
+    if isinstance(pair, GaussianPair):
+        return np_exact_gaussian, pair
+    if isinstance(pair, BernoulliPair):
+        return np_exact_discrete, _two_atoms(pair.p0, pair.p1)
+    return (np_exact_discrete, pair) if n <= 150 else None
+
+
+@st.composite
+def _near_critical_case(draw):
+    # (pair, n, g): a Bernoulli, K = 3 or Gaussian pair, n log-uniform in
+    # [1, 1e6] and |g| log-uniform in [1e-17, 1e-3], of either sign
+    family = draw(st.sampled_from(["bernoulli", "discrete", "gaussian"]))
+    if family == "bernoulli":
+        pair = BernoulliPair(*draw(distinct_pairs))
+    elif family == "discrete":
+        pair = FiniteDiscretePair(*draw(st.tuples(_weights, _weights).filter(
+            lambda t: max(abs(a - b) for a, b in zip(*t)) > 1e-3)))
+    else:
+        pair = GaussianPair(0.0, draw(st.floats(min_value=0.01, max_value=3.0)))
+    n = int(10.0 ** draw(st.floats(min_value=0.0, max_value=6.0)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    g = sign * 10.0 ** draw(st.floats(min_value=-17.0, max_value=-3.0))
+    return pair, n, g
+
+
+@settings(max_examples=120, deadline=None)
+# tau rounds to within 1e-13 relative of n D(P1||P0): the root's rounded-up
+# log was +3.6e-27, the end l = 1 gives log 0
+@example(case=(BernoulliPair(0.5, 0.51), 2000, 1e-13))
+@given(case=_near_critical_case())
+def test_near_critical_threshold_and_phase_are_valid_and_sound(case):
+    # tau = n D(P1||P0) (1 - g) and alpha = 0, where the root's rounding
+    # bound can exceed the bound's margin below 0.  The threshold test's
+    # Type I error is at most e^{-tau} (Markov's inequality on e^L under P0),
+    # so its beta is at least beta_n(e^{-tau}); at g > 0 that is also the
+    # beta the phase bound at c = D (1 - g) = tau / n bounds.  Every bound is
+    # valid, and at or above the exact beta wherever an oracle reaches.
+    pair, n, g = case
+    d = kl_divergence(pair, Direction.REVERSE)
+    c = d * (1.0 - g)
+    tau = n * c
+    results = [renyi_achievability_at_threshold(pair, n, tau, -math.inf)]
+    if c < d:
+        results.append(phase_transition_achievability(pair, n, c))
+    assert all(r.valid for r in results), (results, tau)
+    reference = _near_critical_reference(pair, n)
+    if reference is not None:
+        oracle, exact = reference
+        log_beta = oracle(exact, n, -tau).log_beta
+        for r in results:
+            assert r.log_value >= log_beta - _log_slack(log_beta), (r, log_beta)
 
 
 @settings(max_examples=30, deadline=None)
