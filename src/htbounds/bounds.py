@@ -410,11 +410,14 @@ def _threshold_log(atoms: _TiltAtoms, n: int, lam: float, psi: float, psi_size: 
     u, base = n * psi - lam * tau, n * psi - h * tau
     if not u > log_alpha:
         return -math.inf
-    # Bounds on the rounding errors of base and u.  The error of u enters
-    # log(1 - alpha e^{-u}) with the factor e^r / (1 - e^r), where
-    # r = log alpha - u < 0, which stays finite however large -r is.
-    ulps, size = (len(atoms.p) + 8) * _EPS, n * (abs(psi) + psi_size)
-    err_base, err_u = ulps * (size + abs(h * tau)), ulps * (size + abs(lam * tau))
+    # Bounds on the rounding errors of base and u, each term scaled on its
+    # own so that no sum of two terms near the float range overflows.  The
+    # error of u enters log(1 - alpha e^{-u}) with the factor
+    # e^r / (1 - e^r), where r = log alpha - u < 0, which stays finite
+    # however large -r is.
+    ulps = (len(atoms.p) + 8) * _EPS
+    size = ulps * n * (abs(psi) + psi_size)
+    err_base, err_u = size + ulps * abs(h * tau), size + ulps * abs(lam * tau)
     r = log_alpha - u
     corr = log_diff_exp(0.0, r)
     err = err_base + err_u * math.exp(r) / -math.expm1(r) + 4.0 * _EPS * abs(corr)
@@ -487,8 +490,10 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
     from the root.  That is this bound's value at every l, not only at an
     exact l*, since n psi(l) - (l - 1) n (psi(l) + c) / l is
     n (psi(l) - (l - 1) c) / l identically, and the rounding of tau lies
-    in the |(l - 1) tau| term of the rounding bound.  Where that
-    rounded-up log lies above 0 (c within a few 1e-13 relative of D), the
+    in the |(l - 1) tau| term of the rounding bound; the error of psi(l*)
+    that tau carries reaches the log as n / l* times it, and the size
+    passed counts it.  Where that rounded-up log lies above 0 (c within a
+    few 1e-13 relative of D), or is NaN (tau past the float range), the
     bound is the end l = 1, log 0, the threshold bound's there at
     alpha = 0, and the optimizer is 1.
     """
@@ -504,8 +509,12 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
     # The exponent n (c (l-1) - psi(l)) / l is stationary where H_0(l) = -c;
     # H_0(0) = 0 and H_0(1) = -D(P1||P0), so the root lies in (0, 1).
     lam, psi, psi_size = _tilt_root(atoms, 0.0, -c, 0.0, 1.0)
-    log_value = _threshold_log(atoms, n, lam, psi, psi_size, n * (psi + c) / lam, -math.inf)
-    return BoundResult(*min((log_value, lam), (0.0, 1.0)), BoundKind.UPPER_BETA)
+    # the size passed turns _threshold_log's n (|psi| + size) into n (|psi| + size) / lam
+    log_value = _threshold_log(atoms, n, lam, psi, (abs(psi) + psi_size) / lam - abs(psi),
+                               n * (psi + c) / lam, -math.inf)
+    if not log_value <= 0.0:
+        log_value, lam = 0.0, 1.0
+    return BoundResult(log_value, lam, BoundKind.UPPER_BETA)
 
 
 def _lower_n(value: float, optimizer: float | None) -> BoundResult:

@@ -243,12 +243,12 @@ def cli_main(argv=None) -> int:
     """Run one command line; return its exit code (see the module docstring).
 
     Once the command line has parsed, ``gc.freeze()`` moves every object
-    the process holds so far, chiefly what importing numpy, scipy and this
-    package built (about 41,000 tracked objects), into the permanent
+    the process holds so far, chiefly what importing numpy and this
+    package built (about 22,500 tracked objects), into the permanent
     generation.  Those objects live until the process exits, yet every full
     collection, the interpreter's exit-time ones included, would walk them
-    all (12-15 ms each on a 2-core VM); frozen, a fresh ``htbounds``
-    process exits in 15-22 ms instead of 58-103 ms there.  Objects the
+    all (4-6 ms each on a 2-core VM); frozen, a fresh ``htbounds bound``
+    process exits in 6-7 ms instead of 25-46 ms there.  Objects the
     command creates later are collected as before, and reference counting
     still frees frozen ones.  Importing ``htbounds`` leaves the collector as
     it was; but a caller that runs ``cli_main`` in its own process gets its

@@ -14,23 +14,23 @@ sample (finite support: an i.i.d. sample's likelihood ratio depends only
 on its atom counts, so C(n + K - 1, K - 1) types stand in for K^n points;
 past 2.5e6 types, K = 3 beyond n = 2,234 or K = 4 beyond n = 244, it
 raises :class:`DomainError`, as at every other limit, so a sweep leaves
-that cell empty).  Both count-based oracles take log k! from one cached
-read-only table.  These serve as ground truth for the bounds in
+that cell empty).  Both count-based oracles take log k! from one growing
+read-only table, cephes' lgam at the integers.  These serve as ground
+truth for the bounds in
 :mod:`htbounds.bounds`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import BernoulliPair, Direction, FiniteDiscretePair, GaussianPair, _tilt_atoms
-from .numerics import (DomainError, _check_log_eps, _check_log_prob, _check_n, log_diff_exp,
-                       log_q, q_inverse_log)
+from .numerics import (_LOG_SQRT_2PI, DomainError, _check_log_eps, _check_log_prob, _check_n,
+                       log_diff_exp, log_q, q_inverse_log)
 
 __all__ = [
     "NPResult",
@@ -63,20 +63,63 @@ class NPResult:
         return math.exp(min(self.log_beta, 0.0))
 
 
-@functools.lru_cache(maxsize=1)
-def _log_factorial_table(size: int) -> np.ndarray:
-    table = gammaln(np.arange(size) + 1.0)
-    table.flags.writeable = False
-    return table
+#: Stirling-series coefficients of cephes' lgam, for 13 <= x = k + 1 < 1000.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+#: log k! for k + 1 < 13, where lgam takes the log of the exact product k!.
+_LOG_SMALL_FACTORIALS = tuple(math.log(math.factorial(k)) for k in range(12))
+#: log k! for k = 0..size - 1; grown by _log_factorials, never written in place.
+_log_factorial_table = np.zeros(0)
+_log_factorial_lock = threading.Lock()
+
+
+def _log_factorial_range(start: int, stop: int) -> np.ndarray:
+    """log k! for k = start..stop - 1, the bits of ``scipy.special.gammaln(k + 1.0)``.
+
+    It evaluates cephes' ``lgam`` at x = k + 1 step for step: log of the
+    exact product k! below x = 13, and above it (x - 1/2) log x - x +
+    log sqrt(2 pi) plus the correction over x, a polynomial in 1 / x^2
+    below x = 1000 and three Stirling terms from there (lgam's branch
+    past x = 1e8, with no correction, is never reached: that table would
+    hold 800 MB).  The arithmetic is numpy's, which rounds as C does, but
+    log x is ``math.log``, libm's: ``np.log`` differs from it on 232 of
+    the integers in 1..2^22.
+    """
+    head = _LOG_SMALL_FACTORIALS[start:stop]
+    x = np.arange(max(start, len(_LOG_SMALL_FACTORIALS)), stop) + 1.0
+    log_x = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    p = 1.0 / (x * x)
+    poly = np.full_like(x, _LGAM_A[0])
+    for a in _LGAM_A[1:]:
+        poly = poly * p + a
+    stirling = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                + 0.0833333333333333333333)
+    # cephes' LS2PI, 0.91893853320467274178, is the same double as _LOG_SQRT_2PI
+    tail = (x - 0.5) * log_x - x + _LOG_SQRT_2PI + np.where(x < 1000.0, poly, stirling) / x
+    return np.concatenate((head, tail))
 
 
 def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0..n: a read-only view of one cached table.
+    """log k! for k = 0..n: a read-only view of one growing table.
 
-    The table's size is rounded up to a power of two, so a run of growing
-    n rebuilds it only when n crosses one.
+    The table's size is rounded up to a power of two, and a larger n
+    appends only the entries it lacks, so each entry is computed once per
+    process (about 0.3 us each).  The table is replaced, never written in
+    place, so a view handed out earlier keeps its values; a lock makes
+    each growth one step, so that no thread replaces a table with a
+    shorter one.
     """
-    return _log_factorial_table(1 << int(n).bit_length())[: n + 1]
+    global _log_factorial_table
+    table = _log_factorial_table
+    if table.size <= n:
+        with _log_factorial_lock:
+            table = _log_factorial_table
+            if table.size <= n:
+                tail = _log_factorial_range(table.size, 1 << int(n).bit_length())
+                table = np.concatenate((table, tail))
+                table.flags.writeable = False
+                _log_factorial_table = table
+    return table[: n + 1]
 
 
 def np_exact_gaussian(pair: GaussianPair, n: int, log_eps: float) -> NPResult:

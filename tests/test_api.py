@@ -3,7 +3,10 @@ README's library example runs on them."""
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import htbounds
@@ -37,3 +40,15 @@ def test_readme_quick_start_runs():
         exec(compile(code, "README.md", "exec"), {})
     bound, exact = map(float, out.getvalue().split("<="))
     assert 0.0 < bound <= exact < 1.0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: a fresh interpreter that imports the
+    # command line, and so every module of the package, loads none of it
+    src = str(Path(htbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, htbounds.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -235,6 +235,20 @@ class TestPhaseTransitionAchievability:
         r = phase_transition_achievability(BERN, 2000, 0.00020001333546710518)
         assert (r.log_value, r.optimizer, r.valid) == (0.0, 1.0, True)
 
+    def test_rounding_bound_counts_the_error_tau_carries(self):
+        # tau = n (psi(l*) + c) / l* carries the error of psi(l*), which
+        # reaches the log as n / l* times it; without it, this cell's bound
+        # fell 1.0e-13 relative below its own expression at 50 digits
+        pair = BernoulliPair(0.4862020687965917, 0.5035238062336335)
+        n, c = 66, 0.00019905456066066635
+        r = phase_transition_achievability(pair, n, c)
+        rev = mp_atoms(pair, Direction.REVERSE, dps=50)
+        with mpmath.workdps(50):
+            lam = mpmath.mpf(r.optimizer)
+            want = n * (_mp_psi(rev, lam) - (lam - 1) * mpmath.mpf(c)) / lam
+            assert r.log_value >= want
+        assert r.log_value == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
     def test_supercritical_rate_rejected(self):
         with pytest.raises(DomainError, match="phase_transition_converse"):
             phase_transition_achievability(GAUSS, 100, 2 * D_GAUSS)

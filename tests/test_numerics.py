@@ -1,7 +1,7 @@
 """Tests for the scalar log-domain primitives and the reference scan maximizer.
 
-Reference values were computed independently with mpmath at 60 digits
-and are pinned to 17 significant figures.
+Reference values were computed independently with mpmath at 50 or 60
+digits and are pinned to 17 significant figures.
 """
 
 import math
@@ -34,13 +34,70 @@ PHASE_LAMBDA = 4.4721359549995794
 PHASE_EXPONENT = 0.015069660112501052
 
 
-def mp_q_root(p, x0):
-    """Root of Q(x) = p in 60-digit arithmetic, by Newton from ``x0``."""
-    with mpmath.workdps(60):
+def mp_q_root(p, x0, dps=60):
+    """Root of Q(x) = p in ``dps``-digit arithmetic, by Newton from ``x0``."""
+    with mpmath.workdps(dps):
         p, x = mpmath.mpf(p), mpmath.mpf(x0)
         for _ in range(6):
             x += (mpmath.erfc(x / mpmath.sqrt(2)) / 2 - p) / mpmath.npdf(x)
         return float(x)
+
+
+def _mp_log_q(x):
+    """log Q(x) at the working precision, as log1p(-Q(-x)) below 0."""
+    x = mpmath.mpf(x)
+    tail = mpmath.erfc(abs(x) / mpmath.sqrt(2)) / 2
+    return mpmath.log1p(-tail) if x < 0 else mpmath.log(tail)
+
+
+def mp_log_q(x):
+    """log Q(x) in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        return float(_mp_log_q(x))
+
+
+def mp_log_q_root(log_p, x0):
+    """Root of log Q(x) = log_p in 50-digit arithmetic, by Newton from ``x0``."""
+    with mpmath.workdps(50):
+        log_p, x = mpmath.mpf(log_p), mpmath.mpf(x0)
+        for _ in range(8):
+            lq = _mp_log_q(x)
+            x += (lq - log_p) * mpmath.exp(lq) / mpmath.npdf(x)
+        return float(x)
+
+
+# mp_log_q(x): both branches of erfc, both sides of the series at x = 37,
+# and the series far out
+MP_LOG_Q = {
+    -30.0: -4.906713927148187e-198,
+    -8.0: -6.220960574271786e-16,
+    -1.0: -0.17275377902344988,
+    0.0: -0.6931471805599453,
+    0.5: -1.1759117615936185,
+    1.0: -1.8410216450092636,
+    2.326348: -4.605170521696239,
+    5.0: -15.064998393988725,
+    20.0: -203.91715537109727,
+    36.99: -688.6603656636589,
+    37.0: -689.0305855768906,
+    37.5: -707.6689893175072,
+    40.0: -804.6084420137538,
+    1e3: -500007.82669481216,
+    1e6: -500000000014.73444,
+}
+
+# mp_q_root(p, q_inverse(p), dps=50)
+MP_Q_INVERSE = {
+    1e-300: 37.0470962993612,
+    1e-100: 21.273453560965326,
+    1e-15: 7.941345326170997,
+    1e-6: 4.753424308822899,
+    0.01: 2.326347874040841,
+    0.3: 0.5244005127080408,
+    0.7: -0.5244005127080407,
+    0.99: -2.3263478740408408,
+    1.0 - 1e-12: -7.0344869100478356,
+}
 
 
 def q(x):
@@ -73,10 +130,26 @@ class TestQFunction:
 
 class TestLogQ:
     def test_matches_log_of_q(self):
-        # Q(x) = erfc(x / sqrt 2) / 2, a form log_q does not use
-        for x in (-3.0, 0.0, 1.0, 5.0):
-            want = math.log(0.5 * special.erfc(x / math.sqrt(2.0)))
-            assert log_q(x) == pytest.approx(want, rel=1e-13, abs=0.0)
+        # log Q(x) = log_ndtr(-x), scipy's implementation, which log_q does not share
+        for x in (-3.0, 0.0, 1.0, 5.0, 37.0, 50.0):
+            assert log_q(x) == pytest.approx(special.log_ndtr(-x), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("x", list(MP_LOG_Q))
+    def test_matches_mpmath(self, x):
+        assert log_q(x) == pytest.approx(MP_LOG_Q[x], rel=1e-15, abs=0.0)
+
+    def test_frozen_references_match_their_generator(self):
+        # one row of MP_LOG_Q recomputed; x = 37.5 is on the series branch
+        assert mp_log_q(37.5) == pytest.approx(MP_LOG_Q[37.5], rel=1e-15, abs=0.0)
+
+    def test_below_the_float_range(self):
+        # -x^2/2 fits a double up to x = 1.9e154; past it log Q is -inf, and
+        # far below 0, Q(-x) underflows, so log Q is -0.0
+        assert log_q(1.8e154) == pytest.approx(-1.62e308, rel=1e-15, abs=0.0)
+        assert log_q(2e154) == -math.inf
+        assert log_q(1e300) == -math.inf
+        for x in (-40.0, -1e300):
+            assert repr(log_q(x)) == "-0.0"
 
     def test_deep_tail_stays_finite(self):
         val = log_q(40.0)
@@ -97,6 +170,15 @@ class TestQInverse:
         for p in (1e-300, 1e-15, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.97, 1.0 - 1e-12):
             x = q_inverse(p)
             assert special.ndtr(-x) == pytest.approx(p, rel=1e-11, abs=1e-300)
+
+    @pytest.mark.parametrize("p", list(MP_Q_INVERSE))
+    def test_matches_mpmath_references(self, p):
+        assert q_inverse(p) == pytest.approx(MP_Q_INVERSE[p], rel=1e-15, abs=0.0)
+
+    def test_frozen_references_match_their_generator(self):
+        # one row of MP_Q_INVERSE recomputed
+        want = mp_q_root(1e-300, q_inverse(1e-300), dps=50)
+        assert want == pytest.approx(MP_Q_INVERSE[1e-300], rel=1e-15, abs=0.0)
 
     def test_half_maps_to_zero(self):
         assert q_inverse(0.5) == pytest.approx(0.0, abs=1e-12)
@@ -136,12 +218,19 @@ class TestQInverseLog:
     def test_roundtrip_within_four_ulps_of_log_p(self):
         # An absolute accuracy cannot hold at -1e6, where one ulp of log p
         # is 1.2e-10, so the round trip is measured in ulps of log p.
-        # Near 0 the points show that log p is never rounded through
-        # exp(log p); deep in the tail, that the Newton polish step is
-        # live (ndtri_exp alone is thousands of ulps off at -1e5).
-        for lp in (-1e-12, -1e-3, -1.0, -50.0, -690.0, -700.0, -5e3, -1e5, -1e6):
+        # Near 0 the point shows that log p is never rounded through
+        # exp(log p); deep in the tail, that the Newton steps are live (the
+        # series start is about 1e-3 relative off at -1e5).
+        for lp in (-1e-3, -1.0, -50.0, -690.0, -700.0, -5e3, -1e5, -1e6):
             x = q_inverse_log(lp)
             assert abs(log_q(x) - lp) <= 4 * math.ulp(lp), lp
+
+    def test_nearest_double_next_to_zero(self):
+        # At log p = -1e-12 neighbouring doubles x move log Q by about 31
+        # ulps of log p, so no x is within 4 of them; the best double is 8
+        # ulps off, and it is the one returned.
+        x = q_inverse_log(-1e-12)
+        assert x == mp_log_q_root(-1e-12, x)
 
     def test_log_p_next_to_zero(self):
         # Below about 1e-310, Q / phi overflows, so the Newton step is
@@ -222,13 +311,12 @@ class TestScalarFastPaths:
     form, and arrays are refused."""
 
     def test_q_inverse_scalar_equals_array_element(self):
-        # q_inverse is scipy's ndtri, the same bits as over an array
         for p in (1e-300, 1e-15, 0.01, 0.5, 0.97, 1.0 - 1e-15):
-            want = -special.ndtri(np.array([p]))
+            want = q_inverse(float(p))
             for form in scalar_forms(p):
                 got = q_inverse(form)
                 assert type(got) is float
-                assert repr(got) == repr(float(want[0])), (p, type(form))
+                assert repr(got) == repr(want), (p, type(form))
 
     @pytest.mark.parametrize("p", [0.0, -0.0, 1.0, -0.1, 1.5, math.nan, math.inf, -math.inf])
     def test_q_inverse_rejects(self, p):

@@ -1,6 +1,8 @@
 """Tests for the exact Neyman-Pearson oracles."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +15,11 @@ from htbounds.bounds import Constant, Exponential, Linear, eps_at
 from htbounds.cli import DEFAULT_N, cli_main
 from htbounds.distributions import (BernoulliPair, Direction, FiniteDiscretePair, GaussianPair,
                                     _tilt_atoms, kl_divergence, parse_pair)
+from htbounds import oracle
 from htbounds.numerics import DomainError, log_q
 from htbounds.oracle import (
     _check_type_count,
+    _log_factorial_range,
     _log_factorials,
     np_exact_bernoulli,
     np_exact_discrete,
@@ -272,6 +276,52 @@ class TestBernoulliWindow:
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got[0] = 1.0
+
+    def test_log_factorials_are_gammaln_bit_for_bit(self):
+        # all three branches of cephes' lgam: the exact product below
+        # k + 1 = 13, the polynomial correction below 1000, Stirling's three
+        # terms from there; 2^20 entries, 48 of which np.log in place of
+        # libm's log would move
+        size = 1 << 20
+        early = _log_factorials(100)
+        got = _log_factorials(size - 1)
+        assert np.array_equal(got, gammaln(np.arange(size) + 1.0))
+        # the table grew by appending: a view handed out before keeps its values
+        assert np.array_equal(early, got[:101])
+        # any range evaluates as the whole table does
+        for start, stop in ((0, 5), (11, 14), (12, 13), (998, 1003), (size - 7, size)):
+            assert np.array_equal(_log_factorial_range(start, stop), got[start:stop]), (start, stop)
+
+
+    def test_log_factorials_grow_under_threads(self, monkeypatch):
+        # Sixteen threads grow an empty table at once, with a thread switch
+        # every microsecond, ten times over: each gets the bits it asked
+        # for, and the table ends as long as the largest request, which a
+        # growth lost to a shorter one would cut.
+        sizes = [37 * (i + 1) ** 3 for i in range(16)]
+        want = gammaln(np.arange(max(sizes) + 1) + 1.0)
+        bad = []
+
+        def grow(n):
+            for m in [*range(n % 7 + 1, n, max(n // 5, 1)), n]:
+                if not np.array_equal(_log_factorials(m), want[: m + 1]):
+                    bad.append(m)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                monkeypatch.setattr(oracle, "_log_factorial_table", np.zeros(0))
+                threads = [threading.Thread(target=grow, args=(n,)) for n in sizes]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert bad == []
+                assert oracle._log_factorial_table.size > max(sizes)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBruteforce:

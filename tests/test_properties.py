@@ -415,6 +415,10 @@ def _printed_values(command, out):
 # psi at the reverse sample-size root rounds to 0 (D = 1.1e-14): 0 / 0 raised ZeroDivisionError
 @example(argv=["samplesize", "--pair", "discrete:1e-14,1e-73,0.99999999999999|1e-17,1e-17,1.0",
                "--eps=0.36787944117144233", "--delta=0.006737946999085467"])
+# tau = n (psi + c) / l* of the rate-c achievability bound overflows at n = 360
+# (l* = 2.2e-162): the rounding bound was NaN, and so was the printed value
+@example(argv=["sweep", "--pair", "gaussian:0,1e+153", "--n-min", "359", "--n-max", "360",
+               "--n-step", "1", "--eps=0.36787944117144233", f"--bounds={_SWEEP_BOUNDS}"])
 @given(argv=_cli_argv())
 def test_cli_answers_or_exits_two_across_the_float_range(argv):
     out, err = io.StringIO(), io.StringIO()
