@@ -594,6 +594,36 @@ def sample_complexity_pensia(pair: DistributionPair, eps: float, delta: float) -
     n >= (1/2) (l*/(1-l*)) log(1/(2 eps)) / D_{l*}(P0||P1) with
     l* = log(1/(2 delta)) / (log(1/(2 delta)) + log(1/(2 eps)));
     requires eps, delta < 1/2 and distinct distributions.
+
+    It is a theorem only where its premise holds.  A test on n samples
+    with errors (a, b) maps P0^n and P1^n to two-point laws, so data
+    processing at an order l in (0, 1), where D_l = log(sum p^l q^(1-l))
+    / (l - 1), gives
+
+        f(a, b) = (1 - a)^l b^(1-l) + a^l (1 - b)^(1-l) >= e^{-n (1-l) D_l(P0||P1)}.
+
+    While a + b < 1, df/da = l (((1 - b)/a)^(1-l) - (b/(1 - a))^(1-l)) > 0,
+    and likewise df/db > 0, so a test with a <= eps and b <= delta has
+    f(a, b) <= f(eps, delta), and every such test needs
+
+        n >= -log f(eps, delta) / ((1 - l) D_l(P0||P1)).
+
+    The printed form is (1/2) l* log(1/(2 eps)) / ((1 - l*) D_{l*}), so it
+    is below that bound at l = l*, and sound, wherever
+    (1/2) l* log(1/(2 eps)) <= -log f(eps, delta); elsewhere it raises
+    :class:`DomainError`.  At ``gaussian:0,0.0016916``, eps = 0.321,
+    delta = 0.380 the premise fails (0.0847 > 0.0445), and the printed
+    form, 250,778, exceeds the exact n* = 207,406.
+
+    log f is a log-sum-exp of f's two terms where f <= 1/2.  But f is 1 at
+    l = 0 and at l = 1, and l* nears 0 as delta nears 1/2 (1 as eps does),
+    where both sides of the premise vanish with l* (1 - l*): there the
+    log-sum-exp keeps no digit of log f, and passed the premise at
+    eps = 0.328, delta = 1/2 - 2^-54 with a form twice n*.  So above
+    f = 1/2, log f is log1p(f - 1), with f - 1 = delta
+    expm1(l log((1 - eps)/delta)) + (1 - delta) expm1(l log(eps/(1 - delta)))
+    for l* <= 1/2, and for l* > 1/2 the same with (l, eps, delta) read as
+    (1 - l, delta, eps), which leaves f unchanged.
     """
     _check_prob("eps", eps, upper=0.5)
     _check_prob("delta", delta, upper=0.5)
@@ -602,6 +632,18 @@ def sample_complexity_pensia(pair: DistributionPair, eps: float, delta: float) -
     lam_star = log_s / (log_s + log_e)
     if not kl_divergence(pair, Direction.FORWARD) > 0.0:
         raise DomainError("sample_complexity_pensia requires distinct distributions")
+    # log f(eps, delta) at l*: a log-sum-exp of its two terms, and above f = 1/2
+    # log1p(f - 1) about the nearer end l = 0 or 1 (see the docstring)
+    lam, a, b = (lam_star, eps, delta) if lam_star <= 0.5 else (log_e / (log_s + log_e), delta, eps)
+    terms = (lam * math.log1p(-a) + (1.0 - lam) * math.log(b),
+             lam * math.log(a) + (1.0 - lam) * math.log1p(-b))
+    log_f = max(terms) + math.log1p(math.exp(min(terms) - max(terms)))
+    if log_f > -_LOG2:
+        log_f = math.log1p(b * math.expm1(lam * math.log((1.0 - a) / b))
+                           + (1.0 - b) * math.expm1(lam * math.log(a / (1.0 - b))))
+    if 0.5 * lam_star * log_e > -log_f:
+        raise DomainError(f"sample_complexity_pensia holds only where (l*/2) log(1/(2 eps)) <= "
+                          f"-log f(eps, delta); here {0.5 * lam_star * log_e:.3g} > {-log_f:.3g}")
     # D_lam of a distinct pair is 0 only where psi(lam) underflows
     d = renyi_divergence(pair, lam_star, Direction.FORWARD)
     value = 0.5 * (lam_star / (1.0 - lam_star)) * log_e / d if d > 0.0 else math.inf

@@ -27,9 +27,10 @@ This module is the numerical kernel shared by every bound evaluation:
 
 All functions are pure and thread-safe, and so are the divergences in
 :mod:`htbounds.distributions` and the oracles in :mod:`htbounds.oracle`.
-Their only shared state is read-only once built: one bounded cache of
-each pair's record per direction, and one table of log k! that grows
-under a lock and is never written in place.  Every bound solves one
+Their only shared state is two ``functools`` caches, each entry
+read-only once built: one bounded cache of each pair's record per
+direction, and one of the levels of log k!, each level the one below
+with its top half appended, so no lock is needed.  Every bound solves one
 scalar problem at a time, so the ``Q`` family and ``log_diff_exp`` take
 scalars (``int`` or ``float``) only, check them with
 plain comparisons, and return a plain ``float``; an array or any other

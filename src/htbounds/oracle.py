@@ -11,19 +11,20 @@ n p + sqrt(n (C - L) / 2) + 2, past which Chernoff's bound with Pinsker's
 inequality puts every mass more than C nats below L: 770 of the 20,001
 counts for P0 at n = 20,000, eps = 0.01), or over the types of the
 sample (finite support: an i.i.d. sample's likelihood ratio depends only
-on its atom counts, so C(n + K - 1, K - 1) types stand in for K^n points;
-past 2.5e6 types, K = 3 beyond n = 2,234 or K = 4 beyond n = 244, it
-raises :class:`DomainError`, as at every other limit, so a sweep leaves
-that cell empty).  Both count-based oracles take log k! from one growing
-read-only table, cephes' lgam at the integers.  These serve as ground
-truth for the bounds in
-:mod:`htbounds.bounds`.
+on its atom counts, so C(n + K - 1, K - 1) types stand in for K^n points).
+Both count-based oracles refuse more than 2.5e6 types with
+:class:`DomainError`, as at every other limit, so a sweep leaves that
+cell empty: K = 2 (a Bernoulli pair) beyond n = 2,499,999, K = 3 beyond
+n = 2,234, K = 4 beyond n = 244.  Both take log k!, cephes' lgam at the
+integers, from one cache of read-only levels, the level of bits b holding
+k = 0..2^b - 1, so the ceiling stops the largest level at 2^22 entries.
+These serve as ground truth for the bounds in :mod:`htbounds.bounds`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,6 @@ _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.936503404577
            -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 #: log k! for k + 1 < 13, where lgam takes the log of the exact product k!.
 _LOG_SMALL_FACTORIALS = tuple(math.log(math.factorial(k)) for k in range(12))
-#: log k! for k = 0..size - 1; grown by _log_factorials, never written in place.
-_log_factorial_table = np.zeros(0)
-_log_factorial_lock = threading.Lock()
 
 
 def _log_factorial_range(start: int, stop: int) -> np.ndarray:
@@ -80,10 +78,10 @@ def _log_factorial_range(start: int, stop: int) -> np.ndarray:
     exact product k! below x = 13, and above it (x - 1/2) log x - x +
     log sqrt(2 pi) plus the correction over x, a polynomial in 1 / x^2
     below x = 1000 and three Stirling terms from there (lgam's branch
-    past x = 1e8, with no correction, is never reached: that table would
-    hold 800 MB).  The arithmetic is numpy's, which rounds as C does, but
-    log x is ``math.log``, libm's: ``np.log`` differs from it on 232 of
-    the integers in 1..2^22.
+    past x = 1e8, with no correction, is never reached: the type ceiling
+    stops the levels at 2^22 entries).  The arithmetic is numpy's, which
+    rounds as C does, but log x is ``math.log``, libm's: ``np.log``
+    differs from it on 232 of the integers in 1..2^22.
     """
     head = _LOG_SMALL_FACTORIALS[start:stop]
     x = np.arange(max(start, len(_LOG_SMALL_FACTORIALS)), stop) + 1.0
@@ -99,27 +97,24 @@ def _log_factorial_range(start: int, stop: int) -> np.ndarray:
     return np.concatenate((head, tail))
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0..n: a read-only view of one growing table.
+@functools.lru_cache(maxsize=None)
+def _log_factorial_level(bits: int) -> np.ndarray:
+    """log k! for k = 0..2^bits - 1, read-only: the level below with its top half appended.
 
-    The table's size is rounded up to a power of two, and a larger n
-    appends only the entries it lacks, so each entry is computed once per
-    process (about 0.3 us each).  The table is replaced, never written in
-    place, so a view handed out earlier keeps its values; a lock makes
-    each growth one step, so that no thread replaces a table with a
-    shorter one.
+    Each level is built once per process from the one below, so each
+    entry is computed once (about 0.3 us each), and no level is written
+    after it is built: threads share the levels with no lock, and a view
+    of one keeps its values.
     """
-    global _log_factorial_table
-    table = _log_factorial_table
-    if table.size <= n:
-        with _log_factorial_lock:
-            table = _log_factorial_table
-            if table.size <= n:
-                tail = _log_factorial_range(table.size, 1 << int(n).bit_length())
-                table = np.concatenate((table, tail))
-                table.flags.writeable = False
-                _log_factorial_table = table
-    return table[: n + 1]
+    below = _log_factorial_level(bits - 1) if bits else np.zeros(0)
+    level = np.concatenate((below, _log_factorial_range(below.size, 1 << bits)))
+    level.flags.writeable = False
+    return level
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n: a read-only view of the level of 2^bit_length(n) entries."""
+    return _log_factorial_level(int(n).bit_length())[: n + 1]
 
 
 def np_exact_gaussian(pair: GaussianPair, n: int, log_eps: float) -> NPResult:
@@ -146,8 +141,10 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
 
     Rejects H0 when S > k, with probability gamma at S == k, where k and
     gamma are chosen so the Type I error is exactly eps.  Only counts
-    S >= k enter beta.  log k! comes from the shared table of
-    :func:`_log_factorials`.
+    S >= k enter beta.  log k! comes from the cached levels of
+    :func:`_log_factorials`.  The n + 1 counts are the types of K = 2, so
+    past n = 2,499,999 it raises :class:`DomainError` at the type ceiling
+    of :func:`np_exact_discrete`, which bounds the levels' memory.
 
     Neither tail is summed from S = n.  The P0 tail starts at the last
     count m with log P0(S = m) >= log eps - C, and the P1 tail P1(S > k)
@@ -198,6 +195,7 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
         raise DomainError("np_exact_bernoulli requires a BernoulliPair")
     _check_n(n)
     _check_log_prob("log_eps", log_eps)
+    _check_type_count(_tilt_atoms(pair, Direction.FORWARD), n, "np_exact_bernoulli")
     p0, p1 = pair.p0, pair.p1
     mirrored = p1 < p0  # LR increases in S iff p1 > p0; otherwise test on n - S
     if mirrored:
@@ -261,12 +259,11 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     return NPResult(log_beta, threshold, gamma)
 
 
-def _check_type_count(atoms, n: int) -> None:
+def _check_type_count(atoms, n: int, oracle: str = "np_exact_discrete") -> None:
     """Raise DomainError if n-samples on the support of ``atoms`` have over 2.5e6 types."""
     k = len(atoms.p)
     if (count := math.comb(n + k - 1, k - 1)) > _MAX_TYPES:
-        raise DomainError(f"np_exact_discrete needs {count:,} types at n = {n}; "
-                          f"ceiling is {_MAX_TYPES:,}")
+        raise DomainError(f"{oracle} needs {count:,} types at n = {n}; ceiling is {_MAX_TYPES:,}")
 
 
 def np_exact_discrete(pair: FiniteDiscretePair, n: int, log_eps: float) -> NPResult:

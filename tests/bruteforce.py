@@ -51,20 +51,28 @@ def np_exact_discrete_bruteforce(pair, n: int, eps: float) -> NPResult:
     c1 = np.bincount(cls, weights=m1)
     r_cls = r_sorted[new_class]
     budget = eps
-    accepted1 = 0.0  # P1 mass of the rejection region
+    rejected1 = 0.0  # P1 mass of the rejection region
+    kept1 = []  # P1 masses of the acceptance region
     threshold = -math.inf
     gamma = 0.0
     for i in range(c0.size):
         if budget >= c0[i] * (1.0 - 1.0e-12):
             budget -= c0[i]
-            accepted1 += c1[i]
+            rejected1 += c1[i]
             continue
         threshold = float(r_cls[i])
         if budget > 0.0 and c0[i] > 0.0:
             gamma = budget / c0[i]
-            accepted1 += gamma * c1[i]
+            rejected1 += gamma * c1[i]
+        kept1 = [(1.0 - gamma) * c1[i], *c1[i + 1 :]]
         break
-    return NPResult(math.log1p(-accepted1) if accepted1 < 1.0 else -math.inf, threshold, gamma)
+    # beta from the smaller side, as np_exact_discrete forms it: 1 minus a
+    # rejected mass near 1 keeps the rounding of its sum, about 1e-14 over
+    # 729 points (eps = 1 at K = 3, n = 6), where the kept mass is exactly 0
+    if rejected1 <= 0.5:
+        return NPResult(math.log1p(-rejected1), threshold, gamma)
+    kept = math.fsum(kept1)
+    return NPResult(math.log(kept) if kept > 0.0 else -math.inf, threshold, gamma)
 
 
 def np_exact_bernoulli_fullrange(pair, n: int, log_eps: float) -> NPResult:

@@ -890,6 +890,20 @@ class TestSampleComplexity:
         assert r.optimizer == pytest.approx(PENSIA_LAMBDA, rel=1e-12, abs=0.0)
         assert math.ceil(r.value) == 4051
 
+    def test_pensia_refused_outside_its_premise(self):
+        # the printed form gives 250,778 here, where the exact
+        # n* = ceil(((Q^-1(eps) + Q^-1(delta)) / d)^2) is 207,406
+        with pytest.raises(DomainError, match=r"here 0\.0847 > 0\.0445$"):
+            sample_complexity_pensia(GaussianPair(0.0, 0.0016916), 0.321, 0.380)
+
+    @pytest.mark.parametrize("eps, delta", [(0.328125, 0.5 - 2.0**-54), (0.5 - 2.0**-54, 0.3)])
+    def test_pensia_premise_near_one_half(self, eps, delta):
+        # l* nears 0 (1): both sides of the premise are about 1e-17, and a
+        # log-sum-exp of f's terms passed the first cell with a form of 42.1,
+        # where the exact n* at d = 0.1 is 20
+        with pytest.raises(DomainError, match=r"here 5\.55e-17 > 1\.[0-9]+e-17$"):
+            sample_complexity_pensia(GaussianPair(0.0, 0.1), eps, delta)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             sample_complexity_renyi(GAUSS, 0.0, 0.1)

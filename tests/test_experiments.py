@@ -675,6 +675,16 @@ class TestCli:
         assert small[0] == "2" and small[6] != "" and small[8] == "true"
         assert big[0] == "2235" and big[3] != "" and big[6:] == ["", "", "false"]
 
+    def test_sweep_past_the_bernoulli_type_ceiling_empties_one_cell(self, tmp_path, capsys):
+        csv = tmp_path / "b.csv"
+        code = cli_main(
+            ["sweep", "--pair", "bernoulli:0.5,0.51", "--n-min", "2500000", "--n-max",
+             "2500000", "--bounds", "renyi_converse,np_exact", "--csv", str(csv)]
+        )
+        assert code == 0
+        (row,) = (line.split(",") for line in csv.read_text().splitlines()[1:])
+        assert row[0] == "2500000" and row[3] != "" and row[6:] == ["", "", "false"]
+
     @pytest.mark.parametrize("selection", ["", ",", " , "])
     def test_sweep_empty_bound_selection_exits_two(self, tmp_path, capsys, selection):
         csv = tmp_path / "empty.csv"
@@ -839,16 +849,17 @@ class TestCli:
         assert payload["valid"] is True and not text.endswith("[degenerate]")
 
     def test_samplesize_below_one_keeps_its_log(self, capsys):
-        # eps = delta = 0.4 at a wide separation: both bounds are below one
-        # sample, printed as 1 and not valid, with their own negative logs
+        # eps = delta = 0.4 at a wide separation: the Renyi bound is below one
+        # sample, printed as 1 and not valid, with its own negative log; the
+        # Pensia bound's premise fails there (0.0558 > 0.0204), so it is skipped
         code = cli_main(["samplesize", "--pair", "gaussian:0,5", "--eps", "0.4",
                          "--delta", "0.4"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        for line, want in ((lines[1], -5.35915247828568), (lines[3], -4.025668631067771)):
-            payload = json.loads(line)
-            assert (payload["value"], payload["valid"]) == (1.0, False)
-            assert payload["log_value"] == pytest.approx(want, rel=1e-12, abs=0.0)
+        payload = json.loads(lines[1])
+        assert (payload["value"], payload["valid"]) == (1.0, False)
+        assert payload["log_value"] == pytest.approx(-5.35915247828568, rel=1e-12, abs=0.0)
+        assert lines[2].startswith("pensia: skipped")
 
     @pytest.mark.parametrize("argv, tagged", [
         (["--pair", "gaussian:0,5", "--eps", "0.4", "--delta", "0.4"], True),
@@ -858,7 +869,12 @@ class TestCli:
         # each text line carries the tag exactly where its JSON line is not valid
         assert cli_main(["samplesize", *argv]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        for text, json_line in ((lines[0], lines[1]), (lines[2], lines[3])):
+        pairs = [(lines[0], lines[1])]
+        if tagged:  # below one sample, the Pensia bound's premise fails
+            assert lines[2].startswith("pensia: skipped")
+        else:
+            pairs.append((lines[2], lines[3]))
+        for text, json_line in pairs:
             assert json.loads(json_line)["valid"] is not tagged
             assert text.endswith("  [degenerate]") is tagged, text
 

@@ -19,6 +19,7 @@ from htbounds import oracle
 from htbounds.numerics import DomainError, log_q
 from htbounds.oracle import (
     _check_type_count,
+    _log_factorial_level,
     _log_factorial_range,
     _log_factorials,
     np_exact_bernoulli,
@@ -293,13 +294,14 @@ class TestBernoulliWindow:
             assert np.array_equal(_log_factorial_range(start, stop), got[start:stop]), (start, stop)
 
 
-    def test_log_factorials_grow_under_threads(self, monkeypatch):
-        # Sixteen threads grow an empty table at once, with a thread switch
-        # every microsecond, ten times over: each gets the bits it asked
-        # for, and the table ends as long as the largest request, which a
-        # growth lost to a shorter one would cut.
+    def test_log_factorials_grow_under_threads(self):
+        # Sixteen threads build the levels from an empty cache at once, with
+        # a thread switch every microsecond, ten times over: each gets the
+        # bits it asked for, and the cache ends holding every level up to the
+        # largest request's.
         sizes = [37 * (i + 1) ** 3 for i in range(16)]
         want = gammaln(np.arange(max(sizes) + 1) + 1.0)
+        top = max(sizes).bit_length()
         bad = []
 
         def grow(n):
@@ -311,7 +313,7 @@ class TestBernoulliWindow:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                monkeypatch.setattr(oracle, "_log_factorial_table", np.zeros(0))
+                _log_factorial_level.cache_clear()
                 threads = [threading.Thread(target=grow, args=(n,)) for n in sizes]
                 for t in threads:
                     t.start()
@@ -319,9 +321,24 @@ class TestBernoulliWindow:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
                 assert bad == []
-                assert oracle._log_factorial_table.size > max(sizes)
+                assert _log_factorial_level.cache_info().currsize == top + 1
+                assert np.array_equal(_log_factorial_level(top)[: max(sizes) + 1], want)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_log_factorials_form_each_entry_once(self, monkeypatch):
+        # every level appends only its top half to the one below
+        formed = []
+
+        def counted(start, stop):
+            formed.append(stop - start)
+            return _log_factorial_range(start, stop)
+
+        monkeypatch.setattr(oracle, "_log_factorial_range", counted)
+        _log_factorial_level.cache_clear()
+        for n in (5, 700, 20_000, 3, 20_000):
+            assert np.array_equal(_log_factorials(n), gammaln(np.arange(n + 1) + 1.0)), n
+        assert sum(formed) == 32_768
 
 
 class TestBruteforce:
@@ -375,6 +392,13 @@ class TestBruteforce:
         ten = FiniteDiscretePair((0.1,) * 10, (0.1,) * 10)
         with pytest.raises(DomainError):
             np_exact_discrete(ten, 20, -1.0)  # C(29, 9) = 1.0e7 types
+
+    def test_bernoulli_type_ceiling(self):
+        # K = 2 has n + 1 types: np_exact_bernoulli refuses a pair where
+        # np_exact_discrete would, before its eps = 1 answer
+        with pytest.raises(DomainError, match="^np_exact_bernoulli needs 1,000,000,000,001 types "
+                                              "at n = 1000000000000; ceiling is 2,500,000$"):
+            np_exact_bernoulli(BERN, 10**12, 0.0)
 
     def test_size_check_reach(self):
         # C(n + K - 1, K - 1) <= 2.5e6, with K counting only atoms of positive mass;
@@ -510,9 +534,13 @@ _weights = st.lists(st.floats(min_value=0.02, max_value=1.0), min_size=4, max_si
     st.integers(min_value=1, max_value=8),
     st.floats(min_value=0.0, max_value=1.0),
 )
+# eps = 1 rejects all 729 points: beta is exactly 0, where 1 minus their
+# summed P1 mass is 1.25e-14
+@example(w0=[1.0] * 4, w1=[1.0] * 4, k=3, n=6, eps=1.0)
 def test_matches_bruteforce(w0, w1, k, n, eps):
-    # The brute force sums in linear space: its beta carries an absolute
-    # error of about 1e-15, so it is a 1e-9 reference only above 1e-5.
+    # The brute force sums in linear space and takes beta from the smaller
+    # of its kept and rejected P1 masses, as the oracle does; its budget
+    # still moves in linear steps, so it is a 1e-9 reference only above 1e-5.
     p0 = tuple(w / math.fsum(w0[:k]) for w in w0[:k])
     p1 = tuple(w / math.fsum(w1[:k]) for w in w1[:k])
     pair = FiniteDiscretePair(p0, p1)

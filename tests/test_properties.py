@@ -17,6 +17,8 @@ from htbounds.bounds import (
     BoundKind,
     phase_transition_achievability,
     renyi_achievability_at_threshold,
+    sample_complexity_pensia,
+    sample_complexity_renyi,
 )
 from htbounds.cli import cli_main
 from htbounds.distributions import (
@@ -183,6 +185,27 @@ def test_registry_bounds_sound(family, data):
         else:
             assert r.kind is BoundKind.UPPER_BETA, (name, r)
             assert r.log_value >= log_beta - _log_slack(log_beta), (name, r, log_beta)
+
+
+@pytest.mark.parametrize("bound, upper", [(sample_complexity_renyi, 1.0),
+                                           (sample_complexity_pensia, 0.5)],
+                         ids=["renyi", "pensia"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sample_size_bounds_sound(bound, upper, data):
+    # A Gaussian pair's exact sample size: the mean test needs
+    # sqrt(n) d >= Q^-1(eps) + Q^-1(delta), with Q^-1(x) = -ndtri(x) from scipy.
+    d = 10.0 ** data.draw(st.floats(min_value=-3.0, max_value=0.5))
+    eps, delta = (data.draw(st.floats(min_value=1e-6, max_value=upper, exclude_max=True))
+                  for _ in range(2))
+    z = -(special.ndtri(eps) + special.ndtri(delta))
+    n_star = max(math.ceil((z / d) ** 2), 1) if z > 0.0 else 1
+    try:
+        r = bound(GaussianPair(0.0, d), eps, delta)
+    except DomainError:
+        assert bound is sample_complexity_pensia  # only its premise refuses a cell
+        return
+    assert r.value <= n_star * (1.0 + 1e-12), (eps, delta, d, r, n_star)
 
 
 def _mp_threshold_log_beta(pair, n, tau):
