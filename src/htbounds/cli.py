@@ -199,12 +199,13 @@ def _cmd_sweep(args) -> int:
     bounds = None if args.bounds is None else tuple(
         b.strip() for b in args.bounds.split(",") if b.strip())
     table = run_grid(ExperimentGrid(args.pair, regime, ns, bounds))
-    if args.csv:
-        emit_csv(table, args.csv)
-        print(f"wrote {args.csv}")
+    # the plot first: a table it cannot draw (one row) exits 2 before any file is written
     if args.svg:
         emit_svg(table, args.svg, log_y=args.log_y, title=args.title)
         print(f"wrote {args.svg}")
+    if args.csv:
+        emit_csv(table, args.csv)
+        print(f"wrote {args.csv}")
     if not args.csv and not args.svg:
         # the last row, each value beside its log, which is exact where the value underflows
         last = table.rows[-1]

@@ -424,21 +424,15 @@ def test_criterion_8_optimizers_match_dense_scan():
         assert abs(impl - oracle) <= 1.0e-9, (i, op, impl, oracle)
 
 
-def test_criterion_9_reproduce_is_deterministic(tmp_path):
+def test_criterion_9_reproduce_is_deterministic(tmp_path, reproduced):
     # Reproduction output must be byte-identical from run to run: rows are
-    # evaluated serially, in n order, so running twice gives the same files.
+    # evaluated serially, in n order, so a second run writes the same files
+    # as the session's first.
     from htbounds.cli import cli_main
 
-    outputs = {}
-    for run in range(2):
-        for target in ("fig1", "fig2"):
-            outdir = tmp_path / f"{target}_{run}"
-            assert cli_main(["reproduce", target, "--outdir", str(outdir)]) == 0
-            for path in sorted(outdir.iterdir()):
-                data = path.read_bytes()
-                key = (target, path.name)
-                if key in outputs:
-                    assert outputs[key] == data, f"{key} differs between runs"
-                else:
-                    outputs[key] = data
-    assert len(outputs) >= 8
+    for target in ("fig1", "fig2"):
+        assert cli_main(["reproduce", target, "--outdir", str(tmp_path)]) == 0
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert len(names) == 12
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (reproduced / name).read_bytes(), name

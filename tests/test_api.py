@@ -1,18 +1,23 @@
 """The package re-exports exactly the submodules' public names, and the
-README's library example runs on them."""
+README's library example and commands run on them as written."""
 
 import contextlib
 import io
+import json
+import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import htbounds
 from htbounds import bounds, distributions, experiments, numerics, oracle
+from htbounds.cli import cli_main
 
 SUBMODULES = (bounds, distributions, experiments, numerics, oracle)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_is_the_union_of_submodule_exports():
@@ -32,14 +37,77 @@ def test_every_public_name_is_a_submodule_export():
 def test_readme_quick_start_runs():
     # The README's "Library quick start" block, run as written: a name
     # retired from the library cannot linger there.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Library quick start", 1)[1]
+    section = README.read_text().split("## Library quick start", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     bound, exact = map(float, out.getvalue().split("<="))
     assert 0.0 < bound <= exact < 1.0
+
+
+def readme_commands():
+    """README's command lines as argument lists, without the leading ``htbounds``.
+
+    They are each line of the "Command line" block and each backticked
+    ``htbounds <command> --...`` in the text.
+    """
+    readme = README.read_text()
+    block = re.search(r"## Command line\n+```\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("htbounds ")]
+    lines += re.findall(r"`(htbounds \w+ --[^`]*)`", readme)
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # Each of README's commands, run as written in a scratch directory, exits
+    # 0, and every result it prints as JSON is valid.
+    monkeypatch.chdir(tmp_path)
+    checked = set()
+    for argv in readme_commands():
+        code = cli_main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0, (argv, err)
+        rows = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+        assert all(r["valid"] is True for r in rows), (argv, out)
+        if argv[0] in ("bound", "samplesize"):
+            assert rows, (argv, out)
+        if "--csv" in argv:
+            # the sweep line: a header and a row for each n = 10, 20, ..., 2000, and a plot
+            lines = Path(argv[argv.index("--csv") + 1]).read_text().splitlines()
+            assert len(lines) == 201 and lines[0].startswith("n,"), argv
+            assert Path(argv[argv.index("--svg") + 1]).stat().st_size > 0, argv
+            checked.add("sweep")
+        if "gaussian:0,0.0016916" in argv:
+            # the Known-limits Pensia line: the bound's premise fails there
+            assert any(line.startswith("pensia: skipped") for line in out.splitlines()), out
+            checked.add("pensia")
+    assert checked == {"sweep", "pensia"}
+
+
+def test_readme_known_limits_values():
+    # The numbers README's "Known limits" quotes, each within 1e-9 relative.
+    # The fix of ROADMAP direction 3(a) moves the Fano value, 9 the smoothing
+    # value and 2(a) the Bernoulli oracle's; it updates this test and README
+    # together.
+    p = distributions.parse_pair("bernoulli:0.5,0.6")
+    g = distributions.parse_pair("gaussian:0,2.9663579698768956")
+    b = distributions.parse_pair("bernoulli:0.2,0.5")
+    k2 = distributions.FiniteDiscretePair((0.8, 0.2), (0.5, 0.5))  # b as a K = 2 pair
+    log_eps = math.log(0.8378958604)
+    cases = [
+        (bounds.fano_bound(p, 20, math.log(0.6)).value, 0.8310407949893764),
+        (oracle.np_exact_bernoulli(p, 20, math.log(0.6)).beta, 0.12224625392657998),
+        (bounds.smoothing_out_bound(g, 4359, log_eps).log_value, -19306.661274995873),
+        (oracle.np_exact_gaussian(g, 4359, log_eps).log_beta, -19377.792342684952),
+        # eps = e^{-0.001 n} at n = 300
+        (oracle.np_exact_bernoulli(b, 300, -0.3).beta, 2.8438832267242953e-13),
+        # the type path; 50-digit mpmath gives 4.2963577573051524e-30
+        (oracle.np_exact_discrete(k2, 300, -0.3).beta, 4.2963577573086836e-30),
+    ]
+    for got, want in cases:
+        assert math.isclose(got, want, rel_tol=1e-9), (got, want)
 
 
 def test_cli_import_loads_no_scipy():

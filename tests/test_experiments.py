@@ -29,7 +29,7 @@ from htbounds.bounds import (
     renyi_converse,
     smoothing_out_bound,
 )
-from htbounds.cli import _REPRODUCE_BOUNDS, _REPRODUCE_PAIRS, DEFAULT_N, cli_main
+from htbounds.cli import DEFAULT_N, cli_main
 from htbounds.distributions import (
     BernoulliPair,
     Direction,
@@ -433,21 +433,37 @@ class TestEmitSvg:
             emit_svg(table, str(tmp_path / "x.svg"))
 
 
-def test_reproduce_pairs_need_no_grid_search():
+def _table(path):
+    # a CSV table as its header and rows, each a list of strings
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return header, rows
+
+
+def test_reproduce_pairs_need_no_grid_search(reproduced):
     # Every bound the fig1 and fig2 tables plot is a closed form, a root or
     # an oracle; there is no grid maximizer left, and each cell has a value.
     assert not hasattr(htbounds.numerics, "maximize_scalar")
-    for target in ("fig1", "fig2"):
-        for _, spec in _REPRODUCE_PAIRS[target]:
-            pair = parse_pair(spec)
-            c = 20.0 * kl_divergence(pair, Direction.REVERSE)
-            bounds = bounds_for(pair, _REPRODUCE_BOUNDS)
-            for regime in (Constant(0.01), Linear(), Exponential(c)):
-                table = run_grid(ExperimentGrid(spec, regime, DEFAULT_N, bounds))
-                assert len(table.rows) == len(DEFAULT_N)
-                empty = [(row.n, b) for row in table.rows
-                         for b, cell in zip(bounds, row.cells) if cell is None]
-                assert not empty, (spec, regime, empty)
+    paths = sorted(reproduced.glob("fig[12]_*.csv"))
+    assert len(paths) == 6
+    for path in paths:
+        header, rows = _table(path)
+        assert [int(row[0]) for row in rows] == list(DEFAULT_N)
+        empty = [(row[0], col) for row in rows for col, v in zip(header, row)
+                 if col.endswith("_value") and v == ""]
+        assert not empty, (path.name, empty)
+
+
+def test_reproduce_values_are_probabilities(reproduced):
+    # Every value of the 18 tables is a probability: no beta is printed
+    # below 0 or above 1, and none is NaN.  An empty cell has no value.
+    paths = sorted(reproduced.glob("*.csv"))
+    assert len(paths) == 18
+    bad = []
+    for path in paths:
+        header, rows = _table(path)
+        bad += [(path.name, row[0], col, v) for row in rows for col, v in zip(header, row)
+                if col.endswith("_value") and v and not 0.0 <= float(v) <= 1.0]
+    assert not bad, bad[:10]
 
 
 class TestGolden:
@@ -459,12 +475,9 @@ class TestGolden:
     @pytest.mark.parametrize("table", ["fig1_exponential", "fig2_exponential",
                                        "appF_gaussian30_constant",
                                        "fig1_exponential.svg", "fig2_constant.svg"])
-    def test_reproduce_matches_pinned_csv(self, table, tmp_path):
-        figure = table.split("_")[0]
+    def test_reproduce_matches_pinned_csv(self, table, reproduced):
         name = table if table.endswith(".svg") else f"{table}.csv"
-        assert cli_main(["reproduce", figure, "--outdir", str(tmp_path)]) == 0
-        got = (tmp_path / name).read_bytes()
-        assert got == (GOLDEN / name).read_bytes()
+        assert (reproduced / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 class TestGcFreeze:
@@ -693,6 +706,15 @@ class TestCli:
         assert code == 2
         assert "error: select at least one bound" in capsys.readouterr().err
         assert not csv.exists()
+
+    def test_sweep_that_cannot_plot_writes_nothing(self, tmp_path, capsys):
+        # a one-row table has no plot, so the sweep exits 2 and leaves no CSV either
+        csv, svg = tmp_path / "a.csv", tmp_path / "a.svg"
+        code = cli_main(["sweep", "--pair", "bernoulli:0.5,0.6", "--n-min", "10", "--n-max",
+                         "10", "--csv", str(csv), "--svg", str(svg)])
+        assert code == 2
+        assert "error: plot needs at least two rows" in capsys.readouterr().err
+        assert not csv.exists() and not svg.exists()
 
     def test_sweep_summary_prints_logs_beside_values(self, capsys):
         # at eps = e^-1000 every value underflows to 0; the logs still tell the cells apart
@@ -946,13 +968,12 @@ class TestCli:
         assert all(a < b for a, b in zip(DEFAULT_N, DEFAULT_N[1:]))
         assert 400 in DEFAULT_N
 
-    def test_reproduce_appf_names(self, tmp_path):
-        # appF runs four pairs x three regimes; just check the file fanout
-        # for one cheap subset via fig2 (full appF is exercised in demos).
-        assert cli_main(["reproduce", "fig2", "--outdir", str(tmp_path)]) == 0
-        names = sorted(p.name for p in tmp_path.iterdir())
+    def test_reproduce_appf_names(self, reproduced):
+        # appF runs four pairs x three regimes, a table and a plot each
+        names = sorted(p.name for p in reproduced.glob("appF_*"))
         assert names == [
-            "fig2_constant.csv", "fig2_constant.svg",
-            "fig2_exponential.csv", "fig2_exponential.svg",
-            "fig2_linear.csv", "fig2_linear.svg",
+            f"appF_{pair}_{regime}.{ext}"
+            for pair in ("bernoulli10", "bernoulli20", "gaussian10", "gaussian30")
+            for regime in ("constant", "exponential", "linear")
+            for ext in ("csv", "svg")
         ]
