@@ -18,7 +18,6 @@ that family rule to grid validation and default selections.
 
 from __future__ import annotations
 
-import html
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -257,8 +256,9 @@ def emit_svg(table: GridTable, path: str, log_y: bool = False, title: str = "") 
     ax, font = {"stroke": "#444444", "stroke_width": 1}, "sans-serif"
     parts = [_tag("rect", width=_W, height=_H, fill="#ffffff")]
     if title:
-        parts.append(_tag("text", html.escape(title, quote=False), x=_ML, y=24,
-                          font_family=font, font_size=15))
+        # html.escape(title, quote=False), without importing html
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(_tag("text", text, x=_ML, y=24, font_family=font, font_size=15))
     parts.append(_tag("line", x1=_ML, y1=_H - _MB, x2=_W - _MR, y2=_H - _MB, **ax))
     parts.append(_tag("line", x1=_ML, y1=_MT, x2=_ML, y2=_H - _MB, **ax))
     for t in _ticks(x_lo, x_hi):

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import htbounds
 from htbounds import bounds, distributions, experiments, numerics, oracle
 from htbounds.cli import cli_main
@@ -110,13 +112,15 @@ def test_readme_known_limits_values():
         assert math.isclose(got, want, rel_tol=1e-9), (got, want)
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency: a fresh interpreter that imports the
-    # command line, and so every module of the package, loads none of it
+@pytest.mark.parametrize("package", ["scipy", "html"])
+def test_cli_import_loads_no(package):
+    # scipy is a test-only dependency, and html would be loaded for one
+    # escape: a fresh interpreter that imports the command line, and so
+    # every module of the package, loads no module of either
     src = str(Path(htbounds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, htbounds.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

@@ -347,12 +347,16 @@ class TestEmitSvg:
         assert ">demo<" in text
 
     def test_title_markup_is_escaped(self, tmp_path):
-        title = "P0 < P1 & D > c"
-        path = tmp_path / "out.svg"
-        emit_svg(run_grid(small_grid()), str(path), title=title)
-        root = ET.parse(path).getroot()
-        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
-        assert texts[0] == title
+        # the raw bytes escape &, < and >; quotes stay raw in element text,
+        # as html.escape(title, quote=False) left them
+        for title, raw in (("P0 < P1 & D > c", "P0 &lt; P1 &amp; D &gt; c"),
+                           ("P0 \"1\" & P1 '2'", "P0 \"1\" &amp; P1 '2'")):
+            path = tmp_path / "out.svg"
+            emit_svg(run_grid(small_grid()), str(path), title=title)
+            assert f">{raw}</text>" in path.read_text()
+            root = ET.parse(path).getroot()
+            texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+            assert texts[0] == title
 
     def test_all_empty_series_noted_in_legend(self, tmp_path):
         table = run_grid(

@@ -279,10 +279,10 @@ class TestBernoulliWindow:
                 got[0] = 1.0
 
     def test_log_factorials_are_gammaln_bit_for_bit(self):
-        # all three branches of cephes' lgam: the exact product below
-        # k + 1 = 13, the polynomial correction below 1000, Stirling's three
-        # terms from there; 2^20 entries, 48 of which np.log in place of
-        # libm's log would move
+        # both sides of cephes' lgam branch points: the exact product below
+        # k + 1 = 13, the polynomial correction below 1000 and Stirling's
+        # three terms from there, whose bits the polynomial gives too;
+        # 2^20 entries, 48 of which np.log in place of libm's log would move
         size = 1 << 20
         early = _log_factorials(100)
         got = _log_factorials(size - 1)
@@ -290,7 +290,9 @@ class TestBernoulliWindow:
         # the table grew by appending: a view handed out before keeps its values
         assert np.array_equal(early, got[:101])
         # any range evaluates as the whole table does
-        for start, stop in ((0, 5), (11, 14), (12, 13), (998, 1003), (size - 7, size)):
+        # (5, 1500) crosses lgam's branch points at 13 and 1000 in one call
+        for start, stop in ((0, 5), (11, 14), (12, 13), (998, 1003), (5, 1500), (7, 7),
+                            (size - 7, size)):
             assert np.array_equal(_log_factorial_range(start, stop), got[start:stop]), (start, stop)
 
 
