@@ -275,7 +275,7 @@ def _check_type_count(atoms, n: int, oracle: str = "np_exact_discrete") -> None:
         raise DomainError(f"{oracle} needs {count:,} types at n = {n}; ceiling is {_MAX_TYPES:,}")
 
 
-def np_exact_discrete(pair: FiniteDiscretePair, n: int, log_eps: float) -> NPResult:
+def np_exact_discrete(pair: FiniteDiscretePair | BernoulliPair, n: int, log_eps: float) -> NPResult:
     """Randomized LLRT over the types of an i.i.d. finite-support sample.
 
     Whole types are rejected in decreasing order of their log-LR
@@ -284,9 +284,10 @@ def np_exact_discrete(pair: FiniteDiscretePair, n: int, log_eps: float) -> NPRes
     threshold is the log-LR of the boundary class (-inf when every sample
     is rejected).  It reads the pair's forward record (both vectors
     renormalized to sum to 1): log p0 and z = log(p0 / p1) = -log-LR.
+    A Bernoulli pair is its K = 2 record, (1 - p, p).
     """
-    if not isinstance(pair, FiniteDiscretePair):
-        raise DomainError("np_exact_discrete requires a FiniteDiscretePair")
+    if isinstance(pair, GaussianPair):
+        raise DomainError("np_exact_discrete requires a finite-support pair")
     _check_n(n)
     _check_log_prob("log_eps", log_eps)
     atoms = _tilt_atoms(pair, Direction.FORWARD)

@@ -5,7 +5,23 @@ import contextlib
 import mpmath
 import numpy as np
 
-from htbounds.distributions import BernoulliPair, Direction
+from htbounds.distributions import BernoulliPair, Direction, GaussianPair
+from htbounds.oracle import np_exact_discrete, np_exact_gaussian
+
+
+def exact_log_beta(pair, n, log_eps):
+    """log beta_n(eps), exact in log: closed form for a Gaussian pair, else the type oracle.
+
+    A Bernoulli pair takes the K = 2 type path, not ``np_exact_bernoulli``,
+    which forms beta as 1 - P1(reject) and so loses it far below 1e-16.
+    """
+    oracle = np_exact_gaussian if isinstance(pair, GaussianPair) else np_exact_discrete
+    return oracle(pair, n, log_eps).log_beta
+
+
+def log_slack(log_beta):
+    """The rounding of a bound and the oracle, relative to log beta."""
+    return 1e-12 * max(1.0, abs(log_beta))
 
 
 def mp_atoms(pair, direction, dps=None):
@@ -24,6 +40,23 @@ def mp_atoms(pair, direction, dps=None):
         p = [mpmath.mpf(v) / mpmath.fsum(p0) for v in p0]
         q = [mpmath.mpf(v) / mpmath.fsum(p1) for v in p1]
     return (p, q) if direction is Direction.FORWARD else (q, p)
+
+
+def mp_llr_moments(pair, dps=None):
+    """Mean, variance and Berry-Esseen constant 6 rho / var^1.5 of the LLR under P0.
+
+    From the mpmath atoms, or the closed forms for a Gaussian pair, at
+    ``dps`` digits, or at the caller's working precision when ``dps`` is None.
+    """
+    with mpmath.workdps(dps) if dps else contextlib.nullcontext():
+        if isinstance(pair, GaussianPair):
+            d = abs(mpmath.mpf(pair.delta)) / mpmath.mpf(pair.sigma)
+            return d * d / 2, d * d, 6 * mpmath.sqrt(8 / mpmath.pi)
+        p, q = mp_atoms(pair, Direction.FORWARD)
+        z = [mpmath.log(a / b) for a, b in zip(p, q)]
+        mean = mpmath.fsum(a * x for a, x in zip(p, z))
+        var = mpmath.fsum(a * (x - mean) ** 2 for a, x in zip(p, z))
+        return mean, var, 6 * mpmath.fsum(a * abs(x - mean) ** 3 for a, x in zip(p, z)) / var**1.5
 
 
 def scalar_forms(x):

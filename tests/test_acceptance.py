@@ -1,8 +1,10 @@
 """Acceptance suite: one test per advertised guarantee of the library.
 
-Each test is self-contained and recomputes its expected values from
-first principles (closed forms, exhaustive oracles, dense scans), so a
-pass certifies the guarantee rather than agreement with a cached run.
+Each test recomputes its expected values from first principles (closed
+forms, exhaustive oracles, dense scans), so a pass certifies the
+guarantee rather than agreement with a cached run.  The helpers it
+shares with the other test modules are imported: the exact log beta and
+its rounding slack from ``shared.py``, the dense scan from ``scanpolish.py``.
 Criterion 3 checks that the classical baselines have decayed below 0.2
 at n = 2000, the end of the figure's n ladder, and not earlier: they
 decay at the pace of n D, and the slowest of them, Hellinger, has the
@@ -54,6 +56,7 @@ from htbounds.oracle import (
 )
 
 from scanpolish import renyi_reference, scan_polish_argmax
+from shared import exact_log_beta, log_slack
 
 GAUSS = parse_pair("gaussian:2,0.05")
 
@@ -65,20 +68,6 @@ PAIR_SPECS = (
     "gaussian:2,0.1",
     "gaussian:2,0.3",
 )
-
-
-def _log_beta_exact(pair, n, log_eps):
-    # log beta_n(eps): a Bernoulli pair's from the K = 2 type oracle, which is
-    # exact in log, where the Bernoulli oracle forms beta as 1 - P1(reject)
-    if isinstance(pair, GaussianPair):
-        return np_exact_gaussian(pair, n, log_eps).log_beta
-    two_atoms = FiniteDiscretePair((1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1))
-    return np_exact_discrete(two_atoms, n, log_eps).log_beta
-
-
-def _log_slack(log_beta):
-    # rounding of the bound and the oracle, relative to log beta
-    return 1.0e-12 * max(1.0, abs(log_beta))
 
 
 def test_criterion_1_phase_converse_gaussian_closed_form():
@@ -115,8 +104,8 @@ def test_criterion_2_converse_sound_against_oracle():
             for n in ns:
                 _, log_eps = eps_at(regime, n)
                 bound = renyi_converse(pair, n, log_eps)
-                log_beta = _log_beta_exact(pair, n, log_eps)
-                assert bound.log_value <= log_beta + _log_slack(log_beta), (spec, regime, n)
+                log_beta = exact_log_beta(pair, n, log_eps)
+                assert bound.log_value <= log_beta + log_slack(log_beta), (spec, regime, n)
                 combos += 1
     assert combos >= 200
     for spec in PAIR_SPECS:
@@ -126,8 +115,8 @@ def test_criterion_2_converse_sound_against_oracle():
             c = frac * d_rev
             for n in ns:
                 upper = phase_transition_achievability(pair, n, c)
-                log_beta = _log_beta_exact(pair, n, -c * n)
-                assert upper.log_value >= log_beta - _log_slack(log_beta), (spec, frac, n)
+                log_beta = exact_log_beta(pair, n, -c * n)
+                assert upper.log_value >= log_beta - log_slack(log_beta), (spec, frac, n)
     assert time.perf_counter() - start < 120.0
 
 
@@ -195,10 +184,9 @@ def test_criterion_4_oracle_cross_validation():
             p1 = rng.uniform(0.05, 0.95)
         n = int(rng.integers(1, 15))
         eps = float(rng.uniform(0.01, 0.99))
-        fast = np_exact_bernoulli(BernoulliPair(p0, p1), n, math.log(eps))
-        slow = np_exact_discrete(
-            FiniteDiscretePair((1.0 - p0, p0), (1.0 - p1, p1)), n, math.log(eps)
-        )
+        pair = BernoulliPair(p0, p1)
+        fast = np_exact_bernoulli(pair, n, math.log(eps))
+        slow = np_exact_discrete(pair, n, math.log(eps))
         assert abs(fast.beta - slow.beta) <= 1.0e-12, (p0, p1, n, eps)
     for _ in range(20):
         p = rng.random(3) + 0.05

@@ -96,7 +96,6 @@ def test_readme_known_limits_values():
     p = distributions.parse_pair("bernoulli:0.5,0.6")
     g = distributions.parse_pair("gaussian:0,2.9663579698768956")
     b = distributions.parse_pair("bernoulli:0.2,0.5")
-    k2 = distributions.FiniteDiscretePair((0.8, 0.2), (0.5, 0.5))  # b as a K = 2 pair
     log_eps = math.log(0.8378958604)
     cases = [
         (bounds.fano_bound(p, 20, math.log(0.6)).value, 0.8310407949893764),
@@ -106,7 +105,7 @@ def test_readme_known_limits_values():
         # eps = e^{-0.001 n} at n = 300
         (oracle.np_exact_bernoulli(b, 300, -0.3).beta, 2.8438832267242953e-13),
         # the type path; 50-digit mpmath gives 4.2963577573051524e-30
-        (oracle.np_exact_discrete(k2, 300, -0.3).beta, 4.2963577573086836e-30),
+        (oracle.np_exact_discrete(b, 300, -0.3).beta, 4.2963577573086836e-30),
     ]
     for got, want in cases:
         assert math.isclose(got, want, rel_tol=1e-9), (got, want)

@@ -44,10 +44,10 @@ from htbounds.distributions import (
     parse_pair,
 )
 from htbounds.numerics import DomainError, q_inverse
-from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
+from htbounds.oracle import np_exact_gaussian
 
 from scanpolish import renyi_reference, scan_polish_argmax
-from shared import mp_atoms
+from shared import exact_log_beta, log_slack, mp_atoms, mp_llr_moments
 
 BERN = BernoulliPair(0.5, 0.51)
 GAUSS = GaussianPair(2.0, 0.05, 1.0)
@@ -132,9 +132,9 @@ class TestRenyiConverse:
         log_eps = math.log(0.01)
         for n in (100, 500, 2000):
             r = renyi_converse(BERN, n, log_eps)
-            beta = np_exact_bernoulli(BERN, n, log_eps).beta
+            log_beta = exact_log_beta(BERN, n, log_eps)
             assert r.valid
-            assert r.value <= beta + 1e-12
+            assert r.log_value <= log_beta + log_slack(log_beta)
 
     def test_sound_far_below_linear_floor(self):
         # A K = 3 pair at n = 2000, where beta < 1e-30: only the log-domain
@@ -144,9 +144,9 @@ class TestRenyiConverse:
         for regime in (Constant(0.01), Linear(), Exponential(c)):
             _, log_eps = eps_at(regime, 2000)
             r = renyi_converse(pair, 2000, log_eps)
-            log_beta = np_exact_discrete(pair, 2000, log_eps).log_beta
+            log_beta = exact_log_beta(pair, 2000, log_eps)
             assert log_beta < math.log(1e-30), regime
-            assert r.valid and r.log_value <= log_beta + 1e-12 * abs(log_beta), regime
+            assert r.valid and r.log_value <= log_beta + log_slack(log_beta), regime
 
     def test_eps_saturating_to_one_degenerates(self):
         # eps rounds to 1, but log(1 - eps) = log(-expm1(log_eps)) stays
@@ -226,8 +226,8 @@ class TestPhaseTransitionAchievability:
         c = kl_divergence(BERN, Direction.REVERSE) / 2
         for n in (500, 2000):
             r = phase_transition_achievability(BERN, n, c)
-            beta = np_exact_bernoulli(BERN, n, -c * n).beta
-            assert beta <= r.value + 1e-12
+            log_beta = exact_log_beta(BERN, n, -c * n)
+            assert r.log_value >= log_beta - log_slack(log_beta)
 
     def test_rate_within_rounding_of_d_takes_the_order_one_end(self):
         # c = (1 - 1e-13) D: the root's log, rounded up, is +3.6e-27, so the
@@ -727,10 +727,9 @@ def _exact_sample_size(pair, eps, delta):
     if isinstance(pair, GaussianPair):
         d = abs(pair.delta) / pair.sigma
         return math.ceil(((q_inverse(eps) + q_inverse(delta)) / d) ** 2)
-    k2 = FiniteDiscretePair((1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1))
 
     def enough(n):
-        return np_exact_discrete(k2, n, math.log(eps)).log_beta <= math.log(delta)
+        return exact_log_beta(pair, n, math.log(eps)) <= math.log(delta)
 
     lo, hi = 0, 1  # enough(hi), and not enough(lo) (lo = 0 samples never suffice)
     while not enough(hi):
@@ -1070,22 +1069,9 @@ class TestSmoothingOut:
                 smoothing_out_bound(GAUSS, n, log_eps)
 
 
-def _mp_llr_moments(pair):
-    """Mean, variance and Berry-Esseen constant of the LLR in the working
-    precision, from the mpmath atoms (Gaussian pairs: their closed forms)."""
-    if isinstance(pair, GaussianPair):
-        d = abs(mpmath.mpf(pair.delta)) / mpmath.mpf(pair.sigma)
-        return d * d / 2, d * d, 6 * mpmath.sqrt(8 / mpmath.pi)
-    p, q = mp_atoms(pair, Direction.FORWARD)
-    z = [mpmath.log(a / b) for a, b in zip(p, q)]
-    mean = mpmath.fsum(a * zi for a, zi in zip(p, z))
-    var = mpmath.fsum(a * (zi - mean) ** 2 for a, zi in zip(p, z))
-    return mean, var, 6 * mpmath.fsum(a * abs(zi - mean) ** 3 for a, zi in zip(p, z)) / var**1.5
-
-
 def _mp_berry_esseen_objective(pair, n, log_eps):
     """The Berry-Esseen bound's log as a function of Delta, in the working precision."""
-    mean, var, berry = _mp_llr_moments(pair)
+    mean, var, berry = mp_llr_moments(pair)
     one_m_eps = -mpmath.expm1(mpmath.mpf(log_eps))
 
     def f(dl):
@@ -1106,7 +1092,7 @@ def _mp_berry_esseen(pair, n, log_eps):
     compared here, is the same over either.
     """
     with mpmath.workdps(60):
-        mean, var, berry = _mp_llr_moments(pair)
+        mean, var, berry = mp_llr_moments(pair)
         one_m_eps = -mpmath.expm1(mpmath.mpf(log_eps))
         sqrt_n = mpmath.sqrt(n)
         hi = sqrt_n * one_m_eps - berry

@@ -27,7 +27,7 @@ from htbounds.distributions import (
 )
 from htbounds.numerics import DomainError
 
-from shared import mp_atoms, scalar_forms
+from shared import mp_atoms, mp_llr_moments, scalar_forms
 
 BERN = BernoulliPair(0.5, 0.51)
 BERN06 = BernoulliPair(0.5, 0.6)
@@ -145,12 +145,7 @@ class TestMpmathReferences:
 
     def test_llr_moments(self, spec):
         pair = parse_pair(spec)
-        p, q = mp_atoms(pair, Direction.FORWARD, dps=60)
-        with mpmath.workdps(60):
-            z = [mpmath.log(a / b) for a, b in zip(p, q)]
-            mean = mpmath.fsum(a * x for a, x in zip(p, z))
-            var = mpmath.fsum(a * (x - mean) ** 2 for a, x in zip(p, z))
-            berry = 6 * mpmath.fsum(a * abs(x - mean) ** 3 for a, x in zip(p, z)) / var**1.5
+        mean, var, berry = mp_llr_moments(pair, dps=60)
         atoms = _tilt_atoms(pair, Direction.FORWARD)
         assert atoms.kl == pytest.approx(float(mean), rel=1e-14, abs=0.0)
         assert atoms.var == pytest.approx(float(var), rel=1e-14, abs=0.0)

@@ -33,7 +33,6 @@ from htbounds.cli import DEFAULT_N, cli_main
 from htbounds.distributions import (
     BernoulliPair,
     Direction,
-    FiniteDiscretePair,
     GaussianPair,
     kl_divergence,
     parse_pair,
@@ -50,6 +49,8 @@ from htbounds.experiments import (
 )
 from htbounds.numerics import DomainError
 from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
+
+from shared import exact_log_beta, log_slack
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -216,25 +217,19 @@ class TestRunGrid:
         "spec", ["bernoulli:0.3,0.7", "gaussian:0,1", "discrete:0.2,0.3,0.5|0.5,0.3,0.2"]
     )
     def test_near_critical_achievability_is_sound(self, spec, gap):
-        # c = (1 - gap) D(P1||P0): every valid cell is at or above the exact
-        # log beta (Bernoulli through the K = 2 type oracle, exact in log)
+        # c = (1 - gap) D(P1||P0): every valid cell is at or above the exact log beta
         pair = parse_pair(spec)
         c = (1.0 - gap) * kl_divergence(pair, Direction.REVERSE)
         grid = ExperimentGrid(spec, Exponential(c), (1, 2, 5, 10, 30, 100, 300, 1000),
                               ("achievability", "phase_achievability"))
-        if isinstance(pair, BernoulliPair):
-            exact = np_exact_discrete
-            pair = FiniteDiscretePair((1.0 - pair.p0, pair.p0), (1.0 - pair.p1, pair.p1))
-        else:
-            exact = np_exact_gaussian if isinstance(pair, GaussianPair) else np_exact_discrete
         valid = 0
         for row in run_grid(grid).rows:
             ach, phase = row.cells
             assert ach == phase, row.n
             if ach.valid:
                 valid += 1
-                log_beta = exact(pair, row.n, row.log_eps).log_beta
-                assert ach.log_value >= log_beta - 1e-12 * max(1.0, abs(log_beta)), row.n
+                log_beta = exact_log_beta(pair, row.n, row.log_eps)
+                assert ach.log_value >= log_beta - log_slack(log_beta), row.n
         assert valid == len(grid.n_values)
 
     def test_smoothing_needs_gaussian(self):

@@ -358,6 +358,19 @@ class TestBruteforce:
                     b.beta, abs=1e-12
                 )
 
+    def test_bernoulli_pair_is_its_two_atom_record(self):
+        # A Bernoulli pair reads as (1 - p, p): the same result, to the bit, as
+        # the K = 2 pair built by hand, mirrored or not, at eps = 1 and eps = 0
+        cells = ((0.3, 0.6, 60, math.log(0.01)), (0.8, 0.6, 500, -30.0),
+                 (1e-300, 0.5, 20, -1.0), (0.5, 0.51, 2000, -1e-13),
+                 (0.6, 0.3, 7, 0.0), (0.9, 0.2, 40, -math.inf))
+        for p0, p1, n, log_eps in cells:
+            two_atoms = FiniteDiscretePair((1.0 - p0, p0), (1.0 - p1, p1))
+            want = np_exact_discrete(two_atoms, n, log_eps)
+            assert repr(np_exact_discrete(BernoulliPair(p0, p1), n, log_eps)) == repr(want)
+        with pytest.raises(DomainError, match="needs 2,500,001 types at n = 2500000"):
+            np_exact_discrete(BERN, 2_500_000, -1.0)
+
     def test_eps_zero_accepts_always(self):
         pair = FiniteDiscretePair((0.7, 0.3), (0.4, 0.6))
         assert np_exact_discrete_bruteforce(pair, 3, 0.0).beta == 1.0
@@ -422,8 +435,8 @@ class TestBruteforce:
                 np_exact_discrete(pair, 3, log_eps)
         with pytest.raises(DomainError):
             np_exact_discrete(pair, 0, -1.0)
-        with pytest.raises(DomainError):
-            np_exact_discrete(BERN, 3, -1.0)
+        with pytest.raises(DomainError, match="requires a finite-support pair"):
+            np_exact_discrete(GAUSS, 3, -1.0)
 
 
 def _types(n, k):

@@ -35,9 +35,9 @@ from htbounds.numerics import (
     log_q,
     q_inverse,
 )
-from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
+from htbounds.oracle import np_exact_bernoulli, np_exact_discrete
 from scanpolish import scan_polish_argmax
-from shared import mp_atoms
+from shared import exact_log_beta, log_slack, mp_atoms
 
 probs = st.floats(min_value=0.05, max_value=0.95)
 distinct_pairs = st.tuples(probs, probs).filter(lambda t: abs(t[0] - t[1]) > 1e-3)
@@ -121,58 +121,42 @@ def test_tensorization_two_fold(p, q, lam):
     assert d2 == pytest.approx(2.0 * d1, abs=1e-10)
 
 
-def _two_atoms(p0, p1):
-    # Bernoulli(p0) vs Bernoulli(p1) for the K = 2 type oracle, which is exact
-    # in log, where the Bernoulli oracle forms beta as 1 - P1(reject)
-    return FiniteDiscretePair((1.0 - p0, p0), (1.0 - p1, p1))
-
-
-def _log_slack(log_beta):
-    # rounding of the bound and the oracle, relative to log beta: the soundness
-    # checks below hold at every beta, however far it lies below 1e-9
-    return 1e-12 * max(1.0, abs(log_beta))
-
-
 # The registry's soundness: every bound on beta in `_BOUNDS`, on each family it
 # is defined for, in the constant and the exponential regime, against the exact
-# beta, in log.  Left out: `np_exact`, the exact value itself, and `fano` and
-# `smoothing_out`, which lie above the exact beta on part of their domain
-# (README, "Known limits").
+# beta, in log, however far it lies below 1e-9.  Left out: `np_exact`, the exact
+# value itself, and `fano` and `smoothing_out`, which lie above the exact beta
+# on part of their domain (README, "Known limits").
 _NOT_SOUND_BOUNDS = ("np_exact", "fano", "smoothing_out")
 _weights = st.tuples(probs, probs, probs).map(weights3)
 
 
 @st.composite
 def _sound_case(draw, family):
-    # (pair, the oracle's pair, the oracle, n, log eps); the exponential rate
-    # c = r D(P1||P0) lies on both sides of the phase bounds' divergence
+    # (pair, n, log eps); the exponential rate c = r D(P1||P0) lies on both
+    # sides of the phase bounds' divergence
     if family == "bernoulli":
-        p0, p1 = draw(distinct_pairs)
-        pair, exact = BernoulliPair(p0, p1), _two_atoms(p0, p1)
-        oracle, n_max = np_exact_discrete, 500
+        pair, n_max = BernoulliPair(*draw(distinct_pairs)), 500
     elif family == "discrete":
-        p, q = draw(st.tuples(_weights, _weights).filter(
-            lambda t: max(abs(a - b) for a, b in zip(*t)) > 1e-3))
-        pair = exact = FiniteDiscretePair(p, q)
-        oracle, n_max = np_exact_discrete, 150  # at most 11,476 types
+        pair = FiniteDiscretePair(*draw(st.tuples(_weights, _weights).filter(
+            lambda t: max(abs(a - b) for a, b in zip(*t)) > 1e-3)))
+        n_max = 150  # at most 11,476 types
     else:
-        pair = exact = GaussianPair(0.0, draw(st.floats(min_value=0.01, max_value=3.0)))
-        oracle, n_max = np_exact_gaussian, 500
+        pair, n_max = GaussianPair(0.0, draw(st.floats(min_value=0.01, max_value=3.0))), 500
     n = draw(st.integers(min_value=1, max_value=n_max))
     if draw(st.booleans()):
         log_eps = math.log(draw(st.floats(min_value=1e-6, max_value=0.999)))
     else:
         rate = draw(st.floats(min_value=0.1, max_value=2.0))
         log_eps = -rate * kl_divergence(pair, Direction.REVERSE) * n
-    return pair, exact, oracle, n, log_eps
+    return pair, n, log_eps
 
 
 @pytest.mark.parametrize("family", ["bernoulli", "gaussian", "discrete"])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_registry_bounds_sound(family, data):
-    pair, exact, oracle, n, log_eps = data.draw(_sound_case(family))
-    log_beta = oracle(exact, n, log_eps).log_beta
+    pair, n, log_eps = data.draw(_sound_case(family))
+    log_beta = exact_log_beta(pair, n, log_eps)
     for name in bounds_for(pair):
         if name in _NOT_SOUND_BOUNDS:
             continue
@@ -181,10 +165,10 @@ def test_registry_bounds_sound(family, data):
         except DomainError:
             continue  # outside the bound's domain: a phase bound on the other side of D
         if r.kind is BoundKind.LOWER_BETA:
-            assert r.log_value <= log_beta + _log_slack(log_beta), (name, r, log_beta)
+            assert r.log_value <= log_beta + log_slack(log_beta), (name, r, log_beta)
         else:
             assert r.kind is BoundKind.UPPER_BETA, (name, r)
-            assert r.log_value >= log_beta - _log_slack(log_beta), (name, r, log_beta)
+            assert r.log_value >= log_beta - log_slack(log_beta), (name, r, log_beta)
 
 
 @pytest.mark.parametrize("bound, upper", [(sample_complexity_renyi, 1.0),
@@ -241,16 +225,7 @@ def test_threshold_achievability_sound_against_its_own_test(ps, n, ratio):
     tau = ratio * n * kl_divergence(pair, Direction.REVERSE)
     r = renyi_achievability_at_threshold(pair, n, tau, -math.inf)
     log_beta = _mp_threshold_log_beta(pair, n, tau)
-    assert r.log_value >= log_beta - _log_slack(log_beta), (r, log_beta)
-
-
-def _near_critical_reference(pair, n):
-    # the exact oracle that reaches (pair, n) and the pair it takes, or None
-    if isinstance(pair, GaussianPair):
-        return np_exact_gaussian, pair
-    if isinstance(pair, BernoulliPair):
-        return np_exact_discrete, _two_atoms(pair.p0, pair.p1)
-    return (np_exact_discrete, pair) if n <= 150 else None
+    assert r.log_value >= log_beta - log_slack(log_beta), (r, log_beta)
 
 
 @st.composite
@@ -282,7 +257,7 @@ def test_near_critical_threshold_and_phase_are_valid_and_sound(case):
     # Type I error is at most e^{-tau} (Markov's inequality on e^L under P0),
     # so its beta is at least beta_n(e^{-tau}); at g > 0 that is also the
     # beta the phase bound at c = D (1 - g) = tau / n bounds.  Every bound is
-    # valid, and at or above the exact beta wherever an oracle reaches.
+    # valid, and at or above the exact beta (a K = 3 pair's up to n = 150).
     pair, n, g = case
     d = kl_divergence(pair, Direction.REVERSE)
     c = d * (1.0 - g)
@@ -291,12 +266,10 @@ def test_near_critical_threshold_and_phase_are_valid_and_sound(case):
     if c < d:
         results.append(phase_transition_achievability(pair, n, c))
     assert all(r.valid for r in results), (results, tau)
-    reference = _near_critical_reference(pair, n)
-    if reference is not None:
-        oracle, exact = reference
-        log_beta = oracle(exact, n, -tau).log_beta
+    if not isinstance(pair, FiniteDiscretePair) or n <= 150:
+        log_beta = exact_log_beta(pair, n, -tau)
         for r in results:
-            assert r.log_value >= log_beta - _log_slack(log_beta), (r, log_beta)
+            assert r.log_value >= log_beta - log_slack(log_beta), (r, log_beta)
 
 
 @settings(max_examples=30, deadline=None)
@@ -374,6 +347,9 @@ _log_eps = st.one_of(st.floats(min_value=-1e4, max_value=-1.0),
 # eps itself, for the commands that take it as a number: log eps >= -700 keeps it above 0
 _eps = st.one_of(st.floats(min_value=-700.0, max_value=-1.0),
                  st.floats(min_value=-1.0, max_value=_LOG_EPS_MAX)).map(math.exp)
+# A sweep's Type I budget: constant, 1/n or e^{-cn}
+_sweep_budget = st.one_of(_eps.map(lambda e: f"--eps={e!r}"), st.just("--linear"),
+                          _log_uniform(-300.0, 3.0).map(lambda c: f"--exp-rate={c!r}"))
 # Every sweep column defined for all three families
 _SWEEP_BOUNDS = ("renyi_converse,achievability,phase_converse,phase_achievability,"
                  "fano,hellinger,berry_esseen,np_exact")
@@ -395,7 +371,7 @@ def _cli_argv(draw):
     n = draw(st.integers(min_value=1, max_value=10**6))
     if command == "sweep":
         return ["sweep", "--pair", pair, "--n-min", str(n), "--n-max", str(n + 1),
-                "--n-step", "1", f"--eps={draw(_eps)!r}", f"--bounds={_SWEEP_BOUNDS}"]
+                "--n-step", "1", draw(_sweep_budget), f"--bounds={_SWEEP_BOUNDS}"]
     bound = draw(st.sampled_from(sorted(_BOUND_FLAGS)))
     argv = ["bound", "--pair", pair, "--bound", bound, "--n", str(n),
             f"--log-eps={draw(_log_eps)!r}"]
@@ -429,6 +405,9 @@ def _printed_values(command, out):
 @example(argv=["bound", "--pair", "bernoulli:0.5,0.6", "--bound", "fano", "--n", str(10**400)])
 @example(argv=["sweep", "--pair", "bernoulli:0.5,0.6", "--n-min", str(10**400),
                "--n-max", str(10**400)])
+# the 1/n budget
+@example(argv=["sweep", "--pair", "bernoulli:0.5,0.6", "--n-min", "2", "--n-max", "3",
+               "--n-step", "1", "--linear", f"--bounds={_SWEEP_BOUNDS}"])
 # n = x / D underflows to 0 if the Gaussian crossing is solved by Newton in x = n D
 @example(argv=["samplesize", "--pair", "gaussian:0,1e+153", "--eps=0.36787944117144233",
                "--delta=0.6065306597126334"])
