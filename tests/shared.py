@@ -1,9 +1,11 @@
 """Reference helpers that more than one test module uses."""
 
 import contextlib
+import math
 
 import mpmath
 import numpy as np
+from scipy.special import ndtri
 
 from htbounds.distributions import BernoulliPair, Direction, GaussianPair
 from htbounds.oracle import np_exact_discrete, np_exact_gaussian
@@ -22,6 +24,26 @@ def exact_log_beta(pair, n, log_eps):
 def log_slack(log_beta):
     """The rounding of a bound and the oracle, relative to log beta."""
     return 1e-12 * max(1.0, abs(log_beta))
+
+
+def exact_sample_size(pair, eps, delta):
+    """n*, the smallest n with beta_n(eps) <= delta: sqrt(n) d >= Q^{-1}(eps) + Q^{-1}(delta)
+    for a Gaussian pair (d = |delta| / sigma, Q^{-1} = -ndtri), else bisection in n over
+    ``exact_log_beta``, which does not increase with n."""
+    if isinstance(pair, GaussianPair):
+        z, d = -(ndtri(eps) + ndtri(delta)), abs(pair.delta) / pair.sigma
+        return max(math.ceil((z / d) ** 2), 1) if z > 0.0 else 1
+
+    def enough(n):
+        return exact_log_beta(pair, n, math.log(eps)) <= math.log(delta)
+
+    lo, hi = 0, 1  # enough(hi), and not enough(lo) (lo = 0 samples never suffice)
+    while not enough(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
 
 
 def mp_atoms(pair, direction, dps=None):

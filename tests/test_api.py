@@ -1,7 +1,9 @@
-"""The package re-exports exactly the submodules' public names, and the
-README's library example and commands run on them as written."""
+"""The package re-exports exactly the submodules' public names, every public
+function that takes n refuses the same inputs, and the README's library
+example and commands run on them as written."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -12,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import htbounds
@@ -34,6 +37,58 @@ def test_every_public_name_is_a_submodule_export():
     for m in SUBMODULES:
         for name in m.__all__:
             assert getattr(htbounds, name) is getattr(m, name), f"htbounds.{name}"
+
+
+BERN, GAUSS = distributions.BernoulliPair(0.5, 0.6), distributions.GaussianPair(0.0, 1.0)
+# A log budget's domain: the values it refuses, the refusal's message, and
+# values at or near its ends, which it takes
+OPEN = ((0.0, math.nan, math.inf, -math.inf, "0.1"), "must be finite and < 0", (-5e-324, -1e300))
+CLOSED = ((5e-324, math.nan, math.inf, "0.1"), r"must lie in \[-inf, 0\]", (0.0, -math.inf))
+LOG = object()
+# Every public function that takes n, by name: its argument before n, those
+# after it, with LOG for its log eps (log alpha for the threshold bound), and
+# that argument's domain
+TAKES_N = {
+    "renyi_converse": (BERN, (LOG,), OPEN),
+    "phase_transition_converse": (BERN, (1.0,), None),
+    "phase_transition_achievability": (BERN, (0.01,), None),
+    "renyi_achievability_at_threshold": (BERN, (0.0, LOG), CLOSED),
+    "fano_bound": (BERN, (LOG,), OPEN),
+    "hellinger_bound": (BERN, (LOG,), OPEN),
+    "berry_esseen_bound": (BERN, (LOG,), OPEN),
+    "smoothing_out_bound": (GAUSS, (LOG,), OPEN),
+    "np_exact_bernoulli": (BERN, (LOG,), CLOSED),
+    "np_exact_discrete": (BERN, (LOG,), CLOSED),
+    "np_exact_gaussian": (GAUSS, (LOG,), OPEN),
+    "eps_at": (bounds.Constant(0.1), (), None),
+}
+
+
+def call(name, n, log_budget=math.log(0.1)):
+    first, rest, _ = TAKES_N[name]
+    return getattr(htbounds, name)(first, n, *(log_budget if a is LOG else a for a in rest))
+
+
+def test_refusal_table_holds_every_function_that_takes_n():
+    functions = [getattr(htbounds, name) for name in htbounds.__all__]
+    assert sorted(TAKES_N) == sorted(f.__name__ for f in functions if inspect.isfunction(f)
+                                     and "n" in inspect.signature(f).parameters)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_N))
+def test_refuses_bad_n_and_log_budgets(name):
+    for n in (0, -1, 2.5, True):
+        with pytest.raises(numerics.DomainError, match=rf"^n must be an integer >= 1, got {n!r}$"):
+            call(name, n)
+    with pytest.raises(numerics.DomainError, match="^n must be at most the largest float"):
+        call(name, 10**400)
+    assert call(name, np.int64(10)) == call(name, 10)
+    refused, message, ends = TAKES_N[name][2] or ((), None, ())
+    for x in refused:
+        with pytest.raises(numerics.DomainError, match=message):
+            call(name, 10, x)
+    for x in ends:
+        call(name, 10, x)
 
 
 def test_readme_quick_start_runs():

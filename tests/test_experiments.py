@@ -12,6 +12,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import htbounds.bounds
 import htbounds.numerics
 from htbounds.bounds import (
     BoundKind,
@@ -49,8 +50,6 @@ from htbounds.experiments import (
 )
 from htbounds.numerics import DomainError
 from htbounds.oracle import np_exact_bernoulli, np_exact_discrete, np_exact_gaussian
-
-from shared import exact_log_beta, log_slack
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -211,26 +210,6 @@ class TestRunGrid:
         assert ach.valid
         assert ach.log_value == pytest.approx(-9.998e-20, rel=1e-4, abs=0.0)
         assert ach.optimizer == pytest.approx(0.9999999995, rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("gap", (1e-3, 1e-9, 1e-13))
-    @pytest.mark.parametrize(
-        "spec", ["bernoulli:0.3,0.7", "gaussian:0,1", "discrete:0.2,0.3,0.5|0.5,0.3,0.2"]
-    )
-    def test_near_critical_achievability_is_sound(self, spec, gap):
-        # c = (1 - gap) D(P1||P0): every valid cell is at or above the exact log beta
-        pair = parse_pair(spec)
-        c = (1.0 - gap) * kl_divergence(pair, Direction.REVERSE)
-        grid = ExperimentGrid(spec, Exponential(c), (1, 2, 5, 10, 30, 100, 300, 1000),
-                              ("achievability", "phase_achievability"))
-        valid = 0
-        for row in run_grid(grid).rows:
-            ach, phase = row.cells
-            assert ach == phase, row.n
-            if ach.valid:
-                valid += 1
-                log_beta = exact_log_beta(pair, row.n, row.log_eps)
-                assert ach.log_value >= log_beta - log_slack(log_beta), row.n
-        assert valid == len(grid.n_values)
 
     def test_smoothing_needs_gaussian(self):
         with pytest.raises(DomainError):
@@ -441,7 +420,7 @@ def _table(path):
 def test_reproduce_pairs_need_no_grid_search(reproduced):
     # Every bound the fig1 and fig2 tables plot is a closed form, a root or
     # an oracle; there is no grid maximizer left, and each cell has a value.
-    assert not hasattr(htbounds.numerics, "maximize_scalar")
+    assert not any(hasattr(m, "maximize_scalar") for m in (htbounds.numerics, htbounds.bounds))
     paths = sorted(reproduced.glob("fig[12]_*.csv"))
     assert len(paths) == 6
     for path in paths:
@@ -756,11 +735,7 @@ class TestCli:
     @pytest.mark.parametrize("command", [
         ["sweep", "--n-min", "10", "--n-max", "20"],
         ["samplesize", "--eps", "0.1", "--delta", "0.1"],
-        *(["bound", "--n", "10", "--bound", bound, *flags] for bound, flags in (
-            ("renyi_converse", []), ("achievability", ["--tau", "1"]),
-            ("phase_converse", ["--c", "1"]), ("phase_achievability", ["--c", "1"]),
-            ("fano", []), ("hellinger", []), ("berry_esseen", []), ("smoothing_out", []),
-        )),
+        *(["bound", "--n", "10", "--bound", bound, *flags] for bound, _, flags, _ in BOUND_CASES),
     ], ids=lambda argv: argv[0] if argv[0] != "bound" else argv[4])
     def test_gaussian_separation_out_of_float_range_exits_two(self, capsys, command, delta):
         # (delta / sigma)^2 underflows to 0 (1e-300) or overflows (1e300)

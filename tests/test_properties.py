@@ -27,9 +27,10 @@ from htbounds.distributions import (
     FiniteDiscretePair,
     GaussianPair,
     kl_divergence,
+    parse_pair,
     renyi_divergence,
 )
-from htbounds.experiments import _BOUNDS, bounds_for
+from htbounds.experiments import _BOUNDS, CANONICAL_BOUNDS, bounds_for
 from htbounds.numerics import (
     DomainError,
     log_q,
@@ -37,7 +38,7 @@ from htbounds.numerics import (
 )
 from htbounds.oracle import np_exact_bernoulli, np_exact_discrete
 from scanpolish import scan_polish_argmax
-from shared import exact_log_beta, log_slack, mp_atoms
+from shared import exact_log_beta, exact_sample_size, log_slack, mp_atoms
 
 probs = st.floats(min_value=0.05, max_value=0.95)
 distinct_pairs = st.tuples(probs, probs).filter(lambda t: abs(t[0] - t[1]) > 1e-3)
@@ -122,40 +123,75 @@ def test_tensorization_two_fold(p, q, lam):
 
 
 # The registry's soundness: every bound on beta in `_BOUNDS`, on each family it
-# is defined for, in the constant and the exponential regime, against the exact
-# beta, in log, however far it lies below 1e-9.  Left out: `np_exact`, the exact
-# value itself, and `fano` and `smoothing_out`, which lie above the exact beta
-# on part of their domain (README, "Known limits").
+# is defined for, against the exact beta, in log, however far it lies below
+# 1e-9.  Left out: `np_exact`, the exact value itself, and `fano` and
+# `smoothing_out`, which lie above the exact beta on part of their domain
+# (README, "Known limits").
 _NOT_SOUND_BOUNDS = ("np_exact", "fano", "smoothing_out")
 _weights = st.tuples(probs, probs, probs).map(weights3)
+# A Bernoulli, K = 3 or Gaussian pair
+_pairs = st.one_of(
+    distinct_pairs.map(lambda t: BernoulliPair(*t)),
+    st.tuples(_weights, _weights).filter(lambda t: max(abs(a - b) for a, b in zip(*t)) > 1e-3)
+    .map(lambda t: FiniteDiscretePair(*t)),
+    st.floats(min_value=0.01, max_value=3.0).map(lambda d: GaussianPair(0.0, d)),
+)
+# The exponential rate c = r D(P1||P0): r in [0.1, 2], on both sides of the
+# phase bounds' divergence, or in the critical window r = 1 -+ 10^u, u in [-12, -1]
+_ratios = st.one_of(
+    st.floats(min_value=0.1, max_value=2.0),
+    st.builds(lambda sign, u: 1.0 + sign * 10.0**u, st.sampled_from([1.0, -1.0]),
+              st.floats(min_value=-12.0, max_value=-1.0)),
+)
+
+
+def _log_eps_at_rate(pair, n, ratio):
+    # log eps = -c n at the rate c = ratio D(P1||P0)
+    return -ratio * kl_divergence(pair, Direction.REVERSE) * n
 
 
 @st.composite
-def _sound_case(draw, family):
-    # (pair, n, log eps); the exponential rate c = r D(P1||P0) lies on both
-    # sides of the phase bounds' divergence
-    if family == "bernoulli":
-        pair, n_max = BernoulliPair(*draw(distinct_pairs)), 500
-    elif family == "discrete":
-        pair = FiniteDiscretePair(*draw(st.tuples(_weights, _weights).filter(
-            lambda t: max(abs(a - b) for a, b in zip(*t)) > 1e-3)))
-        n_max = 150  # at most 11,476 types
-    else:
-        pair, n_max = GaussianPair(0.0, draw(st.floats(min_value=0.01, max_value=3.0))), 500
-    n = draw(st.integers(min_value=1, max_value=n_max))
+def _sound_case(draw):
+    # (pair, n, log eps), eps constant or e^{-cn}; a K = 3 pair has at most
+    # 11,476 types at n = 150
+    pair = draw(_pairs)
+    n = draw(st.integers(min_value=1,
+                         max_value=150 if isinstance(pair, FiniteDiscretePair) else 500))
     if draw(st.booleans()):
-        log_eps = math.log(draw(st.floats(min_value=1e-6, max_value=0.999)))
-    else:
-        rate = draw(st.floats(min_value=0.1, max_value=2.0))
-        log_eps = -rate * kl_divergence(pair, Direction.REVERSE) * n
-    return pair, n, log_eps
+        return pair, n, math.log(draw(st.floats(min_value=1e-6, max_value=0.999)))
+    return pair, n, _log_eps_at_rate(pair, n, draw(_ratios))
 
 
-@pytest.mark.parametrize("family", ["bernoulli", "gaussian", "discrete"])
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_registry_bounds_sound(family, data):
-    pair, n, log_eps = data.draw(_sound_case(family))
+def _with_examples(cases):
+    """Hypothesis ``@example(case=c)`` for each c of ``cases``."""
+    return lambda test: reduce(lambda t, case: example(case=case)(t), cases, test)
+
+
+_BERN = parse_pair("bernoulli:0.5,0.51")
+_K3 = parse_pair("discrete:0.5,0.3,0.2|0.2,0.3,0.5")
+_GAUSS = parse_pair("gaussian:2,0.05")
+_CRITICAL = [parse_pair(s) for s in ("bernoulli:0.3,0.7", "gaussian:0,1",
+                                     "discrete:0.2,0.3,0.5|0.5,0.3,0.2")]
+_SOUND_EXAMPLES = [
+    # fig1's pair at eps = 0.01
+    *((_BERN, n, math.log(0.01)) for n in (100, 500, 2000)),
+    # a K = 3 pair at eps = 0.01, 1/n and e^{-nD/4}, where beta < 1e-30
+    *((_K3, 2000, log_eps) for log_eps in (math.log(0.01), -math.log(2000),
+                                           _log_eps_at_rate(_K3, 2000, 0.25))),
+    # the phase bounds at c = D/2
+    *((_BERN, n, _log_eps_at_rate(_BERN, n, 0.5)) for n in (500, 2000)),
+    # fig2's pair at eps = 0.01, the Hellinger and Berry-Esseen cells
+    *((_GAUSS, n, math.log(0.01)) for n in (10, 100, 400, 10_000)),
+    # c = (1 - 1e-13) D, within rounding of the phase bounds' divergence
+    *((pair, 1000, _log_eps_at_rate(pair, 1000, 1.0 - 1e-13)) for pair in _CRITICAL),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@_with_examples(_SOUND_EXAMPLES)
+@given(case=_sound_case())
+def test_registry_bounds_sound(case):
+    pair, n, log_eps = case
     log_beta = exact_log_beta(pair, n, log_eps)
     for name in bounds_for(pair):
         if name in _NOT_SOUND_BOUNDS:
@@ -171,25 +207,36 @@ def test_registry_bounds_sound(family, data):
             assert r.log_value >= log_beta - log_slack(log_beta), (name, r, log_beta)
 
 
-@pytest.mark.parametrize("bound, upper", [(sample_complexity_renyi, 1.0),
-                                           (sample_complexity_pensia, 0.5)],
-                         ids=["renyi", "pensia"])
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_sample_size_bounds_sound(bound, upper, data):
-    # A Gaussian pair's exact sample size: the mean test needs
-    # sqrt(n) d >= Q^-1(eps) + Q^-1(delta), with Q^-1(x) = -ndtri(x) from scipy.
-    d = 10.0 ** data.draw(st.floats(min_value=-3.0, max_value=0.5))
-    eps, delta = (data.draw(st.floats(min_value=1e-6, max_value=upper, exclude_max=True))
-                  for _ in range(2))
-    z = -(special.ndtri(eps) + special.ndtri(delta))
-    n_star = max(math.ceil((z / d) ** 2), 1) if z > 0.0 else 1
-    try:
-        r = bound(GaussianPair(0.0, d), eps, delta)
-    except DomainError:
-        assert bound is sample_complexity_pensia  # only its premise refuses a cell
-        return
-    assert r.value <= n_star * (1.0 + 1e-12), (eps, delta, d, r, n_star)
+@st.composite
+def _size_case(draw):
+    # (pair, eps, delta): a Bernoulli pair at least 0.05 apart, or a Gaussian one
+    # with d = 10^u, u in [-3, 0.5]; half the time eps, delta < 1/2, Pensia's domain
+    pair = draw(st.one_of(
+        st.tuples(probs, probs).filter(lambda t: abs(t[0] - t[1]) > 0.05)
+        .map(lambda t: BernoulliPair(*t)),
+        st.floats(min_value=-3.0, max_value=0.5).map(lambda u: GaussianPair(0.0, 10.0**u))))
+    budget = st.floats(min_value=1e-6, max_value=draw(st.sampled_from([0.5, 1.0])),
+                       exclude_max=True)
+    return pair, draw(budget), draw(budget)
+
+
+@settings(max_examples=150, deadline=None)
+@_with_examples([(parse_pair(spec), eps, delta)
+                 for spec in ("bernoulli:0.5,0.6", "bernoulli:0.1,0.35", "bernoulli:0.8,0.6",
+                              "gaussian:2,0.05", "gaussian:0,1", "gaussian:-1,1.5,3")
+                 for eps, delta in ((0.01, 0.01), (0.1, 1e-4), (1e-4, 0.2), (0.3, 0.3))])
+@given(case=_size_case())
+def test_sample_size_bounds_sound(case):
+    # Neither bound asks for more samples than the exact n*
+    pair, eps, delta = case
+    n_star = exact_sample_size(pair, eps, delta)
+    for bound in (sample_complexity_renyi, sample_complexity_pensia):
+        try:
+            r = bound(pair, eps, delta)
+        except DomainError:
+            assert bound is sample_complexity_pensia  # only its domain and premise refuse a cell
+            continue
+        assert r.value <= n_star * (1.0 + 1e-12), (bound.__name__, r, n_star)
 
 
 def _mp_threshold_log_beta(pair, n, tau):
@@ -230,16 +277,9 @@ def test_threshold_achievability_sound_against_its_own_test(ps, n, ratio):
 
 @st.composite
 def _near_critical_case(draw):
-    # (pair, n, g): a Bernoulli, K = 3 or Gaussian pair, n log-uniform in
-    # [1, 1e6] and |g| log-uniform in [1e-17, 1e-3], of either sign
-    family = draw(st.sampled_from(["bernoulli", "discrete", "gaussian"]))
-    if family == "bernoulli":
-        pair = BernoulliPair(*draw(distinct_pairs))
-    elif family == "discrete":
-        pair = FiniteDiscretePair(*draw(st.tuples(_weights, _weights).filter(
-            lambda t: max(abs(a - b) for a, b in zip(*t)) > 1e-3)))
-    else:
-        pair = GaussianPair(0.0, draw(st.floats(min_value=0.01, max_value=3.0)))
+    # (pair, n, g): n log-uniform in [1, 1e6] and |g| log-uniform in
+    # [1e-17, 1e-3], of either sign
+    pair = draw(_pairs)
     n = int(10.0 ** draw(st.floats(min_value=0.0, max_value=6.0)))
     sign = draw(st.sampled_from([1.0, -1.0]))
     g = sign * 10.0 ** draw(st.floats(min_value=-17.0, max_value=-3.0))
@@ -247,9 +287,9 @@ def _near_critical_case(draw):
 
 
 @settings(max_examples=120, deadline=None)
-# tau rounds to within 1e-13 relative of n D(P1||P0): the root's rounded-up
-# log was +3.6e-27, the end l = 1 gives log 0
-@example(case=(BernoulliPair(0.5, 0.51), 2000, 1e-13))
+# tau rounds to within 1e-13 relative of n D(P1||P0): at fig1's pair and n = 2000
+# the root's rounded-up log was +3.6e-27, the end l = 1 gives log 0
+@_with_examples([(_BERN, 2000, 1e-13), *((pair, 1000, 1e-13) for pair in _CRITICAL)])
 @given(case=_near_critical_case())
 def test_near_critical_threshold_and_phase_are_valid_and_sound(case):
     # tau = n D(P1||P0) (1 - g) and alpha = 0, where the root's rounding
@@ -350,11 +390,8 @@ _eps = st.one_of(st.floats(min_value=-700.0, max_value=-1.0),
 # A sweep's Type I budget: constant, 1/n or e^{-cn}
 _sweep_budget = st.one_of(_eps.map(lambda e: f"--eps={e!r}"), st.just("--linear"),
                           _log_uniform(-300.0, 3.0).map(lambda c: f"--exp-rate={c!r}"))
-# Every sweep column defined for all three families
-_SWEEP_BOUNDS = ("renyi_converse,achievability,phase_converse,phase_achievability,"
-                 "fano,hellinger,berry_esseen,np_exact")
+# The flags of the bounds whose inputs are not a sweep cell's (pair, n, log eps)
 _BOUND_FLAGS = {
-    "renyi_converse": {}, "fano": {}, "hellinger": {}, "berry_esseen": {}, "smoothing_out": {},
     "achievability": {"--tau": st.floats(min_value=-1e3, max_value=1e3),
                       "--log-alpha": st.floats(min_value=-1e4, max_value=0.0)},
     "phase_converse": {"--c": _log_uniform(-300.0, 3.0)},
@@ -371,11 +408,11 @@ def _cli_argv(draw):
     n = draw(st.integers(min_value=1, max_value=10**6))
     if command == "sweep":
         return ["sweep", "--pair", pair, "--n-min", str(n), "--n-max", str(n + 1),
-                "--n-step", "1", draw(_sweep_budget), f"--bounds={_SWEEP_BOUNDS}"]
-    bound = draw(st.sampled_from(sorted(_BOUND_FLAGS)))
+                "--n-step", "1", draw(_sweep_budget)]
+    bound = draw(st.sampled_from([b for b in CANONICAL_BOUNDS if b != "np_exact"]))
     argv = ["bound", "--pair", pair, "--bound", bound, "--n", str(n),
             f"--log-eps={draw(_log_eps)!r}"]
-    argv += [f"{flag}={draw(values)!r}" for flag, values in _BOUND_FLAGS[bound].items()]
+    argv += [f"{flag}={draw(values)!r}" for flag, values in _BOUND_FLAGS.get(bound, {}).items()]
     return argv
 
 
@@ -407,20 +444,20 @@ def _printed_values(command, out):
                "--n-max", str(10**400)])
 # the 1/n budget
 @example(argv=["sweep", "--pair", "bernoulli:0.5,0.6", "--n-min", "2", "--n-max", "3",
-               "--n-step", "1", "--linear", f"--bounds={_SWEEP_BOUNDS}"])
+               "--n-step", "1", "--linear"])
 # n = x / D underflows to 0 if the Gaussian crossing is solved by Newton in x = n D
 @example(argv=["samplesize", "--pair", "gaussian:0,1e+153", "--eps=0.36787944117144233",
                "--delta=0.6065306597126334"])
 # the Bernoulli oracle's rejected P1 mass rounds to 1 or above: beta prints 0, not -9.3e-20
 @example(argv=["sweep", "--pair", "bernoulli:0.1,0.9999", "--n-min", "6", "--n-max", "6",
-               "--n-step", "1", "--eps=0.36787944117144233", f"--bounds={_SWEEP_BOUNDS}"])
+               "--n-step", "1", "--eps=0.36787944117144233"])
 # psi at the reverse sample-size root rounds to 0 (D = 1.1e-14): 0 / 0 raised ZeroDivisionError
 @example(argv=["samplesize", "--pair", "discrete:1e-14,1e-73,0.99999999999999|1e-17,1e-17,1.0",
                "--eps=0.36787944117144233", "--delta=0.006737946999085467"])
 # tau = n (psi + c) / l* of the rate-c achievability bound overflows at n = 360
 # (l* = 2.2e-162): the rounding bound was NaN, and so was the printed value
 @example(argv=["sweep", "--pair", "gaussian:0,1e+153", "--n-min", "359", "--n-max", "360",
-               "--n-step", "1", "--eps=0.36787944117144233", f"--bounds={_SWEEP_BOUNDS}"])
+               "--n-step", "1", "--eps=0.36787944117144233"])
 @given(argv=_cli_argv())
 def test_cli_answers_or_exits_two_across_the_float_range(argv):
     out, err = io.StringIO(), io.StringIO()
