@@ -45,9 +45,8 @@ BERN, GAUSS = distributions.BernoulliPair(0.5, 0.6), distributions.GaussianPair(
 OPEN = ((0.0, math.nan, math.inf, -math.inf, "0.1"), "must be finite and < 0", (-5e-324, -1e300))
 CLOSED = ((5e-324, math.nan, math.inf, "0.1"), r"must lie in \[-inf, 0\]", (0.0, -math.inf))
 LOG = object()
-# Every public function that takes n, by name: its argument before n, those
-# after it, with LOG for its log eps (log alpha for the threshold bound), and
-# that argument's domain
+# Every public function that takes n, by name: its argument before n, those after it (LOG for
+# its log eps, or log alpha for the threshold bound), and that argument's domain
 TAKES_N = {
     "renyi_converse": (BERN, (LOG,), OPEN),
     "phase_transition_converse": (BERN, (1.0,), None),
@@ -76,14 +75,22 @@ def test_refusal_table_holds_every_function_that_takes_n():
 
 
 @pytest.mark.parametrize("name", sorted(TAKES_N))
-def test_refuses_bad_n_and_log_budgets(name):
+def test_refuses_bad_n(name):
     for n in (0, -1, 2.5, True):
         with pytest.raises(numerics.DomainError, match=rf"^n must be an integer >= 1, got {n!r}$"):
             call(name, n)
     with pytest.raises(numerics.DomainError, match="^n must be at most the largest float"):
         call(name, 10**400)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_N))
+def test_takes_a_numpy_integer_n_as_the_int(name):
     assert call(name, np.int64(10)) == call(name, 10)
-    refused, message, ends = TAKES_N[name][2] or ((), None, ())
+
+
+@pytest.mark.parametrize("name", sorted(name for name, row in TAKES_N.items() if row[2]))
+def test_refuses_log_budgets_only_outside_the_domain(name):
+    refused, message, ends = TAKES_N[name][2]
     for x in refused:
         with pytest.raises(numerics.DomainError, match=message):
             call(name, 10, x)
