@@ -693,16 +693,18 @@ def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundR
     h(hi) = -hi sqrt(V) < 0, so the maximizer is the one root of h, found
     by safeguarded Newton with h' = -x / sqrt(n) - sqrt(V) from
     Delta_0 = phi(x_0) / sqrt(V).  Both ends give log -inf (log 0 at
-    Delta = 0, Q^{-1}(0) = inf at hi).  The search stops at Delta = 0 only
-    where w rounds to 0 or below there, so that h(0) = 0 and the bound is
-    that end's -inf.
+    Delta = 0, Q^{-1}(0) = inf at hi).  x is formed as -Q^{-1}(1 - w),
+    from 1 - w = eps + (B + Delta)/sqrt(n) itself, so that no argument
+    rounds to 1 at any n.  The search stops at Delta = 0 only where 1 - w
+    rounds to 1 or above there, so that h(0) = 0 and the bound is that
+    end's -inf.
     """
     _check_n(n)
     _check_log_eps(log_eps)
     atoms = _tilt_atoms(pair, Direction.FORWARD)
     if atoms.var <= 0.0:
         return _lower_beta(-math.inf, None)
-    one_m_eps = -math.expm1(log_eps)
+    eps, one_m_eps = math.exp(log_eps), -math.expm1(log_eps)
     sqrt_n = math.sqrt(n)
     hi = sqrt_n * one_m_eps - atoms.berry
     if hi <= 0.0:
@@ -712,10 +714,11 @@ def berry_esseen_bound(pair: DistributionPair, n: int, log_eps: float) -> BoundR
     shift = -n * atoms.kl - 0.5 * math.log(n)
 
     def x_at(dl):
-        # Q^{-1} of the argument, or its limit inf where the argument rounds
-        # to 0 or below, as it may at the end hi
-        w = one_m_eps - (atoms.berry + dl) / sqrt_n
-        return q_inverse(w) if w > 0.0 else math.inf
+        # Q^{-1}(w) = -Q^{-1}(1 - w): w itself rounds to 1 once eps and
+        # (B + Delta)/sqrt(n) are below half an ulp of 1.  The limit is inf
+        # where 1 - w rounds to 1 or above, as it may at the end hi
+        tail = eps + (atoms.berry + dl) / sqrt_n
+        return -q_inverse(tail) if tail < 1.0 else math.inf
 
     def h(dl):
         x = x_at(dl)

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``sweep``       evaluate selected bounds over a range of n, write CSV/SVG
-* ``bound``       evaluate one bound at one point, print value + JSON
+* ``bound``       one sweep cell, or the threshold test, at one point: value + JSON
 * ``samplesize``  sample-complexity bounds for an (eps, delta) target
 * ``reproduce``   regenerate the standard figure sweeps into an output dir
 
@@ -23,8 +23,7 @@ from .bounds import (
     Constant,
     Exponential,
     Linear,
-    phase_transition_achievability,
-    phase_transition_converse,
+    eps_at,
     renyi_achievability_at_threshold,
     sample_complexity_pensia,
     sample_complexity_renyi,
@@ -90,19 +89,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--log-y", action="store_true", help="log-scale vertical axis in the SVG")
     sw.add_argument("--title", default="", help="SVG title")
 
-    bd = sub.add_parser("bound", help="evaluate one bound at one point")
+    bd = sub.add_parser("bound", help="one sweep cell, or the threshold test, at one point")
     bd.add_argument("--pair", required=True)
-    bd.add_argument("--bound", required=True, choices=[b for b in CANONICAL_BOUNDS if b != "np_exact"])
+    bd.add_argument("--bound", required=True, choices=[*CANONICAL_BOUNDS, "threshold"])
     bd.add_argument("--n", type=int, required=True)
     budget = bd.add_mutually_exclusive_group()
     budget.add_argument("--eps", type=float, default=0.01)
     budget.add_argument("--log-eps", type=float,
                         help="log of the Type I budget; give a negative value as --log-eps=-1e6")
-    bd.add_argument("--c", type=float, help="exponential rate, for the phase bounds")
+    budget.add_argument("--exp-rate", type=float, help="budget e^{-cn} at this rate c")
     bd.add_argument("--tau", type=float,
-                    help="log-LR threshold, for achievability; e.g. --tau=-2.5e1")
+                    help="log-LR threshold of the threshold test; e.g. --tau=-2.5e1")
     bd.add_argument("--log-alpha", type=float, default=-math.inf,
-                    help="log Type I term of achievability (default %(default)s); "
+                    help="log Type I term of the threshold test (default %(default)s); "
                          "e.g. --log-alpha=-1e3")
 
     ss = sub.add_parser("samplesize", help="sample-complexity bounds")
@@ -135,26 +134,18 @@ def _result_json(name: str, r) -> str:
     return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
-# The phase bounds at the rate --c (a sweep derives it as -log eps / n).
-_PHASE = {"phase_converse": phase_transition_converse,
-          "phase_achievability": phase_transition_achievability}
-
-
 def _cmd_bound(args) -> int:
     pair = parse_pair(args.pair)
     name = args.bound
-    if name == "achievability":
+    if name == "threshold":  # the log-LR threshold test, whose inputs are not a sweep cell's
         if args.tau is None:
-            raise DomainError("achievability requires --tau")
+            raise DomainError("threshold requires --tau")
         r = renyi_achievability_at_threshold(pair, args.n, args.tau, args.log_alpha)
-    elif name in _PHASE:
-        if args.c is None:
-            raise DomainError(f"{name} requires --c")
-        r = _PHASE[name](pair, args.n, args.c)
-    else:  # the sweep's own cell at (pair, n, log eps)
-        log_eps = args.log_eps if args.log_eps is not None else math.log(Constant(args.eps).eps)
+    else:  # the sweep's own cell at (pair, n, log eps), with the sweep's budget bits
+        regime = Constant(args.eps) if args.exp_rate is None else Exponential(args.exp_rate)
+        log_eps = eps_at(regime, args.n)[1] if args.log_eps is None else args.log_eps
         r = _BOUNDS[name].evaluate(pair, args.n, log_eps)
-    rel = {"lower_bound_on_beta": ">=", "upper_bound_on_beta": "<"}[r.kind.value]
+    rel = {"lower_bound_on_beta": ">=", "upper_bound_on_beta": "<", "exact_beta": "="}[r.kind.value]
     tag = "" if r.valid else "  [degenerate]"
     print(f"{name}: beta {rel} {r.value:.12g}  (log {r.log_value:.12g}){tag}")
     print(_result_json(name, r))

@@ -192,7 +192,8 @@ def q_inverse_log(log_p: float) -> float:
     Starts from AS241 where ``p`` is a normal float, on ``1 - p =
     -expm1(log_p)`` above ``log_p = -log 2`` and on ``p`` down to
     ``log_p = -700``; below, from the tail series ``x^2 = u - log u -
-    log 2 pi``, ``u = -2 log_p``.  Newton on ``log Q`` runs from there
+    log 2 pi``, ``u = -2 log_p``, scaled by 1/4 so that it answers down
+    to ``-sys.float_info.max``.  Newton on ``log Q`` runs from there
     while the residual falls, at most 4 steps.  The contract is in ulps of ``log_p``, since an absolute
     one cannot hold deep in the tail (one ulp of ``1e6`` is ``1.2e-10``):
     for ``log_p`` from ``-0.5`` down to ``-1e6``, ``log_q(x)`` is within
@@ -208,8 +209,10 @@ def q_inverse_log(log_p: float) -> float:
     elif log_p > _LOG_P_SERIES:
         x = -_INV_CDF(math.exp(log_p))
     else:
-        u = -2.0 * log_p
-        x = math.sqrt(u - math.log(u) - 2.0 * _LOG_SQRT_2PI)
+        # x = 2 sqrt(u/4 - log(u)/4 - log(2 pi)/4): u overflows below log_p =
+        # -8.99e307, u/4 does not, and the factor 4 under the root is exact
+        x = 2.0 * math.sqrt(-0.5 * log_p - 0.25 * (_LOG2 + math.log(-log_p))
+                            - 0.5 * _LOG_SQRT_2PI)
     # Newton steps while the residual falls; once it stops, x is at the
     # rounding noise of log Q, and the best point so far is returned.
     best, best_resid = x, math.inf

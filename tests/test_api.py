@@ -42,7 +42,8 @@ def test_every_public_name_is_a_submodule_export():
 BERN, GAUSS = distributions.BernoulliPair(0.5, 0.6), distributions.GaussianPair(0.0, 1.0)
 # A log budget's domain: the values it refuses, the refusal's message, and
 # values at or near its ends, which it takes
-OPEN = ((0.0, math.nan, math.inf, -math.inf, "0.1"), "must be finite and < 0", (-5e-324, -1e300))
+OPEN = ((0.0, math.nan, math.inf, -math.inf, "0.1"), "must be finite and < 0",
+        (-5e-324, -sys.float_info.max))
 CLOSED = ((5e-324, math.nan, math.inf, "0.1"), r"must lie in \[-inf, 0\]", (0.0, -math.inf))
 LOG = object()
 # Every public function that takes n, by name: its argument before n, those after it (LOG for

@@ -486,11 +486,11 @@ class TestGcFreeze:
 BOUND_CASES = [
     ("renyi_converse", "bernoulli:0.5,0.6", [],
      lambda p: renyi_converse(p, 100, math.log(0.01))),
-    ("achievability", "bernoulli:0.5,0.6", ["--tau", "0.5", "--log-alpha", "-5"],
-     lambda p: renyi_achievability_at_threshold(p, 100, 0.5, -5.0)),
-    ("phase_converse", "bernoulli:0.5,0.6", ["--c", "0.05"],
+    ("achievability", "bernoulli:0.5,0.6", ["--exp-rate", "0.01"],
+     lambda p: phase_transition_achievability(p, 100, 0.01)),
+    ("phase_converse", "bernoulli:0.5,0.6", ["--exp-rate", "0.05"],
      lambda p: phase_transition_converse(p, 100, 0.05)),
-    ("phase_achievability", "bernoulli:0.5,0.6", ["--c", "0.01"],
+    ("phase_achievability", "bernoulli:0.5,0.6", ["--exp-rate", "0.01"],
      lambda p: phase_transition_achievability(p, 100, 0.01)),
     ("fano", "bernoulli:0.5,0.6", ["--log-eps", "-3"],
      lambda p: fano_bound(p, 100, -3.0)),
@@ -500,18 +500,18 @@ BOUND_CASES = [
      lambda p: berry_esseen_bound(p, 100, math.log(0.01))),
     ("smoothing_out", "gaussian:2,0.1", [],
      lambda p: smoothing_out_bound(p, 100, math.log(0.01))),
+    ("np_exact", "bernoulli:0.5,0.6", ["--eps", "0.05"],
+     lambda p: direct_cells(p, Constant(0.05), 100, ("np_exact",))["np_exact"]),
+    ("threshold", "bernoulli:0.5,0.6", ["--tau", "0.5", "--log-alpha", "-5"],
+     lambda p: renyi_achievability_at_threshold(p, 100, 0.5, -5.0)),
 ]
-# The bounds whose inputs are not those of a sweep cell (pair, n, log eps).
-_FLAG_BOUNDS = ("achievability", "phase_converse", "phase_achievability")
 
-
-def _budget(flags):
-    # eps and log eps as a `bound` command line sets them (default eps = 0.01)
-    opts = dict(zip(flags[::2], flags[1::2]))
-    if "--log-eps" in opts:
-        return math.exp(float(opts["--log-eps"])), float(opts["--log-eps"])
-    eps = float(opts.get("--eps", 0.01))
-    return eps, math.log(eps)
+# Each `bound` budget flag, the sweep regime it matches at n = 100, and the log eps both take.
+_BUDGETS = {
+    "eps": (["--eps", "0.05"], Constant(0.05), math.log(0.05)),
+    "log_eps": (["--log-eps", "-3"], Constant(math.exp(-3.0)), -3.0),
+    "exp_rate": (["--exp-rate", "0.002"], Exponential(0.002), -0.002 * 100),
+}
 
 
 class TestCli:
@@ -537,13 +537,25 @@ class TestCli:
         assert payload["bound"] == bound
         assert payload["value"] == direct.value
         assert payload["optimizer"] == direct.optimizer
-        if bound in _FLAG_BOUNDS:
-            return
-        # every other bound prints the cell of a one-row sweep at the same budget
-        eps, log_eps = _budget(flags)
-        row = run_grid(ExperimentGrid(spec, Constant(eps), (100,), (bound,))).rows[0]
+
+    @pytest.mark.parametrize("budget", _BUDGETS)
+    @pytest.mark.parametrize("bound", CANONICAL_BOUNDS)
+    def test_bound_prints_the_sweep_cell(self, capsys, bound, budget):
+        # every registry choice prints the cell of a one-row sweep at the same
+        # budget, bit for bit, and exits 2 exactly where that cell is empty; at
+        # this pair's D(P1||P0) = 0.005, either the phase converse or the two
+        # achievability columns are out of regime
+        spec, (flags, regime, log_eps) = "gaussian:2,0.1", _BUDGETS[budget]
+        row = run_grid(ExperimentGrid(spec, regime, (100,), (bound,))).rows[0]
         assert row.log_eps == log_eps
+        code = cli_main(["bound", "--pair", spec, "--bound", bound, "--n", "100", *flags])
+        out, err = capsys.readouterr()
         cell = row.cells[0]
+        if cell is None:
+            assert code == 2 and err.startswith("error: ")
+            return
+        assert code == 0
+        payload = json.loads(out.strip().splitlines()[-1])
         assert (payload["value"], float(payload["log_value"]), payload["optimizer"],
                 payload["kind"], payload["valid"]) == (cell.value, cell.log_value, cell.optimizer,
                                                        cell.kind.value, cell.valid)
@@ -571,7 +583,7 @@ class TestCli:
         assert math.isinf(direct.log_value) or math.isinf(direct.optimizer)
 
     def test_bound_cases_cover_every_choice(self):
-        assert [c[0] for c in BOUND_CASES] == [b for b in CANONICAL_BOUNDS if b != "np_exact"]
+        assert [c[0] for c in BOUND_CASES] == [*CANONICAL_BOUNDS, "threshold"]
 
     @pytest.mark.parametrize("eps", ["0", "-1", "1.5"])
     def test_bound_eps_outside_unit_interval_exits_two(self, capsys, eps):
@@ -580,30 +592,28 @@ class TestCli:
         assert cli_main(argv) == 2
         assert f"error: eps must lie in (0, 1), got {float(eps)!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [["--lam", "1.5"], ["--log-eps", "-3"]])
+    @pytest.mark.parametrize("extra", [["--lam", "1.5"], ["--log-eps", "-3"],
+                                       ["--exp-rate", "0.01"]])
     def test_bound_rejects_lam_and_a_second_budget(self, capsys, extra):
-        # --lam is not a bound option; --eps and --log-eps set the same budget
+        # --lam is not a bound option; --eps, --log-eps and --exp-rate set the same budget
         argv = ["bound", "--pair", "bernoulli:0.5,0.6", "--bound", "renyi_converse",
                 "--n", "100", "--eps", "0.01", *extra]
         assert cli_main(argv) == 2
 
     @pytest.mark.parametrize("flags", [
         ["--bound", "renyi_converse", "--log-eps=-1e6"],
-        ["--bound", "achievability", "--tau=-2.5e1"],
+        ["--bound", "threshold", "--tau=-2.5e1"],
     ], ids=["log_eps", "tau"])
     def test_bound_negative_exponent_values(self, capsys, flags):
         # argparse reads "-1e6" after a space as an option; "=" keeps it a value
         assert cli_main(["bound", "--pair", "gaussian:0,1", "--n", "10", *flags]) == 0
 
-    def test_bound_requires_tau_for_achievability(self, capsys):
-        # and each phase bound its rate --c
-        for bound, flag in (("achievability", "--tau"), ("phase_converse", "--c"),
-                            ("phase_achievability", "--c")):
-            code = cli_main(
-                ["bound", "--pair", "bernoulli:0.5,0.51", "--bound", bound, "--n", "100"]
-            )
-            assert code == 2
-            assert f"error: {bound} requires {flag}" in capsys.readouterr().err
+    def test_bound_requires_tau_for_threshold(self, capsys):
+        code = cli_main(
+            ["bound", "--pair", "bernoulli:0.5,0.51", "--bound", "threshold", "--n", "100"]
+        )
+        assert code == 2
+        assert "error: threshold requires --tau" in capsys.readouterr().err
 
     def test_sweep_zero_n_step_exits_two(self, capsys):
         code = cli_main(["sweep", "--pair", "gaussian:2,0.05", "--n-min", "100", "--n-max",
@@ -776,6 +786,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert (payload["value"], payload["valid"]) == (0.0, False)
 
+    def test_berry_esseen_where_its_argument_rounds_to_one(self, capsys):
+        # at n = 10^40, 1 - eps - (B + Delta)/sqrt(n) rounds to 1; its complement
+        # eps + (B + Delta)/sqrt(n) does not, so Q^{-1} is taken on that
+        argv = ["bound", "--pair", "gaussian:0,1", "--bound", "berry_esseen", "--eps", "1e-20",
+                "--n", str(10**40)]
+        assert cli_main(argv) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["valid"] is True
+        assert payload["log_value"] == pytest.approx(-5e39, rel=1e-15, abs=0.0)
+
     def test_berry_esseen_scale_past_float_range(self, capsys):
         # n V = 2060e306 overflows; sqrt(n) sqrt(V) does not, so the
         # objective is -inf (n D overflows too), not -inf + inf = nan
@@ -789,7 +809,7 @@ class TestCli:
         # identical pair: the exponent is -n c = -1e-247, whose exp rounds to
         # 1, so log(1 - e^g) is log(-expm1(g)), not log1p(-1)
         argv = ["bound", "--pair", "discrete:0.1,0.9|0.1,0.9", "--bound", "phase_converse",
-                "--n", "1000", "--c", "1e-250"]
+                "--n", "1000", "--exp-rate", "1e-250"]
         assert cli_main(argv) == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["value"] == pytest.approx(1e-247, rel=1e-12, abs=0.0)
@@ -813,7 +833,7 @@ class TestCli:
         # from it by less than its own size and stays at or below 0 (it was
         # +1.2e-14 while the rate form kept a rounding bound of its own)
         argv = ["--pair", "bernoulli:1e-13,1e-14", "--bound", "phase_achievability", "--n", "1",
-                "--c", "1e-14"]
+                "--exp-rate", "1e-14"]
         assert cli_main(["bound", *argv]) == 0
         text, json_line = capsys.readouterr().out.strip().splitlines()
         payload = json.loads(json_line)
@@ -824,7 +844,7 @@ class TestCli:
         # tau = 500 is above n D(P1||P0) = 2.0: the order is the end l = 1,
         # where the bound is 1 - alpha e^tau, log 0 at alpha = 0, and valid
         # (the order 1 - 1e-9 gives log +4.98e-7, which is not valid)
-        argv = ["--pair", "bernoulli:0.5,0.6", "--bound", "achievability", "--n", "100",
+        argv = ["--pair", "bernoulli:0.5,0.6", "--bound", "threshold", "--n", "100",
                 "--tau", "500"]
         assert cli_main(["bound", *argv]) == 0
         text, json_line = capsys.readouterr().out.strip().splitlines()
@@ -836,7 +856,7 @@ class TestCli:
         # tau within 1e-13 relative of n D(P1||P0) = 0.40002667093425: the
         # root 0.99999999999995 gives log -2.8e-27 rounded up to +3.6e-27,
         # not valid, so the bound is the end l = 1, where psi(1) = 0 exactly
-        argv = ["--pair", "bernoulli:0.5,0.51", "--bound", "achievability", "--n", "2000",
+        argv = ["--pair", "bernoulli:0.5,0.51", "--bound", "threshold", "--n", "2000",
                 "--tau", "0.40002667093421035"]
         assert cli_main(["bound", *argv]) == 0
         text, json_line = capsys.readouterr().out.strip().splitlines()

@@ -5,6 +5,7 @@ digits and are pinned to 17 significant figures.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -238,6 +239,13 @@ class TestQInverseLog:
         for lp in (-1e-300, -1e-320, -5e-324):
             x = q_inverse_log(lp)
             assert math.isfinite(x) and x < -37.0, lp
+
+    def test_answers_down_to_the_largest_float(self):
+        # u = -2 log p overflows below -8.99e307, so the start is formed in u/4;
+        # this deep in the tail x is sqrt(u) to about 1e-305 relative
+        for lp in (-1e308, -sys.float_info.max):
+            assert q_inverse_log(lp) == pytest.approx(math.sqrt(2.0) * math.sqrt(-lp),
+                                                      rel=1e-15, abs=0.0)
 
     def test_domain(self):
         for bad in (0.0, 0.5, math.nan, -math.inf, np.array([-1.0])):

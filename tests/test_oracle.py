@@ -61,6 +61,11 @@ class TestGaussian:
         assert r.beta == pytest.approx(1.0, abs=1e-9)
         assert math.isfinite(r.threshold)
 
+    def test_log_eps_at_the_end_of_its_domain(self):
+        # the threshold Q^{-1}(eps) is 1.9e154 at log eps = -max float, so beta = 1
+        r = np_exact_gaussian(GaussianPair(0.0, 1.0), 10, -sys.float_info.max)
+        assert (r.log_beta, math.copysign(1.0, r.log_beta)) == (0.0, -1.0)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             np_exact_gaussian(BERN, 10, math.log(0.01))

@@ -387,15 +387,15 @@ _log_eps = st.one_of(st.floats(min_value=-1e4, max_value=-1.0),
 # eps itself, for the commands that take it as a number: log eps >= -700 keeps it above 0
 _eps = st.one_of(st.floats(min_value=-700.0, max_value=-1.0),
                  st.floats(min_value=-1.0, max_value=_LOG_EPS_MAX)).map(math.exp)
-# A sweep's Type I budget: constant, 1/n or e^{-cn}
-_sweep_budget = st.one_of(_eps.map(lambda e: f"--eps={e!r}"), st.just("--linear"),
-                          _log_uniform(-300.0, 3.0).map(lambda c: f"--exp-rate={c!r}"))
-# The flags of the bounds whose inputs are not a sweep cell's (pair, n, log eps)
+_eps_flag = _eps.map(lambda e: f"--eps={e!r}")
+_exp_rate_flag = _log_uniform(-300.0, 3.0).map(lambda c: f"--exp-rate={c!r}")
+# A sweep's Type I budget is constant, 1/n or e^{-cn}; a bound's is eps, log eps or e^{-cn}
+_sweep_budget = st.one_of(_eps_flag, st.just("--linear"), _exp_rate_flag)
+_bound_budget = st.one_of(_eps_flag, _log_eps.map(lambda e: f"--log-eps={e!r}"), _exp_rate_flag)
+# The flags of the one choice whose inputs are not a sweep cell's (pair, n, log eps)
 _BOUND_FLAGS = {
-    "achievability": {"--tau": st.floats(min_value=-1e3, max_value=1e3),
-                      "--log-alpha": st.floats(min_value=-1e4, max_value=0.0)},
-    "phase_converse": {"--c": _log_uniform(-300.0, 3.0)},
-    "phase_achievability": {"--c": _log_uniform(-300.0, 3.0)},
+    "threshold": {"--tau": st.floats(min_value=-1e3, max_value=1e3),
+                  "--log-alpha": st.floats(min_value=-1e4, max_value=0.0)},
 }
 
 
@@ -409,9 +409,8 @@ def _cli_argv(draw):
     if command == "sweep":
         return ["sweep", "--pair", pair, "--n-min", str(n), "--n-max", str(n + 1),
                 "--n-step", "1", draw(_sweep_budget)]
-    bound = draw(st.sampled_from([b for b in CANONICAL_BOUNDS if b != "np_exact"]))
-    argv = ["bound", "--pair", pair, "--bound", bound, "--n", str(n),
-            f"--log-eps={draw(_log_eps)!r}"]
+    bound = draw(st.sampled_from([*CANONICAL_BOUNDS, "threshold"]))
+    argv = ["bound", "--pair", pair, "--bound", bound, "--n", str(n), draw(_bound_budget)]
     argv += [f"{flag}={draw(values)!r}" for flag, values in _BOUND_FLAGS.get(bound, {}).items()]
     return argv
 
