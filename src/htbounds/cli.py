@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``sweep``       evaluate selected bounds over a range of n, write CSV/SVG
-* ``bound``       one sweep cell, or the threshold test, at one point: value + JSON
+* ``bound``       one sweep cell at one point: value + JSON
+* ``threshold``   the log-LR threshold test at one point: value + JSON
 * ``samplesize``  sample-complexity bounds for an (eps, delta) target
 * ``reproduce``   regenerate the standard figure sweeps into an output dir
 
@@ -68,9 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-sample hypothesis-testing bounds via Renyi divergences.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    spec = argparse.ArgumentParser(add_help=False)  # the --pair of every command that takes one
+    spec.add_argument("--pair", required=True, help="pair spec, e.g. bernoulli:0.5,0.51")
 
-    sw = sub.add_parser("sweep", help="evaluate bounds over a range of n")
-    sw.add_argument("--pair", required=True, help="pair spec, e.g. bernoulli:0.5,0.51")
+    sw = sub.add_parser("sweep", parents=[spec], help="evaluate bounds over a range of n")
     sw.add_argument(
         "--bounds",
         default=None,
@@ -88,31 +90,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--svg", help="SVG output path")
     sw.add_argument("--log-y", action="store_true", help="log-scale vertical axis in the SVG")
     sw.add_argument("--title", default="", help="SVG title")
+    sw.set_defaults(run=_cmd_sweep)
 
-    bd = sub.add_parser("bound", help="one sweep cell, or the threshold test, at one point")
-    bd.add_argument("--pair", required=True)
-    bd.add_argument("--bound", required=True, choices=[*CANONICAL_BOUNDS, "threshold"])
+    bd = sub.add_parser("bound", parents=[spec], help="one sweep cell at one point")
+    bd.add_argument("--bound", required=True, choices=CANONICAL_BOUNDS)
     bd.add_argument("--n", type=int, required=True)
     budget = bd.add_mutually_exclusive_group()
     budget.add_argument("--eps", type=float, default=0.01)
     budget.add_argument("--log-eps", type=float,
                         help="log of the Type I budget; give a negative value as --log-eps=-1e6")
     budget.add_argument("--exp-rate", type=float, help="budget e^{-cn} at this rate c")
-    bd.add_argument("--tau", type=float,
-                    help="log-LR threshold of the threshold test; e.g. --tau=-2.5e1")
-    bd.add_argument("--log-alpha", type=float, default=-math.inf,
-                    help="log Type I term of the threshold test (default %(default)s); "
-                         "e.g. --log-alpha=-1e3")
+    bd.set_defaults(run=_cmd_bound)
 
-    ss = sub.add_parser("samplesize", help="sample-complexity bounds")
-    ss.add_argument("--pair", required=True)
+    th = sub.add_parser("threshold", parents=[spec], help="the log-LR threshold test at one point")
+    th.add_argument("--n", type=int, required=True)
+    th.add_argument("--tau", type=float, required=True,
+                    help="log-LR threshold; give a negative value as --tau=-2.5e1")
+    th.add_argument("--log-alpha", type=float, default=-math.inf,
+                    help="log Type I term (default %(default)s); e.g. --log-alpha=-1e3")
+    th.set_defaults(run=_cmd_threshold)
+
+    ss = sub.add_parser("samplesize", parents=[spec], help="sample-complexity bounds")
     ss.add_argument("--eps", type=float, required=True, help="Type I error target")
     ss.add_argument("--delta", type=float, required=True, help="Type II error target")
     ss.add_argument("--lam", type=float, help="fix the order in the Renyi bound")
+    ss.set_defaults(run=_cmd_samplesize)
 
     rp = sub.add_parser("reproduce", help="regenerate the standard sweeps")
     rp.add_argument("target", choices=sorted(_REPRODUCE_PAIRS))
     rp.add_argument("--outdir", default=".")
+    rp.set_defaults(run=_cmd_reproduce)
     return p
 
 
@@ -134,22 +141,25 @@ def _result_json(name: str, r) -> str:
     return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
-def _cmd_bound(args) -> int:
-    pair = parse_pair(args.pair)
-    name = args.bound
-    if name == "threshold":  # the log-LR threshold test, whose inputs are not a sweep cell's
-        if args.tau is None:
-            raise DomainError("threshold requires --tau")
-        r = renyi_achievability_at_threshold(pair, args.n, args.tau, args.log_alpha)
-    else:  # the sweep's own cell at (pair, n, log eps), with the sweep's budget bits
-        regime = Constant(args.eps) if args.exp_rate is None else Exponential(args.exp_rate)
-        log_eps = eps_at(regime, args.n)[1] if args.log_eps is None else args.log_eps
-        r = _BOUNDS[name].evaluate(pair, args.n, log_eps)
+def _print_beta(name: str, r) -> int:
     rel = {"lower_bound_on_beta": ">=", "upper_bound_on_beta": "<", "exact_beta": "="}[r.kind.value]
     tag = "" if r.valid else "  [degenerate]"
     print(f"{name}: beta {rel} {r.value:.12g}  (log {r.log_value:.12g}){tag}")
     print(_result_json(name, r))
     return 0
+
+
+def _cmd_bound(args) -> int:
+    # the sweep's own cell at (pair, n, log eps), with the sweep's budget bits
+    pair = parse_pair(args.pair)
+    regime = Constant(args.eps) if args.exp_rate is None else Exponential(args.exp_rate)
+    log_eps = eps_at(regime, args.n)[1] if args.log_eps is None else args.log_eps
+    return _print_beta(args.bound, _BOUNDS[args.bound].evaluate(pair, args.n, log_eps))
+
+
+def _cmd_threshold(args) -> int:
+    r = renyi_achievability_at_threshold(parse_pair(args.pair), args.n, args.tau, args.log_alpha)
+    return _print_beta("threshold", r)
 
 
 def _ceil(x: float):
@@ -180,6 +190,8 @@ def _cmd_samplesize(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.n_min < 1 or args.n_max < args.n_min or args.n_step < 1:
         raise DomainError("need 1 <= n-min <= n-max and n-step >= 1")
+    if (args.log_y or args.title) and not args.svg:
+        raise DomainError("--log-y and --title apply only with --svg")
     ns = tuple(range(args.n_min, args.n_max + 1, args.n_step))
     if args.linear:
         regime = Linear()
@@ -254,13 +266,7 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     gc.freeze()
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "samplesize":
-            return _cmd_samplesize(args)
-        return _cmd_reproduce(args)
+        return args.run(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

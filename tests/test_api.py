@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import htbounds
 from htbounds import bounds, distributions, experiments, numerics, oracle
@@ -99,6 +101,55 @@ def test_refuses_log_budgets_only_outside_the_domain(name):
         call(name, 10, x)
 
 
+# The far ends of each family: a Bernoulli parameter at 1e-300, a Gaussian
+# separation of 1e153 (whose square is near the float range's end), and K = 3
+FAR_PAIRS = (distributions.BernoulliPair(1e-300, 0.999), distributions.GaussianPair(0.0, 1e153),
+             distributions.FiniteDiscretePair((1e-300, 0.5, 0.5), (0.5, 1e-300, 0.5)),
+             distributions.FiniteDiscretePair((0.2, 0.3, 0.5), (0.5, 0.3, 0.2)))
+# Positive floats, log-uniform from the least subnormal to the largest float, both ends included
+MAGNITUDES = st.one_of(st.sampled_from([5e-324, sys.float_info.max]),
+                       st.floats(min_value=-323.3, max_value=308.25).map(lambda u: 10.0**u))
+# What a refusal names: n, the log budget or rate, the pair's family, or the type ceiling
+NAMED = re.compile(r"^n must|log_eps|log_alpha|rate c|requires c [<>]|requires a \w+Pair|"
+                   r"finite-support pair|ceiling is")
+
+
+@st.composite
+def far_calls(draw):
+    # a TAKES_N row at a far-end pair, n log-uniform up to 10^300, and a log
+    # budget anywhere in its domain; the rows without one take a rate c > 0
+    name = draw(st.sampled_from(sorted(TAKES_N)))
+    _, rest, domain = TAKES_N[name]
+    pair, n = draw(st.sampled_from(FAR_PAIRS)), int(10.0 ** draw(st.floats(0.0, 300.0)))
+    if domain is None:  # the phase bounds' rate, or eps_at's exponential regime
+        c = draw(MAGNITUDES)
+        return name, ((bounds.Exponential(c), n) if name == "eps_at" else (pair, n, c))
+    budget = draw(st.one_of(st.sampled_from(domain[2]), MAGNITUDES.map(lambda x: -x)))
+    return name, (pair, n, *(budget if a is LOG else a for a in rest))
+
+
+@settings(max_examples=300, deadline=None)
+@given(far_calls())
+def test_answers_or_names_its_refusal_at_the_far_ends(case):
+    # each call returns a result, valid or flagged not valid but never NaN, or
+    # raises DomainError with a message that says which input is out of reach
+    name, args = case
+    try:
+        r = getattr(htbounds, name)(*args)
+    except numerics.DomainError as exc:
+        assert NAMED.search(str(exc)), (name, args, str(exc))
+        return
+    if name == "eps_at":
+        fields = r
+        assert 0.0 <= r[0] <= 1.0 and r[1] <= 0.0, (args, r)
+    elif isinstance(r, oracle.NPResult):
+        fields = (r.log_beta, r.threshold, r.randomization)
+        assert 0.0 <= r.randomization <= 1.0, (name, args, r)
+    else:
+        fields = (r.log_value, r.optimizer)
+    assert not any(x is not None and math.isnan(x) for x in fields), (name, args, r)
+
+
 def test_readme_quick_start_runs():
     # The README's "Library quick start" block, run as written: a name
     # retired from the library cannot linger there.
@@ -136,7 +187,7 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         assert code == 0, (argv, err)
         rows = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
         assert all(r["valid"] is True for r in rows), (argv, out)
-        if argv[0] in ("bound", "samplesize"):
+        if argv[0] in ("bound", "threshold", "samplesize"):
             assert rows, (argv, out)
         if "--csv" in argv:
             # the sweep line: a header and a row for each n = 10, 20, ..., 2000, and a plot

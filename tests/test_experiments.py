@@ -502,9 +502,16 @@ BOUND_CASES = [
      lambda p: smoothing_out_bound(p, 100, math.log(0.01))),
     ("np_exact", "bernoulli:0.5,0.6", ["--eps", "0.05"],
      lambda p: direct_cells(p, Constant(0.05), 100, ("np_exact",))["np_exact"]),
-    ("threshold", "bernoulli:0.5,0.6", ["--tau", "0.5", "--log-alpha", "-5"],
-     lambda p: renyi_achievability_at_threshold(p, 100, 0.5, -5.0)),
 ]
+# The same for the threshold test, which is its own command: its inputs are not a sweep cell's
+CLI_CASES = [*BOUND_CASES, ("threshold", "bernoulli:0.5,0.6", ["--tau", "0.5", "--log-alpha", "-5"],
+                            lambda p: renyi_achievability_at_threshold(p, 100, 0.5, -5.0))]
+
+
+def _command(name):
+    # the argv head that runs a case: `bound --bound <name>`, or `threshold`
+    return ["threshold"] if name == "threshold" else ["bound", "--bound", name]
+
 
 # Each `bound` budget flag, the sweep regime it matches at n = 100, and the log eps both take.
 _BUDGETS = {
@@ -528,9 +535,9 @@ class TestCli:
         assert payload["value"] == pytest.approx(direct.value, rel=1e-14, abs=0.0)
         assert payload["valid"] is True
 
-    @pytest.mark.parametrize("bound, spec, flags, call", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
+    @pytest.mark.parametrize("bound, spec, flags, call", CLI_CASES, ids=[c[0] for c in CLI_CASES])
     def test_bound_choice_matches_library(self, capsys, bound, spec, flags, call):
-        argv = ["bound", "--pair", spec, "--bound", bound, "--n", "100", *flags]
+        argv = [*_command(bound), "--pair", spec, "--n", "100", *flags]
         assert cli_main(argv) == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         direct = call(parse_pair(spec))
@@ -583,7 +590,7 @@ class TestCli:
         assert math.isinf(direct.log_value) or math.isinf(direct.optimizer)
 
     def test_bound_cases_cover_every_choice(self):
-        assert [c[0] for c in BOUND_CASES] == [*CANONICAL_BOUNDS, "threshold"]
+        assert [c[0] for c in BOUND_CASES] == list(CANONICAL_BOUNDS)
 
     @pytest.mark.parametrize("eps", ["0", "-1", "1.5"])
     def test_bound_eps_outside_unit_interval_exits_two(self, capsys, eps):
@@ -600,20 +607,18 @@ class TestCli:
                 "--n", "100", "--eps", "0.01", *extra]
         assert cli_main(argv) == 2
 
-    @pytest.mark.parametrize("flags", [
-        ["--bound", "renyi_converse", "--log-eps=-1e6"],
-        ["--bound", "threshold", "--tau=-2.5e1"],
+    @pytest.mark.parametrize("command", [
+        ["bound", "--bound", "renyi_converse", "--log-eps=-1e6"],
+        ["threshold", "--tau=-2.5e1"],
     ], ids=["log_eps", "tau"])
-    def test_bound_negative_exponent_values(self, capsys, flags):
+    def test_bound_negative_exponent_values(self, capsys, command):
         # argparse reads "-1e6" after a space as an option; "=" keeps it a value
-        assert cli_main(["bound", "--pair", "gaussian:0,1", "--n", "10", *flags]) == 0
+        assert cli_main([command[0], "--pair", "gaussian:0,1", "--n", "10", *command[1:]]) == 0
 
     def test_bound_requires_tau_for_threshold(self, capsys):
-        code = cli_main(
-            ["bound", "--pair", "bernoulli:0.5,0.51", "--bound", "threshold", "--n", "100"]
-        )
+        code = cli_main(["threshold", "--pair", "bernoulli:0.5,0.51", "--n", "100"])
         assert code == 2
-        assert "error: threshold requires --tau" in capsys.readouterr().err
+        assert "error: the following arguments are required: --tau" in capsys.readouterr().err
 
     def test_sweep_zero_n_step_exits_two(self, capsys):
         code = cli_main(["sweep", "--pair", "gaussian:2,0.05", "--n-min", "100", "--n-max",
@@ -696,13 +701,18 @@ class TestCli:
         assert not csv.exists()
 
     def test_sweep_that_cannot_plot_writes_nothing(self, tmp_path, capsys):
-        # a one-row table has no plot, so the sweep exits 2 and leaves no CSV either
+        # a one-row table has no plot, and --log-y and --title style a plot that
+        # only --svg asks for, so the sweep exits 2 and leaves no CSV either
         csv, svg = tmp_path / "a.csv", tmp_path / "a.svg"
-        code = cli_main(["sweep", "--pair", "bernoulli:0.5,0.6", "--n-min", "10", "--n-max",
-                         "10", "--csv", str(csv), "--svg", str(svg)])
-        assert code == 2
-        assert "error: plot needs at least two rows" in capsys.readouterr().err
-        assert not csv.exists() and not svg.exists()
+        head = ["sweep", "--pair", "bernoulli:0.5,0.6", "--n-min", "10", "--csv", str(csv)]
+        for tail, message in [
+            (["--n-max", "10", "--svg", str(svg)], "plot needs at least two rows"),
+            (["--n-max", "20", "--title", "x", "--log-y"],
+             "--log-y and --title apply only with --svg"),
+        ]:
+            assert cli_main([*head, *tail]) == 2
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not csv.exists() and not svg.exists()
 
     def test_sweep_summary_prints_logs_beside_values(self, capsys):
         # at eps = e^-1000 every value underflows to 0; the logs still tell the cells apart
@@ -745,8 +755,8 @@ class TestCli:
     @pytest.mark.parametrize("command", [
         ["sweep", "--n-min", "10", "--n-max", "20"],
         ["samplesize", "--eps", "0.1", "--delta", "0.1"],
-        *(["bound", "--n", "10", "--bound", bound, *flags] for bound, _, flags, _ in BOUND_CASES),
-    ], ids=lambda argv: argv[0] if argv[0] != "bound" else argv[4])
+        *([*_command(bound), "--n", "10", *flags] for bound, _, flags, _ in CLI_CASES),
+    ], ids=lambda argv: argv[2] if argv[0] == "bound" else argv[0])
     def test_gaussian_separation_out_of_float_range_exits_two(self, capsys, command, delta):
         # (delta / sigma)^2 underflows to 0 (1e-300) or overflows (1e300)
         argv = [command[0], "--pair", f"gaussian:0,{delta}", *command[1:]]
@@ -844,9 +854,8 @@ class TestCli:
         # tau = 500 is above n D(P1||P0) = 2.0: the order is the end l = 1,
         # where the bound is 1 - alpha e^tau, log 0 at alpha = 0, and valid
         # (the order 1 - 1e-9 gives log +4.98e-7, which is not valid)
-        argv = ["--pair", "bernoulli:0.5,0.6", "--bound", "threshold", "--n", "100",
-                "--tau", "500"]
-        assert cli_main(["bound", *argv]) == 0
+        argv = ["--pair", "bernoulli:0.5,0.6", "--n", "100", "--tau", "500"]
+        assert cli_main(["threshold", *argv]) == 0
         text, json_line = capsys.readouterr().out.strip().splitlines()
         payload = json.loads(json_line)
         assert (payload["value"], payload["log_value"], payload["optimizer"]) == (1.0, 0.0, 1.0)
@@ -856,9 +865,8 @@ class TestCli:
         # tau within 1e-13 relative of n D(P1||P0) = 0.40002667093425: the
         # root 0.99999999999995 gives log -2.8e-27 rounded up to +3.6e-27,
         # not valid, so the bound is the end l = 1, where psi(1) = 0 exactly
-        argv = ["--pair", "bernoulli:0.5,0.51", "--bound", "threshold", "--n", "2000",
-                "--tau", "0.40002667093421035"]
-        assert cli_main(["bound", *argv]) == 0
+        argv = ["--pair", "bernoulli:0.5,0.51", "--n", "2000", "--tau", "0.40002667093421035"]
+        assert cli_main(["threshold", *argv]) == 0
         text, json_line = capsys.readouterr().out.strip().splitlines()
         payload = json.loads(json_line)
         assert (payload["value"], payload["log_value"], payload["optimizer"]) == (1.0, 0.0, 1.0)
@@ -905,12 +913,18 @@ class TestCli:
         assert json.loads(lines[1])["optimizer"] == "inf"
 
     @pytest.mark.parametrize("argv", [
-        ["--bound", "smoothing_out", "--pair", "gaussian:2,0.1", "--t-param", "0.3"],
-        ["--bound", "berry_esseen", "--pair", "bernoulli:0.5,0.6", "--delta-param", "0.1"],
-    ], ids=["t_param", "delta_param"])
+        ["bound", "--bound", "smoothing_out", "--pair", "gaussian:2,0.1", "--t-param", "0.3"],
+        ["bound", "--bound", "berry_esseen", "--pair", "bernoulli:0.5,0.6", "--delta-param", "0.1"],
+        ["bound", "--bound", "renyi_converse", "--pair", "bernoulli:0.5,0.6", "--tau", "5"],
+        ["bound", "--bound", "renyi_converse", "--pair", "bernoulli:0.5,0.6", "--log-alpha=-3"],
+        ["threshold", "--pair", "bernoulli:0.5,0.6", "--tau", "0.5", "--eps", "0.01"],
+        ["threshold", "--pair", "bernoulli:0.5,0.6", "--tau", "0.5", "--exp-rate", "0.3"],
+    ], ids=["t_param", "delta_param", "bound_tau", "bound_log_alpha", "threshold_eps",
+            "threshold_exp_rate"])
     def test_bound_parameter_flags_exit_two(self, capsys, argv):
-        # a baseline is evaluated at its best parameter only, as in a sweep
-        assert cli_main(["bound", "--n", "100", *argv]) == 2
+        # a baseline is evaluated at its best parameter only, as in a sweep; the
+        # threshold test takes no budget, and a sweep cell no threshold
+        assert cli_main([*argv, "--n", "100"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_samplesize_infinite(self, capsys):

@@ -392,27 +392,24 @@ _exp_rate_flag = _log_uniform(-300.0, 3.0).map(lambda c: f"--exp-rate={c!r}")
 # A sweep's Type I budget is constant, 1/n or e^{-cn}; a bound's is eps, log eps or e^{-cn}
 _sweep_budget = st.one_of(_eps_flag, st.just("--linear"), _exp_rate_flag)
 _bound_budget = st.one_of(_eps_flag, _log_eps.map(lambda e: f"--log-eps={e!r}"), _exp_rate_flag)
-# The flags of the one choice whose inputs are not a sweep cell's (pair, n, log eps)
-_BOUND_FLAGS = {
-    "threshold": {"--tau": st.floats(min_value=-1e3, max_value=1e3),
-                  "--log-alpha": st.floats(min_value=-1e4, max_value=0.0)},
-}
 
 
 @st.composite
 def _cli_argv(draw):
     pair = draw(_cli_pair())
-    command = draw(st.sampled_from(["bound", "samplesize", "sweep"]))
+    command = draw(st.sampled_from(["bound", "threshold", "samplesize", "sweep"]))
     if command == "samplesize":
         return ["samplesize", "--pair", pair, f"--eps={draw(_eps)!r}", f"--delta={draw(_eps)!r}"]
     n = draw(st.integers(min_value=1, max_value=10**6))
     if command == "sweep":
         return ["sweep", "--pair", pair, "--n-min", str(n), "--n-max", str(n + 1),
                 "--n-step", "1", draw(_sweep_budget)]
-    bound = draw(st.sampled_from([*CANONICAL_BOUNDS, "threshold"]))
-    argv = ["bound", "--pair", pair, "--bound", bound, "--n", str(n), draw(_bound_budget)]
-    argv += [f"{flag}={draw(values)!r}" for flag, values in _BOUND_FLAGS.get(bound, {}).items()]
-    return argv
+    if command == "threshold":  # a log-LR threshold and log alpha, and no budget
+        return ["threshold", "--pair", pair, "--n", str(n),
+                f"--tau={draw(st.floats(min_value=-1e3, max_value=1e3))!r}",
+                f"--log-alpha={draw(st.floats(min_value=-1e4, max_value=0.0))!r}"]
+    bound = draw(st.sampled_from(CANONICAL_BOUNDS))
+    return ["bound", "--pair", pair, "--bound", bound, "--n", str(n), draw(_bound_budget)]
 
 
 # Python's own messages, which name no domain
