@@ -1,7 +1,8 @@
 # The phase transition at the divergence: let the Type I budget decay
 # as eps_n = e^{-nc}.  For c above D(P1||P0) every test degrades to
-# beta -> 1; for c below it a threshold test drives beta -> 0
-# exponentially.  Both sides have closed-form exponents for Gaussians.
+# beta -> 1, which renyi_converse at log eps = -c n shows; for c below it
+# a threshold test drives beta -> 0 exponentially.  Both sides have
+# closed-form exponents for Gaussians.
 
 import math
 
@@ -10,7 +11,7 @@ from htbounds import (
     kl_divergence,
     parse_pair,
     phase_transition_achievability,
-    phase_transition_converse,
+    renyi_converse,
 )
 
 pair = parse_pair("gaussian:2,0.05")
@@ -22,9 +23,9 @@ expo = (math.sqrt(c_hi) - math.sqrt(d)) ** 2
 print(f"\nabove: c = 20 D, closed-form exponent (sqrt(c)-sqrt(D))^2 = {expo:.6g}")
 print(" n     converse bound      1 - closed form")
 for n in (50, 100, 200, 500, 1000):
-    r = phase_transition_converse(pair, n, c_hi)
+    r = renyi_converse(pair, n, -c_hi * n)
     print(f"{n:5d}  {r.value:.12f}  {1.0 - math.exp(-n * expo):.12f}")
-print(f"optimizer lambda* = {phase_transition_converse(pair, 200, c_hi).optimizer:.6f}"
+print(f"optimizer lambda* = {renyi_converse(pair, 200, -c_hi * 200).optimizer:.6f}"
       f"  vs sqrt(c/D) = {math.sqrt(c_hi / d):.6f}")
 
 c_lo = 0.25 * d

@@ -13,8 +13,8 @@ Converse (lower) bounds on beta_n(eps):
       beta_n(eps) >= max{ 1 - inf_{l>1} (eps e^{n D_l(P1||P0)})^{(l-1)/l},
                           sup_{l>1} (1-eps)^{l/(l-1)} e^{-n D_l(P0||P1)} }
 
-* ``phase_transition_converse``: branch one at eps = e^{-nc} for a rate
-  c > D(P1||P0), where the bound tends to 1.
+  It states the phase transition too: at eps = e^{-nc}, log_eps = -c n,
+  with a rate c > D(P1||P0), branch one tends to 1, and beta_n with it.
 * ``fano_bound``, ``hellinger_bound``, ``berry_esseen_bound``,
   ``smoothing_out_bound``: the classical baselines it is compared with.
 
@@ -50,7 +50,7 @@ objective above is stationary exactly where
 
 and H_s' = -(l - s) psi'' < 0 for l > s, so the optimal order is the one
 root of a monotone function: s = 0 on the reverse atoms with target
-log(eps)/n for branch one (target -c for both phase bounds), s = 1 on the
+log(eps)/n for branch one (target -c for the phase bound), s = 1 on the
 forward atoms with target log(1-eps)/n for branch two, and
 s = top / (top - bottom) > 1 with target 0 for a term of the sample-size
 bound (top = log 1/delta and bottom = log 1/(1-eps) on the forward atoms,
@@ -139,7 +139,6 @@ __all__ = [
     "fano_bound",
     "hellinger_bound",
     "phase_transition_achievability",
-    "phase_transition_converse",
     "renyi_achievability_at_threshold",
     "renyi_converse",
     "sample_complexity_pensia",
@@ -363,6 +362,15 @@ def renyi_converse(pair: DistributionPair, n: int, log_eps: float) -> BoundResul
 
     The optimizer is inf when the winning branch is best in its l = inf
     limit (see the module docstring).
+
+    It is the converse at every budget, the phase transition's included:
+    at eps = e^{-nc}, log_eps = -c n, branch one reads
+
+        beta_n(e^{-nc}) >= 1 - inf_{l>1} e^{-n ((l-1)/l)(c - D_l(P1||P0))},
+
+    which tends to 1 for a rate c > D(P1||P0): above the divergence every
+    test fails.  Below it :func:`phase_transition_achievability` drives
+    beta to 0.
     """
     _check_n(n)
     _check_log_eps(log_eps)
@@ -376,21 +384,19 @@ def renyi_converse(pair: DistributionPair, n: int, log_eps: float) -> BoundResul
     return _lower_beta(log_two, lam_two)
 
 
-def phase_transition_converse(pair: DistributionPair, n: int, c: float) -> BoundResult:
-    """Branch-one Renyi converse at eps = e^{-nc} for c > D(P1||P0).
+def _phase_converse(pair: DistributionPair, n: int, log_eps: float) -> BoundResult:
+    """The sweep's ``phase_converse`` cell: branch one alone, where log eps / n < -D(P1||P0).
 
-    beta_n(e^{-nc}) >= 1 - inf_{l>1} e^{-n ((l-1)/l)(c - D_l(P1||P0))},
-    which tends to 1: above the divergence the test problem flips phase.
+    It is never above :func:`renyi_converse` at the same budget.  The cell
+    stays only while the benchmark's sweep-phase workload asks for its
+    column; ROADMAP direction 14 deletes it together with the column.
     """
     _check_n(n)
-    _check_rate(c)
+    _check_log_eps(log_eps)
     rev = _tilt_atoms(pair, Direction.REVERSE)
-    if c <= rev.kl:
-        raise DomainError(
-            f"phase_transition_converse requires c > D(P1||P0) = {rev.kl:.6g}; "
-            "for c below the divergence use phase_transition_achievability"
-        )
-    return _lower_beta(*_branch_one(rev, n, -c * n))
+    if log_eps / n >= -rev.kl:
+        raise DomainError(f"phase_converse requires log_eps / n < -D(P1||P0) = {-rev.kl:.6g}")
+    return _lower_beta(*_branch_one(rev, n, log_eps))
 
 
 def _threshold_log(atoms: _TiltAtoms, n: int, lam: float, psi: float, psi_size: float,
@@ -503,7 +509,7 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
     if c >= atoms.kl:
         raise DomainError(
             f"phase_transition_achievability requires c < D(P1||P0) = {atoms.kl:.6g}; "
-            "for c above the divergence use phase_transition_converse"
+            "for c above the divergence use renyi_converse at log_eps = -c n"
         )
 
     # The exponent n (c (l-1) - psi(l)) / l is stationary where H_0(l) = -c;

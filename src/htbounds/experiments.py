@@ -26,12 +26,12 @@ from .bounds import (
     BoundKind,
     BoundResult,
     ErrorRegime,
+    _phase_converse,
     berry_esseen_bound,
     eps_at,
     fano_bound,
     hellinger_bound,
     phase_transition_achievability,
-    phase_transition_converse,
     renyi_converse,
     smoothing_out_bound,
 )
@@ -65,15 +65,16 @@ _Bound = namedtuple("_Bound", "colour evaluate family", defaults=(object,))
 
 # Every bound a grid can evaluate, in column order: plot colour, cell evaluation
 # (pair, n, log_eps) -> BoundResult, and the pair type it is defined for.
-# Evaluations look the bound functions up by module-global name when called, so a
-# wrapper set on this module sees every cell.
+# Evaluations look the public bound functions up by module-global name when called, so
+# a wrapper set on this module sees each of their cells.
 _BOUNDS = {
     "renyi_converse": _Bound("#d62728", lambda pair, n, log_eps: renyi_converse(pair, n, log_eps)),
-    # phase_achievability's cell; kept while the benchmark's sweep-phase runs ask for it (ROADMAP 2(a))
+    # achievability is phase_achievability's cell and phase_converse renyi_converse's branch
+    # one; both stay while the benchmark's sweep-phase runs ask for them, and ROADMAP
+    # direction 14 deletes them together with their columns
     "achievability": _Bound("#9467bd", lambda pair, n, log_eps:
         phase_transition_achievability(pair, n, -log_eps / n)),
-    "phase_converse": _Bound("#e377c2", lambda pair, n, log_eps:
-        phase_transition_converse(pair, n, -log_eps / n)),
+    "phase_converse": _Bound("#e377c2", _phase_converse),
     "phase_achievability": _Bound("#8c564b", lambda pair, n, log_eps:
         phase_transition_achievability(pair, n, -log_eps / n)),
     "fano": _Bound("#1f77b4", lambda pair, n, log_eps: fano_bound(pair, n, log_eps)),

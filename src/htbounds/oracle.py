@@ -204,7 +204,7 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
         raise DomainError("np_exact_bernoulli requires a BernoulliPair")
     _check_n(n)
     _check_log_prob("log_eps", log_eps)
-    _check_type_count(_tilt_atoms(pair, Direction.FORWARD), n, "np_exact_bernoulli")
+    _check_type_count(2, n, "np_exact_bernoulli")
     p0, p1 = pair.p0, pair.p1
     mirrored = p1 < p0  # LR increases in S iff p1 > p0; otherwise test on n - S
     if mirrored:
@@ -268,11 +268,17 @@ def np_exact_bernoulli(pair: BernoulliPair, n: int, log_eps: float) -> NPResult:
     return NPResult(log_beta, threshold, gamma)
 
 
-def _check_type_count(atoms, n: int, oracle: str = "np_exact_discrete") -> None:
-    """Raise DomainError if n-samples on the support of ``atoms`` have over 2.5e6 types."""
-    k = len(atoms.p)
-    if (count := math.comb(n + k - 1, k - 1)) > _MAX_TYPES:
-        raise DomainError(f"{oracle} needs {count:,} types at n = {n}; ceiling is {_MAX_TYPES:,}")
+def _check_type_count(k: int, n: int, oracle: str = "np_exact_discrete") -> None:
+    """Raise DomainError if n-samples on a support of k atoms have over 2.5e6 types.
+
+    The message names the count's formula, not its digits: at K = 17 and
+    n = 10^275 the count has over 4,300 of them, past what Python formats
+    as a string.  n is printed as a float, whose range
+    :func:`htbounds.numerics._check_n` holds it to.
+    """
+    if math.comb(n + k - 1, k - 1) > _MAX_TYPES:
+        raise DomainError(f"{oracle} needs C(n + {k - 1}, {k - 1}) types at n = {n:.15g}; "
+                          f"ceiling is {_MAX_TYPES:,}")
 
 
 def np_exact_discrete(pair: FiniteDiscretePair | BernoulliPair, n: int, log_eps: float) -> NPResult:
@@ -291,7 +297,7 @@ def np_exact_discrete(pair: FiniteDiscretePair | BernoulliPair, n: int, log_eps:
     _check_n(n)
     _check_log_prob("log_eps", log_eps)
     atoms = _tilt_atoms(pair, Direction.FORWARD)
-    _check_type_count(atoms, n)
+    _check_type_count(len(atoms.p), n)
     la0, d = atoms.logp, [-x for x in atoms.z]
     log_fact = _log_factorials(n)
     # Grow the types one coordinate at a time (r counts left: r + 1 children),

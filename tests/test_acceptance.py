@@ -30,7 +30,6 @@ from htbounds.bounds import (
     fano_bound,
     hellinger_bound,
     phase_transition_achievability,
-    phase_transition_converse,
     renyi_achievability_at_threshold,
     renyi_converse,
     sample_complexity_pensia,
@@ -71,20 +70,20 @@ PAIR_SPECS = (
 
 
 def test_criterion_1_phase_converse_gaussian_closed_form():
-    # Above the divergence the converse has a Gaussian closed form:
-    # 1 - beta bound = exp(-n (sqrt(c) - sqrt(D))^2), optimized at sqrt(c/D).
+    # Above the divergence, at eps = e^{-nc}, the converse has a Gaussian closed
+    # form: 1 - beta bound = exp(-n (sqrt(c) - sqrt(D))^2), optimized at sqrt(c/D).
     d = kl_divergence(GAUSS, Direction.REVERSE)
     c = 20.0 * d
     exponent = (math.sqrt(c) - math.sqrt(d)) ** 2
     lam_star = math.sqrt(c / d)
     start = time.perf_counter()
     for n in (50, 100, 200, 500):
-        r = phase_transition_converse(GAUSS, n, c)
+        r = renyi_converse(GAUSS, n, -c * n)
         gap = -math.expm1(r.log_value)  # 1 - bound
         assert gap == pytest.approx(math.exp(-n * exponent), rel=1.0e-6)
         assert r.optimizer == pytest.approx(lam_star, rel=1.0e-3)
     elapsed = time.perf_counter() - start
-    assert phase_transition_converse(GAUSS, 200, c).value == pytest.approx(
+    assert renyi_converse(GAUSS, 200, -c * 200).value == pytest.approx(
         0.95090175668401493, rel=1.0e-12, abs=0.0
     )
     assert elapsed < 1.0
@@ -288,8 +287,12 @@ def test_criterion_8_optimizers_match_dense_scan():
         d_rev = kl_divergence(pair, Direction.REVERSE)
         d_fwd = kl_divergence(pair, Direction.FORWARD)
 
-        if op == 0:
-            log_eps = math.log(float(rng.uniform(0.01, 0.6)))
+        if op in (0, 1):
+            # op 1 at eps = e^{-nc} above the divergence, where branch one tends to 1
+            if op == 0:
+                log_eps = math.log(float(rng.uniform(0.01, 0.6)))
+            else:
+                log_eps = -float(rng.uniform(1.5, 30.0)) * d_rev * n
             impl = renyi_converse(pair, n, log_eps).log_value
             neg_g = scan_polish_argmax(
                 lambda l: -((l - 1.0) / l)
@@ -298,6 +301,7 @@ def test_criterion_8_optimizers_match_dense_scan():
                 math.inf,
             )[1]
             g_star = -neg_g
+            assert op == 0 or g_star < 0.0, (i,)  # informative above the divergence
             log_1m = math.log1p(-math.exp(log_eps))
             log_two = scan_polish_argmax(
                 lambda l: (l / (l - 1.0)) * log_1m
@@ -308,17 +312,6 @@ def test_criterion_8_optimizers_match_dense_scan():
             oracle = log_two
             if g_star < 0.0:
                 oracle = max(oracle, math.log1p(-math.exp(g_star)))
-        elif op == 1:
-            c = float(rng.uniform(1.5, 30.0)) * d_rev
-            impl = phase_transition_converse(pair, n, c).log_value
-            neg_g = scan_polish_argmax(
-                lambda l: ((l - 1.0) / l)
-                * (c * n - n * renyi_reference(pair, l, Direction.REVERSE)),
-                1.0,
-                math.inf,
-            )[1]
-            assert -neg_g < 0.0
-            oracle = math.log1p(-math.exp(-neg_g))
         elif op == 2:
             c = float(rng.uniform(0.1, 0.9)) * d_rev
             impl = phase_transition_achievability(pair, n, c).log_value

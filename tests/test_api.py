@@ -52,7 +52,6 @@ LOG = object()
 # its log eps, or log alpha for the threshold bound), and that argument's domain
 TAKES_N = {
     "renyi_converse": (BERN, (LOG,), OPEN),
-    "phase_transition_converse": (BERN, (1.0,), None),
     "phase_transition_achievability": (BERN, (0.01,), None),
     "renyi_achievability_at_threshold": (BERN, (0.0, LOG), CLOSED),
     "fano_bound": (BERN, (LOG,), OPEN),
@@ -102,10 +101,12 @@ def test_refuses_log_budgets_only_outside_the_domain(name):
 
 
 # The far ends of each family: a Bernoulli parameter at 1e-300, a Gaussian
-# separation of 1e153 (whose square is near the float range's end), and K = 3
+# separation of 1e153 (whose square is near the float range's end), K = 3, and
+# an identical pair, with no log-likelihood ratio to divide by
 FAR_PAIRS = (distributions.BernoulliPair(1e-300, 0.999), distributions.GaussianPair(0.0, 1e153),
              distributions.FiniteDiscretePair((1e-300, 0.5, 0.5), (0.5, 1e-300, 0.5)),
-             distributions.FiniteDiscretePair((0.2, 0.3, 0.5), (0.5, 0.3, 0.2)))
+             distributions.FiniteDiscretePair((0.2, 0.3, 0.5), (0.5, 0.3, 0.2)),
+             distributions.FiniteDiscretePair((0.2, 0.3, 0.5), (0.2, 0.3, 0.5)))
 # Positive floats, log-uniform from the least subnormal to the largest float, both ends included
 MAGNITUDES = st.one_of(st.sampled_from([5e-324, sys.float_info.max]),
                        st.floats(min_value=-323.3, max_value=308.25).map(lambda u: 10.0**u))
@@ -121,7 +122,7 @@ def far_calls(draw):
     name = draw(st.sampled_from(sorted(TAKES_N)))
     _, rest, domain = TAKES_N[name]
     pair, n = draw(st.sampled_from(FAR_PAIRS)), int(10.0 ** draw(st.floats(0.0, 300.0)))
-    if domain is None:  # the phase bounds' rate, or eps_at's exponential regime
+    if domain is None:  # the phase achievability bound's rate, or eps_at's exponential regime
         c = draw(MAGNITUDES)
         return name, ((bounds.Exponential(c), n) if name == "eps_at" else (pair, n, c))
     budget = draw(st.one_of(st.sampled_from(domain[2]), MAGNITUDES.map(lambda x: -x)))
@@ -132,12 +133,12 @@ def far_calls(draw):
 @given(far_calls())
 def test_answers_or_names_its_refusal_at_the_far_ends(case):
     # each call returns a result, valid or flagged not valid but never NaN, or
-    # raises DomainError with a message that says which input is out of reach
+    # raises DomainError with a short message that says which input is out of reach
     name, args = case
     try:
         r = getattr(htbounds, name)(*args)
     except numerics.DomainError as exc:
-        assert NAMED.search(str(exc)), (name, args, str(exc))
+        assert NAMED.search(str(exc)) and len(str(exc)) <= 200, (name, args, str(exc)[:300])
         return
     if name == "eps_at":
         fields = r
@@ -223,6 +224,18 @@ def test_readme_known_limits_values():
     ]
     for got, want in cases:
         assert math.isclose(got, want, rel_tol=1e-9), (got, want)
+
+
+@pytest.mark.parametrize("demo", sorted(README.parent.glob("demos/*.py")), ids=lambda p: p.stem)
+def test_demo_runs_without_warnings(demo, tmp_path):
+    # each demo script in a fresh interpreter, with the runtime checks of -X dev
+    # and every warning an error; one that escapes as "Exception ignored"
+    # leaves the exit code 0, so stderr must stay empty too
+    src = str(Path(htbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo), str(tmp_path)],
+                         env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, ""), out.stderr
 
 
 @pytest.mark.parametrize("package", ["scipy", "html"])

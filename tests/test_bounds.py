@@ -25,7 +25,6 @@ from htbounds.bounds import (
     fano_bound,
     hellinger_bound,
     phase_transition_achievability,
-    phase_transition_converse,
     renyi_achievability_at_threshold,
     renyi_converse,
     sample_complexity_pensia,
@@ -51,7 +50,7 @@ BERN = BernoulliPair(0.5, 0.51)
 GAUSS = GaussianPair(2.0, 0.05, 1.0)
 D_GAUSS = 0.00125  # = KL in both directions
 
-# phase_transition_converse(GAUSS, 200, 0.025); optimizer sqrt(c/D)
+# renyi_converse(GAUSS, 200, -0.025 * 200), branch one; optimizer sqrt(c/D)
 PHASE_CONV_200 = 0.95090175668401493
 PHASE_LAMBDA = 4.4721359549995794
 # fano_bound(GAUSS, 1000, log 0.01)
@@ -114,6 +113,8 @@ class TestRegimes:
         for bad in (0.0, -1.0, math.inf):
             with pytest.raises(DomainError):
                 Exponential(bad)
+        with pytest.raises(DomainError, match="unknown regime"):
+            eps_at(0.01, 5)
 
 
 class TestRenyiConverse:
@@ -143,22 +144,23 @@ class TestRenyiConverse:
 
 
 class TestPhaseTransitionConverse:
-    def test_reference_value(self):
-        r = phase_transition_converse(GAUSS, 200, 0.025)
-        assert r.value == pytest.approx(PHASE_CONV_200, rel=1e-12, abs=0.0)
-        assert r.optimizer == pytest.approx(PHASE_LAMBDA, rel=1e-3, abs=0.0)
-        assert r.valid
-
+    # The strong converse above the phase transition: renyi_converse at
+    # eps = e^{-nc}, c > D(P1||P0), and the sweep's branch-one cell
     def test_tends_to_one(self):
-        values = [phase_transition_converse(GAUSS, n, 0.025).value for n in (100, 400, 1600)]
+        values = [renyi_converse(GAUSS, n, -0.025 * n).value for n in (100, 400, 1600)]
         assert values[0] < values[1] < values[2]
         assert values[2] > 0.9999
 
     def test_subcritical_rate_rejected(self):
-        with pytest.raises(DomainError, match="phase_transition_achievability"):
-            phase_transition_converse(GAUSS, 100, D_GAUSS / 2)
-        with pytest.raises(DomainError):
-            phase_transition_converse(GAUSS, 100, -1.0)
+        # the sweep's phase_converse cell is empty at and below the divergence
+        # (c = D/2 at n = 100, c = D at n = 1), and refuses a budget outside
+        # the log eps domain
+        d = kl_divergence(GAUSS, Direction.REVERSE)
+        for n, log_eps in ((100, -50.0 * d), (1, -d)):
+            with pytest.raises(DomainError, match="phase_converse requires log_eps / n < "):
+                htbounds.bounds._phase_converse(GAUSS, n, log_eps)
+        with pytest.raises(DomainError, match="log_eps must be finite and < 0"):
+            htbounds.bounds._phase_converse(GAUSS, 100, 1.0)
 
 
 class TestPhaseTransitionAchievability:
@@ -199,7 +201,7 @@ class TestPhaseTransitionAchievability:
         assert r.log_value == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_supercritical_rate_rejected(self):
-        with pytest.raises(DomainError, match="phase_transition_converse"):
+        with pytest.raises(DomainError, match="use renyi_converse at log_eps = -c n"):
             phase_transition_achievability(GAUSS, 100, 2 * D_GAUSS)
 
 
@@ -423,22 +425,22 @@ class TestRenyiOrderRoot:
             for n in (10, 100, 500, 1000, 2000):
                 for regime in (Constant(0.01), Linear(), Exponential(0.25 * d)):
                     assert renyi_converse(pair, n, eps_at(regime, n)[1]).valid, (pair, n, regime)
-                assert phase_transition_converse(pair, n, 2.0 * d).valid
+                assert renyi_converse(pair, n, -2.0 * d * n).valid
                 assert phase_transition_achievability(pair, n, 0.5 * d).valid
 
     # Gaussian pairs with psi''(1) = (delta / sigma)^2 of 1e-320 and 1e-306,
     # whose orders (about 1e153 to 1e160) are the quadratic model's root:
     # that start overflows unless it is formed as s + sqrt(w) / sqrt(psi''(1)).
-    @pytest.mark.parametrize("bound, delta, arg, want", [
-        (renyi_converse, 1e-160, -5.0, 0.9932620530009145),
-        (phase_transition_converse, 1e-160, 1e-6, 9.999995000001659e-07),
-        (phase_transition_converse, 1e-153, 999.0, 1.0),
+    @pytest.mark.parametrize("delta, log_eps, want", [
+        (1e-160, -5.0, 0.9932620530009145),
+        (1e-160, -1e-6, 9.999995000001659e-07),
+        (1e-153, -999.0, 1.0),
         # an order past the float range: the root search stops at l ~ 2^41,
         # where g* is log eps to double precision
-        (phase_transition_converse, 1e-160, 1e300, 1.0),
+        (1e-160, -1e300, 1.0),
     ])
-    def test_start_in_float_range_at_tiny_separation(self, bound, delta, arg, want):
-        r = bound(GaussianPair(0.0, delta), 1, arg)
+    def test_start_in_float_range_at_tiny_separation(self, delta, log_eps, want):
+        r = renyi_converse(GaussianPair(0.0, delta), 1, log_eps)
         assert r.value == pytest.approx(want, rel=1e-12, abs=0.0)
         assert r.valid
 
@@ -1068,10 +1070,13 @@ class TestBaselineRoots:
         assert r.log_value == pytest.approx(_mp_smoothing(pair, 1070, -26.75), rel=1e-12, abs=0.0)
 
     def test_berry_esseen_vacuous(self):
-        # sqrt(n)(1 - eps) <= B: hi <= 0 and no Delta is admissible.
+        # sqrt(n)(1 - eps) <= B: hi <= 0 and no Delta is admissible; an
+        # identical pair has no LLR variance to divide by, at any n.
         berry = 6.0 * math.sqrt(8.0 / math.pi)
-        for n in (1, 50, int((berry / 0.99) ** 2)):
-            r = berry_esseen_bound(GAUSS, n, math.log(0.01))
+        same = parse_pair("discrete:0.2,0.3,0.5|0.2,0.3,0.5")
+        cases = [(GAUSS, n) for n in (1, 50, int((berry / 0.99) ** 2))] + [(same, 1000)]
+        for pair, n in cases:
+            r = berry_esseen_bound(pair, n, math.log(0.01))
             assert (r.value, r.log_value, r.optimizer, r.valid) == (0.0, -math.inf, None, False)
 
     def test_berry_esseen_short_span_is_a_root(self):

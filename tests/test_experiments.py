@@ -25,7 +25,6 @@ from htbounds.bounds import (
     fano_bound,
     hellinger_bound,
     phase_transition_achievability,
-    phase_transition_converse,
     renyi_achievability_at_threshold,
     renyi_converse,
     smoothing_out_bound,
@@ -68,9 +67,10 @@ def small_grid(**kw):
 def direct_cells(pair, regime, n, names):
     """The named columns' cells at n from direct library calls, by name.
 
-    The phase columns and achievability (the phase_achievability cell
-    again) run at the row's rate -log(eps)/n, and every family's oracle
-    takes log eps.  A DomainError is an empty cell: None.
+    phase_achievability and achievability (the same cell again) run at the
+    row's rate -log(eps)/n; phase_converse, which has no public function,
+    is the bounds module's branch-one cell at log eps; every family's
+    oracle takes log eps.  A DomainError is an empty cell: None.
     """
     eps, log_eps = eps_at(regime, n)
     rate = -log_eps / n
@@ -87,7 +87,7 @@ def direct_cells(pair, regime, n, names):
     calls = {
         "renyi_converse": lambda: renyi_converse(pair, n, log_eps),
         "achievability": lambda: phase_transition_achievability(pair, n, rate),
-        "phase_converse": lambda: phase_transition_converse(pair, n, rate),
+        "phase_converse": lambda: htbounds.bounds._phase_converse(pair, n, log_eps),
         "phase_achievability": lambda: phase_transition_achievability(pair, n, rate),
         "fano": lambda: fano_bound(pair, n, log_eps),
         "hellinger": lambda: hellinger_bound(pair, n, log_eps),
@@ -489,7 +489,7 @@ BOUND_CASES = [
     ("achievability", "bernoulli:0.5,0.6", ["--exp-rate", "0.01"],
      lambda p: phase_transition_achievability(p, 100, 0.01)),
     ("phase_converse", "bernoulli:0.5,0.6", ["--exp-rate", "0.05"],
-     lambda p: phase_transition_converse(p, 100, 0.05)),
+     lambda p: renyi_converse(p, 100, -0.05 * 100)),
     ("phase_achievability", "bernoulli:0.5,0.6", ["--exp-rate", "0.01"],
      lambda p: phase_transition_achievability(p, 100, 0.01)),
     ("fano", "bernoulli:0.5,0.6", ["--log-eps", "-3"],
@@ -680,6 +680,17 @@ class TestCli:
         # n, eps, log_eps, then value, optimizer, valid for each bound
         assert small[0] == "2" and small[6] != "" and small[8] == "true"
         assert big[0] == "2235" and big[3] != "" and big[6:] == ["", "", "false"]
+
+    def test_sweep_far_past_the_type_ceiling_empties_one_cell(self, tmp_path):
+        # K = 17 at n = 10^300: the type count has 4,787 digits, more than
+        # Python formats, and the refusal that empties the cell prints none
+        csv, n = tmp_path / "k17.csv", str(10**300)
+        spec = ("discrete:" + ",".join([repr(1 / 17)] * 17) + "|"
+                + ",".join(["0.03125"] * 16) + ",0.5")
+        assert cli_main(["sweep", "--pair", spec, "--n-min", n, "--n-max", n,
+                         "--bounds", "renyi_converse,np_exact", "--csv", str(csv)]) == 0
+        (row,) = (line.split(",") for line in csv.read_text().splitlines()[1:])
+        assert row[0] == n and row[3] != "" and row[6:] == ["", "", "false"]
 
     def test_sweep_past_the_bernoulli_type_ceiling_empties_one_cell(self, tmp_path, capsys):
         csv = tmp_path / "b.csv"
