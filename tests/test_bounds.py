@@ -44,15 +44,14 @@ from htbounds.distributions import (
 from htbounds.numerics import DomainError
 
 from scanpolish import renyi_reference, scan_polish_argmax
-from shared import exact_sample_size, mp_atoms, mp_llr_moments
+from shared import PHASE_LAMBDA, exact_sample_size, mp_record, mp_tilt
 
 BERN = BernoulliPair(0.5, 0.51)
 GAUSS = GaussianPair(2.0, 0.05, 1.0)
 D_GAUSS = 0.00125  # = KL in both directions
 
-# renyi_converse(GAUSS, 200, -0.025 * 200), branch one; optimizer sqrt(c/D)
+# renyi_converse(GAUSS, 200, -0.025 * 200), branch one; optimizer PHASE_LAMBDA
 PHASE_CONV_200 = 0.95090175668401493
-PHASE_LAMBDA = 4.4721359549995794
 # fano_bound(GAUSS, 1000, log 0.01)
 FANO_1000 = 0.14469939235363136
 # hellinger_bound(GAUSS, 50, log 0.01)
@@ -134,9 +133,8 @@ class TestRenyiConverse:
         for log_eps, value in ((-1e-300, 1.3e-301), (-5e-324, 0.0)):
             r = renyi_converse(BERN, 100, log_eps)
             with mpmath.workdps(60):
-                want = mpmath.log(-mpmath.expm1(mpmath.mpf(log_eps))) - 100 * mpmath.log(
-                    mpmath.mpf(0.5) / mpmath.mpf(0.49)
-                )
+                want = (mpmath.log(-mpmath.expm1(mpmath.mpf(log_eps)))
+                        - 100 * mp_record(BERN, Direction.FORWARD).d_inf)
             assert r.optimizer == math.inf
             assert r.log_value == pytest.approx(float(want), rel=1e-13, abs=0.0)
             assert r.valid
@@ -193,21 +191,16 @@ class TestPhaseTransitionAchievability:
         pair = BernoulliPair(0.4862020687965917, 0.5035238062336335)
         n, c = 66, 0.00019905456066066635
         r = phase_transition_achievability(pair, n, c)
-        rev = mp_atoms(pair, Direction.REVERSE, dps=50)
         with mpmath.workdps(50):
             lam = mpmath.mpf(r.optimizer)
-            want = n * (_mp_psi(rev, lam) - (lam - 1) * mpmath.mpf(c)) / lam
+            want = n * (mp_tilt(mp_record(pair, Direction.REVERSE), lam - 1).psi
+                        - (lam - 1) * mpmath.mpf(c)) / lam
             assert r.log_value >= want
         assert r.log_value == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_supercritical_rate_rejected(self):
         with pytest.raises(DomainError, match="use renyi_converse at log_eps = -c n"):
             phase_transition_achievability(GAUSS, 100, 2 * D_GAUSS)
-
-
-def _mp_psi(atoms, lam):
-    p, q = atoms
-    return mpmath.log(mpmath.fsum(a**lam * b ** (1 - lam) for a, b in zip(p, q)))
 
 
 def _mp_golden(f, lo, hi, steps=100):
@@ -241,15 +234,15 @@ def _mp_renyi_converse(pair, n, log_eps):
     """
     with mpmath.workdps(120):
         le = mpmath.mpf(log_eps)
-        rev, fwd = mp_atoms(pair, Direction.REVERSE), mp_atoms(pair, Direction.FORWARD)
+        rev, fwd = mp_record(pair, Direction.REVERSE), mp_record(pair, Direction.FORWARD)
         # branch one: g(u) = (1 - u) log eps + n u psi_R(1/u), minimized
-        g = -_mp_golden(lambda u: -((1 - u) * le + n * u * _mp_psi(rev, 1 / u)), 0, 1)
+        g = -_mp_golden(lambda u: -((1 - u) * le + n * u * mp_tilt(rev, 1 / u - 1).psi), 0, 1)
         # branch two: ((1 + h) log(1-eps) - n psi_F(1 + h)) / h, h = e^v, maximized
         log_1m = mpmath.log(-mpmath.expm1(le))
 
         def two_at(v):
             h = mpmath.exp(v)
-            return ((1 + h) * log_1m - n * _mp_psi(fwd, 1 + h)) / h
+            return ((1 + h) * log_1m - n * mp_tilt(fwd, h).psi) / h
 
         two = _mp_golden(two_at, -250, 60)
         one = mpmath.log1p(-mpmath.exp(g)) if g < 0 else -mpmath.inf
@@ -338,7 +331,7 @@ class TestRenyiOrderRoot:
         assert r.optimizer == math.inf
         assert r.log_value == pytest.approx(-1.389324e-57, rel=1e-6, abs=0.0)
         with mpmath.workdps(60):
-            g = mpmath.mpf(-c * 100) + 100 * mpmath.log(mpmath.mpf(0.7) / mpmath.mpf(0.5))
+            g = mpmath.mpf(-c * 100) + 100 * mp_record(pair, Direction.REVERSE).d_inf
             want = float(mpmath.log1p(-mpmath.exp(g)))
         assert r.log_value == pytest.approx(want, rel=1e-12, abs=0.0)
         from htbounds.cli import DEFAULT_N
@@ -405,13 +398,13 @@ class TestRenyiOrderRoot:
         n = 2000
         for spec in ("bernoulli:0.5,0.51", "bernoulli:0.5,0.7"):
             pair = parse_pair(spec)
-            rev = mp_atoms(pair, Direction.REVERSE)
             d = kl_divergence(pair, Direction.REVERSE)
             for ratio in (0.999, 0.999999):
                 c = ratio * d
                 with mpmath.workdps(60):
-                    cm = mpmath.mpf(c)
-                    want = _mp_golden(lambda l: n * (cm * (l - 1) - _mp_psi(rev, l)) / l, 0, 1)
+                    cm, rev = mpmath.mpf(c), mp_record(pair, Direction.REVERSE)
+                    want = _mp_golden(lambda l: n * (cm * (l - 1) - mp_tilt(rev, l - 1).psi) / l,
+                                      0, 1)
                 got = -phase_transition_achievability(pair, n, c).log_value
                 assert abs(got - want) <= 1e-6 * want, (spec, ratio, got, float(want))
                 assert got <= want, (spec, ratio)
@@ -465,27 +458,17 @@ def _phase_threshold(pair, n, c):
 def _mp_min_u(pair, n, tau):
     """min of u(l) = n psi(l) - l tau over l in [0, 1], at 60 digits.
 
-    psi is the reverse-direction tilted log-sum (Gaussian pairs: its closed
-    form l (l - 1) d^2 / 2); u is convex, so golden section finds it, or
+    psi is the reverse-direction tilted log-sum of ``mp_tilt`` (Gaussian
+    pairs: its closed form l (l - 1) d^2 / 2); u is convex, so golden section finds it, or
     an end, where golden section stops 1e-21 short.  The ends are taken
     exactly, u(0) = 0 and u(1) = -tau, since psi(0) = psi(1) = 0 on a
     common support; psi summed at 60 digits leaves about 1e-61 there.
     """
     with mpmath.workdps(60):
-        t = mpmath.mpf(tau)
-        if isinstance(pair, GaussianPair):
-            d2 = (mpmath.mpf(pair.delta) / mpmath.mpf(pair.sigma)) ** 2
-
-            def psi(lam):
-                return lam * (lam - 1) * d2 / 2
-        else:
-            rev = mp_atoms(pair, Direction.REVERSE)
-
-            def psi(lam):
-                return _mp_psi(rev, lam)
+        t, rev = mpmath.mpf(tau), mp_record(pair, Direction.REVERSE)
 
         def neg_u(lam):
-            return lam * t - n * psi(lam)
+            return lam * t - n * mp_tilt(rev, lam - 1).psi
 
         return -max(_mp_golden(neg_u, 0, 1), 0, t)
 
@@ -631,21 +614,19 @@ def _mp_sample_size(pair, eps, delta):
 
     Each direction's term ((l-1) top - l bottom) / psi(l), top = log 1/b
     and bottom = log 1/(1-a), runs over v = log(l - 1) in (-800, 60), with
-    psi(1 + h) = log1p(sum p expm1(h z)), so that an order within 1e-300
-    of 1 keeps its digits.  The term is unimodal in v, and v -> 60 reaches
+    psi(1 + h) from ``mp_tilt`` at the step h, so that an order within
+    1e-300 of 1 keeps its digits.  The term is unimodal in v, and v -> 60 reaches
     its l = inf limit.
     """
     with mpmath.workdps(50):
         terms = []
         for direction, a, b in ((Direction.FORWARD, eps, delta), (Direction.REVERSE, delta, eps)):
-            p, q = mp_atoms(pair, direction)
-            z = [mpmath.log(x / y) for x, y in zip(p, q)]
+            record = mp_record(pair, direction)
             top, bottom = -mpmath.log(b), -mpmath.log1p(-mpmath.mpf(a))
 
-            def term(v, p=p, z=z, top=top, bottom=bottom):
+            def term(v, record=record, top=top, bottom=bottom):
                 h = mpmath.exp(v)
-                psi = mpmath.log1p(mpmath.fsum(x * mpmath.expm1(h * w) for x, w in zip(p, z)))
-                return (h * top - (1 + h) * bottom) / psi
+                return (h * top - (1 + h) * bottom) / mp_tilt(record, h).psi
 
             terms.append(_mp_golden(term, -800, 60))
         return float(max(terms))
@@ -728,12 +709,7 @@ class TestSampleComplexity:
         # discrete pairs (inf for Gaussian ones), joins the reference.
         pair = parse_pair(spec)
         lams = 1.0 + np.geomspace(1e-3, 1e3, 200)
-        if isinstance(pair, GaussianPair):
-            d_inf_fwd = d_inf_rev = math.inf
-        else:
-            p, q = mp_atoms(pair, Direction.FORWARD)
-            d_inf_fwd = float(max(mpmath.log(a / b) for a, b in zip(p, q)))
-            d_inf_rev = float(max(mpmath.log(b / a) for a, b in zip(p, q)))
+        d_inf_fwd, d_inf_rev = (float(mp_record(pair, direction).d_inf) for direction in Direction)
         for eps, delta in ((0.01, 0.01), (0.01, 1e-6), (0.3, 0.05), (1e-8, 0.2), (0.4, 0.4),
                            (1e-12, 2.89e-12)):
             def objective(lam):
@@ -765,8 +741,7 @@ class TestSampleComplexity:
         # D_inf(P1||P0), and that order is reported, not None.
         r = sample_complexity_renyi(BernoulliPair(0.1, 1e-14), eps, delta)
         with mpmath.workdps(60):
-            p, q = mp_atoms(BernoulliPair(0.1, 1e-14), Direction.REVERSE)
-            d_inf = max(mpmath.log(a / b) for a, b in zip(p, q))
+            d_inf = mp_record(BernoulliPair(0.1, 1e-14), Direction.REVERSE).d_inf
             want = float((-mpmath.log(eps) + mpmath.log1p(-delta)) / d_inf)
         assert r.optimizer == math.inf
         assert r.value == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -867,7 +842,8 @@ class TestHellinger:
         # cancels 55 digits at (0.5, 2000), so the reference runs at 120 digits.
         r = hellinger_bound(GaussianPair(0.0, delta), n, -1000.0)
         with mpmath.workdps(120):
-            x = -mpmath.expm1(-n * mpmath.mpf(delta) ** 2 / 4)
+            record = mp_record(GaussianPair(0.0, delta), Direction.FORWARD)
+            x = -mpmath.expm1(2 * n * record.log_affinity)
             want = float(mpmath.log(1 - mpmath.sqrt(x)))
         assert r.log_value == pytest.approx(want, rel=0.0, abs=1e-14)
 
@@ -959,7 +935,8 @@ class TestSmoothingOut:
 
 def _mp_berry_esseen_objective(pair, n, log_eps):
     """The Berry-Esseen bound's log as a function of Delta, in the working precision."""
-    mean, var, berry = mp_llr_moments(pair)
+    record = mp_record(pair, Direction.FORWARD)
+    mean, var, berry = record.kl, record.var, record.berry
     one_m_eps = -mpmath.expm1(mpmath.mpf(log_eps))
 
     def f(dl):
@@ -980,7 +957,8 @@ def _mp_berry_esseen(pair, n, log_eps):
     compared here, is the same over either.
     """
     with mpmath.workdps(60):
-        mean, var, berry = mp_llr_moments(pair)
+        record = mp_record(pair, Direction.FORWARD)
+        mean, var, berry = record.kl, record.var, record.berry
         one_m_eps = -mpmath.expm1(mpmath.mpf(log_eps))
         sqrt_n = mpmath.sqrt(n)
         hi = sqrt_n * one_m_eps - berry
@@ -1000,7 +978,7 @@ def _mp_berry_esseen(pair, n, log_eps):
 
 def _mp_smoothing_objective(pair, n, log_eps):
     """The smoothing bound's log as a function of t, in the working precision."""
-    d2 = (mpmath.mpf(pair.delta) / mpmath.mpf(pair.sigma)) ** 2
+    d2 = mp_record(pair, Direction.FORWARD).var
     log_1m_eps = mpmath.log(-mpmath.expm1(mpmath.mpf(log_eps)))
 
     def f(t):

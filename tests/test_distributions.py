@@ -2,8 +2,8 @@
 
 Reference divergence and moment values are from an independent mpmath
 computation at 60 digits, pinned to 17 significant figures, or formed at
-60 digits in the test on the pair's atoms, each vector scaled to sum to
-exactly 1 as the library documents.
+60 digits by ``shared.mp_record`` and ``shared.mp_tilt`` on the pair's
+atoms, each vector scaled to sum to exactly 1 as the library documents.
 """
 
 import math
@@ -27,7 +27,7 @@ from htbounds.distributions import (
 )
 from htbounds.numerics import DomainError
 
-from shared import mp_atoms, mp_llr_moments, scalar_forms
+from shared import MpRecord, mp_record, mp_tilt, scalar_forms
 
 BERN = BernoulliPair(0.5, 0.51)
 BERN06 = BernoulliPair(0.5, 0.6)
@@ -121,37 +121,6 @@ MP_SPECS = (
 )
 
 
-@pytest.mark.parametrize("spec", MP_SPECS)
-class TestMpmathReferences:
-    """KL, Hellinger, the LLR moments and the Berry-Esseen constant within
-    1e-14 relative of 60 digits."""
-
-    def test_kl_both_directions(self, spec):
-        pair = parse_pair(spec)
-        for direction in Direction:
-            p, q = mp_atoms(pair, direction, dps=60)
-            with mpmath.workdps(60):
-                want = float(mpmath.fsum(a * mpmath.log(a / b) for a, b in zip(p, q)))
-            got = kl_divergence(pair, direction)
-            assert got == pytest.approx(want, rel=1e-14, abs=0.0), direction
-
-    def test_hellinger(self, spec):
-        pair = parse_pair(spec)
-        p, q = mp_atoms(pair, Direction.FORWARD, dps=60)
-        with mpmath.workdps(60):
-            want = float(1 - mpmath.fsum(mpmath.sqrt(a * b) for a, b in zip(p, q)))
-        for got in hellinger_forms(pair):
-            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
-
-    def test_llr_moments(self, spec):
-        pair = parse_pair(spec)
-        mean, var, berry = mp_llr_moments(pair, dps=60)
-        atoms = _tilt_atoms(pair, Direction.FORWARD)
-        assert atoms.kl == pytest.approx(float(mean), rel=1e-14, abs=0.0)
-        assert atoms.var == pytest.approx(float(var), rel=1e-14, abs=0.0)
-        assert atoms.berry == pytest.approx(float(berry), rel=1e-14, abs=0.0)
-
-
 def _k64_pair():
     # Atoms from 1e-300 to 1: p falls geometrically, q is log-uniform in a
     # seeded order, so z = log(p / q) spans about -690 to 690.
@@ -171,58 +140,54 @@ KERNEL_PAIRS = (
 # Both expansions (towards 0 and 1) and the shifted sum on either side of 1;
 # at lam = 1 the kernel gives the pair constants kl and var.
 KERNEL_LAMS = (1e-9, 1e-4, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 + 1e-6, 1.1, 2.0, 7.0, 50.0, 1e4)
+# (pair, relative tolerance, record fields checked): 1e-14 on MP_SPECS, where
+# log_affinity is checked as H^2 only (reverse psi(1/2) of bernoulli:0.5,0.51
+# sums from 200 times its size and is 1.3e-14 off, inside the kernel's
+# model), and the (K + 8) eps rounding model on every field of the kernel pairs
+RECORD_FIELDS = MpRecord._fields[3:]
+RECORD_CASES = ([(parse_pair(spec), 1e-14, RECORD_FIELDS[:-1]) for spec in MP_SPECS]
+                + [(pair, (len(pair.p0) + 8) * sys.float_info.epsilon, RECORD_FIELDS)
+                   for pair in KERNEL_PAIRS])
 
 
-@pytest.mark.parametrize("pair", KERNEL_PAIRS, ids=("K9", "K64"))
-@pytest.mark.parametrize("direction", Direction)
 class TestScalarKernel:
-    """The scalar psi kernel and the pair constants against 60 digits, within
-    the (K + 8) eps rounding model that bounds.py's error bounds assume."""
+    """The scalar psi kernel and the pair's record against 60 digits: the
+    kernel within the (K + 8) eps rounding model that bounds.py's error
+    bounds assume, the record within RECORD_CASES' tolerance."""
 
+    @pytest.mark.parametrize("pair", KERNEL_PAIRS, ids=("K9", "K64"))
+    @pytest.mark.parametrize("direction", Direction)
     def test_psi_and_its_derivatives(self, pair, direction):
-        p, q = mp_atoms(pair, direction, dps=60)
-        ulps = (len(p) + 8) * sys.float_info.epsilon
+        record = mp_record(pair, direction, dps=60)
+        ulps = (len(record.p) + 8) * sys.float_info.epsilon
         for lam in KERNEL_LAMS:
             psi, mean, var, size = _tilt(_tilt_atoms(pair, direction), lam)
             with mpmath.workdps(60):
-                lam_mp = mpmath.mpf(lam)
-                w = [a**lam_mp * b ** (1 - lam_mp) for a, b in zip(p, q)]
-                z = [mpmath.log(a / b) for a, b in zip(p, q)]
-                total = mpmath.fsum(w)
-                want_mean = mpmath.fsum(x * y for x, y in zip(w, z)) / total
-                abs_mean = float(mpmath.fsum(x * abs(y) for x, y in zip(w, z)) / total)
-                rms = float(mpmath.sqrt(mpmath.fsum(x * y * y for x, y in zip(w, z)) / total))
-                want_var = mpmath.fsum(x * (y - want_mean) ** 2 for x, y in zip(w, z)) / total
-                errs = (float(abs(psi - mpmath.log(total))), float(abs(mean - want_mean)),
-                        float(abs(var - want_var)))
+                want = mp_tilt(record, mpmath.mpf(lam) - 1)
+                abs_mean = float(mpmath.fsum(w * abs(x) for w, x in zip(want.w, record.z)))
+                rms = float(mpmath.sqrt(mpmath.fsum(w * x * x for w, x in zip(want.w, record.z))))
+                errs = (float(abs(psi - want.psi)), float(abs(mean - want.mean)),
+                        float(abs(var - want.var)))
             # psi to its size; psi' to the tilted mean of |z|; psi'' relative,
             # plus what the errors of z, up to ulps rms(z), do to (z - mean)^2.
             dz = ulps * rms
             assert errs[0] <= ulps * (abs(psi) + size), (lam, errs)
             assert errs[1] <= ulps * abs_mean, (lam, errs)
-            assert errs[2] <= ulps * float(want_var) + 2.0 * math.sqrt(want_var) * dz + dz * dz, (
+            assert errs[2] <= ulps * float(want.var) + 2.0 * math.sqrt(want.var) * dz + dz * dz, (
                 lam, errs)
 
-    def test_pair_constants(self, pair, direction):
-        p, q = mp_atoms(pair, direction, dps=60)
-        atoms = _tilt_atoms(pair, direction)
-        with mpmath.workdps(60):
-            z = [mpmath.log(a / b) for a, b in zip(p, q)]
-            kl = mpmath.fsum(a * x for a, x in zip(p, z))
-            var = mpmath.fsum(a * (x - kl) ** 2 for a, x in zip(p, z))
-            want = {
-                "z_abs": max(abs(x) for x in z),
-                "z_min": min(z),
-                "d_inf": max(z),
-                "log_q_top": mpmath.log(mpmath.fsum(b for b, x in zip(q, z) if x == max(z))),
-                "kl": kl,
-                "var": var,
-                "berry": 6 * mpmath.fsum(a * abs(x - kl) ** 3 for a, x in zip(p, z)) / var**1.5,
-                "log_affinity": mpmath.log(mpmath.fsum(mpmath.sqrt(a * b) for a, b in zip(p, q))),
-            }
-        ulps = (len(p) + 8) * sys.float_info.epsilon
-        for name, value in want.items():
-            assert getattr(atoms, name) == pytest.approx(float(value), rel=ulps, abs=0.0), name
+    @pytest.mark.parametrize("pair, rel, names", RECORD_CASES, ids=MP_SPECS + ("K9", "K64"))
+    @pytest.mark.parametrize("direction", Direction)
+    def test_pair_constants(self, pair, rel, names, direction):
+        # The record's constants, KL through kl_divergence too, and
+        # H^2 = 1 - e^log_affinity through both forms of hellinger_forms
+        atoms, want = _tilt_atoms(pair, direction), mp_record(pair, direction, dps=60)
+        assert kl_divergence(pair, direction) == atoms.kl
+        for name in names:
+            assert getattr(atoms, name) == pytest.approx(float(getattr(want, name)), rel=rel,
+                                                         abs=0.0), name
+        for got in hellinger_forms(pair):
+            assert got == pytest.approx(float(-mpmath.expm1(want.log_affinity)), rel=rel, abs=0.0)
 
 
 class TestKL:
@@ -300,12 +265,11 @@ class TestRenyi:
         for spec in specs:
             pair = parse_pair(spec)
             for direction in Direction:
-                p, q = mp_atoms(pair, direction, dps=60)
+                record = mp_record(pair, direction, dps=60)
                 for lam in lams.tolist():
                     with mpmath.workdps(60):
-                        lam_mp = mpmath.mpf(lam)
-                        s = mpmath.fsum(a**lam_mp * b ** (1 - lam_mp) for a, b in zip(p, q))
-                        ref = float(mpmath.log(s) / (lam_mp - 1))
+                        h = mpmath.mpf(lam) - 1
+                        ref = float(mp_tilt(record, h).psi / h)
                     got = renyi_divergence(pair, lam, direction)
                     assert abs(got - ref) <= 1e-13 * abs(ref), (spec, direction, lam)
 
@@ -425,9 +389,8 @@ class TestAtomCache:
     def test_gaussian_tilt_matches_mpmath(self, pair, lam):
         psi, mean, var, size = _tilt(_tilt_atoms(pair, Direction.FORWARD), lam)
         with mpmath.workdps(60):
-            d2, x = (mpmath.mpf(pair.delta) / mpmath.mpf(pair.sigma)) ** 2, mpmath.mpf(lam)
-            want = (x * (x - 1) * d2 / 2, (x - mpmath.mpf(0.5)) * d2, d2)
-        for got, ref in zip((psi, mean, var), want):
+            want = mp_tilt(mp_record(pair, Direction.FORWARD), mpmath.mpf(lam) - 1)
+        for got, ref in zip((psi, mean, var), want[1:]):
             assert got == pytest.approx(float(ref), rel=1e-14, abs=0.0)
         assert size == 0.0
 

@@ -22,26 +22,15 @@ from htbounds.numerics import (
     q_inverse_log,
 )
 from scanpolish import scan_polish_argmax
-from shared import scalar_forms
+from shared import PHASE_LAMBDA, scalar_forms
 
 # Q(2.326348), Q(1.82635), Q^{-1}(0.01)
 Q_2326348 = 0.009999996642919077
 Q_182635 = 0.033898779108317302
 QINV_001 = 2.3263478740408411
 
-# max of ((l-1)/l)(c - l*D) over l > 1 at c = 0.025, D = 0.00125:
-# attained at l* = sqrt(c/D) with value (sqrt(c) - sqrt(D))^2
-PHASE_LAMBDA = 4.4721359549995794
+# the value (sqrt(c) - sqrt(D))^2 of the maximum at PHASE_LAMBDA
 PHASE_EXPONENT = 0.015069660112501052
-
-
-def mp_q_root(p, x0, dps=60):
-    """Root of Q(x) = p in ``dps``-digit arithmetic, by Newton from ``x0``."""
-    with mpmath.workdps(dps):
-        p, x = mpmath.mpf(p), mpmath.mpf(x0)
-        for _ in range(6):
-            x += (mpmath.erfc(x / mpmath.sqrt(2)) / 2 - p) / mpmath.npdf(x)
-        return float(x)
 
 
 def _mp_log_q(x):
@@ -58,7 +47,11 @@ def mp_log_q(x):
 
 
 def mp_log_q_root(log_p, x0):
-    """Root of log Q(x) = log_p in 50-digit arithmetic, by Newton from ``x0``."""
+    """Root of log Q(x) = log_p in 50-digit arithmetic, by Newton from ``x0``.
+
+    ``log_p`` is a float, or an mpf such as the log of a double p formed
+    at 50 digits, whose root is the exact Q^{-1}(p).
+    """
     with mpmath.workdps(50):
         log_p, x = mpmath.mpf(log_p), mpmath.mpf(x0)
         for _ in range(8):
@@ -87,7 +80,7 @@ MP_LOG_Q = {
     1e6: -500000000014.73444,
 }
 
-# mp_q_root(p, q_inverse(p), dps=50)
+# mp_log_q_root(log p, q_inverse(p)), log p at 50 digits
 MP_Q_INVERSE = {
     1e-300: 37.0470962993612,
     1e-100: 21.273453560965326,
@@ -178,7 +171,8 @@ class TestQInverse:
 
     def test_frozen_references_match_their_generator(self):
         # one row of MP_Q_INVERSE recomputed
-        want = mp_q_root(1e-300, q_inverse(1e-300), dps=50)
+        with mpmath.workdps(50):
+            want = mp_log_q_root(mpmath.log(1e-300), q_inverse(1e-300))
         assert want == pytest.approx(MP_Q_INVERSE[1e-300], rel=1e-15, abs=0.0)
 
     def test_half_maps_to_zero(self):
@@ -197,7 +191,8 @@ class TestQInverse:
         )
         for p in ps.tolist():
             x = q_inverse(p)
-            ref = mp_q_root(p, x)
+            with mpmath.workdps(50):
+                ref = mp_log_q_root(mpmath.log(p), x)
             assert abs(x - ref) <= 2e-15 * max(abs(ref), 1e-3), p
 
     def test_domain(self):

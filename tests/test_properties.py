@@ -38,7 +38,7 @@ from htbounds.numerics import (
 )
 from htbounds.oracle import np_exact_bernoulli, np_exact_discrete
 from scanpolish import scan_polish_argmax
-from shared import exact_log_beta, exact_sample_size, log_slack, mp_atoms
+from shared import exact_log_beta, exact_sample_size, log_slack, mp_record
 
 probs = st.floats(min_value=0.05, max_value=0.95)
 distinct_pairs = st.tuples(probs, probs).filter(lambda t: abs(t[0] - t[1]) > 1e-3)
@@ -248,8 +248,8 @@ def _mp_threshold_log_beta(pair, n, tau):
     summed over the pair's float atoms.
     """
     with mpmath.workdps(50):
-        (p0, p1), (q0, q1) = mp_atoms(pair, Direction.FORWARD)  # P0's atoms, then P1's
-        u, d = mpmath.log(q1 / p1), mpmath.log(q0 / p0)
+        record = mp_record(pair, Direction.REVERSE)  # P1's atoms first, z = log(P1 / P0)
+        (q0, q1), (d, u) = record.p, record.z
         term, beta = q0**n, mpmath.mpf(0)
         for s in range(n + 1):  # term = P1(S = s), by the pmf recurrence
             if s * u + (n - s) * d <= tau:
