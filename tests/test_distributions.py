@@ -119,6 +119,43 @@ MP_SPECS = (
     "discrete:0.2,0.3,0.5|0.4,0.4,0.2",
     "discrete:0.1,0.2,0.3,0.4|0.25,0.25,0.25,0.25",
 )
+# The constants of a pair's record, z_abs to log_affinity.  On MP_SPECS
+# log_affinity is checked as H^2 only: the reverse psi(1/2) of
+# bernoulli:0.5,0.51 sums from 200 times its size and is 1.3e-14 off,
+# inside the kernel's model.
+RECORD_FIELDS = MpRecord._fields[3:]
+
+
+def assert_record(pair, direction, rel, names=RECORD_FIELDS):
+    """The constants ``names`` of the pair's record within ``rel`` of ``mp_record`` at 60 digits."""
+    atoms, want = _tilt_atoms(pair, direction), mp_record(pair, direction, dps=60)
+    for name in names:
+        assert getattr(atoms, name) == pytest.approx(float(getattr(want, name)), rel=rel,
+                                                     abs=0.0), (direction, name)
+
+
+@pytest.mark.parametrize("spec", MP_SPECS)
+class TestMpmathReferences:
+    """KL, Hellinger, the LLR's extremes and moments and the Berry-Esseen
+    constant within 1e-14 relative of 60 digits."""
+
+    def test_kl_both_directions(self, spec):
+        pair = parse_pair(spec)
+        for direction in Direction:
+            want = mp_record(pair, direction, dps=60).kl
+            assert kl_divergence(pair, direction) == pytest.approx(float(want), rel=1e-14,
+                                                                   abs=0.0), direction
+
+    def test_hellinger(self, spec):
+        # H^2 = 1 - e^log_affinity, through both forms of hellinger_forms
+        pair = parse_pair(spec)
+        want = -mpmath.expm1(mp_record(pair, Direction.FORWARD, dps=60).log_affinity)
+        for got in hellinger_forms(pair):
+            assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+    def test_llr_moments(self, spec):
+        for direction in Direction:
+            assert_record(parse_pair(spec), direction, 1e-14, RECORD_FIELDS[:-1])
 
 
 def _k64_pair():
@@ -140,20 +177,11 @@ KERNEL_PAIRS = (
 # Both expansions (towards 0 and 1) and the shifted sum on either side of 1;
 # at lam = 1 the kernel gives the pair constants kl and var.
 KERNEL_LAMS = (1e-9, 1e-4, 0.01, 0.3, 0.5, 0.9, 1.0 - 1e-6, 1.0 + 1e-6, 1.1, 2.0, 7.0, 50.0, 1e4)
-# (pair, relative tolerance, record fields checked): 1e-14 on MP_SPECS, where
-# log_affinity is checked as H^2 only (reverse psi(1/2) of bernoulli:0.5,0.51
-# sums from 200 times its size and is 1.3e-14 off, inside the kernel's
-# model), and the (K + 8) eps rounding model on every field of the kernel pairs
-RECORD_FIELDS = MpRecord._fields[3:]
-RECORD_CASES = ([(parse_pair(spec), 1e-14, RECORD_FIELDS[:-1]) for spec in MP_SPECS]
-                + [(pair, (len(pair.p0) + 8) * sys.float_info.epsilon, RECORD_FIELDS)
-                   for pair in KERNEL_PAIRS])
 
 
 class TestScalarKernel:
-    """The scalar psi kernel and the pair's record against 60 digits: the
-    kernel within the (K + 8) eps rounding model that bounds.py's error
-    bounds assume, the record within RECORD_CASES' tolerance."""
+    """The scalar psi kernel and the pair constants against 60 digits, within
+    the (K + 8) eps rounding model that bounds.py's error bounds assume."""
 
     @pytest.mark.parametrize("pair", KERNEL_PAIRS, ids=("K9", "K64"))
     @pytest.mark.parametrize("direction", Direction)
@@ -176,18 +204,10 @@ class TestScalarKernel:
             assert errs[2] <= ulps * float(want.var) + 2.0 * math.sqrt(want.var) * dz + dz * dz, (
                 lam, errs)
 
-    @pytest.mark.parametrize("pair, rel, names", RECORD_CASES, ids=MP_SPECS + ("K9", "K64"))
+    @pytest.mark.parametrize("pair", KERNEL_PAIRS, ids=("K9", "K64"))
     @pytest.mark.parametrize("direction", Direction)
-    def test_pair_constants(self, pair, rel, names, direction):
-        # The record's constants, KL through kl_divergence too, and
-        # H^2 = 1 - e^log_affinity through both forms of hellinger_forms
-        atoms, want = _tilt_atoms(pair, direction), mp_record(pair, direction, dps=60)
-        assert kl_divergence(pair, direction) == atoms.kl
-        for name in names:
-            assert getattr(atoms, name) == pytest.approx(float(getattr(want, name)), rel=rel,
-                                                         abs=0.0), name
-        for got in hellinger_forms(pair):
-            assert got == pytest.approx(float(-mpmath.expm1(want.log_affinity)), rel=rel, abs=0.0)
+    def test_pair_constants(self, pair, direction):
+        assert_record(pair, direction, (len(pair.p0) + 8) * sys.float_info.epsilon)
 
 
 class TestKL:
