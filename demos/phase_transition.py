@@ -1,8 +1,9 @@
 # The phase transition at the divergence: let the Type I budget decay
 # as eps_n = e^{-nc}.  For c above D(P1||P0) every test degrades to
 # beta -> 1, which renyi_converse at log eps = -c n shows; for c below it
-# a threshold test drives beta -> 0 exponentially.  Both sides have
-# closed-form exponents for Gaussians.
+# a threshold test drives beta -> 0 exponentially, which
+# phase_transition_achievability at the same log eps shows.  Both sides
+# have closed-form exponents for Gaussians.
 
 import math
 
@@ -32,6 +33,6 @@ c_lo = 0.25 * d
 print(f"\nbelow: c = D/4, beta is pushed to zero instead")
 print(" n       achievability upper bound")
 for n in (1000, 3000, 10000, 30000):
-    r = phase_transition_achievability(pair, n, c_lo)
+    r = phase_transition_achievability(pair, n, -c_lo * n)
     print(f"{n:6d}   {r.value:.6g}   (exponent per sample {-r.log_value / n:.3e})")
 print(f"matches (sqrt(c)-sqrt(D))^2 = {(math.sqrt(c_lo) - math.sqrt(d)) ** 2:.3e}")

@@ -29,7 +29,8 @@ Achievability (upper) bounds:
   which holds at both ends by continuity: e^tau (1 - alpha) at l = 0 and
   1 - alpha e^tau at l = 1.
 
-* ``phase_transition_achievability``: the rate form at c < D(P1||P0),
+* ``phase_transition_achievability``: the other side of the phase
+  transition: at eps = e^{-nc}, log_eps = -c n, with a rate c < D(P1||P0),
   beta_n(e^{-nc}) < inf_{l} e^{-n ((1-l)/l)(D_l(P1||P0) - c)} over the
   l in (0,1) with D_l > c.  It is the threshold bound with alpha = 0 at
   tau = n (psi(l*) + c) / l*, l* its optimal order (psi and H_0 as
@@ -50,7 +51,7 @@ objective above is stationary exactly where
 
 and H_s' = -(l - s) psi'' < 0 for l > s, so the optimal order is the one
 root of a monotone function: s = 0 on the reverse atoms with target
-log(eps)/n for branch one (target -c for the phase bound), s = 1 on the
+log(eps)/n for branch one and for the phase bound, s = 1 on the
 forward atoms with target log(1-eps)/n for branch two, and
 s = top / (top - bottom) > 1 with target 0 for a term of the sample-size
 bound (top = log 1/delta and bottom = log 1/(1-eps) on the forward atoms,
@@ -59,7 +60,7 @@ finds it in a handful of psi evaluations: safeguarded Newton from the
 root of psi's quadratic model at l = 1, and it tests the l = inf end
 itself.  The ends are exact: H_0(1) = -D(P1||P0), so branch one is
 informative exactly when n D(P1||P0) < log(1/eps) and the phase root lies
-in (0, 1) exactly when c < D(P1||P0); and when the target is at or below
+in (0, 1) exactly when n D > log(1/eps); and when the target is at or below
 H_s(inf) = log Q(A) + s D_inf (log P0(A) for both branches), Q the
 record's second distribution and A the atoms where z is largest, the
 optimum is the endpoint l = inf, reported as ``optimizer = inf`` with
@@ -481,14 +482,17 @@ def renyi_achievability_at_threshold(
     return BoundResult(log_value, lam if log_value > -math.inf else None, BoundKind.UPPER_BETA)
 
 
-def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> BoundResult:
-    """Upper bound on beta_n(e^{-nc}) for rates below the divergence.
+def phase_transition_achievability(pair: DistributionPair, n: int, log_eps: float) -> BoundResult:
+    """Upper bound on beta_n(eps) below the divergence, -D(P1||P0) < log_eps / n < 0.
 
-    beta_n(e^{-nc}) < inf e^{-n ((1-l)/l)(D_l(P1||P0) - c)}, the infimum
-    over the l in (0, 1) with D_l(P1||P0) > c.  It is the bound of
-    :func:`renyi_achievability_at_threshold` with alpha = 0 at the threshold
-    tau = n (psi(l*) + c) / l*, l* the optimal order below and psi the
-    reverse-direction tilted log-sum: H_0(l*) = -c gives n psi'(l*) = tau,
+    At eps = e^{-nc}, log_eps = -c n, with a rate c < D(P1||P0), it reads
+
+        beta_n(e^{-nc}) < inf e^{-n ((1-l)/l)(D_l(P1||P0) - c)},
+
+    the infimum over the l in (0, 1) with D_l(P1||P0) > c.  It is the
+    bound of :func:`renyi_achievability_at_threshold` with alpha = 0 at the
+    threshold tau = n (psi(l*) + c) / l*, l* the optimal order below and psi
+    the reverse-direction tilted log-sum: H_0(l*) = -c gives n psi'(l*) = tau,
     so the threshold bound is minimized at l* itself, where its log
     n psi(l*) - (l* - 1) tau is n (psi(l*) - (l* - 1) c) / l*, this bound's.
     It is evaluated as exactly that, the threshold bound at its own order:
@@ -501,23 +505,25 @@ def phase_transition_achievability(pair: DistributionPair, n: int, c: float) -> 
     passed counts it.  Where that rounded-up log lies above 0 (c within a
     few 1e-13 relative of D), or is NaN (tau past the float range), the
     bound is the end l = 1, log 0, the threshold bound's there at
-    alpha = 0, and the optimizer is 1.
+    alpha = 0, and the optimizer is 1.  The rate is read as -c = log_eps / n,
+    which rounds once; a budget where it is at or below -D(P1||P0), the
+    side :func:`renyi_converse` states, or rounds to 0 raises
+    :class:`DomainError`.
     """
     _check_n(n)
-    _check_rate(c)
+    _check_log_eps(log_eps)
     atoms = _tilt_atoms(pair, Direction.REVERSE)
-    if c >= atoms.kl:
-        raise DomainError(
-            f"phase_transition_achievability requires c < D(P1||P0) = {atoms.kl:.6g}; "
-            "for c above the divergence use renyi_converse at log_eps = -c n"
-        )
+    t = log_eps / n
+    if not -atoms.kl < t < 0.0:
+        raise DomainError(f"phase_transition_achievability requires -D(P1||P0) = {-atoms.kl:.6g}"
+                          " < log_eps / n < 0; above the divergence use renyi_converse")
 
-    # The exponent n (c (l-1) - psi(l)) / l is stationary where H_0(l) = -c;
+    # The exponent n (c (l-1) - psi(l)) / l, c = -t, is stationary where H_0(l) = t;
     # H_0(0) = 0 and H_0(1) = -D(P1||P0), so the root lies in (0, 1).
-    lam, psi, psi_size = _tilt_root(atoms, 0.0, -c, 0.0, 1.0)
+    lam, psi, psi_size = _tilt_root(atoms, 0.0, t, 0.0, 1.0)
     # the size passed turns _threshold_log's n (|psi| + size) into n (|psi| + size) / lam
     log_value = _threshold_log(atoms, n, lam, psi, (abs(psi) + psi_size) / lam - abs(psi),
-                               n * (psi + c) / lam, -math.inf)
+                               n * (psi - t) / lam, -math.inf)
     if not log_value <= 0.0:
         log_value, lam = 0.0, 1.0
     return BoundResult(log_value, lam, BoundKind.UPPER_BETA)

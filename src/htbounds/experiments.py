@@ -73,10 +73,10 @@ _BOUNDS = {
     # one; both stay while the benchmark's sweep-phase runs ask for them, and ROADMAP
     # direction 14 deletes them together with their columns
     "achievability": _Bound("#9467bd", lambda pair, n, log_eps:
-        phase_transition_achievability(pair, n, -log_eps / n)),
+        phase_transition_achievability(pair, n, log_eps)),
     "phase_converse": _Bound("#e377c2", _phase_converse),
     "phase_achievability": _Bound("#8c564b", lambda pair, n, log_eps:
-        phase_transition_achievability(pair, n, -log_eps / n)),
+        phase_transition_achievability(pair, n, log_eps)),
     "fano": _Bound("#1f77b4", lambda pair, n, log_eps: fano_bound(pair, n, log_eps)),
     "hellinger": _Bound("#2ca02c", lambda pair, n, log_eps: hellinger_bound(pair, n, log_eps)),
     "berry_esseen": _Bound("#ff7f0e", lambda pair, n, log_eps:

@@ -111,10 +111,10 @@ def test_criterion_2_converse_sound_against_oracle():
         pair = parse_pair(spec)
         d_rev = kl_divergence(pair, Direction.REVERSE)
         for frac in (0.5, 0.25):
-            c = frac * d_rev
             for n in ns:
-                upper = phase_transition_achievability(pair, n, c)
-                log_beta = exact_log_beta(pair, n, -c * n)
+                log_eps = -frac * d_rev * n
+                upper = phase_transition_achievability(pair, n, log_eps)
+                log_beta = exact_log_beta(pair, n, log_eps)
                 assert upper.log_value >= log_beta - log_slack(log_beta), (spec, frac, n)
     assert time.perf_counter() - start < 120.0
 
@@ -313,12 +313,11 @@ def test_criterion_8_optimizers_match_dense_scan():
             if g_star < 0.0:
                 oracle = max(oracle, math.log1p(-math.exp(g_star)))
         elif op == 2:
-            c = float(rng.uniform(0.1, 0.9)) * d_rev
-            impl = phase_transition_achievability(pair, n, c).log_value
+            log_eps = -float(rng.uniform(0.1, 0.9)) * d_rev * n
+            impl = phase_transition_achievability(pair, n, log_eps).log_value
             exponent = scan_polish_argmax(
                 lambda l: ((1.0 - l) / l)
-                * n
-                * (renyi_reference(pair, l, Direction.REVERSE) - c),
+                * (n * renyi_reference(pair, l, Direction.REVERSE) + log_eps),
                 1.0e-10,
                 1.0 - 1.0e-12,
             )[1]

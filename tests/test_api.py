@@ -47,12 +47,14 @@ BERN, GAUSS = distributions.BernoulliPair(0.5, 0.6), distributions.GaussianPair(
 OPEN = ((0.0, math.nan, math.inf, -math.inf, "0.1"), "must be finite and < 0",
         (-5e-324, -sys.float_info.max))
 CLOSED = ((5e-324, math.nan, math.inf, "0.1"), r"must lie in \[-inf, 0\]", (0.0, -math.inf))
+# the phase achievability bound's: values inside its window -D < log eps / n < 0 at n = 10
+WINDOW = (OPEN[0], OPEN[1], (-1e-300, -0.2))
 LOG = object()
 # Every public function that takes n, by name: its argument before n, those after it (LOG for
 # its log eps, or log alpha for the threshold bound), and that argument's domain
 TAKES_N = {
     "renyi_converse": (BERN, (LOG,), OPEN),
-    "phase_transition_achievability": (BERN, (0.01,), None),
+    "phase_transition_achievability": (BERN, (LOG,), WINDOW),
     "renyi_achievability_at_threshold": (BERN, (0.0, LOG), CLOSED),
     "fano_bound": (BERN, (LOG,), OPEN),
     "hellinger_bound": (BERN, (LOG,), OPEN),
@@ -65,7 +67,8 @@ TAKES_N = {
 }
 
 
-def call(name, n, log_budget=math.log(0.1)):
+def call(name, n, log_budget=-0.1):
+    # the default budget lies in every row's domain at n = 10
     first, rest, _ = TAKES_N[name]
     return getattr(htbounds, name)(first, n, *(log_budget if a is LOG else a for a in rest))
 
@@ -111,20 +114,19 @@ FAR_PAIRS = (distributions.BernoulliPair(1e-300, 0.999), distributions.GaussianP
 MAGNITUDES = st.one_of(st.sampled_from([5e-324, sys.float_info.max]),
                        st.floats(min_value=-323.3, max_value=308.25).map(lambda u: 10.0**u))
 # What a refusal names: n, the log budget or rate, the pair's family, or the type ceiling
-NAMED = re.compile(r"^n must|log_eps|log_alpha|rate c|requires c [<>]|requires a \w+Pair|"
+NAMED = re.compile(r"^n must|log_eps|log_alpha|rate c|requires a \w+Pair|"
                    r"finite-support pair|ceiling is")
 
 
 @st.composite
 def far_calls(draw):
     # a TAKES_N row at a far-end pair, n log-uniform up to 10^300, and a log
-    # budget anywhere in its domain; the rows without one take a rate c > 0
+    # budget anywhere in its domain; eps_at takes an exponential regime's rate c > 0
     name = draw(st.sampled_from(sorted(TAKES_N)))
     _, rest, domain = TAKES_N[name]
     pair, n = draw(st.sampled_from(FAR_PAIRS)), int(10.0 ** draw(st.floats(0.0, 300.0)))
-    if domain is None:  # the phase achievability bound's rate, or eps_at's exponential regime
-        c = draw(MAGNITUDES)
-        return name, ((bounds.Exponential(c), n) if name == "eps_at" else (pair, n, c))
+    if domain is None:
+        return name, (bounds.Exponential(draw(MAGNITUDES)), n)
     budget = draw(st.one_of(st.sampled_from(domain[2]), MAGNITUDES.map(lambda x: -x)))
     return name, (pair, n, *(budget if a is LOG else a for a in rest))
 

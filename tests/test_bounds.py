@@ -170,7 +170,7 @@ class TestPhaseTransitionAchievability:
             d = kl_divergence(pair, Direction.REVERSE)
             for ratio in (1e-4, 0.01, 0.25, 0.81, 0.99):
                 for n in (100, 10000):
-                    r = phase_transition_achievability(pair, n, ratio * d)
+                    r = phase_transition_achievability(pair, n, -ratio * d * n)
                     case = (pair, ratio, n)
                     want = -n * (math.sqrt(d) - math.sqrt(ratio * d)) ** 2
                     assert r.log_value == pytest.approx(want, rel=1e-12, abs=0.0), case
@@ -179,9 +179,9 @@ class TestPhaseTransitionAchievability:
                     assert r.valid
 
     def test_rate_within_rounding_of_d_takes_the_order_one_end(self):
-        # c = (1 - 1e-13) D: the root's log, rounded up, is +3.6e-27, so the
-        # bound is the end l = 1, log 0, the threshold bound's at alpha = 0
-        r = phase_transition_achievability(BERN, 2000, 0.00020001333546710518)
+        # log eps = -(1 - 1e-13) n D: the root's log, rounded up, is +3.6e-27,
+        # so the bound is the end l = 1, log 0, the threshold bound's at alpha = 0
+        r = phase_transition_achievability(BERN, 2000, -0.40002667093421035)
         assert (r.log_value, r.optimizer, r.valid) == (0.0, 1.0, True)
 
     def test_rounding_bound_counts_the_error_tau_carries(self):
@@ -189,18 +189,31 @@ class TestPhaseTransitionAchievability:
         # reaches the log as n / l* times it; without it, this cell's bound
         # fell 1.0e-13 relative below its own expression at 50 digits
         pair = BernoulliPair(0.4862020687965917, 0.5035238062336335)
-        n, c = 66, 0.00019905456066066635
-        r = phase_transition_achievability(pair, n, c)
+        n, log_eps = 66, -0.00019905456066066635 * 66
+        r = phase_transition_achievability(pair, n, log_eps)
         with mpmath.workdps(50):
             lam = mpmath.mpf(r.optimizer)
-            want = n * (mp_tilt(mp_record(pair, Direction.REVERSE), lam - 1).psi
-                        - (lam - 1) * mpmath.mpf(c)) / lam
+            want = (n * mp_tilt(mp_record(pair, Direction.REVERSE), lam - 1).psi
+                    + (lam - 1) * mpmath.mpf(log_eps)) / lam
             assert r.log_value >= want
         assert r.log_value == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
-    def test_supercritical_rate_rejected(self):
-        with pytest.raises(DomainError, match="use renyi_converse at log_eps = -c n"):
-            phase_transition_achievability(GAUSS, 100, 2 * D_GAUSS)
+    def test_supercritical_rate_rejected(self, monkeypatch):
+        # the window is -D < log eps / n < 0: at and past -D the converse
+        # states the other side, and a log eps / n that rounds to -0.0
+        # (log eps = -5e-324 at n = 2) is refused before any root is solved
+        d = kl_divergence(GAUSS, Direction.REVERSE)
+        assert phase_transition_achievability(GAUSS, 100, -(1.0 - 1e-9) * 100 * d).valid
+        for log_eps in (-100 * d, -200 * d):
+            with pytest.raises(DomainError, match="above the divergence use renyi_converse"):
+                phase_transition_achievability(GAUSS, 100, log_eps)
+
+        def no_root(atoms, s, target, lo, hi, ds=0.0):
+            raise AssertionError(f"_tilt_root reached with target {target!r}")
+
+        monkeypatch.setattr(htbounds.bounds, "_tilt_root", no_root)
+        with pytest.raises(DomainError, match="log_eps / n < 0"):
+            phase_transition_achievability(GAUSS, 2, -5e-324)
 
 
 def _mp_golden(f, lo, hi, steps=100):
@@ -400,12 +413,12 @@ class TestRenyiOrderRoot:
             pair = parse_pair(spec)
             d = kl_divergence(pair, Direction.REVERSE)
             for ratio in (0.999, 0.999999):
-                c = ratio * d
+                log_eps = -ratio * d * n
                 with mpmath.workdps(60):
-                    cm, rev = mpmath.mpf(c), mp_record(pair, Direction.REVERSE)
-                    want = _mp_golden(lambda l: n * (cm * (l - 1) - mp_tilt(rev, l - 1).psi) / l,
+                    le, rev = mpmath.mpf(log_eps), mp_record(pair, Direction.REVERSE)
+                    want = _mp_golden(lambda l: -(le * (l - 1) + n * mp_tilt(rev, l - 1).psi) / l,
                                       0, 1)
-                got = -phase_transition_achievability(pair, n, c).log_value
+                got = -phase_transition_achievability(pair, n, log_eps).log_value
                 assert abs(got - want) <= 1e-6 * want, (spec, ratio, got, float(want))
                 assert got <= want, (spec, ratio)
 
@@ -419,7 +432,7 @@ class TestRenyiOrderRoot:
                 for regime in (Constant(0.01), Linear(), Exponential(0.25 * d)):
                     assert renyi_converse(pair, n, eps_at(regime, n)[1]).valid, (pair, n, regime)
                 assert renyi_converse(pair, n, -2.0 * d * n).valid
-                assert phase_transition_achievability(pair, n, 0.5 * d).valid
+                assert phase_transition_achievability(pair, n, -0.5 * d * n).valid
 
     # Gaussian pairs with psi''(1) = (delta / sigma)^2 of 1e-320 and 1e-306,
     # whose orders (about 1e153 to 1e160) are the quadratic model's root:
@@ -445,14 +458,14 @@ class TestRenyiOrderRoot:
         assert r.value == pytest.approx(0.8, rel=1e-15, abs=0.0)
 
 
-def _phase_threshold(pair, n, c):
-    """tau = n (psi(l*) + c) / l* at the rate-c bound's order l*, psi from the reverse record.
+def _phase_threshold(pair, n, log_eps):
+    """tau = (n psi(l*) - log eps) / l* at the phase bound's order l*, psi from the reverse record.
 
-    psi + c does not cancel, so tau keeps its accuracy as l* -> 1.
+    n psi - log eps does not cancel, so tau keeps its accuracy as l* -> 1.
     """
-    lam = phase_transition_achievability(pair, n, c).optimizer
+    lam = phase_transition_achievability(pair, n, log_eps).optimizer
     psi = _tilt(_tilt_atoms(pair, Direction.REVERSE), lam)[0]
-    return n * (psi + c) / lam
+    return (n * psi - log_eps) / lam
 
 
 def _mp_min_u(pair, n, tau):
@@ -475,12 +488,13 @@ def _mp_min_u(pair, n, tau):
 
 class TestRenyiAchievabilityAtThreshold:
     def test_matches_phase_bound_through_threshold_construction(self):
-        # The rate-c achievability bound is this bound evaluated at the
+        # The phase achievability bound is this bound evaluated at the
         # matching threshold with the alpha term dropped.
-        c = kl_divergence(BERN, Direction.REVERSE) / 2
         n = 10000
-        pa = phase_transition_achievability(BERN, n, c)
-        r = renyi_achievability_at_threshold(BERN, n, _phase_threshold(BERN, n, c), -math.inf)
+        log_eps = -kl_divergence(BERN, Direction.REVERSE) / 2 * n
+        pa = phase_transition_achievability(BERN, n, log_eps)
+        tau = _phase_threshold(BERN, n, log_eps)
+        r = renyi_achievability_at_threshold(BERN, n, tau, -math.inf)
         # Both are about -0.17; they differ by the rounding of tau.
         assert r.log_value == pytest.approx(pa.log_value, rel=1e-11, abs=0.0)
         assert r.valid
@@ -556,8 +570,8 @@ class TestRenyiAchievabilityAtThreshold:
                 assert r.log_value >= want, case
 
     def test_near_critical_exponent_matches_mpmath(self):
-        # The threshold of the rate-c bound at c just below D, where forming
-        # (l - 1) n D_l from a log-sum-exp overstated the exponent (-3.98e-13
+        # The threshold of the phase bound at log eps = -c n, c just below D,
+        # where forming (l - 1) n D_l from a log-sum-exp overstated the exponent (-3.98e-13
         # returned at bernoulli:0.5,0.51, n = 2000, c = 0.999999 D, against
         # 1.0003e-13).
         # The truth is the bound at the same float tau, minimized at 60
@@ -567,8 +581,7 @@ class TestRenyiAchievabilityAtThreshold:
             pair = parse_pair(spec)
             d = kl_divergence(pair, Direction.REVERSE)
             for ratio in (0.999, 0.999999):
-                c = ratio * d
-                tau = _phase_threshold(pair, n, c)
+                tau = _phase_threshold(pair, n, -ratio * d * n)
                 r = renyi_achievability_at_threshold(pair, n, tau, -math.inf)
                 want = -float(tau + _mp_min_u(pair, n, tau))
                 got = -r.log_value

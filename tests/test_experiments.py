@@ -67,13 +67,13 @@ def small_grid(**kw):
 def direct_cells(pair, regime, n, names):
     """The named columns' cells at n from direct library calls, by name.
 
-    phase_achievability and achievability (the same cell again) run at the
-    row's rate -log(eps)/n; phase_converse, which has no public function,
-    is the bounds module's branch-one cell at log eps; every family's
-    oracle takes log eps.  A DomainError is an empty cell: None.
+    This is the one table that says which library call computes each
+    column: a new registry entry adds its row here.  Every call takes the
+    row's log eps; achievability is phase_achievability's call again, and
+    phase_converse, which has no public function, is the bounds module's
+    branch-one cell.  A DomainError is an empty cell: None.
     """
-    eps, log_eps = eps_at(regime, n)
-    rate = -log_eps / n
+    log_eps = eps_at(regime, n)[1]
 
     def np_exact():
         if isinstance(pair, GaussianPair):
@@ -86,9 +86,9 @@ def direct_cells(pair, regime, n, names):
 
     calls = {
         "renyi_converse": lambda: renyi_converse(pair, n, log_eps),
-        "achievability": lambda: phase_transition_achievability(pair, n, rate),
+        "achievability": lambda: phase_transition_achievability(pair, n, log_eps),
         "phase_converse": lambda: htbounds.bounds._phase_converse(pair, n, log_eps),
-        "phase_achievability": lambda: phase_transition_achievability(pair, n, rate),
+        "phase_achievability": lambda: phase_transition_achievability(pair, n, log_eps),
         "fano": lambda: fano_bound(pair, n, log_eps),
         "hellinger": lambda: hellinger_bound(pair, n, log_eps),
         "berry_esseen": lambda: berry_esseen_bound(pair, n, log_eps),
@@ -481,38 +481,6 @@ class TestGcFreeze:
         assert self._run(code) == "0 True"
 
 
-# One case per `bound --bound` choice: pair, flags, and the library call
-# that the command line must reproduce at n = 100.
-BOUND_CASES = [
-    ("renyi_converse", "bernoulli:0.5,0.6", [],
-     lambda p: renyi_converse(p, 100, math.log(0.01))),
-    ("achievability", "bernoulli:0.5,0.6", ["--exp-rate", "0.01"],
-     lambda p: phase_transition_achievability(p, 100, 0.01)),
-    ("phase_converse", "bernoulli:0.5,0.6", ["--exp-rate", "0.05"],
-     lambda p: renyi_converse(p, 100, -0.05 * 100)),
-    ("phase_achievability", "bernoulli:0.5,0.6", ["--exp-rate", "0.01"],
-     lambda p: phase_transition_achievability(p, 100, 0.01)),
-    ("fano", "bernoulli:0.5,0.6", ["--log-eps", "-3"],
-     lambda p: fano_bound(p, 100, -3.0)),
-    ("hellinger", "bernoulli:0.5,0.6", ["--eps", "0.05"],
-     lambda p: hellinger_bound(p, 100, math.log(0.05))),
-    ("berry_esseen", "bernoulli:0.5,0.6", [],
-     lambda p: berry_esseen_bound(p, 100, math.log(0.01))),
-    ("smoothing_out", "gaussian:2,0.1", [],
-     lambda p: smoothing_out_bound(p, 100, math.log(0.01))),
-    ("np_exact", "bernoulli:0.5,0.6", ["--eps", "0.05"],
-     lambda p: direct_cells(p, Constant(0.05), 100, ("np_exact",))["np_exact"]),
-]
-# The same for the threshold test, which is its own command: its inputs are not a sweep cell's
-CLI_CASES = [*BOUND_CASES, ("threshold", "bernoulli:0.5,0.6", ["--tau", "0.5", "--log-alpha", "-5"],
-                            lambda p: renyi_achievability_at_threshold(p, 100, 0.5, -5.0))]
-
-
-def _command(name):
-    # the argv head that runs a case: `bound --bound <name>`, or `threshold`
-    return ["threshold"] if name == "threshold" else ["bound", "--bound", name]
-
-
 # Each `bound` budget flag, the sweep regime it matches at n = 100, and the log eps both take.
 _BUDGETS = {
     "eps": (["--eps", "0.05"], Constant(0.05), math.log(0.05)),
@@ -522,26 +490,14 @@ _BUDGETS = {
 
 
 class TestCli:
-    def test_bound_subcommand_json(self, capsys):
-        code = cli_main(
-            ["bound", "--pair", "bernoulli:0.5,0.51", "--bound", "renyi_converse",
-             "--n", "1000", "--eps", "0.01"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out.strip().splitlines()[-1])
-        pair = parse_pair("bernoulli:0.5,0.51")
-        direct = renyi_converse(pair, 1000, math.log(0.01))
-        assert payload["value"] == pytest.approx(direct.value, rel=1e-14, abs=0.0)
-        assert payload["valid"] is True
-
-    @pytest.mark.parametrize("bound, spec, flags, call", CLI_CASES, ids=[c[0] for c in CLI_CASES])
-    def test_bound_choice_matches_library(self, capsys, bound, spec, flags, call):
-        argv = [*_command(bound), "--pair", spec, "--n", "100", *flags]
+    def test_threshold_matches_library(self, capsys):
+        # the threshold test is its own command: its inputs are not a sweep cell's
+        argv = ["threshold", "--pair", "bernoulli:0.5,0.6", "--n", "100", "--tau", "0.5",
+                "--log-alpha", "-5"]
         assert cli_main(argv) == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        direct = call(parse_pair(spec))
-        assert payload["bound"] == bound
+        direct = renyi_achievability_at_threshold(parse_pair("bernoulli:0.5,0.6"), 100, 0.5, -5.0)
+        assert payload["bound"] == "threshold"
         assert payload["value"] == direct.value
         assert payload["optimizer"] == direct.optimizer
 
@@ -549,9 +505,10 @@ class TestCli:
     @pytest.mark.parametrize("bound", CANONICAL_BOUNDS)
     def test_bound_prints_the_sweep_cell(self, capsys, bound, budget):
         # every registry choice prints the cell of a one-row sweep at the same
-        # budget, bit for bit, and exits 2 exactly where that cell is empty; at
-        # this pair's D(P1||P0) = 0.005, either the phase converse or the two
-        # achievability columns are out of regime
+        # budget, bit for bit, and exits 2 exactly where that cell is empty
+        # (test_every_column_matches_direct_calls ties each cell to its library
+        # call); at this pair's D(P1||P0) = 0.005, either the phase converse or
+        # the two achievability columns are out of regime
         spec, (flags, regime, log_eps) = "gaussian:2,0.1", _BUDGETS[budget]
         row = run_grid(ExperimentGrid(spec, regime, (100,), (bound,))).rows[0]
         assert row.log_eps == log_eps
@@ -563,6 +520,7 @@ class TestCli:
             return
         assert code == 0
         payload = json.loads(out.strip().splitlines()[-1])
+        assert payload["bound"] == bound
         assert (payload["value"], float(payload["log_value"]), payload["optimizer"],
                 payload["kind"], payload["valid"]) == (cell.value, cell.log_value, cell.optimizer,
                                                        cell.kind.value, cell.valid)
@@ -588,9 +546,6 @@ class TestCli:
         assert (optimizer is None if direct.optimizer is None
                 else float(optimizer) == direct.optimizer)
         assert math.isinf(direct.log_value) or math.isinf(direct.optimizer)
-
-    def test_bound_cases_cover_every_choice(self):
-        assert [c[0] for c in BOUND_CASES] == list(CANONICAL_BOUNDS)
 
     @pytest.mark.parametrize("eps", ["0", "-1", "1.5"])
     def test_bound_eps_outside_unit_interval_exits_two(self, capsys, eps):
@@ -735,7 +690,7 @@ class TestCli:
         head, *lines = capsys.readouterr().out.splitlines()
         assert head == f"n=20000 eps=0  (log {log_eps:.9g})"
         converse = renyi_converse(pair, n, log_eps)
-        phase = phase_transition_achievability(pair, n, -log_eps / n)
+        phase = phase_transition_achievability(pair, n, log_eps)
         assert converse.log_value < -10000.0 and phase.log_value < -4000.0
         assert lines == [
             f"  renyi_converse: 0  (log {converse.log_value:.9g})",
@@ -766,7 +721,8 @@ class TestCli:
     @pytest.mark.parametrize("command", [
         ["sweep", "--n-min", "10", "--n-max", "20"],
         ["samplesize", "--eps", "0.1", "--delta", "0.1"],
-        *([*_command(bound), "--n", "10", *flags] for bound, _, flags, _ in CLI_CASES),
+        *(["bound", "--bound", bound, "--n", "10"] for bound in CANONICAL_BOUNDS),
+        ["threshold", "--n", "10", "--tau", "0.5"],
     ], ids=lambda argv: argv[2] if argv[0] == "bound" else argv[0])
     def test_gaussian_separation_out_of_float_range_exits_two(self, capsys, command, delta):
         # (delta / sigma)^2 underflows to 0 (1e-300) or overflows (1e300)

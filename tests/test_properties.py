@@ -295,19 +295,17 @@ def test_near_critical_threshold_and_phase_are_valid_and_sound(case):
     # tau = n D(P1||P0) (1 - g) and alpha = 0, where the root's rounding
     # bound can exceed the bound's margin below 0.  The threshold test's
     # Type I error is at most e^{-tau} (Markov's inequality on e^L under P0),
-    # so its beta is at least beta_n(e^{-tau}); at g > 0 that is also the
-    # beta the phase bound at c = D (1 - g) = tau / n bounds.  Every bound is
+    # so its beta is at least beta_n(e^{-tau}), the beta the phase bound at
+    # log eps = -tau bounds wherever log eps / n > -D.  Every bound is
     # valid, and at or above the exact beta (a K = 3 pair's up to n = 150).
     pair, n, g = case
-    d = kl_divergence(pair, Direction.REVERSE)
-    c = d * (1.0 - g)
-    tau = n * c
-    results = [renyi_achievability_at_threshold(pair, n, tau, -math.inf)]
-    if c < d:
-        results.append(phase_transition_achievability(pair, n, c))
-    assert all(r.valid for r in results), (results, tau)
+    log_eps = _log_eps_at_rate(pair, n, 1.0 - g)
+    results = [renyi_achievability_at_threshold(pair, n, -log_eps, -math.inf)]
+    if log_eps / n > -kl_divergence(pair, Direction.REVERSE):
+        results.append(phase_transition_achievability(pair, n, log_eps))
+    assert all(r.valid for r in results), (results, log_eps)
     if not isinstance(pair, FiniteDiscretePair) or n <= 150:
-        log_beta = exact_log_beta(pair, n, -tau)
+        log_beta = exact_log_beta(pair, n, log_eps)
         for r in results:
             assert r.log_value >= log_beta - log_slack(log_beta), (r, log_beta)
 
